@@ -78,8 +78,9 @@ from ..obs import (
 from ..sgl import ast
 from ..sgl.analysis import analyze_script
 from ..sgl.builtins import FunctionRegistry
-from ..sgl.evalterm import EvalContext, eval_term
-from .decision import DecisionRunner
+from ..sgl.evalterm import EvalContext
+from .compile import ActionFn
+from .decision import DecisionRunner, compile_action
 from .effects import AoeRecord, resolve_aoe
 from .evaluator import CallHint, IndexedEvaluator, NaiveEvaluator, collect_call_hints
 from .rng import TickRandom
@@ -489,6 +490,7 @@ class SimulationEngine:
         # per tick, on the first request
         self._remote_eval_tick = -1
         self._remote_by_key = None
+        self._remote_actions: dict[str, ActionFn] = {}
         self._refresh_capture_flags()
         if cfg.spectators:
             self.serve_spectators(
@@ -947,24 +949,25 @@ class SimulationEngine:
         """Stage 2 for one shard: run scripts, collect effects."""
         effect_rows: list[dict[str, object]] = []
         aoe_records: list[AoeRecord] = []
-        rng = self.rng
-        registry = self.registry
-        agg_eval = self.agg_eval
-
-        def ctx_factory(unit: Mapping[str, object]) -> EvalContext:
-            return EvalContext(
-                env=env,
-                registry=registry,
-                agg_eval=agg_eval,
-                rng=rng,
-                bindings={},
-                unit=unit,
-            )
-
+        rt = self._runtime(env)
         for runner, units in task:
             for unit in units:
-                runner.run_unit(unit, ctx_factory, by_key, effect_rows, aoe_records)
+                runner.run_unit(unit, rt, by_key, effect_rows, aoe_records)
         return effect_rows, aoe_records
+
+    def _runtime(
+        self,
+        env: EnvironmentTable,
+        unit: Mapping[str, object] | None = None,
+    ) -> EvalContext:
+        """A runtime record for compiled closures and the evaluator."""
+        return EvalContext(
+            env=env,
+            registry=self.registry,
+            agg_eval=self.agg_eval,
+            rng=self.rng,
+            unit=unit,
+        )
 
     def _decide_processes(
         self, sharded: ShardedEnvironment
@@ -1147,14 +1150,7 @@ class SimulationEngine:
                 # unit is the performing unit's row, re-bound here so
                 # unit-keyed constructs (single-arg Random(i)) resolve
                 # exactly as they do when the serial engine evaluates
-                ctx = EvalContext(
-                    env=self.env,
-                    registry=self.registry,
-                    agg_eval=self.agg_eval,
-                    rng=self.rng,
-                    bindings={},
-                    unit=unit,
-                )
+                ctx = self._runtime(self.env, unit)
                 return (REPLY_EVAL, self.agg_eval.evaluate(fn, list(args), ctx))
             if kind == "action":
                 return (
@@ -1172,43 +1168,22 @@ class SimulationEngine:
     ) -> list[dict[str, object]]:
         """Evaluate one forwarded action; returns its effect rows.
 
-        Mirrors :class:`~repro.engine.decision.DecisionRunner`'s
-        dispatch: key-shaped actions resolve through the full ``by_key``
-        (a missing key means the target is globally dead -- no effect,
-        exactly the serial semantics), everything else runs the
-        Eq.-(4) scan over all of ``E``.
+        The serial engine's own perform dispatch over the full
+        ``by_key``: a missing key means the target is globally dead (no
+        effect), everything not key-shaped runs the Eq.-(4) scan over all
+        of ``E`` (AoE deferral is off: scoped workers record their own).
         """
-        from ..sgl.sqlspec import apply_action_scan
-        from .decision import apply_key_target
-
-        builtin = self.registry.actions.get(name)
-        if builtin is None:
-            raise ValueError(f"unknown action function {name!r}")
-        ctx = EvalContext(
-            env=self.env,
-            registry=self.registry,
-            agg_eval=self.agg_eval,
-            rng=self.rng,
-            bindings={},
-            unit=unit,
-        )
-        if builtin.native is not None:
-            return list(builtin.native(args, ctx))
-        bindings = dict(zip(builtin.params, args))
-        shape = self._action_shapes.get(name)
-        if (
-            shape is not None
-            and shape.kind == "key"
-            and self._remote_by_key is not None
-        ):
-            probe_ctx = ctx.bind(bindings)
-            target_key = eval_term(shape.key_term, probe_ctx)
-            row = self._remote_by_key.get(target_key)
-            if row is None:
-                return []
-            new_row = apply_key_target(builtin, shape, probe_ctx, row)
-            return [] if new_row is None else [new_row]
-        return list(apply_action_scan(builtin.spec, bindings, ctx))
+        action = self._remote_actions.get(name)
+        if action is None:
+            builtin = self.registry.actions.get(name)
+            if builtin is None:
+                raise ValueError(f"unknown action function {name!r}")
+            action = self._remote_actions[name] = compile_action(
+                builtin, self.registry
+            )
+        rows: list[dict[str, object]] = []
+        action(self._runtime(self.env, unit), args, self._remote_by_key, rows, [])
+        return rows
 
     # -- the tick loop --------------------------------------------------------------
 

@@ -1,124 +1,487 @@
-"""Compilation of e-only terms and conditions to plain row functions.
+"""The SGL compiler: terms, conditions and scripts lowered to closures.
 
-Index construction evaluates measure terms and build-time filters once
-per environment row (Section 5.3's "push selection on player and/or
-unit type", Figure 8's leaf aggregates).  Going through the generic
-:func:`~repro.sgl.evalterm.eval_term` machinery there would pay context
-and dispatch overhead n times per tick, so terms that reference only
-``e`` and registry constants are compiled -- once per aggregate function
--- into closures over plain row dicts.
+The engine never walks an AST at tick time.  Script bodies, the per-probe
+terms of aggregate and action shapes, index-build measures and filters
+are each lowered once into plain closures by this module;
+:mod:`repro.sgl.evalterm` and :mod:`repro.sgl.interp` stay as the
+unoptimised executable semantics that ``tests/engine/test_compile.py``
+checks every closure against, value for value and exception class for
+exception class.
+
+A closure takes one argument, its *frame*.  Names are resolved when the
+closure is built (:class:`Scope`) to a frame slot, a registry constant
+(captured by value) or an :class:`SglNameError`; unknown functions and
+wrong arities are rejected then too, not when the node is first reached:
+
+* *script frames* ``[rt, by_key, out_rows, out_aoe, params…, lets…]``:
+  every ``let`` of a function owns a slot, so binding is a list store,
+  and ``perform`` of a defined function builds the callee's frame;
+* *probe frames* ``[rt, params…, e]`` for the terms of one built-in
+  (:class:`Probe`, key-action effects, residual predicates);
+* *row frames* are the environment row itself (``e`` names the frame):
+  measures and build filters, called once per row by the indexes.
+
+``rt`` is the runtime record -- an :class:`~repro.sgl.evalterm.
+EvalContext` with empty bindings -- read only by ``Random``, aggregate
+call sites (``rt.agg_eval.evaluate``, looked up per call), native
+functions and the scan fallback.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+import math
+import operator
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 from ..sgl import ast
-from ..sgl.errors import SglNameError, SglTypeError
+from ..sgl.builtins import ActionFunction, AggregateFunction, FunctionRegistry
+from ..sgl.errors import SglNameError, SglRuntimeError, SglTypeError
 from ..sgl.evalterm import MATH_BUILTINS
+from ..sgl.values import Vec, field_of
 
-RowFn = Callable[[Mapping[str, object]], object]
-RowPred = Callable[[Mapping[str, object]], bool]
+#: A compiled term, condition or action: ``frame -> value``.
+Fn = Callable[[object], object]
+#: A compiled built-in action: ``(rt, args, by_key, out_rows, out_aoe)``.
+ActionFn = Callable[[object, list, object, list, list], None]
 
-_BINOPS: dict[str, Callable[[object, object], object]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
-}
+_INF = float("inf")
 
-_COMPARES: dict[str, Callable[[object, object], bool]] = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+#: Script-frame slots ahead of the parameters: rt, by_key, out_rows, out_aoe.
+_HEADER = 4
+
+_BINOPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "%": operator.mod,
+}  # fmt: skip
+_COMPARES = {
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}  # fmt: skip
 
 
-def compile_e_term(term: ast.Term, constants: Mapping[str, object]) -> RowFn:
-    """Compile an e-only term into ``row -> value``.
+def _type_error(what: str, *values: object) -> SglTypeError:
+    kinds = " and ".join(type(v).__name__ for v in values)
+    return SglTypeError(f"cannot {what} {kinds}")
 
-    Raises :class:`SglTypeError` if the term references anything other
-    than ``e``, registry constants, or math builtins -- callers are
-    expected to have classified the term as e-only already.
-    """
-    if isinstance(term, ast.Num):
+
+@dataclass(frozen=True)
+class Scope:
+    """Compile-time name resolution for one frame layout: list frames
+    map names to *slots* (the runtime record sits in slot 0); *row* names
+    the frame itself (row frames: no ``Random``, no aggregate calls)."""
+
+    slots: Mapping[str, int]
+    constants: Mapping[str, object]
+    aggregates: Mapping[str, AggregateFunction]
+    row: str | None = None
+
+
+def row_scope(constants: Mapping[str, object]) -> Scope:
+    """Scope of e-only terms: the frame is the row ``e``."""
+    return Scope({}, constants, {}, row="e")
+
+
+def frame_scope(
+    names: Sequence[str], registry: FunctionRegistry, first: int = 1
+) -> Scope:
+    """Scope of a list frame holding *names* from slot *first* on."""
+    slots = {name: first + i for i, name in enumerate(names)}
+    return Scope(slots, registry.constants, registry.aggregates)
+
+
+def compile_term(term: ast.Term, scope: Scope) -> Fn:
+    """Lower *term* to ``frame -> value`` with ``eval_term``'s semantics."""
+    if isinstance(term, (ast.Num, ast.Str)):
         value = term.value
-        return lambda row: value
-    if isinstance(term, ast.Str):
-        text = term.value
-        return lambda row: text
+        return lambda f: value
     if isinstance(term, ast.Name):
-        if term.ident == "e":
-            return lambda row: row
-        if term.ident in constants:
-            constant = constants[term.ident]
-            return lambda row: constant
-        raise SglNameError(f"non-e name {term.ident!r} in e-only term")
+        ident = term.ident
+        if ident == scope.row:
+            return lambda f: f
+        slot = scope.slots.get(ident)
+        if slot is not None:
+            return lambda f: f[slot]
+        constant = scope.constants.get(ident)
+        if constant is None:
+            raise SglNameError(f"unbound name {ident!r}")
+        return lambda f: constant
     if isinstance(term, ast.FieldAccess):
-        base = term.base
-        attr = term.attr
-        if isinstance(base, ast.Name) and base.ident == "e":
-            return lambda row: row[attr]
-        raise SglTypeError(f"unsupported field access base {base!r}")
-    if isinstance(term, ast.BinOp):
-        op = _BINOPS.get(term.op)
-        if op is None:
-            raise SglTypeError(f"unknown operator {term.op!r}")
-        left = compile_e_term(term.left, constants)
-        right = compile_e_term(term.right, constants)
-        return lambda row: op(left(row), right(row))
+        return _compile_field(term, scope)
     if isinstance(term, ast.Neg):
-        inner = compile_e_term(term.operand, constants)
-        return lambda row: -inner(row)
+        operand = compile_term(term.operand, scope)
+
+        def neg(f):
+            value = operand(f)
+            if value is None:
+                return None  # NULL propagation
+            try:
+                return -value
+            except TypeError:
+                raise _type_error("negate", value) from None
+
+        return neg
+    if isinstance(term, ast.BinOp):
+        return _compile_binop(term, scope)
+    if isinstance(term, ast.VecLit):
+        items_of = compile_args(term.items, scope)
+
+        def vec(f):
+            items = items_of(f)
+            if None in items:
+                return None  # NULL propagation
+            for item in items:
+                if not isinstance(item, (int, float)) or isinstance(item, bool):
+                    raise _type_error("put in a vector literal a", item)
+            return Vec(items)
+
+        return vec
     if isinstance(term, ast.Call):
-        fn = MATH_BUILTINS.get(term.name)
-        if fn is None:
-            raise SglTypeError(
-                f"{term.name!r} is not a math builtin; e-only terms cannot "
-                "contain aggregates or Random"
-            )
-        arg_fns = [compile_e_term(a, constants) for a in term.args]
-        return lambda row: fn(*(f(row) for f in arg_fns))
-    raise SglTypeError(f"cannot compile term {term!r}")
+        return _compile_call(term, scope)
+    raise SglTypeError(f"cannot compile {term!r} as a term")
 
 
-def compile_e_cond(cond: ast.Cond, constants: Mapping[str, object]) -> RowPred:
-    """Compile an e-only condition into ``row -> bool``."""
+def _compile_field(term: ast.FieldAccess, scope: Scope) -> Fn:
+    attr = term.attr
+    base = term.base
+    ident = base.ident if isinstance(base, ast.Name) else None
+    slot = scope.slots.get(ident)
+    if slot is None and (ident is None or ident != scope.row):
+        inner = compile_term(base, scope)
+        return lambda f: field_of(inner(f), attr)
+
+    def field(f):
+        value = f if slot is None else f[slot]
+        if type(value) is dict:  # a unit row: skip field_of's dispatch
+            try:
+                return value[attr]
+            except KeyError:
+                raise SglRuntimeError(
+                    f"unit has no attribute {attr!r}"
+                ) from None
+        return field_of(value, attr)
+
+    return field
+
+
+def _compile_binop(term: ast.BinOp, scope: Scope) -> Fn:
+    symbol = term.op
+    op = _BINOPS.get(symbol)
+    if op is None:
+        raise SglTypeError(f"unknown operator {symbol!r}")
+    left = compile_term(term.left, scope)
+    right = compile_term(term.right, scope)
+
+    def binop(f):
+        a = left(f)
+        b = right(f)
+        if a is None or b is None:
+            return None  # NULL propagation
+        try:
+            return op(a, b)
+        except ZeroDivisionError:
+            raise SglRuntimeError("division by zero") from None
+        except TypeError:
+            raise _type_error(f"apply {symbol!r} to", a, b) from None
+
+    return binop
+
+
+def _compile_call(term: ast.Call, scope: Scope) -> Fn:
+    name = term.name
+    builtin = MATH_BUILTINS.get(name)
+    if builtin is None and scope.row is not None:
+        raise SglTypeError(
+            f"{name}: e-only terms cannot contain aggregates or Random"
+        )
+    if name == "Random":
+        return _compile_random([compile_term(a, scope) for a in term.args])
+    args_of = compile_args(term.args, scope)
+    if builtin is not None:
+
+        def math_call(f):
+            args = args_of(f)
+            if None in args:
+                return None  # NULL propagation
+            try:
+                return builtin(*args)
+            except (TypeError, ValueError) as exc:
+                raise SglTypeError(f"{name}: {exc}") from None
+
+        return math_call
+    function = scope.aggregates.get(name)
+    if function is None:
+        raise SglNameError(f"unknown function {name!r}")
+    if len(term.args) != len(function.params):
+        raise SglTypeError(f"{name} expects {len(function.params)} args")
+
+    def aggregate_call(f):
+        rt = f[0]
+        return rt.agg_eval.evaluate(function, args_of(f), rt)
+
+    return aggregate_call
+
+
+def _compile_random(arg_fns: list[Fn]) -> Fn:
+    """``Random(i)`` draws for the current unit, ``Random(e, i)`` for a row."""
+    if len(arg_fns) not in (1, 2):
+        raise SglTypeError("Random takes one or two arguments")
+    index_of = arg_fns[-1]
+    row_of = arg_fns[0] if len(arg_fns) == 2 else None
+
+    def random(f):
+        rt = f[0]
+        if row_of is None:
+            row = rt.unit
+            if row is None:
+                raise SglRuntimeError("Random(i) used outside a unit context")
+        else:
+            row = row_of(f)
+            if type(row) is not dict and not isinstance(row, Mapping):
+                raise SglTypeError("Random(e, i) requires a unit row")
+        index = index_of(f)
+        if not isinstance(index, (int, float)):
+            raise SglTypeError("Random index must be a number")
+        return rt.rng(row, int(index))
+
+    return random
+
+
+def compile_args(
+    terms: Sequence[ast.Term], scope: Scope
+) -> Callable[[object], list]:
+    """Lower *terms* to ``frame -> [values]``, unrolled for small arities."""
+    fns = [compile_term(term, scope) for term in terms]
+    if len(fns) == 0:
+        return lambda f: []
+    if len(fns) == 1:
+        (a,) = fns
+        return lambda f: [a(f)]
+    if len(fns) == 2:
+        a, b = fns
+        return lambda f: [a(f), b(f)]
+    return lambda f: [fn(f) for fn in fns]
+
+
+def compile_cond(cond: ast.Cond, scope: Scope) -> Fn:
+    """Lower *cond* to ``frame -> truth`` with ``eval_cond``'s semantics."""
     if isinstance(cond, ast.BoolLit):
         value = cond.value
-        return lambda row: value
-    if isinstance(cond, ast.Compare):
-        op = _COMPARES.get(cond.op)
-        if op is None:
-            raise SglTypeError(f"unknown comparison {cond.op!r}")
-        left = compile_e_term(cond.left, constants)
-        right = compile_e_term(cond.right, constants)
-        return lambda row: op(left(row), right(row))
-    if isinstance(cond, ast.And):
-        left = compile_e_cond(cond.left, constants)
-        right = compile_e_cond(cond.right, constants)
-        return lambda row: left(row) and right(row)
-    if isinstance(cond, ast.Or):
-        left = compile_e_cond(cond.left, constants)
-        right = compile_e_cond(cond.right, constants)
-        return lambda row: left(row) or right(row)
+        return lambda f: value
     if isinstance(cond, ast.Not):
-        inner = compile_e_cond(cond.operand, constants)
-        return lambda row: not inner(row)
-    raise SglTypeError(f"cannot compile condition {cond!r}")
+        operand = compile_cond(cond.operand, scope)
+        return lambda f: not operand(f)
+    if isinstance(cond, (ast.And, ast.Or)):
+        left = compile_cond(cond.left, scope)
+        right = compile_cond(cond.right, scope)
+        if isinstance(cond, ast.And):
+            return lambda f: left(f) and right(f)
+        return lambda f: left(f) or right(f)
+    if isinstance(cond, ast.Compare):
+        symbol = cond.op
+        op = _COMPARES.get(symbol)
+        if op is None:
+            raise SglTypeError(f"unknown comparison operator {symbol!r}")
+        lhs = compile_term(cond.left, scope)
+        rhs = compile_term(cond.right, scope)
+
+        def compare(f):
+            a = lhs(f)
+            b = rhs(f)
+            if a is None or b is None:
+                return False  # NULL compares false under every operator
+            try:
+                return op(a, b)
+            except TypeError:
+                raise _type_error(f"compare ({symbol})", a, b) from None
+
+        return compare
+    raise SglTypeError(f"cannot compile {cond!r} as a condition")
 
 
-def compile_e_filter(
-    conjuncts: tuple[ast.Cond, ...], constants: Mapping[str, object]
-) -> RowPred | None:
-    """Compile a conjunction of e-only conditions; ``None`` when empty."""
-    if not conjuncts:
+def compile_filter(conjuncts: Sequence[ast.Cond], scope: Scope) -> Fn | None:
+    """Lower a conjunction of conditions; ``None`` when it is empty."""
+    preds = [compile_cond(c, scope) for c in conjuncts]
+    if not preds:
         return None
-    preds = [compile_e_cond(c, constants) for c in conjuncts]
     if len(preds) == 1:
         return preds[0]
-    return lambda row: all(p(row) for p in preds)
+
+    def conjunction(f):
+        for pred in preds:
+            if not pred(f):
+                return False
+        return True
+
+    return conjunction
+
+
+class Probe:
+    """The per-probe terms of one classified built-in (an
+    :class:`~repro.algebra.shapes.AggregateShape` or AoE ``ActionShape``),
+    lowered once.  Frames are ``[rt, *args, None]``: the last slot,
+    :attr:`e_slot`, is ``e`` -- ``None`` until a caller stores a
+    candidate row there for row-level closures."""
+
+    def __init__(self, shape, params: Sequence[str], registry: FunctionRegistry):
+        self.scope = scope = frame_scope((*params, "e"), registry)
+        self.e_slot = len(params) + 1
+        #: u-only conjuncts: when false the selection is empty.
+        self.guard = compile_filter(shape.u_only, scope)
+        eq = compile_args([c.value_term for c in shape.eq_cats], scope)
+        neq = compile_args([c.value_term for c in shape.neq_cats], scope)
+        #: ``frame ->`` the probe's (equality, anti-join) category values.
+        self.cats = lambda f: (tuple(eq(f)), tuple(neq(f)))
+        self._ranges = [
+            (
+                _compile_side(constraint.lowers, scope, max, -_INF),
+                _compile_side(constraint.uppers, scope, min, _INF),
+            )
+            for constraint in shape.ranges
+        ]
+
+    def bounds(self, f: list) -> list[tuple[float, float]] | None:
+        """Each range constraint as a closed ``[lo, hi]`` interval;
+        ``None`` as soon as some interval is empty."""
+        out: list[tuple[float, float]] = []
+        for lower, upper in self._ranges:
+            lo = lower(f)
+            hi = upper(f)
+            if lo > hi:
+                return None
+            out.append((lo, hi))
+        return out
+
+
+def _compile_side(bounds, scope: Scope, pick, unbounded: float) -> Fn:
+    """One side of a range constraint: ``frame ->`` its tightest bound.
+    Strict bounds move to the adjacent float inside the interval, which
+    is exact for the values actually stored in an index."""
+    terms = [(compile_term(b.term, scope), b.strict) for b in bounds]
+    if len(terms) == 1 and not terms[0][1]:
+        only = terms[0][0]
+        return lambda f: pick(unbounded, float(only(f)))
+
+    def side(f):
+        best = unbounded
+        for term, strict in terms:
+            value = float(term(f))
+            if strict:
+                value = math.nextafter(value, -unbounded)
+            best = pick(best, value)
+        return best
+
+    return side
+
+
+def lower_script(
+    script: ast.Script,
+    registry: FunctionRegistry,
+    builtin_action: Callable[[ActionFunction], ActionFn],
+) -> Callable[[object, Mapping[str, object], object, list, list], None]:
+    """Lower every function of *script*; *builtin_action* lowers one
+    built-in action (:func:`repro.engine.decision.compile_action`).
+    Returns ``run(rt, unit, by_key, out_rows, out_aoe)``: ``main`` for
+    one unit."""
+    main = script.main
+    if len(main.params) != 1:
+        raise SglTypeError(
+            f"entry function {main.name!r} must take exactly the unit"
+        )
+    lowering = _ScriptLowering(script, registry, builtin_action)
+    for fn in script.functions.values():
+        lowering.function(fn)
+    body, pad = lowering.bodies[main.name]
+
+    def run(rt, unit, by_key, out_rows, out_aoe):
+        body([rt, by_key, out_rows, out_aoe, unit, *pad])
+
+    return run
+
+
+class _ScriptLowering:
+    def __init__(self, script, registry, builtin_action):
+        self.script = script
+        self.registry = registry
+        self.builtin_action = builtin_action
+        #: function name -> (body, padding for its let slots); looked up
+        #: at call time, so definition order and recursion do not matter
+        self.bodies: dict[str, tuple[Fn, tuple]] = {}
+        self.actions: dict[str, ActionFn] = {}
+        self.next_slot = 0
+
+    def function(self, fn: ast.FunctionDef) -> None:
+        first_let = self.next_slot = _HEADER + len(fn.params)
+        body = self.action(
+            fn.body, frame_scope(fn.params, self.registry, first=_HEADER)
+        )
+        self.bodies[fn.name] = (body, (None,) * (self.next_slot - first_let))
+
+    def action(self, node: ast.Action, scope: Scope) -> Fn:
+        if isinstance(node, ast.Skip):
+            return lambda f: None
+        if isinstance(node, ast.Let):
+            term = compile_term(node.term, scope)
+            slot = self.next_slot
+            self.next_slot += 1
+            inner = replace(scope, slots={**scope.slots, node.name: slot})
+            body = self.action(node.body, inner)
+
+            def let(f):
+                f[slot] = term(f)
+                body(f)
+
+            return let
+        if isinstance(node, ast.Seq):
+            first = self.action(node.first, scope)
+            second = self.action(node.second, scope)
+
+            def seq(f):
+                first(f)
+                second(f)
+
+            return seq
+        if isinstance(node, ast.If):
+            cond = compile_cond(node.cond, scope)
+            then = self.action(node.then_branch, scope)
+            orelse = self.action(node.else_branch or ast.Skip(), scope)
+
+            def branch(f):
+                if cond(f):
+                    then(f)
+                else:
+                    orelse(f)
+
+            return branch
+        if isinstance(node, ast.Perform):
+            return self.perform(node, scope)
+        raise SglTypeError(f"cannot compile {node!r} as an action")
+
+    def perform(self, node: ast.Perform, scope: Scope) -> Fn:
+        name = node.name
+        args_of = compile_args(node.args, scope)
+        callee = self.script.functions.get(name) or self.registry.actions.get(
+            name
+        )
+        if callee is None:
+            raise SglNameError(f"unknown action function {name!r}")
+        if len(node.args) != len(callee.params):
+            raise SglTypeError(f"{name} expects {len(callee.params)} args")
+        if isinstance(callee, ast.FunctionDef):
+            bodies = self.bodies
+
+            def call(f):
+                # defined functions see only their parameters
+                body, pad = bodies[name]
+                body([*f[:_HEADER], *args_of(f), *pad])
+
+            return call
+        action = self.actions.get(name)
+        if action is None:
+            action = self.actions[name] = self.builtin_action(callee)
+
+        def perform(f):
+            action(f[0], args_of(f), f[1], f[2], f[3])
+
+        return perform

@@ -4,10 +4,15 @@ Runs every unit's script against the tick-start environment and collects
 effect rows.  Semantically identical to the reference interpreter
 (``⊕`` is associative/commutative/idempotent -- Eq. 3 -- so appending
 all effect rows to one multiset and combining once equals the nested
-per-``Seq`` combines of Section 4.3); operationally it avoids building
-and merging thousands of one-row tables.
+per-``Seq`` combines of Section 4.3); operationally each script is
+lowered once by :mod:`repro.engine.compile` into slot-indexed closures
+that append straight to the tick's effect collections
+(:mod:`repro.sgl.interp` stays the oracle the differential tests use).
 
-Action application is itself classified (``repro.algebra.shapes``):
+Action application is itself classified (``repro.algebra.shapes``) and
+lowered once per built-in by :func:`compile_action`, the one perform
+dispatch of the local runner, scoped workers and the coordinator's
+forwarded-action service:
 
 * ``key`` actions resolve their target through a per-tick ``key → row``
   hash instead of scanning E (so a ``perform FireAt`` is O(1), keeping
@@ -26,18 +31,27 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from ..algebra.shapes import ActionShape, classify_action
+from ..algebra.shapes import classify_action
 from ..sgl import ast
 from ..sgl.builtins import ActionFunction, FunctionRegistry
-from ..sgl.errors import SglNameError, SglTypeError
-from ..sgl.evalterm import EvalContext, eval_cond, eval_term
+from ..sgl.evalterm import EvalContext
 from ..sgl.sqlspec import apply_action_scan
+from .compile import ActionFn, Probe, compile_filter, compile_term, lower_script
 from .effects import AoeRecord
+
+#: A scoped worker's mid-tick escape hatch: ``forward(kind, name, args,
+#: unit)`` where kind is "aggregate" or "action" and *unit* is the
+#: performing unit's row (the coordinator re-binds it as the runtime
+#: record's unit, so unit-keyed constructs like single-arg ``Random(i)``
+#: resolve identically to the serial engine); answered by the coordinator.
+Forward = Callable[[str, str, list, object], object]
 
 
 class DecisionRunner:
     """Executes one script's decisions for many units, appending effect
-    rows (and deferred AoE records) to shared per-tick collections."""
+    rows (and deferred AoE records) to shared per-tick collections.
+    *forward* is set on shard-scoped workers only (:func:`compile_action`).
+    """
 
     def __init__(
         self,
@@ -46,177 +60,124 @@ class DecisionRunner:
         *,
         index_actions: bool = True,
         defer_aoe: bool = False,
+        forward: Forward | None = None,
     ):
         self.script = script
-        self.registry = registry
-        self.index_actions = index_actions
-        self.defer_aoe = defer_aoe
-        self._action_shapes: dict[str, ActionShape] = {}
-
-    def _shape(self, action: ActionFunction) -> ActionShape:
-        shape = self._action_shapes.get(action.name)
-        if shape is None:
-            shape = classify_action(action.spec)
-            self._action_shapes[action.name] = shape
-        return shape
-
-    # -- per-unit execution ------------------------------------------------------
+        options = dict(
+            index_actions=index_actions, defer_aoe=defer_aoe, forward=forward
+        )
+        self._run = lower_script(
+            script, registry, lambda fn: compile_action(fn, registry, **options)
+        )
 
     def run_unit(
         self,
         unit: Mapping[str, object],
-        ctx_factory: Callable[[Mapping[str, object]], EvalContext],
+        rt: EvalContext,
         by_key: Mapping[object, Mapping[str, object]] | None,
         out_rows: list,
         out_aoe: list[AoeRecord],
     ) -> None:
-        """Execute ``main`` for *unit*; *by_key* enables key actions."""
-        ctx = ctx_factory(unit)
-        main = self.script.main
-        ctx.bindings[main.params[0]] = unit
-        self._action(main.body, ctx, by_key, out_rows, out_aoe)
-
-    def _action(self, node, ctx, by_key, out_rows, out_aoe) -> None:
-        if isinstance(node, ast.Skip):
-            return
-        if isinstance(node, ast.Let):
-            value = eval_term(node.term, ctx)
-            inner = ctx.bind({node.name: value})
-            self._action(node.body, inner, by_key, out_rows, out_aoe)
-            return
-        if isinstance(node, ast.Seq):
-            self._action(node.first, ctx, by_key, out_rows, out_aoe)
-            self._action(node.second, ctx, by_key, out_rows, out_aoe)
-            return
-        if isinstance(node, ast.If):
-            if eval_cond(node.cond, ctx):
-                self._action(node.then_branch, ctx, by_key, out_rows, out_aoe)
-            elif node.else_branch is not None:
-                self._action(node.else_branch, ctx, by_key, out_rows, out_aoe)
-            return
-        if isinstance(node, ast.Perform):
-            self._perform(node, ctx, by_key, out_rows, out_aoe)
-            return
-        raise SglTypeError(f"cannot execute {node!r}")
-
-    def _perform(self, node, ctx, by_key, out_rows, out_aoe) -> None:
-        args = [eval_term(a, ctx) for a in node.args]
-
-        defined = self.script.functions.get(node.name)
-        if defined is not None:
-            inner = EvalContext(
-                env=ctx.env,
-                registry=ctx.registry,
-                agg_eval=ctx.agg_eval,
-                rng=ctx.rng,
-                bindings=dict(zip(defined.params, args)),
-                unit=ctx.unit,
-            )
-            self._action(defined.body, inner, by_key, out_rows, out_aoe)
-            return
-
-        builtin = self.registry.actions.get(node.name)
-        if builtin is None:
-            raise SglNameError(f"unknown action function {node.name!r}")
-        bindings = dict(zip(builtin.params, args))
-
-        if builtin.native is not None:
-            out_rows.extend(builtin.native(args, ctx))
-            return
-
-        if self.index_actions:
-            shape = self._shape(builtin)
-            if shape.kind == "key" and by_key is not None:
-                self._apply_key_action(builtin, shape, bindings, ctx, by_key,
-                                       out_rows)
-                return
-            if shape.kind == "aoe" and self.defer_aoe:
-                record = self._record_aoe(builtin, shape, bindings, ctx)
-                if record is not None:
-                    out_aoe.append(record)
-                return
-
-        out_rows.extend(apply_action_scan(builtin.spec, bindings, ctx))
-
-    # -- key actions ---------------------------------------------------------------
-
-    def _apply_key_action(
-        self, builtin, shape: ActionShape, bindings, ctx, by_key, out_rows
-    ) -> None:
-        probe_ctx = ctx.bind(bindings)
-        target_key = eval_term(shape.key_term, probe_ctx)
-        row = by_key.get(target_key)
-        if row is None:
-            return
-        new_row = apply_key_target(builtin, shape, probe_ctx, row)
-        if new_row is not None:
-            out_rows.append(new_row)
-
-    # -- deferred AoE (Section 5.4) --------------------------------------------------
-
-    def _record_aoe(
-        self, builtin, shape: ActionShape, bindings, ctx
-    ) -> AoeRecord | None:
-        probe_ctx = ctx.bind(bindings)
-        for conjunct in shape.u_only:
-            if not eval_cond(conjunct, probe_ctx):
-                return None
-        bounds = []
-        for constraint in shape.ranges:
-            lo, hi = _eval_bounds(constraint, probe_ctx)
-            if lo > hi:
-                return None
-            bounds.append((lo, hi))
-        (xlo, xhi), (ylo, yhi) = bounds
-        return AoeRecord(
-            action=builtin.name,
-            attr=shape.effect_attr,
-            value=eval_term(shape.value_term, probe_ctx),
-            center=((xlo + xhi) / 2.0, (ylo + yhi) / 2.0),
-            extents=((xhi - xlo) / 2.0, (yhi - ylo) / 2.0),
-            eq_vals=tuple(
-                eval_term(c.value_term, probe_ctx) for c in shape.eq_cats
-            ),
-            neq_vals=tuple(
-                eval_term(c.value_term, probe_ctx) for c in shape.neq_cats
-            ),
-        )
+        """Execute ``main`` for *unit*; *by_key* enables key actions.
+        *rt* is the caller's runtime record (:mod:`repro.engine.compile`),
+        re-pointed at each unit in turn."""
+        rt.unit = unit
+        self._run(rt, unit, by_key, out_rows, out_aoe)
 
 
-def apply_key_target(
-    builtin, shape: ActionShape, probe_ctx, row
-) -> dict | None:
-    """Evaluate a key action against its resolved target row.
+def compile_action(
+    builtin: ActionFunction,
+    registry: FunctionRegistry,
+    *,
+    index_actions: bool = True,
+    defer_aoe: bool = False,
+    forward: Forward | None = None,
+) -> ActionFn:
+    """Lower one built-in action to ``(rt, args, by_key, out_rows, out_aoe)``.
 
-    The one shared body behind every key-action site -- the local
-    runner, the scoped runner's owned-target fast path, and the
-    coordinator's forwarded-action service -- so the extra-where
-    short-circuit and effect-term evaluation can never drift between
-    the serial, scoped, and forwarded code paths.  Returns the effect
-    row, or ``None`` when the residual predicate rejects the target.
+    With *forward* set (a shard-scoped worker) every path that may need
+    a row the worker does not hold -- native and scan actions, and a key
+    action whose target is missing from the scoped *by_key* (owned
+    elsewhere or globally dead; only the coordinator can tell) -- asks
+    the coordinator, whose effect rows splice into *out_rows* at the
+    same point in script order.  Deferred AoE stays local: the record is
+    a pure function of the performing unit.
     """
-    probe_ctx.bindings["e"] = row
-    if not all(eval_cond(c, probe_ctx) for c in shape.extra_where):
-        return None
-    new_row = dict(row)
-    for attr, term in builtin.spec.effects.items():
-        new_row[attr] = eval_term(term, probe_ctx)
-    return new_row
+    name = builtin.name
+    spec = builtin.spec
+    params = builtin.params
+    native = builtin.native
 
+    def everywhere(rt, args, by_key, out_rows, out_aoe):
+        """Native and scan actions range over all of ``E``."""
+        if forward is not None:
+            rows = forward("action", name, args, rt.unit)
+        elif native is not None:
+            rows = native(args, rt)
+        else:
+            rows = apply_action_scan(spec, dict(zip(params, args)), rt)
+        out_rows.extend(rows)
 
-def _eval_bounds(constraint, probe_ctx) -> tuple[float, float]:
-    import math
+    if native is not None or not index_actions:
+        return everywhere
+    shape = classify_action(spec)
+    probe = Probe(shape, params, registry)
 
-    lo = float("-inf")
-    for bound in constraint.lowers:
-        value = float(eval_term(bound.term, probe_ctx))
-        if bound.strict:
-            value = math.nextafter(value, float("inf"))
-        lo = max(lo, value)
-    hi = float("inf")
-    for bound in constraint.uppers:
-        value = float(eval_term(bound.term, probe_ctx))
-        if bound.strict:
-            value = math.nextafter(value, float("-inf"))
-        hi = min(hi, value)
-    return lo, hi
+    if shape.kind == "key":
+        e_slot = probe.e_slot
+        key_of = compile_term(shape.key_term, probe.scope)
+        where = compile_filter(shape.extra_where, probe.scope)
+        effects = [
+            (attr, compile_term(term, probe.scope))
+            for attr, term in spec.effects.items()
+        ]
+
+        def key_action(rt, args, by_key, out_rows, out_aoe):
+            if by_key is None:
+                return everywhere(rt, args, by_key, out_rows, out_aoe)
+            f = [rt, *args, None]
+            row = by_key.get(key_of(f))
+            if row is None:
+                # no such target: a no-op, unless it may live elsewhere
+                if forward is not None:
+                    everywhere(rt, args, by_key, out_rows, out_aoe)
+                return
+            f[e_slot] = row
+            if where is None or where(f):
+                new_row = dict(row)
+                for attr, term in effects:
+                    new_row[attr] = term(f)
+                out_rows.append(new_row)
+
+        return key_action
+
+    if shape.kind == "aoe" and defer_aoe:
+        attr = shape.effect_attr
+        guard = probe.guard
+        value_of = compile_term(shape.value_term, probe.scope)
+
+        def aoe_action(rt, args, by_key, out_rows, out_aoe):
+            f = [rt, *args, None]
+            if guard is not None and not guard(f):
+                return
+            bounds = probe.bounds(f)
+            if bounds is None:
+                return
+            (xlo, xhi), (ylo, yhi) = bounds
+            value = value_of(f)
+            eq_vals, neq_vals = probe.cats(f)
+            out_aoe.append(
+                AoeRecord(
+                    action=name,
+                    attr=attr,
+                    value=value,
+                    center=((xlo + xhi) / 2.0, (ylo + yhi) / 2.0),
+                    extents=((xhi - xlo) / 2.0, (yhi - ylo) / 2.0),
+                    eq_vals=eq_vals,
+                    neq_vals=neq_vals,
+                )
+            )
+
+        return aoe_action
+
+    return everywhere

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 from ..env.schema import AttributeType, Schema
 from ..indexes.agg_range_tree import AggRangeTree2D
 from ..indexes.sweepline import sweep_minmax
-from .compile import compile_e_filter
+from .compile import compile_filter, row_scope
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def resolve_aoe(
         attr = shape.effect_attr
         tag = schema.tag_of(attr)
         cat_attrs = shape.cat_attrs
-        target_filter = compile_e_filter(shape.e_only, constants)
+        target_filter = compile_filter(shape.e_only, row_scope(constants))
 
         probes: list[Mapping[str, object]] = []
         for unit in units:

@@ -49,10 +49,10 @@ battle simulation).
 
 from __future__ import annotations
 
-import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..algebra.shapes import AggregateShape, classify_aggregate
 from ..env.table import EnvironmentTable, TableDelta
@@ -63,11 +63,19 @@ from ..indexes.sweepline import sweep_arg_minmax
 from ..obs import NULL_REGISTRY, StatCounters
 from ..sgl import ast
 from ..sgl.builtins import AggregateFunction, FunctionRegistry
-from ..sgl.evalterm import EvalContext, eval_cond, eval_term
+from ..sgl.evalterm import EvalContext
 from ..sgl.interp import NaiveAggregateEvaluator
 from ..sgl.sqlspec import AggOutput, evaluate_aggregate_scan, finalize_outputs
 from ..sgl.values import Record
-from .compile import compile_e_filter, compile_e_term
+from .compile import (
+    Fn,
+    Probe,
+    compile_args,
+    compile_filter,
+    compile_term,
+    frame_scope,
+    row_scope,
+)
 
 #: The naive evaluator is exactly the reference interpreter's.
 NaiveEvaluator = NaiveAggregateEvaluator
@@ -101,13 +109,17 @@ class CallHint:
 
 @dataclass
 class _CompiledShape:
-    """Per-aggregate static compilation artefacts."""
+    """Per-aggregate static compilation artefacts: row-frame closures
+    run per environment row at index build, probe-frame ones per call."""
 
     shape: AggregateShape
-    measures: list = field(default_factory=list)  # RowFn per measured output
+    probe: Probe
+    measures: list = field(default_factory=list)  # row Fn per measured output
     measure_slot: list = field(default_factory=list)  # output idx -> slot/None
-    build_filter: object = None  # RowPred | None (e-only conjuncts)
-    value_fn: object = None  # RowFn for extreme value terms
+    build_filter: Fn | None = None  # e-only conjuncts
+    value_fn: Fn | None = None  # extreme value term
+    centers: tuple[Fn, Fn] | None = None  # nearest: the probe point
+    residual: Fn | None = None  # nearest: per-candidate conjuncts
 
 
 #: Mutation floor below which an incremental structure is never dropped.
@@ -181,6 +193,7 @@ class IndexedEvaluator:
         # registry counters (bind_metrics) so the decision counters show
         # up in Prometheus exposition without a second bookkeeping path
         self.stats = StatCounters(prefix="evaluator")
+        self._bump = self.stats.bump
         self._m_predicted_delta = NULL_REGISTRY.gauge("_")
         self._m_predicted_rebuild = NULL_REGISTRY.gauge("_")
         self._m_delta_apply = NULL_REGISTRY.histogram("_")
@@ -603,9 +616,6 @@ class IndexedEvaluator:
                 del indexes[name]
                 self._bump("overlay_rebuilds")
 
-    def _bump(self, counter: str) -> None:
-        self.stats.bump(counter)
-
     # -- static compilation -------------------------------------------------------
 
     def _compiled_shape(self, fn: AggregateFunction) -> _CompiledShape:
@@ -613,9 +623,10 @@ class IndexedEvaluator:
         if cached is not None:
             return cached
         shape = classify_aggregate(fn.spec)
-        compiled = _CompiledShape(shape=shape)
-        constants = self.registry.constants
-        compiled.build_filter = compile_e_filter(shape.e_only, constants)
+        probe = Probe(shape, fn.params, self.registry)
+        compiled = _CompiledShape(shape=shape, probe=probe)
+        per_row = row_scope(self.registry.constants)
+        compiled.build_filter = compile_filter(shape.e_only, per_row)
         if shape.kind == "divisible":
             slot = 0
             for output in shape.outputs:
@@ -623,12 +634,19 @@ class IndexedEvaluator:
                     compiled.measure_slot.append(None)
                 else:
                     compiled.measures.append(
-                        compile_e_term(output.term, constants)
+                        compile_term(output.term, per_row)
                     )
                     compiled.measure_slot.append(slot)
                     slot += 1
         elif shape.kind == "extreme":
-            compiled.value_fn = compile_e_term(shape.extreme_value, constants)
+            compiled.value_fn = compile_term(shape.extreme_value, per_row)
+        elif shape.kind == "nearest":
+            cx, cy = shape.nearest_centers
+            compiled.centers = (
+                compile_term(cx, probe.scope),
+                compile_term(cy, probe.scope),
+            )
+            compiled.residual = compile_filter(shape.residual, probe.scope)
         self._compiled[fn.name] = compiled
         return compiled
 
@@ -643,48 +661,39 @@ class IndexedEvaluator:
 
         compiled = self._compiled_shape(function)
         shape = compiled.shape
-        bindings = dict(zip(function.params, args))
-        probe_ctx = ctx.bind(bindings)
+        f = [ctx, *args, None]  # the probe frame
+        guard = compiled.probe.guard
+        if guard is not None and not guard(f):
+            return empty_aggregate_result(shape.outputs)
+        return self._probe(function, compiled, args, f)
 
-        for conjunct in shape.u_only:
-            if not eval_cond(conjunct, probe_ctx):
-                return empty_aggregate_result(shape.outputs)
-
-        if shape.kind == "divisible":
-            return self._eval_divisible(function, compiled, probe_ctx)
-        if shape.kind == "nearest":
-            return self._eval_nearest(function, compiled, probe_ctx)
-        if shape.kind == "extreme":
-            result = self._eval_extreme(function, compiled, args, probe_ctx)
+    def _probe(self, function, compiled: _CompiledShape, args, f: list):
+        """Answer one guarded call from the structures this evaluator holds."""
+        kind = compiled.shape.kind
+        if kind == "divisible":
+            return self._eval_divisible(function, compiled, f)
+        if kind == "nearest":
+            return self._eval_nearest(function, compiled, f)
+        if kind == "extreme":
+            result = self._eval_extreme(function, compiled, args)
             if result is not NotImplemented:
                 return result
-        return self._eval_fallback(function, compiled, bindings, ctx)
+        return self._eval_fallback(function, compiled, args, f)
 
     # -- shared probe helpers ---------------------------------------------------
-
-    def _cat_values(
-        self, shape: AggregateShape, probe_ctx: EvalContext
-    ) -> tuple[tuple, tuple]:
-        eq_vals = tuple(
-            eval_term(c.value_term, probe_ctx) for c in shape.eq_cats
-        )
-        neq_vals = tuple(
-            eval_term(c.value_term, probe_ctx) for c in shape.neq_cats
-        )
-        return eq_vals, neq_vals
 
     @staticmethod
     def _group_matches(key: tuple, eq_vals: tuple, neq_vals: tuple) -> bool:
         ne = len(eq_vals)
         if key[:ne] != eq_vals:
             return False
-        return all(key[ne + i] != v for i, v in enumerate(neq_vals))
+        for i, value in enumerate(neq_vals, ne):
+            if key[i] == value:
+                return False
+        return True
 
     def _matching_groups(
-        self,
-        index: PartitionedIndex,
-        shape: AggregateShape,
-        probe_ctx: EvalContext,
+        self, index: PartitionedIndex, compiled: _CompiledShape, f: list
     ) -> list:
         """Sub-indexes matching the probe's category constraints.
 
@@ -693,7 +702,7 @@ class IndexedEvaluator:
         cross-shard answer merge (moments, nearest candidates, row
         concatenation) happens in one deterministic order.
         """
-        eq_vals, neq_vals = self._cat_values(shape, probe_ctx)
+        eq_vals, neq_vals = compiled.probe.cats(f)
         if self.shard_of is not None:
             if not neq_vals:
                 groups = []
@@ -715,34 +724,6 @@ class IndexedEvaluator:
             for key, group in index.groups.items()
             if self._group_matches(key, eq_vals, neq_vals)
         ]
-
-    def _bounds(
-        self, shape: AggregateShape, probe_ctx: EvalContext
-    ) -> list[tuple[float, float]] | None:
-        """Evaluate each range constraint to a closed [lo, hi] interval.
-
-        Strict bounds are tightened to the adjacent float, which is
-        exact for the values actually stored in the index.  Returns
-        ``None`` when some interval is empty.
-        """
-        bounds: list[tuple[float, float]] = []
-        for constraint in shape.ranges:
-            lo = -_INF
-            for bound in constraint.lowers:
-                value = float(eval_term(bound.term, probe_ctx))
-                if bound.strict:
-                    value = math.nextafter(value, _INF)
-                lo = max(lo, value)
-            hi = _INF
-            for bound in constraint.uppers:
-                value = float(eval_term(bound.term, probe_ctx))
-                if bound.strict:
-                    value = math.nextafter(value, -_INF)
-                hi = min(hi, value)
-            if lo > hi:
-                return None
-            bounds.append((lo, hi))
-        return bounds
 
     # -- divisible aggregates (Figure 8) -----------------------------------------
 
@@ -773,19 +754,16 @@ class IndexedEvaluator:
         return index
 
     def _eval_divisible(
-        self,
-        fn: AggregateFunction,
-        compiled: _CompiledShape,
-        probe_ctx: EvalContext,
+        self, fn: AggregateFunction, compiled: _CompiledShape, f: list
     ) -> object:
         shape = compiled.shape
         index = self._ensure_div_index(fn, compiled)
         self._bump("probe_divisible")
 
-        groups = self._matching_groups(index, shape, probe_ctx)
+        groups = self._matching_groups(index, compiled, f)
         if not groups:
             return empty_aggregate_result(shape.outputs)
-        bounds = self._bounds(shape, probe_ctx)
+        bounds = compiled.probe.bounds(f)
         if bounds is None:
             return empty_aggregate_result(shape.outputs)
 
@@ -847,10 +825,7 @@ class IndexedEvaluator:
         return index
 
     def _nearest_candidate(
-        self,
-        fn: AggregateFunction,
-        compiled: _CompiledShape,
-        probe_ctx: EvalContext,
+        self, fn: AggregateFunction, compiled: _CompiledShape, f: list
     ) -> tuple[tuple[float, float], object, tuple] | None:
         """Best accepted point over the retained trees this evaluator holds.
 
@@ -865,16 +840,13 @@ class IndexedEvaluator:
         index = self._ensure_kd_index(fn, compiled)
         self._bump("probe_kdtree")
 
-        groups = self._matching_groups(index, shape, probe_ctx)
-        cx, cy = shape.nearest_centers
-        center = (
-            float(eval_term(cx, probe_ctx)),
-            float(eval_term(cy, probe_ctx)),
-        )
-        bounds = self._bounds(shape, probe_ctx)
+        groups = self._matching_groups(index, compiled, f)
+        cx, cy = compiled.centers
+        center = (float(cx(f)), float(cy(f)))
+        bounds = compiled.probe.bounds(f)
         if bounds is None:
             return None
-        predicate = self._row_predicate(shape, bounds, probe_ctx)
+        predicate = self._row_predicate(compiled, bounds, f)
         exclude = (
             None if predicate is None else (lambda row: not predicate(row))
         )
@@ -894,12 +866,9 @@ class IndexedEvaluator:
         return center, best_row, best
 
     def _eval_nearest(
-        self,
-        fn: AggregateFunction,
-        compiled: _CompiledShape,
-        probe_ctx: EvalContext,
+        self, fn: AggregateFunction, compiled: _CompiledShape, f: list
     ) -> object:
-        found = self._nearest_candidate(fn, compiled, probe_ctx)
+        found = self._nearest_candidate(fn, compiled, f)
         if found is None:
             return None
         _, best_row, best = found
@@ -907,23 +876,25 @@ class IndexedEvaluator:
             return None
         return Record(best_row) if compiled.shape.returns_row else best[0]
 
-    def _row_predicate(self, shape, bounds, probe_ctx):
+    @staticmethod
+    def _row_predicate(compiled: _CompiledShape, bounds, f: list):
         """Residual + range predicate for kD-tree candidate filtering."""
         checks = []
         if bounds:
-            range_attrs = shape.range_attrs
+            range_attrs = compiled.shape.range_attrs
             checks.append(
                 lambda row: all(
                     lo <= row[attr] <= hi
                     for attr, (lo, hi) in zip(range_attrs, bounds)
                 )
             )
-        if shape.residual:
-            residual = shape.residual
+        residual = compiled.residual
+        if residual is not None:
+            e_slot = compiled.probe.e_slot
 
-            def residual_check(row, _ctx=probe_ctx, _residual=residual):
-                _ctx.bindings["e"] = row
-                return all(eval_cond(c, _ctx) for c in _residual)
+            def residual_check(row):
+                f[e_slot] = row
+                return residual(f)
 
             checks.append(residual_check)
         if not checks:
@@ -935,11 +906,7 @@ class IndexedEvaluator:
     # -- extreme aggregates: sweep-line batches (Figure 9) -------------------------
 
     def _eval_extreme(
-        self,
-        fn: AggregateFunction,
-        compiled: _CompiledShape,
-        args: list[object],
-        probe_ctx: EvalContext,
+        self, fn: AggregateFunction, compiled: _CompiledShape, args: list[object]
     ) -> object:
         batch = self._batches.get(fn.name)
         if batch is None:
@@ -972,7 +939,6 @@ class IndexedEvaluator:
         self._bump("build_sweep")
         shape = compiled.shape
         key_attr = self.key_attr
-        constants = self.registry.constants
         shard_of = self.shard_of
 
         sources = self._filtered_rows(compiled)
@@ -997,31 +963,30 @@ class IndexedEvaluator:
 
         # collect probes per (eq_vals, neq_vals, extents) group
         groups: dict[tuple, list] = {}
+        probe = compiled.probe
+        rt = EvalContext(
+            env=self._env,
+            registry=self.registry,
+            agg_eval=self,
+            rng=_no_random,
+            unit=None,
+        )
         for hint, units in self._hints:
             if hint.function != fn.name:
                 continue
+            args_of = compile_args(
+                hint.arg_terms, frame_scope((hint.unit_param,), self.registry)
+            )
             for unit in units:
-                ctx = EvalContext(
-                    env=self._env,
-                    registry=self.registry,
-                    agg_eval=self,
-                    rng=_no_random,
-                    bindings={hint.unit_param: unit},
-                    unit=unit,
-                )
-                arg_values = [eval_term(t, ctx) for t in hint.arg_terms]
-                probe_ctx = ctx.bind(dict(zip(fn.params, arg_values)))
-                skip = False
-                for conjunct in shape.u_only:
-                    if not eval_cond(conjunct, probe_ctx):
-                        skip = True
-                        break
+                rt.unit = unit
+                arg_values = args_of([rt, unit])
+                f = [rt, *arg_values, None]
                 signature = _args_signature(arg_values, key_attr)
-                if skip:
+                if probe.guard is not None and not probe.guard(f):
                     # u-only predicate failed: empty selection
                     batch[signature] = None
                     continue
-                bounds = self._bounds(shape, probe_ctx)
+                bounds = probe.bounds(f)
                 if bounds is None:
                     batch[signature] = None
                     continue
@@ -1029,7 +994,7 @@ class IndexedEvaluator:
                 rx = (xhi - xlo) / 2.0
                 ry = (yhi - ylo) / 2.0
                 center = ((xlo + xhi) / 2.0, (ylo + yhi) / 2.0)
-                eq_vals, neq_vals = self._cat_values(shape, probe_ctx)
+                eq_vals, neq_vals = probe.cats(f)
                 group_key = (eq_vals, neq_vals, round(rx, 9), round(ry, 9))
                 groups.setdefault(group_key, []).append((signature, center))
 
@@ -1085,20 +1050,20 @@ class IndexedEvaluator:
         self,
         fn: AggregateFunction,
         compiled: _CompiledShape,
-        bindings: dict[str, object],
-        ctx: EvalContext,
+        args: Sequence[object],
+        f: list,
     ) -> object:
-        shape = compiled.shape
         index = self._ensure_row_index(fn, compiled)
         self._bump("probe_scan")
-        probe_ctx = ctx.bind(bindings)
-        groups = self._matching_groups(index, shape, probe_ctx)
+        groups = self._matching_groups(index, compiled, f)
         if not groups:
-            return empty_aggregate_result(shape.outputs)
+            return empty_aggregate_result(compiled.shape.outputs)
         rows: list = []
         for group in groups:
             rows.extend(group)
-        return evaluate_aggregate_scan(fn.spec, bindings, rows, ctx)
+        return evaluate_aggregate_scan(
+            fn.spec, dict(zip(fn.params, args)), rows, f[0]
+        )
 
     def _filtered_rows(self, compiled: _CompiledShape) -> list:
         rows = self._env.rows

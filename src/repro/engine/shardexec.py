@@ -100,17 +100,11 @@ from ..serve.transport import (
 from ..sgl import ast
 from ..sgl.analysis import analyze_script
 from ..sgl.builtins import FunctionRegistry
-from ..sgl.errors import SglNameError
-from ..sgl.evalterm import EvalContext, eval_cond, eval_term
+from ..sgl.evalterm import EvalContext
 from ..sgl.values import Record
-from .decision import DecisionRunner, apply_key_target
+from .decision import DecisionRunner, Forward
 from .effects import AoeRecord
-from .evaluator import (
-    IndexedEvaluator,
-    NaiveEvaluator,
-    collect_call_hints,
-    empty_aggregate_result,
-)
+from .evaluator import IndexedEvaluator, NaiveEvaluator, collect_call_hints
 from .rng import TickRandom
 
 #: Message tags, coordinator -> worker.
@@ -192,13 +186,6 @@ GameFactory = Callable[[], WorkerGame]
 #: shipped inside every snapshot so workers re-shard when it changes.
 ShardConf = tuple  # (shard_by, num_shards, spatial_extent)
 
-#: A worker's mid-tick escape hatch: ``remote(kind, name, args, unit)``
-#: where kind is "aggregate" or "action" and *unit* is the performing
-#: unit's row (the coordinator re-binds it as the evaluation context's
-#: unit, so unit-keyed constructs like single-arg ``Random(i)`` resolve
-#: identically to the serial engine); answered by the coordinator.
-RemoteEval = Callable[[str, str, list, object], object]
-
 
 # ---------------------------------------------------------------------------
 # The scoped (probe-split) evaluation layer
@@ -239,7 +226,7 @@ class ScopedEvaluator(IndexedEvaluator):
         *,
         scope: Iterable[int],
         shard_conf: ShardConf,
-        remote: RemoteEval,
+        remote: Forward,
         x_attr: str = "posx",
         **kwargs,
     ):
@@ -284,42 +271,25 @@ class ScopedEvaluator(IndexedEvaluator):
     # -- probe dispatch -----------------------------------------------------------
 
     def evaluate(self, function, args, ctx):
-        if self.owns_all:
-            return super().evaluate(function, args, ctx)
-        if function.native is not None:
+        if function.native is not None and not self.owns_all:
             # native aggregates scan arbitrary rows; only the
             # coordinator holds them all
-            return self._forward(function, args, None, None, ctx.unit)
+            return self._forward(function, args, ctx.unit)
+        return super().evaluate(function, args, ctx)
 
-        compiled = self._compiled_shape(function)
-        shape = compiled.shape
-        bindings = dict(zip(function.params, args))
-        probe_ctx = ctx.bind(bindings)
-
-        for conjunct in shape.u_only:
-            if not eval_cond(conjunct, probe_ctx):
-                return empty_aggregate_result(shape.outputs)
-
-        if shape.kind == "nearest":
-            return self._eval_nearest_scoped(
-                function, compiled, args, probe_ctx
-            )
-        if self._window_is_owned(shape, probe_ctx):
+    def _probe(self, function, compiled, args, f):
+        if self.owns_all:
+            return super()._probe(function, compiled, args, f)
+        if compiled.shape.kind == "nearest":
+            return self._eval_nearest_scoped(function, compiled, args, f)
+        if self._window_is_owned(compiled, f):
             self._bump("scoped_local")
-            if shape.kind == "divisible":
-                return self._eval_divisible(function, compiled, probe_ctx)
-            if shape.kind == "extreme":
-                result = self._eval_extreme(
-                    function, compiled, args, probe_ctx
-                )
-                if result is not NotImplemented:
-                    return result
-            return self._eval_fallback(function, compiled, bindings, ctx)
-        return self._forward(function, args, shape, probe_ctx, ctx.unit)
+            return super()._probe(function, compiled, args, f)
+        return self._forward(function, args, f[0].unit, compiled, f)
 
     # -- locality proofs ----------------------------------------------------------
 
-    def _window_is_owned(self, shape, probe_ctx) -> bool:
+    def _window_is_owned(self, compiled, f: list) -> bool:
         """True when every row the probe can select lives in owned shards.
 
         Requires spatial sharding and a range constraint on the
@@ -334,10 +304,10 @@ class ScopedEvaluator(IndexedEvaluator):
         if width is None:
             return False
         try:
-            axis = shape.range_attrs.index(self._x_attr)
+            axis = compiled.shape.range_attrs.index(self._x_attr)
         except ValueError:
             return False  # no window on the sharding axis: may span all
-        bounds = self._bounds(shape, probe_ctx)
+        bounds = compiled.probe.bounds(f)
         if bounds is None:
             return True  # empty selection everywhere: local == global
         xlo, xhi = bounds[axis]
@@ -368,13 +338,13 @@ class ScopedEvaluator(IndexedEvaluator):
         d = best - (abs(px) + best + 1.0) * 1e-9
         return d * d if d > 0.0 else 0.0
 
-    def _eval_nearest_scoped(self, fn, compiled, args, probe_ctx):
+    def _eval_nearest_scoped(self, fn, compiled, args, f):
         shape = compiled.shape
-        if self._window_is_owned(shape, probe_ctx):
+        if self._window_is_owned(compiled, f):
             self._bump("scoped_local")
-            return self._eval_nearest(fn, compiled, probe_ctx)
+            return self._eval_nearest(fn, compiled, f)
         if self._strip_width is None:
-            return self._forward(fn, args, None, None, probe_ctx.unit)
+            return self._forward(fn, args, f[0].unit)
 
         # the sharding axis must be one of the tree's coordinates, or
         # the strip geometry says nothing about candidate distances
@@ -384,12 +354,12 @@ class ScopedEvaluator(IndexedEvaluator):
         elif ay == self._x_attr:
             guard_coord = 1
         else:
-            return self._forward(fn, args, None, None, probe_ctx.unit)
+            return self._forward(fn, args, f[0].unit)
 
         # local candidate: the parent's own nearest search (shared
         # helper, so predicates and tie-breaks can never drift) over the
         # owned shards' trees
-        found = self._nearest_candidate(fn, compiled, probe_ctx)
+        found = self._nearest_candidate(fn, compiled, f)
         if found is None:
             return None  # empty range selection matches nothing anywhere
         center, best_row, best = found
@@ -401,23 +371,23 @@ class ScopedEvaluator(IndexedEvaluator):
         ):
             self._bump("scoped_local")
             return Record(best_row) if shape.returns_row else best[0]
-        return self._forward(fn, args, None, None, probe_ctx.unit)
+        return self._forward(fn, args, f[0].unit)
 
     # -- forwarding ---------------------------------------------------------------
 
-    def _forward(self, function, args, shape, probe_ctx, unit):
+    def _forward(self, function, args, unit, compiled=None, f=None):
         memo_key = None
         if (
-            shape is not None
-            and shape.kind in ("divisible", "extreme")
-            and not shape.residual
+            compiled is not None
+            and compiled.shape.kind in ("divisible", "extreme")
+            and not compiled.shape.residual
         ):
             # the answer is a pure function of (category values, range
             # bounds): safe to share across every unit that asks the
             # same question of the same state
             try:
-                eq_vals, neq_vals = self._cat_values(shape, probe_ctx)
-                bounds = self._bounds(shape, probe_ctx)
+                eq_vals, neq_vals = compiled.probe.cats(f)
+                bounds = compiled.probe.bounds(f)
                 memo_key = (
                     function.name,
                     eq_vals,
@@ -435,85 +405,6 @@ class ScopedEvaluator(IndexedEvaluator):
         if memo_key is not None:
             self._memo[memo_key] = value
         return value
-
-
-class _ScopedDecisionRunner(DecisionRunner):
-    """Decision runner whose environment is a shard-scoped replica.
-
-    Identical to :class:`~repro.engine.decision.DecisionRunner` except
-    at the two action paths that may need rows the scope does not hold:
-    a ``key`` action whose target is not in the scoped ``by_key`` (the
-    target may be owned by another worker -- or globally dead; only the
-    coordinator can tell) and any ``scan``/native action (they range
-    over all of ``E``).  Both forward to the coordinator, whose effect
-    rows splice into the output at the same point in script order.
-    Deferred AoE actions stay local: the record is a pure function of
-    the performing unit, and resolution happens coordinator-side over
-    the full environment anyway.
-    """
-
-    def __init__(
-        self,
-        script: ast.Script,
-        registry: FunctionRegistry,
-        *,
-        remote: RemoteEval,
-        owns_all: bool = False,
-        **kwargs,
-    ):
-        super().__init__(script, registry, **kwargs)
-        self._remote = remote
-        self._owns_all = owns_all
-
-    def _perform(self, node, ctx, by_key, out_rows, out_aoe) -> None:
-        if self._owns_all:
-            super()._perform(node, ctx, by_key, out_rows, out_aoe)
-            return
-        args = [eval_term(a, ctx) for a in node.args]
-
-        defined = self.script.functions.get(node.name)
-        if defined is not None:
-            inner = EvalContext(
-                env=ctx.env,
-                registry=ctx.registry,
-                agg_eval=ctx.agg_eval,
-                rng=ctx.rng,
-                bindings=dict(zip(defined.params, args)),
-                unit=ctx.unit,
-            )
-            self._action(defined.body, inner, by_key, out_rows, out_aoe)
-            return
-
-        builtin = self.registry.actions.get(node.name)
-        if builtin is None:
-            raise SglNameError(f"unknown action function {node.name!r}")
-
-        if builtin.native is None and self.index_actions:
-            shape = self._shape(builtin)
-            bindings = dict(zip(builtin.params, args))
-            if shape.kind == "key" and by_key is not None:
-                probe_ctx = ctx.bind(bindings)
-                target_key = eval_term(shape.key_term, probe_ctx)
-                row = by_key.get(target_key)
-                if row is not None:
-                    # owned target: the parent's local key-action path
-                    new_row = apply_key_target(builtin, shape, probe_ctx, row)
-                    if new_row is not None:
-                        out_rows.append(new_row)
-                    return
-                # unowned (or dead) target: only the coordinator knows
-                out_rows.extend(
-                    self._remote("action", node.name, args, ctx.unit)
-                )
-                return
-            if shape.kind == "aoe" and self.defer_aoe:
-                record = self._record_aoe(builtin, shape, bindings, ctx)
-                if record is not None:
-                    out_aoe.append(record)
-                return
-
-        # native / scan / unclassified actions range over all of E
-        out_rows.extend(self._remote("action", node.name, args, ctx.unit))
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +425,7 @@ class _WorkerState:
         self,
         game: WorkerGame,
         payload: Mapping[str, object],
-        remote: RemoteEval | None = None,
+        remote: Forward | None = None,
     ):
         self.game = game
         self.indexed = payload["mode"] == "indexed"
@@ -634,23 +525,20 @@ class _WorkerState:
         entry = self._compiled.get(selector_value)
         if entry is None:
             script = self.game.scripts[selector_value]
-            defer_aoe = self.indexed and self.optimize_aoe
-            if self.scoped and self.scope is not None:
-                runner: DecisionRunner = _ScopedDecisionRunner(
-                    script,
-                    self.game.registry,
-                    index_actions=self.indexed,
-                    defer_aoe=defer_aoe,
-                    remote=self._remote_call,
-                    owns_all=len(self.scope) >= self.shard_conf[1],
-                )
-            else:
-                runner = DecisionRunner(
-                    script,
-                    self.game.registry,
-                    index_actions=self.indexed,
-                    defer_aoe=defer_aoe,
-                )
+            # a scoped worker that does not hold every shard forwards
+            # the actions that may need rows outside its scope
+            partial = (
+                self.scoped
+                and self.scope is not None
+                and len(self.scope) < self.shard_conf[1]
+            )
+            runner = DecisionRunner(
+                script,
+                self.game.registry,
+                index_actions=self.indexed,
+                defer_aoe=self.indexed and self.optimize_aoe,
+                forward=self._remote_call if partial else None,
+            )
             analysis = analyze_script(
                 script, self.game.registry, self.game.schema
             )
@@ -715,20 +603,12 @@ class _WorkerState:
                 else env.by_key()
             )
 
-        rng = self.rng
-        registry = game.registry
-        evaluator = self.evaluator
-
-        def ctx_factory(unit: Mapping[str, object]) -> EvalContext:
-            return EvalContext(
-                env=env,
-                registry=registry,
-                agg_eval=evaluator,
-                rng=rng,
-                bindings={},
-                unit=unit,
-            )
-
+        rt = EvalContext(
+            env=env,
+            registry=game.registry,
+            agg_eval=self.evaluator,
+            rng=self.rng,
+        )
         out: list[tuple[int, list[dict[str, object]], list[AoeRecord]]] = []
         for shard_id in shard_ids:
             effect_rows: list[dict[str, object]] = []
@@ -736,14 +616,12 @@ class _WorkerState:
             for selector_value, units in shard_groups[shard_id].items():
                 runner = self.compiled_for(selector_value).runner
                 for unit in units:
-                    runner.run_unit(
-                        unit, ctx_factory, by_key, effect_rows, aoe_records
-                    )
+                    runner.run_unit(unit, rt, by_key, effect_rows, aoe_records)
             out.append((shard_id, effect_rows, aoe_records))
         return out
 
 
-def _make_remote(transport: Transport) -> RemoteEval:
+def _make_remote(transport: Transport) -> Forward:
     """The worker side of REQ_EVAL: one synchronous round trip upstream."""
 
     def remote(kind: str, name: str, args: list, unit: object) -> object:

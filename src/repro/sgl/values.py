@@ -17,7 +17,8 @@ SGL terms evaluate to:
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping
+from collections.abc import Mapping
+from typing import Iterator
 
 from .errors import SglRuntimeError, SglTypeError
 
@@ -195,7 +196,7 @@ class Record:
 
 def field_of(value: object, name: str) -> object:
     """Evaluate ``value.name`` for unit rows, records, and vectors."""
-    if isinstance(value, Mapping):
+    if type(value) is dict or isinstance(value, Mapping):
         try:
             return value[name]
         except KeyError:

@@ -26,14 +26,12 @@ def run_tick(script_src, env, registry, *, index_actions):
     rows, aoe = [], []
     by_key = env.by_key() if index_actions else None
 
-    def ctx_factory(unit):
-        return EvalContext(
-            env=env, registry=registry, agg_eval=NaiveEvaluator(),
-            rng=rng, bindings={}, unit=unit,
-        )
+    rt = EvalContext(
+        env=env, registry=registry, agg_eval=NaiveEvaluator(), rng=rng
+    )
 
     for unit in env.rows:
-        runner.run_unit(unit, ctx_factory, by_key, rows, aoe)
+        runner.run_unit(unit, rt, by_key, rows, aoe)
     effects = EnvironmentTable(env.schema)
     effects.rows.extend(rows)
     return combine_all([env, effects], env.schema), rng

@@ -32,14 +32,12 @@ def run_decisions(script_src, env, registry, *, defer_aoe):
     rows, aoe = [], []
     by_key = env.by_key()
 
-    def ctx_factory(unit):
-        return EvalContext(
-            env=env, registry=registry, agg_eval=NaiveEvaluator(),
-            rng=rng, bindings={}, unit=unit,
-        )
+    rt = EvalContext(
+        env=env, registry=registry, agg_eval=NaiveEvaluator(), rng=rng
+    )
 
     for unit in env.rows:
-        runner.run_unit(unit, ctx_factory, by_key, rows, aoe)
+        runner.run_unit(unit, rt, by_key, rows, aoe)
     return rows, aoe
 
 

@@ -69,8 +69,13 @@ class TestEvaluatorDeltaMaintenance:
         self, schema, registry, maintenance
     ):
         env = make_env(schema, n=30, grid=30, seed=21)
+        # the changed-fraction rule: the learned (EWMA) crossover depends
+        # on wall-clock samples and may vote rebuild on a 30-row table
         evaluator = IndexedEvaluator(
-            registry, maintenance=maintenance, incremental_threshold=0.9
+            registry,
+            maintenance=maintenance,
+            incremental_threshold=0.9,
+            auto_policy="threshold",
         )
         naive = NaiveEvaluator()
         evaluator.begin_tick(env)

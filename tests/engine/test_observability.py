@@ -9,6 +9,7 @@ the owning epoch, and the live endpoints (Prometheus scrape, spectator
 ``metrics`` query) serve the same numbers.
 """
 
+import gc
 import json
 import time
 import urllib.request
@@ -239,7 +240,14 @@ def test_watchdog_flags_an_injected_stall(tmp_path):
             return real_mechanics(env, rng, tick)
 
         sim.engine.mechanics = stalling_mechanics
-        sim.run(8)
+        # a full collection of the whole test session's heap takes tens
+        # of milliseconds -- a stall of its own against ~5 ms ticks
+        gc.collect()
+        gc.disable()
+        try:
+            sim.run(8)
+        finally:
+            gc.enable()
         dog = sim.engine.watchdog
         assert [f["tick"] for f in dog.flagged] == [6]
         (flag,) = dog.flagged
