@@ -46,8 +46,8 @@ def workload():
 
 def test_cascading_probe_speed(benchmark, capsys, workload):
     points, probes = workload
-    on = AggRangeTree2D(points, cascade=True)
-    off = AggRangeTree2D(points, cascade=False)
+    on = AggRangeTree2D.from_rows(points, cascade=True)
+    off = AggRangeTree2D.from_rows(points, cascade=False)
 
     t0 = time.perf_counter()
     count_on = probe_all(on, probes)
@@ -68,7 +68,7 @@ def test_cascading_probe_speed(benchmark, capsys, workload):
 
 def test_no_cascade_probe_reference(benchmark, workload):
     points, probes = workload
-    off = AggRangeTree2D(points, cascade=False)
+    off = AggRangeTree2D.from_rows(points, cascade=False)
     benchmark.pedantic(lambda: probe_all(off, probes), rounds=3, iterations=1)
 
 
@@ -76,10 +76,10 @@ def test_build_cost_comparable(benchmark, workload, capsys):
     points, _ = workload
 
     t0 = time.perf_counter()
-    AggRangeTree2D(points, cascade=True)
+    AggRangeTree2D.from_rows(points, cascade=True)
     t_on = time.perf_counter() - t0
     t0 = time.perf_counter()
-    AggRangeTree2D(points, cascade=False)
+    AggRangeTree2D.from_rows(points, cascade=False)
     t_off = time.perf_counter() - t0
     emit(capsys, "A-FC: build time with/without bridges",
          fmt_table(["variant", "seconds"],
@@ -88,5 +88,5 @@ def test_build_cost_comparable(benchmark, workload, capsys):
     assert t_on < 4 * t_off
 
     benchmark.pedantic(
-        lambda: AggRangeTree2D(points, cascade=True), rounds=3, iterations=1
+        lambda: AggRangeTree2D.from_rows(points, cascade=True), rounds=3, iterations=1
     )

@@ -70,6 +70,7 @@ from ..env.sharding import (
 )
 from ..env.table import EnvironmentTable, TableDelta, diff_by_key
 from ..obs import (
+    GcMonitor,
     NULL_REGISTRY,
     MetricsRegistry,
     SlowTickWatchdog,
@@ -511,6 +512,9 @@ class SimulationEngine:
             for name, fn in registry.actions.items()
             if fn.spec is not None
         }
+        # Last, so no later failure in this constructor can strand the
+        # process-wide gc hook; close() removes it.
+        self._gc_monitor = GcMonitor(m) if m.enabled else None
 
     # -- worker pool lifecycle ----------------------------------------------------
 
@@ -600,6 +604,8 @@ class SimulationEngine:
         if self._prom_server is not None:
             self._prom_server.shutdown()
             self._prom_server = None
+        if self._gc_monitor is not None:
+            self._gc_monitor.close()
         # trace last: the publisher and epoch log emit their final spans
         # while draining above.  The recorder drops events after close,
         # so a second close() (or a late emit) is harmless.
@@ -1448,8 +1454,10 @@ class SimulationEngine:
                 epoch=epoch, tick=self.tick_count, units=stats.units,
                 effect_rows=stats.effect_rows,
             )
-        if self.metrics.enabled:
+        gc_seconds = None
+        if self._gc_monitor is not None:
             self._observe_tick(stats)
+            gc_seconds = self._gc_monitor.end_tick()
         if self.watchdog is not None and self.watchdog.observe(
             self.tick_count,
             stats.total_time,
@@ -1463,6 +1471,7 @@ class SimulationEngine:
                 "publish": publish_time,
                 "log_append": log_time,
             },
+            gc_seconds=gc_seconds,
         ):
             self._m_slow_ticks.inc()
             if trace is not None:

@@ -101,7 +101,8 @@ def resolve_aoe(
             kind = "max" if tag is AttributeType.MAX else "min"
             results = sweep_minmax(centers, values, probe_xy, rx, ry, kind)
         elif tag is AttributeType.SUM:
-            tree = AggRangeTree2D(centers, [(v,) for v in values])
+            xs, ys = zip(*centers)
+            tree = AggRangeTree2D(xs, ys, [values])
             results = []
             for px, py in probe_xy:
                 moments, = tree.query(px - rx, px + rx, py - ry, py + ry)

@@ -1,19 +1,36 @@
-"""Divisible-aggregate layered range trees (Figure 8).
+"""Divisible-aggregate layered range trees (Figure 8), built from arrays.
 
 For a divisible aggregate (Definition 5.1) the last layer of the range
-tree stores *prefix aggregates* instead of elements: leaf position i of
-a canonical node's y-array holds ``agg(y_1 ... y_i)``.  The aggregate of
+tree stores *prefix aggregates* instead of elements: position i of a
+canonical node's y-order holds ``agg(y_1 ... y_i)``.  The aggregate of
 any orthogonal range is then recovered from a constant number of prefix
 look-ups per canonical node -- O(log n) per query with fractional
 cascading, independent of how many units fall inside the range.  This is
 the index that defeats the ``+k`` enumeration cost when armies are
 clustered ("if k is close to n, then the join will still be O(n²)").
 
-We store prefix :class:`~repro.indexes.divisible.Moments` -- (count, Σv,
-Σv²) -- per measure, so a single tree answers count, sum, avg, var and
-stddev for every measure simultaneously ("we can combine these
-aggregates into one index structure by replacing the list of aggregates
-with a list of aggregate tuples").
+One tree answers count, sum, avg, var and stddev for every measure
+simultaneously ("we can combine these aggregates into one index
+structure by replacing the list of aggregates with a list of aggregate
+tuples"): per measure it keeps prefix ``Σv`` and ``Σv²``, and the count
+of a y-position range is the difference of the positions.
+
+**Layout.**  The engine rebuilds these trees every tick, so there are no
+node objects.  Elements are identified by their *x-rank* (position in
+the stable x-order); a node is the rank interval ``[lo, hi)`` it covers,
+split at ``lo + (hi - lo) // 2``; internal nodes are numbered in
+preorder, which makes the children of node ``k`` the nodes ``k + 1`` and
+``k + (hi - lo) // 2`` with no pointers.  Per internal node the tree
+stores only flat lists, each produced by one whole-list pass over the
+node's ranks in y-order: a prefix array per measure column that restarts
+from ``0.0``, and the left bridge (how many of the first i elements went
+left; the right bridge is ``i`` minus that).  Leaves are not stored: a
+size-1 node is its rank, answered from the columns.  Answers are
+bit-identical to a bottom-up merge build for arbitrary floats because
+the split, the within-node y-order (ties by x-rank), the per-node prefix
+restart and the left-to-right order of canonical nodes are the same --
+``docs/architecture.md`` ("The index layer") has the argument and
+``tests/indexes/_reference_agg_tree.py`` the executable reference.
 
 :class:`PrefixAggregate1D` is the degenerate one-dimensional case used
 when only one continuous attribute is constrained.
@@ -22,15 +39,17 @@ Both structures also support **incremental maintenance**: ``insert`` /
 ``delete`` record changed elements in a small delta overlay that every
 query folds in (add inserted-in-range, subtract deleted-in-range --
 exact because moments form a group under merge/subtract).  The static
-tree is never restructured; once the overlay outgrows the per-structure
-budget the maintenance policy in the indexed evaluator rebuilds from
-scratch, which is the paper's default anyway.
+arrays are never restructured; once the overlay outgrows the
+per-structure budget the maintenance policy in the indexed evaluator
+rebuilds from scratch, which is the paper's default anyway.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Sequence
+from itertools import accumulate
+from operator import mul
+from typing import Iterable, Sequence
 
 from .divisible import Moments
 
@@ -42,8 +61,9 @@ class _DeltaOverlay:
     in its measure-value tuple, mapped to a signed multiplicity (inserts
     minus deletes) so cancellation is O(1) -- oscillating elements
     leave no residue and high-churn ticks stay linear in the delta.
-    ``fold`` applies the in-range entries to running (count, sums,
-    sumsqs) accumulators -- exact because moments form a group.
+    ``fold`` applies the in-range entries to the running count and the
+    interleaved (Σv, Σv²) accumulators -- exact because moments form a
+    group.
     """
 
     __slots__ = ("entries", "size")
@@ -70,37 +90,53 @@ class _DeltaOverlay:
     def delete(self, entry: tuple) -> None:
         self._shift(entry, -1)
 
-    def fold(self, count, sums, sumsqs, width, contains) -> int:
+    def fold(self, count: int, acc: list[float], contains) -> int:
         for entry, multiplicity in self.entries.items():
             if contains(entry):
                 count += multiplicity
-                vals = entry[-1]
-                for m in range(width):
-                    v = vals[m]
-                    sums[m] += multiplicity * v
-                    sumsqs[m] += multiplicity * v * v
+                for m, v in enumerate(entry[-1]):
+                    acc[2 * m] += multiplicity * v
+                    acc[2 * m + 1] += multiplicity * v * v
         return count
 
 
-class _ANode:
-    __slots__ = (
-        "min_x", "max_x", "left", "right", "ys",
-        "pcount", "psum", "psumsq", "bridge_left", "bridge_right",
-    )
+def _transpose(values, n: int, width: int | None) -> list:
+    """Per-row measure tuples -> one column per measure (``from_rows``)."""
+    if values is None:
+        values = [()] * n
+    if len(values) != n:
+        raise ValueError("points and values must have equal length")
+    try:
+        columns = list(zip(*values, strict=True)) if n else [()] * (width or 0)
+    except ValueError:
+        raise ValueError(
+            f"expected {len(values[0])} measures in every row"
+        ) from None
+    if width is not None and len(columns) != width:
+        raise ValueError(f"expected {width} measures, got {len(columns)}")
+    return columns
 
-    def __init__(self):
-        self.min_x = 0.0
-        self.max_x = 0.0
-        self.left: "_ANode | None" = None
-        self.right: "_ANode | None" = None
-        self.ys: list[float] = []
-        # prefix arrays: pcount[i] = #elements among first i; psum[m][i],
-        # psumsq[m][i] = Σ / Σ² of measure m among first i elements.
-        self.pcount: list[int] = []
-        self.psum: list[list[float]] = []
-        self.psumsq: list[list[float]] = []
-        self.bridge_left: list[int] | None = None
-        self.bridge_right: list[int] | None = None
+
+def _moment_columns(measures, n: int) -> list[list[float]]:
+    """``[v_0, v_0², v_1, v_1², ...]``: per measure its float column and
+    the column of squares, the two running sums :class:`Moments` needs."""
+    columns: list[list[float]] = []
+    for measure in measures:
+        column = list(map(float, measure))
+        if len(column) != n:
+            raise ValueError("every measure column must have one value per point")
+        columns += (column, list(map(mul, column, column)))
+    return columns
+
+
+def _moments(count: int, acc: list[float]) -> tuple[Moments, ...]:
+    """Per-measure moments from interleaved (Σv, Σv²) accumulators; with
+    zero measures the single :class:`Moments` carries the count only."""
+    if not acc:
+        return (Moments(count, 0.0, 0.0),)
+    return tuple(
+        Moments(count, acc[j], acc[j + 1]) for j in range(0, len(acc), 2)
+    )
 
 
 class AggRangeTree2D:
@@ -108,11 +144,12 @@ class AggRangeTree2D:
 
     Parameters
     ----------
-    points:
-        ``(x, y)`` pairs.
-    values:
-        Per point, a sequence of measure values (all measures share the
-        tree).  Pass ``[()] * n`` (or ``values=None``) for pure counting.
+    xs, ys:
+        One coordinate column each.
+    measures:
+        One value column per measure (all measures share the tree);
+        empty for pure counting.  :meth:`from_rows` takes ``(x, y)``
+        pairs and per-point value tuples instead.
     cascade:
         Enable fractional cascading (bridge pointers); disable for the
         A-FC ablation benchmark.
@@ -120,30 +157,50 @@ class AggRangeTree2D:
 
     def __init__(
         self,
+        xs: Iterable[float],
+        ys: Iterable[float],
+        measures: Sequence[Iterable[float]] = (),
+        *,
+        cascade: bool = True,
+    ):
+        xs = list(map(float, xs))
+        ys = list(map(float, ys))
+        n = len(xs)
+        if len(ys) != n:
+            raise ValueError("xs and ys must have equal length")
+        self.cascade = cascade
+        self.width = len(measures)
+        self._size = n
+        # Columns by x-rank: position in the stable x-order is the only
+        # identity an element has below this line.
+        order = sorted(range(n), key=xs.__getitem__)
+        self._xs = [xs[i] for i in order]
+        self._ys = [ys[i] for i in order]
+        self._cols = [
+            [column[i] for i in order] for column in _moment_columns(measures, n)
+        ]
+        # Per internal node, in preorder: its left bridge (cascade) or
+        # its y-array (no cascade; the root's either way), and one
+        # restarted prefix array per entry of ``_cols``.
+        self._bridge: list[list[int]] = []
+        self._node_ys: list[list[float]] = []
+        self._prefix: list[list[float]] = []
+        self._build()
+        # delta overlay of (x, y, values) triples since build
+        self._overlay = _DeltaOverlay()
+
+    @classmethod
+    def from_rows(
+        cls,
         points: Sequence[tuple[float, float]],
         values: Sequence[Sequence[float]] | None = None,
         *,
         cascade: bool = True,
         width: int | None = None,
-    ):
-        n = len(points)
-        if values is None:
-            values = [()] * n
-        if len(values) != n:
-            raise ValueError("points and values must have equal length")
-        self.cascade = cascade
-        self.width = width if width is not None else (len(values[0]) if n else 0)
-        self._size = n
-        entries = sorted(
-            (
-                (float(x), float(y), tuple(float(v) for v in vals))
-                for (x, y), vals in zip(points, values)
-            ),
-            key=lambda e: e[0],
-        )
-        self._root = self._build(entries) if entries else None
-        # delta overlay of (x, y, values) triples since build
-        self._overlay = _DeltaOverlay()
+    ) -> "AggRangeTree2D":
+        """Build from ``(x, y)`` pairs and per-point measure tuples."""
+        xs, ys = zip(*points) if points else ((), ())
+        return cls(xs, ys, _transpose(values, len(points), width), cascade=cascade)
 
     def __len__(self) -> int:
         return self._size
@@ -186,68 +243,48 @@ class AggRangeTree2D:
 
     # -- construction -----------------------------------------------------------
 
-    def _build(self, entries: list) -> _ANode:
-        node, _ = self._build_rec(entries)
-        return node
+    def _build(self) -> None:
+        """Top-down, one internal node per iteration, whole-list passes only.
 
-    def _build_rec(self, entries: list) -> tuple[_ANode, list]:
-        """Build a subtree; also return its y-sorted (y, values) entries
-        so parents merge in O(len) instead of re-sorting."""
-        node = _ANode()
-        node.min_x = entries[0][0]
-        node.max_x = entries[-1][0]
-        if len(entries) == 1:
-            merged = [(entries[0][1], entries[0][2])]
-        else:
-            mid = len(entries) // 2
-            node.left, left_merged = self._build_rec(entries[:mid])
-            node.right, right_merged = self._build_rec(entries[mid:])
-            merged = self._merge(left_merged, right_merged)
-        self._fill_prefixes(node, merged)
-        if self.cascade and node.left is not None:
-            node.bridge_left = self._bridges(node.ys, node.left.ys)
-            node.bridge_right = self._bridges(node.ys, node.right.ys)
-        return node, merged
-
-    @staticmethod
-    def _merge(left: list, right: list) -> list:
-        out = []
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if left[i][0] <= right[j][0]:
-                out.append(left[i]); i += 1
-            else:
-                out.append(right[j]); j += 1
-        out.extend(left[i:])
-        out.extend(right[j:])
-        return out
-
-    def _fill_prefixes(self, node: _ANode, merged: list) -> None:
-        width = self.width
-        node.ys = [y for y, _ in merged]
-        n = len(merged)
-        node.pcount = [0] * (n + 1)
-        node.psum = [[0.0] * (n + 1) for _ in range(width)]
-        node.psumsq = [[0.0] * (n + 1) for _ in range(width)]
-        for i, (_, vals) in enumerate(merged):
-            node.pcount[i + 1] = node.pcount[i] + 1
-            for m in range(width):
-                v = vals[m]
-                node.psum[m][i + 1] = node.psum[m][i] + v
-                node.psumsq[m][i + 1] = node.psumsq[m][i] + v * v
-
-    @staticmethod
-    def _bridges(parent_ys: list[float], child_ys: list[float]) -> list[int]:
-        bridges = [0] * (len(parent_ys) + 1)
-        j = 0
-        for i, y in enumerate(parent_ys):
-            while j < len(child_ys) and child_ys[j] < y:
-                j += 1
-            bridges[i] = j
-        bridges[len(parent_ys)] = len(child_ys)
-        return bridges
+        A node is the x-rank interval ``[lo, hi)``; *ranks* lists it in
+        y-order (ties by x-rank -- the stable partition of the root's
+        order, which is what bottom-up merging produced).  Popping left
+        before right numbers the nodes in preorder, so the children of
+        node ``k`` are ``k + 1`` and ``k + (hi - lo) // 2`` and need no
+        pointers.  Size-1 children are never pushed: a leaf is its rank.
+        """
+        ys, cols, cascade = self._ys, self._cols, self.cascade
+        n = len(ys)
+        if n < 2:  # no internal node: the column is the root's y-array
+            self._node_ys.append(ys)
+            return
+        stack = [(0, n, sorted(range(n), key=ys.__getitem__))]
+        while stack:
+            lo, hi, ranks = stack.pop()
+            mid = lo + (hi - lo) // 2
+            for column in cols:
+                self._prefix.append(
+                    list(accumulate(map(column.__getitem__, ranks), initial=0.0))
+                )
+            if not cascade or hi - lo == n:
+                self._node_ys.append([ys[r] for r in ranks])
+            if cascade:
+                # bridge[i] = how many of the first i elements went left;
+                # the right bridge is i - bridge[i]
+                self._bridge.append(
+                    list(accumulate([r < mid for r in ranks], initial=0))
+                )
+            if hi - mid > 1:
+                stack.append((mid, hi, [r for r in ranks if r >= mid]))
+            if mid - lo > 1:
+                stack.append((lo, mid, [r for r in ranks if r < mid]))
 
     # -- queries ------------------------------------------------------------------
+
+    def _y_span(self, k: int, lo: int, hi: int, ylo, yhi) -> tuple[int, int]:
+        """Positions of ``[ylo, yhi]`` in the y-array of node *k*."""
+        ys = self._node_ys[k] if hi - lo > 1 else self._ys[lo:hi]
+        return bisect_left(ys, ylo), bisect_right(ys, yhi)
 
     def query(self, xlo, xhi, ylo, yhi) -> tuple[Moments, ...]:
         """Per-measure :class:`Moments` of the closed query rectangle.
@@ -255,58 +292,64 @@ class AggRangeTree2D:
         With zero measures the single returned :class:`Moments` carries
         the count only.
         """
-        counts = 0
-        sums = [0.0] * self.width
-        sumsqs = [0.0] * self.width
-
-        def report(node: _ANode, plo: int, phi: int) -> None:
-            nonlocal counts
-            counts += node.pcount[phi] - node.pcount[plo]
-            for m in range(self.width):
-                sums[m] += node.psum[m][phi] - node.psum[m][plo]
-                sumsqs[m] += node.psumsq[m][phi] - node.psumsq[m][plo]
-
-        self._visit(xlo, xhi, ylo, yhi, report)
-        counts = self._overlay.fold(
-            counts, sums, sumsqs, self.width,
-            lambda e: xlo <= e[0] <= xhi and ylo <= e[1] <= yhi,
-        )
-        if self.width == 0:
-            return (Moments(counts, 0.0, 0.0),)
-        return tuple(
-            Moments(counts, sums[m], sumsqs[m]) for m in range(self.width)
-        )
+        count = 0
+        cols, prefix, cascade = self._cols, self._prefix, self.cascade
+        stride = len(cols)
+        acc = [0.0] * stride
+        hi = len(self._xs)
+        if hi and xlo <= xhi and ylo <= yhi:
+            # the x-interval as an x-rank interval: containment tests on
+            # nodes become integer comparisons
+            rlo = bisect_left(self._xs, xlo)
+            rhi = bisect_right(self._xs, xhi)
+            k = lo = 0
+            plo = bisect_left(self._node_ys[0], ylo)
+            phi = bisect_right(self._node_ys[0], yhi)
+            # Walk left-first from the root, parking right siblings, so
+            # canonical nodes report left to right.  Every node reached
+            # overlaps [rlo, rhi) and has y-positions in [plo, phi).
+            parked: list[tuple[int, int, int, int, int]] = []
+            while plo < phi and rlo < rhi:
+                if rlo <= lo and hi <= rhi:  # canonical node
+                    count += phi - plo
+                    if hi - lo == 1:  # a leaf is its x-rank
+                        for j in range(stride):
+                            acc[j] += cols[j][lo]
+                    else:
+                        base = k * stride
+                        for j in range(stride):
+                            sums = prefix[base + j]
+                            acc[j] += sums[phi] - sums[plo]
+                else:
+                    half = (hi - lo) // 2
+                    mid = lo + half
+                    if cascade:
+                        went_left = self._bridge[k]
+                        lplo, lphi = went_left[plo], went_left[phi]
+                        rplo, rphi = plo - lplo, phi - lphi
+                    else:
+                        lplo, lphi = self._y_span(k + 1, lo, mid, ylo, yhi)
+                        rplo, rphi = self._y_span(k + half, mid, hi, ylo, yhi)
+                    right = mid < rhi and rplo < rphi
+                    if rlo < mid and lplo < lphi:
+                        if right:
+                            parked.append((k + half, mid, hi, rplo, rphi))
+                        k, hi, plo, phi = k + 1, mid, lplo, lphi
+                        continue
+                    if right:
+                        k, lo, plo, phi = k + half, mid, rplo, rphi
+                        continue
+                if not parked:
+                    break
+                k, lo, hi, plo, phi = parked.pop()
+        if self._overlay.size:
+            count = self._overlay.fold(
+                count, acc, lambda e: xlo <= e[0] <= xhi and ylo <= e[1] <= yhi
+            )
+        return _moments(count, acc)
 
     def count(self, xlo, xhi, ylo, yhi) -> int:
         return self.query(xlo, xhi, ylo, yhi)[0].count
-
-    def _visit(self, xlo, xhi, ylo, yhi, report) -> None:
-        root = self._root
-        if root is None or xlo > xhi or ylo > yhi:
-            return
-        plo = bisect_left(root.ys, ylo)
-        phi = bisect_right(root.ys, yhi)
-
-        def descend(node: _ANode, plo: int, phi: int) -> None:
-            if node.max_x < xlo or node.min_x > xhi or plo >= phi:
-                return
-            if xlo <= node.min_x and node.max_x <= xhi:
-                report(node, plo, phi)
-                return
-            if node.left is None:
-                return
-            if self.cascade:
-                descend(node.left, node.bridge_left[plo], node.bridge_left[phi])
-                descend(node.right, node.bridge_right[plo], node.bridge_right[phi])
-            else:
-                descend(node.left,
-                        bisect_left(node.left.ys, ylo),
-                        bisect_right(node.left.ys, yhi))
-                descend(node.right,
-                        bisect_left(node.right.ys, ylo),
-                        bisect_right(node.right.ys, yhi))
-
-        descend(root, plo, phi)
 
 
 class PrefixAggregate1D:
@@ -317,31 +360,30 @@ class PrefixAggregate1D:
     Build O(n log n), query O(log n).
     """
 
-    def __init__(
-        self,
+    def __init__(self, keys: Iterable[float], measures: Sequence[Iterable[float]] = ()):
+        keys = list(map(float, keys))
+        n = len(keys)
+        order = sorted(range(n), key=keys.__getitem__)
+        self.keys = [keys[i] for i in order]
+        self.width = len(measures)
+        self._prefix = [
+            list(accumulate(map(column.__getitem__, order), initial=0.0))
+            for column in _moment_columns(measures, n)
+        ]
+        self._size = n
+        # delta overlay of (key, values) pairs since build
+        self._overlay = _DeltaOverlay()
+
+    @classmethod
+    def from_rows(
+        cls,
         keys: Sequence[float],
         values: Sequence[Sequence[float]] | None = None,
         *,
         width: int | None = None,
-    ):
-        n = len(keys)
-        if values is None:
-            values = [()] * n
-        if len(values) != n:
-            raise ValueError("keys and values must have equal length")
-        order = sorted(range(n), key=lambda i: keys[i])
-        self.keys = [float(keys[i]) for i in order]
-        self.width = width if width is not None else (len(values[0]) if n else 0)
-        self._psum = [[0.0] * (n + 1) for _ in range(self.width)]
-        self._psumsq = [[0.0] * (n + 1) for _ in range(self.width)]
-        for pos, i in enumerate(order):
-            for m in range(self.width):
-                v = float(values[i][m])
-                self._psum[m][pos + 1] = self._psum[m][pos] + v
-                self._psumsq[m][pos + 1] = self._psumsq[m][pos] + v * v
-        self._size = n
-        # delta overlay of (key, values) pairs since build
-        self._overlay = _DeltaOverlay()
+    ) -> "PrefixAggregate1D":
+        """Build from keys and per-key measure tuples."""
+        return cls(keys, _transpose(values, len(keys), width))
 
     def __len__(self) -> int:
         return self._size
@@ -376,19 +418,10 @@ class PrefixAggregate1D:
         start = bisect_left(self.keys, lo)
         stop = bisect_right(self.keys, hi)
         count = max(stop - start, 0)
-        sums = [self._psum[m][stop] - self._psum[m][start] for m in range(self.width)]
-        sumsqs = [
-            self._psumsq[m][stop] - self._psumsq[m][start]
-            for m in range(self.width)
-        ]
-        count = self._overlay.fold(
-            count, sums, sumsqs, self.width, lambda e: lo <= e[0] <= hi
-        )
-        if self.width == 0:
-            return (Moments(count, 0.0, 0.0),)
-        return tuple(
-            Moments(count, sums[m], sumsqs[m]) for m in range(self.width)
-        )
+        acc = [sums[stop] - sums[start] for sums in self._prefix]
+        if self._overlay.size:
+            count = self._overlay.fold(count, acc, lambda e: lo <= e[0] <= hi)
+        return _moments(count, acc)
 
     def count(self, lo: float, hi: float) -> int:
         return self.query(lo, hi)[0].count

@@ -80,31 +80,24 @@ class GroupAggIndex:
         self.range_attrs = range_attrs
         self._measures = list(measures)
         self.width = len(measures)
-        values = [tuple(m(row) for m in measures) for row in rows]
+        columns = [list(map(measure, rows)) for measure in measures]
         if not range_attrs:
-            totals = [Moments() for _ in measures] or [Moments()]
-            for vals in values:
-                if measures:
-                    for moment, v in zip(totals, vals):
-                        moment.add(v)
-                else:
-                    totals[0].count += 1
+            totals = [Moments() for _ in measures] or [Moments(len(rows))]
+            for moment, column in zip(totals, columns):
+                for v in column:
+                    moment.add(v)
             self._total = tuple(totals)
             self._index: object = None
         elif len(range_attrs) == 1:
             attr = range_attrs[0]
-            self._index = PrefixAggregate1D(
-                [row[attr] for row in rows],
-                values if measures else None,
-                width=self.width,
-            )
+            self._index = PrefixAggregate1D([row[attr] for row in rows], columns)
         else:
             ax, ay = range_attrs
             self._index = AggRangeTree2D(
-                [(row[ax], row[ay]) for row in rows],
-                values if measures else None,
+                [row[ax] for row in rows],
+                [row[ay] for row in rows],
+                columns,
                 cascade=cascade,
-                width=self.width,
             )
 
     # -- incremental maintenance --------------------------------------------------

@@ -49,7 +49,14 @@ class IntervalAggregateIndex:
     # -- updates --------------------------------------------------------------
 
     def set(self, slot: int, value: float) -> None:
-        """Set *slot* to *value* and percolate the change to the root."""
+        """Set *slot* to *value* and percolate the change upward.
+
+        Percolation stops at the first ancestor whose recomputed value
+        is the object it already holds: nothing above it can change.
+        Identity, not ``==`` -- min/max return one of their arguments, so
+        an unchanged winner is the same object, while ``==`` would also
+        stop on ``0.0`` replacing ``-0.0``.
+        """
         if not 0 <= slot < self.size:
             raise IndexError(f"slot {slot} out of range [0, {self.size})")
         i = self._base + slot
@@ -58,12 +65,16 @@ class IntervalAggregateIndex:
         op = self.op
         i //= 2
         while i:
-            tree[i] = op(tree[2 * i], tree[2 * i + 1])
+            merged = op(tree[2 * i], tree[2 * i + 1])
+            if merged is tree[i]:
+                break
+            tree[i] = merged
             i //= 2
 
     def clear(self, slot: int) -> None:
         """Restore *slot* to the neutral value (unit leaves the sweep)."""
-        self.set(slot, self.neutral)
+        if self.get(slot) is not self.neutral:
+            self.set(slot, self.neutral)
 
     def get(self, slot: int) -> float:
         if not 0 <= slot < self.size:

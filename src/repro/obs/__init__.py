@@ -11,10 +11,13 @@ and a no-op method call -- no allocation, no branching beyond the call.
   whose instruments discard every write.
 * :mod:`repro.obs.trace` -- epoch-correlated Chrome trace-event
   recorder (JSON array of ``X``/``i``/``M`` events, Perfetto-loadable).
+* :mod:`repro.obs.gcstats` -- cyclic-GC collections per generation and
+  collector seconds per tick, from one ``gc.callbacks`` hook.
 * :mod:`repro.obs.watchdog` -- slow-tick watchdog flagging ticks beyond
   ``k x EWMA`` of recent totals with the offending stage breakdown.
 """
 
+from repro.obs.gcstats import GcMonitor  # noqa: F401
 from repro.obs.registry import (  # noqa: F401
     Counter,
     Gauge,

@@ -6,7 +6,8 @@ has seen a short warmup, flags any tick whose total exceeds
 ``factor * EWMA``.  A flagged tick is:
 
 * logged at ``WARNING`` with the offending stage breakdown sorted by
-  cost (the runbook line an operator greps for),
+  cost and, when metrics are on, the tick's cyclic-GC seconds (the
+  runbook line an operator greps for),
 * counted in the registry (``watchdog_slow_ticks``), and
 * dropped into the trace as an ``i`` event when tracing is on.
 
@@ -47,9 +48,10 @@ class SlowTickWatchdog:
         self.observed = 0
         self.flagged: list[dict[str, object]] = []
 
-    def observe(self, tick: int, total: float,
-                breakdown: dict[str, float]) -> bool:
-        """Feed one tick's total and stage breakdown; True when flagged."""
+    def observe(self, tick: int, total: float, breakdown: dict[str, float],
+                gc_seconds: float | None = None) -> bool:
+        """Feed one tick's total, stage breakdown and (when measured)
+        collector seconds; True when flagged."""
         self.observed += 1
         if self.ewma is None:
             self.ewma = total
@@ -66,6 +68,8 @@ class SlowTickWatchdog:
                 )
                 if seconds
             )
+            if gc_seconds is not None:
+                stages += f"; gc={gc_seconds * 1e3:.2f}ms"
             logger.warning(
                 "slow tick %d: %.2fms > %.1fx EWMA %.2fms (%s)",
                 tick, total * 1e3, self.factor, self.ewma * 1e3, stages,
@@ -75,6 +79,7 @@ class SlowTickWatchdog:
                 "total": total,
                 "ewma": self.ewma,
                 "breakdown": dict(breakdown),
+                "gc_seconds": gc_seconds,
             })
         else:
             self.ewma += self.alpha * (total - self.ewma)

@@ -62,8 +62,32 @@ def test_disabled_engine_uses_the_shared_null_registry():
         assert NULL_REGISTRY.snapshot() == {}
         assert engine.trace is None
         assert engine.watchdog is None
+        assert engine._gc_monitor is None  # no gc hook without metrics
         with pytest.raises(RuntimeError):
             sim.serve_metrics()
+
+
+# -- the GC bill is a metric ---------------------------------------------------
+
+
+def test_gc_hook_lives_exactly_as_long_as_a_metrics_engine():
+    hooks = list(gc.callbacks)
+    with BattleSimulation(32, density=0.02) as sim:
+        assert gc.callbacks == hooks
+    with BattleSimulation(32, density=0.02, metrics=True) as sim:
+        assert len(gc.callbacks) == len(hooks) + 1
+        sim.run(4)
+        gc.collect()
+        sim.run(1)
+        snap = sim.metrics.snapshot()
+        assert snap["tick_gc_seconds:count"] == 5  # one observation per tick
+        assert 0.0 < snap["tick_gc_seconds:sum"] < sum(
+            s.total_time for s in sim.engine.history
+        ) + 1.0
+        assert snap['gc_collections_total{generation="2"}'] >= 1
+        sim.close()
+        assert gc.callbacks == hooks
+    assert gc.callbacks == hooks  # the second close() found nothing to remove
 
 
 # -- the registry absorbs the ad-hoc stat surfaces ----------------------------
@@ -252,6 +276,7 @@ def test_watchdog_flags_an_injected_stall(tmp_path):
         assert [f["tick"] for f in dog.flagged] == [6]
         (flag,) = dog.flagged
         assert flag["breakdown"]["mechanics"] >= 0.25
+        assert flag["gc_seconds"] == 0.0  # measured (metrics on), gc disabled
         assert sim.metrics.snapshot()["watchdog_slow_ticks_total"] == 1
     instants = [
         e for e in load_trace(str(path))

@@ -27,7 +27,7 @@ class TestAggRangeTree2D:
     @pytest.mark.parametrize("cascade", [True, False])
     def test_simple_rectangle(self, cascade):
         rows = [(0, 0, 1), (1, 1, 2), (2, 2, 3), (10, 10, 4)]
-        tree = AggRangeTree2D(
+        tree = AggRangeTree2D.from_rows(
             [(x, y) for x, y, _ in rows], [(v,) for _, _, v in rows],
             cascade=cascade,
         )
@@ -39,7 +39,7 @@ class TestAggRangeTree2D:
     @settings(max_examples=150, deadline=None)
     @given(entries, interval, interval, st.booleans())
     def test_matches_bruteforce(self, rows, bx, by, cascade):
-        tree = AggRangeTree2D(
+        tree = AggRangeTree2D.from_rows(
             [(x, y) for x, y, _ in rows], [(v,) for _, _, v in rows],
             cascade=cascade,
         )
@@ -54,38 +54,38 @@ class TestAggRangeTree2D:
     def test_cascade_equals_no_cascade(self, rows, bx, by):
         points = [(x, y) for x, y, _ in rows]
         values = [(v,) for _, _, v in rows]
-        a, = AggRangeTree2D(points, values, cascade=True).query(
+        a, = AggRangeTree2D.from_rows(points, values, cascade=True).query(
             bx[0], bx[1], by[0], by[1]
         )
-        b, = AggRangeTree2D(points, values, cascade=False).query(
+        b, = AggRangeTree2D.from_rows(points, values, cascade=False).query(
             bx[0], bx[1], by[0], by[1]
         )
         assert (a.count, a.total, a.total_sq) == (b.count, b.total, b.total_sq)
 
     def test_count_only_tree(self):
-        tree = AggRangeTree2D([(0, 0), (1, 1), (5, 5)])
+        tree = AggRangeTree2D.from_rows([(0, 0), (1, 1), (5, 5)])
         assert tree.count(0, 1, 0, 1) == 2
 
     def test_multiple_measures_share_tree(self):
         # a centroid: avg x and avg y from one structure
         points = [(0, 0), (2, 4), (4, 8)]
-        tree = AggRangeTree2D(points, [(x, y) for x, y in points])
+        tree = AggRangeTree2D.from_rows(points, [(x, y) for x, y in points])
         mx, my = tree.query(0, 4, 0, 8)
         assert mx.avg() == pytest.approx(2.0)
         assert my.avg() == pytest.approx(4.0)
 
     def test_stddev_finalizer(self):
-        tree = AggRangeTree2D([(0, 0), (1, 0)], [(0,), (2,)])
+        tree = AggRangeTree2D.from_rows([(0, 0), (1, 0)], [(0,), (2,)])
         m, = tree.query(-1, 2, -1, 1)
         assert m.stddev() == pytest.approx(1.0)
 
     def test_empty_query(self):
-        tree = AggRangeTree2D([(0, 0)], [(5,)])
+        tree = AggRangeTree2D.from_rows([(0, 0)], [(5,)])
         m, = tree.query(10, 20, 10, 20)
         assert m.count == 0 and m.avg() is None
 
     def test_empty_tree(self):
-        tree = AggRangeTree2D([], [])
+        tree = AggRangeTree2D.from_rows([], [])
         m, = tree.query(-1, 1, -1, 1)
         assert m.count == 0
 
@@ -94,7 +94,7 @@ class TestPrefixAggregate1D:
     @settings(max_examples=120, deadline=None)
     @given(st.lists(st.tuples(coord, value), max_size=50), interval)
     def test_matches_bruteforce(self, rows, bounds):
-        index = PrefixAggregate1D(
+        index = PrefixAggregate1D.from_rows(
             [k for k, _ in rows], [(v,) for _, v in rows]
         )
         m, = index.query(bounds[0], bounds[1])
@@ -103,14 +103,14 @@ class TestPrefixAggregate1D:
         assert m.total == pytest.approx(sum(picked))
 
     def test_unsorted_input(self):
-        index = PrefixAggregate1D([5, 1, 3], [(50,), (10,), (30,)])
+        index = PrefixAggregate1D.from_rows([5, 1, 3], [(50,), (10,), (30,)])
         m, = index.query(1, 3)
         assert m.count == 2 and m.total == 40.0
 
     def test_variance_numerical_floor(self):
         # identical values: variance must be exactly >= 0 despite
         # floating cancellation
-        index = PrefixAggregate1D([0, 1, 2], [(0.1,), (0.1,), (0.1,)])
+        index = PrefixAggregate1D.from_rows([0, 1, 2], [(0.1,), (0.1,), (0.1,)])
         m, = index.query(0, 2)
         assert m.var() >= 0.0
         assert math.isclose(m.stddev(), 0.0, abs_tol=1e-9)

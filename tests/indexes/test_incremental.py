@@ -27,7 +27,7 @@ class TestAggRangeTree2DDelta:
         rng = random.Random(5)
         points = [(rng.randrange(30), rng.randrange(30)) for _ in range(60)]
         values = [(float(rng.randrange(10)),) for _ in points]
-        tree = AggRangeTree2D(points, values)
+        tree = AggRangeTree2D.from_rows(points, values)
 
         for _ in range(15):  # delete a built-in element
             i = rng.randrange(len(points))
@@ -38,14 +38,14 @@ class TestAggRangeTree2DDelta:
             values.append(v)
             tree.insert(p, v)
 
-        rebuilt = AggRangeTree2D(points, values)
+        rebuilt = AggRangeTree2D.from_rows(points, values)
         assert len(tree) == len(rebuilt) == len(points)
         assert tree.overlay_size > 0
         for box in rect_queries(random.Random(6)):
             assert tree.query(*box) == rebuilt.query(*box)
 
     def test_delete_of_inserted_element_cancels(self):
-        tree = AggRangeTree2D([(0, 0)], [(1.0,)])
+        tree = AggRangeTree2D.from_rows([(0, 0)], [(1.0,)])
         tree.insert((5, 5), (2.0,))
         tree.delete((5, 5), (2.0,))
         assert tree.overlay_size == 0
@@ -53,13 +53,13 @@ class TestAggRangeTree2DDelta:
         assert tree.query(0, 10, 0, 10)[0].count == 1
 
     def test_empty_build_then_insert(self):
-        tree = AggRangeTree2D([], [], width=1)
+        tree = AggRangeTree2D.from_rows([], [], width=1)
         tree.insert((3, 4), (7.0,))
         moments = tree.query(0, 10, 0, 10)[0]
         assert (moments.count, moments.total) == (1, 7.0)
 
     def test_measure_width_enforced(self):
-        tree = AggRangeTree2D([(0, 0)], [(1.0,)])
+        tree = AggRangeTree2D.from_rows([(0, 0)], [(1.0,)])
         with pytest.raises(ValueError):
             tree.insert((1, 1), (1.0, 2.0))
 
@@ -69,7 +69,7 @@ class TestPrefixAggregate1DDelta:
         rng = random.Random(7)
         keys = [float(rng.randrange(50)) for _ in range(40)]
         values = [(float(rng.randrange(9)),) for _ in keys]
-        agg = PrefixAggregate1D(keys, values)
+        agg = PrefixAggregate1D.from_rows(keys, values)
 
         for _ in range(10):
             i = rng.randrange(len(keys))
@@ -80,7 +80,7 @@ class TestPrefixAggregate1DDelta:
             values.append(v)
             agg.insert(k, v)
 
-        rebuilt = PrefixAggregate1D(keys, values)
+        rebuilt = PrefixAggregate1D.from_rows(keys, values)
         assert len(agg) == len(rebuilt)
         for _ in range(20):
             lo = rng.randrange(50)
@@ -88,7 +88,7 @@ class TestPrefixAggregate1DDelta:
             assert agg.query(lo, hi) == rebuilt.query(lo, hi)
 
     def test_count_only_overlay(self):
-        agg = PrefixAggregate1D([1.0, 2.0, 3.0])
+        agg = PrefixAggregate1D.from_rows([1.0, 2.0, 3.0])
         agg.delete(2.0)
         agg.insert(5.0)
         assert agg.count(0, 10) == 3

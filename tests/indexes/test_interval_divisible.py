@@ -1,5 +1,6 @@
 """Segment-tree interval index + divisible aggregate accumulators."""
 
+import functools
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.indexes.divisible import Moments, MomentVector, is_divisible
 from repro.indexes.interval_agg import IntervalAggregateIndex
+from repro.indexes.sweepline import _MaxSentinel
 
 
 class TestIntervalAggregateIndex:
@@ -76,6 +78,73 @@ class TestIntervalAggregateIndex:
             tree.set(slot, value)
             slots[slot] = value
         assert tree.query(lo, hi) == min(slots[lo : hi + 1])
+
+    # -- early-stopped percolation gives the answers of the full walk ------------
+
+    #: a small pool, so ties, shared float objects and 0.0 / -0.0 are common
+    pool = st.sampled_from([0.0, -0.0, 1.0, 1.0, 2.5, -3.0, 7.0])
+    ops = st.lists(
+        st.one_of(
+            st.tuples(st.just("set"), st.integers(0, 12), pool),
+            st.tuples(st.just("clear"), st.integers(0, 12), st.none()),
+            st.tuples(st.just("query"), st.integers(-2, 14), st.integers(-2, 14)),
+        ),
+        max_size=60,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["min", "max", "sum", "argmin"]), ops)
+    def test_set_clear_query_sequences_match_a_list_scan(self, kind, sequence):
+        if kind == "argmin":  # (value, id) leaves under the sweep's sentinel
+            neutral = (float("inf"), _MaxSentinel())
+            make = lambda: IntervalAggregateIndex(13, "min", neutral=neutral)
+            leaf = lambda slot, value: (value, slot % 3)
+        else:
+            make = lambda: IntervalAggregateIndex(13, kind)
+            leaf = lambda slot, value: value
+        tree, full = make(), _FullPercolation(make())
+        slots = [tree.neutral] * 13
+        for what, a, b in sequence:
+            if what == "query":
+                window = slots[max(a, 0) : max(b + 1, 0)] if a <= b else []
+                expected = functools.reduce(tree.op, window, tree.neutral)
+                assert tree.query(a, b) == expected
+                continue
+            if what == "set":
+                slots[a] = value = leaf(a, b)
+                tree.set(a, value)
+                full.set(a, value)
+            else:
+                slots[a] = tree.neutral
+                tree.clear(a)
+                full.set(a, tree.neutral)
+            # every node, not just the answers: repr tells 0.0 from -0.0
+            assert repr(tree._tree) == repr(full.tree._tree)
+        assert tree.total() == functools.reduce(tree.op, slots, tree.neutral)
+
+    def test_clear_of_a_neutral_slot_writes_nothing(self):
+        tree = IntervalAggregateIndex(8, "min")
+        tree.set(2, 4.0)
+        before = list(tree._tree)
+        tree.clear(5)
+        assert all(a is b for a, b in zip(tree._tree, before))
+        with pytest.raises(IndexError):
+            tree.clear(8)
+
+
+class _FullPercolation:
+    """The always-walk-to-the-root ``set`` the index used to have."""
+
+    def __init__(self, tree):
+        self.tree = tree
+
+    def set(self, slot, value):
+        tree, i = self.tree._tree, self.tree._base + slot
+        tree[i] = value
+        i //= 2
+        while i:
+            tree[i] = self.tree.op(tree[2 * i], tree[2 * i + 1])
+            i //= 2
 
 
 class TestMoments:

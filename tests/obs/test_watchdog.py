@@ -62,3 +62,15 @@ def test_warmup_ticks_never_flag():
     assert dog.observe(3, 0.100, {}) is False
     # past warmup the same ratio flags
     assert dog.observe(4, 10 * dog.ewma, {}) is True
+
+
+def test_warning_carries_gc_seconds_when_measured(caplog):
+    dog = SlowTickWatchdog(3.0)
+    feed_steady(dog, 5)
+    with caplog.at_level(logging.WARNING, logger="repro.obs.watchdog"):
+        dog.observe(6, 0.100, {"decision": 0.1}, gc_seconds=0.0425)
+        dog.observe(7, 0.100, {"decision": 0.1})
+    measured, unmeasured = (r.getMessage() for r in caplog.records)
+    assert "decision=100.00ms; gc=42.50ms" in measured
+    assert "gc=" not in unmeasured
+    assert [f["gc_seconds"] for f in dog.flagged] == [0.0425, None]
