@@ -1,29 +1,22 @@
-"""Remote decision workers: bit-exactness, throughput, broadcast volume.
+"""Remote decision workers: bit-exactness, throughput, fault recovery.
 
-PR 4 moved spectator read replicas onto sockets; this bench covers the
+Spectator read replicas stream over sockets; this bench covers the
 other half of the distribution story -- the *decision* workers running
 over :class:`~repro.serve.transport.SocketTransport` sessions to
 ``python -m repro.engine.shardexec --listen`` processes (spawned here on
 ephemeral loopback ports, exactly what real worker hosts would run).
 
-Three sections, every one anchored to a hard assert:
+Two sections, each anchored to a hard assert:
 
 * **live equivalence + throughput** -- the same battle runs on the flat
-  serial engine, on remote full-replica socket workers (delta and
-  snapshot broadcasts), and on remote probe-split workers
-  (``worker_scope="shards"``: scoped replicas, locally-answered probes
-  where provable, coordinator-forwarded probes elsewhere).  Every
-  configuration's final state must be **bit-identical** to the serial
-  baseline; ``s_per_tick_remote`` and ``broadcast_bytes`` are recorded
-  per configuration for the perf trajectory;
+  serial engine and on remote socket workers (delta and snapshot
+  broadcasts).  Every configuration's final state must be
+  **bit-identical** to the serial baseline; ``s_per_tick_remote`` and
+  ``broadcast_bytes`` are recorded per configuration for the perf
+  trajectory;
 * **kill/reconnect fault drill** -- worker connections are dropped
   mid-run; the coordinator must reconnect, snapshot re-feed, and still
-  land on the identical final state;
-* **scoped-vs-full broadcast volume** -- the controlled-churn workload
-  replays the exact per-worker update blobs at a sweep of update rates.
-  Full-replica workers each receive the whole delta (W workers = W
-  copies); probe-split workers receive only their shards' slice.  The
-  **>= 2x** reduction is asserted at every update rate <= 10%.
+  land on the identical final state.
 
     PYTHONPATH=src:. python benchmarks/bench_remote.py [--smoke] [--json PATH]
 
@@ -36,24 +29,10 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import time
 
-from benchmarks.util import (
-    evolve_battle_env,
-    fmt_table,
-    make_battle_env,
-    write_bench_json,
-)
+from benchmarks.util import fmt_table, write_bench_json
 from repro.engine.shardexec import spawn_listen_worker
-from repro.env.schema import battle_schema
-from repro.env.sharding import (
-    delta_blob,
-    encode_replica_delta,
-    make_sharder,
-    scope_table_delta,
-)
-from repro.env.table import diff_by_key
 from repro.game.battle import BattleSimulation
 
 
@@ -90,97 +69,12 @@ def run_config(
         return {
             "config": label,
             "workers": "remote" if battle_kwargs.get("workers") else "serial",
-            "worker_scope": battle_kwargs.get("worker_scope", "full"),
             "worker_broadcast": battle_kwargs.get("worker_broadcast", "delta"),
             "s_per_tick_remote": elapsed / ticks,
             "broadcast_bytes": (stats.bytes_broadcast / ticks) if stats else 0,
-            "remote_evals": stats.remote_evals if stats else 0,
             "reconnects": reconnects,
             "signature": sim.state_signature(),
         }
-
-
-# -- scoped-vs-full broadcast volume under controlled churn ---------------------
-
-
-def scoped_volume_section(
-    n_units: int,
-    rates: list[float],
-    rounds: int,
-    *,
-    num_shards: int = 8,
-    num_workers: int = 4,
-) -> list[dict]:
-    """Per-worker update-blob bytes: full replicas vs the probe split.
-
-    Replays the exact blobs the coordinator ships.  A full-replica pool
-    sends the same :class:`~repro.env.sharding.ReplicaDelta` to each of
-    the W workers; a probe-split pool sends each worker only its own
-    shards' slice (``scope_table_delta`` + per-scope encode).  Asserts
-    the >= 2x reduction at every rate <= 10% -- the regime the ROADMAP's
-    probe split exists for.
-    """
-    schema = battle_schema()
-    grid = max(int((n_units / 0.01) ** 0.5), 16)
-    shard_of = make_sharder("spatial", num_shards, extent=float(grid))
-    cuts = [num_shards * w // num_workers for w in range(num_workers + 1)]
-    scopes = [
-        frozenset(range(cuts[w], cuts[w + 1])) for w in range(num_workers)
-    ]
-    key = schema.key
-    out = []
-    for rate in rates:
-        rng = random.Random(23)
-        prev = make_battle_env(schema, n_units, grid, seed=5)
-        full_bytes = scoped_bytes = 0
-        for epoch in range(1, rounds + 1):
-            cur = evolve_battle_env(prev, rate, grid, rng)
-            delta = diff_by_key(prev, cur)
-            assert delta is not None  # synthetic envs are keyed
-            rd = encode_replica_delta(
-                delta,
-                old_order=[row[key] for row in prev.rows],
-                new_order=[row[key] for row in cur.rows],
-                key_attr=key,
-                base_epoch=epoch - 1,
-                epoch=epoch,
-                shard_of=shard_of,
-            )
-            full_bytes += num_workers * len(delta_blob(rd))
-            for scope in scopes:
-                scoped_delta, old_order, new_order = scope_table_delta(
-                    delta, prev.rows, cur.rows, scope, shard_of, key_attr=key
-                )
-                scoped_bytes += len(
-                    delta_blob(
-                        encode_replica_delta(
-                            scoped_delta,
-                            old_order,
-                            new_order,
-                            key_attr=key,
-                            base_epoch=epoch - 1,
-                            epoch=epoch,
-                            shard_of=shard_of,
-                        )
-                    )
-                )
-            prev = cur
-        reduction = full_bytes / scoped_bytes
-        out.append(
-            {
-                "update_rate": rate,
-                "full_bytes_per_tick": full_bytes / rounds,
-                "scoped_bytes_per_tick": scoped_bytes / rounds,
-                "reduction": reduction,
-            }
-        )
-        if rate <= 0.10:
-            assert reduction >= 2.0, (
-                f"probe split saved only {reduction:.2f}x broadcast bytes "
-                f"at {rate:.0%} update rate with {num_workers} workers "
-                f"(need >= 2x)"
-            )
-    return out
 
 
 def main(argv=None):
@@ -202,15 +96,9 @@ def main(argv=None):
 
     if args.smoke:
         n_units, ticks, num_workers, num_shards = 120, 3, 2, 4
-        # the volume section is pickle arithmetic (no engine), so even
-        # smoke runs it at full scale: the scoped-vs-full ratio depends
-        # on delta content outweighing the per-blob envelope
-        volume_units, volume_rounds = 5000, 3
     else:
         n_units, ticks, num_workers, num_shards = 2000, 4, 2, 4
-        volume_units, volume_rounds = 5000, 4
     seed = 13
-    update_rates = [0.01, 0.05, 0.10, 0.50]
 
     print(
         f"\n=== remote decision workers: {n_units} units, {ticks} ticks, "
@@ -234,8 +122,6 @@ def main(argv=None):
             ("remote full-replica delta", dict(remote)),
             ("remote full-replica snapshot",
              dict(remote, worker_broadcast="snapshot")),
-            ("remote probe-split (scoped)",
-             dict(remote, worker_scope="shards")),
         ]
         results = []
         for label, kwargs in configs:
@@ -247,9 +133,9 @@ def main(argv=None):
         results.append(
             run_config(
                 n_units, ticks, seed=seed,
-                label="remote scoped + reconnect drill",
+                label="remote full-replica + reconnect drill",
                 drop_workers_at=ticks // 2,
-                **dict(remote, worker_scope="shards"),
+                **remote,
             )
         )
     finally:
@@ -273,59 +159,17 @@ def main(argv=None):
         "re-established)"
     )
 
-    rows = []
-    for result in results:
-        rows.append(
+    print(fmt_table(
+        ["config", "s/tick", "bcast KiB/tick"],
+        [
             [
                 result["config"],
                 result["s_per_tick_remote"],
                 f"{result['broadcast_bytes'] / 1024:.1f}",
-                result["remote_evals"],
             ]
-        )
-    print(fmt_table(
-        ["config", "s/tick", "bcast KiB/tick", "fwd evals"], rows
-    ))
-    full_live = next(
-        r for r in results if r["config"] == "remote full-replica delta"
-    )
-    scoped_live = next(
-        r for r in results if r["config"] == "remote probe-split (scoped)"
-    )
-    live_reduction = (
-        full_live["broadcast_bytes"] / scoped_live["broadcast_bytes"]
-        if scoped_live["broadcast_bytes"]
-        else None
-    )
-    if live_reduction is not None:
-        print(
-            f"\nlive battle: probe-split workers shipped {live_reduction:.2f}x "
-            "fewer broadcast bytes/tick than full replicas (high-churn "
-            "workload; see the update-rate sweep below)"
-        )
-
-    print(
-        f"\n=== scoped-vs-full broadcast volume: {volume_units} units, "
-        f"8 shards / 4 workers, {volume_rounds} rounds ==="
-    )
-    volume = scoped_volume_section(volume_units, update_rates, volume_rounds)
-    print(fmt_table(
-        ["changed/tick", "full KiB/tick", "scoped KiB/tick", "reduction"],
-        [
-            [
-                f"{v['update_rate']:.0%}",
-                v["full_bytes_per_tick"] / 1024,
-                v["scoped_bytes_per_tick"] / 1024,
-                f"{v['reduction']:.1f}x",
-            ]
-            for v in volume
+            for result in results
         ],
     ))
-    low = [v for v in volume if v["update_rate"] <= 0.10]
-    print(
-        f"probe split >= 2x fewer broadcast bytes at all {len(low)} update "
-        "rates <= 10% (asserted)"
-    )
 
     write_bench_json(
         args.json,
@@ -337,12 +181,10 @@ def main(argv=None):
             "num_shards": num_shards,
             "smoke": args.smoke,
             "equivalence_ok": True,
-            "live_scoped_vs_full_reduction": live_reduction,
             "results": [
                 {k: v for k, v in result.items() if k != "signature"}
                 for result in results
             ],
-            "scoped_volume": volume,
         },
     )
 

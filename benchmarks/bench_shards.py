@@ -1,12 +1,12 @@
 """Sharded tick pipeline: throughput, broadcast volume, and parallelism.
 
 The engine partitions ``E`` by a configurable shard key and runs the
-decision / AoE stages shard-at-a-time, optionally on a worker pool
-(``parallelism="threads"|"processes"``).  ⊕ is associative/commutative
-(Eq. 3), so the per-shard effect tables merge deterministically and
-every configuration is bit-identical to the flat engine -- which this
-bench *asserts* on the final battle state before it reports a single
-number.
+decision / AoE stages shard-at-a-time, optionally with the decision
+stage on worker processes (``parallelism="processes"``).  ⊕ is
+associative/commutative (Eq. 3), so the per-shard effect tables merge
+deterministically and every configuration is bit-identical to the flat
+engine -- which this bench *asserts* on the final battle state before
+it reports a single number.
 
 Process workers are stateful replica holders: the coordinator ships an
 epoch-versioned delta per tick (``worker_broadcast="delta"``, the
@@ -18,13 +18,9 @@ controlled-churn workload across update rates -- asserting the ≥5x
 reduction the replica protocol exists for at ≤10% changed rows per
 tick.
 
-Two caveats the timing numbers must be read with:
-
-* thread workers only run Python bytecode concurrently on free-threaded
-  (no-GIL) builds; under the GIL the threads row measures pipeline
-  overhead, not speedup;
-* process workers need several physical cores and large battles to win
-  even with delta broadcasts.
+One caveat the timing numbers must be read with: process workers need
+several physical cores and large battles to win even with delta
+broadcasts.
 
 The JSON artifact (``BENCH_shards.json``; ``BENCH_shards_smoke.json``
 under ``--smoke``, so smoke timings never overwrite full-run data
@@ -180,11 +176,6 @@ def main(argv=None):
         configs.append(
             (f"{shards} shards serial spatial",
              dict(num_shards=shards, shard_by="spatial")),
-        )
-        configs.append(
-            (f"{shards} shards threads x{workers} spatial",
-             dict(num_shards=shards, shard_by="spatial",
-                  parallelism="threads", max_workers=workers)),
         )
     configs.append(
         (f"{shard_counts[-1]} shards serial by-key",

@@ -14,7 +14,10 @@ artifacts into a trajectory check between runs:
   ``::warning::`` annotations when running under Actions -- but do not
   fail the job, because single-core shared runners make absolute
   timings too noisy for a hard gate (the full-run gate lives in the
-  scheduled ``bench-full`` workflow on real timings).
+  scheduled ``bench-full`` workflow on real timings).  A labelled row
+  the previous run had and this one lacks is listed as a **dropped
+  row**, also as a warning: deleting a configuration is legitimate, but
+  it must show in the log.
 
 Files are matched by name, so smoke artifacts (``BENCH_*_smoke.json``)
 only ever compare against smoke artifacts and full runs against full
@@ -166,6 +169,13 @@ def compare_file(name: str, current: dict, previous: dict, threshold: float):
         elif ratio < 1 / threshold:
             print(f"{name}: {label} sped up {1 / ratio:.2f}x")
     print(f"{name}: compared {compared} timing series against previous run")
+    dropped = sorted(set(prev) - set(cur))
+    if dropped:
+        # a configuration removed on purpose is fine, one that silently
+        # stopped being measured is not: say which, let a human decide
+        _warn(
+            f"{name}: dropped rows (previous run only): " + ", ".join(dropped)
+        )
 
 
 def main(argv=None) -> int:

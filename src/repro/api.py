@@ -97,95 +97,19 @@ class GameDefinition:
         env: EnvironmentTable,
         mechanics: Callable,
         *,
-        mode: str = "indexed",
-        seed: int = 0,
-        optimize_aoe: bool = True,
-        cascade: bool = True,
-        index_maintenance: str = "rebuild",
-        incremental_threshold: float = 0.25,
-        auto_policy: str = "ewma",
-        num_shards: int = 1,
         shard_by: str | None = None,
-        spatial_extent: float | None = None,
-        parallelism: str = "serial",
-        max_workers: int | None = None,
-        worker_broadcast: str = "delta",
-        worker_factory: Callable | None = None,
-        workers: object = "local",
-        worker_scope: str = "full",
-        worker_timeout: float | None = 60.0,
-        worker_max_frame: int | None = None,
-        spectators: bool = False,
-        spectator_broadcast: str = "delta",
-        epoch_log: str | None = None,
-        epoch_log_checkpoint_every: int = 64,
-        epoch_log_fsync: str = "checkpoint",
-        metrics: bool = False,
-        trace_path: str | None = None,
-        slow_tick_factor: float | None = None,
+        **engine,
     ) -> SimulationEngine:
         """Build a :class:`SimulationEngine` for this game definition.
 
-        *index_maintenance* selects the per-tick index strategy of the
-        indexed engine: ``"rebuild"`` discards and rebuilds every tick
-        (the paper's default), ``"incremental"`` patches retained
-        indexes with the captured row delta, and ``"auto"`` picks per
-        tick from the evaluator's learned cost crossover
-        (*auto_policy*\\ ``="ewma"``) or the changed-row fraction
-        (``"threshold"``, also the EWMA bootstrap; threshold
-        *incremental_threshold*).
+        *shard_by* defaults to the schema key.  Every other keyword is
+        an :class:`~repro.engine.clock.EngineConfig` field -- that
+        docstring is the knob reference.  ``parallelism="processes"``
+        and spectator replicas need a picklable ``worker_factory``
+        returning a :class:`~repro.engine.shardexec.WorkerGame` for this
+        game, and ``shard_by="spatial"`` needs ``spatial_extent``.
 
-        *num_shards* / *shard_by* / *parallelism* configure the sharded
-        tick pipeline: ``E`` is partitioned by the shard key (default:
-        the schema key, hashed process-stably; ``"spatial"`` needs
-        *spatial_extent*) and the per-shard decision/effect stages run
-        serially or on a thread pool; ``parallelism="processes"``
-        additionally needs a picklable *worker_factory* returning a
-        :class:`~repro.engine.shardexec.WorkerGame`, and keeps the
-        long-lived workers' replicas of ``E`` current per
-        *worker_broadcast* -- ``"delta"`` (default) ships epoch-versioned
-        change sets, ``"snapshot"`` re-broadcasts all rows every tick.
-        *workers* selects where those processes run: ``"local"``
-        (default) spawns them on this host; a list of ``"host:port"``
-        endpoints connects to remote decision workers started with
-        ``python -m repro.engine.shardexec --listen`` over the socket
-        transport, with reconnect-and-resnapshot fault recovery.
-        *worker_scope* -- ``"full"`` replicates all of ``E`` to every
-        worker; ``"shards"`` is the per-shard probe split (each worker
-        holds and indexes only its own shards, forwarding non-local
-        probes to the coordinator; needs ``mode="indexed"`` and
-        ``optimize_aoe=True``).
-
-        *spectators* opens the engine's read-replica feed
-        (``engine.spectator_address``): each tick's post-state streams
-        to subscribed :class:`~repro.serve.spectator.SpectatorReplica`
-        processes -- per *spectator_broadcast*, as epoch-versioned
-        deltas with snapshot catch-up (``"delta"``) or full snapshots
-        (``"snapshot"``).  Spawn replicas against the same
-        *worker_factory* used for process workers; they answer
-        read-only SGL/aggregate/k-NN queries pinned to a consistent
-        epoch, bit-identical to querying this engine directly.
-
-        *epoch_log* names a file the engine appends every post-tick
-        state to (:mod:`repro.persist`): the captured delta when it
-        chains, a full-snapshot checkpoint every
-        *epoch_log_checkpoint_every* epochs, with *epoch_log_fsync*
-        picking durability (``"never"`` | ``"checkpoint"`` |
-        ``"always"``).  Any retained epoch can then be replayed
-        bit-exactly (:class:`~repro.persist.log.EpochLogReader`), and a
-        crashed coordinator recovers by replay +
-        :meth:`~repro.engine.clock.SimulationEngine.restore_state`.
-
-        *metrics* / *trace_path* / *slow_tick_factor* are the
-        observability knobs (:mod:`repro.obs`): a process-local metrics
-        registry (``engine.metrics``, servable over HTTP with
-        ``engine.serve_metrics()``), an epoch-correlated Chrome
-        trace-event recording of every tick stage / worker round trip /
-        publish / log write, and the slow-tick watchdog (flag ticks
-        slower than ``factor`` x the EWMA).  All are read-only
-        diagnostics -- trajectories are bit-identical with them on.
-
-        All strategies, shard counts, and parallelism modes are
+        All strategies, shard counts and worker layouts are
         bit-identical in trajectory when aggregate measure and effect
         sums are floating-point exact (e.g. integer-valued measures);
         per-shard evaluation sums in a different order than a flat scan,
@@ -204,32 +128,8 @@ class GameDefinition:
             script_for,
             mechanics,
             EngineConfig(
-                mode=mode,
-                optimize_aoe=optimize_aoe,
-                cascade=cascade,
-                seed=seed,
-                index_maintenance=index_maintenance,
-                incremental_threshold=incremental_threshold,
-                auto_policy=auto_policy,
-                num_shards=num_shards,
                 shard_by=shard_by if shard_by is not None else self.schema.key,
-                spatial_extent=spatial_extent,
-                parallelism=parallelism,
-                max_workers=max_workers,
-                worker_broadcast=worker_broadcast,
-                worker_factory=worker_factory,
-                workers=workers,
-                worker_scope=worker_scope,
-                worker_timeout=worker_timeout,
-                worker_max_frame=worker_max_frame,
-                spectators=spectators,
-                spectator_broadcast=spectator_broadcast,
-                epoch_log=epoch_log,
-                epoch_log_checkpoint_every=epoch_log_checkpoint_every,
-                epoch_log_fsync=epoch_log_fsync,
-                metrics=metrics,
-                trace_path=trace_path,
-                slow_tick_factor=slow_tick_factor,
+                **engine,
             ),
         )
 
@@ -238,85 +138,29 @@ def run_battle(
     n_units: int | None,
     ticks: int,
     *,
-    mode: str = "indexed",
-    density: float = 0.01,
-    seed: int = 0,
-    formation: str = "uniform",
-    resurrection: bool = True,
-    index_maintenance: str = "rebuild",
-    incremental_threshold: float = 0.25,
-    auto_policy: str = "ewma",
-    num_shards: int = 1,
-    shard_by: str = "key",
-    parallelism: str = "serial",
-    max_workers: int | None = None,
-    worker_broadcast: str = "delta",
-    workers: object = "local",
-    worker_scope: str = "full",
-    epoch_log: str | None = None,
     resume_from: str | None = None,
-    metrics: bool = False,
-    trace_path: str | None = None,
-    slow_tick_factor: float | None = None,
+    **battle,
 ) -> BattleSummary:
     """One-call battle run; returns the summary with per-tick stats.
 
-    *index_maintenance* (indexed mode only) chooses between per-tick
-    index rebuild (``"rebuild"``), delta-driven incremental maintenance
-    (``"incremental"``), and the per-tick cost-based choice (``"auto"``,
-    tuned by *auto_policy* / *incremental_threshold*).
+    *battle* keywords go to :class:`BattleSimulation`: its scenario
+    parameters, ``epoch_log``, and every
+    :class:`~repro.engine.clock.EngineConfig` knob.  The battle's
+    measures are integer-valued, so trajectories are bit-identical
+    across every combination of engine knobs; only wall-clock differs.
 
-    *num_shards* partitions the environment by *shard_by* (``"spatial"``
-    = vertical map strips; otherwise a hashed const attribute like
-    ``"key"`` or ``"player"``) and *parallelism* selects how the
-    per-shard pipeline stages run (``"serial"`` | ``"threads"`` |
-    ``"processes"``).  The battle's measures are integer-valued, so
-    trajectories are bit-identical across every combination of these
-    knobs; only wall-clock differs.
-
-    *epoch_log* appends every post-tick state to a durable log file
-    (:mod:`repro.persist`).  *resume_from* resumes a
+    *resume_from* resumes a
     :meth:`~repro.game.battle.BattleSimulation.save` file instead of
-    starting fresh: the saved configuration wins (*n_units* may be
-    ``None``), the battle runs *ticks* further ticks, and the combined
-    trajectory is bit-identical to an uninterrupted run.
-
-    *metrics* / *trace_path* / *slow_tick_factor* attach the
-    observability layer (:mod:`repro.obs`): the metrics registry, the
-    Chrome trace-event recording, and the slow-tick watchdog.  They are
-    read-only diagnostics and never perturb the trajectory.
+    starting fresh: the saved configuration wins except where *battle*
+    overrides it (*n_units* may be ``None``), the battle runs *ticks*
+    further ticks, and the combined trajectory is bit-identical to an
+    uninterrupted run.
     """
-    obs = {}
-    if metrics:
-        obs["metrics"] = metrics
-    if trace_path is not None:
-        obs["trace_path"] = trace_path
-    if slow_tick_factor is not None:
-        obs["slow_tick_factor"] = slow_tick_factor
     if resume_from is not None:
-        extra = {"epoch_log": epoch_log} if epoch_log else {}
-        with BattleSimulation.load(resume_from, **extra, **obs) as sim:
-            return sim.run(ticks)
-    if n_units is None:
+        sim = BattleSimulation.load(resume_from, **battle)
+    elif n_units is None:
         raise ValueError("n_units is required unless resume_from is given")
-    with BattleSimulation(
-        n_units,
-        density=density,
-        mode=mode,
-        seed=seed,
-        formation=formation,
-        resurrection=resurrection,
-        index_maintenance=index_maintenance,
-        incremental_threshold=incremental_threshold,
-        auto_policy=auto_policy,
-        num_shards=num_shards,
-        shard_by=shard_by,
-        parallelism=parallelism,
-        max_workers=max_workers,
-        worker_broadcast=worker_broadcast,
-        workers=workers,
-        worker_scope=worker_scope,
-        epoch_log=epoch_log,
-        **obs,
-    ) as sim:
+    else:
+        sim = BattleSimulation(n_units, **battle)
+    with sim:
         return sim.run(ticks)

@@ -16,8 +16,8 @@ environment (the partition of ``E`` by a configurable shard key --
 2. **decision** -- every unit executes its script, shard at a time;
    per-shard effect rows (and deferred AoE records) accumulate.  Shards
    are independent -- scripts read the tick-start snapshot and write
-   fresh effect rows -- so this stage fans out across parallel workers
-   (``parallelism="threads"``/``"processes"``);
+   fresh effect rows -- so with ``parallelism="processes"`` this stage
+   fans out across worker processes (``repro.engine.shardexec``);
 3. **second index build + action** -- deferred area effects gathered
    from all shards resolve through the ⊕ optimisation of Section 5.4,
    one resolution per target shard (this is the paper's "second index
@@ -28,7 +28,7 @@ environment (the partition of ``E`` by a configurable shard key --
    shard-local effect tables can be combined in any order; the engine
    always merges in ascending shard id, the deterministic tie-break that
    keeps trajectories bit-identical run to run *and* across shard
-   counts and parallelism modes (see below);
+   counts and worker layouts (see below);
 5. **mechanics** -- the game's post-processing applies the combined
    effects (Example 4.1), moves units, removes the dead;
 6. **publish** (optional) -- with spectators enabled, the post-tick
@@ -36,7 +36,7 @@ environment (the partition of ``E`` by a configurable shard key --
    the captured epoch-versioned delta to subscribers whose replica
    chains, full snapshots to late joiners and fault recoveries.
 
-**Determinism.**  Sharded and parallel runs are bit-identical to the
+**Determinism.**  Sharded and worker-process runs are bit-identical to the
 single-shard serial engine because nothing in a tick depends on
 cross-shard evaluation order: the random function is counter-mode (a
 pure function of seed, tick, unit key, draw index), every index merge
@@ -57,8 +57,8 @@ Both produce identical trajectories; only the wall-clock differs.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Mapping
 
 from ..algebra.shapes import ActionShape, classify_action
@@ -80,8 +80,7 @@ from ..sgl import ast
 from ..sgl.analysis import analyze_script
 from ..sgl.builtins import FunctionRegistry
 from ..sgl.evalterm import EvalContext
-from .compile import ActionFn
-from .decision import DecisionRunner, compile_action
+from .decision import DecisionRunner
 from .effects import AoeRecord, resolve_aoe
 from .evaluator import CallHint, IndexedEvaluator, NaiveEvaluator, collect_call_hints
 from .rng import TickRandom
@@ -157,48 +156,73 @@ class TickStats:
 
 @dataclass
 class EngineConfig:
-    """Engine knobs (Section 6 plus the sharding/maintenance extensions).
+    """Every engine knob: its name, its default and what it does.
 
-    ``index_maintenance`` governs what happens to the aggregate indexes
-    between ticks (indexed mode only):
+    This is the one declaration of the knob list.
+    :class:`~repro.game.battle.BattleSimulation`,
+    :meth:`~repro.api.GameDefinition.engine` and
+    :func:`~repro.api.run_battle` forward the keywords they do not
+    consume themselves to this constructor, so an unknown keyword is a
+    ``TypeError`` naming it (a bad value is a ``ValueError`` from
+    :class:`SimulationEngine`).
+    All maintenance modes, shard counts, worker layouts and diagnostics
+    produce bit-identical trajectories whenever effect/measure sums are
+    exact in floating point -- true for integer-valued measures like the
+    battle simulation's (see the module docstring for why).
 
-    * ``"rebuild"`` (default) -- discard and rebuild from scratch every
-      tick, the paper's strategy for rapidly-changing data;
-    * ``"incremental"`` -- diff the environment across the tick and
-      patch the retained index structures with the row delta;
-    * ``"auto"`` -- cost-based: with ``auto_policy="ewma"`` (default)
-      the evaluator learns per-row rebuild and per-change delta costs
-      from its own timing history and picks whichever is predicted
-      cheaper; ``auto_policy="threshold"`` is the original rule (apply
-      the delta while the changed-row fraction stays at or below
-      ``incremental_threshold``), and also the bootstrap until the EWMA
-      estimates have samples.
+    Evaluation (Section 6):
 
-    Sharding knobs:
+    * ``mode`` -- ``"indexed"`` probes the Section 5.3 structures,
+      ``"naive"`` scans ``E`` for every aggregate;
+    * ``optimize_aoe`` -- defer area effects to the ⊕ optimisation of
+      Section 5.4 (indexed mode only);
+    * ``cascade`` -- fractional cascading in the layered range trees
+      (off = the A-FC ablation);
+    * ``seed`` -- seed of the counter-mode random function.
+
+    Index maintenance between ticks (indexed mode only):
+
+    * ``index_maintenance`` -- ``"rebuild"`` (default) discards and
+      rebuilds from scratch every tick, the paper's strategy for
+      rapidly-changing data; ``"incremental"`` diffs the environment
+      across the tick and patches the retained index structures with
+      the row delta; ``"auto"`` chooses per tick by ``auto_policy``;
+    * ``auto_policy`` -- ``"ewma"`` (default): the evaluator learns
+      per-row rebuild and per-change delta costs from its own timing
+      history and picks whichever is predicted cheaper;
+      ``"threshold"``: apply the delta while the changed-row fraction
+      stays at or below ``incremental_threshold`` (also the bootstrap
+      until the EWMA estimates have samples);
+    * ``incremental_threshold`` -- that changed-row fraction.
+
+    Sharding:
 
     * ``num_shards`` -- how many partitions of ``E`` the pipeline runs
-      (1 = the flat engine);
+      (1 = the flat engine).  ``num_shards`` / ``shard_by`` /
+      ``spatial_extent`` may be edited on a running engine's ``config``
+      between ticks;
     * ``shard_by`` -- the shard key: ``"spatial"`` (vertical strips over
       ``posx``, requires ``spatial_extent``) or any const attribute name
       (``"key"``, ``"player"``, ...) hashed process-stably;
-    * ``parallelism`` -- ``"serial"`` runs shards one after another,
-      ``"threads"`` fans the decision/AoE stages out over a thread pool
-      (a real speedup on free-threaded CPython; correctness-equivalent
-      under the GIL), ``"processes"`` runs shard decisions in worker
-      processes built from ``worker_factory`` (see
-      ``repro.engine.shardexec``);
-    * ``max_workers`` -- pool size (default: ``num_shards``);
-    * ``worker_broadcast`` -- how process workers' replicas of ``E`` are
-      kept current: ``"delta"`` (default) ships the epoch-versioned
-      per-tick change set (:class:`~repro.env.sharding.ReplicaDelta`)
-      and falls back to a full snapshot only on rebuild ticks, shard
-      layout changes, epoch mismatches, and worker respawns;
-      ``"snapshot"`` re-broadcasts the full row set every tick (the
-      pre-replica protocol, kept for measurement and as a safety
-      valve).  Both are bit-identical in trajectory.
+    * ``spatial_extent`` -- exclusive upper bound of ``posx`` (the grid
+      size; the battle supplies it).
 
-    Distributed decision workers (``parallelism="processes"`` only):
+    Decision workers:
 
+    * ``parallelism`` -- ``"serial"`` runs shards one after another in
+      this process; ``"processes"`` runs shard decisions in long-lived
+      worker processes holding replicas of ``E`` (see
+      ``repro.engine.shardexec``; takes effect from two shards up);
+    * ``worker_factory`` -- picklable module-level callable returning a
+      :class:`~repro.engine.shardexec.WorkerGame`; required (and only
+      used) by ``"processes"``; the battle supplies its own;
+    * ``max_workers`` -- local pool size (default: ``num_shards``);
+    * ``worker_broadcast`` -- how the workers' replicas are kept
+      current: ``"delta"`` (default) ships the epoch-versioned per-tick
+      change set (:class:`~repro.env.sharding.ReplicaDelta`) and falls
+      back to a full snapshot only on rebuild ticks, shard layout
+      changes, epoch mismatches and worker respawns; ``"snapshot"``
+      re-broadcasts the full row set every tick;
     * ``workers`` -- ``"local"`` (default) spawns pipe-connected worker
       processes on this host; a list of ``"host:port"`` endpoints (or
       ``(host, port)`` pairs /
@@ -210,21 +234,13 @@ class EngineConfig:
       connection is re-established and the fresh session is
       snapshot-fed -- fault recovery degrades to re-broadcast, never to
       wrong answers;
-    * ``worker_scope`` -- ``"full"`` (default) gives every worker a full
-      replica of ``E``; ``"shards"`` enables the per-shard probe split:
-      each worker holds (and indexes) only its own shards' rows, probes
-      that provably touch only owned data answer locally, and everything
-      else is forwarded mid-tick to the coordinator's full-environment
-      evaluator.  Requires ``mode="indexed"`` and ``optimize_aoe=True``
-      (scoped workers defer area effects to the coordinator).  Cuts
-      broadcast bytes and duplicated index builds; bit-identical either
-      way;
     * ``worker_timeout`` / ``worker_max_frame`` -- socket knobs for
       remote workers: the per-message send/recv timeout before a peer
-      is declared dead, and the transport frame-size guard (which must
-      admit a full snapshot of the environment).
+      is declared dead (``None`` blocks forever), and the transport
+      frame-size guard (``None`` = the transport default), which must
+      admit a full snapshot of the environment.
 
-    Spectator serving knobs (the ``repro.serve`` read-replica layer):
+    Spectator serving (the ``repro.serve`` read-replica layer):
 
     * ``spectators`` -- when true, the engine opens a
       :class:`~repro.serve.publisher.ReplicaPublisher` on
@@ -236,9 +252,8 @@ class EngineConfig:
       epoch-versioned change set the worker protocol uses, with
       snapshot catch-up for late joiners and fault paths;
       ``"snapshot"`` re-broadcasts the full row set every tick.
-      Spectators are read-only, so neither mode can affect the
-      trajectory; the publish stage never blocks on (and is never
-      wedged by) a slow or dead subscriber.
+      Spectators are read-only, and the publish stage never blocks on
+      (and is never wedged by) a slow or dead subscriber.
 
     Durable epoch log (the ``repro.persist`` layer):
 
@@ -256,7 +271,8 @@ class EngineConfig:
       only), ``"checkpoint"`` (default), or ``"always"`` (every
       record -- what a crash drill wants).
 
-    Observability (the ``repro.obs`` layer):
+    Observability (the ``repro.obs`` layer; reads the wall-clock
+    diagnostics the engine already measures, never simulation state):
 
     * ``metrics`` -- when true, the engine creates a process-local
       :class:`~repro.obs.registry.MetricsRegistry` and every layer --
@@ -264,8 +280,8 @@ class EngineConfig:
       evaluator -- records its counters/gauges/histograms there (see
       ``docs/observability.md`` for the full name catalogue);
       :meth:`SimulationEngine.serve_metrics` exposes the registry as a
-      Prometheus ``/metrics`` endpoint.  Off by default; disabled
-      metrics cost one no-op method call per instrument site;
+      Prometheus ``/metrics`` endpoint.  Disabled metrics cost one
+      no-op method call per instrument site;
     * ``trace_path`` -- when set, the engine writes an epoch-correlated
       Chrome trace-event file (Perfetto / ``about:tracing`` loadable)
       with a span for every tick stage, worker round trip, publisher
@@ -276,55 +292,34 @@ class EngineConfig:
       watchdog flags any tick whose total exceeds ``factor`` times the
       EWMA of recent tick totals, logging the offending stage breakdown
       at WARNING.  Independent of ``metrics``.
-
-    Observability reads the wall-clock diagnostics the engine already
-    measures and never touches simulation state, so trajectories are
-    bit-identical with it on or off.
-
-    All maintenance modes, shard counts, and parallelism modes produce
-    bit-identical trajectories whenever effect/measure sums are exact in
-    floating point -- true for integer-valued measures like the battle
-    simulation's (see the module docstring for why).
     """
 
-    mode: str = "indexed"  # "indexed" | "naive"
+    mode: str = "indexed"
     optimize_aoe: bool = True
     cascade: bool = True
     seed: int = 0
-    index_maintenance: str = "rebuild"  # "rebuild" | "incremental" | "auto"
+    index_maintenance: str = "rebuild"
     incremental_threshold: float = 0.25
-    auto_policy: str = "ewma"  # "ewma" | "threshold"
+    auto_policy: str = "ewma"
     num_shards: int = 1
-    shard_by: str = "key"  # "spatial" | const attribute name
+    shard_by: str = "key"
     spatial_extent: float | None = None
-    parallelism: str = "serial"  # "serial" | "threads" | "processes"
+    parallelism: str = "serial"
     max_workers: int | None = None
-    worker_broadcast: str = "delta"  # "delta" | "snapshot"
-    #: Picklable module-level callable returning a
-    #: :class:`~repro.engine.shardexec.WorkerGame`; required (and only
-    #: used) by ``parallelism="processes"``.
+    worker_broadcast: str = "delta"
     worker_factory: Callable | None = None
-    #: "local" | list of remote worker endpoints ("host:port" strings,
-    #: (host, port) pairs, or WorkerEndpoint objects).
     workers: object = "local"
-    worker_scope: str = "full"  # "full" | "shards" (per-shard probe split)
-    #: Socket send/recv timeout for remote workers (None blocks forever).
     worker_timeout: float | None = 60.0
-    #: Frame-size guard for remote worker transports (None = default).
     worker_max_frame: int | None = None
     spectators: bool = False
     spectator_host: str = "127.0.0.1"
     spectator_port: int = 0
-    spectator_broadcast: str = "delta"  # "delta" | "snapshot"
-    #: Path of the durable epoch log, or None (no logging).
+    spectator_broadcast: str = "delta"
     epoch_log: str | None = None
     epoch_log_checkpoint_every: int = 64
-    epoch_log_fsync: str = "checkpoint"  # "never" | "checkpoint" | "always"
-    #: Enable the process-local metrics registry (repro.obs).
+    epoch_log_fsync: str = "checkpoint"
     metrics: bool = False
-    #: Chrome trace-event output path, or None (no tracing).
     trace_path: str | None = None
-    #: Slow-tick watchdog threshold (the k in k x EWMA), or None (off).
     slow_tick_factor: float | None = None
 
 
@@ -335,9 +330,9 @@ class SimulationEngine:
     simulation dispatches on unit type); *mechanics* is the game's
     post-processing step.
 
-    Engines that use a worker pool (``parallelism`` other than
-    ``"serial"``) should be :meth:`close`\\ d when done -- or used as a
-    context manager -- to shut the pool down promptly.
+    Engines that use worker processes (``parallelism="processes"``)
+    should be :meth:`close`\\ d when done -- or used as a context
+    manager -- to shut the pool down promptly.
     """
 
     def __init__(
@@ -360,7 +355,7 @@ class SimulationEngine:
             raise ValueError(
                 f"unknown index_maintenance {cfg.index_maintenance!r}"
             )
-        if cfg.parallelism not in ("serial", "threads", "processes"):
+        if cfg.parallelism not in ("serial", "processes"):
             raise ValueError(f"unknown parallelism {cfg.parallelism!r}")
         if cfg.worker_broadcast not in ("delta", "snapshot"):
             raise ValueError(
@@ -378,8 +373,6 @@ class SimulationEngine:
                 "(a module-level callable returning a WorkerGame); "
                 "BattleSimulation supplies its own"
             )
-        if cfg.worker_scope not in ("full", "shards"):
-            raise ValueError(f"unknown worker_scope {cfg.worker_scope!r}")
         self._worker_endpoints = None
         if cfg.workers != "local":
             if isinstance(cfg.workers, str):
@@ -404,17 +397,6 @@ class SimulationEngine:
                     "one shard the decision stage runs in-process and the "
                     "fleet would silently never be contacted"
                 )
-        if (
-            cfg.worker_scope == "shards"
-            and cfg.parallelism == "processes"
-            and (cfg.mode != "indexed" or not cfg.optimize_aoe)
-        ):
-            raise ValueError(
-                "worker_scope='shards' needs mode='indexed' and "
-                "optimize_aoe=True: scoped workers answer probes through "
-                "the scoped index layer and defer area effects to the "
-                "coordinator"
-            )
         self.indexed = cfg.mode == "indexed"
         self.rng = TickRandom(cfg.seed, key_attr=env.schema.key)
         self.tick_count = 0
@@ -425,9 +407,8 @@ class SimulationEngine:
             cfg.num_shards,
             extent=cfg.spatial_extent,
         )
-        self._parallel = cfg.parallelism != "serial" and cfg.num_shards > 1
         self._processes = cfg.parallelism == "processes" and cfg.num_shards > 1
-        self._pool = None  # ThreadPoolExecutor | ReplicaWorkerPool
+        self._pool = None  # ReplicaWorkerPool | None
 
         # observability: instruments are resolved once, here, so the
         # tick loop mutates pre-bound cells (no-op cells when metrics
@@ -474,24 +455,15 @@ class SimulationEngine:
 
         # change capture: the delta diffed at the end of tick t is
         # consumed at t+1, either by the parent evaluator's incremental
-        # maintenance (serial/threads) or -- encoded as an epoch-stamped
+        # maintenance (serial) or -- encoded as an epoch-stamped
         # ReplicaDelta -- by the process workers' replica broadcast and
         # the spectator publish stage.
         self._pending_delta: TableDelta | None = None
         self._pending_replica_delta = None  # ReplicaDelta | None
-        #: Raw change capture for scoped (probe-split) worker broadcasts:
-        #: (TableDelta, old rows, new rows, target epoch), or None.  The
-        #: per-worker scoped ReplicaDeltas are encoded from it lazily.
-        self._pending_raw_delta = None
         self._last_broadcast_bytes = 0
         self.publisher = None  # ReplicaPublisher | None
         self.epoch_log = None  # EpochLogWriter | None
         self._epoch_log_state_fn = None
-        # forwarded-probe service for scoped workers: armed lazily, once
-        # per tick, on the first request
-        self._remote_eval_tick = -1
-        self._remote_by_key = None
-        self._remote_actions: dict[str, ActionFn] = {}
         self._refresh_capture_flags()
         if cfg.spectators:
             self.serve_spectators(
@@ -520,52 +492,42 @@ class SimulationEngine:
 
     def _ensure_pool(self):
         if self._pool is None:
+            from .shardexec import ReplicaWorkerPool
+
             cfg = self.config
-            if self._processes:
-                from .shardexec import ReplicaWorkerPool
+            payload = {
+                "mode": cfg.mode,
+                "optimize_aoe": cfg.optimize_aoe,
+                "cascade": cfg.cascade,
+                "seed": cfg.seed,
+                "shard_conf": self._shard_conf,
+            }
+            if self._worker_endpoints is not None:
+                from ..serve.transport import DEFAULT_MAX_FRAME
 
-                payload = {
-                    "mode": cfg.mode,
-                    "optimize_aoe": cfg.optimize_aoe,
-                    "cascade": cfg.cascade,
-                    "seed": cfg.seed,
-                    "shard_conf": self._shard_conf,
-                    "worker_scope": cfg.worker_scope,
-                }
-                if self._worker_endpoints is not None:
-                    from ..serve.transport import DEFAULT_MAX_FRAME
-
-                    self._pool = ReplicaWorkerPool(
-                        cfg.worker_factory,
-                        payload,
-                        endpoints=self._worker_endpoints,
-                        max_frame=cfg.worker_max_frame or DEFAULT_MAX_FRAME,
-                        io_timeout=cfg.worker_timeout,
-                        metrics=self.metrics,
-                        trace=self.trace,
-                    )
-                else:
-                    import multiprocessing
-
-                    methods = multiprocessing.get_all_start_methods()
-                    ctx = multiprocessing.get_context(
-                        "fork" if "fork" in methods else "spawn"
-                    )
-                    workers = min(
-                        cfg.max_workers or cfg.num_shards, cfg.num_shards
-                    )
-                    self._pool = ReplicaWorkerPool(
-                        cfg.worker_factory,
-                        payload,
-                        workers,
-                        ctx,
-                        metrics=self.metrics,
-                        trace=self.trace,
-                    )
+                self._pool = ReplicaWorkerPool(
+                    cfg.worker_factory,
+                    payload,
+                    endpoints=self._worker_endpoints,
+                    max_frame=cfg.worker_max_frame or DEFAULT_MAX_FRAME,
+                    io_timeout=cfg.worker_timeout,
+                    metrics=self.metrics,
+                    trace=self.trace,
+                )
             else:
-                workers = cfg.max_workers or cfg.num_shards
-                self._pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-shard"
+                import multiprocessing
+
+                methods = multiprocessing.get_all_start_methods()
+                ctx = multiprocessing.get_context(
+                    "fork" if "fork" in methods else "spawn"
+                )
+                self._pool = ReplicaWorkerPool(
+                    cfg.worker_factory,
+                    payload,
+                    min(cfg.max_workers or cfg.num_shards, cfg.num_shards),
+                    ctx,
+                    metrics=self.metrics,
+                    trace=self.trace,
                 )
         return self._pool
 
@@ -596,10 +558,7 @@ class SimulationEngine:
             self.epoch_log = None
             self._refresh_capture_flags()
         if self._pool is not None:
-            if hasattr(self._pool, "shutdown"):
-                self._pool.shutdown(wait=True)
-            else:
-                self._pool.close()
+            self._pool.close()
             self._pool = None
         if self._prom_server is not None:
             self._prom_server.shutdown()
@@ -716,8 +675,6 @@ class SimulationEngine:
         resume: bool = False,
         state_fn: Callable[[], dict] | None = None,
         meta: dict | None = None,
-        checkpoint_every: int | None = None,
-        fsync: str | None = None,
     ):
         """Start logging every post-tick state to *path*; returns the writer.
 
@@ -740,14 +697,11 @@ class SimulationEngine:
         if self.epoch_log is not None:
             raise RuntimeError("engine already has an epoch log attached")
         cfg = self.config
+        cfg.epoch_log = path
         self.epoch_log = EpochLogWriter(
             path,
-            checkpoint_every=(
-                checkpoint_every
-                if checkpoint_every is not None
-                else cfg.epoch_log_checkpoint_every
-            ),
-            fsync=fsync if fsync is not None else cfg.epoch_log_fsync,
+            checkpoint_every=cfg.epoch_log_checkpoint_every,
+            fsync=cfg.epoch_log_fsync,
             resume=resume,
             metrics=self.metrics,
             trace=self.trace,
@@ -804,9 +758,6 @@ class SimulationEngine:
         self.tick_count = epoch - 1
         self._pending_delta = None
         self._pending_replica_delta = None
-        self._pending_raw_delta = None
-        self._remote_eval_tick = -1
-        self._remote_by_key = None
 
     # -- shard layout lifecycle ---------------------------------------------------
 
@@ -821,18 +772,9 @@ class SimulationEngine:
         )
         # replica broadcasts: the same diff, encoded for the wire --
         # consumed by the process-worker broadcast and/or streamed to
-        # delta-mode spectator subscribers by the publish stage.  Scoped
-        # (probe-split) workers consume the *raw* capture instead: their
-        # per-worker deltas are filtered to each worker's shards.
-        scoped_workers = (
-            self._processes and cfg.worker_scope == "shards"
-        )
+        # delta-mode spectator subscribers by the publish stage.
         self._capture_replica_delta = (
-            (
-                self._processes
-                and cfg.worker_broadcast == "delta"
-                and not scoped_workers
-            )
+            (self._processes and cfg.worker_broadcast == "delta")
             or (
                 self.publisher is not None
                 and self.publisher.broadcast == "delta"
@@ -840,9 +782,6 @@ class SimulationEngine:
             # the epoch log prefers deltas too (snapshots only at
             # checkpoints), so an attached log keeps the capture on
             or self.epoch_log is not None
-        )
-        self._capture_raw_delta = (
-            scoped_workers and cfg.worker_broadcast == "delta"
         )
 
     def _refresh_sharding(self) -> None:
@@ -875,7 +814,6 @@ class SimulationEngine:
             cfg.shard_by, cfg.num_shards, extent=cfg.spatial_extent
         )
         self._shard_conf = conf
-        self._parallel = cfg.parallelism != "serial" and cfg.num_shards > 1
         self._processes = (
             cfg.parallelism == "processes" and cfg.num_shards > 1
         )
@@ -883,7 +821,6 @@ class SimulationEngine:
             self.agg_eval.reshard(self.shard_of, cfg.num_shards)
         self._pending_delta = None
         self._pending_replica_delta = None
-        self._pending_raw_delta = None
         self._refresh_capture_flags()
 
     # -- script compilation cache -------------------------------------------------
@@ -918,19 +855,14 @@ class SimulationEngine:
 
     def _shard_tasks(
         self, sharded: ShardedEnvironment
-    ) -> tuple[list[_ShardTask], list[tuple[CallHint, list]], set[str]]:
+    ) -> tuple[list[_ShardTask], list[tuple[CallHint, list]]]:
         """Group each shard's units by script and resolve their runners.
 
-        Runner resolution happens here, in the main thread, because the
-        runner cache is an LRU dict that must not be mutated from
-        decision workers.  Returns the per-shard task lists, the
-        (hint, probe units) pairs for sweep batching, and the set of
-        hinted aggregate names (for eager index builds under
-        parallelism).
+        Returns the per-shard task lists and the (hint, probe units)
+        pairs for sweep batching.
         """
         tasks: list[_ShardTask] = []
         hint_pairs: list[tuple[CallHint, list]] = []
-        hinted: set[str] = set()
         for shard in sharded.shards:
             groups: dict[int, tuple[ast.Script, list]] = {}
             for row in shard.rows:
@@ -942,9 +874,8 @@ class SimulationEngine:
                 task.append((entry[1], units))
                 for hint in entry[2]:
                     hint_pairs.append((hint, units))
-                    hinted.add(hint.function)
             tasks.append(task)
-        return tasks, hint_pairs, hinted
+        return tasks, hint_pairs
 
     def _run_decision(
         self,
@@ -955,241 +886,65 @@ class SimulationEngine:
         """Stage 2 for one shard: run scripts, collect effects."""
         effect_rows: list[dict[str, object]] = []
         aoe_records: list[AoeRecord] = []
-        rt = self._runtime(env)
-        for runner, units in task:
-            for unit in units:
-                runner.run_unit(unit, rt, by_key, effect_rows, aoe_records)
-        return effect_rows, aoe_records
-
-    def _runtime(
-        self,
-        env: EnvironmentTable,
-        unit: Mapping[str, object] | None = None,
-    ) -> EvalContext:
-        """A runtime record for compiled closures and the evaluator."""
-        return EvalContext(
+        rt = EvalContext(
             env=env,
             registry=self.registry,
             agg_eval=self.agg_eval,
             rng=self.rng,
-            unit=unit,
         )
+        for runner, units in task:
+            for unit in units:
+                runner.run_unit(unit, rt, by_key, effect_rows, aoe_records)
+        return effect_rows, aoe_records
 
     def _decide_processes(
         self, sharded: ShardedEnvironment
     ) -> list[tuple[list[dict[str, object]], list[AoeRecord]]]:
         """Stage 2 in worker processes: update replicas, gather effects.
 
-        Each worker holds a replica of ``E`` (full, or -- under
-        ``worker_scope="shards"`` -- just its own shards' slice) at some
-        acked epoch; the broadcast ships last tick's captured delta to
-        every worker whose epoch matches, and the snapshot for the
-        worker's scope (each distinct blob pickled at most once per
-        tick) to the rest -- always on rebuild ticks (no usable delta),
-        shard layout changes, stale/respawned/reconnected workers, and
-        under ``worker_broadcast="snapshot"``.  Shards are bundled one
-        group per worker -- round-robin for full replicas, contiguous
-        blocks for scoped ones (spatial strips stay local to their
-        worker, maximising locally-answerable probes); results are
-        re-ordered by shard id for the deterministic ⊕-merge.
+        Each worker holds a full replica of ``E`` at some acked epoch;
+        the broadcast ships last tick's captured delta to every worker
+        whose epoch matches, and the snapshot to the rest -- always on
+        rebuild ticks (no usable delta), shard layout changes,
+        stale/respawned/reconnected workers, and under
+        ``worker_broadcast="snapshot"``.  Either blob is pickled at
+        most once per tick.  Shards are bundled round-robin, one group
+        per worker; results are re-ordered by shard id for the
+        deterministic ⊕-merge.
         """
-        from ..env.sharding import (
-            delta_blob,
-            encode_replica_delta,
-            scope_table_delta,
-            scoped_snapshot_blob,
-            snapshot_blob,
-        )
-        from .shardexec import TickUpdate
+        from ..env.sharding import delta_blob, snapshot_blob
 
         pool = self._ensure_pool()
         num_shards = sharded.num_shards
         workers = min(pool.num_workers, num_shards)
-        scoped = self.config.worker_scope == "shards"
-        if scoped:
-            cuts = [num_shards * w // workers for w in range(workers + 1)]
-            bundles: list[tuple[int, list[int]]] = [
-                (w, list(range(cuts[w], cuts[w + 1])))
-                for w in range(workers)
-            ]
-        else:
-            bundles = [
-                (w, list(range(w, num_shards, workers)))
-                for w in range(workers)
-            ]
+        bundles = [
+            (w, list(range(w, num_shards, workers))) for w in range(workers)
+        ]
         epoch = self.tick_count
         rd = self._pending_replica_delta
         self._pending_replica_delta = None
         if rd is not None and rd.epoch != epoch:
             rd = None  # captured under a different pipeline state
-        raw = self._pending_raw_delta
-        self._pending_raw_delta = None
-        if raw is not None and raw[3] != epoch:
-            raw = None
         rows = self.env.rows
         shard_conf = self._shard_conf
-        shard_of = self.shard_of
-        key_attr = self.env.schema.key
 
-        blobs: dict[tuple, bytes] = {}
-        # per-row shard ids, classified once per tick and shared by every
-        # scope's filter (rows == the raw capture's new_rows, when set);
-        # the entry pins the row list so a recycled id cannot alias a
-        # stale classification
-        shard_id_cache: dict[int, tuple[object, list[int]]] = {}
+        @cache
+        def delta() -> bytes | None:
+            return None if rd is None else delta_blob(rd)
 
-        def shard_ids_of(which_rows) -> list[int]:
-            entry = shard_id_cache.get(id(which_rows))
-            if entry is None or entry[0] is not which_rows:
-                entry = (which_rows, [shard_of(row) for row in which_rows])
-                shard_id_cache[id(which_rows)] = entry
-            return entry[1]
-
-        def delta_blob_for(scope):
-            if scope is None:
-                if rd is None:
-                    return None
-                key = ("delta", None)
-                if key not in blobs:
-                    blobs[key] = delta_blob(rd)
-                return blobs[key]
-            if raw is None:
-                return None
-            key = ("delta", scope)
-            if key not in blobs:
-                delta, old_rows, new_rows, target_epoch = raw
-                scoped_delta, old_order, new_order = scope_table_delta(
-                    delta,
-                    old_rows,
-                    new_rows,
-                    scope,
-                    shard_of,
-                    key_attr=key_attr,
-                    old_shard_ids=shard_ids_of(old_rows),
-                    new_shard_ids=shard_ids_of(new_rows),
-                )
-                blobs[key] = delta_blob(
-                    encode_replica_delta(
-                        scoped_delta,
-                        old_order,
-                        new_order,
-                        key_attr=key_attr,
-                        base_epoch=target_epoch - 1,
-                        epoch=target_epoch,
-                        shard_of=shard_of,
-                    )
-                )
-            return blobs[key]
-
-        def snapshot_blob_for(scope):
-            key = ("snapshot", scope)
-            if key not in blobs:
-                blobs[key] = (
-                    snapshot_blob(epoch, rows, shard_conf)
-                    if scope is None
-                    else scoped_snapshot_blob(
-                        epoch,
-                        rows,
-                        shard_conf,
-                        scope,
-                        shard_of,
-                        shard_ids=shard_ids_of(rows),
-                    )
-                )
-            return blobs[key]
+        @cache
+        def snapshot() -> bytes:
+            return snapshot_blob(epoch, rows, shard_conf)
 
         by_shard = pool.run_tick(
             tick=self.tick_count,
             epoch=epoch,
             bundles=bundles,
-            update=TickUpdate(
-                base_epoch=epoch - 1,
-                delta_blob_for=delta_blob_for,
-                snapshot_blob_for=snapshot_blob_for,
-            ),
-            answer=self._answer_worker_request,
-            scoped=scoped,
+            delta_blob=delta,
+            snapshot_blob=snapshot,
         )
         self._last_broadcast_bytes = pool.stats.last_tick_bytes
         return [by_shard[shard_id] for shard_id in range(num_shards)]
-
-    # -- forwarded evaluation: the scoped workers' escape hatch ---------------------
-
-    def _arm_remote_eval(self) -> None:
-        """Arm the coordinator's own evaluator for forwarded probes.
-
-        In processes mode the parent evaluator never runs in the tick
-        pipeline, so it is armed lazily -- once per tick, on the first
-        forwarded request -- with plain rebuild semantics over the
-        tick-start environment.  Index structures build on first probe,
-        so only the aggregates that actually get forwarded pay.
-        """
-        if self._remote_eval_tick == self.tick_count:
-            return
-        self.agg_eval.begin_tick(self.env, (), delta=None)
-        try:
-            self._remote_by_key = self.env.by_key()
-        except ValueError:  # duplicate keys: key actions degrade to scan
-            self._remote_by_key = None
-        self._remote_eval_tick = self.tick_count
-
-    def _answer_worker_request(self, request: tuple) -> tuple:
-        """Serve one scoped worker's mid-tick evaluation request.
-
-        Forwarded probes and actions evaluate against the coordinator's
-        full environment through exactly the code paths the serial
-        engine uses (same evaluator machinery, same counter-mode rng),
-        so a forwarded answer is bit-identical to the one a full-replica
-        worker -- or the flat engine -- would compute.  Failures are
-        returned as error replies, never raised: the worker surfaces
-        them through its own REPLY_ERROR path.
-        """
-        from .shardexec import REPLY_EVAL, REPLY_EVAL_ERROR
-
-        try:
-            kind, name, args, unit = request
-            self._arm_remote_eval()
-            if kind == "aggregate":
-                fn = self.registry.aggregates.get(name)
-                if fn is None:
-                    raise ValueError(f"unknown aggregate function {name!r}")
-                # unit is the performing unit's row, re-bound here so
-                # unit-keyed constructs (single-arg Random(i)) resolve
-                # exactly as they do when the serial engine evaluates
-                ctx = self._runtime(self.env, unit)
-                return (REPLY_EVAL, self.agg_eval.evaluate(fn, list(args), ctx))
-            if kind == "action":
-                return (
-                    REPLY_EVAL,
-                    self._eval_remote_action(name, list(args), unit),
-                )
-            raise ValueError(f"unknown worker request kind {kind!r}")
-        except BaseException:
-            import traceback
-
-            return (REPLY_EVAL_ERROR, traceback.format_exc())
-
-    def _eval_remote_action(
-        self, name: str, args: list, unit: Mapping[str, object] | None
-    ) -> list[dict[str, object]]:
-        """Evaluate one forwarded action; returns its effect rows.
-
-        The serial engine's own perform dispatch over the full
-        ``by_key``: a missing key means the target is globally dead (no
-        effect), everything not key-shaped runs the Eq.-(4) scan over all
-        of ``E`` (AoE deferral is off: scoped workers record their own).
-        """
-        action = self._remote_actions.get(name)
-        if action is None:
-            builtin = self.registry.actions.get(name)
-            if builtin is None:
-                raise ValueError(f"unknown action function {name!r}")
-            action = self._remote_actions[name] = compile_action(
-                builtin, self.registry
-            )
-        rows: list[dict[str, object]] = []
-        action(self._runtime(self.env, unit), args, self._remote_by_key, rows, [])
-        return rows
 
     # -- the tick loop --------------------------------------------------------------
 
@@ -1215,23 +970,18 @@ class SimulationEngine:
         # stage 1: (re)arm the evaluator; pass sweep-batch hints.  With
         # delta maintenance enabled this is where last tick's captured
         # delta patches the retained per-shard indexes instead of
-        # discarding them.  Parallel engines also eagerly build the
-        # hinted indexes so decision workers never build concurrently.
+        # discarding them.
         maintenance_time = 0.0
         by_key = None
         if self._processes:
             shard_tasks = None
         else:
-            shard_tasks, hint_pairs, hinted = self._shard_tasks(sharded)
+            shard_tasks, hint_pairs = self._shard_tasks(sharded)
             if self.indexed:
                 t0 = time.perf_counter()
                 self.agg_eval.begin_tick(
                     env, hint_pairs, delta=self._pending_delta
                 )
-                if self._parallel:
-                    # canonical order: index build sequence must not
-                    # depend on set iteration order
-                    self.agg_eval.prepare(sorted(hinted))
                 t1 = time.perf_counter()
                 maintenance_time += t1 - t0
                 if trace is not None:
@@ -1245,13 +995,6 @@ class SimulationEngine:
         t0 = time.perf_counter()
         if self._processes:
             shard_results = self._decide_processes(sharded)
-        elif self._parallel:
-            pool = self._ensure_pool()
-            futures = [
-                pool.submit(self._run_decision, task, by_key, env)
-                for task in shard_tasks
-            ]
-            shard_results = [f.result() for f in futures]
         else:
             shard_results = [
                 self._run_decision(task, by_key, env) for task in shard_tasks
@@ -1272,26 +1015,16 @@ class SimulationEngine:
             all_aoe.extend(records)
         aoe_rows_by_shard: list[list[dict[str, object]]] = []
         if all_aoe:
-            constants = self.registry.constants
-
-            def resolve_shard(shard: EnvironmentTable) -> list:
-                return resolve_aoe(
+            aoe_rows_by_shard = [
+                resolve_aoe(
                     all_aoe,
                     shard.rows,
                     schema,
                     self._action_shapes,
-                    constants,
+                    self.registry.constants,
                 )
-
-            if self._parallel and not self._processes:
-                pool = self._ensure_pool()
-                aoe_rows_by_shard = list(
-                    pool.map(resolve_shard, sharded.shards)
-                )
-            else:
-                aoe_rows_by_shard = [
-                    resolve_shard(shard) for shard in sharded.shards
-                ]
+                for shard in sharded.shards
+            ]
         t1 = time.perf_counter()
         aoe_time = t1 - t0
         if trace is not None:
@@ -1337,13 +1070,9 @@ class SimulationEngine:
         # change capture: diff the post-mechanics environment against the
         # tick-start snapshot (mechanics copies rows, so *env* still holds
         # the pre-tick values).  Consumed at t+1 by the parent evaluator's
-        # begin_tick (serial/threads) or, encoded as an epoch-stamped
+        # begin_tick (serial) or, encoded as an epoch-stamped
         # ReplicaDelta, by the process workers' replica broadcast.
-        if (
-            self._capture_env_delta
-            or self._capture_replica_delta
-            or self._capture_raw_delta
-        ):
+        if self._capture_env_delta or self._capture_replica_delta:
             t0 = time.perf_counter()
             # "auto" discards any delta above its policy's budget, so let
             # the diff bail out early instead of completing a doomed one
@@ -1356,15 +1085,6 @@ class SimulationEngine:
             delta = diff_by_key(env, self.env, max_changed=cutoff)
             if self._capture_env_delta:
                 self._pending_delta = delta
-            if self._capture_raw_delta:
-                # scoped worker broadcasts filter the raw capture down to
-                # each worker's shards at send time; an unusable diff
-                # (duplicate keys) forces snapshots, exactly as below
-                self._pending_raw_delta = (
-                    None
-                    if delta is None
-                    else (delta, env.rows, self.env.rows, self.tick_count + 1)
-                )
             if self._capture_replica_delta:
                 # an unusable diff (duplicate keys) leaves no pending
                 # delta: the next broadcast is a full snapshot

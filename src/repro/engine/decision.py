@@ -11,8 +11,7 @@ that append straight to the tick's effect collections
 
 Action application is itself classified (``repro.algebra.shapes``) and
 lowered once per built-in by :func:`compile_action`, the one perform
-dispatch of the local runner, scoped workers and the coordinator's
-forwarded-action service:
+dispatch:
 
 * ``key`` actions resolve their target through a per-tick ``key → row``
   hash instead of scanning E (so a ``perform FireAt`` is O(1), keeping
@@ -29,7 +28,7 @@ paper's baseline.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 from ..algebra.shapes import classify_action
 from ..sgl import ast
@@ -39,18 +38,10 @@ from ..sgl.sqlspec import apply_action_scan
 from .compile import ActionFn, Probe, compile_filter, compile_term, lower_script
 from .effects import AoeRecord
 
-#: A scoped worker's mid-tick escape hatch: ``forward(kind, name, args,
-#: unit)`` where kind is "aggregate" or "action" and *unit* is the
-#: performing unit's row (the coordinator re-binds it as the runtime
-#: record's unit, so unit-keyed constructs like single-arg ``Random(i)``
-#: resolve identically to the serial engine); answered by the coordinator.
-Forward = Callable[[str, str, list, object], object]
-
 
 class DecisionRunner:
     """Executes one script's decisions for many units, appending effect
     rows (and deferred AoE records) to shared per-tick collections.
-    *forward* is set on shard-scoped workers only (:func:`compile_action`).
     """
 
     def __init__(
@@ -60,14 +51,14 @@ class DecisionRunner:
         *,
         index_actions: bool = True,
         defer_aoe: bool = False,
-        forward: Forward | None = None,
     ):
         self.script = script
-        options = dict(
-            index_actions=index_actions, defer_aoe=defer_aoe, forward=forward
-        )
         self._run = lower_script(
-            script, registry, lambda fn: compile_action(fn, registry, **options)
+            script,
+            registry,
+            lambda fn: compile_action(
+                fn, registry, index_actions=index_actions, defer_aoe=defer_aoe
+            ),
         )
 
     def run_unit(
@@ -91,18 +82,8 @@ def compile_action(
     *,
     index_actions: bool = True,
     defer_aoe: bool = False,
-    forward: Forward | None = None,
 ) -> ActionFn:
-    """Lower one built-in action to ``(rt, args, by_key, out_rows, out_aoe)``.
-
-    With *forward* set (a shard-scoped worker) every path that may need
-    a row the worker does not hold -- native and scan actions, and a key
-    action whose target is missing from the scoped *by_key* (owned
-    elsewhere or globally dead; only the coordinator can tell) -- asks
-    the coordinator, whose effect rows splice into *out_rows* at the
-    same point in script order.  Deferred AoE stays local: the record is
-    a pure function of the performing unit.
-    """
+    """Lower one built-in action to ``(rt, args, by_key, out_rows, out_aoe)``."""
     name = builtin.name
     spec = builtin.spec
     params = builtin.params
@@ -110,9 +91,7 @@ def compile_action(
 
     def everywhere(rt, args, by_key, out_rows, out_aoe):
         """Native and scan actions range over all of ``E``."""
-        if forward is not None:
-            rows = forward("action", name, args, rt.unit)
-        elif native is not None:
+        if native is not None:
             rows = native(args, rt)
         else:
             rows = apply_action_scan(spec, dict(zip(params, args)), rt)
@@ -138,10 +117,7 @@ def compile_action(
             f = [rt, *args, None]
             row = by_key.get(key_of(f))
             if row is None:
-                # no such target: a no-op, unless it may live elsewhere
-                if forward is not None:
-                    everywhere(rt, args, by_key, out_rows, out_aoe)
-                return
+                return  # no such target: a no-op
             f[e_slot] = row
             if where is None or where(f):
                 new_row = dict(row)

@@ -335,12 +335,10 @@ class IndexedEvaluator:
     def prepare(self, fn_names: Iterable[str]) -> None:
         """Eagerly build everything the named aggregates probe this tick.
 
-        The staged pipeline calls this between ``begin_tick`` and the
-        parallel decision stage so that worker threads only *read* the
-        index structures; without it the lazily-built indexes would race
-        on first probe.  Serial engines skip it and keep the original
-        build-on-first-probe behaviour (a tick that never probes an
-        aggregate then never pays for its index).
+        The engine never calls this -- it keeps build-on-first-probe (a
+        tick that never probes an aggregate never pays for its index).
+        The method stays because the perf ledger names it as a trace
+        target (``benchmarks/ledger/spec.py``); drop both together.
         """
         for name in fn_names:
             fn = self.registry.aggregates.get(name)
@@ -665,11 +663,7 @@ class IndexedEvaluator:
         guard = compiled.probe.guard
         if guard is not None and not guard(f):
             return empty_aggregate_result(shape.outputs)
-        return self._probe(function, compiled, args, f)
-
-    def _probe(self, function, compiled: _CompiledShape, args, f: list):
-        """Answer one guarded call from the structures this evaluator holds."""
-        kind = compiled.shape.kind
+        kind = shape.kind
         if kind == "divisible":
             return self._eval_divisible(function, compiled, f)
         if kind == "nearest":
@@ -824,19 +818,11 @@ class IndexedEvaluator:
             self._kd_index[fn.name] = index
         return index
 
-    def _nearest_candidate(
+    def _eval_nearest(
         self, fn: AggregateFunction, compiled: _CompiledShape, f: list
-    ) -> tuple[tuple[float, float], object, tuple] | None:
-        """Best accepted point over the retained trees this evaluator holds.
-
-        The one shared candidate search behind the flat evaluator and
-        the scoped (probe-split) worker evaluator, so predicate handling
-        and the ``(dist², key)`` tie-break can never drift between them.
-        Returns ``(center, best_row, best)`` -- with ``best_row`` None
-        when no tree held an accepted point -- or ``None`` when the
-        range bounds are empty (nothing can match anywhere).
-        """
-        shape = compiled.shape
+    ) -> object:
+        """Best accepted point over the matching trees, ``(dist², key)``
+        tie-broken; ``None`` when nothing matches."""
         index = self._ensure_kd_index(fn, compiled)
         self._bump("probe_kdtree")
 
@@ -863,15 +849,6 @@ class IndexedEvaluator:
             candidate = (dist_sq, row[key_attr])
             if best_row is None or candidate < best:
                 best_row, best = row, candidate
-        return center, best_row, best
-
-    def _eval_nearest(
-        self, fn: AggregateFunction, compiled: _CompiledShape, f: list
-    ) -> object:
-        found = self._nearest_candidate(fn, compiled, f)
-        if found is None:
-            return None
-        _, best_row, best = found
         if best_row is None:
             return None
         return Record(best_row) if compiled.shape.returns_row else best[0]

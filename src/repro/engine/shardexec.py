@@ -2,9 +2,9 @@
 
 ``parallelism="processes"`` runs the decision stage of each shard in a
 pool of long-lived worker processes.  Workers cannot share the engine's
-in-memory state, so the protocol is explicitly message-shaped -- and
-since PR 5 it really is distributed: the pool speaks through the
-:class:`~repro.serve.transport.Transport` abstraction, so the same
+in-memory state, so the protocol is explicitly message-shaped, and it
+is distributed: the pool speaks through the
+:class:`~repro.serve.transport.Transport` abstraction, so one
 addressed request/reply protocol runs over same-host pipes
 (:class:`~repro.serve.transport.PipeTransport`) *or* TCP sockets
 (:class:`~repro.serve.transport.SocketTransport`) to remote decision
@@ -24,14 +24,12 @@ targets:
   hosts must run the same code).  Heavy unpicklable objects (compiled
   closures, index structures) never cross the process boundary;
 * **per tick** the coordinator ships one *update blob* -- a
-  ``SNAPSHOT`` (full row broadcast, stamping a new replica epoch), a
-  shard-``SCOPED_SNAPSHOT`` (see the probe split below), or an
-  epoch-chained ``DELTA``
-  (:class:`~repro.env.sharding.ReplicaDelta`) -- plus the ids of the
-  shards the worker decides this tick.  The worker applies the update
-  to its retained replica of ``E``, feeds the same delta to its
-  evaluator's ``index_maintenance="incremental"`` paths, runs its
-  shards' decisions, and returns plain effect rows,
+  ``SNAPSHOT`` (full row broadcast, stamping a new replica epoch) or an
+  epoch-chained ``DELTA`` (:class:`~repro.env.sharding.ReplicaDelta`)
+  -- plus the ids of the shards the worker decides this tick.  The
+  worker applies the update to its retained replica of ``E``, feeds
+  the same delta to its evaluator's ``index_maintenance="incremental"``
+  paths, runs its shards' decisions, and returns plain effect rows,
   :class:`~repro.engine.effects.AoeRecord` tuples, and an **epoch ack**
   the coordinator verifies;
 * **fault paths** degrade to snapshots, never to wrong answers: a
@@ -42,37 +40,23 @@ targets:
   rejoin from a snapshot within the tick; a shard-count change
   invalidates every replica epoch, forcing a full re-broadcast.
 
-**The per-shard probe split** (``worker_scope="shards"``): by default
-every worker keeps a full replica of ``E`` (aggregate queries range
-over all of ``E`` regardless of who asks), which duplicates both the
-broadcast bytes and the index builds once per worker.  Scoped workers
-instead hold only *their shards'* rows and per-shard index instances.
-A probe that provably touches only owned data -- its range window lies
-inside the owned spatial strips, or its nearest candidate is strictly
-closer than any unowned strip could be -- is answered locally from the
-scoped structures; every other probe (and any action that needs an
-unowned row, e.g. a ``FireAt`` across a strip boundary) is *forwarded*
-mid-tick to the coordinator over the same transport (``REQ_EVAL``) and
-answered there against the full environment through exactly the serial
-engine's code paths.  Either way the answer is the flat engine's
-answer, so scoped trajectories stay bit-identical while each update
-row is shipped to exactly one worker instead of all of them.
+Every worker keeps a *full* replica of ``E``: aggregate queries range
+over all of ``E`` regardless of which shard's unit asks, so a worker
+answers every probe and action of its shards locally and the only
+traffic inside a tick is the update going out and the reply coming back.
 
 Determinism: the per-tick random function is counter-mode
 (``TickRandom`` is a pure function of seed, tick, unit key, and draw
 index), every evaluator merge tie-breaks on unit keys, and the replica
 reproduces the coordinator's flat row order exactly, so worker answers
 are bit-identical to the serial engine's no matter how shards are
-scheduled, which workers hold which replicas, whether a tick arrived as
-a delta or a snapshot, or whether a probe was answered locally or
-forwarded.  The transports carry pickles, so remote workers are for
-trusted networks only (the frame guard protects liveness, not unpickle
-safety).
+scheduled or whether a tick arrived as a delta or a snapshot.  The
+transports carry pickles, so remote workers are for trusted networks
+only (the frame guard protects liveness, not unpickle safety).
 """
 
 from __future__ import annotations
 
-import math
 import pickle
 import time
 import traceback
@@ -82,7 +66,6 @@ from typing import Callable, Iterable, Mapping
 from ..env.schema import Schema
 from ..env.sharding import (
     NO_REPLICA,
-    UPDATE_SCOPED_SNAPSHOT,
     UPDATE_SNAPSHOT,
     ReplicaDelta,
     ReplicaTable,
@@ -101,8 +84,7 @@ from ..sgl import ast
 from ..sgl.analysis import analyze_script
 from ..sgl.builtins import FunctionRegistry
 from ..sgl.evalterm import EvalContext
-from ..sgl.values import Record
-from .decision import DecisionRunner, Forward
+from .decision import DecisionRunner
 from .effects import AoeRecord
 from .evaluator import IndexedEvaluator, NaiveEvaluator, collect_call_hints
 from .rng import TickRandom
@@ -120,15 +102,6 @@ REPLY_OK = "ok"
 REPLY_STALE = "stale"
 REPLY_ERROR = "error"
 REPLY_EPOCH = "epoch"
-
-#: Mid-tick request/reply, worker -> coordinator -> worker: a scoped
-#: worker forwarding a probe or action it cannot answer locally.
-REQ_EVAL = "eval"
-REPLY_EVAL = "eval_ok"
-REPLY_EVAL_ERROR = "eval_error"
-
-_INF = float("inf")
-_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -188,226 +161,6 @@ ShardConf = tuple  # (shard_by, num_shards, spatial_extent)
 
 
 # ---------------------------------------------------------------------------
-# The scoped (probe-split) evaluation layer
-# ---------------------------------------------------------------------------
-
-
-class ScopedEvaluator(IndexedEvaluator):
-    """Index-backed evaluation over a shard-scoped replica of ``E``.
-
-    The replica (and therefore every retained index instance) holds only
-    the rows of the worker's owned shards.  A probe is answered locally
-    only when it *provably* cannot touch unowned rows:
-
-    * a range-windowed probe whose window on the sharding axis maps --
-      through the exact same ``int(x / width)`` arithmetic the spatial
-      sharder uses, which is monotone in ``x`` -- entirely into owned
-      strips;
-    * a nearest-neighbour probe whose best owned candidate is strictly
-      closer than the (conservatively shrunk) distance to the nearest
-      unowned strip, so no unowned point can beat *or tie* it.
-
-    Everything else -- global aggregates, boundary windows, hashed
-    (non-spatial) shard keys, native aggregates -- is forwarded to the
-    coordinator, which answers from the full environment through the
-    serial engine's own code paths.  Local or forwarded, the answer is
-    bit-identical to the flat engine's.
-
-    Forwarded answers for probes that are pure functions of their
-    category values and range bounds (residual-free divisible/extreme
-    shapes -- e.g. a global per-player count) are memoised per tick, so
-    a thousand units asking the same global question cost one round
-    trip, not a thousand.
-    """
-
-    def __init__(
-        self,
-        registry: FunctionRegistry,
-        *,
-        scope: Iterable[int],
-        shard_conf: ShardConf,
-        remote: Forward,
-        x_attr: str = "posx",
-        **kwargs,
-    ):
-        super().__init__(registry, **kwargs)
-        self.scope = frozenset(scope)
-        shard_by, conf_shards, extent = shard_conf
-        self._conf_shards = int(conf_shards)
-        self.owns_all = len(self.scope) >= self._conf_shards
-        self._strip_width = (
-            float(extent) / self._conf_shards
-            if shard_by == "spatial" and extent
-            else None
-        )
-        self._x_attr = x_attr
-        self._remote = remote
-        self._memo: dict[tuple, object] = {}
-        # the unowned region, precomputed as merged [lo, hi] x-intervals
-        # (scope is fixed for this evaluator's lifetime): the nearest
-        # guard consults these per probe instead of rescanning strips
-        self._unowned_intervals: list[tuple[float, float]] = []
-        if self._strip_width is not None and not self.owns_all:
-            width = self._strip_width
-            top = self._conf_shards - 1
-            run_start: int | None = None
-            for s in range(self._conf_shards + 1):
-                unowned = s <= top and s not in self.scope
-                if unowned and run_start is None:
-                    run_start = s
-                elif not unowned and run_start is not None:
-                    self._unowned_intervals.append(
-                        (
-                            -_INF if run_start == 0 else run_start * width,
-                            _INF if s - 1 == top else s * width,
-                        )
-                    )
-                    run_start = None
-
-    def begin_tick(self, env, hints=(), delta=None) -> None:
-        self._memo.clear()  # forwarded answers are valid for one state only
-        super().begin_tick(env, hints, delta=delta)
-
-    # -- probe dispatch -----------------------------------------------------------
-
-    def evaluate(self, function, args, ctx):
-        if function.native is not None and not self.owns_all:
-            # native aggregates scan arbitrary rows; only the
-            # coordinator holds them all
-            return self._forward(function, args, ctx.unit)
-        return super().evaluate(function, args, ctx)
-
-    def _probe(self, function, compiled, args, f):
-        if self.owns_all:
-            return super()._probe(function, compiled, args, f)
-        if compiled.shape.kind == "nearest":
-            return self._eval_nearest_scoped(function, compiled, args, f)
-        if self._window_is_owned(compiled, f):
-            self._bump("scoped_local")
-            return super()._probe(function, compiled, args, f)
-        return self._forward(function, args, f[0].unit, compiled, f)
-
-    # -- locality proofs ----------------------------------------------------------
-
-    def _window_is_owned(self, compiled, f: list) -> bool:
-        """True when every row the probe can select lives in owned shards.
-
-        Requires spatial sharding and a range constraint on the
-        sharding axis.  The check maps the window's endpoints through
-        the *same* clamp/truncate arithmetic the sharder applies to row
-        coordinates; both float division by a positive constant and
-        truncation toward zero are monotone, so every coordinate inside
-        the window lands on a shard id between the endpoints' ids --
-        the containment is exact, no epsilon needed.
-        """
-        width = self._strip_width
-        if width is None:
-            return False
-        try:
-            axis = compiled.shape.range_attrs.index(self._x_attr)
-        except ValueError:
-            return False  # no window on the sharding axis: may span all
-        bounds = compiled.probe.bounds(f)
-        if bounds is None:
-            return True  # empty selection everywhere: local == global
-        xlo, xhi = bounds[axis]
-        top = self._conf_shards - 1
-        lo = 0 if math.isinf(xlo) else min(max(int(xlo / width), 0), top)
-        hi = top if math.isinf(xhi) else min(max(int(xhi / width), 0), top)
-        scope = self.scope
-        return all(s in scope for s in range(lo, hi + 1))
-
-    def _unowned_guard_sq(self, px: float) -> float:
-        """A lower bound on the squared distance from ``px`` (on the
-        sharding axis) to any point an *unowned* strip could hold.
-
-        Shrunk by a relative margin so float fuzz at strip boundaries
-        (a row whose ``x / width`` rounds across the edge) can only make
-        the guard smaller -- a smaller guard forwards more probes, never
-        claims a remote candidate impossible when one could exist.
-        """
-        best = _INF
-        for lo, hi in self._unowned_intervals:
-            if lo <= px <= hi:
-                return 0.0
-            d = lo - px if px < lo else px - hi
-            if d < best:
-                best = d
-        if math.isinf(best):
-            return _INF  # every shard is owned
-        d = best - (abs(px) + best + 1.0) * 1e-9
-        return d * d if d > 0.0 else 0.0
-
-    def _eval_nearest_scoped(self, fn, compiled, args, f):
-        shape = compiled.shape
-        if self._window_is_owned(compiled, f):
-            self._bump("scoped_local")
-            return self._eval_nearest(fn, compiled, f)
-        if self._strip_width is None:
-            return self._forward(fn, args, f[0].unit)
-
-        # the sharding axis must be one of the tree's coordinates, or
-        # the strip geometry says nothing about candidate distances
-        ax, ay = shape.nearest_attrs
-        if ax == self._x_attr:
-            guard_coord = 0
-        elif ay == self._x_attr:
-            guard_coord = 1
-        else:
-            return self._forward(fn, args, f[0].unit)
-
-        # local candidate: the parent's own nearest search (shared
-        # helper, so predicates and tie-breaks can never drift) over the
-        # owned shards' trees
-        found = self._nearest_candidate(fn, compiled, f)
-        if found is None:
-            return None  # empty range selection matches nothing anywhere
-        center, best_row, best = found
-        # the owned candidate is the global answer only when nothing in
-        # an unowned strip could lie strictly closer -- or tie, since a
-        # tying remote row with a smaller key would win the tie-break
-        if best_row is not None and best[0] < self._unowned_guard_sq(
-            center[guard_coord]
-        ):
-            self._bump("scoped_local")
-            return Record(best_row) if shape.returns_row else best[0]
-        return self._forward(fn, args, f[0].unit)
-
-    # -- forwarding ---------------------------------------------------------------
-
-    def _forward(self, function, args, unit, compiled=None, f=None):
-        memo_key = None
-        if (
-            compiled is not None
-            and compiled.shape.kind in ("divisible", "extreme")
-            and not compiled.shape.residual
-        ):
-            # the answer is a pure function of (category values, range
-            # bounds): safe to share across every unit that asks the
-            # same question of the same state
-            try:
-                eq_vals, neq_vals = compiled.probe.cats(f)
-                bounds = compiled.probe.bounds(f)
-                memo_key = (
-                    function.name,
-                    eq_vals,
-                    neq_vals,
-                    None if bounds is None else tuple(bounds),
-                )
-                hit = self._memo.get(memo_key, _MISS)
-                if hit is not _MISS:
-                    self._bump("forward_memo_hits")
-                    return hit
-            except TypeError:  # unhashable category value: skip the memo
-                memo_key = None
-        self._bump("forwarded")
-        value = self._remote("aggregate", function.name, list(args), unit)
-        if memo_key is not None:
-            self._memo[memo_key] = value
-        return value
-
-
-# ---------------------------------------------------------------------------
 # Worker-side state and session loop
 # ---------------------------------------------------------------------------
 
@@ -421,67 +174,33 @@ class _Compiled:
 class _WorkerState:
     """Per-process engine fragment: replica, runners, evaluator, rng."""
 
-    def __init__(
-        self,
-        game: WorkerGame,
-        payload: Mapping[str, object],
-        remote: Forward | None = None,
-    ):
+    def __init__(self, game: WorkerGame, payload: Mapping[str, object]):
         self.game = game
         self.indexed = payload["mode"] == "indexed"
         self.optimize_aoe = bool(payload["optimize_aoe"])
         self.cascade = bool(payload["cascade"])
-        self.scoped = payload.get("worker_scope", "full") == "shards"
-        self.remote = remote
         self.rng = TickRandom(int(payload["seed"]), key_attr=game.schema.key)
         self.shard_conf: ShardConf = tuple(payload["shard_conf"])
-        self.scope: frozenset[int] | None = None
         self._compiled: dict[str, _Compiled] = {}
         self._reshard(self.shard_conf)
         # the replica of E (row order, key -> row, epoch held) -- the
-        # same holder-side protocol object the spectator replicas use;
-        # scoped workers hold only their shards' slice of it
+        # same holder-side protocol object the spectator replicas use
         self.replica = ReplicaTable(game.schema.key)
-
-    def _remote_call(
-        self, kind: str, name: str, args: list, unit: object
-    ) -> object:
-        if self.remote is None:  # pragma: no cover - wiring bug
-            raise RuntimeError("worker has no coordinator channel to forward to")
-        return self.remote(kind, name, args, unit)
 
     # -- sharding / evaluator lifecycle ----------------------------------------
 
-    def _reshard(
-        self, shard_conf: ShardConf, scope: Iterable[int] | None = None
-    ) -> None:
+    def _reshard(self, shard_conf: ShardConf) -> None:
         """(Re)build the shard function and a fresh evaluator for it.
 
         The evaluator's retained per-shard index instances are keyed by
-        shard id (and, for scoped workers, built over the scoped
-        replica), so a shard-count or scope change invalidates all of
-        them; the caller always pairs this with a snapshot.
+        shard id, so a shard-count change invalidates all of them; the
+        caller always pairs this with a snapshot.
         """
         shard_by, num_shards, extent = shard_conf
         self.shard_conf = (shard_by, num_shards, extent)
-        self.scope = frozenset(scope) if scope is not None else None
         self.shard_of = make_sharder(shard_by, num_shards, extent=extent)
-        self._compiled.clear()  # runners may bind scope-specific hooks
-        key_attr = self.game.schema.key
         if not self.indexed:
             self.evaluator = NaiveEvaluator()
-        elif self.scoped and self.scope is not None:
-            self.evaluator = ScopedEvaluator(
-                self.game.registry,
-                scope=self.scope,
-                shard_conf=self.shard_conf,
-                remote=self._remote_call,
-                cascade=self.cascade,
-                key_attr=key_attr,
-                maintenance="incremental",
-                shard_of=self.shard_of if num_shards > 1 else None,
-                num_shards=num_shards,
-            )
         else:
             # maintenance="incremental": replica deltas patch the
             # retained per-shard structures; snapshot ticks (delta=None)
@@ -489,7 +208,7 @@ class _WorkerState:
             self.evaluator = IndexedEvaluator(
                 self.game.registry,
                 cascade=self.cascade,
-                key_attr=key_attr,
+                key_attr=self.game.schema.key,
                 maintenance="incremental",
                 shard_of=self.shard_of if num_shards > 1 else None,
                 num_shards=num_shards,
@@ -502,11 +221,9 @@ class _WorkerState:
         epoch: int,
         rows: list[dict[str, object]],
         shard_conf: ShardConf,
-        scope: Iterable[int] | None = None,
     ) -> None:
-        scope = frozenset(scope) if scope is not None else None
-        if tuple(shard_conf) != self.shard_conf or scope != self.scope:
-            self._reshard(tuple(shard_conf), scope)
+        if tuple(shard_conf) != self.shard_conf:
+            self._reshard(tuple(shard_conf))
         elif self.indexed:
             # same shard layout, but the retained structures describe the
             # replaced replica rows: drop them (they rebuild on probe)
@@ -525,19 +242,11 @@ class _WorkerState:
         entry = self._compiled.get(selector_value)
         if entry is None:
             script = self.game.scripts[selector_value]
-            # a scoped worker that does not hold every shard forwards
-            # the actions that may need rows outside its scope
-            partial = (
-                self.scoped
-                and self.scope is not None
-                and len(self.scope) < self.shard_conf[1]
-            )
             runner = DecisionRunner(
                 script,
                 self.game.registry,
                 index_actions=self.indexed,
                 defer_aoe=self.indexed and self.optimize_aoe,
-                forward=self._remote_call if partial else None,
             )
             analysis = analyze_script(
                 script, self.game.registry, self.game.schema
@@ -621,29 +330,6 @@ class _WorkerState:
         return out
 
 
-def _make_remote(transport: Transport) -> Forward:
-    """The worker side of REQ_EVAL: one synchronous round trip upstream."""
-
-    def remote(kind: str, name: str, args: list, unit: object) -> object:
-        transport.send((REQ_EVAL, (kind, name, args, unit)))
-        # reprolint: disable=recv-frame-guard -- frame errors deliberately
-        # propagate to the worker session loop's EOF/OSError handler,
-        # which tears the whole session down
-        reply = transport.recv()
-        tag = reply[0]
-        if tag == REPLY_EVAL:
-            return reply[1]
-        if tag == REPLY_EVAL_ERROR:
-            raise RuntimeError(
-                f"coordinator-side evaluation failed:\n{reply[1]}"
-            )
-        raise RuntimeError(
-            f"unexpected reply {tag!r} to a worker evaluation request"
-        )
-
-    return remote
-
-
 def _worker_loop(transport: Transport, state: _WorkerState) -> bool:
     """Serve one coordinator session; True when it ended with STOP."""
     while True:
@@ -668,10 +354,6 @@ def _worker_loop(transport: Transport, state: _WorkerState) -> bool:
                 _, epoch, rows, shard_conf = update
                 state.apply_snapshot(epoch, rows, shard_conf)
                 delta = None
-            elif update_tag == UPDATE_SCOPED_SNAPSHOT:
-                _, epoch, rows, shard_conf, scope = update
-                state.apply_snapshot(epoch, rows, shard_conf, scope=scope)
-                delta = None
             else:
                 delta = state.apply_delta(update[1])
             results = state.decide(tick, shard_ids, delta)
@@ -689,9 +371,7 @@ def _replica_worker_main(conn, factory: GameFactory, payload: dict) -> None:
     """Entry point of a same-host (pipe) worker process."""
     transport: Transport = PipeTransport(conn)
     try:
-        state = _WorkerState(
-            factory(), payload, remote=_make_remote(transport)
-        )
+        state = _WorkerState(factory(), payload)
     except BaseException:  # pragma: no cover - init failures surface on recv
         transport.send((REPLY_ERROR, traceback.format_exc()))
         transport.close()
@@ -761,9 +441,7 @@ def serve_worker(
                     continue
                 _, factory, payload = msg
                 try:
-                    state = _WorkerState(
-                        factory(), payload, remote=_make_remote(transport)
-                    )
+                    state = _WorkerState(factory(), payload)
                 except BaseException:
                     transport.send((REPLY_ERROR, traceback.format_exc()))
                     continue
@@ -883,10 +561,8 @@ class PoolStats(RegistryStats):
     replaces; when the pool is built with a metrics registry each field
     is a registry cell (the ``worker_*`` series), so the old accessors
     are views over the exported metrics.  ``reconnects`` counts remote
-    sessions re-established after a dropped connection; ``remote_evals``
-    counts mid-tick probe/action evaluations forwarded by scoped
-    workers; ``last_tick_bytes`` is the most recent tick's broadcast
-    payload.
+    sessions re-established after a dropped connection;
+    ``last_tick_bytes`` is the most recent tick's broadcast payload.
     """
 
     _PREFIX = "worker"
@@ -896,32 +572,10 @@ class PoolStats(RegistryStats):
         "stale_snapshots",
         "respawns",
         "reconnects",
-        "remote_evals",
         "bytes_broadcast",
         "ticks",
     )
     _GAUGE_FIELDS = {"last_tick_bytes": 0}
-
-
-@dataclass
-class TickUpdate:
-    """One tick's update source, handed to :meth:`ReplicaWorkerPool.run_tick`.
-
-    ``delta_blob_for`` / ``snapshot_blob_for`` take the worker's shard
-    scope (a frozenset, or ``None`` for full-replica workers) and return
-    the pickled update blob -- built and pickled at most once per
-    distinct scope per tick by the engine's caching closures.
-    ``delta_blob_for`` returns ``None`` when no usable delta exists (a
-    rebuild tick, a shard-layout change, ``worker_broadcast="snapshot"``).
-    """
-
-    base_epoch: int
-    delta_blob_for: Callable[[frozenset | None], bytes | None]
-    snapshot_blob_for: Callable[[frozenset | None], bytes]
-
-
-#: Answers a worker's forwarded REQ_EVAL payload; returns the reply tuple.
-EvalService = Callable[[tuple], tuple]
 
 
 class ReplicaWorkerPool:
@@ -1112,25 +766,24 @@ class ReplicaWorkerPool:
         tick: int,
         epoch: int,
         bundles: list[tuple[int, list[int]]],
-        update: TickUpdate,
-        *,
-        answer: EvalService | None = None,
-        scoped: bool = False,
+        delta_blob: Callable[[], bytes | None],
+        snapshot_blob: Callable[[], bytes],
     ) -> dict[int, tuple[list[dict[str, object]], list[AoeRecord]]]:
-        """One tick: update every bundled worker's replica, serve the
-        mid-tick evaluation requests scoped workers forward, and gather
+        """One tick: update every bundled worker's replica and gather
         per-shard results.
 
-        *bundles* pairs worker indexes with the shard ids they decide
-        (which, under ``scoped=True``, is also the replica scope each
-        worker holds).  Deltas go to workers whose acked epoch matches
-        ``update.base_epoch``; everyone else -- fresh, respawned,
-        reconnected, drifted, or after a layout change -- gets the
-        snapshot for its scope.  Epoch acks are verified against
-        *epoch*; a ``STALE`` reply or a dead worker falls back to the
-        snapshot within the same tick, and a dead worker is respawned
-        (local) or reconnected (remote) at most once per tick before
-        the failure is considered persistent.
+        *bundles* pairs worker indexes with the shard ids they decide.
+        *delta_blob* / *snapshot_blob* return the tick's pickled update
+        (each builds its blob at most once per tick); *delta_blob*
+        returns ``None`` when no usable delta exists (a rebuild tick, a
+        shard-layout change, ``worker_broadcast="snapshot"``).  The
+        delta goes to workers whose acked epoch is ``epoch - 1``;
+        everyone else -- fresh, respawned, reconnected, drifted, or
+        after a layout change -- gets the snapshot.  Epoch acks are
+        verified against *epoch*; a ``STALE`` reply or a dead worker
+        falls back to the snapshot within the same tick, and a dead
+        worker is respawned (local) or reconnected (remote) at most once
+        per tick before the failure is considered persistent.
 
         Returns ``{shard_id: (effect_rows, aoe_records)}``.
         """
@@ -1149,14 +802,12 @@ class ReplicaWorkerPool:
         ) -> None:
             nonlocal tick_bytes
             worker = self.workers[worker_index]
-            scope = frozenset(shard_ids) if scoped else None
             blob = None
-            use_delta = False
-            if allow_delta and worker.epoch == update.base_epoch:
-                blob = update.delta_blob_for(scope)
-                use_delta = blob is not None
+            if allow_delta and worker.epoch == epoch - 1:
+                blob = delta_blob()
+            use_delta = blob is not None
             if blob is None:
-                blob = update.snapshot_blob_for(scope)
+                blob = snapshot_blob()
             if worker.endpoint is not None and len(blob) > self._max_frame:
                 # caught before the transport refuses locally: an
                 # oversized update is a configuration problem, not a
@@ -1233,31 +884,6 @@ class ReplicaWorkerPool:
                     revive(worker_index, shard_ids)
                     continue
                 tag = reply[0]
-                if tag == REQ_EVAL:
-                    # a scoped worker forwarding a probe or action the
-                    # coordinator must answer before the worker's tick
-                    # reply can arrive
-                    stats.remote_evals += 1
-                    t_eval = time.perf_counter()
-                    if answer is None:  # pragma: no cover - wiring bug
-                        response = (
-                            REPLY_EVAL_ERROR,
-                            "coordinator has no evaluation service",
-                        )
-                    else:
-                        response = answer(reply[1])
-                    if self._trace is not None:
-                        self._trace.complete_perf(
-                            "remote_eval", "worker", t_eval,
-                            time.perf_counter(),
-                            tid=self._worker_tid(worker_index),
-                            epoch=epoch, worker=worker_index,
-                        )
-                    try:
-                        transport.send(response)
-                    except (BrokenPipeError, ConnectionError, OSError):
-                        revive(worker_index, shard_ids)
-                    continue
                 if tag == REPLY_STALE:
                     # a snapshot always applies, so one retry suffices;
                     # a worker that refuses the snapshot too is broken

@@ -92,8 +92,7 @@ def make_sharder(
       never change which shard a unit lands in, or parallel worker
       processes would disagree with the parent about the partition.
 
-    The returned function is pure, cheap (no allocation), and safe to
-    call from worker threads.
+    The returned function is pure and cheap (no allocation).
     """
     if num_shards < 1:
         raise ShardingError(f"num_shards must be >= 1, got {num_shards}")
@@ -275,8 +274,7 @@ class ReplicaDelta:
     * ``order`` is ``None`` whenever the new row order is predictable
       from the old one (drop deletes in place, apply updates in place,
       append inserts); when only the *insert positions* defy prediction
-      -- the common case for shard-scoped deltas, where a unit crossing
-      into the scope splices into the middle of the scoped row order --
+      -- mechanics that splice new rows into the middle of ``E`` --
       the compact ``insert_at`` patch ships ``(key, final index)`` pairs
       instead of the whole order; only genuinely order-scrambling ticks
       -- e.g. the battle's resurrection rule moving revived units to the
@@ -312,9 +310,7 @@ class ReplicaDelta:
     def __reduce__(self) -> tuple[object, ...]:
         # positional reconstruction: the default dataclass pickle ships
         # every field *name* alongside its value, which at quiet-tick
-        # delta sizes costs more wire than the delta content itself --
-        # and the scoped worker broadcast pays that envelope once per
-        # worker, not once per tick
+        # delta sizes costs more wire than the delta content itself
         return (
             ReplicaDelta,
             (
@@ -402,8 +398,7 @@ def encode_replica_delta(
     insert_at: list[tuple[object, int]] | None = None
     if predicted != new_order:
         # second chance: surviving rows kept their relative order and
-        # only the *inserts* landed mid-order (a row crossing into a
-        # shard scope splices at its flat position) -- ship the splice
+        # only the *inserts* landed mid-order -- ship the splice
         # positions, not the whole key order
         core = _predicted_order(old_order, deleted_keys, ())
         inserted_set = set(inserted_keys)
@@ -487,8 +482,7 @@ def apply_replica_delta(
     elif rd.insert_at:
         # splice inserts at their recorded final positions; ascending
         # index order makes sequential list.insert land each key exactly
-        # where the coordinator's flat order (filtered to this holder)
-        # has it
+        # where the coordinator's flat order has it
         new_order = _predicted_order(order, rd.deleted_keys, ())
         for key, index in rd.insert_at:
             new_order.insert(index, key)
@@ -501,13 +495,9 @@ def apply_replica_delta(
 #: invalidated after a failed delta).
 NO_REPLICA = -1
 
-#: Update-blob tags: the message kinds a replica feed ships.  Full
-#: snapshots and deltas are what every holder understands; the *scoped*
-#: snapshot additionally carries the shard-id scope it was filtered to,
-#: for workers that hold only their own shards' rows (the probe split).
+#: Update-blob tags: the message kinds a replica feed ships.
 UPDATE_SNAPSHOT = "snapshot"
 UPDATE_DELTA = "delta"
-UPDATE_SCOPED_SNAPSHOT = "scoped_snapshot"
 
 
 def snapshot_blob(
@@ -529,99 +519,6 @@ def snapshot_blob(
 def delta_blob(rd: ReplicaDelta) -> bytes:
     """Pickle a delta update once, for fan-out to many holders."""
     return pickle.dumps((UPDATE_DELTA, rd), protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def scoped_snapshot_blob(
-    epoch: int,
-    rows: list[dict[str, object]],
-    shard_conf: tuple[object, ...],
-    scope: Iterable[int],
-    shard_of: ShardFn,
-    *,
-    shard_ids: Sequence[int] | None = None,
-) -> bytes:
-    """Pickle a shard-scoped snapshot: only the rows of *scope*'s shards.
-
-    The blob carries the scope itself so the receiving worker knows (and
-    re-checks, when the layout changes) which slice of ``E`` it holds.
-    *shard_ids* optionally carries precomputed per-row shard ids so a
-    caller snapshotting for several workers classifies each row once.
-    """
-    scope = frozenset(scope)
-    if shard_ids is None:
-        shard_ids = [shard_of(row) for row in rows]
-    scoped_rows = [
-        row for row, shard in zip(rows, shard_ids) if shard in scope
-    ]
-    return pickle.dumps(
-        (
-            UPDATE_SCOPED_SNAPSHOT,
-            epoch,
-            scoped_rows,
-            shard_conf,
-            tuple(sorted(scope)),
-        ),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-
-
-def scope_table_delta(
-    delta: TableDelta,
-    old_rows: Sequence[Row],
-    new_rows: Sequence[Row],
-    scope: frozenset[int],
-    shard_of: ShardFn,
-    *,
-    key_attr: str,
-    old_shard_ids: Sequence[int] | None = None,
-    new_shard_ids: Sequence[int] | None = None,
-) -> tuple[TableDelta, list[object], list[object]]:
-    """Restrict a flat change capture to the rows of *scope*'s shards.
-
-    Returns the scoped delta plus the scoped old/new key orders (the
-    flat row orders filtered to the scope -- exactly the row order a
-    scoped replica holds, since shard partition order is induced by the
-    flat order).  An update that crosses the scope boundary becomes a
-    delete (row left the scope) or an insert (row entered it), mirroring
-    :meth:`ShardedEnvironment.route_delta`'s re-routing.
-
-    *old_shard_ids* / *new_shard_ids* optionally carry precomputed
-    per-row shard ids aligned with *old_rows* / *new_rows*, so a caller
-    scoping the same capture for several workers classifies each row
-    once instead of once per scope.
-    """
-    scoped = TableDelta(base_size=0)
-    for row in delta.inserted:
-        if shard_of(row) in scope:
-            scoped.inserted.append(row)
-    for row in delta.deleted:
-        if shard_of(row) in scope:
-            scoped.deleted.append(row)
-    for old, new in delta.updated:
-        old_in = shard_of(old) in scope
-        new_in = shard_of(new) in scope
-        if old_in and new_in:
-            scoped.updated.append((old, new))
-        elif old_in:
-            scoped.deleted.append(old)
-        elif new_in:
-            scoped.inserted.append(new)
-    if old_shard_ids is None:
-        old_shard_ids = [shard_of(r) for r in old_rows]
-    if new_shard_ids is None:
-        new_shard_ids = [shard_of(r) for r in new_rows]
-    old_order = [
-        r[key_attr]
-        for r, shard in zip(old_rows, old_shard_ids)
-        if shard in scope
-    ]
-    new_order = [
-        r[key_attr]
-        for r, shard in zip(new_rows, new_shard_ids)
-        if shard in scope
-    ]
-    scoped.base_size = len(new_order)
-    return scoped, old_order, new_order
 
 
 class ReplicaTable:

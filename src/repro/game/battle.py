@@ -10,6 +10,8 @@ at a position chosen uniformly at random on the grid").
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -42,7 +44,9 @@ def battle_worker_game() -> WorkerGame:
 
 #: Save-file / log-metadata format version for the battle's persisted
 #: state.  Bump when the persisted dict's shape changes incompatibly.
-SAVE_FORMAT = 1
+#: 2: format-1 ``kwargs`` may name a knob or a ``parallelism`` value
+#: this build no longer has.
+SAVE_FORMAT = 2
 
 
 @dataclass
@@ -70,81 +74,27 @@ class BattleSimulation:
         Total units across both players.
     density:
         Fraction of grid cells occupied (the paper fixes 1%).
-    mode:
-        ``"indexed"`` or ``"naive"`` -- the two evaluators of Section 6.
     formation:
         ``"uniform"`` (the paper's setup) or ``"two_army"`` (clustered).
+    composition:
+        Unit-type mix (default: the paper's).
+    seed:
+        Seeds the scenario and the engine's random function.
     resurrection:
         Keep the population constant by resurrecting the dead (on for
         benchmarks, off for gameplay-style examples).
-    index_maintenance:
-        ``"rebuild"`` (per-tick from-scratch, the paper's default),
-        ``"incremental"`` (patch retained indexes with the row delta),
-        or ``"auto"`` (cost-based choice per tick).  The battle's
-        measures are all integer-valued, so trajectories are
-        bit-identical in all three.
-    incremental_threshold:
-        Changed-row fraction above which ``"auto"`` rebuilds instead of
-        applying the delta (default 0.25; the bootstrap rule when
-        *auto_policy* is ``"ewma"``).
-    auto_policy:
-        ``"ewma"`` (default) learns the rebuild-vs-delta cost crossover
-        from timing history; ``"threshold"`` keeps the single
-        changed-fraction rule.
-    num_shards / shard_by / parallelism / max_workers:
-        The sharded tick pipeline: partition ``E`` into *num_shards*
-        shards by *shard_by* (``"spatial"`` = vertical map strips,
-        otherwise a hashed const attribute such as ``"key"`` or
-        ``"player"``) and run per-shard decision/effect stages under
-        *parallelism* (``"serial"`` | ``"threads"`` | ``"processes"``).
-        Trajectories are bit-identical to the 1-shard serial engine for
-        every combination (all battle measures are integer-valued).
-    worker_broadcast:
-        How process workers' replicas of ``E`` stay current:
-        ``"delta"`` (default) ships the per-tick change set with a
-        replica epoch, falling back to full snapshots only when a
-        worker cannot apply it; ``"snapshot"`` re-broadcasts all rows
-        every tick.  Trajectories are bit-identical either way; only
-        the bytes shipped per tick differ.
-    workers / worker_scope:
-        Where the decision workers run and how much of ``E`` they hold.
-        ``workers="local"`` (default) spawns pipe-connected processes on
-        this host; a list of ``"host:port"`` endpoints connects to
-        remote workers started with ``python -m repro.engine.shardexec
-        --listen``.  ``worker_scope="shards"`` enables the per-shard
-        probe split: each worker replicates and indexes only its own
-        shards, forwarding non-local probes to the coordinator.  All
-        combinations are bit-identical to the serial engine.
-        *worker_timeout* / *worker_max_frame* are the remote transport
-        knobs (per-message socket timeout; frame-size guard, which must
-        admit a full snapshot of the environment).
-    spectators / spectator_broadcast:
-        ``spectators=True`` opens a loopback
-        :class:`~repro.serve.publisher.ReplicaPublisher`
-        (``spectator_address`` names the endpoint) and streams every
-        post-tick state to subscribed read replicas;
-        :meth:`spawn_spectator` starts one wired to this battle's game
-        factory.  Spectators are read-only: they cannot affect the
-        trajectory.
-    epoch_log / epoch_log_checkpoint_every / epoch_log_fsync:
-        *epoch_log* names a file the engine appends every post-tick
-        state to (the durable epoch log of :mod:`repro.persist`):
-        deltas when they chain, full-snapshot checkpoints every
-        *epoch_log_checkpoint_every* epochs, battle counters alongside
-        each record.  *epoch_log_fsync* picks durability (``"never"`` |
-        ``"checkpoint"`` | ``"always"``).  A logged battle supports
-        crash recovery via :meth:`recover`; :meth:`save` / :meth:`load`
-        work with or without a log.
-    metrics / trace_path / slow_tick_factor:
-        The observability knobs of :mod:`repro.obs`.  ``metrics=True``
-        attaches a process-local metrics registry (the :attr:`metrics`
-        property; serve it over HTTP with :meth:`serve_metrics`);
-        *trace_path* records every tick stage, worker round trip,
-        publish fan-out, and epoch-log write as a Chrome trace-event
-        file; *slow_tick_factor* arms the slow-tick watchdog (flag any
-        tick slower than ``factor`` x the EWMA of recent ticks, with a
-        per-stage breakdown).  All three are read-only diagnostics:
-        trajectories are bit-identical with them on or off.
+    epoch_log:
+        Path of the durable epoch log (:mod:`repro.persist`).  The
+        battle attaches it itself, after construction, so every record
+        carries the battle counters and the log metadata carries the
+        construction recipe; a logged battle supports :meth:`recover`.
+    **engine:
+        Every other keyword is an :class:`~repro.engine.clock
+        .EngineConfig` field -- that docstring is the knob reference.
+        The battle supplies ``spatial_extent`` (its grid size) and
+        ``worker_factory`` itself.  All of the battle's measures are
+        integer-valued, so trajectories are bit-identical across every
+        combination of engine knobs.
     """
 
     def __init__(
@@ -152,33 +102,12 @@ class BattleSimulation:
         n_units: int,
         *,
         density: float = 0.01,
-        mode: str = "indexed",
         formation: str = "uniform",
         composition: Mapping[str, float] | None = None,
         seed: int = 0,
         resurrection: bool = True,
-        optimize_aoe: bool = True,
-        cascade: bool = True,
-        index_maintenance: str = "rebuild",
-        incremental_threshold: float = 0.25,
-        auto_policy: str = "ewma",
-        num_shards: int = 1,
-        shard_by: str = "key",
-        parallelism: str = "serial",
-        max_workers: int | None = None,
-        worker_broadcast: str = "delta",
-        workers: object = "local",
-        worker_scope: str = "full",
-        worker_timeout: float | None = 60.0,
-        worker_max_frame: int | None = None,
-        spectators: bool = False,
-        spectator_broadcast: str = "delta",
         epoch_log: str | None = None,
-        epoch_log_checkpoint_every: int = 64,
-        epoch_log_fsync: str = "checkpoint",
-        metrics: bool = False,
-        trace_path: str | None = None,
-        slow_tick_factor: float | None = None,
+        **engine,
     ):
         self.schema = battle_schema()
         make = uniform_battle if formation == "uniform" else two_army_battle
@@ -196,39 +125,33 @@ class BattleSimulation:
         self.resurrection = resurrection
         self.summary = BattleSummary()
         self._next_key = n_units
+        config = EngineConfig(
+            seed=seed,
+            spatial_extent=self.grid_size,
+            worker_factory=battle_worker_game,
+            **engine,
+        )
         # the picklable construction recipe: recorded in save files and
         # epoch-log metadata so load()/recover() rebuild an equivalent
-        # simulation before restoring the rows (epoch-log knobs stay
-        # out -- recovery re-attaches the log explicitly)
+        # simulation before restoring the rows.  Epoch-log knobs stay
+        # out (recovery re-attaches the log explicitly), and so does
+        # trace_path: a loaded run re-tracing over the original trace
+        # file would clobber it
         self._ctor_kwargs = dict(
             n_units=n_units,
             density=density,
-            mode=mode,
             formation=formation,
             composition=dict(composition) if composition else None,
             seed=seed,
             resurrection=resurrection,
-            optimize_aoe=optimize_aoe,
-            cascade=cascade,
-            index_maintenance=index_maintenance,
-            incremental_threshold=incremental_threshold,
-            auto_policy=auto_policy,
-            num_shards=num_shards,
-            shard_by=shard_by,
-            parallelism=parallelism,
-            max_workers=max_workers,
-            worker_broadcast=worker_broadcast,
-            workers=workers if workers == "local" else list(workers),
-            worker_scope=worker_scope,
-            worker_timeout=worker_timeout,
-            worker_max_frame=worker_max_frame,
-            spectators=spectators,
-            spectator_broadcast=spectator_broadcast,
-            # trace_path stays out too: a loaded run re-tracing over the
-            # original trace file would clobber it
-            metrics=metrics,
-            slow_tick_factor=slow_tick_factor,
+            **{
+                name: value
+                for name, value in engine.items()
+                if name != "trace_path" and not name.startswith("epoch_log")
+            },
         )
+        if config.workers != "local":
+            self._ctor_kwargs["workers"] = list(config.workers)
 
         script_by_type = self.scripts
 
@@ -236,42 +159,10 @@ class BattleSimulation:
             return script_by_type[row["unittype"]]
 
         self.engine = SimulationEngine(
-            self.env,
-            self.registry,
-            script_for,
-            self._mechanics,
-            EngineConfig(
-                mode=mode,
-                optimize_aoe=optimize_aoe,
-                cascade=cascade,
-                seed=seed,
-                index_maintenance=index_maintenance,
-                incremental_threshold=incremental_threshold,
-                auto_policy=auto_policy,
-                num_shards=num_shards,
-                shard_by=shard_by,
-                spatial_extent=self.grid_size,
-                parallelism=parallelism,
-                max_workers=max_workers,
-                worker_broadcast=worker_broadcast,
-                workers=workers,
-                worker_scope=worker_scope,
-                worker_timeout=worker_timeout,
-                worker_max_frame=worker_max_frame,
-                worker_factory=battle_worker_game,
-                spectators=spectators,
-                spectator_broadcast=spectator_broadcast,
-                metrics=metrics,
-                trace_path=trace_path,
-                slow_tick_factor=slow_tick_factor,
-            ),
+            self.env, self.registry, script_for, self._mechanics, config
         )
         if epoch_log:
-            self.attach_epoch_log(
-                epoch_log,
-                checkpoint_every=epoch_log_checkpoint_every,
-                fsync=epoch_log_fsync,
-            )
+            self.attach_epoch_log(epoch_log)
 
     # -- public API -----------------------------------------------------------
 
@@ -348,8 +239,6 @@ class BattleSimulation:
         path: str,
         *,
         resume: bool = False,
-        checkpoint_every: int | None = None,
-        fsync: str | None = None,
     ):
         """Start (or, with *resume*, continue) the durable epoch log.
 
@@ -368,8 +257,6 @@ class BattleSimulation:
                 "kwargs": self._ctor_kwargs,
                 "grid_size": self.grid_size,
             },
-            checkpoint_every=checkpoint_every,
-            fsync=fsync,
         )
 
     def _persist_state(self) -> dict:
@@ -443,19 +330,10 @@ class BattleSimulation:
         ``epoch_log=`` (plus the checkpoint/fsync knobs) to start
         logging the resumed run.
         """
-        from ..persist.log import EpochLogError, read_state_file
+        from ..persist.log import read_state_file
 
         _epoch, payload = read_state_file(path)
-        if payload.get("game") != "repro.game.battle":
-            raise EpochLogError(
-                f"{path!r} was saved by {payload.get('game')!r}, "
-                "not the battle simulation"
-            )
-        if payload.get("format") != SAVE_FORMAT:
-            raise EpochLogError(
-                f"{path!r} uses save format {payload.get('format')!r} "
-                f"(this build reads {SAVE_FORMAT})"
-            )
+        cls._check_persisted(path, payload)
         return cls._rebuild(
             payload["kwargs"],
             payload["epoch"],
@@ -489,11 +367,7 @@ class BattleSimulation:
         with EpochLogReader(log_path) as reader:
             meta = reader.meta()
             game_meta = (meta or {}).get("game_meta") or {}
-            if game_meta.get("game") != "repro.game.battle":
-                raise EpochLogError(
-                    f"{log_path!r} was not written by the battle "
-                    f"simulation (producer: {game_meta.get('game')!r})"
-                )
+            cls._check_persisted(log_path, game_meta)
             # every epoch record is followed by its REC_STATE, so the
             # last durable state names the last fully-recoverable epoch
             last_state = reader.last_state()
@@ -516,6 +390,31 @@ class BattleSimulation:
         return sim
 
     @classmethod
+    def _check_persisted(cls, path: str, payload: Mapping) -> None:
+        """Refuse a save file or log this build cannot rebuild from."""
+        from ..persist.log import EpochLogError
+
+        if payload.get("game") != "repro.game.battle":
+            raise EpochLogError(
+                f"{path!r} was written by {payload.get('game')!r}, "
+                "not the battle simulation"
+            )
+        if payload.get("format") != SAVE_FORMAT:
+            raise EpochLogError(
+                f"{path!r} uses save format {payload.get('format')!r} "
+                f"(this build reads {SAVE_FORMAT})"
+            )
+        known = inspect.signature(cls.__init__).parameters.keys() | {
+            f.name for f in dataclasses.fields(EngineConfig)
+        }
+        unknown = sorted(payload["kwargs"].keys() - known)
+        if unknown:
+            raise EpochLogError(
+                f"{path!r} names knob(s) this build does not have: "
+                + ", ".join(unknown)
+            )
+
+    @classmethod
     def _rebuild(
         cls,
         kwargs: dict,
@@ -530,16 +429,12 @@ class BattleSimulation:
         # construction -- the scenario's initial rows must not be logged
         # as if they were the resumed state
         epoch_log = overrides.pop("epoch_log", None)
-        checkpoint_every = overrides.pop("epoch_log_checkpoint_every", None)
-        fsync = overrides.pop("epoch_log_fsync", None)
         merged.update(overrides)
         sim = cls(**merged)
         try:
             sim._restore(epoch, rows, state)
             if epoch_log:
-                sim.attach_epoch_log(
-                    epoch_log, checkpoint_every=checkpoint_every, fsync=fsync
-                )
+                sim.attach_epoch_log(epoch_log)
         except BaseException:
             sim.close()
             raise

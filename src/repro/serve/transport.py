@@ -49,8 +49,7 @@ import struct
 
 #: Bump when the frame layout or blob vocabulary changes incompatibly.
 #: 2: ReplicaDelta gained the positional wire encoding + the
-#: ``insert_at`` order patch; scoped-snapshot blobs joined the
-#: vocabulary (distributed decision workers).
+#: ``insert_at`` order patch.
 PROTOCOL_VERSION = 2
 
 #: Default ceiling on one frame's payload.  Sized for full snapshots of

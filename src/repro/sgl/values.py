@@ -139,8 +139,7 @@ class Record:
 
     def __reduce__(self):
         # default slots-pickling restores state via __setattr__, which
-        # immutability forbids; rebuild through __init__ instead (records
-        # cross process boundaries in forwarded worker probe answers)
+        # immutability forbids; rebuild through __init__ instead
         return (Record, (self._fields,))
 
     def get(self, name: str) -> object:

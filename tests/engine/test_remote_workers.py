@@ -1,16 +1,14 @@
-"""Remote decision workers over SocketTransport + the per-shard probe split.
+"""Remote decision workers over SocketTransport.
 
 Three layers of coverage:
 
 * **endpoint/config plumbing** -- ``WorkerEndpoint`` parsing and the
-  engine-side validation of the ``workers`` / ``worker_scope`` knobs;
+  engine-side validation of the ``workers`` knob;
 * **bit-exactness** -- real ``--listen`` worker processes (spawned on
   ephemeral loopback ports, exactly what ``python -m
   repro.engine.shardexec --listen`` runs on another host) drive full
-  battles under every scope/broadcast combination, including the
-  probe-split workers that hold only their own shards and forward
-  non-local probes, and must reproduce the flat serial engine's state
-  bit for bit;
+  battles under both broadcast modes and must reproduce the flat serial
+  engine's state bit for bit;
 * **fault drills** -- dropped connections mid-run (reconnect + snapshot
   re-feed), drifted replica epochs over sockets (STALE + same-tick
   snapshot), unreachable hosts (informative failure, never silence),
@@ -80,8 +78,6 @@ class TestWorkerEndpoint:
             WorkerEndpoint.parse(bad)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="worker_scope"):
-            BattleSimulation(10, worker_scope="everything")
         with pytest.raises(ValueError, match="parallelism"):
             BattleSimulation(10, workers=["127.0.0.1:1"])
         with pytest.raises(ValueError, match="num_shards"):
@@ -118,16 +114,6 @@ class TestWorkerEndpoint:
             BattleSimulation(
                 10, parallelism="processes", num_shards=2,
                 workers="127.0.0.1:1",
-            )
-        with pytest.raises(ValueError, match="worker_scope='shards'"):
-            BattleSimulation(
-                10, mode="naive", parallelism="processes", num_shards=2,
-                worker_scope="shards",
-            )
-        with pytest.raises(ValueError, match="worker_scope='shards'"):
-            BattleSimulation(
-                10, optimize_aoe=False, parallelism="processes",
-                num_shards=2, worker_scope="shards",
             )
 
     def test_unreachable_endpoint_fails_loudly(self):
@@ -169,106 +155,6 @@ class TestRemoteWorkerEquivalence:
             assert stats.delta_broadcasts == 0
             assert delta_bytes < stats.bytes_broadcast
 
-    def test_scoped_workers_spatial(self, endpoints):
-        """Probe-split workers: scoped replicas, forwarded boundary
-        probes, and strictly fewer broadcast bytes than full replicas."""
-        baseline = battle_signature(ticks=5, seed=29)
-        with BattleSimulation(
-            48, density=0.02, seed=29, num_shards=4, shard_by="spatial",
-            parallelism="processes", workers=endpoints,
-        ) as sim:
-            sim.run(5)
-            assert sim.state_signature() == baseline
-            full_bytes = sim.engine.worker_stats.bytes_broadcast
-        with BattleSimulation(
-            48, density=0.02, seed=29, num_shards=4, shard_by="spatial",
-            parallelism="processes", workers=endpoints,
-            worker_scope="shards",
-        ) as sim:
-            sim.run(5)
-            assert sim.state_signature() == baseline
-            stats = sim.engine.worker_stats
-            # global aggregates and boundary probes really were forwarded
-            assert stats.remote_evals > 0
-            # each update row ships to exactly one worker instead of all
-            assert stats.bytes_broadcast < full_bytes
-
-    def test_scoped_workers_hashed_shard_key(self, endpoints):
-        """Hashed sharding gives the probe split no locality proofs at
-        all -- every probe forwards -- which stresses the forwarding
-        path end to end and must still be bit-identical."""
-        baseline = battle_signature(seed=31)
-        with BattleSimulation(
-            48, density=0.02, seed=31, num_shards=4, shard_by="key",
-            parallelism="processes", workers=endpoints,
-            worker_scope="shards",
-        ) as sim:
-            sim.run(4)
-            assert sim.state_signature() == baseline
-            assert sim.engine.worker_stats.remote_evals > 0
-
-    def test_scoped_workers_snapshot_broadcast(self, endpoints):
-        baseline = battle_signature(seed=37)
-        with BattleSimulation(
-            48, density=0.02, seed=37, num_shards=4, shard_by="spatial",
-            parallelism="processes", workers=endpoints,
-            worker_scope="shards", worker_broadcast="snapshot",
-        ) as sim:
-            sim.run(4)
-            assert sim.state_signature() == baseline
-            assert sim.engine.worker_stats.delta_broadcasts == 0
-
-    @pytest.mark.parametrize("seed", [7, 23])
-    def test_scoped_local_pipe_workers(self, seed):
-        """The probe split is transport-agnostic: same-host pipe workers
-        run the identical scoped protocol (fast path for CI)."""
-        baseline = battle_signature(ticks=5, seed=seed)
-        with BattleSimulation(
-            48, density=0.02, seed=seed, num_shards=3, shard_by="spatial",
-            parallelism="processes", max_workers=3, worker_scope="shards",
-        ) as sim:
-            sim.run(5)
-            assert sim.state_signature() == baseline
-
-
-class TestForwardedEvaluation:
-    """The coordinator-side REQ_EVAL service scoped workers lean on."""
-
-    def test_aggregate_and_action_requests(self):
-        from repro.engine.shardexec import REPLY_EVAL, REPLY_EVAL_ERROR
-
-        with BattleSimulation(24, density=0.02, seed=11) as sim:
-            engine = sim.engine
-            unit = engine.env.rows[0]
-            # forwarded aggregate: answered through the engine's own
-            # evaluator, with the performing unit re-bound as ctx.unit
-            # (unit-keyed constructs like Random(i) must resolve exactly
-            # as the serial engine would)
-            reply = engine._answer_worker_request(
-                ("aggregate", "CountFriendlyKnights", [unit], unit)
-            )
-            assert reply[0] == REPLY_EVAL
-            assert isinstance(reply[1], int)
-            # forwarded key action on a live target: one effect row
-            reply = engine._answer_worker_request(
-                ("action", "UseWeapon", [unit], unit)
-            )
-            assert reply[0] == REPLY_EVAL
-            assert [row["key"] for row in reply[1]] == [unit["key"]]
-            # dead/unknown target: globally no effect, the serial
-            # semantics a scoped worker cannot determine alone
-            reply = engine._answer_worker_request(
-                ("action", "FireAt", [unit, -999], unit)
-            )
-            assert reply == (REPLY_EVAL, [])
-            # failures come back as error replies, never raise: the
-            # worker surfaces them through its own error path
-            bad = engine._answer_worker_request(
-                ("aggregate", "NoSuchFunction", [], None)
-            )
-            assert bad[0] == REPLY_EVAL_ERROR
-            assert "NoSuchFunction" in bad[1]
-
 
 class TestRemoteWorkerFaults:
     """Recovery must degrade to snapshot re-broadcast, never wrong answers."""
@@ -278,7 +164,6 @@ class TestRemoteWorkerFaults:
         with BattleSimulation(
             48, density=0.02, seed=31, num_shards=2, shard_by="spatial",
             parallelism="processes", workers=endpoints,
-            worker_scope="shards",
         ) as sim:
             sim.run(2)
             pool = sim.engine._pool
@@ -314,7 +199,7 @@ class TestRemoteWorkerFaults:
         with BattleSimulation(
             48, density=0.02, seed=41, num_shards=2, shard_by="spatial",
             parallelism="processes", workers=endpoints,
-            worker_scope="shards", spectators=True,
+            spectators=True,
         ) as sim:
             with sim.spawn_spectator() as spectator:
                 with spectator.client() as client:
@@ -323,7 +208,7 @@ class TestRemoteWorkerFaults:
                     snapshots_before = pool.stats.snapshot_broadcasts
                     sim.engine.config.num_shards = 3  # mid-run reshard
                     sim.run(3)
-                    # every worker's scope changed: forced re-broadcast
+                    # the shard layout changed: forced re-broadcast
                     assert (
                         pool.stats.snapshot_broadcasts > snapshots_before
                     )

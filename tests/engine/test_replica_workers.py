@@ -147,10 +147,8 @@ class TestReplicaDeltaWireFormat:
         assert "aura_src" not in replica[extended.rows[1]["key"]]
 
     def test_mid_order_insert_ships_splice_positions(self, schema):
-        """An insert that lands mid-order (the scoped-delta shape: a
-        unit crossing into a worker's scope splices at its flat
-        position) ships compact ``(key, index)`` pairs -- never the
-        whole key order -- and replays exactly."""
+        """An insert that lands mid-order ships compact ``(key, index)``
+        pairs -- never the whole key order -- and replays exactly."""
         import pickle
 
         env = make_env(schema, n=10, grid=30, seed=7)

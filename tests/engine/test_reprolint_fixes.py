@@ -99,36 +99,19 @@ class TestPruneMemoPinsNodes:
         assert len(ids) == len(pruned.inputs)
 
 
-class TestShardIdCachePinsRows:
-    """clock.py classifies each row list into shard ids once per tick in
-    an ``id()``-keyed cache; the entry now pins the row list.  The
-    scoped-worker broadcast is the consumer: its per-scope delta blobs
-    must stay bit-identical to the flat serial trajectory."""
+class TestWorkerBroadcastBlobs:
+    """The worker broadcast builds each tick's delta and snapshot blobs
+    once and hands the same bytes to every worker; three workers fed
+    that way must stay bit-identical to the flat serial trajectory."""
 
-    def test_scoped_worker_broadcast_trajectory(self):
+    def test_worker_broadcast_trajectory(self):
         baseline = battle_signature(ticks=4, seed=23)
         with BattleSimulation(
             48, density=0.02, seed=23, num_shards=3, shard_by="spatial",
-            parallelism="processes", max_workers=3, worker_scope="shards",
+            parallelism="processes", max_workers=3,
         ) as sim:
             sim.run(4)
             assert sim.state_signature() == baseline
-
-
-class TestPreparedAggregateOrder:
-    """The staged pipeline now feeds ``prepare`` a sorted hint list, so
-    index build order is canonical rather than set-iteration order; the
-    parallel engines must still replay the serial game exactly."""
-
-    @pytest.mark.parametrize("seed", [5, 17])
-    def test_threads_match_serial(self, seed):
-        baseline = battle_signature(ticks=5, seed=seed)
-        assert (
-            battle_signature(
-                ticks=5, seed=seed, parallelism="threads", num_shards=2
-            )
-            == baseline
-        )
 
 
 class TestPlainValueRecordOrder:

@@ -59,29 +59,6 @@ class TestShardEquivalence:
         got = battle_signature(seed=5, mode="naive", num_shards=3)
         assert got == baseline
 
-    def test_thread_parallelism_matches_serial(self):
-        baseline = battle_signature(seed=9)
-        for shard_by in ("key", "spatial"):
-            got = battle_signature(
-                seed=9,
-                num_shards=4,
-                shard_by=shard_by,
-                parallelism="threads",
-                max_workers=3,
-            )
-            assert got == baseline
-
-    def test_thread_parallelism_with_incremental_maintenance(self):
-        baseline = battle_signature(seed=13)
-        got = battle_signature(
-            seed=13,
-            num_shards=2,
-            shard_by="spatial",
-            parallelism="threads",
-            index_maintenance="incremental",
-        )
-        assert got == baseline
-
     def test_process_parallelism_matches_serial(self):
         baseline = battle_signature(ticks=3, seed=17)
         got = battle_signature(

@@ -3,7 +3,7 @@ on the last commit that walked SGL ASTs at tick time (PR 11).
 
 A 300-unit battle (seed 7) is hashed after each of 12 ticks.  Every
 engine configuration -- indexed or naive evaluation, flat serial,
-2 spatial shards on process workers, shard-scoped workers -- produced
+2 spatial shards on process workers -- produced
 the same twelve digests there, and must keep producing them: compiling
 scripts and probe terms is an optimisation, never a semantic change.
 """
@@ -30,7 +30,6 @@ CONFIGS = {
     # tick here): the first ticks pin it, the indexed runs pin the rest
     "naive-flat": (3, dict(mode="naive")),
     "indexed-processes": (12, dict(mode="indexed", **SHARDED)),
-    "indexed-scoped": (12, dict(mode="indexed", worker_scope="shards", **SHARDED)),
 }
 
 

@@ -21,7 +21,6 @@ BASE = dict(density=0.02, seed=29)
 
 MODES = {
     "serial": {},
-    "threads": dict(parallelism="threads", num_shards=2),
     "processes": dict(parallelism="processes", num_shards=2, max_workers=2),
 }
 
@@ -146,3 +145,49 @@ def test_wrong_file_kinds_are_refused(tmp_path):
         BattleSimulation.load(payload_log)
     with pytest.raises(EpochLogError):
         BattleSimulation.recover(save, resume_log=False)
+
+
+@pytest.fixture
+def format_1_files(tmp_path, monkeypatch):
+    """A save file and an epoch log written under ``SAVE_FORMAT = 1``,
+    whose kwargs may name ``worker_scope`` or ``parallelism="threads"``."""
+    save, log = tmp_path / "battle.save", tmp_path / "battle.log"
+    monkeypatch.setattr("repro.game.battle.SAVE_FORMAT", 1)
+    with BattleSimulation(16, density=0.02, seed=1, epoch_log=str(log)) as sim:
+        sim.tick()
+        sim.save(save)
+    monkeypatch.undo()
+    return save, log
+
+
+def test_format_1_save_is_refused(format_1_files):
+    with pytest.raises(EpochLogError, match="save format 1"):
+        BattleSimulation.load(format_1_files[0])
+
+
+def test_format_1_log_is_refused(format_1_files):
+    with pytest.raises(EpochLogError, match="save format 1"):
+        BattleSimulation.recover(format_1_files[1], resume_log=False)
+
+
+def test_persisted_unknown_knob_is_an_epoch_log_error(tmp_path):
+    from repro.persist.log import read_state_file, write_state_file
+
+    save = tmp_path / "battle.save"
+    log = tmp_path / "battle.log"
+    with BattleSimulation(16, density=0.02, seed=1) as sim:
+        sim.tick()
+        sim._ctor_kwargs["worker_scope"] = "shards"  # a knob of another build
+        sim.save(save)
+        sim.attach_epoch_log(str(log))
+        sim.tick()
+    with pytest.raises(EpochLogError, match="worker_scope"):
+        BattleSimulation.load(save)
+    with pytest.raises(EpochLogError, match="worker_scope"):
+        BattleSimulation.recover(log, resume_log=False)
+    # the same file with the key removed loads: only the key was wrong
+    epoch, payload = read_state_file(save)
+    del payload["kwargs"]["worker_scope"]
+    write_state_file(save, epoch, payload)
+    with BattleSimulation.load(save) as sim:
+        assert sim.engine.tick_count == 1

@@ -1,10 +1,20 @@
 """The public facade: compile, explain, run."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 import repro
-from repro.api import compile_script, explain_script, run_battle
-from repro.game.scripts import FIGURE_3_SCRIPT, build_registry
+from repro.api import (
+    GameDefinition,
+    compile_script,
+    explain_script,
+    run_battle,
+)
+from repro.engine.clock import EngineConfig
+from repro.game.battle import BattleSimulation, battle_worker_game
+from repro.game.scripts import FIGURE_3_SCRIPT, build_registry, build_scripts
 from repro.sgl.errors import SglNameError
 
 
@@ -66,6 +76,103 @@ class TestRunBattle:
     def test_invalid_index_maintenance_rejected(self):
         with pytest.raises(ValueError):
             run_battle(10, ticks=1, index_maintenance="bogus")
+
+
+class TestKnobsDeclaredOnce:
+    """``EngineConfig`` is the one declaration of the knob list: the
+    battle, ``GameDefinition.engine`` and ``run_battle`` forward to it."""
+
+    #: fields the battle fills in itself
+    SUPPLIED = {"spatial_extent", "worker_factory"}
+
+    @staticmethod
+    def probes(tmp_path):
+        """One non-default value per knob, plus the knobs it needs set."""
+        return {
+            "mode": dict(mode="naive"),
+            "optimize_aoe": dict(optimize_aoe=False),
+            "cascade": dict(cascade=False),
+            "seed": dict(seed=7),
+            "index_maintenance": dict(index_maintenance="auto"),
+            "incremental_threshold": dict(incremental_threshold=0.5),
+            "auto_policy": dict(auto_policy="threshold"),
+            "num_shards": dict(num_shards=3),
+            "shard_by": dict(shard_by="player"),
+            "parallelism": dict(parallelism="processes"),
+            "max_workers": dict(max_workers=3),
+            "worker_broadcast": dict(worker_broadcast="snapshot"),
+            # endpoints are only dialled by the first sharded tick
+            "workers": dict(
+                workers=["127.0.0.1:9"], parallelism="processes", num_shards=2
+            ),
+            "worker_timeout": dict(worker_timeout=5.0),
+            "worker_max_frame": dict(worker_max_frame=1 << 20),
+            "spectators": dict(spectators=True),
+            "spectator_host": dict(spectator_host="localhost"),
+            "spectator_port": dict(spectator_port=45123),
+            "spectator_broadcast": dict(spectator_broadcast="snapshot"),
+            "epoch_log": dict(epoch_log=str(tmp_path / "epochs.log")),
+            "epoch_log_checkpoint_every": dict(epoch_log_checkpoint_every=5),
+            "epoch_log_fsync": dict(epoch_log_fsync="never"),
+            "metrics": dict(metrics=True),
+            "trace_path": dict(trace_path=str(tmp_path / "trace.jsonl")),
+            "slow_tick_factor": dict(slow_tick_factor=3.0),
+        }
+
+    def test_every_field_has_a_probe(self, tmp_path):
+        fields = {f.name for f in dataclasses.fields(EngineConfig)}
+        assert len(fields) == 27
+        assert set(self.probes(tmp_path)) | self.SUPPLIED == fields
+
+    def test_battle_forwards_every_knob(self, tmp_path):
+        for kwargs in self.probes(tmp_path).values():
+            with BattleSimulation(8, **kwargs) as sim:
+                for name, value in kwargs.items():
+                    assert getattr(sim.engine.config, name) == value, name
+
+    def test_game_definition_forwards_every_knob(
+        self, tmp_path, schema, small_env
+    ):
+        game = GameDefinition(schema, build_registry(), build_scripts())
+        for kwargs in self.probes(tmp_path).values():
+            engine = game.engine(
+                small_env,
+                lambda combined, rng, tick: combined,
+                worker_factory=battle_worker_game,
+                **kwargs,
+            )
+            with engine:
+                assert engine.config.worker_factory is battle_worker_game
+                for name, value in kwargs.items():
+                    assert getattr(engine.config, name) == value, name
+        with game.engine(small_env, None) as engine:
+            assert engine.config.shard_by == schema.key
+
+    def test_field_names_are_parameters_of_engine_config_only(self):
+        fields = {f.name for f in dataclasses.fields(EngineConfig)}
+        for fn, consumed in [
+            (BattleSimulation.__init__, {"seed", "epoch_log"}),
+            (GameDefinition.engine, {"shard_by"}),
+            (run_battle, set()),
+        ]:
+            declared = set(inspect.signature(fn).parameters)
+            assert declared & fields == consumed, fn.__qualname__
+
+    @pytest.mark.parametrize("knob", ["worker_scope", "no_such_knob"])
+    def test_unknown_keyword_is_a_type_error_naming_it(
+        self, knob, schema, small_env
+    ):
+        game = GameDefinition(schema, build_registry(), build_scripts())
+        with pytest.raises(TypeError, match=knob):
+            BattleSimulation(8, **{knob: "shards"})
+        with pytest.raises(TypeError, match=knob):
+            game.engine(small_env, None, **{knob: "shards"})
+        with pytest.raises(TypeError, match=knob):
+            run_battle(8, ticks=1, **{knob: "shards"})
+
+    def test_threads_parallelism_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown parallelism 'threads'"):
+            BattleSimulation(8, parallelism="threads", num_shards=2)
 
 
 class TestPackageSurface:

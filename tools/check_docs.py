@@ -1,6 +1,6 @@
 """Docs health gate: links resolve, anchors exist, knobs are documented.
 
-Two checks over ``README.md`` and ``docs/**/*.md``:
+Three checks over ``README.md`` and ``docs/**/*.md``:
 
 1. **Intra-repo links** -- every relative link target must exist, and a
    ``#fragment`` into a markdown file must match one of that file's
@@ -14,6 +14,10 @@ Two checks over ``README.md`` and ``docs/**/*.md``:
    so the list can never drift from the code) must be mentioned in at
    least one scanned document.  Adding a knob without documenting it
    fails the build.
+
+3. **No stale knob rows** -- the reverse: every row of the README's
+   "Engine knobs" table must name an ``EngineConfig`` field, so deleting
+   a knob without deleting its row fails the build too.
 
     python tools/check_docs.py [--repo-root PATH]
 
@@ -37,6 +41,9 @@ _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 
 _FENCE = re.compile(r"^(```|~~~)")
+
+#: A knob-table row: the first cell is the knob's name in backticks.
+_KNOB_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|")
 
 #: GitHub's anchor slugger keeps word characters, spaces, and hyphens.
 _SLUG_STRIP = re.compile(r"[^\w\- ]", re.UNICODE)
@@ -134,19 +141,41 @@ def engine_config_fields(clock_py: str) -> list[str]:
     raise SystemExit(f"no EngineConfig class found in {clock_py}")
 
 
+def readme_knob_rows(readme: str) -> list[tuple[int, str]]:
+    """``(line number, knob name)`` for every row of the table(s) under
+    the README heading that starts with "Engine knobs"."""
+    with open(readme, encoding="utf-8") as fh:
+        lines = strip_code_blocks(fh.read().splitlines())
+    rows, in_section = [], False
+    for lineno, line in enumerate(lines, 1):
+        if heading := _HEADING.match(line):
+            in_section = heading.group(2).lower().startswith("engine knobs")
+        elif in_section and (row := _KNOB_ROW.match(line)):
+            rows.append((lineno, row.group(1)))
+    return rows
+
+
 def check_knob_coverage(md_files: list[str], repo_root: str) -> list[str]:
     corpus = ""
     for path in md_files:
         with open(path, encoding="utf-8") as fh:
             corpus += fh.read() + "\n"
     clock_py = os.path.join(repo_root, "src", "repro", "engine", "clock.py")
+    fields = engine_config_fields(clock_py)
     problems = []
-    for name in engine_config_fields(clock_py):
+    for name in fields:
         if not re.search(rf"\b{re.escape(name)}\b", corpus):
             problems.append(
                 f"EngineConfig.{name} is not mentioned in README.md or "
                 "docs/ -- document the knob (the README table is the "
                 "usual home)"
+            )
+    readme = os.path.join(repo_root, "README.md")
+    for lineno, name in readme_knob_rows(readme):
+        if name not in fields:
+            problems.append(
+                f"README.md:{lineno}: knob table row `{name}` names no "
+                "EngineConfig field -- delete the row with the knob"
             )
     return problems
 
@@ -184,7 +213,7 @@ def main(argv=None) -> int:
         return 1
     print(
         f"docs ok: {len(md_files)} files, links and anchors resolve, "
-        "every EngineConfig field documented"
+        "every EngineConfig field documented, no stale knob rows"
     )
     return 0
 
