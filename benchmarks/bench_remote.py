@@ -9,8 +9,8 @@ ephemeral loopback ports, exactly what real worker hosts would run).
 Two sections, each anchored to a hard assert:
 
 * **live equivalence + throughput** -- the same battle runs on the flat
-  serial engine and on remote socket workers (delta and snapshot
-  broadcasts).  Every configuration's final state must be
+  serial engine and on remote socket workers.  Every configuration's
+  final state must be
   **bit-identical** to the serial baseline; ``s_per_tick_remote`` and
   ``broadcast_bytes`` are recorded per configuration for the perf
   trajectory;
@@ -69,7 +69,6 @@ def run_config(
         return {
             "config": label,
             "workers": "remote" if battle_kwargs.get("workers") else "serial",
-            "worker_broadcast": battle_kwargs.get("worker_broadcast", "delta"),
             "s_per_tick_remote": elapsed / ticks,
             "broadcast_bytes": (stats.bytes_broadcast / ticks) if stats else 0,
             "reconnects": reconnects,
@@ -119,9 +118,7 @@ def main(argv=None):
         )
         configs: list[tuple[str, dict]] = [
             ("serial flat (baseline)", {}),
-            ("remote full-replica delta", dict(remote)),
-            ("remote full-replica snapshot",
-             dict(remote, worker_broadcast="snapshot")),
+            ("remote full-replica", dict(remote)),
         ]
         results = []
         for label, kwargs in configs:

@@ -16,10 +16,10 @@ Three sections:
    scale reads horizontally, so this is the shape to watch (on a
    single-core CI container the curve is flat -- the JSON records
    ``cpu_count`` so trajectory consumers can tell).
-3. **Subscriber wire cost** -- the per-subscriber bytes of a delta
-   subscription vs a snapshot subscription at controlled update rates,
-   measured through a real :class:`~repro.serve.publisher
-   .ReplicaPublisher` and drained sockets.  Asserts the >= 5x delta
+3. **Subscriber wire cost** -- the per-subscriber bytes of the delta
+   feed vs a snapshot per tick at controlled update rates, measured
+   through a real :class:`~repro.serve.publisher.ReplicaPublisher` and
+   a drained socket.  Asserts the >= 5x delta
    reduction at every rate <= 10% -- the same bar the worker broadcast
    protocol holds (``bench_shards.py``).
 
@@ -44,7 +44,7 @@ from benchmarks.util import (
     write_bench_json,
 )
 from repro.env.schema import battle_schema
-from repro.env.sharding import encode_replica_delta
+from repro.env.sharding import encode_replica_delta, snapshot_blob
 from repro.env.table import diff_by_key
 from repro.game.battle import BattleSimulation
 from repro.serve.publisher import ReplicaPublisher
@@ -189,13 +189,14 @@ def _drain(transport: SocketTransport, counter: list) -> None:
 def subscriber_volume_section(
     n_units: int, rates: list[float], rounds: int
 ) -> list[dict]:
-    """Per-subscriber bytes of delta vs snapshot subscriptions.
+    """Per-subscriber bytes of the delta feed vs a snapshot per tick.
 
-    Drives two real publishers (one per broadcast mode), each with one
-    subscribed socket drained by a thread, through identical
-    controlled-churn state streams; publisher byte counters are read
-    after both subscribers were seeded with the initial snapshot, so
-    the comparison is the steady-state subscription cost.
+    Drives a real publisher with one subscribed socket drained by a
+    thread through a controlled-churn state stream; the publisher's byte
+    counter is read after the subscriber was seeded with the initial
+    snapshot, so the comparison is the steady-state subscription cost.
+    The snapshot side is the blob a late joiner would be sent at each
+    epoch.
     """
     schema = battle_schema()
     grid = max(int((n_units / 0.01) ** 0.5), 16)
@@ -205,28 +206,20 @@ def subscriber_volume_section(
     for rate in rates:
         rng = random.Random(23)
         prev = make_battle_env(schema, n_units, grid, seed=5)
-        publishers = {
-            "delta": ReplicaPublisher(broadcast="delta"),
-            "snapshot": ReplicaPublisher(broadcast="snapshot"),
-        }
-        subs, drains = [], []
+        pub = ReplicaPublisher()
+        counter = [0]
         try:
-            for pub in publishers.values():
-                sub = SocketTransport.connect(pub.address)
-                counter = [0]
-                thread = threading.Thread(
-                    target=_drain, args=(sub, counter), daemon=True
-                )
-                thread.start()
-                subs.append(sub)
-                drains.append((thread, counter))
-                # seed: the late joiner's snapshot, outside the measurement
-                pub.publish(
-                    epoch=1, rows=prev.rows, shard_conf=shard_conf, delta=None
-                )
-            seeded = {
-                name: pub.stats.bytes_sent for name, pub in publishers.items()
-            }
+            sub = SocketTransport.connect(pub.address)
+            thread = threading.Thread(
+                target=_drain, args=(sub, counter), daemon=True
+            )
+            thread.start()
+            # seed: the late joiner's snapshot, outside the measurement
+            pub.publish(
+                epoch=1, rows=prev.rows, shard_conf=shard_conf, delta=None
+            )
+            seeded = pub.stats.bytes_sent
+            snapshot_bytes = 0
             for epoch in range(1, rounds + 1):
                 cur = evolve_battle_env(prev, rate, grid, rng)
                 delta = diff_by_key(prev, cur)
@@ -239,31 +232,24 @@ def subscriber_volume_section(
                     base_epoch=epoch,
                     epoch=epoch + 1,
                 )
-                for pub in publishers.values():
-                    pub.publish(
-                        epoch=epoch + 1,
-                        rows=cur.rows,
-                        shard_conf=shard_conf,
-                        delta=rd,
-                    )
+                pub.publish(
+                    epoch=epoch + 1,
+                    rows=cur.rows,
+                    shard_conf=shard_conf,
+                    delta=rd,
+                )
+                snapshot_bytes += len(
+                    snapshot_blob(epoch + 1, cur.rows, shard_conf)
+                )
                 prev = cur
-            delta_bytes = (
-                publishers["delta"].stats.bytes_sent - seeded["delta"]
-            )
-            snapshot_bytes = (
-                publishers["snapshot"].stats.bytes_sent - seeded["snapshot"]
-            )
-            assert publishers["delta"].stats.delta_sends == rounds
-            assert publishers["delta"].stats.drops == 0
-            assert publishers["snapshot"].stats.drops == 0
+            delta_bytes = pub.stats.bytes_sent - seeded
+            assert pub.stats.delta_sends == rounds
+            assert pub.stats.drops == 0
         finally:
-            for pub in publishers.values():
-                pub.close()
-            for thread, _counter in drains:
-                thread.join(timeout=5)
-        # both subscribers saw the seed snapshot + every round
-        for _thread, counter in drains:
-            assert counter[0] == rounds + 1
+            pub.close()
+        thread.join(timeout=5)
+        # the subscriber saw the seed snapshot + every round
+        assert counter[0] == rounds + 1
         reduction = snapshot_bytes / delta_bytes
         out.append(
             {

@@ -18,7 +18,7 @@ The package implements the paper's full stack:
 Beyond the paper, the indexed engine supports delta-driven incremental
 index maintenance: pass ``index_maintenance="incremental"`` (always
 patch retained indexes with the tick's row delta) or ``"auto"``
-(cost-based per-tick choice, by default an EWMA-learned crossover) to
+(patch when few rows changed, rebuild otherwise) to
 :class:`EngineConfig`, :func:`run_battle`, or :class:`BattleSimulation`
 instead of the paper's per-tick ``"rebuild"`` default.  The engine also
 runs **sharded**: ``num_shards=``/``shard_by=`` partition ``E`` (by

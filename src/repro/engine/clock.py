@@ -182,18 +182,13 @@ class EngineConfig:
 
     Index maintenance between ticks (indexed mode only):
 
-    * ``index_maintenance`` -- ``"rebuild"`` (default) discards and
-      rebuilds from scratch every tick, the paper's strategy for
-      rapidly-changing data; ``"incremental"`` diffs the environment
-      across the tick and patches the retained index structures with
-      the row delta; ``"auto"`` chooses per tick by ``auto_policy``;
-    * ``auto_policy`` -- ``"ewma"`` (default): the evaluator learns
-      per-row rebuild and per-change delta costs from its own timing
-      history and picks whichever is predicted cheaper;
-      ``"threshold"``: apply the delta while the changed-row fraction
-      stays at or below ``incremental_threshold`` (also the bootstrap
-      until the EWMA estimates have samples);
-    * ``incremental_threshold`` -- that changed-row fraction.
+    * ``index_maintenance`` -- ``"rebuild"`` (default) never patches:
+      indexes are discarded and rebuilt from scratch every tick, the
+      paper's strategy for rapidly-changing data; ``"incremental"``
+      always patches the retained structures with the tick's row delta
+      when one is usable; ``"auto"`` patches when few rows changed and
+      rebuilds otherwise (the evaluator's one rule, which process
+      workers also run -- see ``repro.engine.evaluator``).
 
     Sharding:
 
@@ -217,12 +212,6 @@ class EngineConfig:
       :class:`~repro.engine.shardexec.WorkerGame`; required (and only
       used) by ``"processes"``; the battle supplies its own;
     * ``max_workers`` -- local pool size (default: ``num_shards``);
-    * ``worker_broadcast`` -- how the workers' replicas are kept
-      current: ``"delta"`` (default) ships the epoch-versioned per-tick
-      change set (:class:`~repro.env.sharding.ReplicaDelta`) and falls
-      back to a full snapshot only on rebuild ticks, shard layout
-      changes, epoch mismatches and worker respawns; ``"snapshot"``
-      re-broadcasts the full row set every tick;
     * ``workers`` -- ``"local"`` (default) spawns pipe-connected worker
       processes on this host; a list of ``"host:port"`` endpoints (or
       ``(host, port)`` pairs /
@@ -247,13 +236,11 @@ class EngineConfig:
       ``spectator_host``/``spectator_port`` (port 0 = ephemeral) and
       runs a **publish stage** after mechanics each tick, streaming the
       post-tick state (epoch ``tick_count + 1``) to every subscribed
-      :class:`~repro.serve.spectator.SpectatorReplica`;
-    * ``spectator_broadcast`` -- ``"delta"`` (default) ships the same
+      :class:`~repro.serve.spectator.SpectatorReplica` -- the same
       epoch-versioned change set the worker protocol uses, with
-      snapshot catch-up for late joiners and fault paths;
-      ``"snapshot"`` re-broadcasts the full row set every tick.
-      Spectators are read-only, and the publish stage never blocks on
-      (and is never wedged by) a slow or dead subscriber.
+      snapshot catch-up for late joiners and fault paths.  Spectators
+      are read-only, and the publish stage never blocks on (and is
+      never wedged by) a slow or dead subscriber.
 
     Durable epoch log (the ``repro.persist`` layer):
 
@@ -299,14 +286,11 @@ class EngineConfig:
     cascade: bool = True
     seed: int = 0
     index_maintenance: str = "rebuild"
-    incremental_threshold: float = 0.25
-    auto_policy: str = "ewma"
     num_shards: int = 1
     shard_by: str = "key"
     spatial_extent: float | None = None
     parallelism: str = "serial"
     max_workers: int | None = None
-    worker_broadcast: str = "delta"
     worker_factory: Callable | None = None
     workers: object = "local"
     worker_timeout: float | None = 60.0
@@ -314,7 +298,6 @@ class EngineConfig:
     spectators: bool = False
     spectator_host: str = "127.0.0.1"
     spectator_port: int = 0
-    spectator_broadcast: str = "delta"
     epoch_log: str | None = None
     epoch_log_checkpoint_every: int = 64
     epoch_log_fsync: str = "checkpoint"
@@ -357,14 +340,6 @@ class SimulationEngine:
             )
         if cfg.parallelism not in ("serial", "processes"):
             raise ValueError(f"unknown parallelism {cfg.parallelism!r}")
-        if cfg.worker_broadcast not in ("delta", "snapshot"):
-            raise ValueError(
-                f"unknown worker_broadcast {cfg.worker_broadcast!r}"
-            )
-        if cfg.spectator_broadcast not in ("delta", "snapshot"):
-            raise ValueError(
-                f"unknown spectator_broadcast {cfg.spectator_broadcast!r}"
-            )
         if cfg.num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {cfg.num_shards}")
         if cfg.parallelism == "processes" and cfg.worker_factory is None:
@@ -443,8 +418,6 @@ class SimulationEngine:
                 cascade=cfg.cascade,
                 key_attr=env.schema.key,
                 maintenance=cfg.index_maintenance,
-                incremental_threshold=cfg.incremental_threshold,
-                auto_policy=cfg.auto_policy,
                 shard_of=self.shard_of,
                 num_shards=cfg.num_shards,
             )
@@ -573,21 +546,14 @@ class SimulationEngine:
 
     # -- spectator serving --------------------------------------------------------
 
-    def serve_spectators(
-        self,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        broadcast: str | None = None,
-    ):
+    def serve_spectators(self, *, host: str = "127.0.0.1", port: int = 0):
         """Open the spectator feed; returns the attached publisher.
 
         Called automatically when ``config.spectators`` is set; may also
-        be called on a running engine to start serving mid-battle.  With
-        ``broadcast="delta"`` (the config's ``spectator_broadcast`` by
-        default) the engine begins capturing per-tick replica deltas
-        even in serial mode -- the same diff the incremental-maintenance
-        and worker-broadcast paths use.
+        be called on a running engine to start serving mid-battle.  From
+        here on the engine captures per-tick replica deltas even in
+        serial mode -- the same diff the incremental-maintenance and
+        worker-broadcast paths use.
         """
         from ..serve.publisher import ReplicaPublisher
 
@@ -596,7 +562,6 @@ class SimulationEngine:
         self.publisher = ReplicaPublisher(
             host=host,
             port=port,
-            broadcast=broadcast or self.config.spectator_broadcast,
             metrics=self.metrics,
             trace=self.trace,
         )
@@ -770,17 +735,13 @@ class SimulationEngine:
             and cfg.index_maintenance != "rebuild"
             and not self._processes
         )
-        # replica broadcasts: the same diff, encoded for the wire --
-        # consumed by the process-worker broadcast and/or streamed to
-        # delta-mode spectator subscribers by the publish stage.
+        # replica feeds: the same diff, encoded for the wire --
+        # broadcast to the process workers, streamed to spectator
+        # subscribers, appended to the epoch log (snapshots only at
+        # checkpoints).
         self._capture_replica_delta = (
-            (self._processes and cfg.worker_broadcast == "delta")
-            or (
-                self.publisher is not None
-                and self.publisher.broadcast == "delta"
-            )
-            # the epoch log prefers deltas too (snapshots only at
-            # checkpoints), so an attached log keeps the capture on
+            self._processes
+            or self.publisher is not None
             or self.epoch_log is not None
         )
 
@@ -904,12 +865,12 @@ class SimulationEngine:
 
         Each worker holds a full replica of ``E`` at some acked epoch;
         the broadcast ships last tick's captured delta to every worker
-        whose epoch matches, and the snapshot to the rest -- always on
-        rebuild ticks (no usable delta), shard layout changes,
-        stale/respawned/reconnected workers, and under
-        ``worker_broadcast="snapshot"``.  Either blob is pickled at
-        most once per tick.  Shards are bundled round-robin, one group
-        per worker; results are re-ordered by shard id for the
+        whose epoch matches, and the snapshot to the rest -- the first
+        tick, an unusable diff, shard layout changes and
+        stale/respawned/reconnected workers.  Either blob is pickled at
+        most once (the delta's is the one the publish stage and the
+        epoch log already shipped).  Shards are bundled round-robin, one
+        group per worker; results are re-ordered by shard id for the
         deterministic ⊕-merge.
         """
         from ..env.sharding import delta_blob, snapshot_blob
@@ -929,10 +890,6 @@ class SimulationEngine:
         shard_conf = self._shard_conf
 
         @cache
-        def delta() -> bytes | None:
-            return None if rd is None else delta_blob(rd)
-
-        @cache
         def snapshot() -> bytes:
             return snapshot_blob(epoch, rows, shard_conf)
 
@@ -940,7 +897,7 @@ class SimulationEngine:
             tick=self.tick_count,
             epoch=epoch,
             bundles=bundles,
-            delta_blob=delta,
+            delta_blob=None if rd is None else delta_blob(rd),
             snapshot_blob=snapshot,
         )
         self._last_broadcast_bytes = pool.stats.last_tick_bytes
@@ -1074,12 +1031,14 @@ class SimulationEngine:
         # ReplicaDelta, by the process workers' replica broadcast.
         if self._capture_env_delta or self._capture_replica_delta:
             t0 = time.perf_counter()
-            # "auto" discards any delta above its policy's budget, so let
-            # the diff bail out early instead of completing a doomed one
+            # "auto" discards any delta above its budget, so let the diff
+            # bail out early instead of completing a doomed one -- unless
+            # the replica feeds need the same diff whatever its size
             cutoff = None
             if (
-                self._capture_env_delta
-                and self.config.index_maintenance == "auto"
+                self.config.index_maintenance == "auto"
+                and self._capture_env_delta
+                and not self._capture_replica_delta
             ):
                 cutoff = self.agg_eval.delta_budget(len(self.env))
             delta = diff_by_key(env, self.env, max_changed=cutoff)

@@ -31,11 +31,13 @@ in-memory indexing ... to reduce the complexity to O(n log n)."
   ``"auto"``): :meth:`IndexedEvaluator.begin_tick` takes the
   :class:`~repro.env.table.TableDelta` captured by the engine and routes
   inserted/deleted/updated rows into the retained structures instead of
-  discarding them.  ``"auto"`` is the cost-based policy -- apply deltas
-  while the changed fraction stays under ``incremental_threshold``, fall
-  back to a full rebuild otherwise -- and any structure whose
-  accumulated overlay outgrows its budget is dropped and lazily rebuilt.
-  Sweep-line batches are probe-set-dependent and stay rebuild-only.
+  discarding them.  ``"auto"`` decides per tick from the delta it is
+  handed -- patch while the changed-row fraction is at most
+  ``_PATCH_FRACTION``, discard and rebuild lazily otherwise
+  (:meth:`IndexedEvaluator._should_apply`, the one place that chooses)
+  -- and any structure whose accumulated overlay outgrows
+  ``_OVERLAY_BUDGET`` is dropped and lazily rebuilt.  Sweep-line batches
+  are probe-set-dependent and stay rebuild-only.
 
 Both evaluators return *identical* results -- including argmin/argmax
 tie-breaks -- which the equivalence tests assert on random battles
@@ -49,7 +51,6 @@ battle simulation).
 
 from __future__ import annotations
 
-import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -125,6 +126,20 @@ class _CompiledShape:
 #: Mutation floor below which an incremental structure is never dropped.
 _OVERLAY_MIN = 32
 
+#: Drop a structure once its mutation count exceeds this fraction of its
+#: size (overlay scans / tombstones degrade probes).
+_OVERLAY_BUDGET = 0.5
+
+#: ``maintenance="auto"`` patches the retained structures while at most
+#: this fraction of the rows changed, and rebuilds above it.  Set from
+#: ``benchmarks/bench_incremental.py`` (600 units; ``BENCH_incremental
+#: .json``), patch-over-rebuild speedup by changed rows per tick:
+#: 1% 1.51x, 2% 1.77x, 5% 1.38x, 10% 1.24x | 25% 0.79x, 50% 0.74x,
+#: 100% 0.44x -- the crossover lies between 10% and 25%, and three more
+#: full runs agreed on which side each rate falls.  Re-run the sweep
+#: before moving it; not a knob.
+_PATCH_FRACTION = 0.10
+
 
 class IndexedEvaluator:
     """Index-backed aggregate evaluation.
@@ -141,29 +156,15 @@ class IndexedEvaluator:
         cascade: bool = True,
         key_attr: str = "key",
         maintenance: str = "rebuild",
-        incremental_threshold: float = 0.25,
-        overlay_budget: float = 0.5,
-        auto_policy: str = "ewma",
         shard_of: Callable[[Mapping[str, object]], int] | None = None,
         num_shards: int = 1,
     ):
         if maintenance not in ("rebuild", "incremental", "auto"):
             raise ValueError(f"unknown maintenance mode {maintenance!r}")
-        if auto_policy not in ("ewma", "threshold"):
-            raise ValueError(f"unknown auto_policy {auto_policy!r}")
         self.registry = registry
         self.cascade = cascade
         self.key_attr = key_attr
         self.maintenance = maintenance
-        #: "auto" applies deltas only below this changed-row fraction
-        #: (the bootstrap rule until the EWMA cost model has samples).
-        self.incremental_threshold = incremental_threshold
-        #: Drop a structure once its mutation count exceeds this fraction
-        #: of its size (overlay scans / tombstones degrade probes).
-        self.overlay_budget = overlay_budget
-        #: "ewma" decides rebuild-vs-delta from observed timing history;
-        #: "threshold" is the original single changed-fraction rule.
-        self.auto_policy = auto_policy
         #: Environment sharding: when set, every hash layer prefixes its
         #: group keys with the row's shard id, giving per-shard sub-index
         #: instances whose answers merge at probe time.  Maintenance
@@ -180,48 +181,18 @@ class IndexedEvaluator:
         #: presence means the function's Figure-9 batch is ready.
         self._batches: dict[str, dict[tuple, object]] = {}
         self._hints: list[tuple[CallHint, list[Mapping[str, object]]]] = []
-        # EWMA cost model (auto_policy="ewma"): seconds/row of from-
-        # scratch builds vs seconds/changed-row of delta application,
-        # learned from the same wall-clock that TickStats.maintenance_time
-        # reports.  Build samples accumulate lazily (structures build on
-        # first probe) and fold in at the next begin_tick.
-        self._rebuild_cost: float | None = None
-        self._delta_cost: float | None = None
-        self._pending_build_seconds = 0.0
-        self._pending_build_rows = 0
         # instrumentation: a plain dict to callers, optionally backed by
         # registry counters (bind_metrics) so the decision counters show
         # up in Prometheus exposition without a second bookkeeping path
         self.stats = StatCounters(prefix="evaluator")
         self._bump = self.stats.bump
-        self._m_predicted_delta = NULL_REGISTRY.gauge("_")
-        self._m_predicted_rebuild = NULL_REGISTRY.gauge("_")
-        self._m_delta_apply = NULL_REGISTRY.histogram("_")
-        self._m_prediction_error = NULL_REGISTRY.histogram("_")
         self._m_depth_rebuilds = NULL_REGISTRY.gauge("_")
 
     # -- observability ------------------------------------------------------------
 
     def bind_metrics(self, registry) -> None:
-        """Back ``stats`` and the cost-model diagnostics with *registry*.
-
-        The EWMA gauges record the most recent predicted delta/rebuild
-        seconds next to the observed delta-apply seconds, so an operator
-        can see whether the "auto" policy's crossover is calibrated.
-        """
+        """Back ``stats`` and the index gauges with *registry*."""
         self.stats.bind(registry, "evaluator")
-        self._m_predicted_delta = registry.gauge(
-            "evaluator_predicted_delta_seconds"
-        )
-        self._m_predicted_rebuild = registry.gauge(
-            "evaluator_predicted_rebuild_seconds"
-        )
-        self._m_delta_apply = registry.histogram(
-            "evaluator_delta_apply_seconds"
-        )
-        self._m_prediction_error = registry.histogram(
-            "evaluator_delta_prediction_error_seconds"
-        )
         self._m_depth_rebuilds = registry.gauge("index_depth_rebuilds")
 
     def index_counters(self) -> dict[str, int]:
@@ -260,7 +231,7 @@ class IndexedEvaluator:
         *delta* is the engine's change capture against the previous
         tick's environment.  Under ``maintenance="incremental"``/
         ``"auto"`` a usable delta patches the retained index structures
-        in place; otherwise (or when the cost policy votes rebuild) all
+        in place; otherwise (or when ``"auto"`` votes rebuild) all
         structures are discarded and lazily rebuilt on first probe.
 
         Sweep-line batches are per-tick by default, but under delta
@@ -271,7 +242,6 @@ class IndexedEvaluator:
         exact same answers.
         """
         new_hints = list(hints)
-        self._fold_build_costs()
         # Sweep-batch retention is decided independently of the
         # structure-maintenance vote: a batch is a pure function of its
         # (unchanged) source rows and probe group, so it stays exact
@@ -282,24 +252,13 @@ class IndexedEvaluator:
             and self._env is not None
         )
         retained = self._retained_batches(delta, new_hints) if reusable else {}
+        self._batches = retained
+        self._hints = new_hints
         if self._should_apply(delta):
-            self._batches = retained
-            self._hints = new_hints
-            t0 = time.perf_counter()
             self._apply_delta(delta)
-            dt = time.perf_counter() - t0
-            if self._delta_cost is not None:
-                # predicted-vs-actual before the sample updates the EWMA
-                self._m_prediction_error.observe(
-                    dt - delta.changed * self._delta_cost
-                )
-            self._observe_delta_cost(dt, delta.changed)
-            self._m_delta_apply.observe(dt)
             self._bump("delta_ticks")
             self._drop_overgrown()
         else:
-            self._batches = retained
-            self._hints = new_hints
             discarded = bool(
                 self._div_index or self._kd_index or self._row_index
             )
@@ -359,76 +318,24 @@ class IndexedEvaluator:
                 self._ensure_row_index(fn, compiled)
 
     def _should_apply(self, delta: TableDelta | None) -> bool:
+        """The rebuild-or-patch decision: patch the retained structures
+        with *delta* (true) or discard them and rebuild lazily."""
         if self.maintenance == "rebuild" or delta is None or self._env is None:
             return False
         if not (self._div_index or self._kd_index or self._row_index):
             return False  # nothing retained to maintain
         if self.maintenance == "auto":
-            if (
-                self.auto_policy == "ewma"
-                and self._rebuild_cost is not None
-                and self._delta_cost is not None
-            ):
-                # cost crossover from observed timing history: patch the
-                # retained structures only while the predicted delta cost
-                # undercuts the predicted from-scratch build
-                self._bump("auto_ewma_decisions")
-                predicted_delta = delta.changed * self._delta_cost
-                predicted_rebuild = delta.base_size * self._rebuild_cost
-                self._m_predicted_delta.set(predicted_delta)
-                self._m_predicted_rebuild.set(predicted_rebuild)
-                return predicted_delta <= predicted_rebuild
-            # bootstrap (and auto_policy="threshold"): the original
-            # single changed-fraction rule
-            return delta.fraction <= self.incremental_threshold
+            return delta.fraction <= _PATCH_FRACTION
         return True
 
-    # -- EWMA cost model (auto_policy="ewma") -------------------------------------
-
-    #: Smoothing factor: ~last 3 observations dominate, so the policy
-    #: adapts within a few ticks when the workload's churn regime shifts.
-    _EWMA_ALPHA = 0.3
-
-    def _note_build(self, seconds: float, rows: int) -> None:
-        """Record one from-scratch structure build (accumulated until the
-        next begin_tick folds it into the rebuild-cost EWMA)."""
-        self._pending_build_seconds += seconds
-        self._pending_build_rows += rows
-
-    def _fold_build_costs(self) -> None:
-        if not self._pending_build_rows:
-            return
-        per_row = self._pending_build_seconds / self._pending_build_rows
-        self._rebuild_cost = self._ewma(self._rebuild_cost, per_row)
-        self._pending_build_seconds = 0.0
-        self._pending_build_rows = 0
-
-    def _observe_delta_cost(self, seconds: float, changed: int) -> None:
-        per_change = seconds / max(changed, 1)
-        self._delta_cost = self._ewma(self._delta_cost, per_change)
-
-    @classmethod
-    def _ewma(cls, current: float | None, sample: float) -> float:
-        if current is None:
-            return sample
-        return current + cls._EWMA_ALPHA * (sample - current)
-
     def delta_budget(self, new_size: int) -> int:
-        """Largest delta (changed rows) still worth capturing for "auto".
+        """Largest delta (changed rows) "auto" would still patch with.
 
-        The engine's change capture bails out past this many changed
-        rows, since ``_should_apply`` would discard the delta anyway.
-        Mirrors the active policy: the EWMA crossover once both cost
-        estimates have samples, the fraction threshold before that.
+        A change capture whose only consumer is this evaluator may bail
+        out past this many changed rows, since ``_should_apply`` would
+        discard the delta anyway.
         """
-        if (
-            self.auto_policy == "ewma"
-            and self._rebuild_cost is not None
-            and self._delta_cost is not None
-            and self._delta_cost > 0
-        ):
-            return int(new_size * self._rebuild_cost / self._delta_cost)
-        return int(self.incremental_threshold * new_size)
+        return int(_PATCH_FRACTION * new_size)
 
     # -- sweep-batch reuse across ticks -------------------------------------------
 
@@ -609,7 +516,7 @@ class IndexedEvaluator:
                 name
                 for name, index in indexes.items()
                 if weigh(index)
-                > max(_OVERLAY_MIN, int(self.overlay_budget * len(index)))
+                > max(_OVERLAY_MIN, int(_OVERLAY_BUDGET * len(index)))
             ]:
                 del indexes[name]
                 self._bump("overlay_rebuilds")
@@ -728,7 +635,6 @@ class IndexedEvaluator:
         if index is None:
             self._bump("build_divisible")
             shape = compiled.shape
-            t0 = time.perf_counter()
             rows = self._filtered_rows(compiled)
             index = PartitionedIndex(
                 rows,
@@ -743,7 +649,6 @@ class IndexedEvaluator:
                 row_delete=GroupAggIndex.delete,
                 shard_of=self.shard_of,
             )
-            self._note_build(time.perf_counter() - t0, len(rows))
             self._div_index[fn.name] = index
         return index
 
@@ -788,7 +693,6 @@ class IndexedEvaluator:
         if index is None:
             self._bump("build_kdtree")
             shape = compiled.shape
-            t0 = time.perf_counter()
             rows = self._filtered_rows(compiled)
             ax, ay = shape.nearest_attrs
             key_attr = self.key_attr
@@ -814,7 +718,6 @@ class IndexedEvaluator:
                 row_delete=kd_delete,
                 shard_of=self.shard_of,
             )
-            self._note_build(time.perf_counter() - t0, len(rows))
             self._kd_index[fn.name] = index
         return index
 
@@ -1011,7 +914,6 @@ class IndexedEvaluator:
         index = self._row_index.get(fn.name)
         if index is None:
             self._bump("build_rows")
-            t0 = time.perf_counter()
             rows = self._filtered_rows(compiled)
             index = PartitionedIndex(
                 rows,
@@ -1019,7 +921,6 @@ class IndexedEvaluator:
                 factory=list,
                 shard_of=self.shard_of,
             )
-            self._note_build(time.perf_counter() - t0, len(rows))
             self._row_index[fn.name] = index
         return index
 

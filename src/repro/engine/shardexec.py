@@ -27,11 +27,12 @@ targets:
   ``SNAPSHOT`` (full row broadcast, stamping a new replica epoch) or an
   epoch-chained ``DELTA`` (:class:`~repro.env.sharding.ReplicaDelta`)
   -- plus the ids of the shards the worker decides this tick.  The
-  worker applies the update to its retained replica of ``E``, feeds
-  the same delta to its evaluator's ``index_maintenance="incremental"``
-  paths, runs its shards' decisions, and returns plain effect rows,
-  :class:`~repro.engine.effects.AoeRecord` tuples, and an **epoch ack**
-  the coordinator verifies;
+  worker applies the update to its retained replica of ``E``, hands
+  the same delta to its evaluator -- which patches its retained indexes
+  or rebuilds them by the one rule every ``"auto"`` evaluator applies
+  (few rows changed: patch) -- runs its shards' decisions, and returns
+  plain effect rows, :class:`~repro.engine.effects.AoeRecord` tuples,
+  and an **epoch ack** the coordinator verifies;
 * **fault paths** degrade to snapshots, never to wrong answers: a
   worker holding the wrong epoch replies ``STALE`` and is re-sent a
   snapshot in the same tick; a local worker that died is respawned; a
@@ -202,14 +203,15 @@ class _WorkerState:
         if not self.indexed:
             self.evaluator = NaiveEvaluator()
         else:
-            # maintenance="incremental": replica deltas patch the
-            # retained per-shard structures; snapshot ticks (delta=None)
-            # discard and lazily rebuild, exactly like the parent engine.
+            # the replica always replays the delta (fewer bytes than a
+            # snapshot); whether the retained per-shard structures are
+            # patched with it or rebuilt is the evaluator's decision.
+            # Snapshot ticks (delta=None) discard and lazily rebuild.
             self.evaluator = IndexedEvaluator(
                 self.game.registry,
                 cascade=self.cascade,
                 key_attr=self.game.schema.key,
-                maintenance="incremental",
+                maintenance="auto",
                 shard_of=self.shard_of if num_shards > 1 else None,
                 num_shards=num_shards,
             )
@@ -272,8 +274,8 @@ class _WorkerState:
         """Run the decision stage for the given shards over the replica.
 
         *delta* is this tick's replica change set (``None`` on snapshot
-        ticks); it drives the evaluator's incremental maintenance so
-        per-shard index instances survive across ticks.  Results come
+        ticks); the evaluator patches its per-shard index instances
+        with it or rebuilds them.  Results come
         back per shard (tagged with the shard id) so the parent's
         ⊕-merge keeps its ascending-shard-id order.
         """
@@ -766,24 +768,24 @@ class ReplicaWorkerPool:
         tick: int,
         epoch: int,
         bundles: list[tuple[int, list[int]]],
-        delta_blob: Callable[[], bytes | None],
+        delta_blob: bytes | None,
         snapshot_blob: Callable[[], bytes],
     ) -> dict[int, tuple[list[dict[str, object]], list[AoeRecord]]]:
         """One tick: update every bundled worker's replica and gather
         per-shard results.
 
         *bundles* pairs worker indexes with the shard ids they decide.
-        *delta_blob* / *snapshot_blob* return the tick's pickled update
-        (each builds its blob at most once per tick); *delta_blob*
-        returns ``None`` when no usable delta exists (a rebuild tick, a
-        shard-layout change, ``worker_broadcast="snapshot"``).  The
-        delta goes to workers whose acked epoch is ``epoch - 1``;
-        everyone else -- fresh, respawned, reconnected, drifted, or
-        after a layout change -- gets the snapshot.  Epoch acks are
-        verified against *epoch*; a ``STALE`` reply or a dead worker
-        falls back to the snapshot within the same tick, and a dead
-        worker is respawned (local) or reconnected (remote) at most once
-        per tick before the failure is considered persistent.
+        *delta_blob* is the tick's pickled delta update, ``None`` when
+        no usable delta exists (the first tick, an unusable diff, a
+        shard-layout change); *snapshot_blob* returns the pickled
+        snapshot, building it at most once per tick.  The delta goes to
+        workers whose acked epoch is ``epoch - 1``; everyone else --
+        fresh, respawned, reconnected, drifted, or after a layout change
+        -- gets the snapshot.  Epoch acks are verified against *epoch*;
+        a ``STALE`` reply or a dead worker falls back to the snapshot
+        within the same tick, and a dead worker is respawned (local) or
+        reconnected (remote) at most once per tick before the failure is
+        considered persistent.
 
         Returns ``{shard_id: (effect_rows, aoe_records)}``.
         """
@@ -802,12 +804,12 @@ class ReplicaWorkerPool:
         ) -> None:
             nonlocal tick_bytes
             worker = self.workers[worker_index]
-            blob = None
-            if allow_delta and worker.epoch == epoch - 1:
-                blob = delta_blob()
-            use_delta = blob is not None
-            if blob is None:
-                blob = snapshot_blob()
+            use_delta = (
+                allow_delta
+                and delta_blob is not None
+                and worker.epoch == epoch - 1
+            )
+            blob = delta_blob if use_delta else snapshot_blob()
             if worker.endpoint is not None and len(blob) > self._max_frame:
                 # caught before the transport refuses locally: an
                 # oversized update is a configuration problem, not a

@@ -205,7 +205,7 @@ class ShardedEnvironment:
         shard and an insert in the new one, which is exactly how the
         per-shard index structures must process it.  Each routed delta's
         ``base_size`` is the corresponding shard's current size, so the
-        per-shard change fraction feeds the same maintenance cost model
+        per-shard change fraction feeds the same rebuild-or-patch rule
         as the flat fraction does.
         """
         shard_of = self.shard_of
@@ -302,6 +302,12 @@ class ReplicaDelta:
     #: ascending index order, for the inserts-splice-mid-order case.
     #: Mutually exclusive with ``order``; ``None`` means inserts append.
     insert_at: list[tuple[object, int]] | None = None
+    #: :func:`delta_blob`'s memo: the one pickle of this delta that the
+    #: worker broadcast, the spectator publisher and the epoch log share.
+    #: Not part of the value (never shipped, compared or printed).
+    _blob: bytes | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def changed(self) -> int:
@@ -517,8 +523,19 @@ def snapshot_blob(
 
 
 def delta_blob(rd: ReplicaDelta) -> bytes:
-    """Pickle a delta update once, for fan-out to many holders."""
-    return pickle.dumps((UPDATE_DELTA, rd), protocol=pickle.HIGHEST_PROTOCOL)
+    """The pickled delta update, built on first use and kept on *rd*.
+
+    Every consumer of one epoch's delta -- each chained worker, each
+    chained subscriber, the epoch log -- gets the identical ``bytes``
+    object, so a delta is pickled once however many holders it fans out
+    to.  A delta must not be mutated once this has been called.
+    """
+    blob = rd._blob
+    if blob is None:
+        blob = rd._blob = pickle.dumps(
+            (UPDATE_DELTA, rd), protocol=pickle.HIGHEST_PROTOCOL
+        )
+    return blob
 
 
 class ReplicaTable:

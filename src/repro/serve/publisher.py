@@ -6,7 +6,8 @@ subscribers, and streams the *same* epoch-versioned update blobs the
 shard worker pool ships over pipes --
 :func:`~repro.env.sharding.snapshot_blob` and
 :func:`~repro.env.sharding.delta_blob`, pickled at most once per tick
-no matter how many subscribers are attached.
+no matter how many subscribers are attached (the delta's pickle is the
+one the epoch log and the next tick's worker broadcast reuse).
 
 The protocol reuses PR 3's fault model wholesale, adapted from
 addressed request/reply (workers must ack every tick -- the coordinator
@@ -91,14 +92,13 @@ class _Subscriber:
 
 
 class ReplicaPublisher:
-    """Streams epoch-versioned replica updates to socket subscribers.
+    """Streams epoch-versioned replica updates to socket subscribers:
+    the per-tick change set to every subscriber whose epoch chains, the
+    snapshot to the rest.
 
-    *broadcast* selects the steady-state protocol: ``"delta"`` ships the
-    per-tick change set to every subscriber whose epoch chains (snapshot
-    otherwise), ``"snapshot"`` re-broadcasts the full row set every tick
-    (the measurement baseline, and a safety valve).  *send_timeout*
-    bounds how long one stalled subscriber can hold the publish stage
-    before being dropped; *max_frame* is the socket frame guard.
+    *send_timeout* bounds how long one stalled subscriber can hold the
+    publish stage before being dropped; *max_frame* is the socket frame
+    guard.
     """
 
     def __init__(
@@ -106,16 +106,12 @@ class ReplicaPublisher:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        broadcast: str = "delta",
         max_frame: int = DEFAULT_MAX_FRAME,
         send_timeout: float = 5.0,
         backlog: int = 16,
         metrics=None,
         trace=None,
     ):
-        if broadcast not in ("delta", "snapshot"):
-            raise ValueError(f"unknown broadcast mode {broadcast!r}")
-        self.broadcast = broadcast
         self.max_frame = max_frame
         self.send_timeout = send_timeout
         self._metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -251,11 +247,10 @@ class ReplicaPublisher:
 
         *delta* (when given) must chain ``delta.epoch == epoch``; it is
         shipped to subscribers whose believed epoch matches
-        ``delta.base_epoch`` under ``broadcast="delta"``.  Everyone else
-        gets the snapshot -- except subscribers already *at* ``epoch``
-        when there is no delta, which lets an engine re-run the publish
-        stage between ticks (late-joiner catch-up) without re-feeding
-        current subscribers.
+        ``delta.base_epoch``.  Everyone else gets the snapshot -- except
+        subscribers already *at* ``epoch`` when there is no delta, which
+        lets an engine re-run the publish stage between ticks
+        (late-joiner catch-up) without re-feeding current subscribers.
         """
         self.poll()
         stats = self.stats
@@ -265,24 +260,11 @@ class ReplicaPublisher:
             return 0
         if delta is not None and delta.epoch != epoch:
             delta = None  # defensive: a delta to some other epoch
-        blobs: dict[str, bytes] = {}
-
-        def delta_bytes() -> bytes:
-            if "delta" not in blobs:
-                blobs["delta"] = delta_blob(delta)
-            return blobs["delta"]
-
-        def snapshot_bytes() -> bytes:
-            if "snapshot" not in blobs:
-                blobs["snapshot"] = snapshot_blob(epoch, rows, shard_conf)
-            return blobs["snapshot"]
-
+        snapshot: bytes | None = None  # pickled for the first who needs it
         tick_bytes = 0
         for subscriber in list(self._subscribers):
             use_delta = (
-                self.broadcast == "delta"
-                and delta is not None
-                and subscriber.epoch == delta.base_epoch
+                delta is not None and subscriber.epoch == delta.base_epoch
             )
             if (
                 not use_delta
@@ -290,7 +272,12 @@ class ReplicaPublisher:
                 and subscriber.epoch == epoch
             ):
                 continue  # already current; nothing new to ship
-            blob = delta_bytes() if use_delta else snapshot_bytes()
+            if use_delta:
+                blob = delta_blob(delta)
+            else:
+                if snapshot is None:
+                    snapshot = snapshot_blob(epoch, rows, shard_conf)
+                blob = snapshot
             trace = self._trace
             t0 = time.perf_counter() if trace is not None else 0.0
             try:

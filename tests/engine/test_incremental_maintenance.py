@@ -11,9 +11,14 @@ import copy
 import pytest
 
 from repro.engine.clock import EngineConfig
-from repro.engine.evaluator import IndexedEvaluator, NaiveEvaluator
+from repro.engine.evaluator import (
+    _PATCH_FRACTION,
+    IndexedEvaluator,
+    NaiveEvaluator,
+)
 from repro.env.table import EnvironmentTable, diff_by_key
 from repro.game.battle import BattleSimulation
+from repro.serve.transport import SocketTransport
 from repro.sgl.evalterm import EvalContext
 from tests.conftest import make_env
 
@@ -37,13 +42,13 @@ AGG_CALLS = [
 ]
 
 
-def evolve(env, step):
-    """A mutated deep copy: some units move, one dies, one spawns."""
+def evolve(env, step, movers=4):
+    """A mutated deep copy: *movers* units move, one dies, one spawns."""
     schema = env.schema
     new = EnvironmentTable(schema)
     rows = [dict(r) for r in env.rows]
     dead = rows.pop(step % len(rows))
-    for row in rows[:: max(1, len(rows) // 4)]:
+    for row in rows[:: max(1, len(rows) // movers)]:
         row["posx"] = (row["posx"] + 1 + step) % 30
         row["health"] = max(row["health"] - 1, 1)
     spawn = dict(dead)
@@ -64,27 +69,26 @@ class TestEvaluatorDeltaMaintenance:
                 out.append(evaluator.evaluate(fn, list(args_for(unit)), ctx))
         return out
 
-    @pytest.mark.parametrize("maintenance", ["incremental", "auto"])
+    @pytest.mark.parametrize(
+        "maintenance, n, movers",
+        # "auto" only patches deltas sized under its fraction
+        [("incremental", 30, 4), ("auto", 60, 2)],
+    )
     def test_patched_indexes_match_naive_across_generations(
-        self, schema, registry, maintenance
+        self, schema, registry, maintenance, n, movers
     ):
-        env = make_env(schema, n=30, grid=30, seed=21)
-        # the changed-fraction rule: the learned (EWMA) crossover depends
-        # on wall-clock samples and may vote rebuild on a 30-row table
-        evaluator = IndexedEvaluator(
-            registry,
-            maintenance=maintenance,
-            incremental_threshold=0.9,
-            auto_policy="threshold",
-        )
+        env = make_env(schema, n=n, grid=30, seed=21)
+        evaluator = IndexedEvaluator(registry, maintenance=maintenance)
         naive = NaiveEvaluator()
         evaluator.begin_tick(env)
         self.probe_all(evaluator, env, registry)  # build the structures
 
         for step in range(1, 5):
-            new_env = evolve(env, step)
+            new_env = evolve(env, step, movers)
             delta = diff_by_key(env, new_env)
             assert delta is not None and delta.changed > 0
+            if maintenance == "auto":
+                assert delta.fraction <= _PATCH_FRACTION
             evaluator.begin_tick(new_env, delta=delta)
             env = new_env
             got = self.probe_all(evaluator, env, registry)
@@ -94,14 +98,12 @@ class TestEvaluatorDeltaMaintenance:
 
     def test_auto_rebuilds_above_threshold(self, schema, registry):
         env = make_env(schema, n=20, grid=30, seed=3)
-        evaluator = IndexedEvaluator(
-            registry, maintenance="auto", incremental_threshold=0.05
-        )
+        evaluator = IndexedEvaluator(registry, maintenance="auto")
         evaluator.begin_tick(env)
         self.probe_all(evaluator, env, registry)
-        new_env = evolve(env, 1)  # mutates far more than 5% of rows
+        new_env = evolve(env, 1)  # a quarter of the rows move
         delta = diff_by_key(env, new_env)
-        assert delta.fraction > 0.05
+        assert delta.fraction > _PATCH_FRACTION
         evaluator.begin_tick(new_env, delta=delta)
         assert evaluator.stats.get("rebuild_ticks") == 1
         assert not evaluator._div_index and not evaluator._kd_index
@@ -114,7 +116,7 @@ class TestEvaluatorDeltaMaintenance:
         new_env = env.copy()
         new_env.rows[0]["posx"] = (new_env.rows[0]["posx"] + 1) % 30
         delta = diff_by_key(env, new_env)
-        assert 0 < delta.fraction <= 0.25
+        assert 0 < delta.fraction <= _PATCH_FRACTION
         evaluator.begin_tick(new_env, delta=delta)
         assert evaluator.stats.get("delta_ticks") == 1
         assert evaluator._div_index  # structures survived
@@ -130,9 +132,7 @@ class TestEvaluatorDeltaMaintenance:
 
     def test_overlay_budget_drops_structures(self, schema, registry):
         env = make_env(schema, n=20, grid=30, seed=6)
-        evaluator = IndexedEvaluator(
-            registry, maintenance="incremental", overlay_budget=0.5
-        )
+        evaluator = IndexedEvaluator(registry, maintenance="incremental")
         evaluator.begin_tick(env)
         self.probe_all(evaluator, env, registry)
         # churn far past the budget: every row moves for many generations
@@ -200,6 +200,35 @@ class TestEngineWiring:
         sim = BattleSimulation(20, seed=2, index_maintenance="rebuild")
         sim.run(2)
         assert sim.engine._pending_delta is None
+
+    def test_auto_leaves_the_replica_feeds_on_deltas(self, tmp_path):
+        """Regression: "auto" passed its delta budget to the one diff the
+        epoch log and the spectator feed also consume; on a churning
+        battle the diff bailed out and both fell back to snapshots."""
+        ticks = 6
+        log_bytes = {}
+        for maintenance in ("rebuild", "auto"):
+            with BattleSimulation(
+                120, density=0.02, seed=3, index_maintenance=maintenance,
+                spectators=True,
+                epoch_log=str(tmp_path / f"{maintenance}.log"),
+            ) as sim:
+                engine = sim.engine
+                sub = SocketTransport.connect(
+                    engine.publisher.address, timeout=5.0
+                )
+                try:
+                    stats = sim.run(ticks).tick_stats
+                    for _ in range(ticks):
+                        sub.recv()
+                finally:
+                    sub.close()
+                log_bytes[maintenance] = [s.log_bytes for s in stats]
+                assert engine.epoch_log.stats.delta_records == ticks
+                # the joiner's first update is its snapshot
+                assert engine.publisher.stats.delta_sends == ticks - 1
+        assert engine.agg_eval.stats.get("rebuild_ticks") > 0  # it churns
+        assert log_bytes["auto"] == log_bytes["rebuild"]
 
     def test_maintenance_time_recorded(self):
         sim = BattleSimulation(20, seed=2, index_maintenance="incremental")

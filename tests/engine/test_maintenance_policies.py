@@ -1,15 +1,13 @@
-"""The EWMA auto-maintenance policy and cross-tick sweep-batch reuse."""
-
-import pytest
+"""The rebuild-or-patch rule and cross-tick sweep-batch reuse."""
 
 from repro.engine.evaluator import (
+    _PATCH_FRACTION,
     IndexedEvaluator,
     NaiveEvaluator,
     collect_call_hints,
 )
 from repro.env.schema import battle_schema
 from repro.env.table import TableDelta, diff_by_key
-from repro.game.battle import BattleSimulation
 from repro.sgl.analysis import analyze_script
 from repro.sgl.evalterm import EvalContext
 from repro.sgl.parser import parse_script
@@ -27,106 +25,46 @@ def make_ctx(env, registry, agg_eval, unit):
     )
 
 
-class TestEwmaPolicy:
-    def test_invalid_policy_rejected(self, registry):
-        with pytest.raises(ValueError):
-            IndexedEvaluator(registry, auto_policy="sometimes")
+def inserts(count, base_size):
+    delta = TableDelta(base_size=base_size)
+    delta.inserted = [{"key": i} for i in range(count)]
+    return delta
 
-    def test_bootstrap_uses_threshold(self, registry):
-        evaluator = IndexedEvaluator(
-            registry, maintenance="auto", incremental_threshold=0.25
-        )
+
+class TestPatchOrRebuildRule:
+    """``maintenance="auto"``: patch while at most ``_PATCH_FRACTION`` of
+    the rows changed, rebuild above it -- decided from the delta alone."""
+
+    def retaining(self, registry, maintenance):
+        evaluator = IndexedEvaluator(registry, maintenance=maintenance)
+        evaluator._env = object()
         evaluator._div_index["x"] = object()  # pretend something is retained
-        small = TableDelta(base_size=100)
-        small.inserted = [{"key": i} for i in range(10)]
-        big = TableDelta(base_size=100)
-        big.inserted = [{"key": i} for i in range(40)]
-        evaluator._env = object()
-        assert evaluator._should_apply(small)
-        assert not evaluator._should_apply(big)
+        return evaluator
 
-    def test_crossover_overrides_threshold(self, registry):
-        """With learned costs, the fraction threshold stops mattering:
-        a 40%-churn delta is applied when deltas are cheap, and a
-        5%-churn delta is rejected when deltas are expensive."""
-        evaluator = IndexedEvaluator(
-            registry, maintenance="auto", incremental_threshold=0.25
+    def test_auto_patches_up_to_the_fraction_and_rebuilds_above(
+        self, registry
+    ):
+        evaluator = self.retaining(registry, "auto")
+        at = int(_PATCH_FRACTION * 1000)
+        assert evaluator._should_apply(inserts(0, 1000))
+        assert evaluator._should_apply(inserts(at, 1000))
+        assert not evaluator._should_apply(inserts(at + 1, 1000))
+        assert not evaluator._should_apply(inserts(1000, 1000))
+
+    def test_forced_modes_ignore_the_fraction(self, registry):
+        assert self.retaining(registry, "incremental")._should_apply(
+            inserts(1000, 1000)
         )
-        evaluator._env = object()
-        evaluator._div_index["x"] = object()
-
-        evaluator._rebuild_cost = 1e-6  # per row
-        evaluator._delta_cost = 1e-6  # per changed row
-        big = TableDelta(base_size=100)
-        big.inserted = [{"key": i} for i in range(40)]
-        assert evaluator._should_apply(big)  # 40 * 1e-6 < 100 * 1e-6
-
-        evaluator._delta_cost = 1e-4  # deltas 100x costlier than builds
-        small = TableDelta(base_size=100)
-        small.inserted = [{"key": i} for i in range(5)]
-        assert not evaluator._should_apply(small)  # 5e-4 > 1e-4
-        assert evaluator.stats.get("auto_ewma_decisions") == 2
-
-    def test_threshold_policy_ignores_cost_model(self, registry):
-        evaluator = IndexedEvaluator(
-            registry,
-            maintenance="auto",
-            auto_policy="threshold",
-            incremental_threshold=0.25,
+        assert not self.retaining(registry, "rebuild")._should_apply(
+            inserts(1, 1000)
         )
-        evaluator._env = object()
-        evaluator._div_index["x"] = object()
-        evaluator._rebuild_cost = 1.0
-        evaluator._delta_cost = 1e-9  # would scream "apply"
-        big = TableDelta(base_size=100)
-        big.inserted = [{"key": i} for i in range(40)]
-        assert not evaluator._should_apply(big)
 
-    def test_delta_budget_tracks_policy(self, registry):
-        evaluator = IndexedEvaluator(
-            registry, maintenance="auto", incremental_threshold=0.25
-        )
-        # bootstrap: fraction threshold
-        assert evaluator.delta_budget(400) == 100
-        # learned: crossover point
-        evaluator._rebuild_cost = 2e-6
-        evaluator._delta_cost = 1e-6
-        assert evaluator.delta_budget(400) == 800
-
-    def test_costs_learned_from_real_ticks(self, registry, schema):
-        env = make_env(schema, n=30, grid=30, seed=21)
-        evaluator = IndexedEvaluator(
-            registry, maintenance="auto", incremental_threshold=0.9
-        )
-        fn = registry.aggregates["CountEnemiesInRange"]
-        evaluator.begin_tick(env)
-        for unit in env.rows[:4]:
-            ctx = make_ctx(env, registry, evaluator, unit)
-            evaluator.evaluate(fn, [unit, unit["sight"]], ctx)
-        assert evaluator._rebuild_cost is None  # folds at next begin_tick
-
-        new = env.copy()
-        new.rows[0]["posx"] = (new.rows[0]["posx"] + 1) % 30
-        delta = diff_by_key(env, new)
-        evaluator.begin_tick(new, delta=delta)
-        assert evaluator._rebuild_cost is not None and (
-            evaluator._rebuild_cost > 0
-        )
-        assert evaluator._delta_cost is not None and evaluator._delta_cost > 0
-
-    def test_engine_trajectories_identical_across_policies(self):
-        signatures = []
-        for auto_policy in ("ewma", "threshold"):
-            sim = BattleSimulation(
-                24,
-                seed=5,
-                density=0.02,
-                index_maintenance="auto",
-                auto_policy=auto_policy,
-            )
-            sim.run(4)
-            signatures.append(sim.state_signature())
-        assert signatures[0] == signatures[1]
+    def test_delta_budget_is_the_largest_delta_auto_patches(self, registry):
+        evaluator = self.retaining(registry, "auto")
+        budget = evaluator.delta_budget(400)
+        assert budget == int(_PATCH_FRACTION * 400)
+        assert evaluator._should_apply(inserts(budget, 400))
+        assert not evaluator._should_apply(inserts(budget + 1, 400))
 
 
 SWEEP_SCRIPT = """

@@ -12,16 +12,26 @@ Two layers of coverage:
   degrades to a snapshot broadcast, never to wrong answers.
 """
 
+import pickle
+
 import pytest
 
+from repro.engine.evaluator import _PATCH_FRACTION
+from repro.engine.shardexec import ReplicaWorkerPool, _WorkerState
 from repro.env.sharding import (
+    UPDATE_SNAPSHOT,
     StaleReplicaError,
     apply_replica_delta,
+    delta_blob,
     encode_replica_delta,
     make_sharder,
+    snapshot_blob,
 )
 from repro.env.table import EnvironmentTable, diff_by_key
-from repro.game.battle import BattleSimulation
+from repro.game.battle import BattleSimulation, battle_worker_game
+from repro.persist.framing import REC_DELTA
+from repro.persist.log import EpochLogWriter
+from repro.serve.transport import SocketTransport
 from tests.conftest import make_env
 
 
@@ -240,23 +250,16 @@ class TestReplicaWorkerFaults:
             parallelism="processes", max_workers=2,
         ) as sim:
             sim.run(4)
-            delta_sig = sim.state_signature()
+            assert sim.state_signature() == baseline
             stats = sim.engine.worker_stats
             assert stats.delta_broadcasts > 0
-            delta_bytes = stats.bytes_broadcast
-        assert delta_sig == baseline
-        with BattleSimulation(
-            48, density=0.02, seed=29, num_shards=2,
-            parallelism="processes", max_workers=2,
-            worker_broadcast="snapshot",
-        ) as sim:
-            sim.run(4)
-            snap_sig = sim.state_signature()
-            stats = sim.engine.worker_stats
-            assert stats.delta_broadcasts == 0
-            snapshot_bytes = stats.bytes_broadcast
-        assert snap_sig == baseline
-        assert delta_bytes < snapshot_bytes
+            # both workers' updates together (their first-tick snapshots
+            # included) cost less than snapshot-feeding one of them
+            engine = sim.engine
+            snapshot = snapshot_blob(
+                engine.tick_count, engine.env.rows, engine._shard_conf
+            )
+            assert stats.bytes_broadcast < 4 * len(snapshot)
 
     def test_stale_worker_rejoins_via_snapshot(self):
         baseline = battle_signature(ticks=6, seed=31)
@@ -316,6 +319,158 @@ class TestReplicaWorkerFaults:
             sim.run(3)
             assert sim.state_signature() == baseline
 
-    def test_bad_worker_broadcast_rejected(self):
-        with pytest.raises(ValueError, match="worker_broadcast"):
-            BattleSimulation(10, worker_broadcast="telepathy")
+
+class TestWorkerPatchOrRebuild:
+    """A worker always replays the delta into its replica; whether its
+    retained indexes are patched with it or rebuilt is the evaluator's
+    rule, checked here on ``_WorkerState`` in-process (no pool)."""
+
+    SHARD_CONF = ("spatial", 2, 30)
+    SHARDS = [0, 1]
+
+    def worker(self, mode="indexed"):
+        return _WorkerState(
+            battle_worker_game(),
+            {
+                "mode": mode,
+                # area effects as plain effect rows, as the naive
+                # worker returns them
+                "optimize_aoe": False,
+                "cascade": True,
+                "seed": 5,
+                "shard_conf": self.SHARD_CONF,
+            },
+        )
+
+    def feed(self, state, blob, tick):
+        """What ``_worker_loop`` does with one update blob."""
+        update = pickle.loads(blob)
+        if update[0] == UPDATE_SNAPSHOT:
+            _, epoch, rows, shard_conf = update
+            state.apply_snapshot(epoch, rows, shard_conf)
+            delta = None
+        else:
+            delta = state.apply_delta(update[1])
+        return state.decide(tick, self.SHARDS, delta)
+
+    def run_pair(self, blobs):
+        """Feed the same blobs to an indexed and a naive worker; returns
+        the indexed worker after asserting equal results every tick."""
+        indexed, naive = self.worker(), self.worker("naive")
+        for tick, blob in enumerate(blobs, start=1):
+            got = self.feed(indexed, blob, tick)
+            assert got == self.feed(naive, blob, tick)
+            assert any(effect_rows for _, effect_rows, _ in got)
+        return indexed
+
+    def moved(self, env, count):
+        def mutate(rows):
+            for row in rows[:count]:
+                row["posy"] = (row["posy"] + 1) % 30
+
+        return evolved(env, mutate)
+
+    def blobs_for(self, env, new):
+        rd = encode(env, new, base_epoch=1, epoch=2)
+        return [snapshot_blob(1, env.rows, self.SHARD_CONF), delta_blob(rd)]
+
+    def test_small_delta_patches_and_keeps_structures(self, schema):
+        env = make_env(schema, n=60, grid=30, seed=11)
+        new = self.moved(env, int(_PATCH_FRACTION * 60))
+        snapshot, delta = self.blobs_for(env, new)
+        state = self.worker()
+        self.feed(state, snapshot, 1)
+        built = dict(state.evaluator._div_index)
+        assert built
+        self.feed(state, delta, 2)
+        stats = state.evaluator.stats
+        assert stats.get("delta_ticks") == 1
+        assert stats.get("rebuild_ticks", 0) == 0
+        assert all(
+            state.evaluator._div_index[name] is index
+            for name, index in built.items()
+        )
+        self.run_pair([snapshot, delta])
+
+    def test_large_delta_rebuilds_and_drops_structures(self, schema):
+        env = make_env(schema, n=60, grid=30, seed=11)
+        new = self.moved(env, 50)
+        snapshot, delta = self.blobs_for(env, new)
+        state = self.worker()
+        self.feed(state, snapshot, 1)
+        built = dict(state.evaluator._div_index)
+        assert built
+        self.feed(state, delta, 2)
+        stats = state.evaluator.stats
+        assert stats.get("rebuild_ticks") == 1
+        assert stats.get("delta_ticks", 0) == 0
+        assert all(
+            state.evaluator._div_index.get(name) is not index
+            for name, index in built.items()
+        )
+        self.run_pair([snapshot, delta])
+
+    def test_real_battle_ticks_rebuild(self):
+        """Three consecutive ticks of a 200-unit battle, shipped as the
+        coordinator ships them: most rows change every tick, so the
+        worker never patches."""
+        with BattleSimulation(200, density=0.01, seed=5) as sim:
+            engine = sim.engine
+            shard_conf = ("spatial", 2, engine.config.spatial_extent)
+            blobs = [snapshot_blob(1, engine.env.rows, shard_conf)]
+            for epoch in (1, 2):
+                old = engine.env
+                sim.tick()
+                rd = encode(old, engine.env, base_epoch=epoch, epoch=epoch + 1)
+                blobs.append(delta_blob(rd))
+        stats = self.run_pair(blobs).evaluator.stats
+        assert stats.get("rebuild_ticks") > 0
+        assert stats.get("delta_ticks", 0) == 0
+
+
+class TestOnePicklePerDelta:
+    def test_workers_subscriber_and_log_share_the_delta_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        """One epoch's delta reaches the spectator feed and the epoch log
+        at the end of its tick and the workers at the start of the next:
+        all three must be handed the identical ``bytes`` object."""
+        broadcast, published, logged = {}, [], {}
+        run_tick = ReplicaWorkerPool.run_tick
+        send_bytes = SocketTransport.send_bytes
+        append = EpochLogWriter._append
+
+        def spy_run_tick(self, *, epoch, delta_blob, **kwargs):
+            broadcast[epoch] = delta_blob
+            return run_tick(self, epoch=epoch, delta_blob=delta_blob, **kwargs)
+
+        def spy_send_bytes(self, blob):
+            published.append(blob)
+            return send_bytes(self, blob)
+
+        def spy_append(self, rtype, epoch, payload, **kwargs):
+            if rtype == REC_DELTA:
+                logged[epoch] = payload
+            return append(self, rtype, epoch, payload, **kwargs)
+
+        monkeypatch.setattr(ReplicaWorkerPool, "run_tick", spy_run_tick)
+        monkeypatch.setattr(SocketTransport, "send_bytes", spy_send_bytes)
+        monkeypatch.setattr(EpochLogWriter, "_append", spy_append)
+        with BattleSimulation(
+            48, density=0.02, seed=23, num_shards=2,
+            parallelism="processes", max_workers=2, spectators=True,
+            epoch_log=str(tmp_path / "epochs.log"),
+        ) as sim:
+            sub = SocketTransport.connect(
+                sim.engine.publisher.address, timeout=5.0
+            )
+            try:
+                sim.run(3)
+                for _ in range(3):
+                    sub.recv()
+            finally:
+                sub.close()
+        blob = broadcast[3]  # captured, published and logged by tick 2
+        assert isinstance(blob, bytes)
+        assert logged[3] is blob
+        assert any(sent is blob for sent in published)

@@ -170,24 +170,28 @@ def test_format_1_log_is_refused(format_1_files):
         BattleSimulation.recover(format_1_files[1], resume_log=False)
 
 
-def test_persisted_unknown_knob_is_an_epoch_log_error(tmp_path):
+@pytest.mark.parametrize(
+    "knob, value",
+    [("worker_scope", "shards"), ("worker_broadcast", "snapshot")],
+)
+def test_persisted_unknown_knob_is_an_epoch_log_error(tmp_path, knob, value):
     from repro.persist.log import read_state_file, write_state_file
 
     save = tmp_path / "battle.save"
     log = tmp_path / "battle.log"
     with BattleSimulation(16, density=0.02, seed=1) as sim:
         sim.tick()
-        sim._ctor_kwargs["worker_scope"] = "shards"  # a knob of another build
+        sim._ctor_kwargs[knob] = value  # a knob of another build
         sim.save(save)
         sim.attach_epoch_log(str(log))
         sim.tick()
-    with pytest.raises(EpochLogError, match="worker_scope"):
+    with pytest.raises(EpochLogError, match=knob):
         BattleSimulation.load(save)
-    with pytest.raises(EpochLogError, match="worker_scope"):
+    with pytest.raises(EpochLogError, match=knob):
         BattleSimulation.recover(log, resume_log=False)
     # the same file with the key removed loads: only the key was wrong
     epoch, payload = read_state_file(save)
-    del payload["kwargs"]["worker_scope"]
+    del payload["kwargs"][knob]
     write_state_file(save, epoch, payload)
     with BattleSimulation.load(save) as sim:
         assert sim.engine.tick_count == 1

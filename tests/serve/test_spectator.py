@@ -22,7 +22,7 @@ import pytest
 
 from repro.env.sharding import NO_REPLICA, UPDATE_DELTA, UPDATE_SNAPSHOT
 from repro.game.battle import BattleSimulation
-from repro.serve.publisher import SUB_STALE, ReplicaPublisher
+from repro.serve.publisher import SUB_STALE
 from repro.serve.queries import AuthoritativeQueryService, unit_ref
 from repro.serve.spectator import SpectatorError
 from repro.serve.transport import PROTOCOL_VERSION, SocketTransport
@@ -182,28 +182,6 @@ class TestPublisherProtocol:
                 break
         assert pub.num_subscribers == 0
         assert pub.stats.drops == 1
-
-    def test_snapshot_broadcast_mode_never_sends_deltas(self):
-        with BattleSimulation(
-            32, density=0.02, seed=3,
-            spectators=True, spectator_broadcast="snapshot",
-        ) as sim:
-            sub = SocketTransport.connect(
-                sim.engine.publisher.address, timeout=5.0
-            )
-            try:
-                sim.run(3)
-                kinds = {sub.recv()[0] for _ in range(3)}
-                assert kinds == {UPDATE_SNAPSHOT}
-                assert sim.engine.publisher.stats.delta_sends == 0
-            finally:
-                sub.close()
-
-    def test_bad_broadcast_mode_rejected(self):
-        with pytest.raises(ValueError, match="spectator_broadcast"):
-            BattleSimulation(10, spectator_broadcast="telepathy")
-        with pytest.raises(ValueError, match="broadcast"):
-            ReplicaPublisher(broadcast="telepathy")
 
 
 class TestSpectatorFaultDrills:

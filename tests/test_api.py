@@ -94,13 +94,10 @@ class TestKnobsDeclaredOnce:
             "cascade": dict(cascade=False),
             "seed": dict(seed=7),
             "index_maintenance": dict(index_maintenance="auto"),
-            "incremental_threshold": dict(incremental_threshold=0.5),
-            "auto_policy": dict(auto_policy="threshold"),
             "num_shards": dict(num_shards=3),
             "shard_by": dict(shard_by="player"),
             "parallelism": dict(parallelism="processes"),
             "max_workers": dict(max_workers=3),
-            "worker_broadcast": dict(worker_broadcast="snapshot"),
             # endpoints are only dialled by the first sharded tick
             "workers": dict(
                 workers=["127.0.0.1:9"], parallelism="processes", num_shards=2
@@ -110,7 +107,6 @@ class TestKnobsDeclaredOnce:
             "spectators": dict(spectators=True),
             "spectator_host": dict(spectator_host="localhost"),
             "spectator_port": dict(spectator_port=45123),
-            "spectator_broadcast": dict(spectator_broadcast="snapshot"),
             "epoch_log": dict(epoch_log=str(tmp_path / "epochs.log")),
             "epoch_log_checkpoint_every": dict(epoch_log_checkpoint_every=5),
             "epoch_log_fsync": dict(epoch_log_fsync="never"),
@@ -121,7 +117,7 @@ class TestKnobsDeclaredOnce:
 
     def test_every_field_has_a_probe(self, tmp_path):
         fields = {f.name for f in dataclasses.fields(EngineConfig)}
-        assert len(fields) == 27
+        assert len(fields) == 23
         assert set(self.probes(tmp_path)) | self.SUPPLIED == fields
 
     def test_battle_forwards_every_knob(self, tmp_path):
@@ -158,7 +154,18 @@ class TestKnobsDeclaredOnce:
             declared = set(inspect.signature(fn).parameters)
             assert declared & fields == consumed, fn.__qualname__
 
-    @pytest.mark.parametrize("knob", ["worker_scope", "no_such_knob"])
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "worker_scope",
+            "no_such_knob",
+            # deleted with the EWMA cost model and the snapshot modes
+            "auto_policy",
+            "incremental_threshold",
+            "worker_broadcast",
+            "spectator_broadcast",
+        ],
+    )
     def test_unknown_keyword_is_a_type_error_naming_it(
         self, knob, schema, small_env
     ):
