@@ -7,13 +7,7 @@ area-of-effect combination, post-processing, and grid movement.
 from .clock import EngineConfig, SimulationEngine, TickStats
 from .decision import DecisionRunner
 from .effects import AoeRecord, resolve_aoe
-from .evaluator import (
-    CallHint,
-    IndexedEvaluator,
-    NaiveEvaluator,
-    collect_call_hints,
-    empty_aggregate_result,
-)
+from .evaluator import IndexedEvaluator, NaiveEvaluator, empty_aggregate_result
 from .movement import Grid, desired_direction, run_movement_phase
 from .postprocess import example_41_postprocess
 from .rng import TickRandom, splitmix64
@@ -28,7 +22,6 @@ from .shardexec import (
 
 __all__ = [
     "AoeRecord",
-    "CallHint",
     "DecisionRunner",
     "EngineConfig",
     "Grid",
@@ -43,7 +36,6 @@ __all__ = [
     "WorkerGame",
     "serve_worker",
     "spawn_listen_worker",
-    "collect_call_hints",
     "desired_direction",
     "empty_aggregate_result",
     "example_41_postprocess",

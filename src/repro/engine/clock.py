@@ -11,9 +11,10 @@ environment (the partition of ``E`` by a configurable shard key --
    first probe) rebuilds the aggregate indexes; with
    ``index_maintenance`` set to ``"incremental"``/``"auto"`` it instead
    patches the retained per-shard indexes with the row delta captured at
-   the end of the previous tick.  Sweep-line batches for hinted extreme
-   aggregates are also built here;
-2. **decision** -- every unit executes its script, shard at a time;
+   the end of the previous tick;
+2. **decision** -- the units of each shard execute their scripts
+   set-at-a-time, one batch per script (each aggregate call site probes
+   the indexes once per batch, min/max sites as one Figure-9 sweep);
    per-shard effect rows (and deferred AoE records) accumulate.  Shards
    are independent -- scripts read the tick-start snapshot and write
    fresh effect rows -- so with ``parallelism="processes"`` this stage
@@ -77,12 +78,11 @@ from ..obs import (
     TraceRecorder,
 )
 from ..sgl import ast
-from ..sgl.analysis import analyze_script
 from ..sgl.builtins import FunctionRegistry
 from ..sgl.evalterm import EvalContext
-from .decision import DecisionRunner
+from .decision import DecisionRunner, run_batches
 from .effects import AoeRecord, resolve_aoe
-from .evaluator import CallHint, IndexedEvaluator, NaiveEvaluator, collect_call_hints
+from .evaluator import IndexedEvaluator, NaiveEvaluator
 from .rng import TickRandom
 
 #: Game mechanics hook: (combined environment, rng, tick) -> next environment.
@@ -375,7 +375,6 @@ class SimulationEngine:
         self.indexed = cfg.mode == "indexed"
         self.rng = TickRandom(cfg.seed, key_attr=env.schema.key)
         self.tick_count = 0
-        self.history: list[TickStats] = []
         self._shard_conf = (cfg.shard_by, cfg.num_shards, cfg.spatial_extent)
         self.shard_of = make_sharder(
             cfg.shard_by,
@@ -448,10 +447,8 @@ class SimulationEngine:
         # Cache keyed by id(script), holding the script itself: the
         # strong reference pins the id for the cache's lifetime, so a
         # recycled id of a garbage-collected script can never serve a
-        # stale runner or stale hints.
-        self._runners: dict[
-            int, tuple[ast.Script, DecisionRunner, list[CallHint]]
-        ] = {}
+        # stale runner.
+        self._runners: dict[int, tuple[ast.Script, DecisionRunner]] = {}
         self._action_shapes: dict[str, ActionShape] = {
             name: classify_action(fn.spec)
             for name, fn in registry.actions.items()
@@ -786,9 +783,7 @@ class SimulationEngine:
 
     # -- script compilation cache -------------------------------------------------
 
-    def _runner_for(
-        self, script: ast.Script
-    ) -> tuple[ast.Script, DecisionRunner, list[CallHint]]:
+    def _runner_for(self, script: ast.Script) -> DecisionRunner:
         key = id(script)
         entry = self._runners.pop(key, None)  # re-inserted below: LRU
         if entry is None:
@@ -798,15 +793,11 @@ class SimulationEngine:
                 index_actions=self.indexed,
                 defer_aoe=self.indexed and self.config.optimize_aoe,
             )
-            analysis = analyze_script(script, self.registry, self.env.schema)
-            unit_params = {
-                fn.name: fn.params[0] for fn in script.functions.values()
-            }
-            entry = (script, runner, collect_call_hints(analysis, unit_params))
+            entry = (script, runner)
             while len(self._runners) >= _RUNNER_CACHE_MAX:
                 self._runners.pop(next(iter(self._runners)))
         self._runners[key] = entry
-        return entry
+        return entry[1]
 
     # -- pipeline stages ------------------------------------------------------------
 
@@ -814,49 +805,22 @@ class SimulationEngine:
         """Stage 0: view E as per-shard tables (rows shared, order kept)."""
         return ShardedEnvironment(env, self.config.num_shards, self.shard_of)
 
-    def _shard_tasks(
-        self, sharded: ShardedEnvironment
-    ) -> tuple[list[_ShardTask], list[tuple[CallHint, list]]]:
-        """Group each shard's units by script and resolve their runners.
-
-        Returns the per-shard task lists and the (hint, probe units)
-        pairs for sweep batching.
-        """
+    def _shard_tasks(self, sharded: ShardedEnvironment) -> list[_ShardTask]:
+        """Group each shard's units by script: one batch per script per
+        shard, units in shard row order."""
         tasks: list[_ShardTask] = []
-        hint_pairs: list[tuple[CallHint, list]] = []
         for shard in sharded.shards:
             groups: dict[int, tuple[ast.Script, list]] = {}
             for row in shard.rows:
                 script = self.script_for(row)
                 groups.setdefault(id(script), (script, []))[1].append(row)
-            task: _ShardTask = []
-            for script, units in groups.values():
-                entry = self._runner_for(script)
-                task.append((entry[1], units))
-                for hint in entry[2]:
-                    hint_pairs.append((hint, units))
-            tasks.append(task)
-        return tasks, hint_pairs
-
-    def _run_decision(
-        self,
-        task: _ShardTask,
-        by_key: Mapping[object, Mapping[str, object]] | None,
-        env: EnvironmentTable,
-    ) -> tuple[list[dict[str, object]], list[AoeRecord]]:
-        """Stage 2 for one shard: run scripts, collect effects."""
-        effect_rows: list[dict[str, object]] = []
-        aoe_records: list[AoeRecord] = []
-        rt = EvalContext(
-            env=env,
-            registry=self.registry,
-            agg_eval=self.agg_eval,
-            rng=self.rng,
-        )
-        for runner, units in task:
-            for unit in units:
-                runner.run_unit(unit, rt, by_key, effect_rows, aoe_records)
-        return effect_rows, aoe_records
+            tasks.append(
+                [
+                    (self._runner_for(script), units)
+                    for script, units in groups.values()
+                ]
+            )
+        return tasks
 
     def _decide_processes(
         self, sharded: ShardedEnvironment
@@ -924,21 +888,18 @@ class SimulationEngine:
         if trace is not None:
             trace.complete_perf("partition", "tick", t0, t1, epoch=epoch)
 
-        # stage 1: (re)arm the evaluator; pass sweep-batch hints.  With
-        # delta maintenance enabled this is where last tick's captured
-        # delta patches the retained per-shard indexes instead of
-        # discarding them.
+        # stage 1: (re)arm the evaluator.  With delta maintenance
+        # enabled this is where last tick's captured delta patches the
+        # retained per-shard indexes instead of discarding them.
         maintenance_time = 0.0
         by_key = None
         if self._processes:
             shard_tasks = None
         else:
-            shard_tasks, hint_pairs = self._shard_tasks(sharded)
+            shard_tasks = self._shard_tasks(sharded)
             if self.indexed:
                 t0 = time.perf_counter()
-                self.agg_eval.begin_tick(
-                    env, hint_pairs, delta=self._pending_delta
-                )
+                self.agg_eval.begin_tick(env, delta=self._pending_delta)
                 t1 = time.perf_counter()
                 maintenance_time += t1 - t0
                 if trace is not None:
@@ -948,13 +909,19 @@ class SimulationEngine:
                 self._pending_delta = None
                 by_key = env.by_key()
 
-        # stage 2: decision, shard at a time
+        # stage 2: decision, shard at a time, one batch per script
         t0 = time.perf_counter()
         if self._processes:
             shard_results = self._decide_processes(sharded)
         else:
+            rt = EvalContext(
+                env=env,
+                registry=self.registry,
+                agg_eval=self.agg_eval,
+                rng=self.rng,
+            )
             shard_results = [
-                self._run_decision(task, by_key, env) for task in shard_tasks
+                run_batches(task, rt, by_key) for task in shard_tasks
             ]
         t1 = time.perf_counter()
         decision_time = t1 - t0
@@ -1126,7 +1093,6 @@ class SimulationEngine:
             publish_time=publish_time,
             log_time=log_time,
         )
-        self.history.append(stats)
         if trace is not None:
             trace.complete_perf(
                 "tick", "tick", start, start + stats.total_time,

@@ -8,23 +8,39 @@ unoptimised executable semantics that ``tests/engine/test_compile.py``
 checks every closure against, value for value and exception class for
 exception class.
 
-A closure takes one argument, its *frame*.  Names are resolved when the
-closure is built (:class:`Scope`) to a frame slot, a registry constant
-(captured by value) or an :class:`SglNameError`; unknown functions and
-wrong arities are rejected then too, not when the node is first reached:
+A term or condition closure takes one argument, its *frame*.  Names are
+resolved when the closure is built (:class:`Scope`) to a frame slot, a
+registry constant (captured by value) or an :class:`SglNameError`;
+unknown functions and wrong arities are rejected then too, not when the
+node is first reached:
 
 * *script frames* ``[rt, by_key, out_rows, out_aoe, params…, lets…]``:
-  every ``let`` of a function owns a slot, so binding is a list store,
-  and ``perform`` of a defined function builds the callee's frame;
+  every ``let`` (and hoisted call site) of a function owns a slot, so
+  binding is a list store, and ``perform`` of a defined function builds
+  the callee's frame;
 * *probe frames* ``[rt, params…, e]`` for the terms of one built-in
   (:class:`Probe`, key-action effects, residual predicates);
 * *row frames* are the environment row itself (``e`` names the frame):
   measures and build filters, called once per row by the indexes.
 
-``rt`` is the runtime record -- an :class:`~repro.sgl.evalterm.
-EvalContext` with empty bindings -- read only by ``Random``, aggregate
-call sites (``rt.agg_eval.evaluate``, looked up per call), native
+``rt`` is the runtime record of the frame's unit -- an
+:class:`~repro.sgl.evalterm.EvalContext` with empty bindings and
+``unit`` set -- read only by ``Random``, aggregate call sites, native
 functions and the scan fallback.
+
+Scripts run **set-at-a-time** (:func:`lower_script`): an action closure
+takes a *batch* -- the list of script frames of every unit that reached
+it -- so each aggregate call site goes to the evaluator once per batch
+(``rt.agg_eval.evaluate_batch``).  A ``let`` stores one value per frame,
+an ``if`` splits the batch into the frames that take each branch, a
+``perform`` of a defined function builds the callee frames of the
+batch, and built-in actions run per frame into the frame's own
+``out_rows``/``out_aoe`` buffers.  Calls in strict positions of a term
+or condition are *hoisted*: evaluated for the whole batch into a frame
+slot before the per-frame closure reads it (:attr:`Scope.hoist`).  A
+call under a short-circuit operand (the right side of ``and``/``or``)
+stays per frame, so no call is evaluated for a frame that would not
+reach it.
 """
 
 from __future__ import annotations
@@ -41,10 +57,15 @@ from ..sgl.errors import SglNameError, SglRuntimeError, SglTypeError
 from ..sgl.evalterm import MATH_BUILTINS
 from ..sgl.values import Vec, field_of
 
-#: A compiled term, condition or action: ``frame -> value``.
+#: A compiled term or condition: ``frame -> value``.
 Fn = Callable[[object], object]
+#: A compiled script action: runs over a batch (list) of script frames.
+BatchFn = Callable[[list], None]
 #: A compiled built-in action: ``(rt, args, by_key, out_rows, out_aoe)``.
 ActionFn = Callable[[object, list, object, list, list], None]
+#: Script lowering's call-site hook: ``(function, args_of) ->`` the
+#: per-frame reader of the call's batch-evaluated value.
+Hoist = Callable[[AggregateFunction, Callable[[object], list]], Fn]
 
 _INF = float("inf")
 
@@ -70,12 +91,17 @@ def _type_error(what: str, *values: object) -> SglTypeError:
 class Scope:
     """Compile-time name resolution for one frame layout: list frames
     map names to *slots* (the runtime record sits in slot 0); *row* names
-    the frame itself (row frames: no ``Random``, no aggregate calls)."""
+    the frame itself (row frames: no ``Random``, no aggregate calls).
+
+    *hoist*, when set, takes each aggregate call site in a strict
+    position -- ``(function, args_of)`` -- and returns the per-frame
+    closure that reads its batch-evaluated value (script lowering)."""
 
     slots: Mapping[str, int]
     constants: Mapping[str, object]
     aggregates: Mapping[str, AggregateFunction]
     row: str | None = None
+    hoist: Hoist | None = None
 
 
 def row_scope(constants: Mapping[str, object]) -> Scope:
@@ -215,6 +241,8 @@ def _compile_call(term: ast.Call, scope: Scope) -> Fn:
         raise SglNameError(f"unknown function {name!r}")
     if len(term.args) != len(function.params):
         raise SglTypeError(f"{name} expects {len(function.params)} args")
+    if scope.hoist is not None:
+        return scope.hoist(function, args_of)
 
     def aggregate_call(f):
         rt = f[0]
@@ -274,7 +302,8 @@ def compile_cond(cond: ast.Cond, scope: Scope) -> Fn:
         return lambda f: not operand(f)
     if isinstance(cond, (ast.And, ast.Or)):
         left = compile_cond(cond.left, scope)
-        right = compile_cond(cond.right, scope)
+        # short-circuit operand: its calls are never hoisted
+        right = compile_cond(cond.right, replace(scope, hoist=None))
         if isinstance(cond, ast.And):
             return lambda f: left(f) and right(f)
         return lambda f: left(f) or right(f)
@@ -329,10 +358,17 @@ class Probe:
         self.e_slot = len(params) + 1
         #: u-only conjuncts: when false the selection is empty.
         self.guard = compile_filter(shape.u_only, scope)
-        eq = compile_args([c.value_term for c in shape.eq_cats], scope)
-        neq = compile_args([c.value_term for c in shape.neq_cats], scope)
+        self._eq = eq = [
+            compile_term(c.value_term, scope) for c in shape.eq_cats
+        ]
+        self._neq = neq = [
+            compile_term(c.value_term, scope) for c in shape.neq_cats
+        ]
         #: ``frame ->`` the probe's (equality, anti-join) category values.
-        self.cats = lambda f: (tuple(eq(f)), tuple(neq(f)))
+        self.cats = lambda f: (
+            tuple([t(f) for t in eq]),
+            tuple([t(f) for t in neq]),
+        )
         self._ranges = [
             (
                 _compile_side(constraint.lowers, scope, max, -_INF),
@@ -352,6 +388,30 @@ class Probe:
                 return None
             out.append((lo, hi))
         return out
+
+    def cats_many(self, frames: list) -> list[tuple[tuple, tuple]]:
+        """:attr:`cats` of every frame, one category column at a time."""
+        return list(zip(_rows(self._eq, frames), _rows(self._neq, frames)))
+
+    def bounds_many(self, frames: list) -> list:
+        """:meth:`bounds` of every frame, one range column at a time.
+        As soon as some frame's interval is empty, every frame goes
+        through :meth:`bounds`, which stops at its first empty one."""
+        columns = []
+        for lower, upper in self._ranges:
+            pairs = list(zip(map(lower, frames), map(upper, frames)))
+            for lo, hi in pairs:
+                if lo > hi:
+                    return [self.bounds(f) for f in frames]
+            columns.append(pairs)
+        return list(zip(*columns)) if columns else [()] * len(frames)
+
+
+def _rows(fns: list[Fn], frames: list) -> list[tuple]:
+    """Per frame, the tuple of *fns* applied to it (frame by frame)."""
+    if not fns:
+        return [()] * len(frames)
+    return list(zip(*[map(fn, frames) for fn in fns]))
 
 
 def _compile_side(bounds, scope: Scope, pick, unbounded: float) -> Fn:
@@ -379,11 +439,15 @@ def lower_script(
     script: ast.Script,
     registry: FunctionRegistry,
     builtin_action: Callable[[ActionFunction], ActionFn],
-) -> Callable[[object, Mapping[str, object], object, list, list], None]:
-    """Lower every function of *script*; *builtin_action* lowers one
-    built-in action (:func:`repro.engine.decision.compile_action`).
-    Returns ``run(rt, unit, by_key, out_rows, out_aoe)``: ``main`` for
-    one unit."""
+) -> Callable[[list, object], list[list]]:
+    """Lower every function of *script* to batch closures;
+    *builtin_action* lowers one built-in action
+    (:func:`repro.engine.decision.compile_action`).
+
+    Returns ``run(rts, by_key)``: ``main`` over one batch, a unit per
+    runtime record (``rt.unit``).  It returns the batch's script frames,
+    whose ``out_rows``/``out_aoe`` slots hold each unit's effects in
+    per-unit program order."""
     main = script.main
     if len(main.params) != 1:
         raise SglTypeError(
@@ -394,10 +458,16 @@ def lower_script(
         lowering.function(fn)
     body, pad = lowering.bodies[main.name]
 
-    def run(rt, unit, by_key, out_rows, out_aoe):
-        body([rt, by_key, out_rows, out_aoe, unit, *pad])
+    def run(rts, by_key):
+        frames = [[rt, by_key, [], [], rt.unit, *pad] for rt in rts]
+        body(frames)
+        return frames
 
     return run
+
+
+def _skip(fs: list) -> None:
+    return None
 
 
 class _ScriptLowering:
@@ -405,9 +475,10 @@ class _ScriptLowering:
         self.script = script
         self.registry = registry
         self.builtin_action = builtin_action
-        #: function name -> (body, padding for its let slots); looked up
-        #: at call time, so definition order and recursion do not matter
-        self.bodies: dict[str, tuple[Fn, tuple]] = {}
+        #: function name -> (body, padding for its let and call slots);
+        #: looked up at call time, so definition order and recursion do
+        #: not matter
+        self.bodies: dict[str, tuple[BatchFn, tuple]] = {}
         self.actions: dict[str, ActionFn] = {}
         self.next_slot = 0
 
@@ -418,49 +489,91 @@ class _ScriptLowering:
         )
         self.bodies[fn.name] = (body, (None,) * (self.next_slot - first_let))
 
-    def action(self, node: ast.Action, scope: Scope) -> Fn:
+    def staged(self, compile_node, node, scope: Scope) -> tuple[BatchFn, Fn]:
+        """Compile *node* per frame, every aggregate call in a strict
+        position hoisted into a frame slot.  Returns ``(stage, fn)``:
+        ``stage(fs)`` fills those slots for a batch, one
+        ``evaluate_batch`` per call site (inner calls first), then
+        ``fn`` runs per frame."""
+        stages: list[BatchFn] = []
+
+        def hoist(function, args_of):
+            slot = self.next_slot
+            self.next_slot += 1
+
+            def call_site(fs):
+                if len(fs) == 1:  # a batch of one is a plain call
+                    f = fs[0]
+                    rt = f[0]
+                    f[slot] = rt.agg_eval.evaluate(function, args_of(f), rt)
+                    return
+                values = fs[0][0].agg_eval.evaluate_batch(
+                    function, [args_of(f) for f in fs], [f[0] for f in fs]
+                )
+                for f, value in zip(fs, values):
+                    f[slot] = value
+
+            stages.append(call_site)
+            return lambda f: f[slot]
+
+        fn = compile_node(node, replace(scope, hoist=hoist))
+
+        def stage(fs):
+            for call_site in stages:
+                call_site(fs)
+
+        return stage, fn
+
+    def action(self, node: ast.Action, scope: Scope) -> BatchFn:
         if isinstance(node, ast.Skip):
-            return lambda f: None
+            return _skip
         if isinstance(node, ast.Let):
-            term = compile_term(node.term, scope)
+            stage, term = self.staged(compile_term, node.term, scope)
             slot = self.next_slot
             self.next_slot += 1
             inner = replace(scope, slots={**scope.slots, node.name: slot})
             body = self.action(node.body, inner)
 
-            def let(f):
-                f[slot] = term(f)
-                body(f)
+            def let(fs):
+                stage(fs)
+                for f in fs:
+                    f[slot] = term(f)
+                body(fs)
 
             return let
         if isinstance(node, ast.Seq):
             first = self.action(node.first, scope)
             second = self.action(node.second, scope)
 
-            def seq(f):
-                first(f)
-                second(f)
+            def seq(fs):
+                first(fs)
+                second(fs)
 
             return seq
         if isinstance(node, ast.If):
-            cond = compile_cond(node.cond, scope)
+            stage, cond = self.staged(compile_cond, node.cond, scope)
             then = self.action(node.then_branch, scope)
             orelse = self.action(node.else_branch or ast.Skip(), scope)
 
-            def branch(f):
-                if cond(f):
-                    then(f)
-                else:
-                    orelse(f)
+            def branch(fs):
+                stage(fs)
+                taken: list = []
+                other: list = []
+                for f in fs:
+                    (taken if cond(f) else other).append(f)
+                if taken:
+                    then(taken)
+                if other:
+                    orelse(other)
 
             return branch
         if isinstance(node, ast.Perform):
             return self.perform(node, scope)
         raise SglTypeError(f"cannot compile {node!r} as an action")
 
-    def perform(self, node: ast.Perform, scope: Scope) -> Fn:
+    def perform(self, node: ast.Perform, scope: Scope) -> BatchFn:
         name = node.name
-        args_of = compile_args(node.args, scope)
+        stage, args_of = self.staged(compile_args, node.args, scope)
         callee = self.script.functions.get(name) or self.registry.actions.get(
             name
         )
@@ -471,17 +584,20 @@ class _ScriptLowering:
         if isinstance(callee, ast.FunctionDef):
             bodies = self.bodies
 
-            def call(f):
+            def call(fs):
+                stage(fs)
                 # defined functions see only their parameters
                 body, pad = bodies[name]
-                body([*f[:_HEADER], *args_of(f), *pad])
+                body([[*f[:_HEADER], *args_of(f), *pad] for f in fs])
 
             return call
         action = self.actions.get(name)
         if action is None:
             action = self.actions[name] = self.builtin_action(callee)
 
-        def perform(f):
-            action(f[0], args_of(f), f[1], f[2], f[3])
+        def perform(fs):
+            stage(fs)
+            for f in fs:
+                action(f[0], args_of(f), f[1], f[2], f[3])
 
         return perform

@@ -1,13 +1,16 @@
 """The decision phase: set-at-a-time script execution.
 
 Runs every unit's script against the tick-start environment and collects
-effect rows.  Semantically identical to the reference interpreter
-(``⊕`` is associative/commutative/idempotent -- Eq. 3 -- so appending
-all effect rows to one multiset and combining once equals the nested
-per-``Seq`` combines of Section 4.3); operationally each script is
-lowered once by :mod:`repro.engine.compile` into slot-indexed closures
-that append straight to the tick's effect collections
-(:mod:`repro.sgl.interp` stays the oracle the differential tests use).
+effect rows -- one batch per script per shard (:func:`run_batches`), so
+each aggregate call site reaches the evaluator once per batch of units
+(:meth:`DecisionRunner.run_batch`).  Semantically identical to the
+reference interpreter (``⊕`` is associative/commutative/idempotent --
+Eq. 3 -- so appending all effect rows to one multiset and combining
+once equals the nested per-``Seq`` combines of Section 4.3);
+operationally each script is lowered once by :mod:`repro.engine.compile`
+into slot-indexed batch closures whose effects are concatenated in unit
+order (:mod:`repro.sgl.interp` stays the oracle the differential tests
+use).
 
 Action application is itself classified (``repro.algebra.shapes``) and
 lowered once per built-in by :func:`compile_action`, the one perform
@@ -28,7 +31,7 @@ paper's baseline.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 from ..algebra.shapes import classify_action
 from ..sgl import ast
@@ -53,6 +56,7 @@ class DecisionRunner:
         defer_aoe: bool = False,
     ):
         self.script = script
+        self._batch: _Batch | None = None
         self._run = lower_script(
             script,
             registry,
@@ -60,6 +64,36 @@ class DecisionRunner:
                 fn, registry, index_actions=index_actions, defer_aoe=defer_aoe
             ),
         )
+
+    def run_batch(
+        self,
+        units: Sequence[Mapping[str, object]],
+        rt: EvalContext,
+        by_key: Mapping[object, Mapping[str, object]] | None,
+        out_rows: list,
+        out_aoe: list[AoeRecord],
+    ) -> None:
+        """Execute ``main`` for every unit of *units* as one batch;
+        *by_key* enables key actions.  *rt* is the caller's runtime
+        record (:mod:`repro.engine.compile`); each unit runs under a copy
+        pointed at it.  Effects reach *out_rows*/*out_aoe* in unit order,
+        each unit's in program order -- exactly as per-unit execution
+        appends them.
+
+        Each unit still enters through :meth:`run_unit`, the decision
+        stage's per-unit entry point (and the span the perf ledger times,
+        ``benchmarks/ledger/spec.py``): the first call executes the whole
+        batch set-at-a-time, every call hands back its unit's effects.
+        If any unit of the batch raises, the batch's effects are
+        discarded and each unit runs alone, so the call raises exactly
+        the exception per-unit execution raises, at the same unit.
+        """
+        self._batch = _Batch(units, rt, by_key)
+        try:
+            for unit in units:
+                self.run_unit(unit, rt, by_key, out_rows, out_aoe)
+        finally:
+            self._batch = None
 
     def run_unit(
         self,
@@ -69,11 +103,68 @@ class DecisionRunner:
         out_rows: list,
         out_aoe: list[AoeRecord],
     ) -> None:
-        """Execute ``main`` for *unit*; *by_key* enables key actions.
-        *rt* is the caller's runtime record (:mod:`repro.engine.compile`),
-        re-pointed at each unit in turn."""
-        rt.unit = unit
-        self._run(rt, unit, by_key, out_rows, out_aoe)
+        """Execute ``main`` for *unit*: a batch of one -- or, inside
+        :meth:`run_batch`, the unit's share of the running batch."""
+        batch = self._batch
+        frame = None if batch is None else batch.next_frame(self._execute)
+        if frame is None:
+            (frame,) = self._execute([unit], rt, by_key)
+        out_rows += frame[2]
+        out_aoe += frame[3]
+
+    def _execute(
+        self,
+        units: Sequence[Mapping[str, object]],
+        rt: EvalContext,
+        by_key: Mapping[object, Mapping[str, object]] | None,
+    ) -> list[list]:
+        """Run the lowered script over *units*; returns their frames."""
+        env, registry, agg_eval, rng = rt.env, rt.registry, rt.agg_eval, rt.rng
+        bindings = rt.bindings
+        return self._run(
+            [
+                EvalContext(env, registry, agg_eval, rng, bindings, unit)
+                for unit in units
+            ],
+            by_key,
+        )
+
+
+class _Batch:
+    """The units :meth:`DecisionRunner.run_batch` is handing out, and
+    their script frames once executed."""
+
+    __slots__ = ("units", "rt", "by_key", "frames")
+
+    def __init__(self, units, rt, by_key):
+        self.units = units
+        self.rt = rt
+        self.by_key = by_key
+        self.frames: Iterator[list] | None = None
+
+    def next_frame(self, execute) -> list | None:
+        """The next unit's frame; ``None`` once the batch has raised
+        (the caller then runs that unit alone)."""
+        if self.frames is None:
+            try:
+                self.frames = iter(execute(self.units, self.rt, self.by_key))
+            except Exception:
+                self.frames = iter(())
+        return next(self.frames, None)
+
+
+def run_batches(
+    batches: Sequence[tuple[DecisionRunner, list]],
+    rt: EvalContext,
+    by_key: Mapping[object, Mapping[str, object]] | None,
+) -> tuple[list[dict[str, object]], list[AoeRecord]]:
+    """One shard's decision stage: one batch per ``(runner, units)``
+    pair; returns the shard's effect rows and AoE records."""
+    effect_rows: list[dict[str, object]] = []
+    aoe_records: list[AoeRecord] = []
+    for runner, units in batches:
+        runner.run_batch(units, rt, by_key, effect_rows, aoe_records)
+    return effect_rows, aoe_records
 
 
 def compile_action(

@@ -18,7 +18,7 @@ in-memory indexing ... to reduce the complexity to O(n log n)."
   ========== ==============================================================
   divisible  hash layers (eq/neq cats) → Figure-8 prefix-aggregate tree
   nearest    hash layers → kD-tree, residual conjuncts as search predicates
-  extreme    Figure-9 sweep-line batches, grouped by constant range extents
+  extreme    Figure-9 sweeps over each call-site batch, grouped by extents
   fallback   hash layers → partitioned row scan
   ========== ==============================================================
 
@@ -36,8 +36,14 @@ in-memory indexing ... to reduce the complexity to O(n log n)."
   ``_PATCH_FRACTION``, discard and rebuild lazily otherwise
   (:meth:`IndexedEvaluator._should_apply`, the one place that chooses)
   -- and any structure whose accumulated overlay outgrows
-  ``_OVERLAY_BUDGET`` is dropped and lazily rebuilt.  Sweep-line batches
-  are probe-set-dependent and stay rebuild-only.
+  ``_OVERLAY_BUDGET`` is dropped and lazily rebuilt.  Sweeps answer the
+  probes of one call-site batch and are never retained.
+
+  Calls arrive set-at-a-time: :meth:`IndexedEvaluator.evaluate_batch`
+  answers one call site for a whole batch of units (the decision stage
+  sends one batch per call site, :mod:`repro.engine.compile`), resolving
+  the shape, the index and each distinct category group once;
+  :meth:`IndexedEvaluator.evaluate` is a batch of one.
 
 Both evaluators return *identical* results -- including argmin/argmax
 tie-breaks -- which the equivalence tests assert on random battles
@@ -62,21 +68,12 @@ from ..indexes.hash_layer import PartitionedIndex
 from ..indexes.kdtree import KDTree
 from ..indexes.sweepline import sweep_arg_minmax
 from ..obs import NULL_REGISTRY, StatCounters
-from ..sgl import ast
 from ..sgl.builtins import AggregateFunction, FunctionRegistry
 from ..sgl.evalterm import EvalContext
 from ..sgl.interp import NaiveAggregateEvaluator
 from ..sgl.sqlspec import AggOutput, evaluate_aggregate_scan, finalize_outputs
 from ..sgl.values import Record
-from .compile import (
-    Fn,
-    Probe,
-    compile_args,
-    compile_filter,
-    compile_term,
-    frame_scope,
-    row_scope,
-)
+from .compile import Fn, Probe, compile_filter, compile_term, row_scope
 
 #: The naive evaluator is exactly the reference interpreter's.
 NaiveEvaluator = NaiveAggregateEvaluator
@@ -91,21 +88,6 @@ def empty_aggregate_result(outputs: Sequence[AggOutput]) -> object:
         for o in outputs
     ]
     return finalize_outputs(outputs, values)
-
-
-@dataclass(frozen=True)
-class CallHint:
-    """A statically-analysable aggregate call site.
-
-    ``arg_terms`` are the call's argument terms; a hint is only emitted
-    when every term is computable from the unit row alone (the unit
-    parameter, its attributes, and constants), which is what allows the
-    sweep-line batches to be precomputed for all units at tick start.
-    """
-
-    function: str
-    unit_param: str
-    arg_terms: tuple[ast.Term, ...]
 
 
 @dataclass
@@ -139,6 +121,9 @@ _OVERLAY_BUDGET = 0.5
 #: full runs agreed on which side each rate falls.  Re-run the sweep
 #: before moving it; not a knob.
 _PATCH_FRACTION = 0.10
+
+#: "Not computed yet" marker for per-batch answer caches.
+_MISSING = object()
 
 
 class IndexedEvaluator:
@@ -177,10 +162,16 @@ class IndexedEvaluator:
         self._div_index: dict[str, PartitionedIndex] = {}
         self._kd_index: dict[str, PartitionedIndex] = {}
         self._row_index: dict[str, PartitionedIndex] = {}
-        #: fn name -> {args signature -> sweep result}; an entry's
-        #: presence means the function's Figure-9 batch is ready.
-        self._batches: dict[str, dict[tuple, object]] = {}
-        self._hints: list[tuple[CallHint, list[Mapping[str, object]]]] = []
+        #: fn name -> {partition key -> sweep source columns}; built once
+        #: per function per tick, shared by every batch that sweeps it.
+        self._sweep_parts: dict[str, dict[tuple, tuple]] = {}
+        #: shape kind -> ``(fn, compiled, probe frames) -> answers``
+        self._strategies = {
+            "divisible": self._eval_divisible,
+            "nearest": self._eval_nearest,
+            "extreme": self._eval_extreme,
+            "fallback": self._eval_fallback,
+        }
         # instrumentation: a plain dict to callers, optionally backed by
         # registry counters (bind_metrics) so the decision counters show
         # up in Prometheus exposition without a second bookkeeping path
@@ -220,40 +211,18 @@ class IndexedEvaluator:
     # -- tick lifecycle ---------------------------------------------------------
 
     def begin_tick(
-        self,
-        env: EnvironmentTable,
-        hints: Iterable[tuple[CallHint, list[Mapping[str, object]]]] = (),
-        delta: TableDelta | None = None,
+        self, env: EnvironmentTable, delta: TableDelta | None = None
     ) -> None:
-        """Start a tick over *env*; *hints* pair call sites with the unit
-        rows that will execute them (used for sweep-line batching).
+        """Start a tick over *env*.
 
         *delta* is the engine's change capture against the previous
         tick's environment.  Under ``maintenance="incremental"``/
         ``"auto"`` a usable delta patches the retained index structures
         in place; otherwise (or when ``"auto"`` votes rebuild) all
         structures are discarded and lazily rebuilt on first probe.
-
-        Sweep-line batches are per-tick by default, but under delta
-        maintenance a function's batch survives the tick when the delta
-        touched neither its source partition (no changed row passes the
-        build filter) nor its probe group (same hinted call sites over
-        the same, unchanged units) -- the sweep would recompute the
-        exact same answers.
+        Sweep source columns are always per tick.
         """
-        new_hints = list(hints)
-        # Sweep-batch retention is decided independently of the
-        # structure-maintenance vote: a batch is a pure function of its
-        # (unchanged) source rows and probe group, so it stays exact
-        # whether the div/kd structures get patched or rebuilt.
-        reusable = (
-            delta is not None
-            and self.maintenance != "rebuild"
-            and self._env is not None
-        )
-        retained = self._retained_batches(delta, new_hints) if reusable else {}
-        self._batches = retained
-        self._hints = new_hints
+        self._sweep_parts = {}
         if self._should_apply(delta):
             self._apply_delta(delta)
             self._bump("delta_ticks")
@@ -276,7 +245,7 @@ class IndexedEvaluator:
     ) -> None:
         """Adopt a new shard layout (``num_shards <= 1`` drops to flat).
 
-        Every retained structure and sweep batch is keyed by the old
+        Every retained structure and sweep partition is keyed by the old
         layout's shard ids, so all of them are discarded; they rebuild
         lazily on their next probe.  The next ``begin_tick`` must not
         carry a delta captured under the old layout (the engine clears
@@ -287,8 +256,7 @@ class IndexedEvaluator:
         self._div_index.clear()
         self._kd_index.clear()
         self._row_index.clear()
-        self._batches = {}
-        self._hints = []
+        self._sweep_parts = {}
         self._env = None
 
     def prepare(self, fn_names: Iterable[str]) -> None:
@@ -310,10 +278,7 @@ class IndexedEvaluator:
             elif kind == "nearest":
                 self._ensure_kd_index(fn, compiled)
             elif kind == "extreme":
-                if fn.name not in self._batches:
-                    self._build_extreme_batches(fn, compiled)
-                # dynamic (unhinted) call sites fall back to the scan
-                self._ensure_row_index(fn, compiled)
+                self._sweep_partitions(fn, compiled)
             else:
                 self._ensure_row_index(fn, compiled)
 
@@ -336,74 +301,6 @@ class IndexedEvaluator:
         discard the delta anyway.
         """
         return int(_PATCH_FRACTION * new_size)
-
-    # -- sweep-batch reuse across ticks -------------------------------------------
-
-    def _retained_batches(
-        self,
-        delta: TableDelta,
-        new_hints: list[tuple[CallHint, list[Mapping[str, object]]]],
-    ) -> dict[str, dict[tuple, object]]:
-        """Sweep batches from last tick that stay exact under *delta*.
-
-        A function's batch is retained when (a) no changed row passes its
-        build filter, so the source partition that was swept is
-        untouched, and (b) its hinted probe group is identical -- same
-        call sites over the same unit keys, none of which changed.
-        Unchanged units have value-equal rows, and hinted argument terms
-        depend only on the unit row and constants, so both the probe
-        signatures and the sweep answers are guaranteed to reproduce.
-        """
-        if not self._batches:
-            return {}
-        out: dict[str, dict[tuple, object]] = {}
-        quiet = delta.changed == 0
-        changed_rows = None
-        changed_keys: set | None = None
-        for name, batch in self._batches.items():
-            compiled = self._compiled.get(name)
-            if compiled is None:
-                continue
-            keep = compiled.build_filter
-            if not quiet:
-                if keep is None:
-                    continue  # every row is a source; any change dirties it
-                if changed_rows is None:
-                    changed_rows = list(delta.inserted) + list(delta.deleted)
-                    for old, new in delta.updated:
-                        changed_rows.append(old)
-                        changed_rows.append(new)
-                if any(keep(row) for row in changed_rows):
-                    continue
-            old_fp = self._probe_fingerprint(name, self._hints)
-            new_fp = self._probe_fingerprint(name, new_hints)
-            if old_fp != new_fp:
-                continue
-            if not quiet:
-                if changed_keys is None:
-                    key_attr = self.key_attr
-                    changed_keys = {
-                        row[key_attr] for row in changed_rows
-                    }
-                if changed_keys and any(
-                    key in changed_keys
-                    for _, keys in new_fp
-                    for key in keys
-                ):
-                    continue
-            out[name] = batch
-            self._bump("sweep_reuse")
-        return out
-
-    def _probe_fingerprint(
-        self, name: str, hints: list[tuple[CallHint, list[Mapping[str, object]]]]
-    ) -> tuple:
-        key_attr = self.key_attr
-        return tuple(
-            (hint, tuple(u[key_attr] for u in units))
-            for hint, units in hints
-            if hint.function == name
-        )
 
     def _apply_delta(self, delta: TableDelta) -> None:
         for name, index in self._div_index.items():
@@ -560,26 +457,38 @@ class IndexedEvaluator:
     def evaluate(
         self, function: AggregateFunction, args: list[object], ctx: EvalContext
     ) -> object:
-        if function.native is not None:
-            self._bump("native")
-            return function.native(args, ctx.env.rows, ctx)
+        """One call: a batch of one (:meth:`evaluate_batch`)."""
+        return self.evaluate_batch(function, [args], [ctx])[0]
 
+    def evaluate_batch(
+        self,
+        function: AggregateFunction,
+        arg_rows: list[list[object]],
+        ctxs: list[EvalContext],
+    ) -> list[object]:
+        """Answer one call site for a batch: ``arg_rows[i]`` are the
+        arguments of call *i*, made under its unit's context ``ctxs[i]``
+        (what ``Random(i)``, native functions and the scan fallback
+        read).  Shape, index and counters are resolved once per batch,
+        category groups once per distinct key."""
+        if function.native is not None:
+            self._bump("native", len(arg_rows))
+            return [
+                function.native(args, ctx.env.rows, ctx)
+                for args, ctx in zip(arg_rows, ctxs)
+            ]
         compiled = self._compiled_shape(function)
-        shape = compiled.shape
-        f = [ctx, *args, None]  # the probe frame
+        frames = [[ctx, *args, None] for args, ctx in zip(arg_rows, ctxs)]
+        evaluate = self._strategies[compiled.shape.kind]
         guard = compiled.probe.guard
-        if guard is not None and not guard(f):
-            return empty_aggregate_result(shape.outputs)
-        kind = shape.kind
-        if kind == "divisible":
-            return self._eval_divisible(function, compiled, f)
-        if kind == "nearest":
-            return self._eval_nearest(function, compiled, f)
-        if kind == "extreme":
-            result = self._eval_extreme(function, compiled, args)
-            if result is not NotImplemented:
-                return result
-        return self._eval_fallback(function, compiled, args, f)
+        if guard is None:
+            return evaluate(function, compiled, frames)
+        # frames whose u-only conjuncts fail select nothing
+        empty = empty_aggregate_result(compiled.shape.outputs)
+        passed = [bool(guard(f)) for f in frames]
+        live = [f for f, ok in zip(frames, passed) if ok]
+        answers = iter(evaluate(function, compiled, live) if live else ())
+        return [next(answers) if ok else empty for ok in passed]
 
     # -- shared probe helpers ---------------------------------------------------
 
@@ -594,7 +503,7 @@ class IndexedEvaluator:
         return True
 
     def _matching_groups(
-        self, index: PartitionedIndex, compiled: _CompiledShape, f: list
+        self, index: PartitionedIndex, eq_vals: tuple, neq_vals: tuple
     ) -> list:
         """Sub-indexes matching the probe's category constraints.
 
@@ -603,7 +512,6 @@ class IndexedEvaluator:
         cross-shard answer merge (moments, nearest candidates, row
         concatenation) happens in one deterministic order.
         """
-        eq_vals, neq_vals = compiled.probe.cats(f)
         if self.shard_of is not None:
             if not neq_vals:
                 groups = []
@@ -625,6 +533,20 @@ class IndexedEvaluator:
             for key, group in index.groups.items()
             if self._group_matches(key, eq_vals, neq_vals)
         ]
+
+    def _groups_by_cats(
+        self, index: PartitionedIndex, compiled: _CompiledShape, frames: list
+    ) -> list[list]:
+        """Each frame's matching sub-indexes, resolved once per distinct
+        ``(eq_vals, neq_vals)`` key of the batch."""
+        found: dict[tuple, list] = {}
+        out = []
+        for key in compiled.probe.cats_many(frames):
+            groups = found.get(key)
+            if groups is None:
+                groups = found[key] = self._matching_groups(index, *key)
+            out.append(groups)
+        return out
 
     # -- divisible aggregates (Figure 8) -----------------------------------------
 
@@ -653,20 +575,51 @@ class IndexedEvaluator:
         return index
 
     def _eval_divisible(
-        self, fn: AggregateFunction, compiled: _CompiledShape, f: list
-    ) -> object:
+        self, fn: AggregateFunction, compiled: _CompiledShape, frames: list
+    ) -> list:
         shape = compiled.shape
         index = self._ensure_div_index(fn, compiled)
-        self._bump("probe_divisible")
+        self._bump("probe_divisible", len(frames))
+        empty = empty_aggregate_result(shape.outputs)
+        if not shape.ranges:
+            # no range constraint: the category key alone decides the
+            # answer, so compute it once per distinct key
+            answers: dict[tuple, object] = {}
+            out = []
+            for key in compiled.probe.cats_many(frames):
+                answer = answers.get(key, _MISSING)
+                if answer is _MISSING:
+                    groups = self._matching_groups(index, *key)
+                    answer = answers[key] = (
+                        self._divisible_answer(compiled, groups, ())
+                        if groups
+                        else empty
+                    )
+                out.append(answer)
+            return out
+        groups_of = self._groups_by_cats(index, compiled, frames)
+        # bounds only for frames with matching groups, as one call would
+        live = [f for f, groups in zip(frames, groups_of) if groups]
+        bounds_of = iter(compiled.probe.bounds_many(live))
+        out = []
+        for groups in groups_of:
+            if not groups:
+                out.append(empty)
+                continue
+            bounds = next(bounds_of)
+            out.append(
+                empty
+                if bounds is None
+                else self._divisible_answer(compiled, groups, bounds)
+            )
+        return out
 
-        groups = self._matching_groups(index, compiled, f)
-        if not groups:
-            return empty_aggregate_result(shape.outputs)
-        bounds = compiled.probe.bounds(f)
-        if bounds is None:
-            return empty_aggregate_result(shape.outputs)
-
-        # merge per-group moments (divisibility makes this exact)
+    @staticmethod
+    def _divisible_answer(
+        compiled: _CompiledShape, groups: list, bounds
+    ) -> object:
+        """Merge the groups' moments over *bounds* and finalize them
+        (divisibility makes the per-group merge exact)."""
         merged = None
         for group in groups:
             moments = group.query(bounds)
@@ -675,7 +628,7 @@ class IndexedEvaluator:
                 if merged is None
                 else tuple(a.merge(b) for a, b in zip(merged, moments))
             )
-
+        shape = compiled.shape
         values = []
         for output, slot in zip(shape.outputs, compiled.measure_slot):
             if output.agg == "count":
@@ -722,39 +675,45 @@ class IndexedEvaluator:
         return index
 
     def _eval_nearest(
-        self, fn: AggregateFunction, compiled: _CompiledShape, f: list
-    ) -> object:
-        """Best accepted point over the matching trees, ``(dist², key)``
-        tie-broken; ``None`` when nothing matches."""
+        self, fn: AggregateFunction, compiled: _CompiledShape, frames: list
+    ) -> list:
+        """Per frame, the best accepted point over the matching trees,
+        ``(dist², key)`` tie-broken; ``None`` when nothing matches."""
         index = self._ensure_kd_index(fn, compiled)
-        self._bump("probe_kdtree")
-
-        groups = self._matching_groups(index, compiled, f)
+        self._bump("probe_kdtree", len(frames))
         cx, cy = compiled.centers
-        center = (float(cx(f)), float(cy(f)))
-        bounds = compiled.probe.bounds(f)
-        if bounds is None:
-            return None
-        predicate = self._row_predicate(compiled, bounds, f)
-        exclude = (
-            None if predicate is None else (lambda row: not predicate(row))
-        )
+        probe = compiled.probe
         key_attr = self.key_attr
         tie_key = lambda row: row[key_attr]  # noqa: E731
-
-        best_row = None
-        best = (_INF, None)
-        for tree in groups:
-            found = tree.nearest(center, exclude=exclude, tie_key=tie_key)
-            if found is None:
+        returns_row = compiled.shape.returns_row
+        out: list = []
+        for f, groups in zip(
+            frames, self._groups_by_cats(index, compiled, frames)
+        ):
+            center = (float(cx(f)), float(cy(f)))
+            bounds = probe.bounds(f)
+            if bounds is None:
+                out.append(None)
                 continue
-            row, dist_sq = found
-            candidate = (dist_sq, row[key_attr])
-            if best_row is None or candidate < best:
-                best_row, best = row, candidate
-        if best_row is None:
-            return None
-        return Record(best_row) if compiled.shape.returns_row else best[0]
+            predicate = self._row_predicate(compiled, bounds, f)
+            exclude = (
+                None if predicate is None else (lambda row: not predicate(row))
+            )
+            best_row = None
+            best = (_INF, None)
+            for tree in groups:
+                found = tree.nearest(center, exclude=exclude, tie_key=tie_key)
+                if found is None:
+                    continue
+                row, dist_sq = found
+                candidate = (dist_sq, row[key_attr])
+                if best_row is None or candidate < best:
+                    best_row, best = row, candidate
+            if best_row is None:
+                out.append(None)
+            else:
+                out.append(Record(best_row) if returns_row else best[0])
+        return out
 
     @staticmethod
     def _row_predicate(compiled: _CompiledShape, bounds, f: list):
@@ -786,52 +745,86 @@ class IndexedEvaluator:
     # -- extreme aggregates: sweep-line batches (Figure 9) -------------------------
 
     def _eval_extreme(
-        self, fn: AggregateFunction, compiled: _CompiledShape, args: list[object]
-    ) -> object:
-        batch = self._batches.get(fn.name)
-        if batch is None:
-            batch = self._build_extreme_batches(fn, compiled)
-        signature = _args_signature(args, self.key_attr)
-        if signature in batch:
-            self._bump("probe_sweep")
-            result = batch[signature]
-            if result is None:
-                return None
-            value, row = result
-            return Record(row) if compiled.shape.returns_row else value
-        self._bump("sweep_miss")
-        return NotImplemented  # dynamic args: caller falls back to scan
-
-    def _build_extreme_batches(
-        self, fn: AggregateFunction, compiled: _CompiledShape
-    ) -> dict[tuple, object]:
-        """Run the Figure-9 sweeps for every hinted call site of *fn*.
+        self, fn: AggregateFunction, compiled: _CompiledShape, frames: list
+    ) -> list:
+        """Run the Figure-9 sweeps for exactly this batch's probes.
 
         Probes are grouped by (category values, range extents); each
-        group with constant extents gets one sweep per source partition
-        (per shard when sharding is active), and per-probe results merge
-        across the partitions its eq/neq constraints select via
-        ``(value, key)`` candidates, so the merge order -- and therefore
-        the shard count -- can never change an answer.
+        group gets one sweep per source partition it matches (per shard
+        when sharding is active), and per-probe results merge across
+        those partitions via ``(value, key)`` candidates, so the merge
+        order -- and therefore the shard count -- can never change an
+        answer.  Even a group of one probe sweeps: against the
+        partitioned scan, one ``WeakestEnemyInRange`` probe costs 1.65
+        vs 2.93 ms at 2000 units and 0.067 vs 0.110 ms at 60 (and the
+        scan grows by a full pass per extra probe).
         """
-        batch: dict[tuple, object] = {}
-        self._batches[fn.name] = batch
-        self._bump("build_sweep")
+        probe = compiled.probe
+        out: list = [None] * len(frames)
+        groups: dict[tuple, list[tuple[int, tuple[float, float]]]] = {}
+        for i, (bounds, (eq_vals, neq_vals)) in enumerate(
+            zip(probe.bounds_many(frames), probe.cats_many(frames))
+        ):
+            if bounds is None:
+                continue  # empty range: ArgMin/ArgMax over nothing
+            (xlo, xhi), (ylo, yhi) = bounds
+            rx = round((xhi - xlo) / 2.0, 9)
+            ry = round((yhi - ylo) / 2.0, 9)
+            center = ((xlo + xhi) / 2.0, (ylo + yhi) / 2.0)
+            groups.setdefault((eq_vals, neq_vals, rx, ry), []).append(
+                (i, center)
+            )
+
+        shape = compiled.shape
+        kind = shape.extreme_kind
+        sharded = self.shard_of is not None
+        for (eq_vals, neq_vals, rx, ry), probes in groups.items():
+            self._bump("build_sweep")
+            self._bump("probe_sweep", len(probes))
+            centers = [c for _, c in probes]
+            merged: list = [None] * len(probes)
+            parts = self._sweep_partitions(fn, compiled)
+            for part_key, (xy, values, keys, by_key) in parts.items():
+                cat_key = part_key[1:] if sharded else part_key
+                if not self._group_matches(cat_key, eq_vals, neq_vals):
+                    continue
+                results = sweep_arg_minmax(
+                    xy, values, keys, centers, rx, ry, kind
+                )
+                for j, res in enumerate(results):
+                    if res is None:
+                        continue
+                    value, key = res
+                    candidate = (value, key) if kind == "min" else (-value, key)
+                    if merged[j] is None or candidate < merged[j][0]:
+                        merged[j] = (candidate, by_key[key])
+            for (i, _), entry in zip(probes, merged):
+                if entry is not None:
+                    (ordered_value, _), row = entry
+                    value = ordered_value if kind == "min" else -ordered_value
+                    out[i] = Record(row) if shape.returns_row else value
+        return out
+
+    def _sweep_partitions(
+        self, fn: AggregateFunction, compiled: _CompiledShape
+    ) -> dict[tuple, tuple]:
+        """*fn*'s sweep sources split by (shard,) category key, as
+        ``(points, values, keys, key -> row)`` columns; once per tick."""
+        parts = self._sweep_parts.get(fn.name)
+        if parts is not None:
+            return parts
         shape = compiled.shape
         key_attr = self.key_attr
         shard_of = self.shard_of
-
-        sources = self._filtered_rows(compiled)
         partitions: dict[tuple, list] = {}
-        for row in sources:
+        for row in self._filtered_rows(compiled):
             key = tuple(row[a] for a in shape.cat_attrs)
             if shard_of is not None:
                 key = (shard_of(row),) + key
             partitions.setdefault(key, []).append(row)
-
         ax, ay = shape.range_attrs  # classifier guarantees exactly 2 dims
         value_fn = compiled.value_fn
-        part_data = {
+        parts = self._sweep_parts[fn.name] = {
             key: (
                 [(r[ax], r[ay]) for r in rows],
                 [value_fn(r) for r in rows],
@@ -840,71 +833,7 @@ class IndexedEvaluator:
             )
             for key, rows in partitions.items()
         }
-
-        # collect probes per (eq_vals, neq_vals, extents) group
-        groups: dict[tuple, list] = {}
-        probe = compiled.probe
-        rt = EvalContext(
-            env=self._env,
-            registry=self.registry,
-            agg_eval=self,
-            rng=_no_random,
-            unit=None,
-        )
-        for hint, units in self._hints:
-            if hint.function != fn.name:
-                continue
-            args_of = compile_args(
-                hint.arg_terms, frame_scope((hint.unit_param,), self.registry)
-            )
-            for unit in units:
-                rt.unit = unit
-                arg_values = args_of([rt, unit])
-                f = [rt, *arg_values, None]
-                signature = _args_signature(arg_values, key_attr)
-                if probe.guard is not None and not probe.guard(f):
-                    # u-only predicate failed: empty selection
-                    batch[signature] = None
-                    continue
-                bounds = probe.bounds(f)
-                if bounds is None:
-                    batch[signature] = None
-                    continue
-                (xlo, xhi), (ylo, yhi) = bounds
-                rx = (xhi - xlo) / 2.0
-                ry = (yhi - ylo) / 2.0
-                center = ((xlo + xhi) / 2.0, (ylo + yhi) / 2.0)
-                eq_vals, neq_vals = probe.cats(f)
-                group_key = (eq_vals, neq_vals, round(rx, 9), round(ry, 9))
-                groups.setdefault(group_key, []).append((signature, center))
-
-        kind = shape.extreme_kind
-        sharded = shard_of is not None
-        for (eq_vals, neq_vals, rx, ry), probes in groups.items():
-            centers = [c for _, c in probes]
-            merged: list = [None] * len(probes)
-            for part_key, (xy, values, keys, by_key) in part_data.items():
-                cat_key = part_key[1:] if sharded else part_key
-                if not self._group_matches(cat_key, eq_vals, neq_vals):
-                    continue
-                results = sweep_arg_minmax(
-                    xy, values, keys, centers, rx, ry, kind
-                )
-                for i, res in enumerate(results):
-                    if res is None:
-                        continue
-                    value, key = res
-                    candidate = (value, key) if kind == "min" else (-value, key)
-                    if merged[i] is None or candidate < merged[i][0]:
-                        merged[i] = (candidate, by_key[key])
-            for (signature, _), entry in zip(probes, merged):
-                if entry is None:
-                    batch[signature] = None
-                else:
-                    (ordered_value, _), row = entry
-                    value = ordered_value if kind == "min" else -ordered_value
-                    batch[signature] = (value, row)
-        return batch
+        return parts
 
     # -- fallback: partitioned scan -------------------------------------------------
 
@@ -925,23 +854,29 @@ class IndexedEvaluator:
         return index
 
     def _eval_fallback(
-        self,
-        fn: AggregateFunction,
-        compiled: _CompiledShape,
-        args: Sequence[object],
-        f: list,
-    ) -> object:
+        self, fn: AggregateFunction, compiled: _CompiledShape, frames: list
+    ) -> list:
+        """Per frame, scan the rows of its matching groups."""
         index = self._ensure_row_index(fn, compiled)
-        self._bump("probe_scan")
-        groups = self._matching_groups(index, compiled, f)
-        if not groups:
-            return empty_aggregate_result(compiled.shape.outputs)
-        rows: list = []
-        for group in groups:
-            rows.extend(group)
-        return evaluate_aggregate_scan(
-            fn.spec, dict(zip(fn.params, args)), rows, f[0]
-        )
+        self._bump("probe_scan", len(frames))
+        empty = empty_aggregate_result(compiled.shape.outputs)
+        out = []
+        for f, groups in zip(
+            frames, self._groups_by_cats(index, compiled, frames)
+        ):
+            if not groups:
+                out.append(empty)
+                continue
+            rows: list = []
+            for group in groups:
+                rows.extend(group)
+            # zip stops at the parameters: the frame's trailing ``e`` slot
+            out.append(
+                evaluate_aggregate_scan(
+                    fn.spec, dict(zip(fn.params, f[1:])), rows, f[0]
+                )
+            )
+        return out
 
     def _filtered_rows(self, compiled: _CompiledShape) -> list:
         rows = self._env.rows
@@ -949,62 +884,3 @@ class IndexedEvaluator:
             return rows
         build_filter = compiled.build_filter
         return [row for row in rows if build_filter(row)]
-
-
-def _args_signature(args: Sequence[object], key_attr: str) -> tuple:
-    """Hashable signature of aggregate-call arguments.
-
-    Unit rows are identified by their key; vectors by their components.
-    """
-    out = []
-    for arg in args:
-        if isinstance(arg, Mapping):
-            out.append(("row", arg[key_attr]))
-        elif hasattr(arg, "items") and not isinstance(arg, (str, bytes)):
-            out.append(("vec", tuple(arg.items)))
-        else:
-            out.append(arg)
-    return tuple(out)
-
-
-def _no_random(row: Mapping[str, object], i: int) -> int:
-    raise RuntimeError(
-        "Random is not available while precomputing sweep batches; "
-        "hinted call arguments must be deterministic unit terms"
-    )
-
-
-def collect_call_hints(analysis, script_unit_param_by_fn=None) -> list[CallHint]:
-    """Derive :class:`CallHint` objects from a script analysis.
-
-    A call site qualifies when every argument term references only the
-    enclosing function's unit parameter and registry constants -- i.e.
-    the arguments are computable before the decision phase runs.
-    """
-    from ..algebra.shapes import names_in, refs_random
-
-    hints = []
-    for call in analysis.aggregate_calls:
-        unit_param = (
-            script_unit_param_by_fn.get(call.enclosing, "u")
-            if script_unit_param_by_fn
-            else "u"
-        )
-        ok = True
-        for term in call.args:
-            names = names_in(term)
-            if not (names <= {unit_param} or all(n.startswith("_") or n == unit_param for n in names)):
-                ok = False
-                break
-            if refs_random(term):
-                ok = False
-                break
-        if ok:
-            hints.append(
-                CallHint(
-                    function=call.function,
-                    unit_param=unit_param,
-                    arg_terms=call.args,
-                )
-            )
-    return hints

@@ -82,12 +82,11 @@ from ..serve.transport import (
     Transport,
 )
 from ..sgl import ast
-from ..sgl.analysis import analyze_script
 from ..sgl.builtins import FunctionRegistry
 from ..sgl.evalterm import EvalContext
-from .decision import DecisionRunner
+from .decision import DecisionRunner, run_batches
 from .effects import AoeRecord
-from .evaluator import IndexedEvaluator, NaiveEvaluator, collect_call_hints
+from .evaluator import IndexedEvaluator, NaiveEvaluator
 from .rng import TickRandom
 
 #: Message tags, coordinator -> worker.
@@ -166,12 +165,6 @@ ShardConf = tuple  # (shard_by, num_shards, spatial_extent)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Compiled:
-    runner: DecisionRunner
-    hints: list
-
-
 class _WorkerState:
     """Per-process engine fragment: replica, runners, evaluator, rng."""
 
@@ -182,7 +175,7 @@ class _WorkerState:
         self.cascade = bool(payload["cascade"])
         self.rng = TickRandom(int(payload["seed"]), key_attr=game.schema.key)
         self.shard_conf: ShardConf = tuple(payload["shard_conf"])
-        self._compiled: dict[str, _Compiled] = {}
+        self._runners: dict[object, DecisionRunner] = {}
         self._reshard(self.shard_conf)
         # the replica of E (row order, key -> row, epoch held) -- the
         # same holder-side protocol object the spectator replicas use
@@ -240,28 +233,16 @@ class _WorkerState:
 
     # -- script compilation ------------------------------------------------------
 
-    def compiled_for(self, selector_value: object) -> _Compiled:
-        entry = self._compiled.get(selector_value)
-        if entry is None:
-            script = self.game.scripts[selector_value]
-            runner = DecisionRunner(
-                script,
+    def runner_for(self, selector_value: object) -> DecisionRunner:
+        runner = self._runners.get(selector_value)
+        if runner is None:
+            runner = self._runners[selector_value] = DecisionRunner(
+                self.game.scripts[selector_value],
                 self.game.registry,
                 index_actions=self.indexed,
                 defer_aoe=self.indexed and self.optimize_aoe,
             )
-            analysis = analyze_script(
-                script, self.game.registry, self.game.schema
-            )
-            unit_params = {
-                fn.name: fn.params[0] for fn in script.functions.values()
-            }
-            entry = _Compiled(
-                runner=runner,
-                hints=collect_call_hints(analysis, unit_params),
-            )
-            self._compiled[selector_value] = entry
-        return entry
+        return runner
 
     # -- the decision stage ------------------------------------------------------
 
@@ -302,12 +283,7 @@ class _WorkerState:
 
         by_key = None
         if self.indexed:
-            hint_pairs = []
-            for units_by_script in shard_groups.values():
-                for selector_value, units in units_by_script.items():
-                    for hint in self.compiled_for(selector_value).hints:
-                        hint_pairs.append((hint, units))
-            self.evaluator.begin_tick(env, hint_pairs, delta=delta)
+            self.evaluator.begin_tick(env, delta=delta)
             by_key = (
                 self.replica.by_key
                 if self.replica.by_key is not None
@@ -322,13 +298,11 @@ class _WorkerState:
         )
         out: list[tuple[int, list[dict[str, object]], list[AoeRecord]]] = []
         for shard_id in shard_ids:
-            effect_rows: list[dict[str, object]] = []
-            aoe_records: list[AoeRecord] = []
-            for selector_value, units in shard_groups[shard_id].items():
-                runner = self.compiled_for(selector_value).runner
-                for unit in units:
-                    runner.run_unit(unit, rt, by_key, effect_rows, aoe_records)
-            out.append((shard_id, effect_rows, aoe_records))
+            batches = [
+                (self.runner_for(selector_value), units)
+                for selector_value, units in shard_groups[shard_id].items()
+            ]
+            out.append((shard_id, *run_batches(batches, rt, by_key)))
         return out
 
 

@@ -3,13 +3,13 @@
 A spectator replica applies the feed's snapshot/delta updates and moves
 forward; :class:`EpochHistory` is the retained rear-view mirror.  It
 records every applied update -- snapshots as natural checkpoints,
-deltas as-is -- and synthesizes a checkpoint every *checkpoint_every*
-epochs by keeping a **shallow copy of the replica's row list**.  That
-copy is exact forever: :class:`~repro.env.sharding.ReplicaTable` never
-mutates a row in place (delta application replaces changed rows with
-fresh dicts), so the epoch-``k`` row objects *are* the epoch-``k``
-state.  Checkpoints therefore cost one list copy, not a deep copy of
-the environment.
+deltas as their **pickled wire frame** -- and synthesizes a checkpoint
+every *checkpoint_every* epochs by keeping a **shallow copy of the
+replica's row list**.  That copy is exact forever:
+:class:`~repro.env.sharding.ReplicaTable` never mutates a row in place
+(delta application replaces changed rows with fresh dicts), so the
+epoch-``k`` row objects *are* the epoch-``k`` state.  Checkpoints
+therefore cost one list copy, not a deep copy of the environment.
 
 :meth:`reconstruct` rebuilds the rows at any retained epoch by applying
 the nearest checkpoint and the deltas after it through a scratch
@@ -20,19 +20,32 @@ to the authoritative engine at that epoch.
 
 Retention trims from the front, always leaving a checkpoint first, so
 every epoch inside the advertised span stays reconstructible.
+
+**Memory bound.**  A delta is kept as the bytes it arrived in, never as
+the decoded :class:`~repro.env.sharding.ReplicaDelta`: a 1000-unit
+battle epoch is a ~15 KiB frame but ~210 KiB of decoded dicts, so a
+replica that kept the decoded form grew by ~0.2 MiB per tick -- and a
+faster engine, completing more ticks in the same time, looked like a
+memory regression.  :attr:`EpochHistory.history_bytes` is the retained
+frame bytes plus the checkpoint row lists (their references; the row
+dicts are the replica's own at that epoch); at most *retain* epochs plus
+one checkpoint interval are held.  The price is decoding up to
+*checkpoint_every* - 1 frames per reconstruction.
 """
 
 from __future__ import annotations
 
+import pickle
+import sys
 from bisect import bisect_left
 
-from ..env.sharding import ReplicaDelta, ReplicaTable
+from ..env.sharding import ReplicaDelta, ReplicaTable, delta_blob
 
 _SNAPSHOT = 0
 _DELTA = 1
 
-#: ``(_SNAPSHOT, rows)`` or ``(_DELTA, ReplicaDelta)``.
-_Entry = tuple[int, "list[dict[str, object]] | ReplicaDelta"]
+#: ``(_SNAPSHOT, rows)`` or ``(_DELTA, pickled delta update frame)``.
+_Entry = tuple[int, "list[dict[str, object]] | bytes"]
 
 
 class EpochHistory:
@@ -69,14 +82,19 @@ class EpochHistory:
         self._record(epoch, (_SNAPSHOT, list(rows)))
 
     def record_delta(
-        self, rd: ReplicaDelta, rows_after: list[dict[str, object]]
+        self,
+        rd: ReplicaDelta,
+        rows_after: list[dict[str, object]],
+        frame: bytes | None = None,
     ) -> None:
         """The feed delivered a delta the replica just applied.
 
         *rows_after* is the replica's row list at ``rd.epoch``; when the
         checkpoint cadence comes due the history stores a shallow copy
         of it instead of the delta, bounding every reconstruction to at
-        most *checkpoint_every* delta applications.
+        most *checkpoint_every* delta applications.  Otherwise it keeps
+        *frame*, the delta update exactly as received
+        (:func:`~repro.env.sharding.delta_blob` of *rd* when not given).
         """
         last_checkpoint = self._last_checkpoint_epoch()
         entry: _Entry
@@ -86,7 +104,7 @@ class EpochHistory:
         ):
             entry = (_SNAPSHOT, list(rows_after))
         else:
-            entry = (_DELTA, rd)
+            entry = (_DELTA, delta_blob(rd) if frame is None else frame)
         self._record(rd.epoch, entry)
 
     def _record(self, epoch: int, entry: _Entry) -> None:
@@ -147,6 +165,15 @@ class EpochHistory:
     def __len__(self) -> int:
         return len(self._entries)
 
+    @property
+    def history_bytes(self) -> int:
+        """Bytes retained: every delta frame plus every checkpoint's row
+        list (see the module docstring for what that bounds)."""
+        return sum(
+            sys.getsizeof(data) if kind == _SNAPSHOT else len(data)
+            for kind, data in self._entries
+        )
+
     # -- reconstruction -----------------------------------------------------------
 
     def reconstruct(self, epoch: int) -> list[dict[str, object]]:
@@ -170,7 +197,7 @@ class EpochHistory:
         assert isinstance(base_rows, list)
         table.apply_snapshot(self._epochs[base], list(base_rows))
         for j in range(base + 1, i + 1):
-            rd = self._entries[j][1]
-            assert isinstance(rd, ReplicaDelta)
-            table.apply_delta(rd)
+            frame = self._entries[j][1]
+            assert isinstance(frame, bytes)
+            table.apply_delta(pickle.loads(frame)[1])
         return table.rows

@@ -228,7 +228,7 @@ class QueryEngine:
         result); ``None`` means a discontinuity (snapshot), which drops
         every retained structure for lazy rebuild.
         """
-        self.evaluator.begin_tick(env, (), delta=delta)
+        self.evaluator.begin_tick(env, delta=delta)
         self._env = env
         self._by_key = None  # rebuilt lazily; rows may be brand new dicts
         self._maintain_knn(delta)

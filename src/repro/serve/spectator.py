@@ -50,7 +50,12 @@ from ..env.sharding import (
 from ..env.table import EnvironmentTable
 from .publisher import SUB_STALE
 from .queries import QueryAnswer, QueryError, build_request
-from .transport import DEFAULT_MAX_FRAME, FrameError, SocketTransport
+from .transport import (
+    DEFAULT_MAX_FRAME,
+    FrameError,
+    SocketTransport,
+    unpickle_frame,
+)
 
 #: Client -> spectator request tags.
 REQ_QUERY = "query"
@@ -138,8 +143,10 @@ class _SpectatorServer:
 
     # -- feed handling ------------------------------------------------------------
 
-    def apply_update(self, update) -> None:
-        """Apply one snapshot/delta blob to the replica and the indexes."""
+    def apply_update(self, update, frame: bytes | None = None) -> None:
+        """Apply one snapshot/delta update to the replica and the
+        indexes; *frame* is the update as received (the history keeps
+        a delta's frame, not the decoded delta)."""
         if update[0] == UPDATE_SNAPSHOT:
             _, epoch, rows, _shard_conf = update
             # shard_conf is ignored: the spectator's evaluator is flat,
@@ -165,7 +172,7 @@ class _SpectatorServer:
                 # safe to retain by reference: delta application never
                 # mutates a row in place, so epoch-k row objects stay
                 # the epoch-k state forever
-                self.history.record_delta(rd, self.replica.rows)
+                self.history.record_delta(rd, self.replica.rows, frame)
         self.updates_applied += 1
 
     def _replica_env(self) -> EnvironmentTable:
@@ -176,7 +183,8 @@ class _SpectatorServer:
     def drain_feed(self) -> None:
         while self.feed_alive and self.feed.poll(0.0):
             try:
-                self.apply_update(self.feed.recv())
+                frame = self.feed.recv_bytes()
+                self.apply_update(unpickle_frame(frame), frame)
             except (EOFError, OSError):
                 # publisher gone: keep answering at the last held epoch
                 self.feed_alive = False
@@ -211,6 +219,10 @@ class _SpectatorServer:
                         "evaluator_stats": dict(self.engine.evaluator.stats),
                         "history_span": (
                             None if self.history is None else self.history.span()
+                        ),
+                        "history_bytes": (
+                            0 if self.history is None
+                            else self.history.history_bytes
                         ),
                     },
                 )
@@ -260,6 +272,9 @@ class _SpectatorServer:
         )
         registry.counter("spectator_stale_reports_total").inc(
             self.stale_reports
+        )
+        registry.gauge("spectator_history_bytes").set(
+            0 if self.history is None else self.history.history_bytes
         )
         for key, value in self.engine.stats.items():
             registry.counter(f"queries_{key}").value = value

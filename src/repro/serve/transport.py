@@ -76,6 +76,16 @@ class FrameError(TransportError):
     """
 
 
+def unpickle_frame(payload: bytes) -> object:
+    """Unpickle one received message.  The frame was fully consumed, so
+    a bad payload is an error for *this* message only (a
+    :class:`FrameError`); the stream itself is still on a boundary."""
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:
+        raise FrameError(f"undecodable frame payload: {exc}") from exc
+
+
 class Transport:
     """One bidirectional, message-oriented channel to a single peer.
 
@@ -94,6 +104,11 @@ class Transport:
 
     def recv(self) -> object:
         """Receive and unpickle one whole message (blocking)."""
+        return unpickle_frame(self.recv_bytes())
+
+    def recv_bytes(self) -> bytes:
+        """Receive one whole message still pickled (blocking) -- for a
+        holder that keeps the wire frame rather than the decoded object."""
         raise NotImplementedError
 
     def poll(self, timeout: float = 0.0) -> bool:
@@ -130,8 +145,8 @@ class PipeTransport(Transport):
         self._conn.send_bytes(blob)
         return len(blob)
 
-    def recv(self) -> object:
-        return self._conn.recv()
+    def recv_bytes(self) -> bytes:
+        return self._conn.recv_bytes()
 
     def poll(self, timeout: float = 0.0) -> bool:
         return self._conn.poll(timeout)
@@ -255,7 +270,7 @@ class SocketTransport(Transport):
             remaining -= len(chunk)
         return b"".join(chunks)
 
-    def recv(self) -> object:
+    def recv_bytes(self) -> bytes:
         if self._desynced:
             raise FrameError(
                 "transport is desynchronized (earlier timeout or framing "
@@ -277,13 +292,7 @@ class SocketTransport(Transport):
                 f"peer declared a {length}-byte frame "
                 f"(max_frame={self.max_frame}); refusing to read it"
             )
-        payload = self._read_exact(length, mid_frame=True)
-        # the frame was fully consumed: a bad payload is an error for
-        # *this* message only, the stream itself is still on a boundary
-        try:
-            return pickle.loads(payload)
-        except Exception as exc:
-            raise FrameError(f"undecodable frame payload: {exc}") from exc
+        return self._read_exact(length, mid_frame=True)
 
     def poll(self, timeout: float = 0.0) -> bool:
         try:

@@ -35,6 +35,15 @@ class AggregateEvaluator(Protocol):
     ) -> object:
         """Evaluate aggregate *function* with bound *args* against ctx.env."""
 
+    def evaluate_batch(
+        self,
+        function: "AggregateFunction",
+        arg_rows: list[list[object]],
+        ctxs: list["EvalContext"],
+    ) -> list[object]:
+        """:meth:`evaluate` for each ``(args, ctx)`` pair -- one call
+        site over a batch of units, each call under its unit's context."""
+
 
 #: Pure math builtins available in terms.  ``nonsql_max`` appears in the
 #: paper's Figure 5; it is max outside SQL aggregation.

@@ -50,6 +50,18 @@ class NaiveAggregateEvaluator:
         bindings = dict(zip(function.params, args))
         return evaluate_aggregate_scan(function.spec, bindings, ctx.env.rows, ctx)
 
+    def evaluate_batch(
+        self,
+        function: AggregateFunction,
+        arg_rows: list[list[object]],
+        ctxs: list[EvalContext],
+    ) -> list[object]:
+        """One :meth:`evaluate` per call: a scan has nothing to share."""
+        return [
+            self.evaluate(function, args, ctx)
+            for args, ctx in zip(arg_rows, ctxs)
+        ]
+
 
 class Interpreter:
     """Tuple-at-a-time evaluator for one script against one environment."""

@@ -1,23 +1,21 @@
-"""Naive vs indexed aggregate evaluation: per-call equivalence.
+"""Naive vs indexed aggregate evaluation: per-call and per-batch
+equivalence.
 
 The paper's two pluggable evaluators must agree bit-for-bit, including
 on argmin/argmax identities.  These tests call every battle aggregate
-directly with both evaluators over randomized environments.
+directly with both evaluators over randomized environments, one call
+at a time (``evaluate``) and as call-site batches (``evaluate_batch``).
 """
 
 import pytest
 
 from repro.engine.evaluator import (
-    CallHint,
     IndexedEvaluator,
     NaiveEvaluator,
-    collect_call_hints,
     empty_aggregate_result,
 )
-from repro.sgl import ast
-from repro.sgl.analysis import analyze_script
+from repro.env.sharding import make_sharder
 from repro.sgl.evalterm import EvalContext
-from repro.sgl.parser import parse_script, parse_term
 from repro.sgl.values import Record
 from tests.conftest import make_env
 
@@ -33,17 +31,12 @@ def make_ctx(env, registry, agg_eval, unit):
     )
 
 
-def hint_for(registry, fn_name, arg_sources, units):
-    args = tuple(parse_term(s) for s in arg_sources)
-    return (CallHint(function=fn_name, unit_param="u", arg_terms=args), units)
-
-
-def call_both(registry, env, fn_name, args_for_unit, hints=()):
+def call_both(registry, env, fn_name, args_for_unit):
     """Evaluate fn for every unit with both evaluators; compare."""
     fn = registry.aggregates[fn_name]
     naive = NaiveEvaluator()
     indexed = IndexedEvaluator(registry)
-    indexed.begin_tick(env, hints)
+    indexed.begin_tick(env)
     for unit in env.rows:
         args = args_for_unit(unit)
         ctx_naive = make_ctx(env, registry, naive, unit)
@@ -53,6 +46,30 @@ def call_both(registry, env, fn_name, args_for_unit, hints=()):
         assert got == expected, (
             f"{fn_name} diverges for unit {unit['key']}: "
             f"{got!r} != {expected!r}"
+        )
+    return indexed
+
+
+def batch_both(registry, env, fn_name, args_for_unit, indexed=None):
+    """Evaluate fn for all units as one call-site batch; compare each
+    answer with the naive evaluator's."""
+    fn = registry.aggregates[fn_name]
+    naive = NaiveEvaluator()
+    if indexed is None:
+        indexed = IndexedEvaluator(registry)
+    indexed.begin_tick(env)
+    units = env.rows
+    got = indexed.evaluate_batch(
+        fn,
+        [list(args_for_unit(u)) for u in units],
+        [make_ctx(env, registry, indexed, u) for u in units],
+    )
+    for unit, answer in zip(units, got):
+        ctx = make_ctx(env, registry, naive, unit)
+        expected = naive.evaluate(fn, list(args_for_unit(unit)), ctx)
+        assert answer == expected, (
+            f"{fn_name} diverges for unit {unit['key']}: "
+            f"{answer!r} != {expected!r}"
         )
     return indexed
 
@@ -113,44 +130,41 @@ class TestNearest:
 
 
 class TestExtreme:
-    def hints(self, registry, env, fn, radius_src):
-        return [hint_for(registry, fn, ("u", radius_src), env.rows)]
-
-    def test_weakest_enemy_with_hints(self, registry, env):
-        indexed = call_both(
-            registry, env, "WeakestEnemyInRange",
-            lambda u: (u, u["sight"]),
-            hints=self.hints(registry, env, "WeakestEnemyInRange", "u.sight"),
+    def test_weakest_enemy_batched(self, registry, env):
+        indexed = batch_both(
+            registry, env, "WeakestEnemyInRange", lambda u: (u, u["sight"])
         )
         assert indexed.stats.get("probe_sweep", 0) == len(env)
-        assert indexed.stats.get("sweep_miss", 0) == 0
+        assert indexed.stats.get("probe_scan", 0) == 0
 
-    def test_unhinted_args_fall_back_to_scan(self, registry, env):
+    def test_single_calls_sweep(self, registry, env):
+        # a call outside any batch is a batch of one: it sweeps too
         indexed = call_both(
-            registry, env, "WeakestEnemyInRange",
-            lambda u: (u, 7),  # dynamic radius, no matching hint
+            registry, env, "WeakestEnemyInRange", lambda u: (u, 7)
         )
-        assert indexed.stats.get("probe_scan", 0) == len(env)
+        assert indexed.stats.get("probe_sweep", 0) == len(env)
+        assert indexed.stats.get("build_sweep", 0) == len(env)
+        assert indexed.stats.get("probe_scan", 0) == 0
 
     def test_mixed_extents_grouped(self, registry, env):
-        # different sight per unit type: several sweep groups per tick
-        hints = self.hints(registry, env, "WeakestEnemyInRange", "u.sight")
-        indexed = call_both(
-            registry, env, "WeakestEnemyInRange",
-            lambda u: (u, u["sight"]),
-            hints=hints,
+        # different sight per unit type: one sweep per (player, extent)
+        indexed = batch_both(
+            registry, env, "WeakestEnemyInRange", lambda u: (u, u["sight"])
         )
-        assert indexed.stats.get("build_sweep", 0) == 1
+        groups = {(u["player"], u["sight"]) for u in env.rows}
+        assert len(groups) > 2
+        assert indexed.stats.get("build_sweep", 0) == len(groups)
 
     def test_wounded_friendly(self, registry, env):
         for row in env.rows[::2]:
             row["health"] -= 3
+        batch_both(
+            registry, env, "WeakestWoundedFriendlyInRange",
+            lambda u: (u, u["sight"]),
+        )
         call_both(
             registry, env, "WeakestWoundedFriendlyInRange",
             lambda u: (u, u["sight"]),
-            hints=self.hints(
-                registry, env, "WeakestWoundedFriendlyInRange", "u.sight"
-            ),
         )
 
 
@@ -172,35 +186,49 @@ class TestEmptyResults:
         call_both(registry, env, "NearestEnemy", lambda u: (u,))
 
 
-class TestCallHints:
-    def test_static_args_hinted(self, registry, schema):
-        script = parse_script(
-            "main(u) { (let w = WeakestEnemyInRange(u, u.sight)) "
-            "if w.key > 0 then perform UseWeapon(u) }"
-        )
-        analysis = analyze_script(script, registry, schema)
-        hints = collect_call_hints(analysis, {"main": "u"})
-        assert [h.function for h in hints] == ["WeakestEnemyInRange"]
+def battle_args(fn, unit):
+    """Plausible arguments for a battle aggregate called by *unit*."""
+    by_name = {"u": unit, "radius": unit["sight"], "cx": unit["posx"] + 1,
+               "cy": unit["posy"] - 2}
+    return [by_name[p] for p in fn.params]
 
-    def test_dynamic_args_not_hinted(self, registry, schema):
-        script = parse_script(
-            "main(u) { (let r = CountEnemiesInRange(u, 5)) "
-            "(let w = WeakestEnemyInRange(u, r)) "
-            "if w.key > 0 then perform UseWeapon(u) }"
-        )
-        analysis = analyze_script(script, registry, schema)
-        hints = collect_call_hints(analysis, {"main": "u"})
-        functions = [h.function for h in hints]
-        assert "WeakestEnemyInRange" not in functions
 
-    def test_constant_args_hinted(self, registry, schema):
-        script = parse_script(
-            "main(u) { (let w = WeakestEnemyInRange(u, _HEALER_RANGE)) "
-            "if w.key > 0 then perform UseWeapon(u) }"
-        )
-        analysis = analyze_script(script, registry, schema)
-        hints = collect_call_hints(analysis, {"main": "u"})
-        assert [h.function for h in hints] == ["WeakestEnemyInRange"]
+class TestEvaluateBatch:
+    """``evaluate_batch`` equals ``evaluate`` row by row, for every
+    battle aggregate, on flat and on 2-shard evaluators."""
+
+    def evaluators(self, registry, grid):
+        yield IndexedEvaluator(registry)
+        sharder = make_sharder("spatial", 2, extent=grid)
+        yield IndexedEvaluator(registry, shard_of=sharder, num_shards=2)
+
+    @pytest.mark.parametrize("one_team", [False, True])
+    def test_every_battle_aggregate(self, registry, schema, one_team):
+        env = make_env(schema, n=48, grid=20, seed=4)
+        for row in env.rows[::3]:
+            row["health"] -= 2  # wounded: the filtered aggregates' sources
+        if one_team:
+            for row in env.rows:
+                row["player"] = 0  # enemy aggregates select nothing
+        naive = NaiveEvaluator()
+        for fn in registry.aggregates.values():
+            want = [
+                naive.evaluate(
+                    fn, battle_args(fn, u), make_ctx(env, registry, naive, u)
+                )
+                for u in env.rows
+            ]
+            for indexed in self.evaluators(registry, 20):
+                indexed.begin_tick(env)
+                ctxs = [make_ctx(env, registry, indexed, u) for u in env.rows]
+                batch = indexed.evaluate_batch(
+                    fn, [battle_args(fn, u) for u in env.rows], ctxs
+                )
+                single = [
+                    indexed.evaluate(fn, battle_args(fn, u), ctx)
+                    for u, ctx in zip(env.rows, ctxs)
+                ]
+                assert batch == single == want, fn.name
 
 
 class TestCascadeToggle:

@@ -238,18 +238,17 @@ class TestEngineWiring:
 
 
 class TestScriptCachePinning:
-    """Regression: the runner/hint cache was keyed by ``id(script)``
-    without referencing the script, so a garbage-collected script's
-    recycled id could silently serve another script's runner and hints.
-    The cache now pins the script, making id reuse impossible while the
-    entry lives."""
+    """Regression: the runner cache was keyed by ``id(script)`` without
+    referencing the script, so a garbage-collected script's recycled id
+    could silently serve another script's runner.  The cache now pins
+    the script, making id reuse impossible while the entry lives."""
 
     def test_cache_entries_pin_their_scripts(self):
         sim = BattleSimulation(12, seed=0)
         sim.run(2)
         runners = sim.engine._runners
         assert runners
-        for cache_key, (script, runner, hints) in runners.items():
+        for cache_key, (script, runner) in runners.items():
             assert id(script) == cache_key
             assert runner.script is script
 

@@ -1,16 +1,8 @@
-"""The rebuild-or-patch rule and cross-tick sweep-batch reuse."""
+"""The rebuild-or-patch rule, and sweeps that never outlive their tick."""
 
-from repro.engine.evaluator import (
-    _PATCH_FRACTION,
-    IndexedEvaluator,
-    NaiveEvaluator,
-    collect_call_hints,
-)
-from repro.env.schema import battle_schema
+from repro.engine.evaluator import _PATCH_FRACTION, IndexedEvaluator, NaiveEvaluator
 from repro.env.table import TableDelta, diff_by_key
-from repro.sgl.analysis import analyze_script
 from repro.sgl.evalterm import EvalContext
-from repro.sgl.parser import parse_script
 from tests.conftest import make_env
 
 
@@ -67,165 +59,73 @@ class TestPatchOrRebuildRule:
         assert not evaluator._should_apply(inserts(budget + 1, 400))
 
 
-SWEEP_SCRIPT = """
-main(u) {
-  (let w = WeakestWoundedFriendlyInRange(u, u.sight)) {
-    perform UseWeapon(u)
-  }
-}
-"""
-
-
 class TestSweepBatchReuse:
-    """A Figure-9 batch survives a tick when the delta touched neither
-    its source partition nor its probe group."""
+    """Figure-9 sweeps are never carried across ticks: every tick's
+    call-site batch sweeps that tick's sources, so a delta touching the
+    source partition or the probing units always shows in the answers,
+    whatever the maintenance mode."""
 
     FN = "WeakestWoundedFriendlyInRange"
 
-    def setup_probe(self, registry, schema):
+    def setup_probe(self, schema):
         env = make_env(schema, n=30, grid=30, seed=9)
         for row in env.rows[:6]:
             row["health"] -= 3  # wounded: the sweep's source partition
-        script = parse_script(SWEEP_SCRIPT)
-        analysis = analyze_script(script, registry, schema)
-        (hint,) = collect_call_hints(analysis, {"main": "u"})
         probes = [r for r in env.rows if r["health"] == r["max_health"]][:4]
-        return env, hint, probes
+        return env, {p["key"] for p in probes}
 
     def probe_all(self, evaluator, env, registry, probe_keys):
+        """One call-site batch: every probing unit's call."""
         fn = registry.aggregates[self.FN]
-        out = []
-        for unit in env.rows:
-            if unit["key"] not in probe_keys:
-                continue
-            ctx = make_ctx(env, registry, evaluator, unit)
-            out.append(evaluator.evaluate(fn, [unit, unit["sight"]], ctx))
-        return out
-
-    def test_batch_reused_when_sources_and_probes_untouched(
-        self, registry, schema
-    ):
-        env, hint, probes = self.setup_probe(registry, schema)
-        probe_keys = {p["key"] for p in probes}
-        evaluator = IndexedEvaluator(registry, maintenance="incremental")
-        evaluator.begin_tick(env, [(hint, probes)])
-        self.probe_all(evaluator, env, registry, probe_keys)
-        assert evaluator.stats.get("build_sweep") == 1
-
-        # a healthy bystander's cooldown ticks: no source, no probe
-        new = env.copy()
-        bystander = next(
-            r
-            for r in new.rows
-            if r["health"] == r["max_health"] and r["key"] not in probe_keys
+        units = [u for u in env.rows if u["key"] in probe_keys]
+        return evaluator.evaluate_batch(
+            fn,
+            [[u, u["sight"]] for u in units],
+            [make_ctx(env, registry, evaluator, u) for u in units],
         )
-        bystander["cooldown"] += 1
-        delta = diff_by_key(env, new)
-        new_probes = [r for r in new.rows if r["key"] in probe_keys]
-        evaluator.begin_tick(new, [(hint, new_probes)], delta=delta)
-        assert evaluator.stats.get("sweep_reuse") == 1
 
-        got = self.probe_all(evaluator, new, registry, probe_keys)
-        naive = NaiveEvaluator()
-        want = self.probe_all(naive, new, registry, probe_keys)
-        assert got == want
-        assert evaluator.stats.get("build_sweep") == 1  # never rebuilt
-
-    def test_source_change_invalidates(self, registry, schema):
-        env, hint, probes = self.setup_probe(registry, schema)
-        probe_keys = {p["key"] for p in probes}
-        evaluator = IndexedEvaluator(registry, maintenance="incremental")
-        evaluator.begin_tick(env, [(hint, probes)])
+    def check_next_tick(self, registry, env, new, probe_keys, maintenance):
+        """Sweep tick 1 over *env*, tick 2 over *new*: tick 2 must sweep
+        again and answer exactly like the naive evaluator."""
+        evaluator = IndexedEvaluator(registry, maintenance=maintenance)
+        evaluator.begin_tick(env)
         self.probe_all(evaluator, env, registry, probe_keys)
-
-        new = env.copy()
-        wounded = next(
-            r for r in new.rows if r["health"] < r["max_health"]
-        )
-        wounded["health"] -= 1
-        delta = diff_by_key(env, new)
-        new_probes = [r for r in new.rows if r["key"] in probe_keys]
-        evaluator.begin_tick(new, [(hint, new_probes)], delta=delta)
-        assert evaluator.stats.get("sweep_reuse", 0) == 0
-
+        first = evaluator.stats.get("build_sweep")
+        assert first
+        evaluator.begin_tick(new, delta=diff_by_key(env, new))
         got = self.probe_all(evaluator, new, registry, probe_keys)
         want = self.probe_all(NaiveEvaluator(), new, registry, probe_keys)
         assert got == want
-        assert evaluator.stats.get("build_sweep") == 2
+        assert evaluator.stats.get("build_sweep") > first
+        assert evaluator.stats.get("sweep_reuse", 0) == 0
+
+    def test_source_change_invalidates(self, registry, schema):
+        env, probe_keys = self.setup_probe(schema)
+        new = env.copy()
+        wounded = next(r for r in new.rows if r["health"] < r["max_health"])
+        wounded["health"] -= 1
+        self.check_next_tick(registry, env, new, probe_keys, "incremental")
 
     def test_probe_change_invalidates(self, registry, schema):
-        env, hint, probes = self.setup_probe(registry, schema)
-        probe_keys = {p["key"] for p in probes}
-        evaluator = IndexedEvaluator(registry, maintenance="incremental")
-        evaluator.begin_tick(env, [(hint, probes)])
-        self.probe_all(evaluator, env, registry, probe_keys)
-
-        # a probing unit moves: its hinted arguments change
+        env, probe_keys = self.setup_probe(schema)
+        # a probing unit moves: its call's arguments change
         new = env.copy()
         prober = next(r for r in new.rows if r["key"] in probe_keys)
         prober["posx"] = (prober["posx"] + 3) % 30
-        delta = diff_by_key(env, new)
-        new_probes = [r for r in new.rows if r["key"] in probe_keys]
-        evaluator.begin_tick(new, [(hint, new_probes)], delta=delta)
-        assert evaluator.stats.get("sweep_reuse", 0) == 0
-
-        got = self.probe_all(evaluator, new, registry, probe_keys)
-        want = self.probe_all(NaiveEvaluator(), new, registry, probe_keys)
-        assert got == want
+        self.check_next_tick(registry, env, new, probe_keys, "incremental")
 
     def test_probe_group_shrink_invalidates(self, registry, schema):
-        env, hint, probes = self.setup_probe(registry, schema)
-        probe_keys = {p["key"] for p in probes}
+        env, probe_keys = self.setup_probe(schema)
         evaluator = IndexedEvaluator(registry, maintenance="incremental")
-        evaluator.begin_tick(env, [(hint, probes)])
+        evaluator.begin_tick(env)
         self.probe_all(evaluator, env, registry, probe_keys)
-
-        # same env, but one probe left the hinted group
-        delta = diff_by_key(env, env.copy())
-        kept = [r for r in env.rows if r["key"] in probe_keys][:-1]
-        evaluator.begin_tick(env, [(hint, kept)], delta=delta)
-        assert evaluator.stats.get("sweep_reuse", 0) == 0
-
-    def test_empty_delta_retains_filterless_batches(self, registry, schema):
-        """A quiet tick (zero changed rows) must retain every batch,
-        including those of filterless aggregates where any *actual*
-        change would dirty the sources."""
-        env, _, probes = self.setup_probe(registry, schema)
-        probe_keys = {p["key"] for p in probes}
-        script = parse_script(
-            "main(u) { (let w = WeakestEnemyInRange(u, u.sight)) "
-            "{ perform UseWeapon(u) } }"
-        )
-        analysis = analyze_script(script, registry, schema)
-        (hint,) = collect_call_hints(analysis, {"main": "u"})
-        fn = registry.aggregates["WeakestEnemyInRange"]
-        evaluator = IndexedEvaluator(registry, maintenance="incremental")
-        evaluator.begin_tick(env, [(hint, probes)])
-        for unit in probes:
-            ctx = make_ctx(env, registry, evaluator, unit)
-            evaluator.evaluate(fn, [unit, unit["sight"]], ctx)
-        assert evaluator.stats.get("build_sweep") == 1
-
-        quiet = diff_by_key(env, env.copy())
-        assert quiet is not None and quiet.changed == 0
-        new_probes = [r for r in env.rows if r["key"] in probe_keys]
-        evaluator.begin_tick(env, [(hint, new_probes)], delta=quiet)
-        assert evaluator.stats.get("sweep_reuse") == 1
-        for unit in new_probes:
-            ctx = make_ctx(env, registry, evaluator, unit)
-            got = evaluator.evaluate(fn, [unit, unit["sight"]], ctx)
-            want = NaiveEvaluator().evaluate(fn, [unit, unit["sight"]], ctx)
-            assert got == want
-        assert evaluator.stats.get("build_sweep") == 1
+        # same env, but one probe left the batch
+        kept = set(sorted(probe_keys)[:-1])
+        evaluator.begin_tick(env, delta=diff_by_key(env, env.copy()))
+        got = self.probe_all(evaluator, env, registry, kept)
+        want = self.probe_all(NaiveEvaluator(), env, registry, kept)
+        assert got == want and len(got) == len(kept)
 
     def test_rebuild_mode_never_reuses(self, registry, schema):
-        env, hint, probes = self.setup_probe(registry, schema)
-        probe_keys = {p["key"] for p in probes}
-        evaluator = IndexedEvaluator(registry, maintenance="rebuild")
-        evaluator.begin_tick(env, [(hint, probes)])
-        self.probe_all(evaluator, env, registry, probe_keys)
-        delta = diff_by_key(env, env.copy())
-        evaluator.begin_tick(
-            env, [(hint, list(probes))], delta=delta
-        )
-        assert evaluator.stats.get("sweep_reuse", 0) == 0
+        env, probe_keys = self.setup_probe(schema)
+        self.check_next_tick(registry, env, env.copy(), probe_keys, "rebuild")

@@ -78,11 +78,11 @@ def test_gc_hook_lives_exactly_as_long_as_a_metrics_engine():
         assert len(gc.callbacks) == len(hooks) + 1
         sim.run(4)
         gc.collect()
-        sim.run(1)
+        stats = sim.run(1).tick_stats  # all five ticks
         snap = sim.metrics.snapshot()
         assert snap["tick_gc_seconds:count"] == 5  # one observation per tick
         assert 0.0 < snap["tick_gc_seconds:sum"] < sum(
-            s.total_time for s in sim.engine.history
+            s.total_time for s in stats
         ) + 1.0
         assert snap['gc_collections_total{generation="2"}'] >= 1
         sim.close()
@@ -338,6 +338,7 @@ def test_spectator_metrics_query():
                 + snap["spectator_snapshots_applied_total"]
             )
             assert applied >= 4
+            assert snap["spectator_history_bytes"] > 0
             assert "spectator_epoch" in reply["prometheus"]
         finally:
             spec.close()

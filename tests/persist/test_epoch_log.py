@@ -8,10 +8,11 @@ spectator history's checkpoint/trim/reconstruct logic -- asserting rows
 """
 
 import logging
+import sys
 
 import pytest
 
-from repro.env.sharding import NO_REPLICA, ReplicaDelta
+from repro.env.sharding import NO_REPLICA, ReplicaDelta, delta_blob
 from repro.persist import (
     REC_DELTA,
     REC_META,
@@ -360,6 +361,28 @@ class TestEpochHistory:
         self.feed(history, 4, 5, snapshot_first=False)
         assert history.span() == (3, 5)
         assert history.reconstruct(4) == rows_at(4)
+
+    def test_deltas_are_kept_as_wire_frames(self):
+        """A 1000-unit, 100-epoch history holds each delta as the bytes
+        it arrived in, never the decoded delta: ``history_bytes`` is at
+        most the frames' lengths plus the retained checkpoint lists."""
+        n = 1000
+        history = EpochHistory("key", checkpoint_every=32, retain=256)
+        history.record_snapshot(1, rows_at(1, n))
+        frames = {}
+        for epoch in range(2, 101):
+            rd = delta_between(epoch - 1, epoch, n)
+            frames[epoch] = delta_blob(rd)
+            history.record_delta(rd, rows_at(epoch, n), frames[epoch])
+        deltas = [data for kind, data in history._entries if kind == 1]
+        checkpoints = [data for kind, data in history._entries if kind == 0]
+        assert deltas and all(type(data) is bytes for data in deltas)
+        assert len(deltas) + len(checkpoints) == 100
+        assert history.history_bytes <= sum(map(len, frames.values())) + sum(
+            sys.getsizeof(rows) for rows in checkpoints
+        )
+        for epoch in (1, 2, 33, 34, 60, 100):
+            assert history.reconstruct(epoch) == rows_at(epoch, n)
 
     def test_knob_validation(self):
         with pytest.raises(ValueError, match="checkpoint_every"):

@@ -279,7 +279,9 @@ class TestSpectatorFaultDrills:
                 battle.run(2)
                 current = battle.engine.tick_count + 1
                 wait_for_epoch(client, current)
-                assert client.status()["history_span"] is None
+                status = client.status()
+                assert status["history_span"] is None
+                assert status["history_bytes"] == 0
                 with pytest.raises(SpectatorError, match="superseded"):
                     client.query("team_counts", epoch=current - 1)
 

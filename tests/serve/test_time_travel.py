@@ -73,8 +73,10 @@ def test_time_travel_bit_identical_at_every_epoch(battle):
                     got = client.query(q, *args, epoch=epoch, **params)
                     assert got.epoch == epoch
                     assert got.value == expect, (q, epoch)
-            span = client.status()["history_span"]
+            status = client.status()
+            span = status["history_span"]
             assert span[0] <= min(want) and span[1] == latest
+            assert status["history_bytes"] > 0
 
 
 def test_repeated_queries_reuse_reconstruction(battle):
