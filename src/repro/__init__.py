@@ -21,15 +21,18 @@ patch retained indexes with the tick's row delta) or ``"auto"``
 (patch when few rows changed, rebuild otherwise) to
 :class:`EngineConfig`, :func:`run_battle`, or :class:`BattleSimulation`
 instead of the paper's per-tick ``"rebuild"`` default.  The engine also
-runs **sharded**: ``num_shards=``/``shard_by=`` partition ``E`` (by
-spatial strip or hashed attribute) and ``parallelism=`` fans the
-per-shard decision/effect stages out over thread or process workers,
-merging shard-local effect tables under ⊕ (associative/commutative,
-Eq. 3).  Trajectories are bit-identical across every maintenance mode,
-shard count, and parallelism mode for games whose aggregate measures
-sum exactly in floating point (integer-valued measures, as in the
-battle simulation); ``benchmarks/bench_incremental.py`` and
-``benchmarks/bench_shards.py`` map out where each wins.
+runs **sharded**: ``num_shards=``/``shard_by=`` partition the units of
+``E`` (by spatial strip or hashed attribute) into decision batches, and
+``parallelism="processes"`` runs each shard's decisions in a worker
+process holding a full replica of ``E``, merging the shards' effect
+tables under ⊕ (associative/commutative, Eq. 3); indexes always span
+all of ``E``.  Trajectories are bit-identical across every maintenance
+mode, shard count, and parallelism mode for games whose aggregate
+measures sum exactly in floating point (integer-valued measures, as in
+the battle simulation).  ``benchmarks/bench_incremental.py`` maps where
+patching beats rebuilding; the perf ledger's ``battle_sharded``
+workload (``python -m benchmarks.ledger``) times the sharded process
+run against the flat one.
 
 Heavy read traffic is served off-process: ``spectators=True`` opens the
 :mod:`repro.serve` read-replica feed, and

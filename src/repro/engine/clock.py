@@ -2,16 +2,18 @@
 
 Each clock tick runs an explicit staged pipeline over a *sharded*
 environment (the partition of ``E`` by a configurable shard key --
-``repro.env.sharding``):
+``repro.env.sharding``).  Shards split the decision work only: which
+units' scripts run together, and on which worker.  Every index is built
+over the flat ``E``, as in the paper.
 
 0. **partition** -- ``E`` is viewed as per-shard tables sharing the flat
-   table's rows and row order;
+   table's rows and row order: the units each shard decides;
 1. **index build / maintenance** -- the indexed evaluator arms itself
    for this tick's environment: by default it resets and (lazily, on
-   first probe) rebuilds the aggregate indexes; with
+   first probe) rebuilds the aggregate indexes over all of ``E``; with
    ``index_maintenance`` set to ``"incremental"``/``"auto"`` it instead
-   patches the retained per-shard indexes with the row delta captured at
-   the end of the previous tick;
+   patches the retained indexes with the row delta captured at the end
+   of the previous tick;
 2. **decision** -- the units of each shard execute their scripts
    set-at-a-time, one batch per script (each aggregate call site probes
    the indexes once per batch, min/max sites as one Figure-9 sweep);
@@ -21,15 +23,15 @@ environment (the partition of ``E`` by a configurable shard key --
    fans out across worker processes (``repro.engine.shardexec``);
 3. **second index build + action** -- deferred area effects gathered
    from all shards resolve through the ⊕ optimisation of Section 5.4,
-   one resolution per target shard (this is the paper's "second index
+   once per tick over the flat ``E`` (this is the paper's "second index
    building phase, which can depend on values generated during the
    decision phase");
-4. **⊕-merge** -- the flat environment and every shard's effect tables
-   merge under ⊕ (Eq. 6).  ⊕ is associative and commutative (Eq. 3), so
-   shard-local effect tables can be combined in any order; the engine
-   always merges in ascending shard id, the deterministic tie-break that
-   keeps trajectories bit-identical run to run *and* across shard
-   counts and worker layouts (see below);
+4. **⊕-merge** -- the flat environment, every shard's effect table and
+   the area-effect table merge under ⊕ (Eq. 6).  ⊕ is associative and
+   commutative (Eq. 3), so shard-local effect tables can be combined in
+   any order; the engine always merges in ascending shard id, the
+   deterministic tie-break that keeps trajectories bit-identical run to
+   run *and* across shard counts and worker layouts (see below);
 5. **mechanics** -- the game's post-processing applies the combined
    effects (Example 4.1), moves units, removes the dead;
 6. **publish** (optional) -- with spectators enabled, the post-tick
@@ -40,14 +42,14 @@ environment (the partition of ``E`` by a configurable shard key --
 **Determinism.**  Sharded and worker-process runs are bit-identical to the
 single-shard serial engine because nothing in a tick depends on
 cross-shard evaluation order: the random function is counter-mode (a
-pure function of seed, tick, unit key, draw index), every index merge
-tie-breaks on unit keys, ⊕'s aggregates are associative/commutative,
-and the combined table inherits its row order from the flat ``E`` (⊕
-groups are seeded by the environment rows, which every effect row
-references).  The one caveat is shared with incremental maintenance:
-effect values that *sum inexactly in floating point* may differ in
-final ulps when their contributions arrive from different shards, since
-float addition is not associative.  All of the battle simulation's
+pure function of seed, tick, unit key, draw index), every probe reads
+the same flat indexes whichever shard asks, ⊕'s aggregates are
+associative/commutative, and the combined table inherits its row order
+from the flat ``E`` (⊕ groups are seeded by the environment rows, which
+every effect row references).  The one caveat is shared with
+incremental maintenance: effect values that *sum inexactly in floating
+point* may differ in final ulps when their contributions arrive from
+different shards, since float addition is not associative.  All of the battle simulation's
 summed measures are integer-valued, so its trajectories are exact.
 
 The evaluator is pluggable (Section 6): ``mode="naive"`` scans E for
@@ -99,20 +101,21 @@ _RUNNER_CACHE_MAX = 256
 #: One shard's decision work: (runner, unit rows) in shard-local order.
 _ShardTask = list[tuple[DecisionRunner, list]]
 
-#: Canonical stage names, in pipeline order -- the label vocabulary the
-#: ``stage_seconds`` histograms, trace spans, and watchdog breakdowns
-#: all share.  ("capture" time is folded into "maintenance", matching
-#: ``TickStats.maintenance_time``, but traced as its own span.)
-_STAGES = (
-    "partition",
-    "maintenance",
-    "decision",
-    "aoe",
-    "combine",
-    "mechanics",
-    "publish",
-    "log_append",
-)
+#: Canonical stage names, in pipeline order, each with the
+#: :class:`TickStats` field that carries its seconds -- the label
+#: vocabulary the ``stage_seconds`` histograms, trace spans, and watchdog
+#: breakdowns all share.  ("capture" time is folded into "maintenance",
+#: matching ``TickStats.maintenance_time``, but traced as its own span.)
+_STAGES = {
+    "partition": "partition_time",
+    "maintenance": "maintenance_time",
+    "decision": "decision_time",
+    "aoe": "aoe_time",
+    "combine": "combine_time",
+    "mechanics": "mechanics_time",
+    "publish": "publish_time",
+    "log_append": "log_time",
+}
 
 
 @dataclass
@@ -192,10 +195,11 @@ class EngineConfig:
 
     Sharding:
 
-    * ``num_shards`` -- how many partitions of ``E`` the pipeline runs
-      (1 = the flat engine).  ``num_shards`` / ``shard_by`` /
-      ``spatial_extent`` may be edited on a running engine's ``config``
-      between ticks;
+    * ``num_shards`` -- how many partitions of ``E`` the decision stage
+      runs (1 = the flat engine): which units' decisions run together,
+      and on which worker.  Indexes always span all of ``E``.
+      ``num_shards`` / ``shard_by`` / ``spatial_extent`` may be edited
+      on a running engine's ``config`` between ticks;
     * ``shard_by`` -- the shard key: ``"spatial"`` (vertical strips over
       ``posx``, requires ``spatial_extent``) or any const attribute name
       (``"key"``, ``"player"``, ...) hashed process-stably;
@@ -340,8 +344,6 @@ class SimulationEngine:
             )
         if cfg.parallelism not in ("serial", "processes"):
             raise ValueError(f"unknown parallelism {cfg.parallelism!r}")
-        if cfg.num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {cfg.num_shards}")
         if cfg.parallelism == "processes" and cfg.worker_factory is None:
             raise ValueError(
                 "parallelism='processes' needs a picklable worker_factory "
@@ -417,8 +419,6 @@ class SimulationEngine:
                 cascade=cfg.cascade,
                 key_attr=env.schema.key,
                 maintenance=cfg.index_maintenance,
-                shard_of=self.shard_of,
-                num_shards=cfg.num_shards,
             )
         else:
             self.agg_eval = NaiveEvaluator()
@@ -747,19 +747,20 @@ class SimulationEngine:
 
         ``num_shards`` / ``shard_by`` / ``spatial_extent`` may be edited
         on ``config`` between ticks; sharding is a pure performance knob,
-        so the trajectory must not notice.  Everything keyed by the old
-        layout is invalidated: the evaluator's per-shard index instances
-        are dropped, pending deltas are discarded, and -- since replica
-        epochs no longer describe the workers' shard layout -- the next
-        process broadcast is forced to be a full snapshot (workers
-        re-shard when the snapshot's shard configuration differs).
+        so the trajectory must not notice.  A bad layout raises before
+        anything changes, so the engine keeps its previous one.  Pending
+        deltas are discarded and -- since replica epochs no longer
+        describe the workers' shard layout -- the next process broadcast
+        is forced to be a full snapshot carrying the new layout.  The
+        evaluator is left alone: its indexes span all of ``E``.
         """
         cfg = self.config
         conf = (cfg.shard_by, cfg.num_shards, cfg.spatial_extent)
         if conf == self._shard_conf:
             return
-        if cfg.num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {cfg.num_shards}")
+        shard_of = make_sharder(
+            cfg.shard_by, cfg.num_shards, extent=cfg.spatial_extent
+        )
         if self._worker_endpoints is not None and cfg.num_shards < 2:
             # same guard as construction: dropping to one shard would
             # run decisions in-process and silently idle the fleet
@@ -768,15 +769,11 @@ class SimulationEngine:
                 "mid-run reshard to one shard would silently stop "
                 "contacting the fleet"
             )
-        self.shard_of = make_sharder(
-            cfg.shard_by, cfg.num_shards, extent=cfg.spatial_extent
-        )
+        self.shard_of = shard_of
         self._shard_conf = conf
         self._processes = (
             cfg.parallelism == "processes" and cfg.num_shards > 1
         )
-        if self.indexed:
-            self.agg_eval.reshard(self.shard_of, cfg.num_shards)
         self._pending_delta = None
         self._pending_replica_delta = None
         self._refresh_capture_flags()
@@ -879,19 +876,27 @@ class SimulationEngine:
         self._last_broadcast_bytes = 0
         env = self.env
         schema = env.schema
+        seconds = dict.fromkeys(_STAGES, 0.0)
+
+        def timed(
+            stage: str, t0: float, span: str | None = None, **args: object
+        ) -> None:
+            """Charge the time since *t0* to *stage*; trace it as *span*."""
+            t1 = time.perf_counter()
+            seconds[stage] += t1 - t0
+            if trace is not None:
+                trace.complete_perf(
+                    span or stage, "tick", t0, t1, epoch=epoch, **args
+                )
 
         # stage 0: partition E by the shard key
         t0 = time.perf_counter()
         sharded = self._stage_partition(env)
-        t1 = time.perf_counter()
-        partition_time = t1 - t0
-        if trace is not None:
-            trace.complete_perf("partition", "tick", t0, t1, epoch=epoch)
+        timed("partition", t0)
 
         # stage 1: (re)arm the evaluator.  With delta maintenance
         # enabled this is where last tick's captured delta patches the
-        # retained per-shard indexes instead of discarding them.
-        maintenance_time = 0.0
+        # retained indexes instead of discarding them.
         by_key = None
         if self._processes:
             shard_tasks = None
@@ -900,12 +905,7 @@ class SimulationEngine:
             if self.indexed:
                 t0 = time.perf_counter()
                 self.agg_eval.begin_tick(env, delta=self._pending_delta)
-                t1 = time.perf_counter()
-                maintenance_time += t1 - t0
-                if trace is not None:
-                    trace.complete_perf(
-                        "maintenance", "tick", t0, t1, epoch=epoch
-                    )
+                timed("maintenance", t0)
                 self._pending_delta = None
                 by_key = env.by_key()
 
@@ -923,73 +923,47 @@ class SimulationEngine:
             shard_results = [
                 run_batches(task, rt, by_key) for task in shard_tasks
             ]
-        t1 = time.perf_counter()
-        decision_time = t1 - t0
-        if trace is not None:
-            trace.complete_perf(
-                "decision", "tick", t0, t1, epoch=epoch,
-                shards=len(sharded.shards),
-            )
+        timed("decision", t0, shards=len(sharded.shards))
 
-        # stage 3: second index build -- resolve deferred area effects
-        # gathered from every shard, one resolution per target shard
+        # stage 3: second index build -- resolve the deferred area
+        # effects gathered from every shard, once, over the flat E
         t0 = time.perf_counter()
-        all_aoe: list[AoeRecord] = []
-        for _, records in shard_results:
-            all_aoe.extend(records)
-        aoe_rows_by_shard: list[list[dict[str, object]]] = []
-        if all_aoe:
-            aoe_rows_by_shard = [
-                resolve_aoe(
-                    all_aoe,
-                    shard.rows,
-                    schema,
-                    self._action_shapes,
-                    self.registry.constants,
-                )
-                for shard in sharded.shards
-            ]
-        t1 = time.perf_counter()
-        aoe_time = t1 - t0
-        if trace is not None:
-            trace.complete_perf(
-                "aoe", "tick", t0, t1, epoch=epoch, records=len(all_aoe)
+        all_aoe: list[AoeRecord] = [
+            record for _, records in shard_results for record in records
+        ]
+        aoe_rows = (
+            resolve_aoe(
+                all_aoe,
+                env.rows,
+                schema,
+                self._action_shapes,
+                self.registry.constants,
             )
+            if all_aoe
+            else []
+        )
+        timed("aoe", t0, records=len(all_aoe))
 
         # stage 4: ⊕-merge (Eq. 6: main⊕(E) ⊕ E).  Deterministic merge
         # order: E first (seeding the row order), then every shard's
-        # decision effects in ascending shard id, then AoE effects
-        # likewise.  ⊕ is associative/commutative, so this fixed order
-        # is a tie-break, not a semantic choice.
+        # decision effects in ascending shard id, then the AoE effects.
+        # ⊕ is associative/commutative, so this fixed order is a
+        # tie-break, not a semantic choice.
         t0 = time.perf_counter()
         effect_row_count = 0
         tables = [env]
-        for rows, _ in shard_results:
-            effect_row_count += len(rows)
-            table = EnvironmentTable(schema)
-            table.rows.extend(rows)
-            tables.append(table)
-        for rows in aoe_rows_by_shard:
+        for rows in [rows for rows, _ in shard_results] + [aoe_rows]:
             effect_row_count += len(rows)
             table = EnvironmentTable(schema)
             table.rows.extend(rows)
             tables.append(table)
         combined = combine_all(tables, schema)
-        t1 = time.perf_counter()
-        combine_time = t1 - t0
-        if trace is not None:
-            trace.complete_perf(
-                "combine", "tick", t0, t1, epoch=epoch,
-                effect_rows=effect_row_count,
-            )
+        timed("combine", t0, effect_rows=effect_row_count)
 
         # stage 5: game mechanics (post-processing + movement)
         t0 = time.perf_counter()
         self.env = self.mechanics(combined, self.rng, self.tick_count)
-        t1 = time.perf_counter()
-        mechanics_time = t1 - t0
-        if trace is not None:
-            trace.complete_perf("mechanics", "tick", t0, t1, epoch=epoch)
+        timed("mechanics", t0)
 
         # change capture: diff the post-mechanics environment against the
         # tick-start snapshot (mechanics copies rows, so *env* still holds
@@ -1028,10 +1002,7 @@ class SimulationEngine:
                         shard_of=self.shard_of,
                     )
                 )
-            t1 = time.perf_counter()
-            maintenance_time += t1 - t0
-            if trace is not None:
-                trace.complete_perf("capture", "tick", t0, t1, epoch=epoch)
+            timed("maintenance", t0, span="capture")
 
         # stage 6: publish -- stream the post-tick state (epoch
         # tick_count + 1) to spectator subscribers: the captured delta
@@ -1039,7 +1010,6 @@ class SimulationEngine:
         # and forget: spectators are read-only and can never stall or
         # corrupt the tick loop.
         publish_bytes = 0
-        publish_time = 0.0
         if self.publisher is not None:
             t0 = time.perf_counter()
             publish_bytes = self.publisher.publish(
@@ -1048,13 +1018,7 @@ class SimulationEngine:
                 shard_conf=self._shard_conf,
                 delta=self._pending_replica_delta,
             )
-            t1 = time.perf_counter()
-            publish_time = t1 - t0
-            if trace is not None:
-                trace.complete_perf(
-                    "publish", "tick", t0, t1, epoch=epoch,
-                    bytes=publish_bytes,
-                )
+            timed("publish", t0, bytes=publish_bytes)
 
         # durable epoch log: append the same post-tick state the publish
         # stage just streamed (delta when it chains, snapshot checkpoint
@@ -1062,36 +1026,22 @@ class SimulationEngine:
         # after a tick, so the background disk write needs no copy --
         # and the tick loop never waits on the disk.
         log_bytes = 0
-        log_time = 0.0
         if self.epoch_log is not None:
             t0 = time.perf_counter()
             log_bytes = self._append_epoch_log()
-            t1 = time.perf_counter()
-            log_time = t1 - t0
-            if trace is not None:
-                trace.complete_perf(
-                    "log_append", "tick", t0, t1, epoch=epoch,
-                    bytes=log_bytes,
-                )
+            timed("log_append", t0, bytes=log_bytes)
 
         stats = TickStats(
             tick=self.tick_count,
             units=len(env),
             effect_rows=effect_row_count,
             aoe_records=len(all_aoe),
-            decision_time=decision_time,
-            aoe_time=aoe_time,
-            combine_time=combine_time,
-            mechanics_time=mechanics_time,
             total_time=time.perf_counter() - start,
-            maintenance_time=maintenance_time,
             shards=self.config.num_shards,
             broadcast_bytes=self._last_broadcast_bytes,
             publish_bytes=publish_bytes,
             log_bytes=log_bytes,
-            partition_time=partition_time,
-            publish_time=publish_time,
-            log_time=log_time,
+            **{field: seconds[stage] for stage, field in _STAGES.items()},
         )
         if trace is not None:
             trace.complete_perf(
@@ -1101,22 +1051,10 @@ class SimulationEngine:
             )
         gc_seconds = None
         if self._gc_monitor is not None:
-            self._observe_tick(stats)
+            self._observe_tick(stats, seconds)
             gc_seconds = self._gc_monitor.end_tick()
         if self.watchdog is not None and self.watchdog.observe(
-            self.tick_count,
-            stats.total_time,
-            {
-                "partition": partition_time,
-                "maintenance": maintenance_time,
-                "decision": decision_time,
-                "aoe": aoe_time,
-                "combine": combine_time,
-                "mechanics": mechanics_time,
-                "publish": publish_time,
-                "log_append": log_time,
-            },
-            gc_seconds=gc_seconds,
+            self.tick_count, stats.total_time, seconds, gc_seconds=gc_seconds
         ):
             self._m_slow_ticks.inc()
             if trace is not None:
@@ -1127,25 +1065,20 @@ class SimulationEngine:
                 )
         return stats
 
-    def _observe_tick(self, stats: TickStats) -> None:
-        """Record one tick's :class:`TickStats` into the registry --
-        the same numbers, so the registry is a view, not a second
-        measurement."""
+    def _observe_tick(
+        self, stats: TickStats, seconds: dict[str, float]
+    ) -> None:
+        """Record one tick's :class:`TickStats` and its per-stage
+        *seconds* into the registry -- the same numbers, so the registry
+        is a view, not a second measurement."""
         self._m_ticks.inc()
         self._m_epoch.set(stats.tick + 1)
         self._m_units.set(stats.units)
         self._m_effect_rows.inc(stats.effect_rows)
         self._m_aoe_records.inc(stats.aoe_records)
         self._m_tick_seconds.observe(stats.total_time)
-        stage = self._m_stage
-        stage["partition"].observe(stats.partition_time)
-        stage["maintenance"].observe(stats.maintenance_time)
-        stage["decision"].observe(stats.decision_time)
-        stage["aoe"].observe(stats.aoe_time)
-        stage["combine"].observe(stats.combine_time)
-        stage["mechanics"].observe(stats.mechanics_time)
-        stage["publish"].observe(stats.publish_time)
-        stage["log_append"].observe(stats.log_time)
+        for stage, spent in seconds.items():
+            self._m_stage[stage].observe(spent)
         self._m_broadcast_bytes.inc(stats.broadcast_bytes)
         self._m_publish_bytes.inc(stats.publish_bytes)
         self._m_log_bytes.inc(stats.log_bytes)

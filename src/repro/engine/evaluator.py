@@ -45,6 +45,12 @@ in-memory indexing ... to reduce the complexity to O(n log n)."
   the shape, the index and each distinct category group once;
   :meth:`IndexedEvaluator.evaluate` is a batch of one.
 
+  Every index spans all of ``E``, keyed by category values only (the
+  paper's hash layers over player and unit type, Section 5.3.1).  The
+  engine's shard layout decides which units' calls arrive in one batch,
+  never how an index is laid out, so an evaluator knows nothing of
+  shards.
+
 Both evaluators return *identical* results -- including argmin/argmax
 tie-breaks -- which the equivalence tests assert on random battles
 under every maintenance mode.  One caveat: delta maintenance adds and
@@ -57,9 +63,8 @@ battle simulation).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..algebra.shapes import AggregateShape, classify_aggregate
 from ..env.table import EnvironmentTable, TableDelta
@@ -141,8 +146,6 @@ class IndexedEvaluator:
         cascade: bool = True,
         key_attr: str = "key",
         maintenance: str = "rebuild",
-        shard_of: Callable[[Mapping[str, object]], int] | None = None,
-        num_shards: int = 1,
     ):
         if maintenance not in ("rebuild", "incremental", "auto"):
             raise ValueError(f"unknown maintenance mode {maintenance!r}")
@@ -150,12 +153,6 @@ class IndexedEvaluator:
         self.cascade = cascade
         self.key_attr = key_attr
         self.maintenance = maintenance
-        #: Environment sharding: when set, every hash layer prefixes its
-        #: group keys with the row's shard id, giving per-shard sub-index
-        #: instances whose answers merge at probe time.  Maintenance
-        #: routes through the same keys, so it stays shard-local.
-        self.shard_of = shard_of if num_shards > 1 else None
-        self.num_shards = num_shards if self.shard_of is not None else 1
         self._compiled: dict[str, _CompiledShape] = {}
         # per-tick caches (retained across ticks under delta maintenance)
         self._env: EnvironmentTable | None = None
@@ -237,27 +234,6 @@ class IndexedEvaluator:
             if discarded and self.maintenance != "rebuild":
                 self._bump("rebuild_ticks")
         self._env = env
-
-    def reshard(
-        self,
-        shard_of: Callable[[Mapping[str, object]], int] | None,
-        num_shards: int,
-    ) -> None:
-        """Adopt a new shard layout (``num_shards <= 1`` drops to flat).
-
-        Every retained structure and sweep partition is keyed by the old
-        layout's shard ids, so all of them are discarded; they rebuild
-        lazily on their next probe.  The next ``begin_tick`` must not
-        carry a delta captured under the old layout (the engine clears
-        its pending capture when it reshards).
-        """
-        self.shard_of = shard_of if num_shards > 1 else None
-        self.num_shards = num_shards if self.shard_of is not None else 1
-        self._div_index.clear()
-        self._kd_index.clear()
-        self._row_index.clear()
-        self._sweep_parts = {}
-        self._env = None
 
     def prepare(self, fn_names: Iterable[str]) -> None:
         """Eagerly build everything the named aggregates probe this tick.
@@ -505,26 +481,7 @@ class IndexedEvaluator:
     def _matching_groups(
         self, index: PartitionedIndex, eq_vals: tuple, neq_vals: tuple
     ) -> list:
-        """Sub-indexes matching the probe's category constraints.
-
-        With sharding active every logical category group is split into
-        per-shard instances; probes walk shards in ascending id so the
-        cross-shard answer merge (moments, nearest candidates, row
-        concatenation) happens in one deterministic order.
-        """
-        if self.shard_of is not None:
-            if not neq_vals:
-                groups = []
-                for shard in range(self.num_shards):
-                    group = index.probe((shard,) + eq_vals)
-                    if group is not None:
-                        groups.append(group)
-                return groups
-            return [
-                group
-                for key, group in index.groups.items()
-                if self._group_matches(key[1:], eq_vals, neq_vals)
-            ]
+        """Sub-indexes matching the probe's category constraints."""
         if not neq_vals:
             group = index.probe(eq_vals)
             return [group] if group is not None else []
@@ -569,7 +526,6 @@ class IndexedEvaluator:
                 ),
                 row_insert=GroupAggIndex.insert,
                 row_delete=GroupAggIndex.delete,
-                shard_of=self.shard_of,
             )
             self._div_index[fn.name] = index
         return index
@@ -669,7 +625,6 @@ class IndexedEvaluator:
                 ),
                 row_insert=kd_insert,
                 row_delete=kd_delete,
-                shard_of=self.shard_of,
             )
             self._kd_index[fn.name] = index
         return index
@@ -750,10 +705,9 @@ class IndexedEvaluator:
         """Run the Figure-9 sweeps for exactly this batch's probes.
 
         Probes are grouped by (category values, range extents); each
-        group gets one sweep per source partition it matches (per shard
-        when sharding is active), and per-probe results merge across
-        those partitions via ``(value, key)`` candidates, so the merge
-        order -- and therefore the shard count -- can never change an
+        group gets one sweep per category partition it matches, and
+        per-probe results merge across those partitions via ``(value,
+        key)`` candidates, so the merge order can never change an
         answer.  Even a group of one probe sweeps: against the
         partitioned scan, one ``WeakestEnemyInRange`` probe costs 1.65
         vs 2.93 ms at 2000 units and 0.067 vs 0.110 ms at 60 (and the
@@ -777,15 +731,13 @@ class IndexedEvaluator:
 
         shape = compiled.shape
         kind = shape.extreme_kind
-        sharded = self.shard_of is not None
         for (eq_vals, neq_vals, rx, ry), probes in groups.items():
             self._bump("build_sweep")
             self._bump("probe_sweep", len(probes))
             centers = [c for _, c in probes]
             merged: list = [None] * len(probes)
             parts = self._sweep_partitions(fn, compiled)
-            for part_key, (xy, values, keys, by_key) in parts.items():
-                cat_key = part_key[1:] if sharded else part_key
+            for cat_key, (xy, values, keys, by_key) in parts.items():
                 if not self._group_matches(cat_key, eq_vals, neq_vals):
                     continue
                 results = sweep_arg_minmax(
@@ -808,19 +760,16 @@ class IndexedEvaluator:
     def _sweep_partitions(
         self, fn: AggregateFunction, compiled: _CompiledShape
     ) -> dict[tuple, tuple]:
-        """*fn*'s sweep sources split by (shard,) category key, as
-        ``(points, values, keys, key -> row)`` columns; once per tick."""
+        """*fn*'s sweep sources split by category key, as ``(points,
+        values, keys, key -> row)`` columns; once per tick."""
         parts = self._sweep_parts.get(fn.name)
         if parts is not None:
             return parts
         shape = compiled.shape
         key_attr = self.key_attr
-        shard_of = self.shard_of
         partitions: dict[tuple, list] = {}
         for row in self._filtered_rows(compiled):
             key = tuple(row[a] for a in shape.cat_attrs)
-            if shard_of is not None:
-                key = (shard_of(row),) + key
             partitions.setdefault(key, []).append(row)
         ax, ay = shape.range_attrs  # classifier guarantees exactly 2 dims
         value_fn = compiled.value_fn
@@ -848,7 +797,6 @@ class IndexedEvaluator:
                 rows,
                 compiled.shape.cat_attrs,
                 factory=list,
-                shard_of=self.shard_of,
             )
             self._row_index[fn.name] = index
         return index

@@ -45,6 +45,9 @@ Every worker keeps a *full* replica of ``E``: aggregate queries range
 over all of ``E`` regardless of which shard's unit asks, so a worker
 answers every probe and action of its shards locally and the only
 traffic inside a tick is the update going out and the reply coming back.
+Its indexes span the whole replica too, exactly as the serial engine's
+do: the shard layout a snapshot carries only picks out which units the
+worker decides, so one evaluator serves the whole session.
 
 Determinism: the per-tick random function is counter-mode
 (``TickRandom`` is a pure function of seed, tick, unit key, and draw
@@ -155,8 +158,8 @@ class WorkerGame:
 #: A picklable, module-level callable producing the worker's game state.
 GameFactory = Callable[[], WorkerGame]
 
-#: The shard configuration a replica's index layout depends on;
-#: shipped inside every snapshot so workers re-shard when it changes.
+#: The coordinator's shard layout, shipped inside every snapshot: it
+#: tells a worker which units belong to the shards it decides.
 ShardConf = tuple  # (shard_by, num_shards, spatial_extent)
 
 
@@ -172,42 +175,32 @@ class _WorkerState:
         self.game = game
         self.indexed = payload["mode"] == "indexed"
         self.optimize_aoe = bool(payload["optimize_aoe"])
-        self.cascade = bool(payload["cascade"])
         self.rng = TickRandom(int(payload["seed"]), key_attr=game.schema.key)
-        self.shard_conf: ShardConf = tuple(payload["shard_conf"])
         self._runners: dict[object, DecisionRunner] = {}
-        self._reshard(self.shard_conf)
+        self._adopt_shard_conf(payload["shard_conf"])
+        # the replica always replays the delta (fewer bytes than a
+        # snapshot); whether the retained structures are patched with it
+        # or rebuilt is the evaluator's decision.  Snapshot ticks
+        # (delta=None) discard every retained structure.
+        self.evaluator = (
+            IndexedEvaluator(
+                game.registry,
+                cascade=bool(payload["cascade"]),
+                key_attr=game.schema.key,
+                maintenance="auto",
+            )
+            if self.indexed
+            else NaiveEvaluator()
+        )
         # the replica of E (row order, key -> row, epoch held) -- the
         # same holder-side protocol object the spectator replicas use
         self.replica = ReplicaTable(game.schema.key)
 
-    # -- sharding / evaluator lifecycle ----------------------------------------
-
-    def _reshard(self, shard_conf: ShardConf) -> None:
-        """(Re)build the shard function and a fresh evaluator for it.
-
-        The evaluator's retained per-shard index instances are keyed by
-        shard id, so a shard-count change invalidates all of them; the
-        caller always pairs this with a snapshot.
-        """
+    def _adopt_shard_conf(self, shard_conf: ShardConf) -> None:
+        """Take the coordinator's shard layout: it picks out the units of
+        this worker's shards, and nothing else (indexes span all of E)."""
         shard_by, num_shards, extent = shard_conf
-        self.shard_conf = (shard_by, num_shards, extent)
         self.shard_of = make_sharder(shard_by, num_shards, extent=extent)
-        if not self.indexed:
-            self.evaluator = NaiveEvaluator()
-        else:
-            # the replica always replays the delta (fewer bytes than a
-            # snapshot); whether the retained per-shard structures are
-            # patched with it or rebuilt is the evaluator's decision.
-            # Snapshot ticks (delta=None) discard and lazily rebuild.
-            self.evaluator = IndexedEvaluator(
-                self.game.registry,
-                cascade=self.cascade,
-                key_attr=self.game.schema.key,
-                maintenance="auto",
-                shard_of=self.shard_of if num_shards > 1 else None,
-                num_shards=num_shards,
-            )
 
     # -- replica maintenance ----------------------------------------------------
 
@@ -217,15 +210,7 @@ class _WorkerState:
         rows: list[dict[str, object]],
         shard_conf: ShardConf,
     ) -> None:
-        if tuple(shard_conf) != self.shard_conf:
-            self._reshard(tuple(shard_conf))
-        elif self.indexed:
-            # same shard layout, but the retained structures describe the
-            # replaced replica rows: drop them (they rebuild on probe)
-            self.evaluator.reshard(
-                self.shard_of if self.shard_conf[1] > 1 else None,
-                self.shard_conf[1],
-            )
+        self._adopt_shard_conf(shard_conf)
         self.replica.apply_snapshot(epoch, rows)
 
     def apply_delta(self, rd: ReplicaDelta) -> TableDelta:
@@ -255,10 +240,10 @@ class _WorkerState:
         """Run the decision stage for the given shards over the replica.
 
         *delta* is this tick's replica change set (``None`` on snapshot
-        ticks); the evaluator patches its per-shard index instances
-        with it or rebuilds them.  Results come
-        back per shard (tagged with the shard id) so the parent's
-        ⊕-merge keeps its ascending-shard-id order.
+        ticks); the evaluator patches its retained indexes with it or
+        rebuilds them.  Results come back per shard (tagged with the
+        shard id) so the parent's ⊕-merge keeps its ascending-shard-id
+        order.
         """
         game = self.game
         rows = self.replica.rows

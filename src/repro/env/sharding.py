@@ -15,14 +15,11 @@ of that bargain:
   which is what keeps sharded trajectories bit-identical to the
   single-shard engine: row *values* entering ``⊕`` are order-independent
   and row *order* is always taken from the flat table;
-* :meth:`ShardedEnvironment.route_delta` splits a
-  :class:`~repro.env.table.TableDelta` (the engine's per-tick change
-  capture) into per-shard deltas, turning an update that crosses a shard
-  boundary -- a unit walking out of its spatial strip -- into a delete
-  in the old shard plus an insert in the new one;
-* :class:`ReplicaDelta` is the epoch-versioned wire form of that change
-  capture: the compact, picklable change set a coordinator ships to
-  replica-holding workers instead of re-broadcasting the full row set.
+* :class:`ReplicaDelta` is the epoch-versioned wire form of the
+  engine's per-tick change capture (a
+  :class:`~repro.env.table.TableDelta`): the compact, picklable change
+  set a coordinator ships to replica-holding workers instead of
+  re-broadcasting the full row set.
   :func:`encode_replica_delta` compresses a ``TableDelta`` (deletes
   become keys, updates become sparse attribute patches, the row order is
   shipped only when it cannot be predicted) and classifies cross-shard
@@ -37,9 +34,9 @@ of that bargain:
   of ``E`` through it.
 
 The engine (``repro.engine.clock``) partitions at tick start and runs
-the decision / effect stages shard-at-a-time (serially or in parallel
-workers); the indexed evaluator keys its hash layers by shard id so
-index maintenance stays shard-local.
+the decision stage shard-at-a-time (serially or in parallel workers).
+A shard decides which units' decisions run together and where; the
+indexes those decisions probe always span the whole of ``E``.
 """
 
 from __future__ import annotations
@@ -143,7 +140,7 @@ class ShardedEnvironment:
     executor) works unchanged on a shard.
     """
 
-    __slots__ = ("flat", "num_shards", "shard_of", "shards")
+    __slots__ = ("flat", "num_shards", "shards")
 
     def __init__(
         self,
@@ -155,7 +152,6 @@ class ShardedEnvironment:
             raise ShardingError(f"num_shards must be >= 1, got {num_shards}")
         self.flat = flat
         self.num_shards = num_shards
-        self.shard_of = shard_of
         shards = [EnvironmentTable(flat.schema) for _ in range(num_shards)]
         if num_shards == 1:
             shards[0].rows.extend(flat.rows)
@@ -193,38 +189,6 @@ class ShardedEnvironment:
             f"ShardedEnvironment({self.num_shards} shards, "
             f"sizes={self.sizes()}, {self.schema!r})"
         )
-
-    # -- delta routing ------------------------------------------------------------
-
-    def route_delta(self, delta: TableDelta) -> list[TableDelta]:
-        """Split a flat-table delta into one delta per shard.
-
-        Inserted and deleted rows route to the shard they (will) live
-        in.  An updated row whose shard assignment moved -- e.g. a unit
-        crossing a spatial strip boundary -- becomes a delete in the old
-        shard and an insert in the new one, which is exactly how the
-        per-shard index structures must process it.  Each routed delta's
-        ``base_size`` is the corresponding shard's current size, so the
-        per-shard change fraction feeds the same rebuild-or-patch rule
-        as the flat fraction does.
-        """
-        shard_of = self.shard_of
-        out = [
-            TableDelta(base_size=len(shard)) for shard in self.shards
-        ]
-        for row in delta.inserted:
-            out[shard_of(row)].inserted.append(row)
-        for row in delta.deleted:
-            out[shard_of(row)].deleted.append(row)
-        for old, new in delta.updated:
-            old_shard = shard_of(old)
-            new_shard = shard_of(new)
-            if old_shard == new_shard:
-                out[old_shard].updated.append((old, new))
-            else:
-                out[old_shard].deleted.append(old)
-                out[new_shard].inserted.append(new)
-        return out
 
     # -- reassembly ---------------------------------------------------------------
 
@@ -279,10 +243,9 @@ class ReplicaDelta:
       instead of the whole order; only genuinely order-scrambling ticks
       -- e.g. the battle's resurrection rule moving revived units to the
       end of ``E`` -- ship the full key order;
-    * ``cross_shard_moves`` counts updates whose shard assignment moved,
-      the delete-then-insert re-routing classification of
-      :meth:`ShardedEnvironment.route_delta`, so a coordinator can watch
-      shard-boundary churn without re-deriving it.
+    * ``cross_shard_moves`` counts updates whose shard assignment moved
+      (a unit walking out of its spatial strip), so a coordinator can
+      watch shard-boundary churn without re-deriving it.
     """
 
     base_epoch: int
@@ -512,9 +475,8 @@ def snapshot_blob(
     """Pickle a full-broadcast update once, for fan-out to many holders.
 
     *shard_conf* is the coordinator's ``(shard_by, num_shards, extent)``
-    tuple; holders whose index layout depends on it re-shard when it
-    changes (shard workers), others may ignore it (spectators, whose
-    evaluator answers are shard-layout independent).
+    tuple; shard workers adopt it to pick out the units of the shards
+    they decide, spectators ignore it.
     """
     return pickle.dumps(
         (UPDATE_SNAPSHOT, epoch, rows, shard_conf),

@@ -20,13 +20,9 @@ moved) and delegate the per-row work to ``row_insert`` / ``row_delete``
 adapters, since only the caller knows how its sub-index ingests a row.
 Plain ``list`` sub-indexes need no adapters.
 
-With a *shard_of* function the layer additionally prefixes every group
-key with the row's shard id, so each category group splits into one
-sub-index per environment shard.  Probes that merge across matching
-groups (the evaluator already does this for ``<>`` categories) then
-merge across shards the same way, and maintenance stays shard-local: a
-row that changes shard re-routes exactly like a row whose categorical
-value changed.
+Group keys are the category values and nothing else: a hash layer
+always spans every row it is given, whatever shard layout the engine
+runs its decisions under.
 """
 
 from __future__ import annotations
@@ -53,10 +49,8 @@ class PartitionedIndex(Generic[SubIndex]):
         *,
         row_insert: Callable[[SubIndex, Row], None] | None = None,
         row_delete: Callable[[SubIndex, Row], None] | None = None,
-        shard_of: Callable[[Row], int] | None = None,
     ):
         self.attrs = attrs
-        self.shard_of = shard_of
         self._factory = factory
         self._row_insert = row_insert
         self._row_delete = row_delete
@@ -65,11 +59,7 @@ class PartitionedIndex(Generic[SubIndex]):
         #: accumulated overlay/tombstone weight warrants a full rebuild.
         self.mutations = 0
         groups: dict[tuple[Hashable, ...], list[Row]] = {}
-        if shard_of is not None:
-            for row in rows:
-                key = (shard_of(row),) + tuple(row[a] for a in attrs)
-                groups.setdefault(key, []).append(row)
-        elif attrs:
+        if attrs:
             for row in rows:
                 key = tuple(row[a] for a in attrs)
                 groups.setdefault(key, []).append(row)
@@ -97,8 +87,6 @@ class PartitionedIndex(Generic[SubIndex]):
     # -- incremental maintenance --------------------------------------------------
 
     def _cat_key(self, row: Row) -> tuple[Hashable, ...]:
-        if self.shard_of is not None:
-            return (self.shard_of(row),) + tuple(row[a] for a in self.attrs)
         return tuple(row[a] for a in self.attrs)
 
     def _sub_insert(self, sub: SubIndex, row: Row) -> None:

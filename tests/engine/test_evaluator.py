@@ -14,7 +14,6 @@ from repro.engine.evaluator import (
     NaiveEvaluator,
     empty_aggregate_result,
 )
-from repro.env.sharding import make_sharder
 from repro.sgl.evalterm import EvalContext
 from repro.sgl.values import Record
 from tests.conftest import make_env
@@ -195,12 +194,7 @@ def battle_args(fn, unit):
 
 class TestEvaluateBatch:
     """``evaluate_batch`` equals ``evaluate`` row by row, for every
-    battle aggregate, on flat and on 2-shard evaluators."""
-
-    def evaluators(self, registry, grid):
-        yield IndexedEvaluator(registry)
-        sharder = make_sharder("spatial", 2, extent=grid)
-        yield IndexedEvaluator(registry, shard_of=sharder, num_shards=2)
+    battle aggregate."""
 
     @pytest.mark.parametrize("one_team", [False, True])
     def test_every_battle_aggregate(self, registry, schema, one_team):
@@ -218,17 +212,17 @@ class TestEvaluateBatch:
                 )
                 for u in env.rows
             ]
-            for indexed in self.evaluators(registry, 20):
-                indexed.begin_tick(env)
-                ctxs = [make_ctx(env, registry, indexed, u) for u in env.rows]
-                batch = indexed.evaluate_batch(
-                    fn, [battle_args(fn, u) for u in env.rows], ctxs
-                )
-                single = [
-                    indexed.evaluate(fn, battle_args(fn, u), ctx)
-                    for u, ctx in zip(env.rows, ctxs)
-                ]
-                assert batch == single == want, fn.name
+            indexed = IndexedEvaluator(registry)
+            indexed.begin_tick(env)
+            ctxs = [make_ctx(env, registry, indexed, u) for u in env.rows]
+            batch = indexed.evaluate_batch(
+                fn, [battle_args(fn, u) for u in env.rows], ctxs
+            )
+            single = [
+                indexed.evaluate(fn, battle_args(fn, u), ctx)
+                for u, ctx in zip(env.rows, ctxs)
+            ]
+            assert batch == single == want, fn.name
 
 
 class TestCascadeToggle:

@@ -342,7 +342,7 @@ class TestWorkerPatchOrRebuild:
             },
         )
 
-    def feed(self, state, blob, tick):
+    def feed(self, state, blob, tick, shards=SHARDS):
         """What ``_worker_loop`` does with one update blob."""
         update = pickle.loads(blob)
         if update[0] == UPDATE_SNAPSHOT:
@@ -351,7 +351,7 @@ class TestWorkerPatchOrRebuild:
             delta = None
         else:
             delta = state.apply_delta(update[1])
-        return state.decide(tick, self.SHARDS, delta)
+        return state.decide(tick, shards, delta)
 
     def run_pair(self, blobs):
         """Feed the same blobs to an indexed and a naive worker; returns
@@ -409,6 +409,29 @@ class TestWorkerPatchOrRebuild:
             for name, index in built.items()
         )
         self.run_pair([snapshot, delta])
+
+    def test_layout_change_keeps_the_evaluator(self, schema):
+        """A snapshot carrying a new shard layout re-groups the worker's
+        units, never its indexes: the evaluator object survives it, goes
+        on patching afterwards, and answers as a naive worker does."""
+        env = make_env(schema, n=60, grid=30, seed=11)
+        new = self.moved(env, 3)
+        newer = self.moved(new, 3)
+        relaid, shards = ("key", 3, None), [0, 1, 2]
+        updates = [
+            (snapshot_blob(1, env.rows, self.SHARD_CONF), self.SHARDS),
+            (snapshot_blob(2, new.rows, relaid), shards),
+            (delta_blob(encode(new, newer, base_epoch=2, epoch=3)), shards),
+        ]
+        indexed, naive = self.worker(), self.worker("naive")
+        evaluator = indexed.evaluator
+        for tick, (blob, ids) in enumerate(updates, start=1):
+            got = self.feed(indexed, blob, tick, ids)
+            assert got == self.feed(naive, blob, tick, ids)
+            assert any(effect_rows for _, effect_rows, _ in got)
+        assert indexed.evaluator is evaluator
+        assert {indexed.shard_of(row) for row in newer.rows} == set(shards)
+        assert evaluator.stats.get("delta_ticks") == 1
 
     def test_real_battle_ticks_rebuild(self):
         """Three consecutive ticks of a 200-unit battle, shipped as the

@@ -14,7 +14,7 @@ from repro.algebra.rewrite import optimize
 from repro.algebra.translate import translate_script
 from repro.engine.clock import EngineConfig
 from repro.env.combine import combine_all
-from repro.env.sharding import ShardedEnvironment, make_sharder
+from repro.env.sharding import ShardedEnvironment, ShardingError, make_sharder
 from repro.env.table import EnvironmentTable
 from repro.game.battle import BattleSimulation
 from repro.sgl.interp import NaiveAggregateEvaluator
@@ -80,6 +80,22 @@ class TestEngineValidation:
         with pytest.raises(ValueError):
             BattleSimulation(10, num_shards=0)
 
+    def test_bad_shard_count_mid_run_keeps_the_layout(self):
+        baseline = battle_signature(seed=3)
+        with BattleSimulation(48, density=0.02, seed=3, num_shards=2) as sim:
+            sim.run(2)
+            engine = sim.engine
+            layout, shard_of = engine._shard_conf, engine.shard_of
+            engine.config.num_shards = 0
+            with pytest.raises(ShardingError):
+                sim.tick()
+            assert engine.tick_count == 2
+            assert engine._shard_conf == layout
+            assert engine.shard_of is shard_of
+            engine.config.num_shards = 2
+            sim.run(2)
+            assert sim.state_signature() == baseline
+
     def test_processes_requires_worker_factory(self, schema, registry):
         from repro.engine.clock import SimulationEngine
 
@@ -97,6 +113,35 @@ class TestEngineValidation:
         with BattleSimulation(16, num_shards=3, seed=1) as sim:
             stats = sim.tick()
         assert stats.shards == 3
+
+
+class TestShardsSplitTheWorkNotTheIndexes:
+    def test_sharded_engine_retains_the_flat_index_groups(self):
+        """Every index spans all of E: a serial 3-shard engine patching
+        its indexes retains exactly the flat engine's category groups,
+        with no shard id in any key."""
+
+        def retained(**kwargs):
+            with BattleSimulation(
+                48, density=0.02, seed=7, index_maintenance="incremental",
+                **kwargs,
+            ) as sim:
+                sim.run(3)
+                evaluator = sim.engine.agg_eval
+                return {
+                    kind: {
+                        name: set(index.groups)
+                        for name, index in indexes.items()
+                    }
+                    for kind, indexes in (
+                        ("divisible", evaluator._div_index),
+                        ("nearest", evaluator._kd_index),
+                    )
+                }
+
+        flat = retained()
+        assert flat["divisible"] and flat["nearest"]  # both kinds retained
+        assert retained(num_shards=3, shard_by="spatial") == flat
 
 
 class TestMergeDeterminism:

@@ -1,4 +1,4 @@
-"""Sharded environments: partitioning, shard functions, delta routing."""
+"""Sharded environments: partitioning and shard functions."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.env.sharding import (
     make_sharder,
     partition_rows,
 )
-from repro.env.table import diff_by_key
 from tests.conftest import make_env
 
 
@@ -88,49 +87,6 @@ class TestShardedEnvironment:
         env = make_env(schema, n=4)
         with pytest.raises(ShardingError):
             ShardedEnvironment(env, 2, lambda row: 7)
-
-
-class TestRouteDelta:
-    def test_routes_changes_to_their_shards(self, schema):
-        env = make_env(schema, n=24, grid=40, seed=4)
-        shard_of = make_sharder("spatial", 3, extent=40)
-        sharded = ShardedEnvironment(env, 3, shard_of)
-
-        new = env.copy()
-        # in-shard update: move within the strip
-        moved = new.rows[0]
-        moved["health"] -= 1
-        # cross-shard update: teleport to the far strip
-        crosser = next(r for r in new.rows[1:] if shard_of(r) == 0)
-        crosser_old_key = crosser["key"]
-        crosser["posx"] = 39
-        # delete one, insert one
-        dead = new.rows.pop(5)
-        spawn = dict(env.rows[6], key=999, posx=2)
-        new.rows.append(spawn)
-
-        delta = diff_by_key(env, new)
-        routed = sharded.route_delta(delta)
-        assert len(routed) == 3
-        assert sum(d.changed for d in routed) >= delta.changed
-
-        # the cross-shard move became delete(old strip) + insert(new strip)
-        assert any(
-            r["key"] == crosser_old_key for r in routed[0].deleted
-        )
-        assert any(r["key"] == crosser_old_key for r in routed[2].inserted)
-        # the in-shard update stayed an update
-        home = shard_of(moved)
-        assert any(
-            old["key"] == moved["key"] for old, _ in routed[home].updated
-        )
-        # spawn and death routed to their shards
-        assert any(r["key"] == 999 for r in routed[0].inserted)
-        assert any(
-            r["key"] == dead["key"] for r in routed[shard_of(dead)].deleted
-        )
-        # base sizes reflect shard populations
-        assert [d.base_size for d in routed] == sharded.sizes()
 
 
 def test_partition_rows_helper(schema):
