@@ -44,7 +44,7 @@ from benchmarks.util import (
     write_bench_json,
 )
 from repro.env.schema import battle_schema
-from repro.env.sharding import encode_replica_delta, snapshot_blob
+from repro.env.sharding import EpochUpdate, encode_replica_delta
 from repro.env.table import diff_by_key
 from repro.game.battle import BattleSimulation
 from repro.serve.publisher import ReplicaPublisher
@@ -215,9 +215,7 @@ def subscriber_volume_section(
             )
             thread.start()
             # seed: the late joiner's snapshot, outside the measurement
-            pub.publish(
-                epoch=1, rows=prev.rows, shard_conf=shard_conf, delta=None
-            )
+            pub.publish(EpochUpdate(1, prev.rows, shard_conf))
             seeded = pub.stats.bytes_sent
             snapshot_bytes = 0
             for epoch in range(1, rounds + 1):
@@ -232,15 +230,9 @@ def subscriber_volume_section(
                     base_epoch=epoch,
                     epoch=epoch + 1,
                 )
-                pub.publish(
-                    epoch=epoch + 1,
-                    rows=cur.rows,
-                    shard_conf=shard_conf,
-                    delta=rd,
-                )
-                snapshot_bytes += len(
-                    snapshot_blob(epoch + 1, cur.rows, shard_conf)
-                )
+                update = EpochUpdate(epoch + 1, cur.rows, shard_conf, rd)
+                pub.publish(update)
+                snapshot_bytes += len(update.snapshot_blob())
                 prev = cur
             delta_bytes = pub.stats.bytes_sent - seeded
             assert pub.stats.delta_sends == rounds

@@ -6,8 +6,8 @@ environment (the partition of ``E`` by a configurable shard key --
 units' scripts run together, and on which worker.  Every index is built
 over the flat ``E``, as in the paper.
 
-0. **partition** -- ``E`` is viewed as per-shard tables sharing the flat
-   table's rows and row order: the units each shard decides;
+0. **partition** -- ``E``'s rows split into per-shard lists in the flat
+   table's row order: the units each shard decides;
 1. **index build / maintenance** -- the indexed evaluator arms itself
    for this tick's environment: by default it resets and (lazily, on
    first probe) rebuilds the aggregate indexes over all of ``E``; with
@@ -34,10 +34,13 @@ over the flat ``E``, as in the paper.
    run *and* across shard counts and worker layouts (see below);
 5. **mechanics** -- the game's post-processing applies the combined
    effects (Example 4.1), moves units, removes the dead;
-6. **publish** (optional) -- with spectators enabled, the post-tick
-   state is streamed to subscribed read replicas (``repro.serve``):
-   the captured epoch-versioned delta to subscribers whose replica
-   chains, full snapshots to late joiners and fault recoveries.
+6. **feed** (optional) -- the post-tick state becomes one
+   :class:`~repro.env.sharding.EpochUpdate` (epoch, rows, shard layout
+   and the captured delta) handed to every attached consumer: the
+   spectator publisher (``repro.serve``) and the epoch log
+   (``repro.persist``) now, the process workers at the start of the
+   next tick.  Each sends the delta to holders it chains for and the
+   snapshot to the rest, and each blob is pickled at most once.
 
 **Determinism.**  Sharded and worker-process runs are bit-identical to the
 single-shard serial engine because nothing in a tick depends on
@@ -61,15 +64,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Mapping
 
 from ..algebra.shapes import ActionShape, classify_action
 from ..env.combine import combine_all
 from ..env.sharding import (
-    ShardedEnvironment,
+    EpochUpdate,
     encode_replica_delta,
     make_sharder,
+    partition_rows,
 )
 from ..env.table import EnvironmentTable, TableDelta, diff_by_key
 from ..obs import (
@@ -425,18 +428,16 @@ class SimulationEngine:
         if self.indexed and self.metrics.enabled:
             self.agg_eval.bind_metrics(self.metrics)
 
-        # change capture: the delta diffed at the end of tick t is
-        # consumed at t+1, either by the parent evaluator's incremental
-        # maintenance (serial) or -- encoded as an epoch-stamped
-        # ReplicaDelta -- by the process workers' replica broadcast and
-        # the spectator publish stage.
+        # change capture: the diff taken at the end of tick t feeds the
+        # parent evaluator's incremental maintenance at t+1 (serial), and
+        # -- encoded as an epoch-stamped ReplicaDelta inside the current
+        # EpochUpdate -- the spectator publisher and the epoch log at t,
+        # the process workers at t+1.
         self._pending_delta: TableDelta | None = None
-        self._pending_replica_delta = None  # ReplicaDelta | None
-        self._last_broadcast_bytes = 0
+        self._update = EpochUpdate(1, env.rows, self._shard_conf)
         self.publisher = None  # ReplicaPublisher | None
         self.epoch_log = None  # EpochLogWriter | None
-        self._epoch_log_state_fn = None
-        self._refresh_capture_flags()
+        self._epoch_log_state_fn: Callable[[], dict | None] = lambda: None
         if cfg.spectators:
             self.serve_spectators(
                 host=cfg.spectator_host, port=cfg.spectator_port
@@ -522,11 +523,9 @@ class SimulationEngine:
         if self.publisher is not None:
             self.publisher.close()
             self.publisher = None
-            self._refresh_capture_flags()
         if self.epoch_log is not None:
             self.epoch_log.close()
             self.epoch_log = None
-            self._refresh_capture_flags()
         if self._pool is not None:
             self._pool.close()
             self._pool = None
@@ -548,9 +547,8 @@ class SimulationEngine:
 
         Called automatically when ``config.spectators`` is set; may also
         be called on a running engine to start serving mid-battle.  From
-        here on the engine captures per-tick replica deltas even in
-        serial mode -- the same diff the incremental-maintenance and
-        worker-broadcast paths use.
+        here on every tick's :class:`~repro.env.sharding.EpochUpdate`
+        carries a replica delta, even in serial mode.
         """
         from ..serve.publisher import ReplicaPublisher
 
@@ -562,7 +560,6 @@ class SimulationEngine:
             metrics=self.metrics,
             trace=self.trace,
         )
-        self._refresh_capture_flags()
         return self.publisher
 
     @property
@@ -606,21 +603,16 @@ class SimulationEngine:
     def publish_spectators(self) -> int:
         """Run the publish stage between ticks; returns bytes shipped.
 
-        Lets a late joiner snapshot-catch-up to the *current* epoch
-        without waiting for (or advancing) the next tick; subscribers
-        already at the current epoch are not re-fed.
+        Publishes the current epoch's update again, so a late joiner
+        snapshot-catches-up without waiting for (or advancing) the next
+        tick; subscribers already at the current epoch are not re-fed.
         """
         if self.publisher is None:
             raise RuntimeError(
                 "no spectator publisher attached; call serve_spectators() "
                 "or set EngineConfig.spectators"
             )
-        return self.publisher.publish(
-            epoch=self.tick_count + 1,
-            rows=self.env.rows,
-            shard_conf=self._shard_conf,
-            delta=None,
-        )
+        return self.publisher.publish(self._update)
 
     def __enter__(self) -> "SimulationEngine":
         return self
@@ -668,8 +660,7 @@ class SimulationEngine:
             metrics=self.metrics,
             trace=self.trace,
         )
-        self._epoch_log_state_fn = state_fn
-        self._refresh_capture_flags()
+        self._epoch_log_state_fn = state_fn or (lambda: None)
         if not resume:
             self.epoch_log.append_meta(
                 {
@@ -679,24 +670,11 @@ class SimulationEngine:
                     "game_meta": meta,
                 }
             )
-        self._append_epoch_log(force_snapshot=True)
+        # a fresh writer chains from nothing: this record is a checkpoint
+        self.epoch_log.append_epoch(
+            self._update, state=self._epoch_log_state_fn()
+        )
         return self.epoch_log
-
-    def _append_epoch_log(self, *, force_snapshot: bool = False) -> int:
-        """Append the current state (epoch ``tick_count + 1``) to the log."""
-        state = (
-            self._epoch_log_state_fn()
-            if self._epoch_log_state_fn is not None
-            else None
-        )
-        return self.epoch_log.append_epoch(
-            self.tick_count + 1,
-            self.env.rows,
-            self._shard_conf,
-            delta=None if force_snapshot else self._pending_replica_delta,
-            state=state,
-            force_snapshot=force_snapshot,
-        )
 
     def restore_state(self, epoch: int, rows: list) -> None:
         """Adopt *rows* as the authoritative state at *epoch*.
@@ -705,9 +683,13 @@ class SimulationEngine:
         (taking ownership of *rows*), rewinds the tick counter so the
         next tick is number *epoch* (post-tick states are epoch
         ``tick_count + 1``), and drops everything derived from the
-        previous timeline -- pending change captures, retained index
+        previous timeline: the pending change capture, retained index
         state (the next ``begin_tick`` sees no delta and rebuilds), and
-        worker replicas (their next broadcast snapshot-feeds them).
+        every attached consumer's belief of what its holders hold --
+        worker replicas and spectator subscribers are snapshot-fed by
+        their next update, and the epoch log's next record is a
+        checkpoint.  A holder may hold the restored epoch number from the
+        old timeline, so the epoch alone cannot tell it is stale.
         Nothing else needs restoring: the counter-mode rng is a pure
         function of (seed, tick, unit key), so state + tick number
         fully determine the future trajectory.
@@ -719,28 +701,12 @@ class SimulationEngine:
         self.env = env
         self.tick_count = epoch - 1
         self._pending_delta = None
-        self._pending_replica_delta = None
+        self._update = EpochUpdate(epoch, env.rows, self._shard_conf)
+        for consumer in (self._pool, self.publisher, self.epoch_log):
+            if consumer is not None:
+                consumer.invalidate()
 
     # -- shard layout lifecycle ---------------------------------------------------
-
-    def _refresh_capture_flags(self) -> None:
-        cfg = self.config
-        # parent-side incremental maintenance: not in processes mode,
-        # where the parent evaluator never runs (workers decide).
-        self._capture_env_delta = (
-            self.indexed
-            and cfg.index_maintenance != "rebuild"
-            and not self._processes
-        )
-        # replica feeds: the same diff, encoded for the wire --
-        # broadcast to the process workers, streamed to spectator
-        # subscribers, appended to the epoch log (snapshots only at
-        # checkpoints).
-        self._capture_replica_delta = (
-            self._processes
-            or self.publisher is not None
-            or self.epoch_log is not None
-        )
 
     def _refresh_sharding(self) -> None:
         """Adopt a mid-run shard layout change (tick-start checkpoint).
@@ -748,11 +714,12 @@ class SimulationEngine:
         ``num_shards`` / ``shard_by`` / ``spatial_extent`` may be edited
         on ``config`` between ticks; sharding is a pure performance knob,
         so the trajectory must not notice.  A bad layout raises before
-        anything changes, so the engine keeps its previous one.  Pending
-        deltas are discarded and -- since replica epochs no longer
-        describe the workers' shard layout -- the next process broadcast
-        is forced to be a full snapshot carrying the new layout.  The
-        evaluator is left alone: its indexes span all of ``E``.
+        anything changes, so the engine keeps its previous one.  The
+        pending delta is discarded and the current update is replaced by
+        a delta-less one carrying the new layout -- replica epochs no
+        longer describe the workers' shard layout, so the next process
+        broadcast is a full snapshot.  The evaluator is left alone: its
+        indexes span all of ``E``.
         """
         cfg = self.config
         conf = (cfg.shard_by, cfg.num_shards, cfg.spatial_extent)
@@ -775,8 +742,7 @@ class SimulationEngine:
             cfg.parallelism == "processes" and cfg.num_shards > 1
         )
         self._pending_delta = None
-        self._pending_replica_delta = None
-        self._refresh_capture_flags()
+        self._update = EpochUpdate(self.tick_count + 1, self.env.rows, conf)
 
     # -- script compilation cache -------------------------------------------------
 
@@ -798,17 +764,13 @@ class SimulationEngine:
 
     # -- pipeline stages ------------------------------------------------------------
 
-    def _stage_partition(self, env: EnvironmentTable) -> ShardedEnvironment:
-        """Stage 0: view E as per-shard tables (rows shared, order kept)."""
-        return ShardedEnvironment(env, self.config.num_shards, self.shard_of)
-
-    def _shard_tasks(self, sharded: ShardedEnvironment) -> list[_ShardTask]:
+    def _shard_tasks(self, parts: list[list[dict]]) -> list[_ShardTask]:
         """Group each shard's units by script: one batch per script per
         shard, units in shard row order."""
         tasks: list[_ShardTask] = []
-        for shard in sharded.shards:
+        for part in parts:
             groups: dict[int, tuple[ast.Script, list]] = {}
-            for row in shard.rows:
+            for row in part:
                 script = self.script_for(row)
                 groups.setdefault(id(script), (script, []))[1].append(row)
             tasks.append(
@@ -820,48 +782,25 @@ class SimulationEngine:
         return tasks
 
     def _decide_processes(
-        self, sharded: ShardedEnvironment
+        self,
     ) -> list[tuple[list[dict[str, object]], list[AoeRecord]]]:
         """Stage 2 in worker processes: update replicas, gather effects.
 
         Each worker holds a full replica of ``E`` at some acked epoch;
-        the broadcast ships last tick's captured delta to every worker
-        whose epoch matches, and the snapshot to the rest -- the first
-        tick, an unusable diff, shard layout changes and
-        stale/respawned/reconnected workers.  Either blob is pickled at
-        most once (the delta's is the one the publish stage and the
-        epoch log already shipped).  Shards are bundled round-robin, one
-        group per worker; results are re-ordered by shard id for the
+        the pool is handed the tick-start state's update -- the one the
+        publisher and the epoch log got at the end of the previous tick
+        -- and ships its delta to every worker it chains for, the
+        snapshot to the rest.  Shards are bundled round-robin, one group
+        per worker; results are re-ordered by shard id for the
         deterministic ⊕-merge.
         """
-        from ..env.sharding import delta_blob, snapshot_blob
-
         pool = self._ensure_pool()
-        num_shards = sharded.num_shards
+        num_shards = self.config.num_shards
         workers = min(pool.num_workers, num_shards)
         bundles = [
             (w, list(range(w, num_shards, workers))) for w in range(workers)
         ]
-        epoch = self.tick_count
-        rd = self._pending_replica_delta
-        self._pending_replica_delta = None
-        if rd is not None and rd.epoch != epoch:
-            rd = None  # captured under a different pipeline state
-        rows = self.env.rows
-        shard_conf = self._shard_conf
-
-        @cache
-        def snapshot() -> bytes:
-            return snapshot_blob(epoch, rows, shard_conf)
-
-        by_shard = pool.run_tick(
-            tick=self.tick_count,
-            epoch=epoch,
-            bundles=bundles,
-            delta_blob=None if rd is None else delta_blob(rd),
-            snapshot_blob=snapshot,
-        )
-        self._last_broadcast_bytes = pool.stats.last_tick_bytes
+        by_shard = pool.run_tick(self.tick_count, bundles, self._update)
         return [by_shard[shard_id] for shard_id in range(num_shards)]
 
     # -- the tick loop --------------------------------------------------------------
@@ -873,7 +812,7 @@ class SimulationEngine:
         epoch = self.tick_count + 1  # post-tick states are epoch t+1
         trace = self.trace
         self.rng.advance(self.tick_count)
-        self._last_broadcast_bytes = 0
+        cfg = self.config
         env = self.env
         schema = env.schema
         seconds = dict.fromkeys(_STAGES, 0.0)
@@ -889,9 +828,9 @@ class SimulationEngine:
                     span or stage, "tick", t0, t1, epoch=epoch, **args
                 )
 
-        # stage 0: partition E by the shard key
+        # stage 0: partition E's rows by the shard key
         t0 = time.perf_counter()
-        sharded = self._stage_partition(env)
+        parts = partition_rows(env.rows, cfg.num_shards, self.shard_of)
         timed("partition", t0)
 
         # stage 1: (re)arm the evaluator.  With delta maintenance
@@ -901,7 +840,7 @@ class SimulationEngine:
         if self._processes:
             shard_tasks = None
         else:
-            shard_tasks = self._shard_tasks(sharded)
+            shard_tasks = self._shard_tasks(parts)
             if self.indexed:
                 t0 = time.perf_counter()
                 self.agg_eval.begin_tick(env, delta=self._pending_delta)
@@ -911,8 +850,10 @@ class SimulationEngine:
 
         # stage 2: decision, shard at a time, one batch per script
         t0 = time.perf_counter()
+        broadcast_bytes = 0
         if self._processes:
-            shard_results = self._decide_processes(sharded)
+            shard_results = self._decide_processes()
+            broadcast_bytes = self._pool.stats.last_tick_bytes
         else:
             rt = EvalContext(
                 env=env,
@@ -923,7 +864,7 @@ class SimulationEngine:
             shard_results = [
                 run_batches(task, rt, by_key) for task in shard_tasks
             ]
-        timed("decision", t0, shards=len(sharded.shards))
+        timed("decision", t0, shards=len(parts))
 
         # stage 3: second index build -- resolve the deferred area
         # effects gathered from every shard, once, over the flat E
@@ -967,68 +908,67 @@ class SimulationEngine:
 
         # change capture: diff the post-mechanics environment against the
         # tick-start snapshot (mechanics copies rows, so *env* still holds
-        # the pre-tick values).  Consumed at t+1 by the parent evaluator's
-        # begin_tick (serial) or, encoded as an epoch-stamped
-        # ReplicaDelta, by the process workers' replica broadcast.
-        if self._capture_env_delta or self._capture_replica_delta:
+        # the pre-tick values).  Who needs the diff is asked here, from
+        # what is attached: the parent evaluator's begin_tick at t+1
+        # (serial delta maintenance), and -- encoded as an epoch-stamped
+        # ReplicaDelta in this epoch's update -- the replica feeds.
+        env_delta = (
+            self.indexed
+            and cfg.index_maintenance != "rebuild"
+            and not self._processes
+        )
+        feeds = (
+            self._processes
+            or self.publisher is not None
+            or self.epoch_log is not None
+        )
+        rd = None
+        if env_delta or feeds:
             t0 = time.perf_counter()
             # "auto" discards any delta above its budget, so let the diff
             # bail out early instead of completing a doomed one -- unless
             # the replica feeds need the same diff whatever its size
             cutoff = None
-            if (
-                self.config.index_maintenance == "auto"
-                and self._capture_env_delta
-                and not self._capture_replica_delta
-            ):
+            if cfg.index_maintenance == "auto" and not feeds:
                 cutoff = self.agg_eval.delta_budget(len(self.env))
             delta = diff_by_key(env, self.env, max_changed=cutoff)
-            if self._capture_env_delta:
+            if env_delta:
                 self._pending_delta = delta
-            if self._capture_replica_delta:
-                # an unusable diff (duplicate keys) leaves no pending
-                # delta: the next broadcast is a full snapshot
+            # an unusable diff (duplicate keys) leaves the update without
+            # a delta: every feed sends the snapshot
+            if feeds and delta is not None:
                 key = schema.key
-                self._pending_replica_delta = (
-                    None
-                    if delta is None
-                    else encode_replica_delta(
-                        delta,
-                        old_order=[row[key] for row in env.rows],
-                        new_order=[row[key] for row in self.env.rows],
-                        key_attr=key,
-                        base_epoch=self.tick_count,
-                        epoch=self.tick_count + 1,
-                        shard_of=self.shard_of,
-                    )
+                rd = encode_replica_delta(
+                    delta,
+                    old_order=[row[key] for row in env.rows],
+                    new_order=[row[key] for row in self.env.rows],
+                    key_attr=key,
+                    base_epoch=self.tick_count,
+                    epoch=epoch,
+                    shard_of=self.shard_of,
                 )
             timed("maintenance", t0, span="capture")
+        update = self._update = EpochUpdate(
+            epoch, self.env.rows, self._shard_conf, rd
+        )
 
-        # stage 6: publish -- stream the post-tick state (epoch
-        # tick_count + 1) to spectator subscribers: the captured delta
-        # to everyone whose epoch chains, snapshots to the rest.  Fire
-        # and forget: spectators are read-only and can never stall or
-        # corrupt the tick loop.
+        # stage 6: feed -- hand this epoch's update to the spectator
+        # publisher (fire and forget: spectators are read-only and can
+        # never stall or corrupt the tick loop) and to the durable epoch
+        # log (encoded here -- rows are never mutated after a tick, so
+        # the background disk write needs no copy -- and the tick loop
+        # never waits on the disk).  The workers get it next tick.
         publish_bytes = 0
         if self.publisher is not None:
             t0 = time.perf_counter()
-            publish_bytes = self.publisher.publish(
-                epoch=self.tick_count + 1,
-                rows=self.env.rows,
-                shard_conf=self._shard_conf,
-                delta=self._pending_replica_delta,
-            )
+            publish_bytes = self.publisher.publish(update)
             timed("publish", t0, bytes=publish_bytes)
-
-        # durable epoch log: append the same post-tick state the publish
-        # stage just streamed (delta when it chains, snapshot checkpoint
-        # otherwise).  Encoding happens here -- rows are never mutated
-        # after a tick, so the background disk write needs no copy --
-        # and the tick loop never waits on the disk.
         log_bytes = 0
         if self.epoch_log is not None:
             t0 = time.perf_counter()
-            log_bytes = self._append_epoch_log()
+            log_bytes = self.epoch_log.append_epoch(
+                update, state=self._epoch_log_state_fn()
+            )
             timed("log_append", t0, bytes=log_bytes)
 
         stats = TickStats(
@@ -1037,8 +977,8 @@ class SimulationEngine:
             effect_rows=effect_row_count,
             aoe_records=len(all_aoe),
             total_time=time.perf_counter() - start,
-            shards=self.config.num_shards,
-            broadcast_bytes=self._last_broadcast_bytes,
+            shards=cfg.num_shards,
+            broadcast_bytes=broadcast_bytes,
             publish_bytes=publish_bytes,
             log_bytes=log_bytes,
             **{field: seconds[stage] for stage, field in _STAGES.items()},

@@ -23,10 +23,14 @@ targets:
   :class:`WorkerGame`; remote workers import it by reference, so both
   hosts must run the same code).  Heavy unpicklable objects (compiled
   closures, index structures) never cross the process boundary;
-* **per tick** the coordinator ships one *update blob* -- a
-  ``SNAPSHOT`` (full row broadcast, stamping a new replica epoch) or an
-  epoch-chained ``DELTA`` (:class:`~repro.env.sharding.ReplicaDelta`)
-  -- plus the ids of the shards the worker decides this tick.  The
+* **per tick** :meth:`ReplicaWorkerPool.run_tick` is handed the
+  tick-start state's :class:`~repro.env.sharding.EpochUpdate` -- the
+  object the spectator publisher and the epoch log consumed at the end
+  of the previous tick -- and ships each worker one *update blob* from
+  it: a ``SNAPSHOT`` (full row broadcast, stamping a new replica epoch)
+  or an epoch-chained ``DELTA``
+  (:class:`~repro.env.sharding.ReplicaDelta`), each pickled at most
+  once, plus the ids of the shards the worker decides this tick.  The
   worker applies the update to its retained replica of ``E``, hands
   the same delta to its evaluator -- which patches its retained indexes
   or rebuilds them by the one rule every ``"auto"`` evaluator applies
@@ -71,10 +75,12 @@ from ..env.schema import Schema
 from ..env.sharding import (
     NO_REPLICA,
     UPDATE_SNAPSHOT,
+    EpochUpdate,
     ReplicaDelta,
     ReplicaTable,
     StaleReplicaError,
     make_sharder,
+    partition_rows,
 )
 from ..env.table import EnvironmentTable, TableDelta
 from ..obs import NULL_REGISTRY, TID_WORKER_BASE, RegistryStats
@@ -199,8 +205,8 @@ class _WorkerState:
     def _adopt_shard_conf(self, shard_conf: ShardConf) -> None:
         """Take the coordinator's shard layout: it picks out the units of
         this worker's shards, and nothing else (indexes span all of E)."""
-        shard_by, num_shards, extent = shard_conf
-        self.shard_of = make_sharder(shard_by, num_shards, extent=extent)
+        shard_by, self.num_shards, extent = shard_conf
+        self.shard_of = make_sharder(shard_by, self.num_shards, extent=extent)
 
     # -- replica maintenance ----------------------------------------------------
 
@@ -251,20 +257,9 @@ class _WorkerState:
         env.rows.extend(rows)
         self.rng.advance(tick)
 
-        # the replica's flat row order induces each shard's row order,
-        # exactly as the coordinator's ShardedEnvironment partition does
-        wanted = set(shard_ids)
-        shard_of = self.shard_of
-        selector = game.selector
-        shard_groups: dict[int, dict[object, list]] = {
-            shard_id: {} for shard_id in shard_ids
-        }
-        for row in rows:
-            shard_id = shard_of(row)
-            if shard_id in wanted:
-                shard_groups[shard_id].setdefault(row[selector], []).append(
-                    row
-                )
+        # the same partition as the coordinator's stage 0, so each
+        # shard's units keep the flat row order
+        parts = partition_rows(rows, self.num_shards, self.shard_of)
 
         by_key = None
         if self.indexed:
@@ -282,10 +277,14 @@ class _WorkerState:
             rng=self.rng,
         )
         out: list[tuple[int, list[dict[str, object]], list[AoeRecord]]] = []
+        selector = game.selector
         for shard_id in shard_ids:
+            groups: dict[object, list] = {}
+            for row in parts[shard_id]:
+                groups.setdefault(row[selector], []).append(row)
             batches = [
                 (self.runner_for(selector_value), units)
-                for selector_value, units in shard_groups[shard_id].items()
+                for selector_value, units in groups.items()
             ]
             out.append((shard_id, *run_batches(batches, rt, by_key)))
         return out
@@ -725,31 +724,27 @@ class ReplicaWorkerPool:
     def run_tick(
         self,
         tick: int,
-        epoch: int,
         bundles: list[tuple[int, list[int]]],
-        delta_blob: bytes | None,
-        snapshot_blob: Callable[[], bytes],
+        update: EpochUpdate,
     ) -> dict[int, tuple[list[dict[str, object]], list[AoeRecord]]]:
-        """One tick: update every bundled worker's replica and gather
-        per-shard results.
+        """One tick: bring every bundled worker's replica to
+        ``update.epoch`` and gather per-shard results.
 
         *bundles* pairs worker indexes with the shard ids they decide.
-        *delta_blob* is the tick's pickled delta update, ``None`` when
-        no usable delta exists (the first tick, an unusable diff, a
-        shard-layout change); *snapshot_blob* returns the pickled
-        snapshot, building it at most once per tick.  The delta goes to
-        workers whose acked epoch is ``epoch - 1``; everyone else --
-        fresh, respawned, reconnected, drifted, or after a layout change
-        -- gets the snapshot.  Epoch acks are verified against *epoch*;
-        a ``STALE`` reply or a dead worker falls back to the snapshot
-        within the same tick, and a dead worker is respawned (local) or
-        reconnected (remote) at most once per tick before the failure is
-        considered persistent.
+        *update* is the tick-start state: its delta goes to workers it
+        chains for, the snapshot to everyone else -- fresh, respawned,
+        reconnected, drifted, or after a layout change (whose update
+        carries no delta).  Epoch acks are verified against
+        ``update.epoch``; a ``STALE`` reply or a dead worker falls back
+        to the snapshot within the same tick, and a dead worker is
+        respawned (local) or reconnected (remote) at most once per tick
+        before the failure is considered persistent.
 
         Returns ``{shard_id: (effect_rows, aoe_records)}``.
         """
         from multiprocessing import connection as mp_connection
 
+        epoch = update.epoch
         stats = self.stats
         tick_bytes = 0
         revived: set[int] = set()
@@ -763,12 +758,8 @@ class ReplicaWorkerPool:
         ) -> None:
             nonlocal tick_bytes
             worker = self.workers[worker_index]
-            use_delta = (
-                allow_delta
-                and delta_blob is not None
-                and worker.epoch == epoch - 1
-            )
-            blob = delta_blob if use_delta else snapshot_blob()
+            use_delta = allow_delta and update.chains_from(worker.epoch)
+            blob = update.delta_blob() if use_delta else update.snapshot_blob()
             if worker.endpoint is not None and len(blob) > self._max_frame:
                 # caught before the transport refuses locally: an
                 # oversized update is a configuration problem, not a
@@ -900,6 +891,11 @@ class ReplicaWorkerPool:
         stats.ticks += 1
         stats.last_tick_bytes = tick_bytes
         return out
+
+    def invalidate(self) -> None:
+        """Forget what every worker holds: each is snapshot-fed next tick."""
+        for worker in self.workers:
+            worker.epoch = NO_REPLICA
 
     # -- fault-injection hooks ------------------------------------------------------
 

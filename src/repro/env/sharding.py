@@ -8,13 +8,14 @@ of that bargain:
 * :func:`make_sharder` builds a ``row -> shard id`` function from a
   configurable shard key -- a hashed attribute (unit key, player) or a
   spatial strip of the map;
-* :class:`ShardedEnvironment` is a *view* of one flat
-  :class:`~repro.env.table.EnvironmentTable` as ``num_shards`` per-shard
-  ``EnvironmentTable`` stores.  Shards share the flat table's row dicts
-  (no copies) and preserve the flat table's row order within each shard,
-  which is what keeps sharded trajectories bit-identical to the
-  single-shard engine: row *values* entering ``⊕`` are order-independent
-  and row *order* is always taken from the flat table;
+* :func:`partition_rows` splits a row sequence into per-shard lists.
+  Each shard keeps the flat table's row dicts (no copies) in the flat
+  table's row order, which is what keeps sharded trajectories
+  bit-identical to the single-shard engine: row *values* entering ``⊕``
+  are order-independent and row *order* is always taken from the flat
+  table.  The engine's stage 0 and the shard workers both call it;
+  :class:`ShardedEnvironment` wraps its output as per-shard
+  ``EnvironmentTable`` stores for the algebra executor;
 * :class:`ReplicaDelta` is the epoch-versioned wire form of the
   engine's per-tick change capture (a
   :class:`~repro.env.table.TableDelta`): the compact, picklable change
@@ -26,6 +27,11 @@ of that bargain:
   moves; :func:`apply_replica_delta` replays it against a replica and
   raises :class:`StaleReplicaError` on an epoch mismatch, the signal to
   fall back to a snapshot;
+* :class:`EpochUpdate` is one epoch's post-tick state as every replica
+  feed consumes it -- the worker pool, the spectator publisher and the
+  epoch log are each handed the same object, so the epoch's delta and
+  snapshot are each pickled at most once however many holders receive
+  them;
 * :class:`ReplicaTable` packages the receiving side of that protocol --
   the keyed replica of ``E`` every holder keeps (row order, key map,
   held epoch) plus the snapshot/delta application and invalidation
@@ -43,12 +49,21 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, cast
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+    TypeVar,
+    cast,
+)
 
 from .schema import Schema
 from .table import EnvironmentTable, TableDelta
 
 Row = Mapping[str, object]
+_R = TypeVar("_R", bound=Row)
 #: A shard function: row -> shard id in ``range(num_shards)``.
 ShardFn = Callable[[Row], int]
 
@@ -129,15 +144,38 @@ def make_sharder(
     return hashed_shard
 
 
+def partition_rows(
+    rows: Sequence[_R], num_shards: int, shard_of: ShardFn
+) -> list[list[_R]]:
+    """Partition *rows* into per-shard lists, keeping their order.
+
+    Raises :class:`ShardingError` when *shard_of* returns an id outside
+    ``range(num_shards)`` -- a negative id must not wrap around into the
+    last shard.
+    """
+    if num_shards < 1:
+        raise ShardingError(f"num_shards must be >= 1, got {num_shards}")
+    if num_shards == 1:
+        return [list(rows)]
+    out: list[list[_R]] = [[] for _ in range(num_shards)]
+    for row in rows:
+        shard = shard_of(row)
+        if not 0 <= shard < num_shards:
+            raise ShardingError(
+                f"shard function returned {shard!r}; expected "
+                f"0..{num_shards - 1}"
+            )
+        out[shard].append(row)
+    return out
+
+
 class ShardedEnvironment:
     """A partition of one flat environment into per-shard tables.
 
     The flat table stays authoritative: shards hold *the same row dicts*
-    in the same relative order, so reading a shard is reading a slice of
-    ``E`` and mutating a row through either view is the same mutation.
-    ``EnvironmentTable`` remains the per-shard store -- everything that
-    consumes a table (the decision runner, index builders, the algebra
-    executor) works unchanged on a shard.
+    in the same relative order (:func:`partition_rows`), so reading a
+    shard is reading a slice of ``E``.  The algebra executor's
+    :func:`~repro.algebra.executor.execute_plan_sharded` takes one.
     """
 
     __slots__ = ("flat", "num_shards", "shards")
@@ -148,25 +186,13 @@ class ShardedEnvironment:
         num_shards: int,
         shard_of: ShardFn,
     ) -> None:
-        if num_shards < 1:
-            raise ShardingError(f"num_shards must be >= 1, got {num_shards}")
         self.flat = flat
         self.num_shards = num_shards
-        shards = [EnvironmentTable(flat.schema) for _ in range(num_shards)]
-        if num_shards == 1:
-            shards[0].rows.extend(flat.rows)
-        else:
-            lists = [shard.rows for shard in shards]
-            for row in flat.rows:
-                shard = shard_of(row)
-                if not 0 <= shard < num_shards:
-                    raise ShardingError(
-                        f"shard function returned {shard!r} for row "
-                        f"{row.get(flat.schema.key)!r}; expected "
-                        f"0..{num_shards - 1}"
-                    )
-                lists[shard].append(row)
-        self.shards = shards
+        self.shards: list[EnvironmentTable] = []
+        for part in partition_rows(flat.rows, num_shards, shard_of):
+            shard = EnvironmentTable(flat.schema)
+            shard.rows.extend(part)
+            self.shards.append(shard)
 
     @property
     def schema(self) -> Schema:
@@ -202,18 +228,6 @@ class ShardedEnvironment:
         for shard in self.shards:
             out.rows.extend(shard.rows)
         return out
-
-
-def partition_rows(
-    rows: Sequence[Row], num_shards: int, shard_of: ShardFn
-) -> list[list[Row]]:
-    """Partition a row sequence into shard-ordered lists (order-stable)."""
-    if num_shards == 1:
-        return [list(rows)]
-    out: list[list[Row]] = [[] for _ in range(num_shards)]
-    for row in rows:
-        out[shard_of(row)].append(row)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +279,6 @@ class ReplicaDelta:
     #: ascending index order, for the inserts-splice-mid-order case.
     #: Mutually exclusive with ``order``; ``None`` means inserts append.
     insert_at: list[tuple[object, int]] | None = None
-    #: :func:`delta_blob`'s memo: the one pickle of this delta that the
-    #: worker broadcast, the spectator publisher and the epoch log share.
-    #: Not part of the value (never shipped, compared or printed).
-    _blob: bytes | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def changed(self) -> int:
@@ -485,19 +493,63 @@ def snapshot_blob(
 
 
 def delta_blob(rd: ReplicaDelta) -> bytes:
-    """The pickled delta update, built on first use and kept on *rd*.
+    """Pickle a delta update (the wire and log form of *rd*)."""
+    return pickle.dumps((UPDATE_DELTA, rd), protocol=pickle.HIGHEST_PROTOCOL)
 
-    Every consumer of one epoch's delta -- each chained worker, each
-    chained subscriber, the epoch log -- gets the identical ``bytes``
-    object, so a delta is pickled once however many holders it fans out
-    to.  A delta must not be mutated once this has been called.
+
+@dataclass(eq=False)
+class EpochUpdate:
+    """One epoch's post-tick state, as every replica feed consumes it.
+
+    The engine builds one per epoch when it captures the tick's change
+    and hands the same object to each consumer: the spectator publisher
+    and the epoch log at the end of the tick, the process workers at the
+    start of the next.  *delta* advances a holder at ``epoch - 1`` to
+    *epoch* (``None`` when no usable delta exists: the first epoch, a
+    keyless diff, a shard-layout change, a restored state).  Each
+    consumer keeps its own belief of what its holders hold and asks
+    :meth:`chains_from` whether the delta reaches them.
+
+    :meth:`delta_blob` and :meth:`snapshot_blob` pickle on first use
+    and keep the result, so every holder of one epoch is handed the
+    identical ``bytes`` object.  Neither the rows nor the delta may be
+    mutated once the update exists.
     """
-    blob = rd._blob
-    if blob is None:
-        blob = rd._blob = pickle.dumps(
-            (UPDATE_DELTA, rd), protocol=pickle.HIGHEST_PROTOCOL
-        )
-    return blob
+
+    epoch: int
+    rows: list[dict[str, object]] = field(repr=False)
+    #: The coordinator's ``(shard_by, num_shards, extent)``.
+    shard_conf: tuple[object, ...]
+    delta: ReplicaDelta | None = None
+    _delta: bytes | None = field(default=None, init=False, repr=False)
+    _snapshot: bytes | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.delta is not None and self.delta.epoch != self.epoch:
+            raise ValueError(
+                f"delta to epoch {self.delta.epoch} cannot describe "
+                f"epoch {self.epoch}"
+            )
+
+    def chains_from(self, held: int) -> bool:
+        """True when a holder at epoch *held* can apply the delta."""
+        return self.delta is not None and self.delta.base_epoch == held
+
+    def delta_blob(self) -> bytes:
+        """The pickled delta update (requires a delta)."""
+        if self._delta is None:
+            if self.delta is None:
+                raise ValueError(f"epoch {self.epoch} has no delta")
+            self._delta = delta_blob(self.delta)
+        return self._delta
+
+    def snapshot_blob(self) -> bytes:
+        """The pickled full-snapshot update."""
+        if self._snapshot is None:
+            self._snapshot = snapshot_blob(
+                self.epoch, self.rows, self.shard_conf
+            )
+        return self._snapshot
 
 
 class ReplicaTable:

@@ -1,12 +1,15 @@
 """The durable epoch log: append the replica feed to disk, replay it back.
 
-:class:`EpochLogWriter` is what the engine's publish/log hook drives
-once per tick.  It receives the post-tick state (epoch, rows, shard
-configuration) plus the captured :class:`~repro.env.sharding
-.ReplicaDelta`, and appends **one epoch record** -- the delta when it
-chains from the last logged epoch, a full-snapshot *checkpoint*
-otherwise (first record, unusable diff, or the checkpoint cadence
-coming due) -- optionally followed by a small game-state record.
+:class:`EpochLogWriter` is one of the engine's three replica feeds,
+beside the spectator publisher and the worker pool.  Once per tick it
+is handed the epoch's :class:`~repro.env.sharding.EpochUpdate` -- the
+same object the publisher streams, carrying the post-tick rows, the
+shard configuration and the captured delta -- and appends **one epoch
+record**: the delta when it chains from the last logged epoch, a
+full-snapshot *checkpoint* otherwise (first record, unusable diff, a
+restored engine state, or the checkpoint cadence coming due),
+optionally followed by a small game-state record.  The record payload
+is the update's own pickle, shared with the other feeds.
 Encoding and pickling happen in the caller's thread (cheap for deltas,
 and it makes the per-tick byte count exact); the disk write and any
 ``fsync`` run on a background thread, so a slow disk never blocks the
@@ -44,11 +47,9 @@ from ..env.sharding import (
     NO_REPLICA,
     UPDATE_DELTA,
     UPDATE_SNAPSHOT,
-    ReplicaDelta,
+    EpochUpdate,
     ReplicaTable,
     StaleReplicaError,
-    delta_blob,
-    snapshot_blob,
 )
 from ..obs import (
     NULL_REGISTRY,
@@ -189,41 +190,30 @@ class EpochLogWriter:
 
     def append_epoch(
         self,
-        epoch: int,
-        rows: list[dict[str, object]],
-        shard_conf: tuple[object, ...],
+        update: EpochUpdate,
         *,
-        delta: ReplicaDelta | None = None,
         state: dict[str, object] | None = None,
-        force_snapshot: bool = False,
     ) -> int:
         """Log one post-tick state; returns the bytes enqueued.
 
-        Writes *delta* when it chains (``delta.base_epoch`` equals the
-        last logged epoch) and no checkpoint is due; otherwise a full
-        snapshot checkpoint of *rows*.  *state*, when given, is appended
-        as a :data:`~repro.persist.framing.REC_STATE` record at the same
+        Writes the update's delta when it chains from the last logged
+        epoch and no checkpoint is due; otherwise a full snapshot
+        checkpoint.  *state*, when given, is appended as a
+        :data:`~repro.persist.framing.REC_STATE` record at the same
         epoch -- after the epoch record, so a durable state implies a
         durable (replayable) epoch.
         """
         st = self.stats
+        epoch = update.epoch
         checkpoint_due = (
-            force_snapshot
-            or st.last_checkpoint_epoch == NO_REPLICA
+            st.last_checkpoint_epoch == NO_REPLICA
             or epoch - st.last_checkpoint_epoch >= self.checkpoint_every
         )
-        usable = (
-            delta is not None
-            and delta.epoch == epoch
-            and delta.base_epoch == st.last_epoch
-        )
-        if usable and not checkpoint_due:
-            n = self._append(REC_DELTA, epoch, delta_blob(delta))
+        if update.chains_from(st.last_epoch) and not checkpoint_due:
+            n = self._append(REC_DELTA, epoch, update.delta_blob())
             st.delta_records += 1
         else:
-            n = self._append(
-                REC_SNAPSHOT, epoch, snapshot_blob(epoch, rows, shard_conf)
-            )
+            n = self._append(REC_SNAPSHOT, epoch, update.snapshot_blob())
             st.snapshot_records += 1
             st.last_checkpoint_epoch = epoch
             checkpoint_due = True
@@ -244,6 +234,11 @@ class EpochLogWriter:
         )
         self.stats.state_records += 1
         return n
+
+    def invalidate(self) -> None:
+        """Drop the delta chain: the next epoch record is a checkpoint
+        (the engine restored a state the logged epochs do not lead to)."""
+        self.stats.last_epoch = NO_REPLICA
 
     def _append(
         self, rtype: int, epoch: int, payload: bytes, *, sync: bool = False

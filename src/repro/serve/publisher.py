@@ -3,11 +3,11 @@
 :class:`ReplicaPublisher` is the serving half of the engine's publish
 stage: it listens on a loopback/TCP socket, accepts any number of
 subscribers, and streams the *same* epoch-versioned update blobs the
-shard worker pool ships over pipes --
-:func:`~repro.env.sharding.snapshot_blob` and
-:func:`~repro.env.sharding.delta_blob`, pickled at most once per tick
-no matter how many subscribers are attached (the delta's pickle is the
-one the epoch log and the next tick's worker broadcast reuse).
+shard worker pool ships over pipes.  The engine hands it each epoch's
+:class:`~repro.env.sharding.EpochUpdate`, the object the epoch log and
+the next tick's worker broadcast are handed too; the update pickles
+its delta and its snapshot at most once each, so every subscriber, the
+log and the workers share the same bytes.
 
 The protocol reuses PR 3's fault model wholesale, adapted from
 addressed request/reply (workers must ack every tick -- the coordinator
@@ -19,7 +19,8 @@ read-only, so the tick loop must never block on them):
 * a **delta subscriber** receives the per-tick
   :class:`~repro.env.sharding.ReplicaDelta` while its believed epoch
   chains; any discontinuity (a tick with no usable delta, a publisher
-  restart) degrades that subscriber to a snapshot;
+  restart, an engine restoring an earlier state) degrades that
+  subscriber to a snapshot;
 * a **stale subscriber** -- one whose replica could not apply a delta
   -- reports ``STALE`` upstream; the publisher marks it replica-less
   and re-sends the snapshot at the next publish (the async analogue of
@@ -41,12 +42,7 @@ import socket
 import time
 from dataclasses import dataclass
 
-from ..env.sharding import (
-    NO_REPLICA,
-    ReplicaDelta,
-    delta_blob,
-    snapshot_blob,
-)
+from ..env.sharding import NO_REPLICA, EpochUpdate
 from ..obs import NULL_REGISTRY, TID_PUBLISHER, RegistryStats
 from .transport import DEFAULT_MAX_FRAME, FrameError, SocketTransport
 
@@ -235,22 +231,15 @@ class ReplicaPublisher:
 
     # -- the publish stage --------------------------------------------------------
 
-    def publish(
-        self,
-        *,
-        epoch: int,
-        rows: list[dict[str, object]],
-        shard_conf: tuple,
-        delta: ReplicaDelta | None = None,
-    ) -> int:
-        """Bring every subscriber to *epoch*; returns bytes put on the wire.
+    def publish(self, update: EpochUpdate) -> int:
+        """Bring every subscriber to ``update.epoch``; returns bytes put
+        on the wire.
 
-        *delta* (when given) must chain ``delta.epoch == epoch``; it is
-        shipped to subscribers whose believed epoch matches
-        ``delta.base_epoch``.  Everyone else gets the snapshot -- except
-        subscribers already *at* ``epoch`` when there is no delta, which
-        lets an engine re-run the publish stage between ticks
-        (late-joiner catch-up) without re-feeding current subscribers.
+        Subscribers the update's delta chains for get the delta, the
+        rest get the snapshot, and subscribers already at
+        ``update.epoch`` are skipped -- so an engine can re-publish the
+        current update between ticks (late-joiner catch-up) without
+        re-feeding current subscribers.
         """
         self.poll()
         stats = self.stats
@@ -258,26 +247,13 @@ class ReplicaPublisher:
         stats.last_tick_bytes = 0
         if not self._subscribers:
             return 0
-        if delta is not None and delta.epoch != epoch:
-            delta = None  # defensive: a delta to some other epoch
-        snapshot: bytes | None = None  # pickled for the first who needs it
+        epoch = update.epoch
         tick_bytes = 0
         for subscriber in list(self._subscribers):
-            use_delta = (
-                delta is not None and subscriber.epoch == delta.base_epoch
-            )
-            if (
-                not use_delta
-                and delta is None
-                and subscriber.epoch == epoch
-            ):
+            if subscriber.epoch == epoch:
                 continue  # already current; nothing new to ship
-            if use_delta:
-                blob = delta_blob(delta)
-            else:
-                if snapshot is None:
-                    snapshot = snapshot_blob(epoch, rows, shard_conf)
-                blob = snapshot
+            use_delta = update.chains_from(subscriber.epoch)
+            blob = update.delta_blob() if use_delta else update.snapshot_blob()
             trace = self._trace
             t0 = time.perf_counter() if trace is not None else 0.0
             try:
@@ -305,6 +281,12 @@ class ReplicaPublisher:
         stats.bytes_sent += tick_bytes
         stats.last_tick_bytes = tick_bytes
         return tick_bytes
+
+    def invalidate(self) -> None:
+        """Forget what every subscriber holds: each is snapshot-fed at the
+        next publish."""
+        for subscriber in self._subscribers:
+            subscriber.epoch = NO_REPLICA
 
     def close(self) -> None:
         for subscriber in list(self._subscribers):

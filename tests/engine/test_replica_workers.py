@@ -17,8 +17,9 @@ import pickle
 import pytest
 
 from repro.engine.evaluator import _PATCH_FRACTION
-from repro.engine.shardexec import ReplicaWorkerPool, _WorkerState
+from repro.engine.shardexec import MSG_TICK, _WorkerState
 from repro.env.sharding import (
+    UPDATE_DELTA,
     UPDATE_SNAPSHOT,
     StaleReplicaError,
     apply_replica_delta,
@@ -29,9 +30,9 @@ from repro.env.sharding import (
 )
 from repro.env.table import EnvironmentTable, diff_by_key
 from repro.game.battle import BattleSimulation, battle_worker_game
-from repro.persist.framing import REC_DELTA
+from repro.persist.framing import REC_DELTA, REC_SNAPSHOT
 from repro.persist.log import EpochLogWriter
-from repro.serve.transport import SocketTransport
+from repro.serve.transport import PipeTransport, SocketTransport
 from tests.conftest import make_env
 
 
@@ -452,38 +453,50 @@ class TestWorkerPatchOrRebuild:
 
 
 class TestOnePicklePerDelta:
-    def test_workers_subscriber_and_log_share_the_delta_bytes(
-        self, tmp_path, monkeypatch
-    ):
-        """One epoch's delta reaches the spectator feed and the epoch log
-        at the end of its tick and the workers at the start of the next:
-        all three must be handed the identical ``bytes`` object."""
-        broadcast, published, logged = {}, [], {}
-        run_tick = ReplicaWorkerPool.run_tick
+    """One epoch's update reaches the spectator feed and the epoch log at
+    the end of its tick and the workers at the start of the next: every
+    consumer must be handed the identical ``bytes`` object, delta and
+    snapshot alike."""
+
+    @pytest.fixture()
+    def sent(self, monkeypatch):
+        """Spy on every feed: worker update blobs by tick, blobs put on
+        subscriber sockets, epoch-log payloads by (record type, epoch)."""
+        sent = {"workers": {}, "published": [], "logged": {}}
+        send = PipeTransport.send
         send_bytes = SocketTransport.send_bytes
         append = EpochLogWriter._append
 
-        def spy_run_tick(self, *, epoch, delta_blob, **kwargs):
-            broadcast[epoch] = delta_blob
-            return run_tick(self, epoch=epoch, delta_blob=delta_blob, **kwargs)
+        def spy_send(self, message):
+            if message[0] == MSG_TICK:
+                _, blob, tick, _ = message
+                sent["workers"].setdefault(tick, []).append(blob)
+            return send(self, message)
 
         def spy_send_bytes(self, blob):
-            published.append(blob)
+            sent["published"].append(blob)
             return send_bytes(self, blob)
 
         def spy_append(self, rtype, epoch, payload, **kwargs):
-            if rtype == REC_DELTA:
-                logged[epoch] = payload
+            sent["logged"][rtype, epoch] = payload
             return append(self, rtype, epoch, payload, **kwargs)
 
-        monkeypatch.setattr(ReplicaWorkerPool, "run_tick", spy_run_tick)
+        monkeypatch.setattr(PipeTransport, "send", spy_send)
         monkeypatch.setattr(SocketTransport, "send_bytes", spy_send_bytes)
         monkeypatch.setattr(EpochLogWriter, "_append", spy_append)
-        with BattleSimulation(
+        return sent
+
+    def battle(self, tmp_path, **kwargs):
+        return BattleSimulation(
             48, density=0.02, seed=23, num_shards=2,
             parallelism="processes", max_workers=2, spectators=True,
-            epoch_log=str(tmp_path / "epochs.log"),
-        ) as sim:
+            epoch_log=str(tmp_path / "epochs.log"), **kwargs,
+        )
+
+    def test_workers_subscriber_and_log_share_the_delta_bytes(
+        self, tmp_path, sent
+    ):
+        with self.battle(tmp_path) as sim:
             sub = SocketTransport.connect(
                 sim.engine.publisher.address, timeout=5.0
             )
@@ -493,7 +506,33 @@ class TestOnePicklePerDelta:
                     sub.recv()
             finally:
                 sub.close()
-        blob = broadcast[3]  # captured, published and logged by tick 2
-        assert isinstance(blob, bytes)
-        assert logged[3] is blob
-        assert any(sent is blob for sent in published)
+        # epoch 3: captured, published and logged by tick 2, broadcast
+        # to both workers at tick 3
+        blob = sent["logged"][REC_DELTA, 3]
+        assert pickle.loads(blob)[0] == UPDATE_DELTA
+        assert [b is blob for b in sent["workers"][3]] == [True, True]
+        assert any(b is blob for b in sent["published"])
+
+    def test_log_checkpoint_late_joiner_and_drifted_worker_share_snapshot(
+        self, tmp_path, sent
+    ):
+        with self.battle(tmp_path, epoch_log_checkpoint_every=1) as sim:
+            sim.run(2)
+            sub = SocketTransport.connect(
+                sim.engine.publisher.address, timeout=5.0
+            )
+            try:
+                # the late joiner is caught up to epoch 3 between ticks
+                sim.engine.publish_spectators()
+                assert sub.recv()[:2] == (UPDATE_SNAPSHOT, 3)
+                # worker 0 refuses tick 3's delta and is re-sent epoch 3
+                # as a snapshot
+                sim.engine._pool.debug_set_worker_epoch(0, 777)
+                sim.tick()
+                assert sim.engine.worker_stats.stale_snapshots == 1
+            finally:
+                sub.close()
+        blob = sent["logged"][REC_SNAPSHOT, 3]  # checkpointed by tick 2
+        assert pickle.loads(blob)[:2] == (UPDATE_SNAPSHOT, 3)
+        assert any(b is blob for b in sent["published"])
+        assert any(b is blob for b in sent["workers"][3])

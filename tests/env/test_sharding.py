@@ -1,8 +1,14 @@
-"""Sharded environments: partitioning and shard functions."""
+"""Sharded environments: partitioning, shard functions, epoch updates."""
+
+import pickle
 
 import pytest
 
 from repro.env.sharding import (
+    UPDATE_DELTA,
+    UPDATE_SNAPSHOT,
+    EpochUpdate,
+    ReplicaDelta,
     ShardedEnvironment,
     ShardingError,
     make_sharder,
@@ -97,3 +103,37 @@ def test_partition_rows_helper(schema):
     for shard_id, part in enumerate(parts):
         assert all(shard_of(r) == shard_id for r in part)
     assert partition_rows(env.rows, 1, shard_of) == [env.rows]
+    # a negative id must not wrap around into the last shard
+    with pytest.raises(ShardingError):
+        partition_rows(env.rows, 4, lambda row: -1)
+    with pytest.raises(ShardingError):
+        partition_rows(env.rows, 4, lambda row: 4)
+
+
+class TestEpochUpdate:
+    def delta(self, base_epoch, epoch):
+        return ReplicaDelta(base_epoch=base_epoch, epoch=epoch, new_size=0)
+
+    def test_rejects_a_delta_to_another_epoch(self):
+        with pytest.raises(ValueError, match="epoch 4"):
+            EpochUpdate(3, [], ("key", 1, None), self.delta(3, 4))
+
+    def test_chains_only_from_the_delta_base(self):
+        update = EpochUpdate(3, [], ("key", 1, None), self.delta(2, 3))
+        assert update.chains_from(2)
+        assert not update.chains_from(3)
+        assert not EpochUpdate(3, [], ("key", 1, None)).chains_from(2)
+
+    def test_blobs_are_pickled_once(self, schema):
+        rows = make_env(schema, n=4).rows
+        update = EpochUpdate(3, rows, ("key", 1, None), self.delta(2, 3))
+        assert update.snapshot_blob() is update.snapshot_blob()
+        assert update.delta_blob() is update.delta_blob()
+        assert pickle.loads(update.snapshot_blob()) == (
+            UPDATE_SNAPSHOT, 3, rows, ("key", 1, None)
+        )
+        assert pickle.loads(update.delta_blob()) == (
+            UPDATE_DELTA, self.delta(2, 3)
+        )
+        with pytest.raises(ValueError, match="no delta"):
+            EpochUpdate(3, rows, ("key", 1, None)).delta_blob()

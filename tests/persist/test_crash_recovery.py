@@ -49,14 +49,16 @@ writer = EpochLogWriter(
 )
 writer.append_meta({"key_attr": "key"})
 for epoch in range(1, epochs + 1):
-    from repro.env.sharding import ReplicaDelta
+    from repro.env.sharding import EpochUpdate, ReplicaDelta
     delta = None
     if epoch > 1:
         delta = ReplicaDelta(
             base_epoch=epoch - 1, epoch=epoch, new_size=6,
             updated=[(k, {"hp": 100 - epoch * (k + 1)}) for k in range(6)],
         )
-    writer.append_epoch(epoch, rows_at(epoch), ("key", 1, None), delta=delta)
+    writer.append_epoch(
+        EpochUpdate(epoch, rows_at(epoch), ("key", 1, None), delta)
+    )
 # die mid-record: half of the next epoch's bytes land, then kill -9 --
 # exactly what a power cut or OOM kill during the write leaves behind
 partial = encode_record(REC_STATE, epochs + 1, b"x" * 64)

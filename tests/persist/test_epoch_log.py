@@ -12,7 +12,12 @@ import sys
 
 import pytest
 
-from repro.env.sharding import NO_REPLICA, ReplicaDelta, delta_blob
+from repro.env.sharding import (
+    NO_REPLICA,
+    EpochUpdate,
+    ReplicaDelta,
+    delta_blob,
+)
 from repro.persist import (
     REC_DELTA,
     REC_META,
@@ -47,6 +52,11 @@ def delta_between(base_epoch, epoch, n=6):
     )
 
 
+def update_at(epoch, delta=None):
+    """The post-tick update of epoch *epoch* (rows_at, optional delta)."""
+    return EpochUpdate(epoch, rows_at(epoch), SHARD_CONF, delta)
+
+
 def write_epochs(path, epochs, *, checkpoint_every=64, state=False, **kw):
     """A log of chained epochs [1..epochs] with per-epoch state dicts."""
     with EpochLogWriter(
@@ -55,10 +65,10 @@ def write_epochs(path, epochs, *, checkpoint_every=64, state=False, **kw):
         writer.append_meta({"key_attr": "key", "seed": 0})
         for epoch in range(1, epochs + 1):
             writer.append_epoch(
-                epoch,
-                rows_at(epoch),
-                SHARD_CONF,
-                delta=None if epoch == 1 else delta_between(epoch - 1, epoch),
+                update_at(
+                    epoch,
+                    None if epoch == 1 else delta_between(epoch - 1, epoch),
+                ),
                 state={"epoch": epoch} if state else None,
             )
         stats = writer.stats
@@ -92,13 +102,21 @@ class TestWriter:
     def test_unchained_delta_downgrades_to_snapshot(self, tmp_path):
         path = tmp_path / "log"
         with EpochLogWriter(path, checkpoint_every=100) as writer:
-            writer.append_epoch(1, rows_at(1), SHARD_CONF)
+            writer.append_epoch(update_at(1))
             # a delta whose base is not the last logged epoch is unusable
-            writer.append_epoch(
-                3, rows_at(3), SHARD_CONF, delta=delta_between(2, 3)
-            )
+            writer.append_epoch(update_at(3, delta_between(2, 3)))
             assert writer.stats.snapshot_records == 2
             assert writer.stats.delta_records == 0
+
+    def test_invalidate_makes_the_next_record_a_checkpoint(self, tmp_path):
+        with EpochLogWriter(tmp_path / "log", checkpoint_every=100) as writer:
+            writer.append_epoch(update_at(1))
+            writer.append_epoch(update_at(2, delta_between(1, 2)))
+            writer.invalidate()  # an engine restored some other state
+            # epoch 3's delta chains from epoch 2 by number only
+            writer.append_epoch(update_at(3, delta_between(2, 3)))
+            assert writer.stats.delta_records == 1
+            assert writer.stats.snapshot_records == 2
 
     def test_state_record_follows_its_epoch_record(self, tmp_path):
         path = tmp_path / "log"
@@ -120,20 +138,20 @@ class TestWriter:
     def test_flush_makes_enqueued_equal_written(self, tmp_path):
         path = tmp_path / "log"
         with EpochLogWriter(path) as writer:
-            writer.append_epoch(1, rows_at(1), SHARD_CONF)
+            writer.append_epoch(update_at(1))
             writer.flush()
             assert writer.stats.bytes_written == writer.stats.bytes_enqueued
 
     def test_background_write_failure_is_remembered(self, tmp_path):
         path = tmp_path / "log"
         writer = EpochLogWriter(path)
-        writer.append_epoch(1, rows_at(1), SHARD_CONF)
+        writer.append_epoch(update_at(1))
         writer.flush()
         writer._fh.close()  # yank the file out from under the thread
-        writer.append_epoch(2, rows_at(2), SHARD_CONF)
+        writer.append_epoch(update_at(2))
         with pytest.raises(EpochLogError, match="write failed|flush failed"):
             writer.flush()
-            writer.append_epoch(3, rows_at(3), SHARD_CONF)
+            writer.append_epoch(update_at(3))
         with pytest.raises(EpochLogError):
             writer.close()
 
@@ -142,7 +160,7 @@ class TestWriter:
         writer = EpochLogWriter(path)
         writer.close()
         with pytest.raises(EpochLogError, match="closed"):
-            writer.append_epoch(1, rows_at(1), SHARD_CONF)
+            writer.append_epoch(update_at(1))
         writer.close()  # idempotent
 
     def test_knob_validation(self, tmp_path):
@@ -170,12 +188,10 @@ class TestWriter:
         write_epochs(path, 3, checkpoint_every=100)
         with EpochLogWriter(path, resume=True) as writer:
             # recovery's first act: a fresh checkpoint to chain from
-            writer.append_epoch(
-                3, rows_at(3), SHARD_CONF, force_snapshot=True
-            )
-            writer.append_epoch(
-                4, rows_at(4), SHARD_CONF, delta=delta_between(3, 4)
-            )
+            # (a resumed writer chains from nothing, so this is one)
+            writer.append_epoch(update_at(3))
+            assert writer.stats.snapshot_records == 1
+            writer.append_epoch(update_at(4, delta_between(3, 4)))
         with EpochLogReader(path) as reader:
             assert reader.last_epoch == 4
             assert reader.replay().rows == rows_at(4)
@@ -228,7 +244,7 @@ class TestReader:
     def test_missing_key_attr_needs_explicit_one(self, tmp_path):
         path = tmp_path / "log"
         with EpochLogWriter(path) as writer:  # no meta record
-            writer.append_epoch(1, rows_at(1), SHARD_CONF)
+            writer.append_epoch(update_at(1))
         with EpochLogReader(path) as reader:
             with pytest.raises(EpochLogError, match="no key_attr"):
                 reader.replay()

@@ -87,11 +87,6 @@ def battle():
 class TestPublisherProtocol:
     """The feed side, driven with a raw in-process subscriber."""
 
-    def publish(self, pub, epoch, rows, delta=None):
-        return pub.publish(
-            epoch=epoch, rows=rows, shard_conf=("key", 1, None), delta=delta
-        )
-
     def test_late_joiner_gets_snapshot_then_deltas(self, battle):
         pub = battle.engine.publisher
         sub = SocketTransport.connect(pub.address, timeout=5.0)
