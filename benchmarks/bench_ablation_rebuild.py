@@ -25,40 +25,9 @@ N = 400
 def build_all_indexes(sim: BattleSimulation) -> float:
     """Seconds to construct every per-tick index for the current env."""
     evaluator: IndexedEvaluator = sim.engine.agg_eval
-    env = sim.engine.env
-    registry = sim.registry
     start = time.perf_counter()
-    evaluator.begin_tick(env)
-    for fn in registry.aggregates.values():
-        compiled = evaluator._compiled_shape(fn)
-        kind = compiled.shape.kind
-        if kind == "divisible":
-            evaluator._div_index.pop(fn.name, None)
-            # trigger a build without probing: emulate first touch
-            from repro.indexes.composite import GroupAggIndex
-            from repro.indexes.hash_layer import PartitionedIndex
-
-            rows = evaluator._filtered_rows(compiled)
-            evaluator._div_index[fn.name] = PartitionedIndex(
-                rows,
-                compiled.shape.cat_attrs,
-                factory=lambda group, c=compiled: GroupAggIndex(
-                    group, c.shape.range_attrs, c.measures
-                ),
-            )
-        elif kind == "nearest":
-            from repro.indexes.kdtree import KDTree
-            from repro.indexes.hash_layer import PartitionedIndex
-
-            rows = evaluator._filtered_rows(compiled)
-            ax, ay = compiled.shape.nearest_attrs
-            evaluator._kd_index[fn.name] = PartitionedIndex(
-                rows,
-                compiled.shape.cat_attrs,
-                factory=lambda group, x=ax, y=ay: KDTree(
-                    [(r[x], r[y]) for r in group], group
-                ),
-            )
+    evaluator.begin_tick(sim.engine.env)  # "rebuild": drops every index
+    evaluator.prepare(sim.registry.aggregates)
     return time.perf_counter() - start
 
 

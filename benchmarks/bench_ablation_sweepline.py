@@ -17,7 +17,7 @@ import pytest
 
 from benchmarks.util import emit, fmt_table
 from repro.indexes.range_tree import LayeredRangeTree2D
-from repro.indexes.sweepline import sweep_arg_minmax
+from repro.indexes.sweepline import boxes_around, sweep_arg_minmax
 
 N = 3000
 RX = RY = 30
@@ -57,7 +57,9 @@ def enumerate_minima(xy, health, keys):
 
 
 def sweep_minima(xy, health, keys):
-    results = sweep_arg_minmax(xy, health, keys, xy, RX, RY, "min")
+    results = sweep_arg_minmax(
+        xy, health, keys, boxes_around(xy, RX, RY), "min"
+    )
     return [None if r is None else (r[0], r[1]) for r in results]
 
 

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from ..env.schema import AttributeType, Schema
 from ..indexes.agg_range_tree import AggRangeTree2D
-from ..indexes.sweepline import sweep_minmax
+from ..indexes.sweepline import boxes_around, sweep_minmax
 from .compile import compile_filter, row_scope
 
 
@@ -99,10 +99,13 @@ def resolve_aoe(
 
         if tag in (AttributeType.MAX, AttributeType.MIN):
             kind = "max" if tag is AttributeType.MAX else "min"
-            results = sweep_minmax(centers, values, probe_xy, rx, ry, kind)
+            results = sweep_minmax(
+                centers, values, boxes_around(probe_xy, rx, ry), kind
+            )
         elif tag is AttributeType.SUM:
             xs, ys = zip(*centers)
-            tree = AggRangeTree2D(xs, ys, [values])
+            # only .total is read: no Σv² column
+            tree = AggRangeTree2D(xs, ys, [values], squares=[False])
             results = []
             for px, py in probe_xy:
                 moments, = tree.query(px - rx, px + rx, py - ry, py + ry)

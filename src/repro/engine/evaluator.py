@@ -16,11 +16,25 @@ in-memory indexing ... to reduce the complexity to O(n log n)."
   ========== ==============================================================
   shape      per-tick index
   ========== ==============================================================
-  divisible  hash layers (eq/neq cats) → Figure-8 prefix-aggregate tree
+  divisible  hash layers (eq/neq cats) → Figure-8 prefix-aggregate tree,
+             one per *selection*, shared by every function over it
   nearest    hash layers → kD-tree, residual conjuncts as search predicates
   extreme    Figure-9 sweeps over each call-site batch, grouped by extents
   fallback   hash layers → partitioned row scan
   ========== ==============================================================
+
+  A divisible index depends only on its selection -- the e-only filter,
+  the category attributes and the range attributes -- so functions that
+  select the same rows share it, as the paper combines "these aggregates
+  into one index structure by replacing the list of aggregates with a
+  list of aggregate tuples".  The index carries each distinct measure
+  term of its readers once, and a ``Σv²`` column only for the measures
+  some reader finalizes as var/stddev; each function reads its outputs
+  through a slot map.  A function joins its selection's layout when it
+  is first evaluated -- registered or not (a spectator query compiled
+  from source) -- so an index carries only what some caller has read;
+  a function that adds a measure or a ``Σv²`` column drops the retained
+  index once, for a lazy rebuild.
 
   By default indexes are rebuilt from scratch every tick, as the paper
   advocates for rapidly-changing data ("we are still likely to see
@@ -96,14 +110,26 @@ def empty_aggregate_result(outputs: Sequence[AggOutput]) -> object:
 
 
 @dataclass
+class _Selection:
+    """The layout of one shared divisible index: its readers' distinct
+    measure terms, their row closures, and which keep ``Σv²``."""
+
+    build_filter: Fn | None  # e-only conjuncts
+    terms: list = field(default_factory=list)
+    measures: list = field(default_factory=list)  # row Fn per term
+    squares: list = field(default_factory=list)  # per term: var/stddev read
+
+
+@dataclass
 class _CompiledShape:
     """Per-aggregate static compilation artefacts: row-frame closures
     run per environment row at index build, probe-frame ones per call."""
 
     shape: AggregateShape
     probe: Probe
-    measures: list = field(default_factory=list)  # row Fn per measured output
+    selection: tuple = ()  # divisible: key of the shared index
     measure_slot: list = field(default_factory=list)  # output idx -> slot/None
+    count_only: bool = False  # divisible: reads no measure of the index
     build_filter: Fn | None = None  # e-only conjuncts
     value_fn: Fn | None = None  # extreme value term
     centers: tuple[Fn, Fn] | None = None  # nearest: the probe point
@@ -154,9 +180,12 @@ class IndexedEvaluator:
         self.key_attr = key_attr
         self.maintenance = maintenance
         self._compiled: dict[str, _CompiledShape] = {}
+        #: selection key -> the layout of its shared divisible index
+        self._selections: dict[tuple, _Selection] = {}
         # per-tick caches (retained across ticks under delta maintenance)
         self._env: EnvironmentTable | None = None
-        self._div_index: dict[str, PartitionedIndex] = {}
+        #: selection key -> divisible index (see :meth:`_join_selection`)
+        self._div_index: dict[tuple, PartitionedIndex] = {}
         self._kd_index: dict[str, PartitionedIndex] = {}
         self._row_index: dict[str, PartitionedIndex] = {}
         #: fn name -> {partition key -> sweep source columns}; built once
@@ -241,7 +270,8 @@ class IndexedEvaluator:
         The engine never calls this -- it keeps build-on-first-probe (a
         tick that never probes an aggregate never pays for its index).
         The method stays because the perf ledger names it as a trace
-        target (``benchmarks/ledger/spec.py``); drop both together.
+        target (``benchmarks/ledger/spec.py``) and the rebuild ablation
+        (``benchmarks/bench_ablation_rebuild.py``) times it.
         """
         for name in fn_names:
             fn = self.registry.aggregates.get(name)
@@ -250,7 +280,7 @@ class IndexedEvaluator:
             compiled = self._compiled_shape(fn)
             kind = compiled.shape.kind
             if kind == "divisible":
-                self._ensure_div_index(fn, compiled)
+                self._ensure_div_index(compiled)
             elif kind == "nearest":
                 self._ensure_kd_index(fn, compiled)
             elif kind == "extreme":
@@ -279,30 +309,30 @@ class IndexedEvaluator:
         return int(_PATCH_FRACTION * new_size)
 
     def _apply_delta(self, delta: TableDelta) -> None:
-        for name, index in self._div_index.items():
-            compiled = self._compiled[name]
-            self._route_delta(index, compiled, delta, self._div_update)
+        for key, index in self._div_index.items():
+            keep = self._selections[key].build_filter
+            self._route_delta(index, keep, delta, self._div_update)
         for name, index in self._kd_index.items():
             compiled = self._compiled[name]
             self._route_delta(
                 index,
-                compiled,
+                compiled.build_filter,
                 delta,
                 lambda idx, old, new, c=compiled: self._kd_update(
                     idx, c.shape, old, new
                 ),
             )
         for name, index in self._row_index.items():
-            compiled = self._compiled[name]
-            self._route_delta(index, compiled, delta, PartitionedIndex.update)
+            keep = self._compiled[name].build_filter
+            self._route_delta(index, keep, delta, PartitionedIndex.update)
 
     @staticmethod
     def _route_delta(
-        index: PartitionedIndex, compiled: _CompiledShape, delta: TableDelta, update
+        index: PartitionedIndex, keep: Fn | None, delta: TableDelta, update
     ) -> None:
-        """Filter delta rows through the structure's build predicate and
-        dispatch them to the hash layer's insert/delete/update paths."""
-        keep = compiled.build_filter
+        """Filter delta rows through the structure's build predicate
+        *keep* and dispatch them to the hash layer's insert/delete/update
+        paths."""
         for row in delta.inserted:
             if keep is None or keep(row):
                 index.insert(row)
@@ -406,16 +436,10 @@ class IndexedEvaluator:
         per_row = row_scope(self.registry.constants)
         compiled.build_filter = compile_filter(shape.e_only, per_row)
         if shape.kind == "divisible":
-            slot = 0
-            for output in shape.outputs:
-                if output.term is None:
-                    compiled.measure_slot.append(None)
-                else:
-                    compiled.measures.append(
-                        compile_term(output.term, per_row)
-                    )
-                    compiled.measure_slot.append(slot)
-                    slot += 1
+            compiled.selection, compiled.measure_slot = self._join_selection(
+                shape
+            )
+            compiled.count_only = all(o.agg == "count" for o in shape.outputs)
         elif shape.kind == "extreme":
             compiled.value_fn = compile_term(shape.extreme_value, per_row)
         elif shape.kind == "nearest":
@@ -507,34 +531,70 @@ class IndexedEvaluator:
 
     # -- divisible aggregates (Figure 8) -----------------------------------------
 
-    def _ensure_div_index(
-        self, fn: AggregateFunction, compiled: _CompiledShape
-    ) -> PartitionedIndex:
-        index = self._div_index.get(fn.name)
+    def _join_selection(self, shape: AggregateShape) -> tuple[tuple, list]:
+        """Add *shape*'s outputs to the layout of its selection's shared
+        index; returns the selection key and the output -> measure slot
+        map (``None`` for ``Count(*)``).  A layout that gains a measure
+        or a ``Σv²`` column drops its index, which rebuilds lazily."""
+        key = (shape.e_only, shape.cat_attrs, shape.range_attrs)
+        per_row = row_scope(self.registry.constants)
+        selection = self._selections.get(key)
+        if selection is None:
+            selection = self._selections[key] = _Selection(
+                compile_filter(shape.e_only, per_row)
+            )
+        widened = False
+        slots: list = []
+        for output in shape.outputs:
+            if output.term is None:
+                slots.append(None)
+                continue
+            if output.term in selection.terms:
+                slot = selection.terms.index(output.term)
+            else:
+                slot = len(selection.terms)
+                selection.terms.append(output.term)
+                selection.measures.append(compile_term(output.term, per_row))
+                selection.squares.append(False)
+                widened = True
+            if output.agg in ("var", "stddev") and not selection.squares[slot]:
+                selection.squares[slot] = True
+                widened = True
+            slots.append(slot)
+        if widened:
+            self._div_index.pop(key, None)
+        return key, slots
+
+    def _ensure_div_index(self, compiled: _CompiledShape) -> PartitionedIndex:
+        key = compiled.selection
+        index = self._div_index.get(key)
         if index is None:
             self._bump("build_divisible")
-            shape = compiled.shape
-            rows = self._filtered_rows(compiled)
+            range_attrs = compiled.shape.range_attrs
+            selection = self._selections[key]
+            measures = tuple(selection.measures)
+            squares = tuple(selection.squares)
             index = PartitionedIndex(
-                rows,
-                shape.cat_attrs,
+                self._filtered_rows(compiled),  # the selection's e-only filter
+                compiled.shape.cat_attrs,
                 factory=lambda group: GroupAggIndex(
                     group,
-                    shape.range_attrs,
-                    compiled.measures,
+                    range_attrs,
+                    measures,
+                    squares=squares,
                     cascade=self.cascade,
                 ),
                 row_insert=GroupAggIndex.insert,
                 row_delete=GroupAggIndex.delete,
             )
-            self._div_index[fn.name] = index
+            self._div_index[key] = index
         return index
 
     def _eval_divisible(
         self, fn: AggregateFunction, compiled: _CompiledShape, frames: list
     ) -> list:
         shape = compiled.shape
-        index = self._ensure_div_index(fn, compiled)
+        index = self._ensure_div_index(compiled)
         self._bump("probe_divisible", len(frames))
         empty = empty_aggregate_result(shape.outputs)
         if not shape.ranges:
@@ -575,7 +635,12 @@ class IndexedEvaluator:
         compiled: _CompiledShape, groups: list, bounds
     ) -> object:
         """Merge the groups' moments over *bounds* and finalize them
-        (divisibility makes the per-group merge exact)."""
+        (divisibility makes the per-group merge exact).  A count-only
+        reader of a shared index sums none of its measure columns."""
+        shape = compiled.shape
+        if compiled.count_only:
+            count = sum(group.count(bounds) for group in groups)
+            return finalize_outputs(shape.outputs, [count] * len(shape.outputs))
         merged = None
         for group in groups:
             moments = group.query(bounds)
@@ -584,7 +649,6 @@ class IndexedEvaluator:
                 if merged is None
                 else tuple(a.merge(b) for a, b in zip(merged, moments))
             )
-        shape = compiled.shape
         values = []
         for output, slot in zip(shape.outputs, compiled.measure_slot):
             if output.agg == "count":
@@ -708,14 +772,16 @@ class IndexedEvaluator:
         group gets one sweep per category partition it matches, and
         per-probe results merge across those partitions via ``(value,
         key)`` candidates, so the merge order can never change an
-        answer.  Even a group of one probe sweeps: against the
-        partitioned scan, one ``WeakestEnemyInRange`` probe costs 1.65
+        answer.  Every probe is swept against its own bounds, the box
+        the naive selection tests; the extents only group probes so
+        that each sweep's window moves monotonically.  Even a group of
+        one probe sweeps: against the partitioned scan, one ``WeakestEnemyInRange`` probe costs 1.65
         vs 2.93 ms at 2000 units and 0.067 vs 0.110 ms at 60 (and the
         scan grows by a full pass per extra probe).
         """
         probe = compiled.probe
         out: list = [None] * len(frames)
-        groups: dict[tuple, list[tuple[int, tuple[float, float]]]] = {}
+        groups: dict[tuple, list[tuple[int, tuple]]] = {}
         for i, (bounds, (eq_vals, neq_vals)) in enumerate(
             zip(probe.bounds_many(frames), probe.cats_many(frames))
         ):
@@ -724,25 +790,22 @@ class IndexedEvaluator:
             (xlo, xhi), (ylo, yhi) = bounds
             rx = round((xhi - xlo) / 2.0, 9)
             ry = round((yhi - ylo) / 2.0, 9)
-            center = ((xlo + xhi) / 2.0, (ylo + yhi) / 2.0)
             groups.setdefault((eq_vals, neq_vals, rx, ry), []).append(
-                (i, center)
+                (i, (xlo, xhi, ylo, yhi))
             )
 
         shape = compiled.shape
         kind = shape.extreme_kind
-        for (eq_vals, neq_vals, rx, ry), probes in groups.items():
+        for (eq_vals, neq_vals, _, _), probes in groups.items():
             self._bump("build_sweep")
             self._bump("probe_sweep", len(probes))
-            centers = [c for _, c in probes]
+            boxes = [box for _, box in probes]
             merged: list = [None] * len(probes)
             parts = self._sweep_partitions(fn, compiled)
             for cat_key, (xy, values, keys, by_key) in parts.items():
                 if not self._group_matches(cat_key, eq_vals, neq_vals):
                     continue
-                results = sweep_arg_minmax(
-                    xy, values, keys, centers, rx, ry, kind
-                )
+                results = sweep_arg_minmax(xy, values, keys, boxes, kind)
                 for j, res in enumerate(results):
                     if res is None:
                         continue

@@ -12,8 +12,12 @@ clustered ("if k is close to n, then the join will still be O(n²)").
 One tree answers count, sum, avg, var and stddev for every measure
 simultaneously ("we can combine these aggregates into one index
 structure by replacing the list of aggregates with a list of aggregate
-tuples"): per measure it keeps prefix ``Σv`` and ``Σv²``, and the count
-of a y-position range is the difference of the positions.
+tuples"): per measure it keeps prefix ``Σv``, plus prefix ``Σv²`` for
+the measures named in ``squares`` (the ones some reader finalizes as
+var/stddev; by default all), and the count of a y-position range is the
+difference of the positions.  A measure without ``Σv²`` answers
+``Moments.total_sq`` as NaN, so a variance read by mistake is never a
+plausible number.
 
 **Layout.**  The engine rebuilds these trees every tick, so there are no
 node objects.  Elements are identified by their *x-rank* (position in
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
+from math import nan
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -62,8 +67,8 @@ class _DeltaOverlay:
     minus deletes) so cancellation is O(1) -- oscillating elements
     leave no residue and high-churn ticks stay linear in the delta.
     ``fold`` applies the in-range entries to the running count and the
-    interleaved (Σv, Σv²) accumulators -- exact because moments form a
-    group.
+    accumulators laid out by :func:`_moment_columns` -- exact because
+    moments form a group.
     """
 
     __slots__ = ("entries", "size")
@@ -90,13 +95,20 @@ class _DeltaOverlay:
     def delete(self, entry: tuple) -> None:
         self._shift(entry, -1)
 
-    def fold(self, count: int, acc: list[float], contains) -> int:
+    def fold(
+        self, count: int, acc: list[float], contains, squares: tuple[bool, ...]
+    ) -> int:
         for entry, multiplicity in self.entries.items():
             if contains(entry):
                 count += multiplicity
-                for m, v in enumerate(entry[-1]):
-                    acc[2 * m] += multiplicity * v
-                    acc[2 * m + 1] += multiplicity * v * v
+                j = 0
+                for v, squared in zip(entry[-1], squares):
+                    acc[j] += multiplicity * v
+                    if squared:
+                        acc[j + 1] += multiplicity * v * v
+                        j += 2
+                    else:
+                        j += 1
         return count
 
 
@@ -117,26 +129,48 @@ def _transpose(values, n: int, width: int | None) -> list:
     return columns
 
 
-def _moment_columns(measures, n: int) -> list[list[float]]:
-    """``[v_0, v_0², v_1, v_1², ...]``: per measure its float column and
-    the column of squares, the two running sums :class:`Moments` needs."""
+def _squares(squares, width: int) -> tuple[bool, ...]:
+    """Which measures keep a ``Σv²`` column; ``None`` means all."""
+    if squares is None:
+        return (True,) * width
+    squares = tuple(map(bool, squares))
+    if len(squares) != width:
+        raise ValueError(f"expected {width} squares flags, got {len(squares)}")
+    return squares
+
+
+def _moment_columns(measures, squares: tuple[bool, ...], n: int) -> list[list[float]]:
+    """Per measure its float column, followed by its column of squares
+    when *squares* keeps one: the running sums :class:`Moments` needs."""
     columns: list[list[float]] = []
-    for measure in measures:
+    for measure, squared in zip(measures, squares):
         column = list(map(float, measure))
         if len(column) != n:
             raise ValueError("every measure column must have one value per point")
-        columns += (column, list(map(mul, column, column)))
+        columns.append(column)
+        if squared:
+            columns.append(list(map(mul, column, column)))
     return columns
 
 
-def _moments(count: int, acc: list[float]) -> tuple[Moments, ...]:
-    """Per-measure moments from interleaved (Σv, Σv²) accumulators; with
-    zero measures the single :class:`Moments` carries the count only."""
-    if not acc:
+def _moments(
+    count: int, acc: list[float], squares: tuple[bool, ...]
+) -> tuple[Moments, ...]:
+    """Per-measure moments from accumulators laid out like
+    :func:`_moment_columns`; with zero measures the single
+    :class:`Moments` carries the count only."""
+    if not squares:
         return (Moments(count, 0.0, 0.0),)
-    return tuple(
-        Moments(count, acc[j], acc[j + 1]) for j in range(0, len(acc), 2)
-    )
+    out = []
+    j = 0
+    for squared in squares:
+        if squared:
+            out.append(Moments(count, acc[j], acc[j + 1]))
+            j += 2
+        else:
+            out.append(Moments(count, acc[j], nan))
+            j += 1
+    return tuple(out)
 
 
 class AggRangeTree2D:
@@ -150,6 +184,9 @@ class AggRangeTree2D:
         One value column per measure (all measures share the tree);
         empty for pure counting.  :meth:`from_rows` takes ``(x, y)``
         pairs and per-point value tuples instead.
+    squares:
+        Per measure, whether to keep its ``Σv²`` prefix (needed only
+        for var/stddev); ``None`` keeps every one.
     cascade:
         Enable fractional cascading (bridge pointers); disable for the
         A-FC ablation benchmark.
@@ -161,6 +198,7 @@ class AggRangeTree2D:
         ys: Iterable[float],
         measures: Sequence[Iterable[float]] = (),
         *,
+        squares: Sequence[bool] | None = None,
         cascade: bool = True,
     ):
         xs = list(map(float, xs))
@@ -170,6 +208,7 @@ class AggRangeTree2D:
             raise ValueError("xs and ys must have equal length")
         self.cascade = cascade
         self.width = len(measures)
+        self._squares = _squares(squares, self.width)
         self._size = n
         # Columns by x-rank: position in the stable x-order is the only
         # identity an element has below this line.
@@ -177,7 +216,8 @@ class AggRangeTree2D:
         self._xs = [xs[i] for i in order]
         self._ys = [ys[i] for i in order]
         self._cols = [
-            [column[i] for i in order] for column in _moment_columns(measures, n)
+            [column[i] for i in order]
+            for column in _moment_columns(measures, self._squares, n)
         ]
         # Per internal node, in preorder: its left bridge (cascade) or
         # its y-array (no cascade; the root's either way), and one
@@ -197,10 +237,17 @@ class AggRangeTree2D:
         *,
         cascade: bool = True,
         width: int | None = None,
+        squares: Sequence[bool] | None = None,
     ) -> "AggRangeTree2D":
         """Build from ``(x, y)`` pairs and per-point measure tuples."""
         xs, ys = zip(*points) if points else ((), ())
-        return cls(xs, ys, _transpose(values, len(points), width), cascade=cascade)
+        return cls(
+            xs,
+            ys,
+            _transpose(values, len(points), width),
+            squares=squares,
+            cascade=cascade,
+        )
 
     def __len__(self) -> int:
         return self._size
@@ -292,10 +339,21 @@ class AggRangeTree2D:
         With zero measures the single returned :class:`Moments` carries
         the count only.
         """
+        acc = [0.0] * len(self._cols)
+        count = self._walk(xlo, xhi, ylo, yhi, acc)
+        return _moments(count, acc, self._squares)
+
+    def count(self, xlo, xhi, ylo, yhi) -> int:
+        """Elements in the closed query rectangle, summing no column."""
+        return self._walk(xlo, xhi, ylo, yhi, None)
+
+    def _walk(self, xlo, xhi, ylo, yhi, acc: list[float] | None) -> int:
+        """The rectangle's element count; its column sums are added to
+        *acc* unless that is ``None``."""
         count = 0
         cols, prefix, cascade = self._cols, self._prefix, self.cascade
         stride = len(cols)
-        acc = [0.0] * stride
+        summed = 0 if acc is None else stride
         hi = len(self._xs)
         if hi and xlo <= xhi and ylo <= yhi:
             # the x-interval as an x-rank interval: containment tests on
@@ -313,11 +371,11 @@ class AggRangeTree2D:
                 if rlo <= lo and hi <= rhi:  # canonical node
                     count += phi - plo
                     if hi - lo == 1:  # a leaf is its x-rank
-                        for j in range(stride):
+                        for j in range(summed):
                             acc[j] += cols[j][lo]
                     else:
                         base = k * stride
-                        for j in range(stride):
+                        for j in range(summed):
                             sums = prefix[base + j]
                             acc[j] += sums[phi] - sums[plo]
                 else:
@@ -344,12 +402,12 @@ class AggRangeTree2D:
                 k, lo, hi, plo, phi = parked.pop()
         if self._overlay.size:
             count = self._overlay.fold(
-                count, acc, lambda e: xlo <= e[0] <= xhi and ylo <= e[1] <= yhi
+                count,
+                [0.0] * stride if acc is None else acc,
+                lambda e: xlo <= e[0] <= xhi and ylo <= e[1] <= yhi,
+                self._squares,
             )
-        return _moments(count, acc)
-
-    def count(self, xlo, xhi, ylo, yhi) -> int:
-        return self.query(xlo, xhi, ylo, yhi)[0].count
+        return count
 
 
 class PrefixAggregate1D:
@@ -360,15 +418,22 @@ class PrefixAggregate1D:
     Build O(n log n), query O(log n).
     """
 
-    def __init__(self, keys: Iterable[float], measures: Sequence[Iterable[float]] = ()):
+    def __init__(
+        self,
+        keys: Iterable[float],
+        measures: Sequence[Iterable[float]] = (),
+        *,
+        squares: Sequence[bool] | None = None,
+    ):
         keys = list(map(float, keys))
         n = len(keys)
         order = sorted(range(n), key=keys.__getitem__)
         self.keys = [keys[i] for i in order]
         self.width = len(measures)
+        self._squares = _squares(squares, self.width)
         self._prefix = [
             list(accumulate(map(column.__getitem__, order), initial=0.0))
-            for column in _moment_columns(measures, n)
+            for column in _moment_columns(measures, self._squares, n)
         ]
         self._size = n
         # delta overlay of (key, values) pairs since build
@@ -381,9 +446,10 @@ class PrefixAggregate1D:
         values: Sequence[Sequence[float]] | None = None,
         *,
         width: int | None = None,
+        squares: Sequence[bool] | None = None,
     ) -> "PrefixAggregate1D":
         """Build from keys and per-key measure tuples."""
-        return cls(keys, _transpose(values, len(keys), width))
+        return cls(keys, _transpose(values, len(keys), width), squares=squares)
 
     def __len__(self) -> int:
         return self._size
@@ -420,8 +486,10 @@ class PrefixAggregate1D:
         count = max(stop - start, 0)
         acc = [sums[stop] - sums[start] for sums in self._prefix]
         if self._overlay.size:
-            count = self._overlay.fold(count, acc, lambda e: lo <= e[0] <= hi)
-        return _moments(count, acc)
+            count = self._overlay.fold(
+                count, acc, lambda e: lo <= e[0] <= hi, self._squares
+            )
+        return _moments(count, acc, self._squares)
 
     def count(self, lo: float, hi: float) -> int:
         return self.query(lo, hi)[0].count

@@ -61,7 +61,8 @@ class GroupAggIndex:
     * 2 dims -- :class:`AggRangeTree2D` (Figure 8).
 
     ``query(bounds)`` takes one closed interval per continuous dim and
-    returns per-measure :class:`Moments`.
+    returns per-measure :class:`Moments`.  *squares* says per measure
+    whether a range structure keeps its ``Σv²`` prefix (``None``: all).
     """
 
     def __init__(
@@ -70,6 +71,7 @@ class GroupAggIndex:
         range_attrs: tuple[str, ...],
         measures: Sequence[Callable[[Row], float]],
         *,
+        squares: Sequence[bool] | None = None,
         cascade: bool = True,
     ):
         if len(range_attrs) > 2:
@@ -90,13 +92,16 @@ class GroupAggIndex:
             self._index: object = None
         elif len(range_attrs) == 1:
             attr = range_attrs[0]
-            self._index = PrefixAggregate1D([row[attr] for row in rows], columns)
+            self._index = PrefixAggregate1D(
+                [row[attr] for row in rows], columns, squares=squares
+            )
         else:
             ax, ay = range_attrs
             self._index = AggRangeTree2D(
                 [row[ax] for row in rows],
                 [row[ay] for row in rows],
                 columns,
+                squares=squares,
                 cascade=cascade,
             )
 
@@ -152,6 +157,13 @@ class GroupAggIndex:
         if not self.range_attrs:
             return 0
         return self._index.overlay_size
+
+    def count(self, bounds: Sequence[tuple[float, float]]) -> int:
+        """Rows within *bounds*; a 2-d tree sums none of its columns."""
+        if len(self.range_attrs) == 2 and len(bounds) == 2:
+            (xlo, xhi), (ylo, yhi) = bounds
+            return self._index.count(xlo, xhi, ylo, yhi)
+        return self.query(bounds)[0].count
 
     def query(self, bounds: Sequence[tuple[float, float]]) -> tuple[Moments, ...]:
         if len(bounds) != len(self.range_attrs):

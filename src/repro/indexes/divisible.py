@@ -10,7 +10,9 @@ The battle simulation needs count, sum, avg (centroids), and stddev
 (the knights' close-ranks density check), all of which derive from the
 first two moments.  :class:`Moments` carries ``(count, Σv, Σv²)`` per
 measure and supports the group operations (add element, merge, subtract)
-required by Definition 5.1.
+required by Definition 5.1.  Only var and stddev read ``Σv²``: the range
+structures keep its prefix only for measures some reader finalizes that
+way, and report ``total_sq`` as NaN for the others.
 """
 
 from __future__ import annotations

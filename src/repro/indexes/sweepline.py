@@ -19,9 +19,21 @@ Total O((n + m) log n) for n sources and m probes, with *no* dependence
 on how many sources fall in each range -- the quantity that makes naive
 min-in-range O(n²) on clustered armies.
 
+Here each probe brings its own closed box ``[xlo, xhi] × [ylo, yhi]``
+(:func:`boxes_around` makes the paper's ``[px ± rx] × [py ± ry]``), and
+the sweep tests sources against exactly those bounds: x by bisecting the
+x-order on ``xlo``/``xhi``, y by keeping the window on the sources with
+``ylo <= sy <= yhi``.  Probes are visited by ``ylo``; while ``yhi`` is
+non-decreasing too -- boxes of one extent -- every source enters and
+leaves the window at most once (a drop in ``yhi`` restarts the window).
+When sources outnumber probes, a source no box contains is dropped
+before anything is sorted: it could never be reported, so the tree, the
+sort and the window updates cost O((k + m) log k) for the k *visible*
+sources, and every probe still sees the same sources.
+
 :func:`sweep_minmax` returns, for every probe, the min (or max) source
-value in the box ``[px ± rx, py ± ry]``; :func:`sweep_arg_minmax` also
-returns *which* source attains it ("find the weakest unit in range").
+value in its box; :func:`sweep_arg_minmax` also returns *which* source
+attains it ("find the weakest unit in range").
 """
 
 from __future__ import annotations
@@ -33,67 +45,120 @@ from .interval_agg import IntervalAggregateIndex
 
 _INF = float("inf")
 
+#: ``(xlo, xhi, ylo, yhi)``: a probe's closed query box.
+Box = tuple[float, float, float, float]
+
+
+def boxes_around(
+    probe_xy: Sequence[tuple[float, float]], rx: float, ry: float
+) -> list[Box]:
+    """The box ``[px - rx, px + rx] × [py - ry, py + ry]`` of each probe."""
+    return [(px - rx, px + rx, py - ry, py + ry) for px, py in probe_xy]
+
+
+def _cuts(lows: list[float], width: float) -> list[float]:
+    """Sorted cut points about *width* apart.  ``bisect_right(cuts, v)``
+    maps coordinates to cells monotonically, which is all correctness
+    needs; the spacing only keeps a box at most *width* wide within
+    about two cells per axis."""
+    cuts: list[float] = []
+    for v in sorted(lows):
+        if not cuts or v - cuts[-1] >= width:
+            cuts.append(v)
+    return cuts
+
+
+def _visible(
+    source_xy: Sequence[tuple[float, float]], boxes: Sequence[Box]
+) -> list[int]:
+    """Indexes of the sources that some box contains, by the comparisons
+    the sweep itself makes.  Each box is filed under the grid cells it
+    overlaps; since the cell map is monotone, a source inside a box lies
+    in one of that box's cells, so testing the boxes of its own cell
+    finds it."""
+    xcuts = _cuts([b[0] for b in boxes], max(b[1] - b[0] for b in boxes))
+    ycuts = _cuts([b[2] for b in boxes], max(b[3] - b[2] for b in boxes))
+    cells: dict[tuple[int, int], list[Box]] = {}
+    for box in boxes:
+        xlo, xhi, ylo, yhi = box
+        for cx in range(bisect_right(xcuts, xlo), bisect_right(xcuts, xhi) + 1):
+            for cy in range(
+                bisect_right(ycuts, ylo), bisect_right(ycuts, yhi) + 1
+            ):
+                cells.setdefault((cx, cy), []).append(box)
+    visible = []
+    for i, (sx, sy) in enumerate(source_xy):
+        cell = cells.get((bisect_right(xcuts, sx), bisect_right(ycuts, sy)))
+        if cell is None:
+            continue
+        for xlo, xhi, ylo, yhi in cell:
+            if xlo <= sx <= xhi and ylo <= sy <= yhi:
+                visible.append(i)
+                break
+    return visible
+
 
 def _run_sweep(
     source_xy: Sequence[tuple[float, float]],
     leaf_values: Sequence[object],
-    probe_xy: Sequence[tuple[float, float]],
-    rx: float,
-    ry: float,
+    boxes: Sequence[Box],
     kind: str,
     neutral: object,
 ) -> list[object]:
     """Shared sweep skeleton; *leaf_values* are what leaves hold while a
-    source is inside the window (value floats, or (value, seq, id) tuples
-    for arg variants)."""
-    n = len(source_xy)
-    m = len(probe_xy)
+    source is inside the window (value floats, or (value, id) tuples for
+    arg variants)."""
+    m = len(boxes)
     results: list[object] = [neutral] * m
     if m == 0:
         return results
 
-    # x-order tree: leaf slot = rank of the source in x order
-    xs_sorted = sorted((x, i) for i, (x, _) in enumerate(source_xy))
-    slot_of_source = [0] * n
-    xs = [0.0] * n
-    for slot, (x, i) in enumerate(xs_sorted):
-        slot_of_source[i] = slot
-        xs[slot] = x
-    tree = IntervalAggregateIndex(max(n, 1), kind=kind, neutral=neutral)
+    # Filing the boxes costs O(m): it can only pay off when sources
+    # outnumber probes (the AoE sweeps are the other way round).
+    slots = (
+        _visible(source_xy, boxes)
+        if len(source_xy) > m
+        else list(range(len(source_xy)))
+    )
+    # tree slot = x-rank among the kept sources (ties by input order)
+    slots.sort(key=lambda i: source_xy[i][0])
+    xs = [source_xy[i][0] for i in slots]
+    leaves = [leaf_values[i] for i in slots]
+    k = len(slots)
+    tree = IntervalAggregateIndex(k, kind=kind, neutral=neutral)
+    by_y = sorted(range(k), key=lambda s: source_xy[slots[s]][1])
+    ys = [source_xy[slots[s]][1] for s in by_y]
 
-    # event queues sorted by y
-    enters = sorted(range(n), key=lambda i: source_xy[i][1] - ry)
-    exits = sorted(range(n), key=lambda i: source_xy[i][1] + ry)
-    probes = sorted(range(m), key=lambda j: probe_xy[j][1])
-
-    ei = xi = 0
-    for j in probes:
-        py = probe_xy[j][1]
-        # admit sources whose window [sy - ry, sy + ry] now contains py
-        while ei < n and source_xy[enters[ei]][1] - ry <= py:
-            i = enters[ei]
-            tree.set(slot_of_source[i], leaf_values[i])
-            ei += 1
-        # retire sources whose window ended strictly before py
-        while xi < n and source_xy[exits[xi]][1] + ry < py:
-            tree.clear(slot_of_source[exits[xi]])
-            xi += 1
-        px = probe_xy[j][0]
-        lo = bisect_left(xs, px - rx)
-        hi = bisect_right(xs, px + rx) - 1
-        results[j] = tree.query(lo, hi)
+    # the window holds the y-order positions [lo, hi): the sources with
+    # ylo <= sy <= yhi of the current box
+    lo = hi = 0
+    top = -_INF
+    for j in sorted(range(m), key=lambda j: boxes[j][2]):
+        xlo, xhi, ylo, yhi = boxes[j]
+        if yhi < top:
+            # a lower top than the previous box's (mixed extents): the
+            # admit pointer cannot move back, so restart the window
+            for p in range(lo, hi):
+                tree.clear(by_y[p])
+            lo = hi = bisect_left(ys, ylo)
+        top = yhi
+        while hi < k and ys[hi] <= yhi:
+            tree.set(by_y[hi], leaves[by_y[hi]])
+            hi += 1
+        while lo < hi and ys[lo] < ylo:
+            tree.clear(by_y[lo])
+            lo += 1
+        results[j] = tree.query(bisect_left(xs, xlo), bisect_right(xs, xhi) - 1)
     return results
 
 
 def sweep_minmax(
     source_xy: Sequence[tuple[float, float]],
     source_values: Sequence[float],
-    probe_xy: Sequence[tuple[float, float]],
-    rx: float,
-    ry: float,
+    probe_boxes: Sequence[Box],
     kind: str = "min",
 ) -> list[float | None]:
-    """Per probe, the min/max source value within ``[±rx, ±ry]``.
+    """Per probe box, the min/max value of the sources inside it.
 
     Probes with no source in range yield ``None`` (matching the naive
     SQL semantics of min/max over an empty selection).
@@ -101,7 +166,7 @@ def sweep_minmax(
     if kind not in ("min", "max"):
         raise ValueError("kind must be 'min' or 'max'")
     neutral = _INF if kind == "min" else -_INF
-    raw = _run_sweep(source_xy, list(source_values), probe_xy, rx, ry, kind, neutral)
+    raw = _run_sweep(source_xy, list(source_values), probe_boxes, kind, neutral)
     return [None if v == neutral else v for v in raw]
 
 
@@ -109,12 +174,10 @@ def sweep_arg_minmax(
     source_xy: Sequence[tuple[float, float]],
     source_values: Sequence[float],
     source_ids: Sequence[object],
-    probe_xy: Sequence[tuple[float, float]],
-    rx: float,
-    ry: float,
+    probe_boxes: Sequence[Box],
     kind: str = "min",
 ) -> list[tuple[float, object] | None]:
-    """Per probe, ``(value, id)`` of the extreme source in range.
+    """Per probe box, ``(value, id)`` of the extreme source inside it.
 
     *source_ids* must be mutually comparable: value ties break toward
     the smallest id, matching the argmin/argmax tie-break of the naive
@@ -132,7 +195,7 @@ def sweep_arg_minmax(
         (sign * float(source_values[i]), source_ids[i]) for i in range(n)
     ]
     neutral: object = (_INF, _MaxSentinel())
-    raw = _run_sweep(source_xy, leaves, probe_xy, rx, ry, "min", neutral)
+    raw = _run_sweep(source_xy, leaves, probe_boxes, "min", neutral)
     out: list[tuple[float, object] | None] = []
     for v in raw:
         if v is None or isinstance(v[1], _MaxSentinel):

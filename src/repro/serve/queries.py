@@ -327,7 +327,9 @@ class QueryEngine:
                 )
             # mangled name: compiled queries must never collide with each
             # other (or a registered function) in the evaluator's
-            # per-name retained-index caches
+            # per-name compile, kD, sweep and scan caches; divisible
+            # indexes are per selection, which the query joins (a new
+            # measure widens it and drops the retained index once)
             fn = AggregateFunction(
                 name=f"{parsed.name}@sgl{len(self._sgl)}",
                 params=parsed.params,

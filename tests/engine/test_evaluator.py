@@ -14,6 +14,10 @@ from repro.engine.evaluator import (
     NaiveEvaluator,
     empty_aggregate_result,
 )
+from repro.env.table import EnvironmentTable, diff_by_key
+from repro.game.battle import BattleSimulation
+from repro.game.units import unit_row
+from repro.serve.queries import QueryEngine, QueryRequest, plain_value, unit_ref
 from repro.sgl.evalterm import EvalContext
 from repro.sgl.values import Record
 from tests.conftest import make_env
@@ -154,6 +158,25 @@ class TestExtreme:
         assert len(groups) > 2
         assert indexed.stats.get("build_sweep", 0) == len(groups)
 
+    def test_source_on_the_probe_bound(self, registry, schema):
+        # b.posx is exactly a.posx - 8: the naive selection includes it,
+        # and so must the sweep -- it tests the probe's own bounds, not
+        # a centre and half-extent re-derived from them
+        env = EnvironmentTable(schema)
+        env.rows.append(unit_row(
+            0, 0, "knight", 13.76549236509909, 11.45063744705736,
+            schema=schema,
+        ))
+        env.rows.append(unit_row(
+            1, 1, "knight", 5.765492365099091, 11.45063744705736,
+            schema=schema,
+        ))
+        assert env.rows[0]["posx"] - 8 == env.rows[1]["posx"]
+        indexed = call_both(
+            registry, env, "WeakestEnemyInRange", lambda u: (u, 8)
+        )
+        assert indexed.stats.get("probe_sweep", 0) == 2
+
     def test_wounded_friendly(self, registry, env):
         for row in env.rows[::2]:
             row["health"] -= 3
@@ -237,3 +260,66 @@ class TestCascadeToggle:
             ctx_off = make_ctx(env, registry, off, unit)
             assert on.evaluate(fn, [unit, unit["sight"]], ctx_on) == \
                 off.evaluate(fn, [unit, unit["sight"]], ctx_off)
+
+
+#: A spectator-style query compiled from source: the selection of
+#: ``CentroidOfFriendlies`` (``e.player = ...``) with a new measure.
+TEAM_HP_SQL = """
+function TeamHp(p) returns
+SELECT Count(*) AS n, Sum(health) AS hp
+FROM E e
+WHERE e.player = p;
+"""
+
+
+class TestSharedSelections:
+    """Functions over one selection share one divisible index."""
+
+    @pytest.mark.parametrize("registered_first", [False, True])
+    def test_compiled_query_joins_a_registered_selection(
+        self, registry, schema, registered_first
+    ):
+        env = make_env(schema, n=40, grid=25, seed=9)
+        for row in env.rows[::3]:
+            row["health"] -= 5
+        qe = QueryEngine(schema, registry, maintenance="incremental")
+        naive = NaiveEvaluator()
+
+        def check(new_env, delta=None):
+            qe.begin(new_env, delta)
+            ctx = make_ctx(new_env, registry, naive, None)
+            if registered_first:  # the battle aggregate builds the index
+                for unit in new_env.rows[:4]:
+                    got = qe.answer(QueryRequest(
+                        "aggregate", "CentroidOfFriendlies",
+                        args=(unit_ref(unit["key"]),),
+                    ))
+                    want = naive.evaluate(
+                        registry.aggregates["CentroidOfFriendlies"],
+                        [unit], ctx,
+                    )
+                    assert got == plain_value(want)
+            for p in (0, 1):
+                got = qe.answer(QueryRequest("sgl", source=TEAM_HP_SQL, args=(p,)))
+                want = naive.evaluate(qe._compile_sgl(TEAM_HP_SQL), [p], ctx)
+                assert got == plain_value(want)
+
+        check(env)
+        # the query widened the selection's layout; both readers share it
+        assert len(qe.evaluator._div_index) == 1
+        new_env = env.copy()
+        for row in new_env.rows[:3]:
+            row["health"] -= 1
+            row["posx"] += 1
+        check(new_env, diff_by_key(env, new_env))
+        assert qe.evaluator.stats.get("delta_ticks") == 1
+
+    def test_one_divisible_build_per_selection_per_tick(self):
+        with BattleSimulation(200, seed=0) as sim:
+            sim.tick()  # first calls join their selections' layouts
+            evaluator = sim.engine.agg_eval
+            assert len(evaluator._selections) == 6  # for 10 functions
+            for _ in range(3):
+                before = evaluator.stats["build_divisible"]
+                sim.tick()
+                assert evaluator.stats["build_divisible"] - before == 6

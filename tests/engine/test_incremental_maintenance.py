@@ -59,10 +59,19 @@ def evolve(env, step, movers=4):
     return new
 
 
+#: Three readers of one shared index, mixing avg (no Σv² kept for it
+#: alone) with stddev (Σv² kept) and Count(*).
+SHARED_CALLS = [
+    ("CentroidOfFriendlyType", lambda u: (u,)),
+    ("FriendlySpread", lambda u: (u,)),
+    ("CountFriendlyType", lambda u: (u,)),
+]
+
+
 class TestEvaluatorDeltaMaintenance:
-    def probe_all(self, evaluator, env, registry):
+    def probe_all(self, evaluator, env, registry, calls=AGG_CALLS):
         out = []
-        for fn_name, args_for in AGG_CALLS:
+        for fn_name, args_for in calls:
             fn = registry.aggregates[fn_name]
             for unit in env.rows:
                 ctx = make_ctx(env, registry, evaluator, unit)
@@ -95,6 +104,28 @@ class TestEvaluatorDeltaMaintenance:
             expected = self.probe_all(naive, env, registry)
             assert got == expected
         assert evaluator.stats.get("delta_ticks", 0) == 4
+
+    @pytest.mark.parametrize(
+        "maintenance, n, movers", [("incremental", 30, 4), ("auto", 60, 2)]
+    )
+    def test_shared_index_mixing_avg_and_stddev(
+        self, schema, registry, maintenance, n, movers
+    ):
+        env = make_env(schema, n=n, grid=30, seed=22)
+        evaluator = IndexedEvaluator(registry, maintenance=maintenance)
+        naive = NaiveEvaluator()
+        evaluator.begin_tick(env)
+        self.probe_all(evaluator, env, registry, SHARED_CALLS)
+        (shared,) = evaluator._div_index.values()
+        for step in range(1, 5):
+            new_env = evolve(env, step, movers)
+            evaluator.begin_tick(new_env, delta=diff_by_key(env, new_env))
+            env = new_env
+            got = self.probe_all(evaluator, env, registry, SHARED_CALLS)
+            assert got == self.probe_all(naive, env, registry, SHARED_CALLS)
+        assert evaluator.stats.get("delta_ticks", 0) == 4
+        # one index for all three readers, patched and never rebuilt
+        assert list(evaluator._div_index.values()) == [shared]
 
     def test_auto_rebuilds_above_threshold(self, schema, registry):
         env = make_env(schema, n=20, grid=30, seed=3)

@@ -9,6 +9,7 @@ layout: few GC-tracked containers and a query that does not recurse.
 
 import gc
 import inspect
+import math
 import random
 import sys
 
@@ -85,7 +86,35 @@ def test_overlay_inserts_and_deletes_equal_the_reference(data, draw, cascade):
         assert got[0].count == brute_count(
             [p for p, _ in live], xlo, xhi, ylo, yhi
         )
+        assert flat.count(xlo, xhi, ylo, yhi) == got[0].count
     assert len(flat) == len(ref) == len(live)
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets(max_size=20), st.data(), st.booleans())
+def test_squares_kept_only_where_flagged(data, draw, cascade):
+    # Σv is bit-identical to the all-squares reference, Σv² too where
+    # flagged; an unflagged measure reports NaN -- overlay included
+    width, points, values = data
+    squares = draw.draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    flat = AggRangeTree2D.from_rows(
+        points, values, cascade=cascade, width=width, squares=squares
+    )
+    ref = ReferenceAggTree2D(points, values, cascade=cascade, width=width)
+    extra = draw.draw(st.tuples(st.tuples(coord, coord), st.tuples(*[number] * width)))
+    flat.insert(*extra)
+    ref.insert(*extra)
+    for xlo, xhi, ylo, yhi in draw.draw(st.lists(rectangle, min_size=1, max_size=4)):
+        got = flat.query(xlo, xhi, ylo, yhi)
+        want = ref.query(xlo, xhi, ylo, yhi)
+        if not width:
+            assert got == want
+        for g, w, squared in zip(got, want, squares):
+            assert (g.count, g.total) == (w.count, w.total)
+            if squared:
+                assert g.total_sq == w.total_sq
+            else:
+                assert math.isnan(g.total_sq)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 9])
