@@ -2,18 +2,31 @@
 
 Section 2 of the paper argues data-driven AI lets *players* mod unit
 behaviour (the Warcraft III AMAI project).  This example plays the same
-battle twice -- once with the stock archer script, once with a modded
-"berserker archer" that never retreats and always charges the weakest
-enemy -- and compares outcomes.  The mod is pure data: a different SGL
-string compiled against the same registry.
+battle twice -- once with the stock archer script, once with player 0's
+archers modded into "berserkers" that never retreat and always charge
+the weakest enemy -- and compares outcomes.  The mod is pure data: a
+different SGL string, compiled against the same registry, put in the
+battle's game before the first tick.  Because the game is what every
+decision worker receives, the modded battle plays the same whether it
+runs serially or over worker processes.
 
     python examples/modding.py
 """
 
 from repro import BattleSimulation, compile_script
+from repro.game.scripts import ARCHER_SCRIPT
 
-BERSERKER_ARCHER = """
+#: One archer script for both players: player 0's archers berserk,
+#: player 1's run the stock archer AI (renamed ``Stock``).
+MODDED_ARCHER = """
 main(u) {
+  if (u.player = 0) then
+    perform Berserk(u);
+  else
+    perform Stock(u);
+}
+
+Berserk(u) {
   (let c = CountEnemiesInRange(u, u.sight)) {
     if (c > 0) then
       perform Rush(u);
@@ -33,33 +46,24 @@ Rush(u) {
       }
   }
 }
-"""
+""" + ARCHER_SCRIPT.replace("main(u)", "Stock(u)", 1)
 
 
-def play(modded: bool, ticks: int = 15):
-    sim = BattleSimulation(
+def play(modded: bool, ticks: int = 15, **engine):
+    with BattleSimulation(
         200, mode="indexed", seed=21, density=0.06, resurrection=False,
-    )
-    if modded:
-        # mod player 0's archers only: players keep distinct scripts
-        stock = sim.scripts["archer"]
-        berserker = compile_script(
-            BERSERKER_ARCHER, sim.registry, sim.schema
-        )
-        original_for = sim.engine.script_for
-
-        def script_for(row):
-            if row["unittype"] == "archer" and row["player"] == 0:
-                return berserker
-            return original_for(row)
-
-        sim.engine.script_for = script_for
-        assert stock is not berserker
-    sim.run(ticks)
-    survivors = {0: 0, 1: 0}
-    for row in sim.environment:
-        survivors[row["player"]] += 1
-    return survivors, sim.summary
+        **engine,
+    ) as sim:
+        if modded:
+            game = sim.game
+            game.scripts["archer"] = compile_script(
+                MODDED_ARCHER, game.registry, game.schema
+            )
+        sim.run(ticks)
+        survivors = {0: 0, 1: 0}
+        for row in sim.environment:
+            survivors[row["player"]] += 1
+        return survivors, sim.summary
 
 
 def main() -> None:
@@ -74,6 +78,13 @@ def main() -> None:
     print(f"survivors: player0={mod_survivors[0]} "
           f"player1={mod_survivors[1]} "
           f"(damage dealt: {mod_summary.total_damage:.0f})")
+
+    print("\n== The same mod, decided by two worker processes ==")
+    _, proc_summary = play(
+        modded=True, num_shards=2, parallelism="processes"
+    )
+    print(f"damage dealt: {proc_summary.total_damage:.0f} "
+          f"(serial: {mod_summary.total_damage:.0f})")
 
     delta = mod_summary.total_damage - stock_summary.total_damage
     print(

@@ -67,7 +67,7 @@ from .api import (
 )
 from .engine.clock import EngineConfig, SimulationEngine
 from .env.schema import Attribute, AttributeType, Schema, battle_schema
-from .env.sharding import ShardedEnvironment, make_sharder
+from .env.sharding import make_sharder
 from .env.table import EnvironmentTable
 from .game.battle import BattleSimulation, BattleSummary
 from .obs import MetricsRegistry, SlowTickWatchdog, TraceRecorder
@@ -97,7 +97,6 @@ __all__ = [
     "MetricsRegistry",
     "ReplicaPublisher",
     "Schema",
-    "ShardedEnvironment",
     "SimulationEngine",
     "SlowTickWatchdog",
     "SpectatorClient",

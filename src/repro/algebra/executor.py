@@ -14,14 +14,6 @@ table.  Three properties realise the paper's optimisations:
 
 ``execute_plan`` returns the combined tick table (Eq. 6), bit-identical
 to :func:`repro.sgl.interp.reference_tick` on the same script.
-
-``execute_plan_sharded`` is the shard-aware variant: the unit streams
-(``ScanE`` and everything above it) run once per shard of a
-:class:`~repro.env.sharding.ShardedEnvironment`, and the per-shard
-effect tables ⊕-merge in ascending shard id -- the algebra-level
-counterpart of the engine's staged pipeline, justified by the
-associativity/commutativity of ⊕ (Eq. 3).  Aggregate calls still range
-over the *flat* environment regardless of which shard's unit asks.
 """
 
 from __future__ import annotations
@@ -29,7 +21,6 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 from ..env.combine import combine_all
-from ..env.sharding import ShardedEnvironment
 from ..env.table import EnvironmentTable
 from ..sgl.builtins import FunctionRegistry
 from ..sgl.errors import SglTypeError
@@ -44,12 +35,7 @@ _UnitStream = tuple[list[dict[str, object]], frozenset[str], str]
 
 
 class PlanExecutor:
-    """Executes one plan against one environment snapshot.
-
-    *scan_rows* optionally restricts what ``ScanE`` enumerates (a shard
-    of ``E``) while aggregate evaluation and key lookups keep seeing the
-    full *env* -- the invariant the sharded pipeline relies on.
-    """
+    """Executes one plan against one environment snapshot."""
 
     def __init__(
         self,
@@ -57,14 +43,11 @@ class PlanExecutor:
         registry: FunctionRegistry,
         agg_eval,
         rng: RngFunction,
-        *,
-        scan_rows: list[dict[str, object]] | None = None,
     ):
         self.env = env
         self.registry = registry
         self.agg_eval = agg_eval
         self.rng = rng
-        self.scan_rows = env.rows if scan_rows is None else scan_rows
         # keyed by id(plan); the entry pins the plan node so a
         # collected plan's recycled id can never alias a stale result
         self._memo: dict[int, tuple[Plan, object]] = {}
@@ -96,7 +79,7 @@ class PlanExecutor:
         self.ops_evaluated += 1
 
         if isinstance(plan, ScanE):
-            result: _UnitStream = (self.scan_rows, frozenset(), plan.param)
+            result: _UnitStream = (self.env.rows, frozenset(), plan.param)
         elif isinstance(plan, Extend):
             rows, cols, param = self._units(plan.child)
             out = []
@@ -187,43 +170,3 @@ def execute_plan(
     """Run *plan* for one tick; returns the combined table of Eq. 6."""
     return PlanExecutor(env, registry, agg_eval, rng).run(plan)
 
-
-def execute_plan_sharded(
-    plan: Combine,
-    sharded: ShardedEnvironment,
-    registry: FunctionRegistry,
-    agg_eval,
-    rng: RngFunction,
-) -> EnvironmentTable:
-    """Run *plan* shard-at-a-time and ⊕-merge the effect tables.
-
-    Each shard gets its own executor whose ``ScanE`` enumerates only the
-    shard's unit rows; effect tables merge under ⊕ in ascending shard
-    id after the flat environment.  Value-equivalent (multiset-equal) to
-    :func:`execute_plan` on the flat table whenever effect sums are
-    floating-point exact -- ⊕'s aggregates are associative and
-    commutative (Eq. 3), so the shard partition only reorders the
-    contributions within each ⊕ group.
-
-    Row *order* is additionally bit-identical for every plan that
-    includes ``E`` (``include_e=True``, the engine's Eq.-6 shape), since
-    the flat environment then seeds each ⊕ group in environment order.
-    A plan whose ``E`` the optimizer elided has no such seed: its output
-    groups appear in shard-major first-effect order rather than the flat
-    scan's first-effect order.  Callers that need flat ordering for an
-    E-less plan should reorder by key against their environment.
-    """
-    if not isinstance(plan, Combine):
-        raise SglTypeError("top-level plan must be a Combine node")
-    env = sharded.flat
-    tables = [env] if plan.include_e else []
-    for shard in sharded.shards:
-        executor = PlanExecutor(
-            env, registry, agg_eval, rng, scan_rows=shard.rows
-        )
-        for child in plan.inputs:
-            effect = executor._effects(child)
-            table = EnvironmentTable(env.schema)
-            table.rows.extend(effect)
-            tables.append(table)
-    return combine_all(tables, env.schema)

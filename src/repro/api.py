@@ -4,8 +4,9 @@ Most downstream users want one of three things:
 
 * **run the battle**: :func:`run_battle` / :class:`BattleSimulation`;
 * **script their own game**: :func:`compile_script` +
-  :class:`GameDefinition` -- bring a schema, SQL built-ins, and SGL
-  scripts; get a naive/indexed engine;
+  :class:`~repro.engine.decision.GameDefinition` -- bring a schema, SQL
+  built-ins, and SGL scripts; get a naive/indexed engine, serial or
+  over process workers;
 * **explain a script**: :func:`explain_script` -- the optimized algebra
   plan and the index chosen for each aggregate.
 """
@@ -13,14 +14,12 @@ Most downstream users want one of three things:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
 
 from .algebra.rewrite import optimize, sharing_report
 from .algebra.shapes import classify_aggregate
 from .algebra.translate import translate_script
-from .engine.clock import EngineConfig, SimulationEngine, TickStats
+from .engine.decision import GameDefinition
 from .env.schema import Schema
-from .env.table import EnvironmentTable
 from .game.battle import BattleSimulation, BattleSummary
 from .sgl.analysis import analyze_script
 from .sgl.ast import Script
@@ -81,57 +80,6 @@ def explain_script(source: str, registry: FunctionRegistry) -> ExplainResult:
         sharing=sharing_report(plan),
         aggregate_kinds=kinds,
     )
-
-
-@dataclass
-class GameDefinition:
-    """Everything needed to run a custom data-driven game."""
-
-    schema: Schema
-    registry: FunctionRegistry
-    scripts: dict[str, Script]
-    script_selector: str = "unittype"  # row attribute choosing the script
-
-    def engine(
-        self,
-        env: EnvironmentTable,
-        mechanics: Callable,
-        *,
-        shard_by: str | None = None,
-        **engine,
-    ) -> SimulationEngine:
-        """Build a :class:`SimulationEngine` for this game definition.
-
-        *shard_by* defaults to the schema key.  Every other keyword is
-        an :class:`~repro.engine.clock.EngineConfig` field -- that
-        docstring is the knob reference.  ``parallelism="processes"``
-        and spectator replicas need a picklable ``worker_factory``
-        returning a :class:`~repro.engine.shardexec.WorkerGame` for this
-        game, and ``shard_by="spatial"`` needs ``spatial_extent``.
-
-        All strategies, shard counts and worker layouts are
-        bit-identical in trajectory when aggregate measure and effect
-        sums are floating-point exact (e.g. integer-valued measures);
-        per-shard evaluation sums in a different order than a flat scan,
-        so inexact float sums may drift in final ulps.  Only wall-clock
-        differs otherwise.
-        """
-        scripts = self.scripts
-        selector = self.script_selector
-
-        def script_for(row: Mapping[str, object]) -> Script:
-            return scripts[row[selector]]
-
-        return SimulationEngine(
-            env,
-            self.registry,
-            script_for,
-            mechanics,
-            EngineConfig(
-                shard_by=shard_by if shard_by is not None else self.schema.key,
-                **engine,
-            ),
-        )
 
 
 def run_battle(

@@ -5,7 +5,7 @@ area-of-effect combination, post-processing, and grid movement.
 """
 
 from .clock import EngineConfig, SimulationEngine, TickStats
-from .decision import DecisionRunner
+from .decision import DecisionRunner, DecisionStage, GameDefinition
 from .effects import AoeRecord, resolve_aoe
 from .evaluator import IndexedEvaluator, NaiveEvaluator, empty_aggregate_result
 from .movement import Grid, desired_direction, run_movement_phase
@@ -15,7 +15,6 @@ from .shardexec import (
     PoolStats,
     ReplicaWorkerPool,
     WorkerEndpoint,
-    WorkerGame,
     serve_worker,
     spawn_listen_worker,
 )
@@ -23,7 +22,9 @@ from .shardexec import (
 __all__ = [
     "AoeRecord",
     "DecisionRunner",
+    "DecisionStage",
     "EngineConfig",
+    "GameDefinition",
     "Grid",
     "IndexedEvaluator",
     "NaiveEvaluator",
@@ -33,7 +34,6 @@ __all__ = [
     "TickRandom",
     "TickStats",
     "WorkerEndpoint",
-    "WorkerGame",
     "serve_worker",
     "spawn_listen_worker",
     "desired_direction",

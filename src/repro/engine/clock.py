@@ -17,10 +17,14 @@ over the flat ``E``, as in the paper.
 2. **decision** -- the units of each shard execute their scripts
    set-at-a-time, one batch per script (each aggregate call site probes
    the indexes once per batch, min/max sites as one Figure-9 sweep);
-   per-shard effect rows (and deferred AoE records) accumulate.  Shards
+   per-shard effect rows (and deferred AoE records) accumulate.  Stages
+   1 and 2 are one :class:`~repro.engine.decision.DecisionStage` over
+   the engine's :class:`~repro.engine.decision.GameDefinition`.  Shards
    are independent -- scripts read the tick-start snapshot and write
    fresh effect rows -- so with ``parallelism="processes"`` this stage
-   fans out across worker processes (``repro.engine.shardexec``);
+   fans out across worker processes (``repro.engine.shardexec``), each
+   running the same stage object over the game it received when the
+   pool started;
 3. **second index build + action** -- deferred area effects gathered
    from all shards resolve through the ⊕ optimisation of Section 5.4,
    once per tick over the flat ``E`` (this is the paper's "second index
@@ -64,7 +68,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from ..algebra.shapes import ActionShape, classify_action
 from ..env.combine import combine_all
@@ -82,27 +86,12 @@ from ..obs import (
     SlowTickWatchdog,
     TraceRecorder,
 )
-from ..sgl import ast
-from ..sgl.builtins import FunctionRegistry
-from ..sgl.evalterm import EvalContext
-from .decision import DecisionRunner, run_batches
+from .decision import DecisionStage, GameDefinition
 from .effects import AoeRecord, resolve_aoe
-from .evaluator import IndexedEvaluator, NaiveEvaluator
 from .rng import TickRandom
 
 #: Game mechanics hook: (combined environment, rng, tick) -> next environment.
 MechanicsFn = Callable[[EnvironmentTable, TickRandom, int], EnvironmentTable]
-
-#: Cap on cached compiled scripts.  A well-behaved ``script_for``
-#: returns a handful of stable Script objects and never trips this; one
-#: that builds a fresh Script per call would otherwise pin every one of
-#: them forever.  Oldest entries are evicted first (entries rebuild on
-#: demand, and scripts in flight this tick are kept alive by the
-#: per-tick grouping, so eviction can never serve a stale runner).
-_RUNNER_CACHE_MAX = 256
-
-#: One shard's decision work: (runner, unit rows) in shard-local order.
-_ShardTask = list[tuple[DecisionRunner, list]]
 
 #: Canonical stage names, in pipeline order, each with the
 #: :class:`TickStats` field that carries its seconds -- the label
@@ -214,10 +203,8 @@ class EngineConfig:
     * ``parallelism`` -- ``"serial"`` runs shards one after another in
       this process; ``"processes"`` runs shard decisions in long-lived
       worker processes holding replicas of ``E`` (see
-      ``repro.engine.shardexec``; takes effect from two shards up);
-    * ``worker_factory`` -- picklable module-level callable returning a
-      :class:`~repro.engine.shardexec.WorkerGame`; required (and only
-      used) by ``"processes"``; the battle supplies its own;
+      ``repro.engine.shardexec``; takes effect from two shards up).
+      The workers receive the engine's game when the pool starts;
     * ``max_workers`` -- local pool size (default: ``num_shards``);
     * ``workers`` -- ``"local"`` (default) spawns pipe-connected worker
       processes on this host; a list of ``"host:port"`` endpoints (or
@@ -298,7 +285,6 @@ class EngineConfig:
     spatial_extent: float | None = None
     parallelism: str = "serial"
     max_workers: int | None = None
-    worker_factory: Callable | None = None
     workers: object = "local"
     worker_timeout: float | None = 60.0
     worker_max_frame: int | None = None
@@ -316,9 +302,13 @@ class EngineConfig:
 class SimulationEngine:
     """Drives the environment through clock ticks.
 
-    *script_for* maps a unit row to its compiled script (the battle
-    simulation dispatches on unit type); *mechanics* is the game's
-    post-processing step.
+    *game* is the :class:`~repro.engine.decision.GameDefinition` whose
+    scripts decide (a unit runs ``game.scripts[row[game
+    .script_selector]]``); *mechanics* is the game's post-processing
+    step.  Decision workers (``parallelism="processes"``) and spectator
+    replicas receive *game* when they start -- the first processes tick
+    starts the pool -- so a mod edits ``game.scripts`` before the first
+    tick, and every layout then runs it.
 
     Engines that use worker processes (``parallelism="processes"``)
     should be :meth:`close`\\ d when done -- or used as a context
@@ -328,14 +318,13 @@ class SimulationEngine:
     def __init__(
         self,
         env: EnvironmentTable,
-        registry: FunctionRegistry,
-        script_for: Callable[[Mapping[str, object]], ast.Script],
+        game: GameDefinition,
         mechanics: MechanicsFn,
         config: EngineConfig | None = None,
     ):
         self.env = env
-        self.registry = registry
-        self.script_for = script_for
+        self.game = game
+        self.registry = game.registry
         self.mechanics = mechanics
         self.config = config or EngineConfig()
         cfg = self.config
@@ -347,12 +336,6 @@ class SimulationEngine:
             )
         if cfg.parallelism not in ("serial", "processes"):
             raise ValueError(f"unknown parallelism {cfg.parallelism!r}")
-        if cfg.parallelism == "processes" and cfg.worker_factory is None:
-            raise ValueError(
-                "parallelism='processes' needs a picklable worker_factory "
-                "(a module-level callable returning a WorkerGame); "
-                "BattleSimulation supplies its own"
-            )
         self._worker_endpoints = None
         if cfg.workers != "local":
             if isinstance(cfg.workers, str):
@@ -416,15 +399,17 @@ class SimulationEngine:
         self._m_log_bytes = m.counter("log_bytes_total")
         self._m_slow_ticks = m.counter("watchdog_slow_ticks_total")
 
-        if self.indexed:
-            self.agg_eval = IndexedEvaluator(
-                registry,
-                cascade=cfg.cascade,
-                key_attr=env.schema.key,
-                maintenance=cfg.index_maintenance,
-            )
-        else:
-            self.agg_eval = NaiveEvaluator()
+        # the decision stage the workers run too; its evaluator is the
+        # serial engine's, whose stats the ledger reads
+        self.decision = DecisionStage(
+            game,
+            self.rng,
+            mode=cfg.mode,
+            optimize_aoe=cfg.optimize_aoe,
+            cascade=cfg.cascade,
+            maintenance=cfg.index_maintenance,
+        )
+        self.agg_eval = self.decision.agg_eval
         if self.indexed and self.metrics.enabled:
             self.agg_eval.bind_metrics(self.metrics)
 
@@ -445,14 +430,9 @@ class SimulationEngine:
         if cfg.epoch_log:
             self.attach_epoch_log(cfg.epoch_log)
 
-        # Cache keyed by id(script), holding the script itself: the
-        # strong reference pins the id for the cache's lifetime, so a
-        # recycled id of a garbage-collected script can never serve a
-        # stale runner.
-        self._runners: dict[int, tuple[ast.Script, DecisionRunner]] = {}
         self._action_shapes: dict[str, ActionShape] = {
             name: classify_action(fn.spec)
-            for name, fn in registry.actions.items()
+            for name, fn in self.registry.actions.items()
             if fn.spec is not None
         }
         # Last, so no later failure in this constructor can strand the
@@ -477,7 +457,7 @@ class SimulationEngine:
                 from ..serve.transport import DEFAULT_MAX_FRAME
 
                 self._pool = ReplicaWorkerPool(
-                    cfg.worker_factory,
+                    self.game,
                     payload,
                     endpoints=self._worker_endpoints,
                     max_frame=cfg.worker_max_frame or DEFAULT_MAX_FRAME,
@@ -493,7 +473,7 @@ class SimulationEngine:
                     "fork" if "fork" in methods else "spawn"
                 )
                 self._pool = ReplicaWorkerPool(
-                    cfg.worker_factory,
+                    self.game,
                     payload,
                     min(cfg.max_workers or cfg.num_shards, cfg.num_shards),
                     ctx,
@@ -744,42 +724,7 @@ class SimulationEngine:
         self._pending_delta = None
         self._update = EpochUpdate(self.tick_count + 1, self.env.rows, conf)
 
-    # -- script compilation cache -------------------------------------------------
-
-    def _runner_for(self, script: ast.Script) -> DecisionRunner:
-        key = id(script)
-        entry = self._runners.pop(key, None)  # re-inserted below: LRU
-        if entry is None:
-            runner = DecisionRunner(
-                script,
-                self.registry,
-                index_actions=self.indexed,
-                defer_aoe=self.indexed and self.config.optimize_aoe,
-            )
-            entry = (script, runner)
-            while len(self._runners) >= _RUNNER_CACHE_MAX:
-                self._runners.pop(next(iter(self._runners)))
-        self._runners[key] = entry
-        return entry[1]
-
     # -- pipeline stages ------------------------------------------------------------
-
-    def _shard_tasks(self, parts: list[list[dict]]) -> list[_ShardTask]:
-        """Group each shard's units by script: one batch per script per
-        shard, units in shard row order."""
-        tasks: list[_ShardTask] = []
-        for part in parts:
-            groups: dict[int, tuple[ast.Script, list]] = {}
-            for row in part:
-                script = self.script_for(row)
-                groups.setdefault(id(script), (script, []))[1].append(row)
-            tasks.append(
-                [
-                    (self._runner_for(script), units)
-                    for script, units in groups.values()
-                ]
-            )
-        return tasks
 
     def _decide_processes(
         self,
@@ -835,18 +780,14 @@ class SimulationEngine:
 
         # stage 1: (re)arm the evaluator.  With delta maintenance
         # enabled this is where last tick's captured delta patches the
-        # retained indexes instead of discarding them.
+        # retained indexes instead of discarding them.  (Process workers
+        # arm their own, in the decision stage they run.)
         by_key = None
-        if self._processes:
-            shard_tasks = None
-        else:
-            shard_tasks = self._shard_tasks(parts)
-            if self.indexed:
-                t0 = time.perf_counter()
-                self.agg_eval.begin_tick(env, delta=self._pending_delta)
-                timed("maintenance", t0)
-                self._pending_delta = None
-                by_key = env.by_key()
+        if self.indexed and not self._processes:
+            t0 = time.perf_counter()
+            by_key = self.decision.begin_tick(env, self._pending_delta)
+            timed("maintenance", t0)
+            self._pending_delta = None
 
         # stage 2: decision, shard at a time, one batch per script
         t0 = time.perf_counter()
@@ -855,15 +796,7 @@ class SimulationEngine:
             shard_results = self._decide_processes()
             broadcast_bytes = self._pool.stats.last_tick_bytes
         else:
-            rt = EvalContext(
-                env=env,
-                registry=self.registry,
-                agg_eval=self.agg_eval,
-                rng=self.rng,
-            )
-            shard_results = [
-                run_batches(task, rt, by_key) for task in shard_tasks
-            ]
+            shard_results = self.decision.decide(env, parts, by_key)
         timed("decision", t0, shards=len(parts))
 
         # stage 3: second index build -- resolve the deferred area

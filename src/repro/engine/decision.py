@@ -1,5 +1,13 @@
 """The decision phase: set-at-a-time script execution.
 
+A game is one :class:`GameDefinition` -- schema, function registry,
+scripts, and the row attribute whose value picks a unit's script -- and
+its decision phase is one :class:`DecisionStage`: the serial engine
+runs it in process, and every process or remote decision worker runs
+the same class over the game it received when its pool started.  It
+holds one :class:`DecisionRunner` per selector value, the evaluator and
+the rng.
+
 Runs every unit's script against the tick-start environment and collects
 effect rows -- one batch per script per shard (:func:`run_batches`), so
 each aggregate call site reaches the evaluator once per batch of units
@@ -31,15 +39,23 @@ paper's baseline.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from ..algebra.shapes import classify_action
+from ..env.schema import Schema
+from ..env.table import EnvironmentTable, TableDelta
 from ..sgl import ast
 from ..sgl.builtins import ActionFunction, FunctionRegistry
 from ..sgl.evalterm import EvalContext
 from ..sgl.sqlspec import apply_action_scan
 from .compile import ActionFn, Probe, compile_filter, compile_term, lower_script
 from .effects import AoeRecord
+from .evaluator import IndexedEvaluator, NaiveEvaluator
+from .rng import TickRandom
+
+if TYPE_CHECKING:
+    from .clock import MechanicsFn, SimulationEngine
 
 
 class DecisionRunner:
@@ -165,6 +181,149 @@ def run_batches(
     for runner, units in batches:
         runner.run_batch(units, rt, by_key, effect_rows, aoe_records)
     return effect_rows, aoe_records
+
+
+@dataclass
+class GameDefinition:
+    """Everything needed to run a data-driven game's decisions.
+
+    A unit's script is ``scripts[row[script_selector]]``, wherever its
+    decision runs.  The definition is plain picklable data: the engine
+    ships it to its decision workers and spectator replicas when they
+    start, so edit ``scripts`` (a mod) before the first tick.
+    """
+
+    schema: Schema
+    registry: FunctionRegistry
+    scripts: dict[str, ast.Script]
+    script_selector: str = "unittype"  # row attribute choosing the script
+
+    def engine(
+        self,
+        env: EnvironmentTable,
+        mechanics: MechanicsFn,
+        *,
+        shard_by: str | None = None,
+        **engine,
+    ) -> SimulationEngine:
+        """Build a :class:`~repro.engine.clock.SimulationEngine` for this
+        game.
+
+        *shard_by* defaults to the schema key.  Every other keyword is
+        an :class:`~repro.engine.clock.EngineConfig` field -- that
+        docstring is the knob reference; ``shard_by="spatial"`` needs
+        ``spatial_extent``.
+
+        All strategies, shard counts and worker layouts are
+        bit-identical in trajectory when aggregate measure and effect
+        sums are floating-point exact (e.g. integer-valued measures);
+        per-shard evaluation sums in a different order than a flat scan,
+        so inexact float sums may drift in final ulps.  Only wall-clock
+        differs otherwise.
+        """
+        from .clock import EngineConfig, SimulationEngine
+
+        return SimulationEngine(
+            env,
+            self,
+            mechanics,
+            EngineConfig(
+                shard_by=shard_by if shard_by is not None else self.schema.key,
+                **engine,
+            ),
+        )
+
+
+class DecisionStage:
+    """One game's decision phase: its runners, evaluator and rng.
+
+    The serial engine calls it in process; a decision worker is this
+    object plus its replica of ``E`` and its transport loop.  Per tick,
+    :meth:`begin_tick` arms the evaluator for the tick-start ``E`` and
+    :meth:`decide` runs every given shard's units, one batch per script.
+    ``mode="indexed"`` probes the Section 5.3 structures (*maintenance*
+    is the evaluator's rebuild-or-patch policy), ``"naive"`` scans.
+    """
+
+    def __init__(
+        self,
+        game: GameDefinition,
+        rng: TickRandom,
+        *,
+        mode: str = "indexed",
+        optimize_aoe: bool = True,
+        cascade: bool = True,
+        maintenance: str = "rebuild",
+    ):
+        self.game = game
+        self.rng = rng
+        self.indexed = mode == "indexed"
+        self._defer_aoe = self.indexed and optimize_aoe
+        self.agg_eval = (
+            IndexedEvaluator(
+                game.registry,
+                cascade=cascade,
+                key_attr=game.schema.key,
+                maintenance=maintenance,
+            )
+            if self.indexed
+            else NaiveEvaluator()
+        )
+        self._runners: dict[object, DecisionRunner] = {}
+
+    def runner(self, selector_value: object) -> DecisionRunner:
+        """The compiled script of units whose selector is *selector_value*."""
+        runner = self._runners.get(selector_value)
+        if runner is None:
+            runner = self._runners[selector_value] = DecisionRunner(
+                self.game.scripts[selector_value],
+                self.game.registry,
+                index_actions=self.indexed,
+                defer_aoe=self._defer_aoe,
+            )
+        return runner
+
+    def begin_tick(
+        self,
+        env: EnvironmentTable,
+        delta: TableDelta | None,
+        by_key: Mapping[object, Mapping[str, object]] | None = None,
+    ) -> Mapping[object, Mapping[str, object]] | None:
+        """Arm the evaluator for *env*, patching its retained indexes
+        with *delta* or rebuilding them; returns the ``key -> row`` map
+        key actions resolve through (*by_key* when the caller keeps one;
+        ``None`` in naive mode, whose actions scan)."""
+        if not self.indexed:
+            return None
+        self.agg_eval.begin_tick(env, delta=delta)
+        return by_key if by_key is not None else env.by_key()
+
+    def decide(
+        self,
+        env: EnvironmentTable,
+        parts: Sequence[Sequence[dict[str, object]]],
+        by_key: Mapping[object, Mapping[str, object]] | None,
+    ) -> list[tuple[list[dict[str, object]], list[AoeRecord]]]:
+        """Run the decisions of every shard's units in *parts* (each in
+        flat row order, one batch per script); returns each shard's
+        effect rows and AoE records."""
+        rt = EvalContext(
+            env=env,
+            registry=self.game.registry,
+            agg_eval=self.agg_eval,
+            rng=self.rng,
+        )
+        return [run_batches(self._batches(part), rt, by_key) for part in parts]
+
+    def _batches(
+        self, units: Sequence[dict[str, object]]
+    ) -> list[tuple[DecisionRunner, list[dict[str, object]]]]:
+        """One ``(runner, units)`` batch per script, in row order."""
+        selector = self.game.script_selector
+        groups: dict[object, list[dict[str, object]]] = {}
+        for row in units:
+            groups.setdefault(row[selector], []).append(row)
+        return [(self.runner(value), rows) for value, rows in groups.items()]
 
 
 def compile_action(

@@ -143,6 +143,14 @@ _OVERLAY_MIN = 32
 #: size (overlay scans / tombstones degrade probes).
 _OVERLAY_BUDGET = 0.5
 
+
+def over_overlay_budget(mutations: int, size: int) -> bool:
+    """Whether a patched structure of *size* items that took *mutations*
+    patches since its build should be dropped and rebuilt -- the one
+    rule for the evaluator's indexes and the spectators' k-NN tree."""
+    return mutations > max(_OVERLAY_MIN, int(_OVERLAY_BUDGET * size))
+
+
 #: ``maintenance="auto"`` patches the retained structures while at most
 #: this fraction of the rows changed, and rebuilds above it.  Set from
 #: ``benchmarks/bench_incremental.py`` (600 units; ``BENCH_incremental
@@ -418,8 +426,7 @@ class IndexedEvaluator:
             for name in [
                 name
                 for name, index in indexes.items()
-                if weigh(index)
-                > max(_OVERLAY_MIN, int(_OVERLAY_BUDGET * len(index)))
+                if over_overlay_budget(weigh(index), len(index))
             ]:
                 del indexes[name]
                 self._bump("overlay_rebuilds")

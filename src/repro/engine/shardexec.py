@@ -16,13 +16,15 @@ the worker's replica epoch, which the coordinator verifies.
 Workers are **stateful replica holders** rather than stateless RPC
 targets:
 
-* **at session start** each worker builds its own game state --
-  registry, compiled scripts, decision runners, and a private
-  :class:`~repro.engine.evaluator.IndexedEvaluator` -- from a picklable
-  *game factory* (a module-level callable returning a
-  :class:`WorkerGame`; remote workers import it by reference, so both
-  hosts must run the same code).  Heavy unpicklable objects (compiled
-  closures, index structures) never cross the process boundary;
+* **at session start** each worker receives the engine's
+  :class:`~repro.engine.decision.GameDefinition` -- schema, registry,
+  scripts and script selector, plain data: inherited by a forked local
+  worker, pickled once per session for a spawned or remote one (remote
+  hosts must run the same code) -- and builds the engine's own
+  :class:`~repro.engine.decision.DecisionStage` over it, with a private
+  evaluator.  Compiled closures and index structures never cross the
+  process boundary; the scripts a mod edited before the pool started
+  do;
 * **per tick** :meth:`ReplicaWorkerPool.run_tick` is handed the
   tick-start state's :class:`~repro.env.sharding.EpochUpdate` -- the
   object the spectator publisher and the epoch log consumed at the end
@@ -71,7 +73,6 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from ..env.schema import Schema
 from ..env.sharding import (
     NO_REPLICA,
     UPDATE_SNAPSHOT,
@@ -86,20 +87,17 @@ from ..env.table import EnvironmentTable, TableDelta
 from ..obs import NULL_REGISTRY, TID_WORKER_BASE, RegistryStats
 from ..serve.transport import (
     DEFAULT_MAX_FRAME,
+    FrameError,
     PipeTransport,
     SocketTransport,
     Transport,
 )
-from ..sgl import ast
-from ..sgl.builtins import FunctionRegistry
-from ..sgl.evalterm import EvalContext
-from .decision import DecisionRunner, run_batches
+from .decision import DecisionStage, GameDefinition
 from .effects import AoeRecord
-from .evaluator import IndexedEvaluator, NaiveEvaluator
 from .rng import TickRandom
 
 #: Message tags, coordinator -> worker.
-MSG_INIT = "init"  # first message of a remote session: (factory, payload)
+MSG_INIT = "init"  # first message of a remote session: (game, payload)
 MSG_TICK = "tick"
 MSG_STOP = "stop"
 MSG_SET_EPOCH = "set_epoch"  # fault-injection hook (tests/chaos drills)
@@ -146,24 +144,6 @@ class WorkerEndpoint:
         return (self.host, self.port)
 
 
-@dataclass
-class WorkerGame:
-    """Everything a worker process needs to run decisions.
-
-    Built inside the worker by the game factory, so none of it is ever
-    pickled.  *selector* names the row attribute whose value picks the
-    unit's script (e.g. ``"unittype"``).
-    """
-
-    schema: Schema
-    registry: FunctionRegistry
-    scripts: dict[str, ast.Script]
-    selector: str = "unittype"
-
-
-#: A picklable, module-level callable producing the worker's game state.
-GameFactory = Callable[[], WorkerGame]
-
 #: The coordinator's shard layout, shipped inside every snapshot: it
 #: tells a worker which units belong to the shards it decides.
 ShardConf = tuple  # (shard_by, num_shards, spatial_extent)
@@ -175,29 +155,22 @@ ShardConf = tuple  # (shard_by, num_shards, spatial_extent)
 
 
 class _WorkerState:
-    """Per-process engine fragment: replica, runners, evaluator, rng."""
+    """One worker session: the engine's decision stage over a replica."""
 
-    def __init__(self, game: WorkerGame, payload: Mapping[str, object]):
-        self.game = game
-        self.indexed = payload["mode"] == "indexed"
-        self.optimize_aoe = bool(payload["optimize_aoe"])
-        self.rng = TickRandom(int(payload["seed"]), key_attr=game.schema.key)
-        self._runners: dict[object, DecisionRunner] = {}
-        self._adopt_shard_conf(payload["shard_conf"])
+    def __init__(self, game: GameDefinition, payload: Mapping[str, object]):
         # the replica always replays the delta (fewer bytes than a
         # snapshot); whether the retained structures are patched with it
-        # or rebuilt is the evaluator's decision.  Snapshot ticks
+        # or rebuilt is the evaluator's "auto" rule.  Snapshot ticks
         # (delta=None) discard every retained structure.
-        self.evaluator = (
-            IndexedEvaluator(
-                game.registry,
-                cascade=bool(payload["cascade"]),
-                key_attr=game.schema.key,
-                maintenance="auto",
-            )
-            if self.indexed
-            else NaiveEvaluator()
+        self.stage = DecisionStage(
+            game,
+            TickRandom(int(payload["seed"]), key_attr=game.schema.key),
+            mode=str(payload["mode"]),
+            optimize_aoe=bool(payload["optimize_aoe"]),
+            cascade=bool(payload["cascade"]),
+            maintenance="auto",
         )
+        self._adopt_shard_conf(payload["shard_conf"])
         # the replica of E (row order, key -> row, epoch held) -- the
         # same holder-side protocol object the spectator replicas use
         self.replica = ReplicaTable(game.schema.key)
@@ -222,19 +195,6 @@ class _WorkerState:
     def apply_delta(self, rd: ReplicaDelta) -> TableDelta:
         return self.replica.apply_delta(rd)
 
-    # -- script compilation ------------------------------------------------------
-
-    def runner_for(self, selector_value: object) -> DecisionRunner:
-        runner = self._runners.get(selector_value)
-        if runner is None:
-            runner = self._runners[selector_value] = DecisionRunner(
-                self.game.scripts[selector_value],
-                self.game.registry,
-                index_actions=self.indexed,
-                defer_aoe=self.indexed and self.optimize_aoe,
-            )
-        return runner
-
     # -- the decision stage ------------------------------------------------------
 
     def decide(
@@ -251,43 +211,20 @@ class _WorkerState:
         shard id) so the parent's ⊕-merge keeps its ascending-shard-id
         order.
         """
-        game = self.game
+        stage = self.stage
         rows = self.replica.rows
-        env = EnvironmentTable(game.schema)
+        env = EnvironmentTable(stage.game.schema)
         env.rows.extend(rows)
-        self.rng.advance(tick)
-
+        stage.rng.advance(tick)
         # the same partition as the coordinator's stage 0, so each
         # shard's units keep the flat row order
         parts = partition_rows(rows, self.num_shards, self.shard_of)
-
-        by_key = None
-        if self.indexed:
-            self.evaluator.begin_tick(env, delta=delta)
-            by_key = (
-                self.replica.by_key
-                if self.replica.by_key is not None
-                else env.by_key()
-            )
-
-        rt = EvalContext(
-            env=env,
-            registry=game.registry,
-            agg_eval=self.evaluator,
-            rng=self.rng,
-        )
-        out: list[tuple[int, list[dict[str, object]], list[AoeRecord]]] = []
-        selector = game.selector
-        for shard_id in shard_ids:
-            groups: dict[object, list] = {}
-            for row in parts[shard_id]:
-                groups.setdefault(row[selector], []).append(row)
-            batches = [
-                (self.runner_for(selector_value), units)
-                for selector_value, units in groups.items()
-            ]
-            out.append((shard_id, *run_batches(batches, rt, by_key)))
-        return out
+        by_key = stage.begin_tick(env, delta, self.replica.by_key)
+        results = stage.decide(env, [parts[i] for i in shard_ids], by_key)
+        return [
+            (shard_id, effect_rows, aoe_records)
+            for shard_id, (effect_rows, aoe_records) in zip(shard_ids, results)
+        ]
 
 
 def _worker_loop(transport: Transport, state: _WorkerState) -> bool:
@@ -327,11 +264,11 @@ def _worker_loop(transport: Transport, state: _WorkerState) -> bool:
             transport.send((REPLY_ERROR, traceback.format_exc()))
 
 
-def _replica_worker_main(conn, factory: GameFactory, payload: dict) -> None:
+def _replica_worker_main(conn, game: GameDefinition, payload: dict) -> None:
     """Entry point of a same-host (pipe) worker process."""
     transport: Transport = PipeTransport(conn)
     try:
-        state = _WorkerState(factory(), payload)
+        state = _WorkerState(game, payload)
     except BaseException:  # pragma: no cover - init failures surface on recv
         transport.send((REPLY_ERROR, traceback.format_exc()))
         transport.close()
@@ -360,9 +297,10 @@ def serve_worker(
     """Run a remote decision worker: accept coordinator sessions forever.
 
     Each accepted connection is one coordinator session.  It opens with
-    an ``INIT`` message carrying the game factory (pickled by reference;
-    the module must be importable here) and the engine payload; the
-    worker builds a fresh :class:`_WorkerState`, replies ``READY``, and
+    an ``INIT`` message carrying the coordinator's game (its classes and
+    any native functions pickle by reference, so their modules must be
+    importable here) and the engine payload; the worker builds a fresh
+    :class:`_WorkerState`, replies ``READY``, and
     then speaks exactly the pipe workers' protocol.  Sessions are served
     one at a time, and every new session starts replica-less -- so a
     coordinator that reconnects after a drop is always snapshot-fed,
@@ -399,9 +337,9 @@ def serve_worker(
                         (REPLY_ERROR, f"expected {MSG_INIT!r}, got {msg!r}")
                     )
                     continue
-                _, factory, payload = msg
+                _, game, payload = msg
                 try:
-                    state = _WorkerState(factory(), payload)
+                    state = _WorkerState(game, payload)
                 except BaseException:
                     transport.send((REPLY_ERROR, traceback.format_exc()))
                     continue
@@ -553,7 +491,7 @@ class ReplicaWorkerPool:
 
     def __init__(
         self,
-        factory: GameFactory,
+        game: GameDefinition,
         payload: dict,
         num_workers: int | None = None,
         mp_context=None,
@@ -565,7 +503,7 @@ class ReplicaWorkerPool:
         metrics=None,
         trace=None,
     ):
-        self._factory = factory
+        self._game = game
         self._payload = payload
         self._max_frame = max_frame
         self._io_timeout = io_timeout
@@ -635,7 +573,7 @@ class ReplicaWorkerPool:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_replica_worker_main,
-            args=(child_conn, self._factory, self._payload),
+            args=(child_conn, self._game, self._payload),
             daemon=True,
         )
         process.start()
@@ -653,7 +591,8 @@ class ReplicaWorkerPool:
         Transport failures retry with backoff -- a worker whose previous
         session just dropped needs a moment to loop back to ``accept``.
         An explicit init *error* from the worker does not retry: the
-        game factory fails persistently and retrying cannot help.
+        game fails to load persistently and retrying cannot help.  Nor
+        does an ``INIT`` (the game and settings) beyond the frame guard.
         """
         last_error: Exception | None = None
         for _ in range(attempts):
@@ -669,8 +608,16 @@ class ReplicaWorkerPool:
                 time.sleep(backoff)
                 continue
             try:
-                transport.send((MSG_INIT, self._factory, self._payload))
+                transport.send((MSG_INIT, self._game, self._payload))
                 reply = transport.recv()
+            except FrameError as exc:
+                transport.close()
+                raise RuntimeError(
+                    f"INIT for worker at {endpoint.host}:{endpoint.port} "
+                    f"does not fit the transport frame guard ({exc}); "
+                    "raise worker_max_frame (and --max-frame on the "
+                    "listener) to admit the game"
+                ) from exc
             except (EOFError, OSError) as exc:
                 transport.close()
                 last_error = exc
@@ -788,7 +735,7 @@ class ReplicaWorkerPool:
             if worker_index in revived:
                 raise RuntimeError(
                     "shard worker died again immediately after its "
-                    "respawn; the game factory likely fails persistently"
+                    "respawn; the game likely fails to load persistently"
                 )
             revived.add(worker_index)
             self._respawn(worker_index)
@@ -798,7 +745,7 @@ class ReplicaWorkerPool:
             except (BrokenPipeError, ConnectionError, OSError) as exc:
                 raise RuntimeError(
                     "shard worker died again immediately after its "
-                    "respawn; the game factory likely fails persistently"
+                    "respawn; the game likely fails to load persistently"
                 ) from exc
 
         pending: dict[int, list[int]] = {}

@@ -7,7 +7,7 @@ relation ``E`` that holds all unit state, and the combination operator
 
 from .combine import combine, combine_all, combine_pair
 from .schema import Attribute, AttributeType, Schema, SchemaError, battle_schema
-from .sharding import ShardedEnvironment, ShardingError, make_sharder
+from .sharding import ShardingError, make_sharder
 from .table import EnvironmentTable
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "EnvironmentTable",
     "Schema",
     "SchemaError",
-    "ShardedEnvironment",
     "ShardingError",
     "battle_schema",
     "combine",

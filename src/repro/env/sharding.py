@@ -14,8 +14,6 @@ of that bargain:
   bit-identical to the single-shard engine: row *values* entering ``⊕``
   are order-independent and row *order* is always taken from the flat
   table.  The engine's stage 0 and the shard workers both call it;
-  :class:`ShardedEnvironment` wraps its output as per-shard
-  ``EnvironmentTable`` stores for the algebra executor;
 * :class:`ReplicaDelta` is the epoch-versioned wire form of the
   engine's per-tick change capture (a
   :class:`~repro.env.table.TableDelta`): the compact, picklable change
@@ -52,15 +50,13 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Iterable,
-    Iterator,
     Mapping,
     Sequence,
     TypeVar,
     cast,
 )
 
-from .schema import Schema
-from .table import EnvironmentTable, TableDelta
+from .table import TableDelta
 
 Row = Mapping[str, object]
 _R = TypeVar("_R", bound=Row)
@@ -167,67 +163,6 @@ def partition_rows(
             )
         out[shard].append(row)
     return out
-
-
-class ShardedEnvironment:
-    """A partition of one flat environment into per-shard tables.
-
-    The flat table stays authoritative: shards hold *the same row dicts*
-    in the same relative order (:func:`partition_rows`), so reading a
-    shard is reading a slice of ``E``.  The algebra executor's
-    :func:`~repro.algebra.executor.execute_plan_sharded` takes one.
-    """
-
-    __slots__ = ("flat", "num_shards", "shards")
-
-    def __init__(
-        self,
-        flat: EnvironmentTable,
-        num_shards: int,
-        shard_of: ShardFn,
-    ) -> None:
-        self.flat = flat
-        self.num_shards = num_shards
-        self.shards: list[EnvironmentTable] = []
-        for part in partition_rows(flat.rows, num_shards, shard_of):
-            shard = EnvironmentTable(flat.schema)
-            shard.rows.extend(part)
-            self.shards.append(shard)
-
-    @property
-    def schema(self) -> Schema:
-        return self.flat.schema
-
-    def shard(self, i: int) -> EnvironmentTable:
-        return self.shards[i]
-
-    def __iter__(self) -> Iterator[EnvironmentTable]:
-        return iter(self.shards)
-
-    def __len__(self) -> int:
-        return self.num_shards
-
-    def sizes(self) -> list[int]:
-        return [len(shard) for shard in self.shards]
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedEnvironment({self.num_shards} shards, "
-            f"sizes={self.sizes()}, {self.schema!r})"
-        )
-
-    # -- reassembly ---------------------------------------------------------------
-
-    def merged(self) -> EnvironmentTable:
-        """A fresh flat table concatenating the shards in shard order.
-
-        For round-tripping and tests; the engine never needs this
-        because the flat table stays authoritative.
-        """
-        out = EnvironmentTable(self.schema)
-        for shard in self.shards:
-            out.rows.extend(shard.rows)
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..engine.clock import EngineConfig, SimulationEngine, TickStats
+from ..engine.decision import GameDefinition
 from ..engine.movement import Grid, run_movement_phase
 from ..engine.rng import TickRandom
-from ..engine.shardexec import WorkerGame
 from ..env.combine import combine_all
 from ..env.schema import battle_schema
 from ..env.table import EnvironmentTable
@@ -27,18 +27,14 @@ from .scripts import build_registry, build_scripts
 from .units import GAME_CONSTANTS
 
 
-def battle_worker_game() -> WorkerGame:
-    """Game factory for ``parallelism="processes"`` worker processes.
-
-    Module-level (hence picklable by reference); each worker builds its
-    own registry and compiled scripts, so nothing heavyweight crosses
-    the process boundary.
-    """
-    return WorkerGame(
+def battle_game() -> GameDefinition:
+    """The battle's game: its schema, registry and one script per unit
+    type."""
+    return GameDefinition(
         schema=battle_schema(),
         registry=build_registry(),
         scripts=build_scripts(),
-        selector="unittype",
+        script_selector="unittype",
     )
 
 
@@ -91,10 +87,14 @@ class BattleSimulation:
     **engine:
         Every other keyword is an :class:`~repro.engine.clock
         .EngineConfig` field -- that docstring is the knob reference.
-        The battle supplies ``spatial_extent`` (its grid size) and
-        ``worker_factory`` itself.  All of the battle's measures are
-        integer-valued, so trajectories are bit-identical across every
-        combination of engine knobs.
+        The battle supplies ``spatial_extent`` (its grid size) itself.
+        All of the battle's measures are integer-valued, so trajectories
+        are bit-identical across every combination of engine knobs.
+
+    The battle's :attr:`game` (also reachable as :attr:`schema`,
+    :attr:`registry` and :attr:`scripts`) is what every decision runs:
+    a mod replaces ``sim.game.scripts[unittype]`` before the first tick,
+    and serial, process and remote runs all play it.
     """
 
     def __init__(
@@ -109,7 +109,10 @@ class BattleSimulation:
         epoch_log: str | None = None,
         **engine,
     ):
-        self.schema = battle_schema()
+        self.game = battle_game()
+        self.schema = self.game.schema
+        self.registry = self.game.registry
+        self.scripts = self.game.scripts
         make = uniform_battle if formation == "uniform" else two_army_battle
         if formation not in ("uniform", "two_army"):
             raise ValueError(f"unknown formation {formation!r}")
@@ -120,15 +123,12 @@ class BattleSimulation:
             seed=seed,
             schema=self.schema,
         )
-        self.registry = build_registry()
-        self.scripts = build_scripts()
         self.resurrection = resurrection
         self.summary = BattleSummary()
         self._next_key = n_units
         config = EngineConfig(
             seed=seed,
             spatial_extent=self.grid_size,
-            worker_factory=battle_worker_game,
             **engine,
         )
         # the picklable construction recipe: recorded in save files and
@@ -153,13 +153,8 @@ class BattleSimulation:
         if config.workers != "local":
             self._ctor_kwargs["workers"] = list(config.workers)
 
-        script_by_type = self.scripts
-
-        def script_for(row: Mapping[str, object]):
-            return script_by_type[row["unittype"]]
-
         self.engine = SimulationEngine(
-            self.env, self.registry, script_for, self._mechanics, config
+            self.env, self.game, self._mechanics, config
         )
         if epoch_log:
             self.attach_epoch_log(epoch_log)
@@ -196,7 +191,7 @@ class BattleSimulation:
             raise RuntimeError(
                 "battle is not serving spectators; pass spectators=True"
             )
-        return SpectatorReplica.spawn(address, battle_worker_game, **kwargs)
+        return SpectatorReplica.spawn(address, self.game, **kwargs)
 
     def close(self) -> None:
         """Shut down the spectator feed and the engine's worker pool.

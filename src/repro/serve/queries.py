@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from ..engine.evaluator import IndexedEvaluator
+from ..engine.evaluator import IndexedEvaluator, over_overlay_budget
 from ..env.table import EnvironmentTable, TableDelta
 from ..indexes.kdtree import KDTree
 from ..obs import StatCounters
@@ -174,12 +174,6 @@ def _no_query_random(row, i):  # pragma: no cover - guarded by analysis
     )
 
 
-#: Retained-kD-tree rebuild policy: mirror the evaluator's overlay
-#: budget (mutations beyond half the tree, floor 32, force a rebuild).
-_TREE_MUTATION_FLOOR = 32
-_TREE_MUTATION_BUDGET = 0.5
-
-
 @dataclass
 class _RetainedTree:
     tree: KDTree
@@ -266,10 +260,7 @@ class QueryEngine:
                 )
                 tree.insert((new["posx"], new["posy"]), new)
         retained.mutations += delta.changed
-        budget = max(
-            _TREE_MUTATION_FLOOR, int(_TREE_MUTATION_BUDGET * len(tree))
-        )
-        if not ok or retained.mutations > budget:
+        if not ok or over_overlay_budget(retained.mutations, len(tree)):
             # a row the tree does not hold means drift; over-budget means
             # tombstone weight -- either way rebuild lazily on next probe
             self._knn = None

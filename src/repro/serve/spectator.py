@@ -1,6 +1,9 @@
 """The spectator read replica: a query server fed by the replica stream.
 
-:class:`SpectatorReplica` spawns a server *process* that
+:class:`SpectatorReplica` spawns a server *process*, handing it the
+engine's :class:`~repro.engine.decision.GameDefinition` (the same game
+the decision workers receive; its schema and registry are what queries
+run against), that
 
 * subscribes to a :class:`~repro.serve.publisher.ReplicaPublisher` over
   :class:`~repro.serve.transport.SocketTransport` and maintains a
@@ -442,10 +445,10 @@ class _SpectatorServer:
         self.listener.close()
 
 
-def _spectator_main(factory, payload: dict, publisher_address, ready_conn):
+def _spectator_main(game, payload: dict, publisher_address, ready_conn):
     """Entry point of the spawned spectator process."""
     try:
-        server = _SpectatorServer(factory(), payload, publisher_address)
+        server = _SpectatorServer(game, payload, publisher_address)
     except BaseException:
         try:
             ready_conn.send(("error", traceback.format_exc()))
@@ -471,7 +474,7 @@ class SpectatorReplica:
     def spawn(
         cls,
         publisher_address: tuple[str, int],
-        factory,
+        game,
         *,
         payload: dict | None = None,
         mp_context=None,
@@ -479,10 +482,10 @@ class SpectatorReplica:
     ) -> "SpectatorReplica":
         """Start a spectator subscribed to *publisher_address*.
 
-        *factory* is the same picklable game factory the worker pool
-        uses (a module-level callable returning a
-        :class:`~repro.engine.shardexec.WorkerGame`); the spectator
-        builds its registry and schema from it inside the process.
+        *game* is the engine's
+        :class:`~repro.engine.decision.GameDefinition`, shipped as the
+        worker pool ships it (inherited under fork, pickled once under
+        spawn); the spectator answers with its schema and registry.
         """
         import multiprocessing
 
@@ -494,7 +497,7 @@ class SpectatorReplica:
         parent_conn, child_conn = mp_context.Pipe()
         process = mp_context.Process(
             target=_spectator_main,
-            args=(factory, payload or {}, publisher_address, child_conn),
+            args=(game, payload or {}, publisher_address, child_conn),
             daemon=True,
         )
         process.start()

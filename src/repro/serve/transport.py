@@ -49,8 +49,9 @@ import struct
 
 #: Bump when the frame layout or blob vocabulary changes incompatibly.
 #: 2: ReplicaDelta gained the positional wire encoding + the
-#: ``insert_at`` order patch.
-PROTOCOL_VERSION = 2
+#: ``insert_at`` order patch.  3: a remote worker session's ``INIT``
+#: carries the coordinator's game, not a factory to build it.
+PROTOCOL_VERSION = 3
 
 #: Default ceiling on one frame's payload.  Sized for full snapshots of
 #: very large environments (a 1M-unit battle snapshot pickles to well

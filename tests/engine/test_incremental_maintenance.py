@@ -2,11 +2,9 @@
 
 Covers the maintenance policy (rebuild | incremental | auto), the
 equivalence of patched structures with freshly built ones, change
-capture in the tick loop, and the id-reuse regression in the script
-compilation cache.
+capture in the tick loop, and the decision stage's one runner per
+script.
 """
-
-import copy
 
 import pytest
 
@@ -268,49 +266,15 @@ class TestEngineWiring:
         assert any(s.maintenance_time > 0.0 for s in stats)
 
 
-class TestScriptCachePinning:
-    """Regression: the runner cache was keyed by ``id(script)`` without
-    referencing the script, so a garbage-collected script's recycled id
-    could silently serve another script's runner.  The cache now pins
-    the script, making id reuse impossible while the entry lives."""
+class TestOneRunnerPerScript:
+    """The decision stage compiles one runner per selector value, for
+    the script the game holds under it."""
 
-    def test_cache_entries_pin_their_scripts(self):
-        sim = BattleSimulation(12, seed=0)
-        sim.run(2)
-        runners = sim.engine._runners
-        assert runners
-        for cache_key, (script, runner) in runners.items():
-            assert id(script) == cache_key
-            assert runner.script is script
-
-    def test_fresh_script_objects_per_call_are_safe(self):
-        baseline = BattleSimulation(16, seed=3, density=0.05)
-        fresh = BattleSimulation(16, seed=3, density=0.05)
-        scripts = fresh.scripts
-
-        def fresh_script_for(row):
-            # a worst-case script_for: a brand-new AST object per call,
-            # so every id is new and old ids become reusable
-            return copy.deepcopy(scripts[row["unittype"]])
-
-        fresh.engine.script_for = fresh_script_for
-        for _ in range(3):
-            baseline.tick()
-            fresh.tick()
-        assert baseline.state_signature() == fresh.state_signature()
-
-    def test_cache_growth_is_bounded(self, monkeypatch):
-        import repro.engine.clock as clock
-
-        monkeypatch.setattr(clock, "_RUNNER_CACHE_MAX", 8)
-        baseline = BattleSimulation(20, seed=4, density=0.05)
-        sim = BattleSimulation(20, seed=4, density=0.05)
-        scripts = sim.scripts
-        sim.engine.script_for = lambda row: copy.deepcopy(
-            scripts[row["unittype"]]
-        )
-        for _ in range(2):  # 40 fresh scripts churn through an 8-slot cache
-            baseline.tick()
-            sim.tick()
-        assert len(sim.engine._runners) <= 8
-        assert baseline.state_signature() == sim.state_signature()
+    def test_runners_are_keyed_by_selector_value(self):
+        with BattleSimulation(12, seed=0) as sim:
+            sim.run(2)
+            scripts = sim.game.scripts
+            runners = sim.engine.decision._runners
+            assert runners and set(runners) <= set(scripts)
+            for unittype, runner in runners.items():
+                assert runner.script is scripts[unittype]

@@ -104,18 +104,32 @@ class TestWorkerEndpoint:
         """A snapshot beyond the frame guard is a configuration error,
         not a dead worker: no revive loop, actionable message."""
         with BattleSimulation(
-            24, density=0.02, seed=3, num_shards=2,
+            400, density=0.02, seed=3, num_shards=2,
             parallelism="processes", workers=endpoints,
-            # admits the INIT handshake but not a 24-row snapshot
-            worker_max_frame=512,
+            # admits the INIT handshake (the battle's game, ~19 KB) but
+            # not a 400-row snapshot (~41 KB)
+            worker_max_frame=32 * 1024,
         ) as sim:
-            with pytest.raises(RuntimeError, match="worker_max_frame"):
+            with pytest.raises(
+                RuntimeError, match="update blob.*worker_max_frame"
+            ):
                 sim.run(1)
         with pytest.raises(ValueError, match="host:port"):
             BattleSimulation(
                 10, parallelism="processes", num_shards=2,
                 workers="127.0.0.1:1",
             )
+
+    def test_oversized_init_names_the_knob(self, endpoints):
+        """The INIT handshake carries the game: one beyond the frame
+        guard fails at once, naming the knob, instead of retrying."""
+        with BattleSimulation(
+            24, density=0.02, seed=3, num_shards=2,
+            parallelism="processes", workers=endpoints,
+            worker_max_frame=512,
+        ) as sim:
+            with pytest.raises(RuntimeError, match="INIT.*worker_max_frame"):
+                sim.run(1)
 
     def test_unreachable_endpoint_fails_loudly(self):
         # grab a port that is definitely closed

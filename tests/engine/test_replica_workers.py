@@ -29,7 +29,7 @@ from repro.env.sharding import (
     snapshot_blob,
 )
 from repro.env.table import EnvironmentTable, diff_by_key
-from repro.game.battle import BattleSimulation, battle_worker_game
+from repro.game.battle import BattleSimulation, battle_game
 from repro.persist.framing import REC_DELTA, REC_SNAPSHOT
 from repro.persist.log import EpochLogWriter
 from repro.serve.transport import PipeTransport, SocketTransport
@@ -331,7 +331,7 @@ class TestWorkerPatchOrRebuild:
 
     def worker(self, mode="indexed"):
         return _WorkerState(
-            battle_worker_game(),
+            battle_game(),
             {
                 "mode": mode,
                 # area effects as plain effect rows, as the naive
@@ -381,14 +381,14 @@ class TestWorkerPatchOrRebuild:
         snapshot, delta = self.blobs_for(env, new)
         state = self.worker()
         self.feed(state, snapshot, 1)
-        built = dict(state.evaluator._div_index)
+        built = dict(state.stage.agg_eval._div_index)
         assert built
         self.feed(state, delta, 2)
-        stats = state.evaluator.stats
+        stats = state.stage.agg_eval.stats
         assert stats.get("delta_ticks") == 1
         assert stats.get("rebuild_ticks", 0) == 0
         assert all(
-            state.evaluator._div_index[name] is index
+            state.stage.agg_eval._div_index[name] is index
             for name, index in built.items()
         )
         self.run_pair([snapshot, delta])
@@ -399,14 +399,14 @@ class TestWorkerPatchOrRebuild:
         snapshot, delta = self.blobs_for(env, new)
         state = self.worker()
         self.feed(state, snapshot, 1)
-        built = dict(state.evaluator._div_index)
+        built = dict(state.stage.agg_eval._div_index)
         assert built
         self.feed(state, delta, 2)
-        stats = state.evaluator.stats
+        stats = state.stage.agg_eval.stats
         assert stats.get("rebuild_ticks") == 1
         assert stats.get("delta_ticks", 0) == 0
         assert all(
-            state.evaluator._div_index.get(name) is not index
+            state.stage.agg_eval._div_index.get(name) is not index
             for name, index in built.items()
         )
         self.run_pair([snapshot, delta])
@@ -425,12 +425,12 @@ class TestWorkerPatchOrRebuild:
             (delta_blob(encode(new, newer, base_epoch=2, epoch=3)), shards),
         ]
         indexed, naive = self.worker(), self.worker("naive")
-        evaluator = indexed.evaluator
+        evaluator = indexed.stage.agg_eval
         for tick, (blob, ids) in enumerate(updates, start=1):
             got = self.feed(indexed, blob, tick, ids)
             assert got == self.feed(naive, blob, tick, ids)
             assert any(effect_rows for _, effect_rows, _ in got)
-        assert indexed.evaluator is evaluator
+        assert indexed.stage.agg_eval is evaluator
         assert {indexed.shard_of(row) for row in newer.rows} == set(shards)
         assert evaluator.stats.get("delta_ticks") == 1
 
@@ -447,7 +447,7 @@ class TestWorkerPatchOrRebuild:
                 sim.tick()
                 rd = encode(old, engine.env, base_epoch=epoch, epoch=epoch + 1)
                 blobs.append(delta_blob(rd))
-        stats = self.run_pair(blobs).evaluator.stats
+        stats = self.run_pair(blobs).stage.agg_eval.stats
         assert stats.get("rebuild_ticks") > 0
         assert stats.get("delta_ticks", 0) == 0
 

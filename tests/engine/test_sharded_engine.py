@@ -3,22 +3,19 @@ flat engine across shard counts, shard keys, maintenance modes, and
 parallelism modes -- the guarantee that makes sharding a pure
 performance knob.
 
-Also covers the determinism of the ⊕-merge order itself and the
-shard-aware algebra executor.
+Also covers the determinism of the ⊕-merge order itself, and that
+process workers run the engine's own game.
 """
 
 import pytest
 
-from repro.algebra.executor import execute_plan, execute_plan_sharded
-from repro.algebra.rewrite import optimize
-from repro.algebra.translate import translate_script
-from repro.engine.clock import EngineConfig
+from repro.api import GameDefinition, compile_script
+from repro.engine.postprocess import example_41_postprocess
 from repro.env.combine import combine_all
-from repro.env.sharding import ShardedEnvironment, ShardingError, make_sharder
+from repro.env.sharding import ShardingError, make_sharder, partition_rows
 from repro.env.table import EnvironmentTable
 from repro.game.battle import BattleSimulation
-from repro.sgl.interp import NaiveAggregateEvaluator
-from repro.sgl.parser import parse_script
+from repro.game.scripts import build_registry
 from tests.conftest import make_env
 
 
@@ -71,6 +68,94 @@ class TestShardEquivalence:
         assert got == baseline
 
 
+class TestOneGameEveryLayout:
+    """Process workers run the engine's own game: a script edited into
+    ``game.scripts`` before the first tick, or a custom game built from a
+    :class:`GameDefinition` with no factory, plays the same in worker
+    processes as serially."""
+
+    #: player 0's archers charge their nearest enemy, player 1's retreat
+    MODDED_ARCHER = """
+    main(u) {
+      (let t = NearestEnemy(u)) {
+        if (u.player = 0) then
+          perform MoveInDirection(u, t.posx - u.posx, t.posy - u.posy);
+        else
+          perform MoveInDirection(u, u.posx - t.posx, u.posy - t.posy);
+      }
+    }
+    """
+
+    def modded_signature(self, mod, **kwargs):
+        with BattleSimulation(
+            60, density=0.05, seed=21, resurrection=False, **kwargs
+        ) as sim:
+            game = sim.game
+            if mod:
+                game.scripts["archer"] = compile_script(
+                    self.MODDED_ARCHER, game.registry, game.schema
+                )
+            sim.run(5)
+            return sim.state_signature()
+
+    def test_modded_battle_plays_the_mod_in_worker_processes(self):
+        serial = self.modded_signature(True)
+        assert serial != self.modded_signature(False)  # the mod matters
+        got = self.modded_signature(
+            True, num_shards=2, parallelism="processes"
+        )
+        assert got == serial
+
+    #: the custom game's scripts are picked by player, not unit type
+    CHASE = """
+    main(u) {
+      (let t = NearestEnemy(u)) {
+        if (CountEnemiesInRange(u, u.range) > 0 and u.cooldown = 0) then
+          perform FireAt(u, t.key);
+        else
+          perform MoveInDirection(u, t.posx - u.posx, t.posy - u.posy);
+      }
+    }
+    """
+    FLEE = """
+    main(u) {
+      (let ec = CentroidOfEnemies(u, u.sight)) {
+        if (CountEnemiesInRange(u, u.sight) > 0) then
+          perform MoveInDirection(u, u.posx - ec.x, u.posy - ec.y);
+        else
+          perform UseWeapon(u);
+      }
+    }
+    """
+
+    def custom_run(self, schema, **kwargs):
+        registry = build_registry()
+        game = GameDefinition(
+            schema=schema,
+            registry=registry,
+            scripts={
+                0: compile_script(self.CHASE, registry, schema),
+                1: compile_script(self.FLEE, registry, schema),
+            },
+            script_selector="player",
+        )
+        env = make_env(schema, n=40, grid=24, seed=9)
+        with game.engine(
+            env,
+            lambda combined, rng, tick: example_41_postprocess(combined),
+            **kwargs,
+        ) as engine:
+            engine.run(4)
+            return sorted(
+                tuple(row[n] for n in schema.names) for row in engine.env
+            )
+
+    def test_custom_game_runs_in_worker_processes(self, schema):
+        serial = self.custom_run(schema)
+        got = self.custom_run(schema, num_shards=2, parallelism="processes")
+        assert got == serial
+
+
 class TestEngineValidation:
     def test_bad_parallelism_rejected(self):
         with pytest.raises(ValueError):
@@ -95,19 +180,6 @@ class TestEngineValidation:
             engine.config.num_shards = 2
             sim.run(2)
             assert sim.state_signature() == baseline
-
-    def test_processes_requires_worker_factory(self, schema, registry):
-        from repro.engine.clock import SimulationEngine
-
-        env = make_env(schema, n=4)
-        with pytest.raises(ValueError, match="worker_factory"):
-            SimulationEngine(
-                env,
-                registry,
-                lambda row: None,
-                lambda combined, rng, tick: combined,
-                EngineConfig(parallelism="processes", num_shards=2),
-            )
 
     def test_tick_stats_record_shards(self):
         with BattleSimulation(16, num_shards=3, seed=1) as sim:
@@ -149,11 +221,14 @@ class TestMergeDeterminism:
     output row order comes from the flat environment, and permuting the
     effect-table order cannot change any combined value."""
 
-    def _effect_tables(self, schema, env, sharded):
+    def _effect_tables(self, schema, env, num_shards):
+        parts = partition_rows(
+            env.rows, num_shards, make_sharder("key", num_shards)
+        )
         tables = []
-        for shard_id, shard in enumerate(sharded):
+        for shard_id, part in enumerate(parts):
             table = EnvironmentTable(schema)
-            for row in shard.rows:
+            for row in part:
                 effect = dict(row)
                 effect["damage"] = 1 + shard_id
                 table.rows.append(effect)
@@ -162,8 +237,7 @@ class TestMergeDeterminism:
 
     def test_combined_row_order_follows_flat_env(self, schema):
         env = make_env(schema, n=20, grid=40, seed=6)
-        sharded = ShardedEnvironment(env, 4, make_sharder("key", 4))
-        tables = self._effect_tables(schema, env, sharded)
+        tables = self._effect_tables(schema, env, 4)
         combined = combine_all([env] + tables, schema)
         assert [r["key"] for r in combined.rows] == [
             r["key"] for r in env.rows
@@ -171,8 +245,7 @@ class TestMergeDeterminism:
 
     def test_effect_table_order_is_a_pure_tie_break(self, schema):
         env = make_env(schema, n=20, grid=40, seed=6)
-        sharded = ShardedEnvironment(env, 4, make_sharder("key", 4))
-        tables = self._effect_tables(schema, env, sharded)
+        tables = self._effect_tables(schema, env, 4)
         forward = combine_all([env] + tables, schema)
         reversed_ = combine_all([env] + tables[::-1], schema)
         # same values in the same row order: ⊕ is commutative and the
@@ -182,64 +255,9 @@ class TestMergeDeterminism:
     def test_shard_partition_equals_flat_combine(self, schema):
         env = make_env(schema, n=20, grid=40, seed=8)
         flat_effects = EnvironmentTable(schema)
-        sharded = ShardedEnvironment(env, 3, make_sharder("key", 3))
-        tables = self._effect_tables(schema, env, sharded)
+        tables = self._effect_tables(schema, env, 3)
         for table in tables:
             flat_effects.rows.extend(table.rows)
         assert combine_all([env, flat_effects], schema).multiset_equal(
             combine_all([env] + tables, schema)
-        )
-
-
-class TestShardedExecutor:
-    SOURCE = """
-    main(u) {
-      (let c = CountEnemiesInRange(u, u.sight)) {
-        if (c > 0 and u.cooldown = 0) then
-          perform FireAt(u, NearestEnemy(u).key);
-        if (c = 0) then
-          perform MoveInDirection(u, 1, 0)
-      }
-    }
-    """
-
-    def test_matches_flat_execution(self, registry, schema):
-        env = make_env(schema, n=18, grid=30, seed=2)
-        script = parse_script(self.SOURCE)
-        plan = optimize(translate_script(script, registry), registry)
-        rng = lambda row, i: (row["key"] * 31 + i) & 0xFFFF  # noqa: E731
-
-        flat = execute_plan(
-            plan, env, registry, NaiveAggregateEvaluator(), rng
-        )
-        for num_shards, shard_by in ((2, "key"), (3, "player")):
-            sharded = ShardedEnvironment(
-                env, num_shards, make_sharder(shard_by, num_shards)
-            )
-            got = execute_plan_sharded(
-                plan, sharded, registry, NaiveAggregateEvaluator(), rng
-            )
-            assert got == flat
-            # deterministic output order, not just multiset equality
-            assert got.rows == flat.rows
-
-    def test_elided_e_plan_is_multiset_equal(self, registry, schema):
-        """A plan whose E the optimizer elides has no env seed for the
-        output order: values must still match the flat executor exactly
-        (the documented contract is multiset equality there)."""
-        env = make_env(schema, n=12, grid=30, seed=4)
-        script = parse_script("main(u) { perform MoveInDirection(u, 1, 0) }")
-        plan = optimize(translate_script(script, registry), registry)
-        assert not plan.include_e  # the premise of this test
-        rng = lambda row, i: 0  # noqa: E731
-        flat = execute_plan(
-            plan, env, registry, NaiveAggregateEvaluator(), rng
-        )
-        sharded = ShardedEnvironment(env, 3, make_sharder("key", 3))
-        got = execute_plan_sharded(
-            plan, sharded, registry, NaiveAggregateEvaluator(), rng
-        )
-        assert got == flat  # multiset equality
-        assert sorted(r["key"] for r in got.rows) == sorted(
-            r["key"] for r in flat.rows
         )

@@ -9,7 +9,6 @@ from repro.env.sharding import (
     UPDATE_SNAPSHOT,
     EpochUpdate,
     ReplicaDelta,
-    ShardedEnvironment,
     ShardingError,
     make_sharder,
     partition_rows,
@@ -63,16 +62,18 @@ class TestMakeSharder:
 
 
 class TestShardedEnvironment:
+    """Partitioning E into shards: the shards are views of E's rows."""
+
     def test_partition_shares_rows_and_preserves_order(self, schema):
         env = make_env(schema, n=30, grid=40, seed=1)
         shard_of = make_sharder("key", 3)
-        sharded = ShardedEnvironment(env, 3, shard_of)
-        assert sharded.num_shards == 3
-        assert sum(sharded.sizes()) == len(env)
+        parts = partition_rows(env.rows, 3, shard_of)
+        assert len(parts) == 3
+        assert sum(len(part) for part in parts) == len(env)
         seen = []
-        for shard_id, shard in enumerate(sharded):
+        for shard_id, part in enumerate(parts):
             previous_index = -1
-            for row in shard.rows:
+            for row in part:
                 assert shard_of(row) == shard_id
                 # identity, not copies: shards are views of E
                 index = next(
@@ -82,17 +83,17 @@ class TestShardedEnvironment:
                 previous_index = index
                 seen.append(row)
         assert len(seen) == len(env)
-        assert sharded.merged().multiset_equal(env)
+        assert {id(row) for row in seen} == {id(row) for row in env.rows}
 
     def test_single_shard_is_the_flat_table(self, schema):
         env = make_env(schema, n=10)
-        sharded = ShardedEnvironment(env, 1, make_sharder("key", 1))
-        assert sharded.shards[0].rows == env.rows
+        parts = partition_rows(env.rows, 1, make_sharder("key", 1))
+        assert parts == [env.rows]
 
     def test_bad_shard_function_rejected(self, schema):
         env = make_env(schema, n=4)
         with pytest.raises(ShardingError):
-            ShardedEnvironment(env, 2, lambda row: 7)
+            partition_rows(env.rows, 2, lambda row: 7)
 
 
 def test_partition_rows_helper(schema):

@@ -13,7 +13,7 @@ from repro.api import (
     run_battle,
 )
 from repro.engine.clock import EngineConfig
-from repro.game.battle import BattleSimulation, battle_worker_game
+from repro.game.battle import BattleSimulation
 from repro.game.scripts import FIGURE_3_SCRIPT, build_registry, build_scripts
 from repro.sgl.errors import SglNameError
 
@@ -83,7 +83,7 @@ class TestKnobsDeclaredOnce:
     battle, ``GameDefinition.engine`` and ``run_battle`` forward to it."""
 
     #: fields the battle fills in itself
-    SUPPLIED = {"spatial_extent", "worker_factory"}
+    SUPPLIED = {"spatial_extent"}
 
     @staticmethod
     def probes(tmp_path):
@@ -117,7 +117,7 @@ class TestKnobsDeclaredOnce:
 
     def test_every_field_has_a_probe(self, tmp_path):
         fields = {f.name for f in dataclasses.fields(EngineConfig)}
-        assert len(fields) == 23
+        assert len(fields) == 22
         assert set(self.probes(tmp_path)) | self.SUPPLIED == fields
 
     def test_battle_forwards_every_knob(self, tmp_path):
@@ -132,13 +132,10 @@ class TestKnobsDeclaredOnce:
         game = GameDefinition(schema, build_registry(), build_scripts())
         for kwargs in self.probes(tmp_path).values():
             engine = game.engine(
-                small_env,
-                lambda combined, rng, tick: combined,
-                worker_factory=battle_worker_game,
-                **kwargs,
+                small_env, lambda combined, rng, tick: combined, **kwargs
             )
             with engine:
-                assert engine.config.worker_factory is battle_worker_game
+                assert engine.game is game
                 for name, value in kwargs.items():
                     assert getattr(engine.config, name) == value, name
         with game.engine(small_env, None) as engine:
