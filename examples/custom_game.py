@@ -9,8 +9,9 @@ architecture):
 * per-unit-type SGL scripts (civilians flee, zombies chase and bite);
 * custom game mechanics (bitten civilians rise as zombies).
 
-The optimizer classifies the new aggregates automatically: the nearest-
-zombie query gets a kD-tree, the panic count a Figure-8 tree.
+The engine classifies the new aggregates automatically: the nearest-
+zombie query gets a kD-tree, the panic count a Figure-8 tree (EXPLAIN
+lists each call site with its index and cost).
 
     python examples/custom_game.py
 """
@@ -170,7 +171,7 @@ def main() -> None:
             print(f"humanity fell at tick {engine.tick_count}")
             break
 
-    print("\n== How the optimizer indexes the zombie script ==")
+    print("\n== EXPLAIN: how the engine runs the zombie script ==")
     print(explain_script(ZOMBIE, registry))
 
 

@@ -1,8 +1,9 @@
-"""Quickstart: run an epic battle and inspect what the optimizer did.
+"""Quickstart: run an epic battle and inspect how the engine compiled it.
 
 Runs the paper's battle simulation (knights, archers, healers with d20
 mechanics) on the indexed engine, prints per-tick statistics, and shows
-the EXPLAIN output for the paper's Figure 3 script.
+EXPLAIN for the paper's Figure 3 script: each aggregate call site as the
+engine compiles it, the index it probes and at what cost.
 
 The engine's per-tick index strategy is configurable via
 ``index_maintenance``: ``"rebuild"`` (the paper's from-scratch default),

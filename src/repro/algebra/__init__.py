@@ -1,18 +1,12 @@
-"""Bag algebra, plan rewrites, and aggregate-shape analysis (Section 5)."""
+"""Aggregate and action shape analysis (Section 5.3).
 
-from .executor import PlanExecutor, execute_plan
-from .ops import (
-    AggExtend,
-    Apply,
-    Combine,
-    Extend,
-    Plan,
-    ScanE,
-    Select,
-    plan_signature,
-    shared_subplans,
-)
-from .rewrite import elide_e, optimize, prune_unused_columns, sharing_report
+Each built-in's restricted-SQL spec is classified once: which index an
+aggregate can probe (divisible, extreme, nearest, or the scan fallback)
+and how an action resolves its targets (key, AoE, or scan).  The engine
+lowers scripts straight from the SGL AST (:mod:`repro.engine.compile`)
+and reads these shapes to pick evaluators and dispatch.
+"""
+
 from .shapes import (
     ActionShape,
     AggregateShape,
@@ -26,34 +20,36 @@ from .shapes import (
     names_in,
     refs_e,
 )
-from .translate import translate_script
 
 __all__ = [
     "ActionShape",
-    "AggExtend",
     "AggregateShape",
-    "Apply",
     "Bound",
-    "Combine",
     "EqConstraint",
-    "Extend",
     "NeqConstraint",
-    "Plan",
-    "PlanExecutor",
     "RangeConstraint",
-    "ScanE",
-    "Select",
     "classify_action",
     "classify_aggregate",
-    "elide_e",
-    "execute_plan",
     "match_squared_distance",
     "names_in",
-    "optimize",
-    "plan_signature",
-    "prune_unused_columns",
     "refs_e",
-    "sharing_report",
-    "shared_subplans",
-    "translate_script",
 ]
+
+
+def translate_script(script, registry):
+    """Lower *script* to the :class:`~repro.engine.decision.DecisionRunner`
+    the default indexed engine runs: all the planning a script gets.
+
+    Kept only for the perf ledger's ``algebra.plan_s`` set-up stage
+    (``benchmarks/ledger/workloads.py``), which times
+    ``optimize(translate_script(script, registry), registry)``; it goes
+    when that stage does."""
+    from ..engine.decision import DecisionRunner  # the layer above
+
+    return DecisionRunner(script, registry, defer_aoe=True)
+
+
+def optimize(runner, registry):
+    """The identity: the compiler stages and shares while it lowers.
+    Kept only for the ledger stage, like :func:`translate_script`."""
+    return runner

@@ -7,78 +7,107 @@ Most downstream users want one of three things:
   :class:`~repro.engine.decision.GameDefinition` -- bring a schema, SQL
   built-ins, and SGL scripts; get a naive/indexed engine, serial or
   over process workers;
-* **explain a script**: :func:`explain_script` -- the optimized algebra
-  plan and the index chosen for each aggregate.
+* **explain a script**: :func:`explain_script` -- every call site as
+  the engine compiles it: how each aggregate is evaluated, the index it
+  probes and at what cost, and each built-in action's dispatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra.rewrite import optimize, sharing_report
 from .algebra.shapes import classify_aggregate
-from .algebra.translate import translate_script
-from .engine.decision import GameDefinition
+from .engine.compile import CallSite
+from .engine.decision import DecisionRunner, GameDefinition
 from .env.schema import Schema
 from .game.battle import BattleSimulation, BattleSummary
 from .sgl.analysis import analyze_script
 from .sgl.ast import Script
-from .sgl.builtins import FunctionRegistry
-from .sgl.normalize import normalize_script
+from .sgl.builtins import AggregateFunction, FunctionRegistry
 from .sgl.parser import parse_script
 
 
 def compile_script(
-    source: str,
-    registry: FunctionRegistry,
-    schema: Schema | None = None,
-    *,
-    normalize: bool = False,
+    source: str, registry: FunctionRegistry, schema: Schema | None = None
 ) -> Script:
-    """Parse and validate an SGL script against *registry* (and *schema*).
-
-    With *normalize* the script is returned in aggregate normal form
-    (Section 5.1) -- semantically identical, required only when feeding
-    the algebra translator manually (it normalizes by itself).
-    """
+    """Parse and validate an SGL script against *registry* (and *schema*)."""
     script = parse_script(source)
     analyze_script(script, registry, schema)
-    if normalize:
-        script = normalize_script(script, registry)
     return script
+
+
+#: The cost of one call site per aggregate shape (the tractable fragment
+#: and its price, after SIGNAL -- Kampik & Okulmus, PAPERS.md).
+_COST = {
+    "divisible": "O(log² n) per probe",
+    "extreme": "one Figure-9 sweep per batch",
+    "nearest": "kD-tree k-NN per probe",
+    "fallback": "scan, O(n) per call",
+}
+
+
+@dataclass(frozen=True)
+class ExplainRow:
+    """One aggregate call site and its shape's kind and cost class."""
+
+    site: CallSite
+    kind: str
+    cost: str
+
+
+def _explain_row(site: CallSite, function: AggregateFunction) -> ExplainRow:
+    if function.spec is None:
+        return ExplainRow(site, "native", "native")
+    kind = classify_aggregate(function.spec).kind
+    return ExplainRow(site, kind, _COST[kind])
 
 
 @dataclass
 class ExplainResult:
-    """What ``explain_script`` reports."""
+    """What ``explain_script`` reports: the aggregate call sites and the
+    built-in action dispatch of the :class:`DecisionRunner` the engine
+    runs."""
 
-    plan: str
-    sharing: dict[str, int]
-    aggregate_kinds: dict[str, str]
+    rows: list[ExplainRow]
+    actions: dict[str, str]
+
+    @property
+    def aggregate_kinds(self) -> dict[str, str]:
+        return {row.site.aggregate: row.kind for row in self.rows}
 
     def __str__(self) -> str:
-        lines = [self.plan, ""]
-        lines.append("aggregate index selection:")
-        for name, kind in sorted(self.aggregate_kinds.items()):
-            lines.append(f"  {name}: {kind}")
-        lines.append(f"sharing: {self.sharing}")
-        return "\n".join(lines)
+        sites: list[tuple[str, ...]] = [
+            ("function", "aggregate", "evaluation", "kind", "cost")
+        ]
+        sites += [
+            (r.site.function, r.site.aggregate, r.site.evaluation, r.kind, r.cost)
+            for r in self.rows
+        ]
+        actions: list[tuple[str, ...]] = [("action", "dispatch")]
+        actions += self.actions.items()
+        return "\n\n".join(_aligned(table) for table in (sites, actions))
+
+
+def _aligned(table: list[tuple[str, ...]]) -> str:
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        for row in table
+    )
 
 
 def explain_script(source: str, registry: FunctionRegistry) -> ExplainResult:
-    """EXPLAIN for SGL: the optimized plan + per-aggregate index choice."""
+    """EXPLAIN for SGL, read off the script's :class:`DecisionRunner` as
+    the default indexed engine builds it (deferred AoE on)."""
     script = parse_script(source)
-    analysis = analyze_script(script, registry)
-    plan = optimize(translate_script(script, registry), registry)
-    kinds = {
-        name: classify_aggregate(registry.aggregates[name].spec).kind
-        for name in analysis.aggregate_functions
-        if registry.aggregates[name].spec is not None
-    }
+    analyze_script(script, registry)
+    runner = DecisionRunner(script, registry, defer_aoe=True)
     return ExplainResult(
-        plan=plan.describe(),
-        sharing=sharing_report(plan),
-        aggregate_kinds=kinds,
+        rows=[
+            _explain_row(site, registry.aggregates[site.aggregate])
+            for site in runner.call_sites
+        ],
+        actions=dict(runner.actions),
     )
 
 

@@ -40,7 +40,9 @@ or condition are *hoisted*: evaluated for the whole batch into a frame
 slot before the per-frame closure reads it (:attr:`Scope.hoist`).  A
 call under a short-circuit operand (the right side of ``and``/``or``)
 stays per frame, so no call is evaluated for a frame that would not
-reach it.
+reach it.  The lowering records each aggregate call site once, as it
+lowers it (:class:`CallSite`); EXPLAIN (:func:`repro.api.explain_script`)
+prints those records, so it shows exactly what the engine runs.
 """
 
 from __future__ import annotations
@@ -95,13 +97,15 @@ class Scope:
 
     *hoist*, when set, takes each aggregate call site in a strict
     position -- ``(function, args_of)`` -- and returns the per-frame
-    closure that reads its batch-evaluated value (script lowering)."""
+    closure that reads its batch-evaluated value; *per_frame*, when set,
+    is told of each call site that is not hoisted (script lowering)."""
 
     slots: Mapping[str, int]
     constants: Mapping[str, object]
     aggregates: Mapping[str, AggregateFunction]
     row: str | None = None
     hoist: Hoist | None = None
+    per_frame: Callable[[AggregateFunction], None] | None = None
 
 
 def row_scope(constants: Mapping[str, object]) -> Scope:
@@ -243,6 +247,8 @@ def _compile_call(term: ast.Call, scope: Scope) -> Fn:
         raise SglTypeError(f"{name} expects {len(function.params)} args")
     if scope.hoist is not None:
         return scope.hoist(function, args_of)
+    if scope.per_frame is not None:
+        scope.per_frame(function)
 
     def aggregate_call(f):
         rt = f[0]
@@ -435,19 +441,33 @@ def _compile_side(bounds, scope: Scope, pick, unbounded: float) -> Fn:
     return side
 
 
+@dataclass(frozen=True)
+class CallSite:
+    """One aggregate call site of a script, as lowered: in script
+    function *function*, a call of *aggregate*, evaluated ``"hoisted"``
+    (one ``evaluate_batch`` per batch) or ``"per frame"`` (under a
+    short-circuit operand)."""
+
+    function: str
+    aggregate: str
+    evaluation: str
+
+
 def lower_script(
     script: ast.Script,
     registry: FunctionRegistry,
     builtin_action: Callable[[ActionFunction], ActionFn],
-) -> Callable[[list, object], list[list]]:
+) -> tuple[Callable[[list, object], list[list]], tuple[CallSite, ...]]:
     """Lower every function of *script* to batch closures;
     *builtin_action* lowers one built-in action
     (:func:`repro.engine.decision.compile_action`).
 
-    Returns ``run(rts, by_key)``: ``main`` over one batch, a unit per
-    runtime record (``rt.unit``).  It returns the batch's script frames,
-    whose ``out_rows``/``out_aoe`` slots hold each unit's effects in
-    per-unit program order."""
+    Returns ``(run, call_sites)``.  ``run(rts, by_key)`` runs ``main``
+    over one batch, a unit per runtime record (``rt.unit``), and
+    returns the batch's script frames, whose ``out_rows``/``out_aoe``
+    slots hold each unit's effects in per-unit program order.
+    *call_sites* lists every aggregate call site once, in lowering
+    order."""
     main = script.main
     if len(main.params) != 1:
         raise SglTypeError(
@@ -463,7 +483,7 @@ def lower_script(
         body(frames)
         return frames
 
-    return run
+    return run, tuple(lowering.call_sites)
 
 
 def _skip(fs: list) -> None:
@@ -480,14 +500,22 @@ class _ScriptLowering:
         #: not matter
         self.bodies: dict[str, tuple[BatchFn, tuple]] = {}
         self.actions: dict[str, ActionFn] = {}
+        self.call_sites: list[CallSite] = []
         self.next_slot = 0
+        self.current = ""  # the function being lowered
 
     def function(self, fn: ast.FunctionDef) -> None:
         first_let = self.next_slot = _HEADER + len(fn.params)
+        self.current = fn.name
+        scope = frame_scope(fn.params, self.registry, first=_HEADER)
         body = self.action(
-            fn.body, frame_scope(fn.params, self.registry, first=_HEADER)
+            fn.body,
+            replace(scope, per_frame=lambda a: self.call_site(a, "per frame")),
         )
         self.bodies[fn.name] = (body, (None,) * (self.next_slot - first_let))
+
+    def call_site(self, function: AggregateFunction, evaluation: str) -> None:
+        self.call_sites.append(CallSite(self.current, function.name, evaluation))
 
     def staged(self, compile_node, node, scope: Scope) -> tuple[BatchFn, Fn]:
         """Compile *node* per frame, every aggregate call in a strict
@@ -498,6 +526,7 @@ class _ScriptLowering:
         stages: list[BatchFn] = []
 
         def hoist(function, args_of):
+            self.call_site(function, "hoisted")
             slot = self.next_slot
             self.next_slot += 1
 

@@ -61,6 +61,10 @@ if TYPE_CHECKING:
 class DecisionRunner:
     """Executes one script's decisions for many units, appending effect
     rows (and deferred AoE records) to shared per-tick collections.
+
+    :attr:`call_sites` (each aggregate call site, as lowered) and
+    :attr:`actions` (each built-in action's dispatch) are what EXPLAIN
+    prints (:func:`repro.api.explain_script`).
     """
 
     def __init__(
@@ -73,11 +77,16 @@ class DecisionRunner:
     ):
         self.script = script
         self._batch: _Batch | None = None
-        self._run = lower_script(
+        self.actions: dict[str, str] = {}
+        self._run, self.call_sites = lower_script(
             script,
             registry,
             lambda fn: compile_action(
-                fn, registry, index_actions=index_actions, defer_aoe=defer_aoe
+                fn,
+                registry,
+                index_actions=index_actions,
+                defer_aoe=defer_aoe,
+                dispatch=self.actions,
             ),
         )
 
@@ -332,12 +341,20 @@ def compile_action(
     *,
     index_actions: bool = True,
     defer_aoe: bool = False,
+    dispatch: dict[str, str] | None = None,
 ) -> ActionFn:
-    """Lower one built-in action to ``(rt, args, by_key, out_rows, out_aoe)``."""
+    """Lower one built-in action to ``(rt, args, by_key, out_rows, out_aoe)``;
+    the dispatch it chose -- ``key``, ``deferred aoe``, ``scan`` or
+    ``native`` -- goes to *dispatch* under the action's name."""
     name = builtin.name
     spec = builtin.spec
     params = builtin.params
     native = builtin.native
+
+    def chose(how: str, action: ActionFn) -> ActionFn:
+        if dispatch is not None:
+            dispatch[name] = how
+        return action
 
     def everywhere(rt, args, by_key, out_rows, out_aoe):
         """Native and scan actions range over all of ``E``."""
@@ -347,8 +364,10 @@ def compile_action(
             rows = apply_action_scan(spec, dict(zip(params, args)), rt)
         out_rows.extend(rows)
 
-    if native is not None or not index_actions:
-        return everywhere
+    if native is not None:
+        return chose("native", everywhere)
+    if not index_actions:
+        return chose("scan", everywhere)
     shape = classify_action(spec)
     probe = Probe(shape, params, registry)
 
@@ -375,7 +394,7 @@ def compile_action(
                     new_row[attr] = term(f)
                 out_rows.append(new_row)
 
-        return key_action
+        return chose("key", key_action)
 
     if shape.kind == "aoe" and defer_aoe:
         attr = shape.effect_attr
@@ -404,6 +423,6 @@ def compile_action(
                 )
             )
 
-        return aoe_action
+        return chose("deferred aoe", aoe_action)
 
-    return everywhere
+    return chose("scan", everywhere)

@@ -16,8 +16,6 @@ scripts -- not engine code -- decide behaviour.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from ..env.schema import Schema, battle_schema
 from .d20 import CombatProfile
 
@@ -88,7 +86,3 @@ def unit_row(
         speed=profile.speed,
     )
     return row
-
-
-def profile_of(row: Mapping[str, object]) -> CombatProfile:
-    return PROFILES[str(row["unittype"])]

@@ -7,8 +7,8 @@ Public surface:
 * :class:`FunctionRegistry` -- built-in aggregate/action functions and
   game constants, registered from the restricted SQL fragment;
 * :class:`Interpreter` / :func:`reference_tick` -- the reference
-  semantics of Section 4.3;
-* :func:`normalize_script` -- the aggregate normal form of Section 5.1;
+  semantics of Section 4.3, the oracle the compiled engine
+  (:mod:`repro.engine.compile`) is tested against;
 * :func:`analyze_script` -- static validation + optimizer inventories.
 """
 
@@ -23,7 +23,6 @@ from .errors import (
 )
 from .evalterm import EvalContext, eval_cond, eval_term
 from .interp import Interpreter, NaiveAggregateEvaluator, reference_tick
-from .normalize import is_normal_form, normalize_script
 from .parser import parse_action, parse_condition, parse_script, parse_term
 from .sqlspec import (
     AggOutput,
@@ -56,8 +55,6 @@ __all__ = [
     "analyze_script",
     "eval_cond",
     "eval_term",
-    "is_normal_form",
-    "normalize_script",
     "parse_action",
     "parse_condition",
     "parse_script",

@@ -5,11 +5,6 @@ Rule (10): for keyed environment tables with equal key sets,
 that merges effect columns pairwise.  We verify the law extensionally:
 the join-based implementation equals the ⊕ implementation on random
 keyed tables.
-
-Rule (8) (sharing an extension between an aggregate and its consumer)
-is covered structurally by the executor memoisation tests; here we add
-its extensional core: extending twice vs extending a shared input once
-yields the same rows.
 """
 
 from hypothesis import given, settings
@@ -89,49 +84,3 @@ def test_rule_10_composes_with_associativity(a_vals, b_vals, c_vals):
     via_join = join_combine(join_combine(a, b), c)
     assert via_oplus == via_join
 
-
-def test_rule_8_shared_extension_rows_identical(registry, schema):
-    """Extending a shared input once == extending per consumer."""
-    from repro.algebra.executor import PlanExecutor
-    from repro.algebra.ops import AggExtend, Select
-    from repro.sgl.ast import Compare, Name, Num
-    from repro.sgl.interp import NaiveAggregateEvaluator
-    from repro.sgl.parser import parse_term
-    from repro.algebra.ops import ScanE
-    from tests.conftest import make_env
-
-    env = make_env(schema, n=10)
-    call = parse_term("CountEnemiesInRange(u, 6)")
-    scan = ScanE(param="u")
-
-    shared = AggExtend(scan, "c", call)
-    branch_a = Select(shared, Compare(">", Name("c"), Num(0)))
-    branch_b = Select(shared, Compare("=", Name("c"), Num(0)))
-
-    separate_a = Select(
-        AggExtend(scan, "c", call), Compare(">", Name("c"), Num(0))
-    )
-    separate_b = Select(
-        AggExtend(scan, "c", call), Compare("=", Name("c"), Num(0))
-    )
-
-    shared_exec = PlanExecutor(
-        env, registry, NaiveAggregateEvaluator(), lambda row, i: 0
-    )
-    rows_shared = (
-        shared_exec._units(branch_a)[0] + shared_exec._units(branch_b)[0]
-    )
-    separate_exec = PlanExecutor(
-        env, registry, NaiveAggregateEvaluator(), lambda row, i: 0
-    )
-    rows_separate = (
-        separate_exec._units(separate_a)[0]
-        + separate_exec._units(separate_b)[0]
-    )
-    assert sorted(r["key"] for r in rows_shared) == sorted(
-        r["key"] for r in rows_separate
-    )
-    # shared: scan + one AggExtend + two selects; separate pays one more
-    # AggExtend for the duplicated subtree
-    assert shared_exec.ops_evaluated == 4
-    assert separate_exec.ops_evaluated == 5

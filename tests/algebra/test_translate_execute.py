@@ -1,108 +1,50 @@
-"""SGL → algebra translation and set-at-a-time execution (Section 5.1).
+"""Set-at-a-time execution ≡ the reference semantics (Section 5.1).
 
-The load-bearing property: for every script, the algebra executor --
-raw plan, optimized plan, naive or indexed aggregate evaluation --
-produces exactly the table the reference interpreter produces.
+The load-bearing property: for every script, the engine's decision
+stage -- naive or indexed evaluation, deferred AoE resolved -- produces
+exactly the table the reference interpreter produces.
 """
 
 import pytest
 
-from repro.algebra.executor import PlanExecutor, execute_plan
-from repro.algebra.ops import AggExtend, Apply, Combine, ScanE, Select
-from repro.algebra.rewrite import optimize
-from repro.algebra.translate import translate_script
-from repro.engine.evaluator import IndexedEvaluator
-from repro.sgl.interp import NaiveAggregateEvaluator, reference_tick
+from repro.algebra.shapes import classify_action
+from repro.engine.decision import DecisionStage, GameDefinition
+from repro.engine.effects import resolve_aoe
+from repro.engine.rng import TickRandom
+from repro.env.combine import combine_all
+from repro.env.table import EnvironmentTable
+from repro.sgl.interp import reference_tick
 from repro.sgl.parser import parse_script
 from tests.conftest import make_env
 
+UNIT_TYPES = ("knight", "archer", "healer")
 
-def rng_for(seed=0):
-    return lambda row, i: (hash((seed, row["key"], i)) & 0xFFFF)
+
+def stage_tick(stage, env):
+    """One decision stage over every unit of *env*, as the engine runs
+    it: arm, decide, resolve deferred AoE, ⊕ the effects into *env*."""
+    registry = stage.game.registry
+    by_key = stage.begin_tick(env, None)
+    ((rows, aoe),) = stage.decide(env, [env.rows], by_key)
+    shapes = {name: classify_action(fn.spec) for name, fn in registry.actions.items()}
+    effects = EnvironmentTable(env.schema)
+    effects.rows.extend(rows)
+    effects.rows.extend(
+        resolve_aoe(aoe, env.rows, env.schema, shapes, registry.constants)
+    )
+    return combine_all([env, effects], env.schema)
 
 
 def check_equivalence(source, registry, schema, n=16, seed=0):
     env = make_env(schema, n=n, seed=seed)
     script = parse_script(source)
-    rng = rng_for(seed)
-    reference = reference_tick(env, lambda u: script, registry, rng)
-
-    plan = translate_script(script, registry)
-    optimized = optimize(plan, registry)
-    for label, p in (("raw", plan), ("optimized", optimized)):
-        got = execute_plan(p, env, registry, NaiveAggregateEvaluator(), rng)
-        assert got == reference, f"{label} plan diverges"
-
-    indexed = IndexedEvaluator(registry)
-    indexed.begin_tick(env)
-    got = execute_plan(optimized, env, registry, indexed, rng)
-    assert got == reference, "indexed execution diverges"
-    return optimized
-
-
-class TestTranslationShapes:
-    def test_perform_becomes_apply_over_scan(self, registry):
-        plan = translate_script(
-            parse_script("main(u) { perform UseWeapon(u) }"), registry
-        )
-        assert isinstance(plan, Combine) and plan.include_e
-        (apply_node,) = plan.inputs
-        assert isinstance(apply_node, Apply)
-        assert isinstance(apply_node.child, ScanE)
-
-    def test_if_becomes_select(self, registry):
-        plan = translate_script(
-            parse_script(
-                "main(u) { if u.health > 0 then perform UseWeapon(u) }"
-            ),
-            registry,
-        )
-        (apply_node,) = plan.inputs
-        assert isinstance(apply_node.child, Select)
-
-    def test_let_aggregate_becomes_agg_extend(self, registry):
-        plan = translate_script(
-            parse_script(
-                "main(u) { (let c = CountEnemiesInRange(u, 5)) "
-                "if c > 0 then perform UseWeapon(u) }"
-            ),
-            registry,
-        )
-        (apply_node,) = plan.inputs
-        select = apply_node.child
-        assert isinstance(select.child, AggExtend)
-
-    def test_if_else_shares_child(self, registry):
-        plan = translate_script(
-            parse_script(
-                "main(u) { (let c = CountEnemiesInRange(u, 5)) "
-                "if c > 0 then perform UseWeapon(u) "
-                "else perform MoveInDirection(u, 1, 0) }"
-            ),
-            registry,
-        )
-        then_apply, else_apply = plan.inputs
-        # rule 9: σφ and σ¬φ over the same (identical object) input
-        assert then_apply.child.child is else_apply.child.child
-
-    def test_defined_functions_inline(self, registry):
-        plan = translate_script(
-            parse_script(
-                "main(u) { perform Helper(u) } "
-                "Helper(w) { perform UseWeapon(w) }"
-            ),
-            registry,
-        )
-        (apply_node,) = plan.inputs
-        assert apply_node.action == "UseWeapon"
-
-    def test_unbounded_recursion_rejected(self, registry):
-        from repro.sgl.errors import SglTypeError
-
-        with pytest.raises(SglTypeError):
-            translate_script(
-                parse_script("main(u) { perform main(u) }"), registry
-            )
+    reference = reference_tick(
+        env, lambda u: script, registry, TickRandom(seed, tick=1)
+    )
+    game = GameDefinition(schema, registry, {t: script for t in UNIT_TYPES})
+    for mode in ("naive", "indexed"):
+        stage = DecisionStage(game, TickRandom(seed, tick=1), mode=mode)
+        assert stage_tick(stage, env) == reference, f"{mode} stage diverges"
 
 
 class TestExecutionEquivalence:
@@ -157,19 +99,3 @@ class TestExecutionEquivalence:
             "healer": HEALER_SCRIPT,
         }[script_name]
         check_equivalence(source, registry, schema, n=20, seed=4)
-
-    def test_memoisation_counts_shared_nodes_once(self, registry, schema):
-        env = make_env(schema, n=8)
-        script = parse_script(
-            "main(u) { (let c = CountEnemiesInRange(u, 5)) "
-            "if c > 0 then perform UseWeapon(u) "
-            "else perform MoveInDirection(u, 1, 0) }"
-        )
-        plan = translate_script(script, registry)
-        executor = PlanExecutor(
-            env, registry, NaiveAggregateEvaluator(), rng_for()
-        )
-        executor.run(plan)
-        # ScanE + AggExtend + 2×Select + 2×Apply = 6 operator evaluations;
-        # without sharing the AggExtend/ScanE would run twice
-        assert executor.ops_evaluated == 6

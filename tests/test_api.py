@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import sys
 
 import pytest
 
@@ -13,8 +14,18 @@ from repro.api import (
     run_battle,
 )
 from repro.engine.clock import EngineConfig
+from repro.engine.compile import CallSite
 from repro.game.battle import BattleSimulation
-from repro.game.scripts import FIGURE_3_SCRIPT, build_registry, build_scripts
+from repro.game.scripts import (
+    ARCHER_SCRIPT,
+    FIGURE_3_SCRIPT,
+    HEALER_SCRIPT,
+    KNIGHT_SCRIPT,
+    build_registry,
+    build_scripts,
+)
+from repro.game.units import UNIT_TYPES
+from repro.sgl.builtins import AggregateFunction, FunctionRegistry
 from repro.sgl.errors import SglNameError
 
 
@@ -29,24 +40,113 @@ class TestCompileScript:
         with pytest.raises(SglNameError):
             compile_script("main(u) { perform Nothing(u) }", registry)
 
-    def test_normalized_output(self, registry):
-        from repro.sgl.normalize import is_normal_form
 
-        script = compile_script(
-            "main(u) { if CountEnemiesInRange(u, 5) > 0 then "
-            "perform UseWeapon(u) }",
-            registry, normalize=True,
-        )
-        assert is_normal_form(script, registry)
+
+#: A recursive script: the plan translator refused it (inlining depth),
+#: the compiler lowers each function once.
+LOOP_SCRIPT = """
+main(u) { perform Loop(u, 3) }
+Loop(u, n) {
+  if n > 0 then perform Loop(u, n - 1)
+  else if CountEnemiesInRange(u, u.range) > 0 then perform UseWeapon(u)
+}
+"""
+
+#: An aggregate under a short-circuit operand: evaluated per frame.
+SHORT_CIRCUIT_SCRIPT = """
+main(u) {
+  if u.cooldown = 0 and CountEnemiesInRange(u, u.range) > 0 then
+    (let t = WeakestEnemyInRange(u, u.range)) perform FireAt(u, t.key)
+  else perform MoveInDirection(u, 1, 0)
+}
+"""
+
+#: How the compiled closure that calls the evaluator evaluates its site.
+EVALUATION_OF_CALLER = {"call_site": "hoisted", "aggregate_call": "per frame"}
+
+
+def record_calls(agg_eval):
+    """Wrap *agg_eval* so it records the ``(aggregate, evaluation)``
+    pair of every call a compiled script makes, told apart by the
+    compiled closure making it."""
+    received = set()
+    evaluate, evaluate_batch = agg_eval.evaluate, agg_eval.evaluate_batch
+
+    def recording_evaluate(function, args, ctx):
+        caller = sys._getframe(1).f_code.co_name
+        received.add((function.name, EVALUATION_OF_CALLER[caller]))
+        return evaluate(function, args, ctx)
+
+    def recording_batch(function, arg_rows, ctxs):
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "evaluate":  # a batch of one, recorded above
+            received.add((function.name, EVALUATION_OF_CALLER[caller]))
+        return evaluate_batch(function, arg_rows, ctxs)
+
+    agg_eval.evaluate = recording_evaluate
+    agg_eval.evaluate_batch = recording_batch
+    return received
 
 
 class TestExplainScript:
     def test_figure_3(self):
         result = explain_script(FIGURE_3_SCRIPT, build_registry())
-        assert "⊕" in result.plan
+        assert [(r.site.aggregate, r.site.evaluation) for r in result.rows] == [
+            ("CountEnemiesInRange", "hoisted"),
+            ("CentroidOfEnemies", "hoisted"),
+            ("NearestEnemy", "hoisted"),
+        ]
         assert result.aggregate_kinds["CountEnemiesInRange"] == "divisible"
         assert result.aggregate_kinds["NearestEnemy"] == "nearest"
+        assert result.actions["FireAt"] == "key"
         assert "divisible" in str(result)
+
+    def test_recursive_script_lists_its_call_sites_once(self, registry):
+        result = explain_script(LOOP_SCRIPT, registry)
+        assert [r.site for r in result.rows] == [
+            CallSite("Loop", "CountEnemiesInRange", "hoisted")
+        ]
+        assert result.actions == {"UseWeapon": "key"}
+        with BattleSimulation(40, seed=2) as sim:
+            loop = compile_script(LOOP_SCRIPT, sim.registry, sim.schema)
+            sim.game.scripts.update(dict.fromkeys(UNIT_TYPES, loop))
+            sim.run(1)
+
+    def test_native_aggregates_are_listed_as_native(self, registry):
+        native = FunctionRegistry(
+            aggregates={
+                "Zero": AggregateFunction("Zero", ("u",), native=lambda *a: 0)
+            },
+            actions=registry.actions,
+        )
+        result = explain_script(
+            "main(u) { if Zero(u) = 0 then perform UseWeapon(u) }", native
+        )
+        assert [(r.kind, r.cost) for r in result.rows] == [("native", "native")]
+
+    @pytest.mark.parametrize(
+        "source",
+        [FIGURE_3_SCRIPT, KNIGHT_SCRIPT, ARCHER_SCRIPT, HEALER_SCRIPT,
+         SHORT_CIRCUIT_SCRIPT],
+        ids=["figure3", "knight", "archer", "healer", "short_circuit"],
+    )
+    def test_rows_are_what_the_engine_evaluates(self, source):
+        result = explain_script(source, build_registry())
+        with BattleSimulation(160, seed=5) as sim:
+            script = compile_script(source, sim.registry, sim.schema)
+            sim.game.scripts.update(dict.fromkeys(UNIT_TYPES, script))
+            received = record_calls(sim.engine.agg_eval)
+            sim.run(1)
+            runners = [sim.engine.decision.runner(t) for t in UNIT_TYPES]
+        assert received
+        assert received <= {
+            (r.site.aggregate, r.site.evaluation) for r in result.rows
+        }
+        for runner in runners:
+            assert [r.site for r in result.rows] == list(runner.call_sites)
+            assert result.actions == runner.actions
+        if source is SHORT_CIRCUIT_SCRIPT:
+            assert ("CountEnemiesInRange", "per frame") in received
 
 
 class TestRunBattle:

@@ -74,3 +74,45 @@ def test_knob_row_naming_no_field_fails(repo, capsys):
 
 def test_this_repository_is_clean():
     assert check_docs.main([]) == 0
+
+
+def name_repo(repo, tmp_path, text):
+    """*repo* plus a package ``repro.obs`` re-exporting ``load_trace``
+    and a guide naming *text*."""
+    args = repo()
+    (tmp_path / "src" / "repro" / "obs").mkdir(exist_ok=True)
+    (tmp_path / "src" / "repro" / "obs" / "__init__.py").write_text(
+        "from .trace import load_trace\n"
+    )
+    (tmp_path / "src" / "repro" / "obs" / "trace.py").write_text(
+        "def load_trace(path):\n    return path\n"
+    )
+    (tmp_path / "docs" / "guide.md").write_text(f"# Guide\n\n{text}\n")
+    return args
+
+
+def test_dotted_names_that_resolve_pass(repo, tmp_path, capsys):
+    text = (
+        "`repro.engine.clock` holds `repro.engine.clock.EngineConfig`; "
+        "`repro.engine.clock.EngineConfig.mode` is a field.  "
+        "`repro.obs.load_trace` (re-exported) and `repro.obs.trace`.\n"
+        "```\nfrom repro.obs.trace import load_trace\n```"
+    )
+    assert check_docs.main(name_repo(repo, tmp_path, text)) == 0
+    assert "every repro.… name resolves" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "repro.algebra.executor",  # a deleted module
+        "repro.engine.clock.SimulationEngine",  # nothing binds it
+        "repro.engine.clock.EngineConfig.cascade",  # no such class member
+        "repro.obs.trace.dump_trace",
+    ],
+)
+def test_dotted_name_that_does_not_resolve_fails(repo, tmp_path, capsys, name):
+    text = f"See `{name}` for details."
+    assert check_docs.main(name_repo(repo, tmp_path, text)) == 1
+    out = capsys.readouterr().out
+    assert f"docs/guide.md:3: `{name}` names no module" in out

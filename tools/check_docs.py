@@ -1,6 +1,7 @@
-"""Docs health gate: links resolve, anchors exist, knobs are documented.
+"""Docs health gate: links resolve, anchors exist, knobs are documented,
+named modules exist.
 
-Three checks over ``README.md`` and ``docs/**/*.md``:
+Four checks over ``README.md`` and ``docs/**/*.md``:
 
 1. **Intra-repo links** -- every relative link target must exist, and a
    ``#fragment`` into a markdown file must match one of that file's
@@ -18,6 +19,14 @@ Three checks over ``README.md`` and ``docs/**/*.md``:
 3. **No stale knob rows** -- the reverse: every row of the README's
    "Engine knobs" table must name an ``EngineConfig`` field, so deleting
    a knob without deleting its row fails the build too.
+
+4. **Dotted names resolve** -- every ``repro.…`` name (prose and code
+   blocks alike) must be a module or package under ``src/``, optionally
+   followed by a top-level name bound in that module (a ``def``,
+   ``class``, assignment or import), and, when that name is a class,
+   by names bound in the class body.  Modules are parsed with ``ast``,
+   never imported, so deleting a module or function the docs still
+   name fails the build.
 
     python tools/check_docs.py [--repo-root PATH]
 
@@ -180,6 +189,77 @@ def check_knob_coverage(md_files: list[str], repo_root: str) -> list[str]:
     return problems
 
 
+#: A dotted name rooted at the package.
+_REPRO_NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+
+
+def _module_path(src: str, parts: list[str]) -> str | None:
+    base = os.path.join(src, *parts)
+    for path in (os.path.join(base, "__init__.py"), base + ".py"):
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+def _bound(body: list[ast.stmt], name: str) -> ast.stmt | None:
+    """The statement of *body* binding *name*, ``None`` if none does."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        if name in names:
+            return node
+    return None
+
+
+def resolves(dotted: str, src: str) -> bool:
+    """Whether *dotted* names a module under *src* (the longest prefix
+    that is one) plus names bound in it -- through classes defined there."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        path = _module_path(src, parts[:cut])
+        if path is not None:
+            break
+    else:
+        return False
+    rest = parts[cut:]
+    if not rest:
+        return True
+    with open(path, encoding="utf-8") as fh:
+        body = ast.parse(fh.read(), filename=path).body
+    for name in rest:
+        node = _bound(body, name)
+        if node is None:
+            return False
+        if not isinstance(node, ast.ClassDef):
+            return True  # attributes of other values are not checked
+        body = node.body
+    return True
+
+
+def check_dotted_names(md_files: list[str], repo_root: str) -> list[str]:
+    src = os.path.join(repo_root, "src")
+    problems = []
+    for path in md_files:
+        rel = os.path.relpath(path, repo_root)
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                for name in _REPRO_NAME.findall(line):
+                    if not resolves(name, src):
+                        problems.append(
+                            f"{rel}:{lineno}: `{name}` names no module "
+                            "under src/, or nothing bound in it"
+                        )
+    return problems
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -200,8 +280,10 @@ def main(argv=None) -> int:
             print(f"ERROR: expected document missing: {path}")
         return 1
 
-    problems = check_links(md_files, root) + check_knob_coverage(
-        md_files, root
+    problems = (
+        check_links(md_files, root)
+        + check_knob_coverage(md_files, root)
+        + check_dotted_names(md_files, root)
     )
     for problem in problems:
         prefix = (
@@ -213,7 +295,8 @@ def main(argv=None) -> int:
         return 1
     print(
         f"docs ok: {len(md_files)} files, links and anchors resolve, "
-        "every EngineConfig field documented, no stale knob rows"
+        "every EngineConfig field documented, no stale knob rows, "
+        "every repro.… name resolves"
     )
     return 0
 
