@@ -4,16 +4,16 @@ The package implements the paper's full stack:
 
 * :mod:`repro.env`     -- the tagged environment relation and ``⊕``;
 * :mod:`repro.sgl`     -- the SGL scripting language (parser, restricted
-  SQL built-ins, reference semantics, static analysis);
+  SQL built-ins, reference semantics);
 * :mod:`repro.algebra` -- shape classification: which index each
   built-in aggregate can probe, how each action finds its targets;
-* :mod:`repro.indexes` -- layered range trees with fractional cascading,
-  divisible-aggregate trees (Figure 8), sweep-line min/max (Figure 9),
-  kD-trees, and categorical hash layers;
+* :mod:`repro.indexes` -- divisible-aggregate range trees with fractional
+  cascading (Figure 8), sweep-line min/max (Figure 9), kD-trees, and
+  categorical hash layers;
 * :mod:`repro.engine`  -- the discrete simulation engine: the SGL
-  compiler that lowers scripts to set-at-a-time closures (what
-  :func:`explain_script` prints, call site by call site) and the two
-  pluggable aggregate evaluators of Section 6;
+  compiler, the only script validator, which lowers scripts to
+  set-at-a-time closures (what :func:`explain_script` prints, call site
+  by call site), and the two pluggable aggregate evaluators of Section 6;
 * :mod:`repro.game`    -- the knights/archers/healers battle simulation
   with d20 mechanics (Section 3.2).
 

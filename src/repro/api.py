@@ -5,8 +5,8 @@ Most downstream users want one of three things:
 * **run the battle**: :func:`run_battle` / :class:`BattleSimulation`;
 * **script their own game**: :func:`compile_script` +
   :class:`~repro.engine.decision.GameDefinition` -- bring a schema, SQL
-  built-ins, and SGL scripts; get a naive/indexed engine, serial or
-  over process workers;
+  built-ins, and SGL scripts (validated by lowering them, as the engine
+  does); get a naive/indexed engine, serial or over process workers;
 * **explain a script**: :func:`explain_script` -- every call site as
   the engine compiles it: how each aggregate is evaluated, the index it
   probes and at what cost, and each built-in action's dispatch.
@@ -21,7 +21,6 @@ from .engine.compile import CallSite
 from .engine.decision import DecisionRunner, GameDefinition
 from .env.schema import Schema
 from .game.battle import BattleSimulation, BattleSummary
-from .sgl.analysis import analyze_script
 from .sgl.ast import Script
 from .sgl.builtins import AggregateFunction, FunctionRegistry
 from .sgl.parser import parse_script
@@ -30,9 +29,13 @@ from .sgl.parser import parse_script
 def compile_script(
     source: str, registry: FunctionRegistry, schema: Schema | None = None
 ) -> Script:
-    """Parse and validate an SGL script against *registry* (and *schema*)."""
+    """Parse an SGL script and validate it by lowering it, as the engine
+    does: unknown names, wrong arities and functions without a unit
+    parameter raise :class:`~repro.sgl.errors.SglError`s, and given
+    *schema*, so does a field read on ``main``'s unit that *schema*
+    lacks."""
     script = parse_script(source)
-    analyze_script(script, registry, schema)
+    DecisionRunner(script, registry, schema=schema)
     return script
 
 
@@ -99,9 +102,7 @@ def _aligned(table: list[tuple[str, ...]]) -> str:
 def explain_script(source: str, registry: FunctionRegistry) -> ExplainResult:
     """EXPLAIN for SGL, read off the script's :class:`DecisionRunner` as
     the default indexed engine builds it (deferred AoE on)."""
-    script = parse_script(source)
-    analyze_script(script, registry)
-    runner = DecisionRunner(script, registry, defer_aoe=True)
+    runner = DecisionRunner(parse_script(source), registry, defer_aoe=True)
     return ExplainResult(
         rows=[
             _explain_row(site, registry.aggregates[site.aggregate])

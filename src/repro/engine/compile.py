@@ -8,6 +8,13 @@ unoptimised executable semantics that ``tests/engine/test_compile.py``
 checks every closure against, value for value and exception class for
 exception class.
 
+Lowering is also the only script validator: the engine lowers a script
+before its first tick and :func:`repro.api.compile_script` lowers it to
+accept it, so both reject the same scripts with the same errors (unknown
+names and functions, wrong arities, a script function without a unit
+parameter).  Given the schema, ``compile_script`` also rejects a field
+read on the entry function's unit that the schema lacks.
+
 A term or condition closure takes one argument, its *frame*.  Names are
 resolved when the closure is built (:class:`Scope`) to a frame slot, a
 registry constant (captured by value) or an :class:`SglNameError`;
@@ -49,7 +56,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -98,7 +105,10 @@ class Scope:
     *hoist*, when set, takes each aggregate call site in a strict
     position -- ``(function, args_of)`` -- and returns the per-frame
     closure that reads its batch-evaluated value; *per_frame*, when set,
-    is told of each call site that is not hoisted (script lowering)."""
+    is told of each call site that is not hoisted (script lowering).
+    *unit*, when set, is ``(slot, attributes)``: the slot holding the
+    unit row and the attributes that row has, so a field read on that
+    slot naming another attribute is an :class:`SglNameError`."""
 
     slots: Mapping[str, int]
     constants: Mapping[str, object]
@@ -106,6 +116,7 @@ class Scope:
     row: str | None = None
     hoist: Hoist | None = None
     per_frame: Callable[[AggregateFunction], None] | None = None
+    unit: tuple[int, Collection[str]] | None = None
 
 
 def row_scope(constants: Mapping[str, object]) -> Scope:
@@ -180,6 +191,9 @@ def _compile_field(term: ast.FieldAccess, scope: Scope) -> Fn:
     if slot is None and (ident is None or ident != scope.row):
         inner = compile_term(base, scope)
         return lambda f: field_of(inner(f), attr)
+    if scope.unit is not None and slot == scope.unit[0]:
+        if attr not in scope.unit[1]:
+            raise SglNameError(f"unit has no attribute {attr!r}")
 
     def field(f):
         value = f if slot is None else f[slot]
@@ -457,10 +471,13 @@ def lower_script(
     script: ast.Script,
     registry: FunctionRegistry,
     builtin_action: Callable[[ActionFunction], ActionFn],
+    attributes: Collection[str] | None = None,
 ) -> tuple[Callable[[list, object], list[list]], tuple[CallSite, ...]]:
     """Lower every function of *script* to batch closures;
     *builtin_action* lowers one built-in action
-    (:func:`repro.engine.decision.compile_action`).
+    (:func:`repro.engine.decision.compile_action`).  Given the unit
+    row's *attributes*, a field read on ``main``'s unit parameter (not
+    rebound by a ``let``) naming another attribute is rejected.
 
     Returns ``(run, call_sites)``.  ``run(rts, by_key)`` runs ``main``
     over one batch, a unit per runtime record (``rt.unit``), and
@@ -474,8 +491,9 @@ def lower_script(
             f"entry function {main.name!r} must take exactly the unit"
         )
     lowering = _ScriptLowering(script, registry, builtin_action)
+    unit = None if attributes is None else (_HEADER, frozenset(attributes))
     for fn in script.functions.values():
-        lowering.function(fn)
+        lowering.function(fn, unit if fn is main else None)
     body, pad = lowering.bodies[main.name]
 
     def run(rts, by_key):
@@ -504,13 +522,21 @@ class _ScriptLowering:
         self.next_slot = 0
         self.current = ""  # the function being lowered
 
-    def function(self, fn: ast.FunctionDef) -> None:
+    def function(
+        self, fn: ast.FunctionDef, unit: tuple[int, Collection[str]] | None
+    ) -> None:
+        if not fn.params:
+            raise SglTypeError(f"function {fn.name!r} needs a unit parameter")
         first_let = self.next_slot = _HEADER + len(fn.params)
         self.current = fn.name
         scope = frame_scope(fn.params, self.registry, first=_HEADER)
         body = self.action(
             fn.body,
-            replace(scope, per_frame=lambda a: self.call_site(a, "per frame")),
+            replace(
+                scope,
+                per_frame=lambda a: self.call_site(a, "per frame"),
+                unit=unit,
+            ),
         )
         self.bodies[fn.name] = (body, (None,) * (self.next_slot - first_let))
 

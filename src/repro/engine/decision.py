@@ -64,7 +64,9 @@ class DecisionRunner:
 
     :attr:`call_sites` (each aggregate call site, as lowered) and
     :attr:`actions` (each built-in action's dispatch) are what EXPLAIN
-    prints (:func:`repro.api.explain_script`).
+    prints (:func:`repro.api.explain_script`).  Lowering validates the
+    script; given *schema*, also the unit attributes ``main`` reads
+    (:func:`~repro.engine.compile.lower_script`).
     """
 
     def __init__(
@@ -74,6 +76,7 @@ class DecisionRunner:
         *,
         index_actions: bool = True,
         defer_aoe: bool = False,
+        schema: Schema | None = None,
     ):
         self.script = script
         self._batch: _Batch | None = None
@@ -88,6 +91,7 @@ class DecisionRunner:
                 defer_aoe=defer_aoe,
                 dispatch=self.actions,
             ),
+            None if schema is None else schema.names,
         )
 
     def run_batch(

@@ -1,9 +1,8 @@
 """Index structures for aggregate queries (Section 5.3).
 
-* :class:`RangeTree` / :class:`LayeredRangeTree2D` -- orthogonal range
-  enumeration with optional fractional cascading;
 * :class:`AggRangeTree2D` / :class:`PrefixAggregate1D` -- divisible
-  aggregates at the leaves (Figure 8);
+  aggregates at the leaves (Figure 8), with optional fractional
+  cascading;
 * :func:`sweep_minmax` / :func:`sweep_arg_minmax` -- sweep-line min/max
   for constant range extents (Figure 9);
 * :class:`IntervalAggregateIndex` -- the segment tree backing the sweep;
@@ -23,7 +22,6 @@ from .divisible import MOMENT_AGGREGATES, Moments, MomentVector, is_divisible
 from .hash_layer import PartitionedIndex
 from .interval_agg import IntervalAggregateIndex
 from .kdtree import KDTree, build_kdtree_from_rows
-from .range_tree import LayeredRangeTree2D, RangeTree
 from .sweepline import sweep_arg_minmax, sweep_minmax
 
 __all__ = [
@@ -31,13 +29,11 @@ __all__ = [
     "GroupAggIndex",
     "IntervalAggregateIndex",
     "KDTree",
-    "LayeredRangeTree2D",
     "MOMENT_AGGREGATES",
     "Moments",
     "MomentVector",
     "PartitionedIndex",
     "PrefixAggregate1D",
-    "RangeTree",
     "build_kdtree_from_rows",
     "is_divisible",
     "partitioned_agg_tree",

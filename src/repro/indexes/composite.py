@@ -76,8 +76,7 @@ class GroupAggIndex:
     ):
         if len(range_attrs) > 2:
             raise ValueError(
-                "GroupAggIndex supports at most 2 continuous dimensions; "
-                "use the general RangeTree for more"
+                "GroupAggIndex supports at most 2 continuous dimensions"
             )
         self.range_attrs = range_attrs
         self._measures = list(measures)

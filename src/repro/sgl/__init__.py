@@ -8,11 +8,11 @@ Public surface:
   game constants, registered from the restricted SQL fragment;
 * :class:`Interpreter` / :func:`reference_tick` -- the reference
   semantics of Section 4.3, the oracle the compiled engine
-  (:mod:`repro.engine.compile`) is tested against;
-* :func:`analyze_script` -- static validation + optimizer inventories.
+  (:mod:`repro.engine.compile`) is tested against.
+
+Scripts are validated by lowering them (:func:`repro.api.compile_script`).
 """
 
-from .analysis import AggregateCallSite, ScriptAnalysis, analyze_script
 from .builtins import ActionFunction, AggregateFunction, FunctionRegistry
 from .errors import (
     SglError,
@@ -36,14 +36,12 @@ from .values import Record, Vec
 __all__ = [
     "ActionFunction",
     "AggOutput",
-    "AggregateCallSite",
     "AggregateFunction",
     "EvalContext",
     "FunctionRegistry",
     "Interpreter",
     "NaiveAggregateEvaluator",
     "Record",
-    "ScriptAnalysis",
     "SglError",
     "SglNameError",
     "SglRuntimeError",
@@ -52,7 +50,6 @@ __all__ = [
     "SqlActionSpec",
     "SqlAggregateSpec",
     "Vec",
-    "analyze_script",
     "eval_cond",
     "eval_term",
     "parse_action",

@@ -12,9 +12,9 @@ are arithmetic over constants, unit attributes, ``Random(i)``, aggregate
 function calls, and 2-d vector literals ``(t1, t2)`` (used by Figure 3's
 ``away_vector``).
 
-All nodes are frozen dataclasses so that compiled scripts are immutable
-and can safely be shared between the reference interpreter, the algebra
-translator, and static analysis.
+All nodes are frozen dataclasses so that parsed scripts are immutable
+and can safely be shared between the reference interpreter and the
+compiler (:mod:`repro.engine.compile`).
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ class Call(Term):
     """A function call: aggregate, math builtin, or ``Random``.
 
     Which of those it is gets resolved against the
-    :class:`~repro.sgl.builtins.FunctionRegistry` during analysis; the
-    parser cannot tell them apart syntactically.
+    :class:`~repro.sgl.builtins.FunctionRegistry` when the script is
+    lowered; the parser cannot tell them apart syntactically.
     """
 
     name: str
@@ -288,11 +288,8 @@ TermLike = Union[Term, Cond]
 
 
 def walk_terms(node: Union[Term, Cond, Action]) -> list[Term]:
-    """All term nodes reachable from *node*, in preorder.
-
-    Used by static analysis to inventory aggregate calls and attribute
-    references without each pass re-implementing traversal.
-    """
+    """All term nodes reachable from *node* (the compiler's differential
+    tests read the names and calls of a term or script off it)."""
     out: list[Term] = []
     stack: list[Union[Term, Cond, Action]] = [node]
     while stack:

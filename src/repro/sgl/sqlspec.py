@@ -17,7 +17,8 @@ This module defines the spec dataclasses for both shapes, a parser for
 the SQL text (so Figure 4/5 can be transcribed verbatim), and the *naive*
 evaluation of specs by scanning the environment -- the O(n)-per-call
 baseline of Section 6.  Index-accelerated evaluation lives in
-:mod:`repro.engine.evaluator` and :mod:`repro.algebra.plans`.
+:mod:`repro.engine.evaluator`, over the shapes :mod:`repro.algebra.shapes`
+classifies.
 
 Name-resolution conventions (documented for script authors):
 

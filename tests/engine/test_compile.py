@@ -277,6 +277,7 @@ class TestStaticErrors:
             ("main(u) { if 1 = 2 then (let a = b) perform UseWeapon(u) }",
              SglNameError),
             ("main(u, v) { }", SglTypeError),
+            ("main(u) { perform H() } H() { }", SglTypeError),
         ],
     )
     def test_script_errors_are_eager(self, src, error, registry):

@@ -26,7 +26,7 @@ from repro.game.scripts import (
 )
 from repro.game.units import UNIT_TYPES
 from repro.sgl.builtins import AggregateFunction, FunctionRegistry
-from repro.sgl.errors import SglNameError
+from repro.sgl.errors import SglNameError, SglTypeError
 
 
 class TestCompileScript:
@@ -39,6 +39,86 @@ class TestCompileScript:
     def test_invalid_rejected(self, registry):
         with pytest.raises(SglNameError):
             compile_script("main(u) { perform Nothing(u) }", registry)
+
+    @pytest.mark.parametrize(
+        "source, error",
+        [
+            pytest.param(
+                "main(u) { (let c = CountEnemiesInRange(u, u.range)) "
+                "if c > 0 then perform UseWeapon(u) }",
+                None, id="valid",
+            ),
+            pytest.param(
+                "main(u) { if x > 0 then perform UseWeapon(u) }",
+                SglNameError, id="unbound_name",
+            ),
+            pytest.param(
+                "main(u) { if 1 = 1 then (let x = 1) perform UseWeapon(u); "
+                "if x > 0 then perform UseWeapon(u) }",
+                SglNameError, id="let_scoping_is_downward_only",
+            ),
+            pytest.param(
+                "main(u) { (let c = Mystery(u)) perform UseWeapon(u) }",
+                SglNameError, id="unknown_aggregate",
+            ),
+            pytest.param(
+                "main(u) { perform Mystery(u) }",
+                SglNameError, id="unknown_action",
+            ),
+            pytest.param(
+                "main(u) { (let c = CountEnemiesInRange(u)) "
+                "perform UseWeapon(u) }",
+                SglTypeError, id="aggregate_arity",
+            ),
+            pytest.param(
+                "main(u) { perform FireAt(u) }",
+                SglTypeError, id="action_arity",
+            ),
+            pytest.param(
+                "main(u) { perform Helper(u, 1) } Helper(w) { }",
+                SglTypeError, id="defined_function_arity",
+            ),
+            pytest.param(
+                "main(u) { (let r = Random(1, 2, 3)) perform UseWeapon(u) }",
+                SglTypeError, id="random_arity",
+            ),
+            pytest.param(
+                "main() { }", SglTypeError, id="function_needs_unit_param"
+            ),
+            pytest.param(
+                "main(u) { perform H() } H() { }",
+                SglTypeError, id="helper_needs_unit_param",
+            ),
+            pytest.param(
+                "main(u) { if u.health < _HEAL_AURA then "
+                "perform UseWeapon(u) }",
+                None, id="constants_are_bound",
+            ),
+            pytest.param(
+                "main(u) { if u.nosuchattr > 0 then perform UseWeapon(u) }",
+                SglNameError, id="unknown_unit_attribute",
+            ),
+            pytest.param(
+                "main(u) { (let u = NearestEnemy(u)) "
+                "if u.nosuchattr > 0 then perform UseWeapon(u) }",
+                None, id="let_rebound_unit_is_not_checked",
+            ),
+            pytest.param(
+                "main(u) { perform H(u) } "
+                "H(w) { if w.nosuchattr > 0 then perform UseWeapon(w) }",
+                None, id="helper_parameter_is_not_checked",
+            ),
+            pytest.param(KNIGHT_SCRIPT, None, id="knight"),
+            pytest.param(ARCHER_SCRIPT, None, id="archer"),
+            pytest.param(HEALER_SCRIPT, None, id="healer"),
+        ],
+    )
+    def test_validation(self, source, error, registry, schema):
+        if error is None:
+            compile_script(source, registry, schema)
+        else:
+            with pytest.raises(error):
+                compile_script(source, registry, schema)
 
 
 

@@ -116,3 +116,23 @@ def test_dotted_name_that_does_not_resolve_fails(repo, tmp_path, capsys, name):
     assert check_docs.main(name_repo(repo, tmp_path, text)) == 1
     out = capsys.readouterr().out
     assert f"docs/guide.md:3: `{name}` names no module" in out
+
+
+@pytest.mark.parametrize(
+    "name, ok",
+    [
+        ("repro.obs.trace.load_trace", True),
+        ("repro.sgl.analysis", False),  # a deleted module
+        ("repro.obs.trace.dump_trace", False),
+    ],
+)
+def test_dotted_names_in_source_files_are_checked(
+    repo, tmp_path, capsys, name, ok
+):
+    args = name_repo(repo, tmp_path, "No names here.")
+    (tmp_path / "src" / "repro" / "obs" / "replay.py").write_text(
+        f'"""Replays a trace.\n\nSee :mod:`{name}`.\n"""\n'
+    )
+    assert check_docs.main(args) == (0 if ok else 1)
+    out = capsys.readouterr().out
+    assert (f"src/repro/obs/replay.py:3: `{name}` names no module" in out) != ok

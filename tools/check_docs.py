@@ -1,7 +1,8 @@
 """Docs health gate: links resolve, anchors exist, knobs are documented,
 named modules exist.
 
-Four checks over ``README.md`` and ``docs/**/*.md``:
+Four checks over ``README.md`` and ``docs/**/*.md`` (the fourth also
+over the code under ``src/``):
 
 1. **Intra-repo links** -- every relative link target must exist, and a
    ``#fragment`` into a markdown file must match one of that file's
@@ -21,12 +22,13 @@ Four checks over ``README.md`` and ``docs/**/*.md``:
    a knob without deleting its row fails the build too.
 
 4. **Dotted names resolve** -- every ``repro.…`` name (prose and code
-   blocks alike) must be a module or package under ``src/``, optionally
+   blocks alike, and every line of ``src/**/*.py``, so docstrings and
+   comments too) must be a module or package under ``src/``, optionally
    followed by a top-level name bound in that module (a ``def``,
    ``class``, assignment or import), and, when that name is a class,
    by names bound in the class body.  Modules are parsed with ``ast``,
-   never imported, so deleting a module or function the docs still
-   name fails the build.
+   never imported, so deleting a module or function the docs or the
+   code still name fails the build.
 
     python tools/check_docs.py [--repo-root PATH]
 
@@ -280,10 +282,13 @@ def main(argv=None) -> int:
             print(f"ERROR: expected document missing: {path}")
         return 1
 
+    py_files = sorted(
+        glob.glob(os.path.join(root, "src", "**", "*.py"), recursive=True)
+    )
     problems = (
         check_links(md_files, root)
         + check_knob_coverage(md_files, root)
-        + check_dotted_names(md_files, root)
+        + check_dotted_names(md_files + py_files, root)
     )
     for problem in problems:
         prefix = (
@@ -294,7 +299,8 @@ def main(argv=None) -> int:
     if problems:
         return 1
     print(
-        f"docs ok: {len(md_files)} files, links and anchors resolve, "
+        f"docs ok: {len(md_files)} docs and {len(py_files)} source files, "
+        "links and anchors resolve, "
         "every EngineConfig field documented, no stale knob rows, "
         "every repro.… name resolves"
     )
