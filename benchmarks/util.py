@@ -29,8 +29,6 @@ def tick_seconds(
     density: float = 0.01,
     seed: int = 0,
     formation: str = "uniform",
-    optimize_aoe: bool = True,
-    cascade: bool = True,
 ) -> float:
     """Mean wall-clock seconds per tick for one battle configuration."""
     sim = BattleSimulation(
@@ -39,8 +37,6 @@ def tick_seconds(
         mode=mode,
         seed=seed,
         formation=formation,
-        optimize_aoe=optimize_aoe,
-        cascade=cascade,
     )
     start = time.perf_counter()
     sim.run(ticks)

@@ -46,7 +46,7 @@ def translate_script(script, registry):
     when that stage does."""
     from ..engine.decision import DecisionRunner  # the layer above
 
-    return DecisionRunner(script, registry, defer_aoe=True)
+    return DecisionRunner(script, registry)
 
 
 def optimize(runner, registry):

@@ -101,8 +101,8 @@ def _aligned(table: list[tuple[str, ...]]) -> str:
 
 def explain_script(source: str, registry: FunctionRegistry) -> ExplainResult:
     """EXPLAIN for SGL, read off the script's :class:`DecisionRunner` as
-    the default indexed engine builds it (deferred AoE on)."""
-    runner = DecisionRunner(parse_script(source), registry, defer_aoe=True)
+    the default indexed engine builds it."""
+    runner = DecisionRunner(parse_script(source), registry)
     return ExplainResult(
         rows=[
             _explain_row(site, registry.aggregates[site.aggregate])

@@ -74,6 +74,7 @@ from ..algebra.shapes import ActionShape, classify_action
 from ..env.combine import combine_all
 from ..env.sharding import (
     EpochUpdate,
+    ShardFn,
     encode_replica_delta,
     make_sharder,
     partition_rows,
@@ -167,12 +168,9 @@ class EngineConfig:
 
     Evaluation (Section 6):
 
-    * ``mode`` -- ``"indexed"`` probes the Section 5.3 structures,
-      ``"naive"`` scans ``E`` for every aggregate;
-    * ``optimize_aoe`` -- defer area effects to the ⊕ optimisation of
-      Section 5.4 (indexed mode only);
-    * ``cascade`` -- fractional cascading in the layered range trees
-      (off = the A-FC ablation);
+    * ``mode`` -- ``"indexed"`` probes the Section 5.3 structures and
+      defers area effects to the ⊕ optimisation of Section 5.4,
+      ``"naive"`` scans ``E`` for every aggregate and action;
     * ``seed`` -- seed of the counter-mode random function.
 
     Index maintenance between ticks (indexed mode only):
@@ -276,8 +274,6 @@ class EngineConfig:
     """
 
     mode: str = "indexed"
-    optimize_aoe: bool = True
-    cascade: bool = True
     seed: int = 0
     index_maintenance: str = "rebuild"
     num_shards: int = 1
@@ -336,6 +332,10 @@ class SimulationEngine:
             )
         if cfg.parallelism not in ("serial", "processes"):
             raise ValueError(f"unknown parallelism {cfg.parallelism!r}")
+        if cfg.max_workers is not None and cfg.max_workers < 1:
+            raise ValueError(
+                f"max_workers must be None or >= 1, got {cfg.max_workers!r}"
+            )
         self._worker_endpoints = None
         if cfg.workers != "local":
             if isinstance(cfg.workers, str):
@@ -364,11 +364,7 @@ class SimulationEngine:
         self.rng = TickRandom(cfg.seed, key_attr=env.schema.key)
         self.tick_count = 0
         self._shard_conf = (cfg.shard_by, cfg.num_shards, cfg.spatial_extent)
-        self.shard_of = make_sharder(
-            cfg.shard_by,
-            cfg.num_shards,
-            extent=cfg.spatial_extent,
-        )
+        self.shard_of = self._sharder(self._shard_conf)
         self._processes = cfg.parallelism == "processes" and cfg.num_shards > 1
         self._pool = None  # ReplicaWorkerPool | None
 
@@ -405,8 +401,6 @@ class SimulationEngine:
             game,
             self.rng,
             mode=cfg.mode,
-            optimize_aoe=cfg.optimize_aoe,
-            cascade=cfg.cascade,
             maintenance=cfg.index_maintenance,
         )
         self.agg_eval = self.decision.agg_eval
@@ -448,8 +442,6 @@ class SimulationEngine:
             cfg = self.config
             payload = {
                 "mode": cfg.mode,
-                "optimize_aoe": cfg.optimize_aoe,
-                "cascade": cfg.cascade,
                 "seed": cfg.seed,
                 "shard_conf": self._shard_conf,
             }
@@ -705,9 +697,7 @@ class SimulationEngine:
         conf = (cfg.shard_by, cfg.num_shards, cfg.spatial_extent)
         if conf == self._shard_conf:
             return
-        shard_of = make_sharder(
-            cfg.shard_by, cfg.num_shards, extent=cfg.spatial_extent
-        )
+        shard_of = self._sharder(conf)
         if self._worker_endpoints is not None and cfg.num_shards < 2:
             # same guard as construction: dropping to one shard would
             # run decisions in-process and silently idle the fleet
@@ -723,6 +713,18 @@ class SimulationEngine:
         )
         self._pending_delta = None
         self._update = EpochUpdate(self.tick_count + 1, self.env.rows, conf)
+
+    def _sharder(self, conf: tuple) -> ShardFn:
+        """The ``row -> shard id`` function of layout *conf*; a shard key
+        that is neither ``"spatial"`` nor a schema attribute is a
+        ``ValueError`` naming it."""
+        shard_by, num_shards, extent = conf
+        if shard_by != "spatial" and shard_by not in self.env.schema:
+            raise ValueError(
+                f"shard_by {shard_by!r} is neither 'spatial' nor an "
+                f"attribute of the schema"
+            )
+        return make_sharder(shard_by, num_shards, extent=extent)
 
     # -- pipeline stages ------------------------------------------------------------
 

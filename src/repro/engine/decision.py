@@ -27,14 +27,14 @@ dispatch:
 * ``key`` actions resolve their target through a per-tick ``key → row``
   hash instead of scanning E (so a ``perform FireAt`` is O(1), keeping
   the engine's per-tick cost in the aggregates where the paper puts it);
-* ``aoe`` actions can be *deferred*: instead of emitting one effect row
+* ``aoe`` actions are *deferred*: instead of emitting one effect row
   per unit in the area, the performer registers its center of effect and
   the post-decision resolver of :mod:`repro.engine.effects` computes the
   combined field per unit (the ⊕ optimisation of Section 5.4);
 * ``scan`` actions run the naive Eq.-(4) evaluation.
 
-The naive engine configuration uses scan for everything, matching the
-paper's baseline.
+That is the indexed lowering; the naive engine lowers every action to
+scan, matching the paper's baseline.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ class DecisionRunner:
     """Executes one script's decisions for many units, appending effect
     rows (and deferred AoE records) to shared per-tick collections.
 
+    *indexed* picks the action lowering of :func:`compile_action`: the
+    indexed engine's (the default) or the naive engine's.
     :attr:`call_sites` (each aggregate call site, as lowered) and
     :attr:`actions` (each built-in action's dispatch) are what EXPLAIN
     prints (:func:`repro.api.explain_script`).  Lowering validates the
@@ -74,8 +76,7 @@ class DecisionRunner:
         script: ast.Script,
         registry: FunctionRegistry,
         *,
-        index_actions: bool = True,
-        defer_aoe: bool = False,
+        indexed: bool = True,
         schema: Schema | None = None,
     ):
         self.script = script
@@ -85,11 +86,7 @@ class DecisionRunner:
             script,
             registry,
             lambda fn: compile_action(
-                fn,
-                registry,
-                index_actions=index_actions,
-                defer_aoe=defer_aoe,
-                dispatch=self.actions,
+                fn, registry, indexed=indexed, dispatch=self.actions
             ),
             None if schema is None else schema.names,
         )
@@ -254,8 +251,10 @@ class DecisionStage:
     object plus its replica of ``E`` and its transport loop.  Per tick,
     :meth:`begin_tick` arms the evaluator for the tick-start ``E`` and
     :meth:`decide` runs every given shard's units, one batch per script.
-    ``mode="indexed"`` probes the Section 5.3 structures (*maintenance*
-    is the evaluator's rebuild-or-patch policy), ``"naive"`` scans.
+    ``mode="indexed"`` probes the Section 5.3 structures and lowers
+    actions to key lookups and deferred area effects (*maintenance* is
+    the evaluator's rebuild-or-patch policy); ``"naive"`` scans for
+    both.
     """
 
     def __init__(
@@ -264,18 +263,14 @@ class DecisionStage:
         rng: TickRandom,
         *,
         mode: str = "indexed",
-        optimize_aoe: bool = True,
-        cascade: bool = True,
         maintenance: str = "rebuild",
     ):
         self.game = game
         self.rng = rng
         self.indexed = mode == "indexed"
-        self._defer_aoe = self.indexed and optimize_aoe
         self.agg_eval = (
             IndexedEvaluator(
                 game.registry,
-                cascade=cascade,
                 key_attr=game.schema.key,
                 maintenance=maintenance,
             )
@@ -291,8 +286,7 @@ class DecisionStage:
             runner = self._runners[selector_value] = DecisionRunner(
                 self.game.scripts[selector_value],
                 self.game.registry,
-                index_actions=self.indexed,
-                defer_aoe=self._defer_aoe,
+                indexed=self.indexed,
             )
         return runner
 
@@ -343,13 +337,17 @@ def compile_action(
     builtin: ActionFunction,
     registry: FunctionRegistry,
     *,
-    index_actions: bool = True,
-    defer_aoe: bool = False,
+    indexed: bool = True,
     dispatch: dict[str, str] | None = None,
 ) -> ActionFn:
     """Lower one built-in action to ``(rt, args, by_key, out_rows, out_aoe)``;
     the dispatch it chose -- ``key``, ``deferred aoe``, ``scan`` or
-    ``native`` -- goes to *dispatch* under the action's name."""
+    ``native`` -- goes to *dispatch* under the action's name.
+
+    *indexed* lowers a ``key`` action to a ``by_key`` lookup and an
+    ``aoe`` action to a deferred :class:`AoeRecord`, as the indexed
+    engine runs them; otherwise, as in the naive engine, every spec
+    action is a scan."""
     name = builtin.name
     spec = builtin.spec
     params = builtin.params
@@ -370,7 +368,7 @@ def compile_action(
 
     if native is not None:
         return chose("native", everywhere)
-    if not index_actions:
+    if not indexed:
         return chose("scan", everywhere)
     shape = classify_action(spec)
     probe = Probe(shape, params, registry)
@@ -400,7 +398,7 @@ def compile_action(
 
         return chose("key", key_action)
 
-    if shape.kind == "aoe" and defer_aoe:
+    if shape.kind == "aoe":
         attr = shape.effect_attr
         guard = probe.guard
         value_of = compile_term(shape.value_term, probe.scope)

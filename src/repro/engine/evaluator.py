@@ -177,14 +177,12 @@ class IndexedEvaluator:
         self,
         registry: FunctionRegistry,
         *,
-        cascade: bool = True,
         key_attr: str = "key",
         maintenance: str = "rebuild",
     ):
         if maintenance not in ("rebuild", "incremental", "auto"):
             raise ValueError(f"unknown maintenance mode {maintenance!r}")
         self.registry = registry
-        self.cascade = cascade
         self.key_attr = key_attr
         self.maintenance = maintenance
         self._compiled: dict[str, _CompiledShape] = {}
@@ -589,7 +587,6 @@ class IndexedEvaluator:
                     range_attrs,
                     measures,
                     squares=squares,
-                    cascade=self.cascade,
                 ),
                 row_insert=GroupAggIndex.insert,
                 row_delete=GroupAggIndex.delete,

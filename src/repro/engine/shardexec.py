@@ -166,8 +166,6 @@ class _WorkerState:
             game,
             TickRandom(int(payload["seed"]), key_attr=game.schema.key),
             mode=str(payload["mode"]),
-            optimize_aoe=bool(payload["optimize_aoe"]),
-            cascade=bool(payload["cascade"]),
             maintenance="auto",
         )
         self._adopt_shard_conf(payload["shard_conf"])

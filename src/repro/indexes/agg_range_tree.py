@@ -188,8 +188,9 @@ class AggRangeTree2D:
         Per measure, whether to keep its ``Σv²`` prefix (needed only
         for var/stddev); ``None`` keeps every one.
     cascade:
-        Enable fractional cascading (bridge pointers); disable for the
-        A-FC ablation benchmark.
+        Enable fractional cascading (bridge pointers).  The engine
+        always cascades; only the A-FC ablation bench and the tree
+        tests pass ``False``.
     """
 
     def __init__(

@@ -72,7 +72,6 @@ class GroupAggIndex:
         measures: Sequence[Callable[[Row], float]],
         *,
         squares: Sequence[bool] | None = None,
-        cascade: bool = True,
     ):
         if len(range_attrs) > 2:
             raise ValueError(
@@ -101,7 +100,6 @@ class GroupAggIndex:
                 [row[ay] for row in rows],
                 columns,
                 squares=squares,
-                cascade=cascade,
             )
 
     # -- incremental maintenance --------------------------------------------------
@@ -183,12 +181,10 @@ def partitioned_agg_tree(
     cat_attrs: tuple[str, ...],
     range_attrs: tuple[str, ...],
     measures: Sequence[Callable[[Row], float]],
-    *,
-    cascade: bool = True,
 ) -> PartitionedIndex[GroupAggIndex]:
     """Hash layer → :class:`GroupAggIndex` per category group."""
 
     def factory(group: list[Row]) -> GroupAggIndex:
-        return GroupAggIndex(group, range_attrs, measures, cascade=cascade)
+        return GroupAggIndex(group, range_attrs, measures)
 
     return PartitionedIndex(rows, cat_attrs, factory)

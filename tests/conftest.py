@@ -6,7 +6,10 @@ import random
 
 import pytest
 
+from repro.algebra.shapes import classify_action
+from repro.engine.effects import resolve_aoe
 from repro.engine.rng import TickRandom
+from repro.env.combine import combine_all
 from repro.env.schema import battle_schema
 from repro.env.table import EnvironmentTable
 from repro.game.scripts import build_registry
@@ -38,6 +41,31 @@ def make_env(schema, n=24, grid=40, seed=0, types=("knight", "archer", "healer")
             unit_row(key, key % 2, types[key % len(types)], x, y, schema=schema)
         )
     return env
+
+
+def action_shapes(registry):
+    """Each spec action's shape, as the engine hands them to
+    :func:`~repro.engine.effects.resolve_aoe`."""
+    return {
+        name: classify_action(fn.spec)
+        for name, fn in registry.actions.items()
+        if fn.spec is not None
+    }
+
+
+def combine_effects(env, registry, rows, aoe=()):
+    """``E ⊕ effects``: *env* combined with effect *rows* and with the
+    rows the deferred AoE records *aoe* resolve to -- the table one
+    tick's decisions reach, whichever lowering emitted them."""
+    effects = EnvironmentTable(env.schema)
+    effects.rows.extend(rows)
+    effects.rows.extend(
+        resolve_aoe(
+            aoe, env.rows, env.schema, action_shapes(registry),
+            registry.constants,
+        )
+    )
+    return combine_all([env, effects], env.schema)
 
 
 @pytest.fixture()

@@ -47,9 +47,7 @@ def in_batches(runner, units, rt, by_key, size):
 
 
 def check_batches(script, env, registry, *, indexed):
-    runner = DecisionRunner(
-        script, registry, index_actions=indexed, defer_aoe=indexed
-    )
+    runner = DecisionRunner(script, registry, indexed=indexed)
     agg_eval = IndexedEvaluator(registry) if indexed else NaiveEvaluator()
     if indexed:
         agg_eval.begin_tick(env)

@@ -33,8 +33,6 @@ from repro.engine.compile import (
 from repro.engine.decision import DecisionRunner, compile_action
 from repro.engine.evaluator import IndexedEvaluator, NaiveEvaluator
 from repro.engine.rng import TickRandom
-from repro.env.combine import combine_all
-from repro.env.table import EnvironmentTable
 from repro.game import scripts as game_scripts
 from repro.sgl import ast
 from repro.sgl.errors import SglError, SglNameError, SglRuntimeError, SglTypeError
@@ -43,7 +41,7 @@ from repro.sgl.interp import reference_tick
 from repro.sgl.parser import parse_condition, parse_script, parse_term
 from repro.sgl.sqlspec import apply_action_scan
 from repro.sgl.values import Record, Vec
-from tests.conftest import make_env
+from tests.conftest import combine_effects, make_env
 
 # ---------------------------------------------------------------------------
 # Harness
@@ -326,19 +324,18 @@ FIXTURE_SCRIPTS = {
 
 
 def run_compiled(script, env, registry, rng, *, indexed):
-    runner = DecisionRunner(script, registry, index_actions=indexed)
+    runner = DecisionRunner(script, registry, indexed=indexed)
     agg_eval = IndexedEvaluator(registry) if indexed else NaiveEvaluator()
     if indexed:
         agg_eval.begin_tick(env)
     rows: list = []
+    aoe: list = []
     by_key = env.by_key() if indexed else None
 
     rt = EvalContext(env=env, registry=registry, agg_eval=agg_eval, rng=rng)
     for unit in env.rows:
-        runner.run_unit(unit, rt, by_key, rows, [])
-    effects = EnvironmentTable(env.schema)
-    effects.rows.extend(rows)
-    return combine_all([env, effects], env.schema)
+        runner.run_unit(unit, rt, by_key, rows, aoe)
+    return combine_effects(env, registry, rows, aoe)
 
 
 def check_script(script, env, registry, *, indexed):
@@ -515,33 +512,22 @@ class TestSqlBuiltins:
                         f"{fn.name}: {term}",
                     )
 
-    @pytest.mark.parametrize("defer_aoe", [False, True])
-    def test_actions_match_the_scan(self, defer_aoe, schema, registry):
-        from repro.engine.effects import resolve_aoe
-
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_actions_match_the_scan(self, indexed, schema, registry):
         env = make_env(schema, n=16, grid=10, seed=6)
         by_key = env.by_key()
         rng = TickRandom(5, tick=2)
-        shapes = {n: classify_action(f.spec) for n, f in registry.actions.items()}
         for fn in registry.actions.values():
-            action = compile_action(fn, registry, defer_aoe=defer_aoe)
+            action = compile_action(fn, registry, indexed=indexed)
             for unit in env.rows:
                 args = args_for(fn, unit)
                 rt = EvalContext(env=env, registry=registry,
                                  agg_eval=NaiveEvaluator(), rng=rng, unit=unit)
                 rows, aoe = [], []
                 action(rt, args, by_key, rows, aoe)
-                rows += resolve_aoe(
-                    aoe, env.rows, schema, shapes, registry.constants
-                )
                 want = apply_action_scan(fn.spec, dict(zip(fn.params, args)), rt)
-
-                def table(effect_rows):
-                    t = EnvironmentTable(schema)
-                    t.rows.extend(effect_rows)
-                    return combine_all([env, t], schema)
-
-                assert table(rows) == table(want), fn.name
+                assert combine_effects(env, registry, rows, aoe) == \
+                    combine_effects(env, registry, want), fn.name
 
 
 class TestRowClosureRegressions:

@@ -1,30 +1,27 @@
 """DecisionRunner: the engine's set-at-a-time script execution.
 
-Must agree with the reference Interpreter for every action-application
-strategy (scan, key-lookup, deferred AoE handled in effects tests).
+Must agree with the reference Interpreter under both action lowerings:
+scan, and the indexed engine's key lookup and deferred AoE (whose
+records are resolved before ⊕).
 """
 
 import pytest
 
 from repro.engine.decision import DecisionRunner
 from repro.engine.evaluator import NaiveEvaluator
-from repro.env.combine import combine_all
-from repro.env.table import EnvironmentTable
 from repro.sgl.errors import SglNameError
 from repro.sgl.evalterm import EvalContext
 from repro.sgl.interp import reference_tick
 from repro.sgl.parser import parse_script
-from tests.conftest import make_env
+from tests.conftest import combine_effects, make_env
 
 
-def run_tick(script_src, env, registry, *, index_actions):
+def run_tick(script_src, env, registry, *, indexed):
     script = parse_script(script_src)
-    runner = DecisionRunner(
-        script, registry, index_actions=index_actions, defer_aoe=False
-    )
+    runner = DecisionRunner(script, registry, indexed=indexed)
     rng = lambda row, i: (hash((row["key"], i)) & 0xFFFF)  # noqa: E731
     rows, aoe = [], []
-    by_key = env.by_key() if index_actions else None
+    by_key = env.by_key() if indexed else None
 
     rt = EvalContext(
         env=env, registry=registry, agg_eval=NaiveEvaluator(), rng=rng
@@ -32,52 +29,50 @@ def run_tick(script_src, env, registry, *, index_actions):
 
     for unit in env.rows:
         runner.run_unit(unit, rt, by_key, rows, aoe)
-    effects = EnvironmentTable(env.schema)
-    effects.rows.extend(rows)
-    return combine_all([env, effects], env.schema), rng
+    return combine_effects(env, registry, rows, aoe), rng
 
 
-@pytest.mark.parametrize("index_actions", [True, False])
+@pytest.mark.parametrize("indexed", [True, False])
 class TestAgainstReference:
-    def check(self, src, registry, schema, index_actions, n=14, seed=0):
+    def check(self, src, registry, schema, indexed, n=14, seed=0):
         env = make_env(schema, n=n, seed=seed)
-        got, rng = run_tick(src, env, registry, index_actions=index_actions)
+        got, rng = run_tick(src, env, registry, indexed=indexed)
         script = parse_script(src)
         expected = reference_tick(env, lambda u: script, registry, rng)
         assert got == expected
 
-    def test_self_move(self, registry, schema, index_actions):
+    def test_self_move(self, registry, schema, indexed):
         self.check(
             "main(u) { perform MoveInDirection(u, 1, 2) }",
-            registry, schema, index_actions,
+            registry, schema, indexed,
         )
 
-    def test_fire_at_nearest(self, registry, schema, index_actions):
+    def test_fire_at_nearest(self, registry, schema, indexed):
         self.check(
             "main(u) { (let t = NearestEnemy(u)) perform FireAt(u, t.key); "
             "perform UseWeapon(u) }",
-            registry, schema, index_actions,
+            registry, schema, indexed,
         )
 
-    def test_heal_scan_path(self, registry, schema, index_actions):
+    def test_heal_scan_path(self, registry, schema, indexed):
         self.check(
             "main(u) { if u.unittype = 'healer' then perform Heal(u) }",
-            registry, schema, index_actions,
+            registry, schema, indexed,
         )
 
-    def test_conditionals_and_sequences(self, registry, schema, index_actions):
+    def test_conditionals_and_sequences(self, registry, schema, indexed):
         self.check(
             "main(u) { if u.player = 0 then { "
             "perform MoveInDirection(u, 1, 0); perform UseWeapon(u) } "
             "else perform MoveInDirection(u, 0 - 1, 0) }",
-            registry, schema, index_actions,
+            registry, schema, indexed,
         )
 
-    def test_defined_function_dispatch(self, registry, schema, index_actions):
+    def test_defined_function_dispatch(self, registry, schema, indexed):
         self.check(
             "main(u) { perform Go(u, 3) } "
             "Go(w, dist) { perform MoveInDirection(w, dist, dist) }",
-            registry, schema, index_actions,
+            registry, schema, indexed,
         )
 
 
@@ -89,7 +84,7 @@ class TestKeyActionPath:
             row["player"] = 0  # no enemies: NearestEnemy is NULL
         got, _ = run_tick(
             "main(u) { (let t = NearestEnemy(u)) perform FireAt(u, t.key) }",
-            env, registry, index_actions=True,
+            env, registry, indexed=True,
         )
         assert all(row["damage"] == 0 for row in got)
 
@@ -97,7 +92,7 @@ class TestKeyActionPath:
         env = make_env(schema, n=4)
         got, _ = run_tick(
             "main(u) { perform FireAt(u, 9999) }",
-            env, registry, index_actions=True,
+            env, registry, indexed=True,
         )
         assert all(row["damage"] == 0 for row in got)
 
@@ -105,4 +100,4 @@ class TestKeyActionPath:
         env = make_env(schema, n=2)
         with pytest.raises(SglNameError):
             run_tick("main(u) { perform Warp(u) }", env, registry,
-                     index_actions=True)
+                     indexed=True)

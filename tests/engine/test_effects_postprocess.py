@@ -2,32 +2,19 @@
 
 import pytest
 
-from repro.algebra.shapes import classify_action
 from repro.engine.decision import DecisionRunner
 from repro.engine.effects import AoeRecord, resolve_aoe
 from repro.engine.evaluator import NaiveEvaluator
 from repro.engine.postprocess import example_41_postprocess
 from repro.engine.rng import TickRandom
-from repro.env.combine import combine_all
-from repro.env.table import EnvironmentTable
 from repro.sgl.evalterm import EvalContext
 from repro.sgl.parser import parse_script
-from tests.conftest import make_env
+from tests.conftest import action_shapes, combine_effects, make_env
 
 
-def heal_shapes(registry):
-    return {
-        name: classify_action(fn.spec)
-        for name, fn in registry.actions.items()
-        if fn.spec is not None
-    }
-
-
-def run_decisions(script_src, env, registry, *, defer_aoe):
+def run_decisions(script_src, env, registry, *, indexed):
     script = parse_script(script_src)
-    runner = DecisionRunner(
-        script, registry, index_actions=True, defer_aoe=defer_aoe
-    )
+    runner = DecisionRunner(script, registry, indexed=indexed)
     rng = TickRandom(3, tick=1)
     rows, aoe = [], []
     by_key = env.by_key()
@@ -42,29 +29,19 @@ def run_decisions(script_src, env, registry, *, defer_aoe):
 
 
 class TestAoeEquivalence:
-    def combined(self, env, registry, rows, aoe):
-        if aoe:
-            rows = rows + resolve_aoe(
-                aoe, env.rows, env.schema, heal_shapes(registry),
-                registry.constants,
-            )
-        effects = EnvironmentTable(env.schema)
-        effects.rows.extend(rows)
-        return combine_all([env, effects], env.schema)
-
     def test_heal_deferred_equals_scan(self, registry, schema):
         env = make_env(schema, n=30, grid=15, seed=4)
         script = "main(u) { if u.unittype = 'healer' then perform Heal(u) }"
         scan_rows, scan_aoe = run_decisions(
-            script, env, registry, defer_aoe=False
+            script, env, registry, indexed=False
         )
         assert not scan_aoe
         deferred_rows, deferred_aoe = run_decisions(
-            script, env, registry, defer_aoe=True
+            script, env, registry, indexed=True
         )
         assert deferred_aoe  # healers were deferred
-        a = self.combined(env, registry, scan_rows, [])
-        b = self.combined(env, registry, deferred_rows, deferred_aoe)
+        a = combine_effects(env, registry, scan_rows, [])
+        b = combine_effects(env, registry, deferred_rows, deferred_aoe)
         assert a == b
 
     def test_overlapping_auras_nonstackable(self, registry, schema):
@@ -75,8 +52,8 @@ class TestAoeEquivalence:
         env.rows[0]["unittype"] = "healer"
         env.rows[1]["unittype"] = "healer"
         script = "main(u) { if u.unittype = 'healer' then perform Heal(u) }"
-        rows, aoe = run_decisions(script, env, registry, defer_aoe=True)
-        combined = self.combined(env, registry, rows, aoe)
+        rows, aoe = run_decisions(script, env, registry, indexed=True)
+        combined = combine_effects(env, registry, rows, aoe)
         heal = registry.constants["_HEAL_AURA"]
         for row in combined:
             assert row["inaura"] in (0, heal)  # never 2×heal
@@ -87,8 +64,8 @@ class TestAoeEquivalence:
             row["unittype"] = "knight"  # exactly one healer below
         env.rows[0]["unittype"] = "healer"
         script = "main(u) { if u.unittype = 'healer' then perform Heal(u) }"
-        rows, aoe = run_decisions(script, env, registry, defer_aoe=True)
-        combined = self.combined(env, registry, rows, aoe)
+        rows, aoe = run_decisions(script, env, registry, indexed=True)
+        combined = combine_effects(env, registry, rows, aoe)
         healer_player = env.rows[0]["player"]
         for row in combined:
             if row["inaura"] > 0:
@@ -100,7 +77,7 @@ class TestAoeEquivalence:
 
     def test_sum_tagged_aoe_accumulates(self, registry, schema):
         env = make_env(schema, n=6, grid=5, seed=3)
-        shapes = heal_shapes(registry)
+        shapes = action_shapes(registry)
         record = AoeRecord(
             action="Heal", attr="inaura", value=3,
             center=(2.0, 2.0), extents=(10.0, 10.0),

@@ -248,20 +248,6 @@ class TestEvaluateBatch:
             assert batch == single == want, fn.name
 
 
-class TestCascadeToggle:
-    def test_cascade_off_same_results(self, registry, env):
-        fn = registry.aggregates["CountEnemiesInRange"]
-        on = IndexedEvaluator(registry, cascade=True)
-        off = IndexedEvaluator(registry, cascade=False)
-        on.begin_tick(env)
-        off.begin_tick(env)
-        for unit in env.rows:
-            ctx_on = make_ctx(env, registry, on, unit)
-            ctx_off = make_ctx(env, registry, off, unit)
-            assert on.evaluate(fn, [unit, unit["sight"]], ctx_on) == \
-                off.evaluate(fn, [unit, unit["sight"]], ctx_off)
-
-
 #: A spectator-style query compiled from source: the selection of
 #: ``CentroidOfFriendlies`` (``e.player = ...``) with a new measure.
 TEAM_HP_SQL = """

@@ -33,7 +33,7 @@ from repro.game.battle import BattleSimulation, battle_game
 from repro.persist.framing import REC_DELTA, REC_SNAPSHOT
 from repro.persist.log import EpochLogWriter
 from repro.serve.transport import PipeTransport, SocketTransport
-from tests.conftest import make_env
+from tests.conftest import combine_effects, make_env
 
 
 def battle_signature(ticks=4, **kwargs):
@@ -332,15 +332,7 @@ class TestWorkerPatchOrRebuild:
     def worker(self, mode="indexed"):
         return _WorkerState(
             battle_game(),
-            {
-                "mode": mode,
-                # area effects as plain effect rows, as the naive
-                # worker returns them
-                "optimize_aoe": False,
-                "cascade": True,
-                "seed": 5,
-                "shard_conf": self.SHARD_CONF,
-            },
+            {"mode": mode, "seed": 5, "shard_conf": self.SHARD_CONF},
         )
 
     def feed(self, state, blob, tick, shards=SHARDS):
@@ -354,14 +346,31 @@ class TestWorkerPatchOrRebuild:
             delta = state.apply_delta(update[1])
         return state.decide(tick, shards, delta)
 
+    @staticmethod
+    def combined(state, results):
+        """Each shard's effects ⊕-combined with the replica: the indexed
+        worker defers area effects, the naive one scans them."""
+        env = EnvironmentTable(state.stage.game.schema)
+        env.rows.extend(state.replica.rows)
+        registry = state.stage.game.registry
+        return [
+            (shard, combine_effects(env, registry, rows, aoe))
+            for shard, rows, aoe in results
+        ]
+
+    def check_pair(self, indexed, naive, blob, tick, shards=SHARDS):
+        """Feed *blob* to both workers; their shards must combine equal."""
+        got = self.feed(indexed, blob, tick, shards)
+        want = self.feed(naive, blob, tick, shards)
+        assert self.combined(indexed, got) == self.combined(naive, want)
+        assert any(effect_rows for _, effect_rows, _ in got)
+
     def run_pair(self, blobs):
         """Feed the same blobs to an indexed and a naive worker; returns
         the indexed worker after asserting equal results every tick."""
         indexed, naive = self.worker(), self.worker("naive")
         for tick, blob in enumerate(blobs, start=1):
-            got = self.feed(indexed, blob, tick)
-            assert got == self.feed(naive, blob, tick)
-            assert any(effect_rows for _, effect_rows, _ in got)
+            self.check_pair(indexed, naive, blob, tick)
         return indexed
 
     def moved(self, env, count):
@@ -427,9 +436,7 @@ class TestWorkerPatchOrRebuild:
         indexed, naive = self.worker(), self.worker("naive")
         evaluator = indexed.stage.agg_eval
         for tick, (blob, ids) in enumerate(updates, start=1):
-            got = self.feed(indexed, blob, tick, ids)
-            assert got == self.feed(naive, blob, tick, ids)
-            assert any(effect_rows for _, effect_rows, _ in got)
+            self.check_pair(indexed, naive, blob, tick, ids)
         assert indexed.stage.agg_eval is evaluator
         assert {indexed.shard_of(row) for row in newer.rows} == set(shards)
         assert evaluator.stats.get("delta_ticks") == 1

@@ -165,21 +165,40 @@ class TestEngineValidation:
         with pytest.raises(ValueError):
             BattleSimulation(10, num_shards=0)
 
-    def test_bad_shard_count_mid_run_keeps_the_layout(self):
+    def test_unknown_shard_key_rejected(self):
+        with pytest.raises(ValueError, match="plyer"):
+            BattleSimulation(40, num_shards=2, shard_by="plyer")
+
+    @staticmethod
+    def check_bad_edit_keeps_the_layout(knob, bad, error, match):
+        """Editing *knob* to *bad* between ticks raises from the next
+        tick before anything changes; restoring it, the run goes on as
+        if never interrupted."""
         baseline = battle_signature(seed=3)
         with BattleSimulation(48, density=0.02, seed=3, num_shards=2) as sim:
             sim.run(2)
             engine = sim.engine
             layout, shard_of = engine._shard_conf, engine.shard_of
-            engine.config.num_shards = 0
-            with pytest.raises(ShardingError):
+            good = getattr(engine.config, knob)
+            setattr(engine.config, knob, bad)
+            with pytest.raises(error, match=match):
                 sim.tick()
             assert engine.tick_count == 2
             assert engine._shard_conf == layout
             assert engine.shard_of is shard_of
-            engine.config.num_shards = 2
+            setattr(engine.config, knob, good)
             sim.run(2)
             assert sim.state_signature() == baseline
+
+    def test_bad_shard_count_mid_run_keeps_the_layout(self):
+        self.check_bad_edit_keeps_the_layout(
+            "num_shards", 0, ShardingError, "num_shards"
+        )
+
+    def test_unknown_shard_key_mid_run_keeps_the_layout(self):
+        self.check_bad_edit_keeps_the_layout(
+            "shard_by", "plyer", ValueError, "plyer"
+        )
 
     def test_tick_stats_record_shards(self):
         with BattleSimulation(16, num_shards=3, seed=1) as sim:

@@ -33,18 +33,6 @@ class TestNaiveIndexedEquivalence:
                                    formation="two_army")
         assert signatures_match(naive, indexed, ticks=6) is None
 
-    def test_aoe_optimization_equivalence(self):
-        with_aoe = BattleSimulation(40, mode="indexed", seed=3,
-                                    optimize_aoe=True)
-        without = BattleSimulation(40, mode="indexed", seed=3,
-                                   optimize_aoe=False)
-        assert signatures_match(with_aoe, without, ticks=6) is None
-
-    def test_cascade_toggle_equivalence(self):
-        on = BattleSimulation(40, mode="indexed", seed=3, cascade=True)
-        off = BattleSimulation(40, mode="indexed", seed=3, cascade=False)
-        assert signatures_match(on, off, ticks=5) is None
-
 
 class TestMaintenanceModeEquivalence:
     """The incremental-maintenance subsystem must be invisible in the

@@ -172,7 +172,12 @@ def test_format_1_log_is_refused(format_1_files):
 
 @pytest.mark.parametrize(
     "knob, value",
-    [("worker_scope", "shards"), ("worker_broadcast", "snapshot")],
+    [
+        ("worker_scope", "shards"),
+        ("worker_broadcast", "snapshot"),
+        ("cascade", False),
+        ("optimize_aoe", False),
+    ],
 )
 def test_persisted_unknown_knob_is_an_epoch_log_error(tmp_path, knob, value):
     from repro.persist.log import read_state_file, write_state_file

@@ -257,6 +257,14 @@ class TestRunBattle:
         with pytest.raises(ValueError):
             run_battle(10, ticks=1, index_maintenance="bogus")
 
+    @pytest.mark.parametrize("max_workers", [0, -1])
+    def test_invalid_max_workers_rejected(self, max_workers):
+        with pytest.raises(ValueError, match="max_workers"):
+            BattleSimulation(
+                10, num_shards=2, parallelism="processes",
+                max_workers=max_workers,
+            )
+
 
 class TestKnobsDeclaredOnce:
     """``EngineConfig`` is the one declaration of the knob list: the
@@ -270,8 +278,6 @@ class TestKnobsDeclaredOnce:
         """One non-default value per knob, plus the knobs it needs set."""
         return {
             "mode": dict(mode="naive"),
-            "optimize_aoe": dict(optimize_aoe=False),
-            "cascade": dict(cascade=False),
             "seed": dict(seed=7),
             "index_maintenance": dict(index_maintenance="auto"),
             "num_shards": dict(num_shards=3),
@@ -297,7 +303,7 @@ class TestKnobsDeclaredOnce:
 
     def test_every_field_has_a_probe(self, tmp_path):
         fields = {f.name for f in dataclasses.fields(EngineConfig)}
-        assert len(fields) == 22
+        assert len(fields) == 20
         assert set(self.probes(tmp_path)) | self.SUPPLIED == fields
 
     def test_battle_forwards_every_knob(self, tmp_path):
@@ -341,6 +347,9 @@ class TestKnobsDeclaredOnce:
             "incremental_threshold",
             "worker_broadcast",
             "spectator_broadcast",
+            # structure / lowering parameters, no longer engine knobs
+            "cascade",
+            "optimize_aoe",
         ],
     )
     def test_unknown_keyword_is_a_type_error_naming_it(
