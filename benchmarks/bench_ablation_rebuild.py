@@ -27,7 +27,7 @@ def build_all_indexes(sim: BattleSimulation) -> float:
     evaluator: IndexedEvaluator = sim.engine.agg_eval
     start = time.perf_counter()
     evaluator.begin_tick(sim.engine.env)  # "rebuild": drops every index
-    evaluator.prepare(sim.registry.aggregates)
+    evaluator.prepare(sim.registry.aggregates.values())
     return time.perf_counter() - start
 
 

@@ -7,10 +7,11 @@ streams live per-team aggregates out of the *replica*, never touching
 the simulation's own evaluator.
 
 The replica holds its own copy of ``E``, kept current by the engine's
-epoch-versioned delta broadcasts (snapshot catch-up on join), plus
-retained incrementally-maintained index structures; every answer is
-pinned to one consistent tick epoch and is bit-identical to what the
-engine itself would compute at that epoch.
+epoch-versioned delta broadcasts (snapshot catch-up on join), plus the
+index structures its queries probe, patched or rebuilt per epoch by
+the decision workers' rule; every answer is pinned to one consistent
+tick epoch and is bit-identical to what the engine itself would
+compute at that epoch.
 
     PYTHONPATH=src python examples/spectator.py
 """
@@ -19,7 +20,7 @@ from repro import BattleSimulation, unit_ref
 
 #: A query compiled *from source, by the replica*: the client ships this
 #: restricted-SQL aggregate over the wire; the replica classifies its
-#: shape and answers it from a retained divisible index.
+#: shape and answers it from a divisible index.
 TEAM_STRENGTH = """
 function TeamStrength(p) returns
 SELECT Count(*) AS n, Sum(health) AS hp, Avg(health) AS avg_hp

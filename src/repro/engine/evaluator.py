@@ -144,13 +144,6 @@ _OVERLAY_MIN = 32
 _OVERLAY_BUDGET = 0.5
 
 
-def over_overlay_budget(mutations: int, size: int) -> bool:
-    """Whether a patched structure of *size* items that took *mutations*
-    patches since its build should be dropped and rebuilt -- the one
-    rule for the evaluator's indexes and the spectators' k-NN tree."""
-    return mutations > max(_OVERLAY_MIN, int(_OVERLAY_BUDGET * size))
-
-
 #: ``maintenance="auto"`` patches the retained structures while at most
 #: this fraction of the rows changed, and rebuilds above it.  Set from
 #: ``benchmarks/bench_incremental.py`` (600 units; ``BENCH_incremental
@@ -270,18 +263,19 @@ class IndexedEvaluator:
                 self._bump("rebuild_ticks")
         self._env = env
 
-    def prepare(self, fn_names: Iterable[str]) -> None:
-        """Eagerly build everything the named aggregates probe this tick.
+    def prepare(self, functions: Iterable[AggregateFunction]) -> None:
+        """Eagerly build everything *functions* probe over this state.
 
-        The engine never calls this -- it keeps build-on-first-probe (a
-        tick that never probes an aggregate never pays for its index).
-        The method stays because the perf ledger names it as a trace
-        target (``benchmarks/ledger/spec.py``) and the rebuild ablation
+        The decision stage never calls this -- it keeps
+        build-on-first-probe (a tick that never probes an aggregate
+        never pays for its index).  A spectator's
+        :class:`~repro.serve.queries.QueryEngine` calls it when it
+        adopts a state, with the aggregates the previous state's
+        queries probed; the rebuild ablation
         (``benchmarks/bench_ablation_rebuild.py``) times it.
         """
-        for name in fn_names:
-            fn = self.registry.aggregates.get(name)
-            if fn is None or fn.native is not None or fn.spec is None:
+        for fn in functions:
+            if fn.native is not None or fn.spec is None:
                 continue
             compiled = self._compiled_shape(fn)
             kind = compiled.shape.kind
@@ -401,7 +395,8 @@ class IndexedEvaluator:
 
     def _drop_overgrown(self) -> None:
         """Discard structures whose overlay/tombstone weight outgrew the
-        budget; they rebuild lazily on their next probe.
+        budget (``_OVERLAY_BUDGET`` of their size, and more than
+        ``_OVERLAY_MIN``); they rebuild lazily on their next probe.
 
         Divisible indexes are gauged by *live* overlay weight -- changes
         that the structure absorbed exactly (zero-dim totals, cancelled
@@ -424,7 +419,8 @@ class IndexedEvaluator:
             for name in [
                 name
                 for name, index in indexes.items()
-                if over_overlay_budget(weigh(index), len(index))
+                if weigh(index)
+                > max(_OVERLAY_MIN, int(_OVERLAY_BUDGET * len(index)))
             ]:
                 del indexes[name]
                 self._bump("overlay_rebuilds")

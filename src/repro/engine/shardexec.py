@@ -75,9 +75,7 @@ from typing import Callable, Iterable, Mapping
 
 from ..env.sharding import (
     NO_REPLICA,
-    UPDATE_SNAPSHOT,
     EpochUpdate,
-    ReplicaDelta,
     ReplicaTable,
     StaleReplicaError,
     make_sharder,
@@ -168,30 +166,16 @@ class _WorkerState:
             mode=str(payload["mode"]),
             maintenance="auto",
         )
-        self._adopt_shard_conf(payload["shard_conf"])
+        self.adopt_shard_conf(payload["shard_conf"])
         # the replica of E (row order, key -> row, epoch held) -- the
         # same holder-side protocol object the spectator replicas use
         self.replica = ReplicaTable(game.schema.key)
 
-    def _adopt_shard_conf(self, shard_conf: ShardConf) -> None:
+    def adopt_shard_conf(self, shard_conf: ShardConf) -> None:
         """Take the coordinator's shard layout: it picks out the units of
         this worker's shards, and nothing else (indexes span all of E)."""
         shard_by, self.num_shards, extent = shard_conf
         self.shard_of = make_sharder(shard_by, self.num_shards, extent=extent)
-
-    # -- replica maintenance ----------------------------------------------------
-
-    def apply_snapshot(
-        self,
-        epoch: int,
-        rows: list[dict[str, object]],
-        shard_conf: ShardConf,
-    ) -> None:
-        self._adopt_shard_conf(shard_conf)
-        self.replica.apply_snapshot(epoch, rows)
-
-    def apply_delta(self, rd: ReplicaDelta) -> TableDelta:
-        return self.replica.apply_delta(rd)
 
     # -- the decision stage ------------------------------------------------------
 
@@ -243,14 +227,15 @@ def _worker_loop(transport: Transport, state: _WorkerState) -> bool:
             continue
         _, blob, tick, shard_ids = msg
         try:
-            update = pickle.loads(blob)
-            update_tag = update[0]
-            if update_tag == UPDATE_SNAPSHOT:
-                _, epoch, rows, shard_conf = update
-                state.apply_snapshot(epoch, rows, shard_conf)
-                delta = None
-            else:
-                delta = state.apply_delta(update[1])
+            delta = state.replica.apply(pickle.loads(blob))
+            if delta is None:  # a snapshot carries the shard layout
+                try:
+                    state.adopt_shard_conf(state.replica.shard_conf)
+                except BaseException:
+                    # no replica without its layout: the next update
+                    # must be a snapshot, not a delta chained onto it
+                    state.replica.invalidate()
+                    raise
             results = state.decide(tick, shard_ids, delta)
             transport.send((REPLY_OK, state.replica.epoch, results))
         except StaleReplicaError:

@@ -32,10 +32,11 @@ of that bargain:
   them;
 * :class:`ReplicaTable` packages the receiving side of that protocol --
   the keyed replica of ``E`` every holder keeps (row order, key map,
-  held epoch) plus the snapshot/delta application and invalidation
-  paths.  The shard worker pool (``repro.engine.shardexec``) and the
-  spectator read replicas (``repro.serve``) both maintain their copies
-  of ``E`` through it.
+  held epoch) plus :meth:`ReplicaTable.apply`, the one decoder of an
+  update blob, and the invalidation path.  The shard worker pool
+  (``repro.engine.shardexec``), the spectator read replicas
+  (``repro.serve``) and the epoch history and log readers
+  (``repro.persist``) all maintain their copies of ``E`` through it.
 
 The engine (``repro.engine.clock``) partitions at tick start and runs
 the decision stage shard-at-a-time (serially or in parallel workers).
@@ -505,7 +506,7 @@ class ReplicaTable:
     for a snapshot.
     """
 
-    __slots__ = ("key_attr", "rows", "by_key", "order", "epoch")
+    __slots__ = ("key_attr", "rows", "by_key", "order", "epoch", "shard_conf")
 
     def __init__(self, key_attr: str) -> None:
         self.key_attr = key_attr
@@ -513,6 +514,8 @@ class ReplicaTable:
         self.by_key: dict[object, dict[str, object]] | None = None
         self.order: list[object] = []
         self.epoch: int = NO_REPLICA
+        #: The ``shard_conf`` of the last snapshot :meth:`apply` took.
+        self.shard_conf: tuple[object, ...] | None = None
 
     @property
     def held(self) -> bool:
@@ -523,6 +526,25 @@ class ReplicaTable:
         """Drop to the no-replica state (next update must be a snapshot)."""
         self.by_key = None
         self.epoch = NO_REPLICA
+
+    def apply(self, update: tuple[object, ...]) -> TableDelta | None:
+        """Apply one decoded update blob (:func:`snapshot_blob` or
+        :func:`delta_blob`) -- the one decoder every holder uses.
+
+        A snapshot replaces the replica, records its ``shard_conf`` and
+        returns ``None``; a delta returns what :meth:`apply_delta` does.
+        """
+        tag = update[0]
+        if tag == UPDATE_SNAPSHOT:
+            _, epoch, rows, shard_conf = update
+            self.apply_snapshot(
+                cast(int, epoch), cast("list[dict[str, object]]", rows)
+            )
+            self.shard_conf = cast("tuple[object, ...]", shard_conf)
+            return None
+        if tag == UPDATE_DELTA:
+            return self.apply_delta(cast(ReplicaDelta, update[1]))
+        raise ShardingError(f"unknown update tag {tag!r}")
 
     def apply_snapshot(self, epoch: int, rows: list[dict[str, object]]) -> None:
         """Replace the replica wholesale (takes ownership of *rows*)."""

@@ -199,5 +199,5 @@ class EpochHistory:
         for j in range(base + 1, i + 1):
             frame = self._entries[j][1]
             assert isinstance(frame, bytes)
-            table.apply_delta(pickle.loads(frame)[1])
+            table.apply(pickle.loads(frame))
         return table.rows

@@ -41,7 +41,7 @@ import threading
 import time
 from dataclasses import dataclass
 from types import TracebackType
-from typing import Any, Iterator
+from typing import Any, Iterator, cast
 
 from ..env.sharding import (
     NO_REPLICA,
@@ -482,13 +482,7 @@ class EpochLogReader:
         the replayed rows reproduce the coordinator's row order
         bit-exactly.  *key_attr* defaults to the recorded metadata's.
         """
-        if key_attr is None:
-            meta = self.meta()
-            key_attr = (meta or {}).get("key_attr")
-            if key_attr is None:
-                raise EpochLogError(
-                    f"epoch log {self.path!r} records no key_attr; pass one"
-                )
+        table = self._replica(key_attr)
         base: int | None = None
         for i in range(len(self.index) - 1, -1, -1):
             _, _, rtype, epoch = self.index[i]
@@ -500,15 +494,7 @@ class EpochLogReader:
                 f"epoch log {self.path!r} holds no checkpoint at or "
                 f"before epoch {upto!r}"
             )
-        table = ReplicaTable(key_attr)
-        update = _decode_update(self._load(base))
-        if update[0] != UPDATE_SNAPSHOT:
-            raise EpochLogError(
-                f"record at byte {self.index[base][0]} is framed as a "
-                f"snapshot but decodes as {update[0]!r}"
-            )
-        _, epoch, rows, shard_conf = update
-        table.apply_snapshot(epoch, rows)
+        self._apply(table, base)
         applied = 1
         for i in range(base + 1, len(self.index)):
             _, _end, rtype, epoch = self.index[i]
@@ -516,24 +502,12 @@ class EpochLogReader:
                 continue
             if upto is not None and epoch > upto:
                 break
-            update = _decode_update(self._load(i))
-            if update[0] != UPDATE_DELTA:
-                raise EpochLogError(
-                    f"record at byte {self.index[i][0]} is framed as a "
-                    f"delta but decodes as {update[0]!r}"
-                )
-            try:
-                table.apply_delta(update[1])
-            except StaleReplicaError as exc:
-                raise EpochLogError(
-                    f"delta at byte {self.index[i][0]} does not chain: "
-                    f"{exc}"
-                ) from exc
+            self._apply(table, i)
             applied += 1
         return ReplayResult(
             epoch=table.epoch,
             rows=table.rows,
-            shard_conf=shard_conf,
+            shard_conf=table.shard_conf,
             applied=applied,
         )
 
@@ -546,30 +520,41 @@ class EpochLogReader:
         each yielded ``rows`` list is the live replica's -- copy it if
         you keep it past the next step.
         """
+        table = self._replica(key_attr)
+        for i, (_, _, rtype, _) in enumerate(self.index):
+            if rtype in (REC_SNAPSHOT, REC_DELTA):
+                self._apply(table, i)
+                yield table.epoch, table.rows
+
+    def _replica(self, key_attr: str | None) -> ReplicaTable:
+        """An empty replica keyed by *key_attr*, or by the recorded
+        metadata's ``key_attr`` when that is ``None``."""
         if key_attr is None:
-            meta = self.meta()
-            key_attr = (meta or {}).get("key_attr")
-            if key_attr is None:
+            recorded = (self.meta() or {}).get("key_attr")
+            if recorded is None:
                 raise EpochLogError(
                     f"epoch log {self.path!r} records no key_attr; pass one"
                 )
-        table = ReplicaTable(key_attr)
-        for i, (_, _, rtype, _) in enumerate(self.index):
-            if rtype == REC_SNAPSHOT:
-                _, epoch, rows, _conf = _decode_update(self._load(i))
-                table.apply_snapshot(epoch, rows)
-            elif rtype == REC_DELTA:
-                rd = _decode_update(self._load(i))[1]
-                try:
-                    table.apply_delta(rd)
-                except StaleReplicaError as exc:
-                    raise EpochLogError(
-                        f"delta at byte {self.index[i][0]} does not "
-                        f"chain: {exc}"
-                    ) from exc
-            else:
-                continue
-            yield table.epoch, table.rows
+            key_attr = cast(str, recorded)
+        return ReplicaTable(key_attr)
+
+    def _apply(self, table: ReplicaTable, i: int) -> None:
+        """Apply snapshot or delta record *i* to *table*, checking that
+        its framing type matches the update tag it decodes to."""
+        offset, _, rtype, _ = self.index[i]
+        update = _decode_update(self._load(i))
+        framed = UPDATE_SNAPSHOT if rtype == REC_SNAPSHOT else UPDATE_DELTA
+        if update[0] != framed:
+            raise EpochLogError(
+                f"record at byte {offset} is framed as a {framed} but "
+                f"decodes as {update[0]!r}"
+            )
+        try:
+            table.apply(update)
+        except StaleReplicaError as exc:
+            raise EpochLogError(
+                f"delta at byte {offset} does not chain: {exc}"
+            ) from exc
 
 
 def truncate_torn_tail(path: str) -> int:

@@ -21,9 +21,10 @@ process:
   histograms, spatial k-NN) shared verbatim by the replica and the
   authoritative engine, which is what makes replica answers bit-exact;
 * :mod:`repro.serve.spectator` -- the :class:`SpectatorReplica` server
-  process (a replica of ``E`` plus retained incrementally-maintained
-  indexes, answering queries pinned to a consistent tick epoch) and the
-  :class:`SpectatorClient` request/response API.
+  process (a replica of ``E`` plus a query engine whose indexes follow
+  the evaluator's rebuild-or-patch rule, answering queries pinned to a
+  consistent tick epoch) and the :class:`SpectatorClient`
+  request/response API.
 
 Trust model: frames carry pickles, so the serving layer is for loopback
 and trusted networks only (same as multiprocessing pipes).  The frame

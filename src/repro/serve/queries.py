@@ -8,18 +8,21 @@ is **one** evaluation code path, :class:`QueryEngine`, and both sides
 run it:
 
 * the :class:`~repro.serve.spectator.SpectatorReplica` keeps one
-  long-lived instance whose :class:`~repro.engine.evaluator
-  .IndexedEvaluator` and retained kD-tree are *incrementally
-  maintained* from the subscription feed's
-  :class:`~repro.env.sharding.ReplicaDelta` stream;
+  long-lived instance and hands it each epoch's
+  :class:`~repro.env.table.TableDelta`; its
+  :class:`~repro.engine.evaluator.IndexedEvaluator` runs the
+  evaluator's own rebuild-or-patch rule (``maintenance="auto"``, as
+  the decision workers do); whatever the previous epoch's queries
+  probed (aggregate indexes, the k-NN tree) is rebuilt when the epoch
+  is adopted, so a client's first query does not pay for it;
 * :class:`AuthoritativeQueryService` wraps a live
-  :class:`~repro.engine.clock.SimulationEngine` with a rebuild-mode
-  instance over the engine's own environment.
+  :class:`~repro.engine.clock.SimulationEngine` with an instance over
+  the engine's own environment, begun without a delta.
 
-Incrementally-maintained and freshly-built index structures answer
-identically (the equivalence property the repo's maintenance tests
-assert, exact whenever measure sums are exact in floating point), so
-the two sides agree bit for bit.
+Patched and freshly-built index structures answer identically (the
+equivalence property the repo's maintenance tests assert, exact
+whenever measure sums are exact in floating point), so the two sides
+agree bit for bit.
 
 Query kinds (the wire vocabulary of :class:`QueryRequest`):
 
@@ -38,10 +41,11 @@ Query kinds (the wire vocabulary of :class:`QueryRequest`):
     Canned aggregates over a categorical attribute / bucketed numeric
     attribute.
 ``knn``
-    The *k* nearest units to a point, served from a retained kD-tree
-    by repeated ``(distance², key)``-ordered extraction -- the spatial
-    query family of Section 5.3.2 generalised from the scripts'
-    nearest-1 probes.
+    The *k* nearest units to a point, served from a kD-tree built once
+    per state (when the state is adopted if the previous one was asked
+    a ``knn`` query, else on the first) by repeated
+    ``(distance², key)``-ordered extraction -- the spatial query family
+    of Section 5.3.2 generalised from the scripts' nearest-1 probes.
 
 Answers are converted to plain Python data (:func:`plain_value`) so
 they pickle safely across the wire and compare with ``==``.
@@ -49,10 +53,11 @@ they pickle safely across the wire and compare with ``==``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from ..engine.evaluator import IndexedEvaluator, over_overlay_budget
+from ..engine.evaluator import IndexedEvaluator
 from ..env.table import EnvironmentTable, TableDelta
 from ..indexes.kdtree import KDTree
 from ..obs import StatCounters
@@ -167,6 +172,16 @@ def plain_value(value: object) -> object:
     return value
 
 
+def _is_finite_real(value: object) -> bool:
+    """True for a finite int or float; bools are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
 def _no_query_random(row, i):  # pragma: no cover - guarded by analysis
     raise QueryError(
         "Random is not available in read-only spectator queries; "
@@ -174,38 +189,30 @@ def _no_query_random(row, i):  # pragma: no cover - guarded by analysis
     )
 
 
-@dataclass
-class _RetainedTree:
-    tree: KDTree
-    mutations: int = 0
-
-
 class QueryEngine:
     """Evaluates :class:`QueryRequest`\\ s against one environment state.
 
-    ``maintenance="incremental"`` (the replica side) retains the
-    evaluator's index structures and the k-NN tree across
-    :meth:`begin` calls and patches them with each delta;
-    ``maintenance="rebuild"`` (the authoritative side) discards and
-    lazily rebuilds per state -- both answer identically.
+    :meth:`begin` adopts each new state.  The evaluator decides from the
+    delta it is handed whether to patch its retained indexes or drop
+    them -- the ``"auto"`` rule every evaluator that receives deltas
+    runs -- and ``begin`` then builds what the previous state's queries
+    probed; anything else is built on its first query.
     """
 
-    def __init__(
-        self,
-        schema: "Schema",
-        registry: FunctionRegistry,
-        *,
-        maintenance: str = "incremental",
-    ):
+    def __init__(self, schema: "Schema", registry: FunctionRegistry):
         self.schema = schema
         self.registry = registry
         self.evaluator = IndexedEvaluator(
-            registry, key_attr=schema.key, maintenance=maintenance
+            registry, key_attr=schema.key, maintenance="auto"
         )
         self._env: EnvironmentTable | None = None
         self._by_key: dict[object, dict[str, object]] | None = None
         self._sgl: dict[str, AggregateFunction] = {}
-        self._knn: _RetainedTree | None = None
+        self._knn: KDTree | None = None
+        #: what queries probed since the last begin: aggregates by
+        #: (mangled) name, and whether a knn query was answered
+        self._probed: dict[str, AggregateFunction] = {}
+        self._knn_probed = False
         # a plain dict to callers; bindable to a metrics registry (the
         # spectator's REQ_METRICS pull populates one on demand)
         self.stats = StatCounters(prefix="queries")
@@ -217,54 +224,27 @@ class QueryEngine:
     ) -> None:
         """Adopt a new environment state.
 
-        *delta* is the change set from the previously-begun state (the
-        replica's :meth:`~repro.env.sharding.ReplicaTable.apply_delta`
-        result); ``None`` means a discontinuity (snapshot), which drops
-        every retained structure for lazy rebuild.
+        *delta* is the change set from the previously-begun state (what
+        :meth:`~repro.env.sharding.ReplicaTable.apply` returns);
+        ``None`` means a discontinuity (snapshot), which drops every
+        retained structure.
+
+        The previous state's queries are the best guess at this one's,
+        so what they probed is built here, while the feed is applied,
+        instead of on a client's first query.
         """
         self.evaluator.begin_tick(env, delta=delta)
         self._env = env
         self._by_key = None  # rebuilt lazily; rows may be brand new dicts
-        self._maintain_knn(delta)
-
-    def _maintain_knn(self, delta: TableDelta | None) -> None:
-        retained = self._knn
-        if retained is None:
-            return
-        if delta is None:
-            self._knn = None
-            return
-        tree = retained.tree
-        key_attr = self.schema.key
-        ok = True
-        for row in delta.inserted:
-            tree.insert((row["posx"], row["posy"]), row)
-        for row in delta.deleted:
-            row_key = row[key_attr]
-            ok &= tree.delete(
-                (row["posx"], row["posy"]),
-                lambda item: item[key_attr] == row_key,
-            )
-        for old, new in delta.updated:
-            row_key = old[key_attr]
-            if old["posx"] == new["posx"] and old["posy"] == new["posy"]:
-                ok &= tree.replace_item(
-                    (old["posx"], old["posy"]),
-                    lambda item: item[key_attr] == row_key,
-                    new,
-                )
-            else:
-                ok &= tree.delete(
-                    (old["posx"], old["posy"]),
-                    lambda item: item[key_attr] == row_key,
-                )
-                tree.insert((new["posx"], new["posy"]), new)
-        retained.mutations += delta.changed
-        if not ok or over_overlay_budget(retained.mutations, len(tree)):
-            # a row the tree does not hold means drift; over-budget means
-            # tombstone weight -- either way rebuild lazily on next probe
-            self._knn = None
-            self._bump("knn_rebuilds")
+        self._knn = None
+        probed, self._probed = self._probed, {}
+        knn_probed, self._knn_probed = self._knn_probed, False
+        try:
+            self.evaluator.prepare(probed.values())
+            if knn_probed:
+                self._knn_tree()
+        except Exception:  # noqa: BLE001 - the query that needs it reports it
+            pass
 
     # -- answering ----------------------------------------------------------------
 
@@ -372,6 +352,7 @@ class QueryEngine:
             value = self.evaluator.evaluate(fn, resolved, ctx)
         except SglError as exc:
             raise QueryError(f"query evaluation failed: {exc}") from exc
+        self._probed[fn.name] = fn
         return plain_value(value)
 
     # -- canned aggregates --------------------------------------------------------
@@ -388,11 +369,20 @@ class QueryEngine:
     def _eval_histogram(self, attr: str, bucket: object) -> list:
         if attr not in self.schema:
             raise QueryError(f"unknown attribute {attr!r}")
-        if not isinstance(bucket, (int, float)) or bucket <= 0:
-            raise QueryError(f"bucket must be a positive number, got {bucket!r}")
+        if not (_is_finite_real(bucket) and bucket > 0):
+            raise QueryError(f"bucket must be a finite real > 0, got {bucket!r}")
         counts: dict[int, int] = {}
         for row in self._env.rows:
-            index = int(row[attr] // bucket)
+            value = row[attr]
+            try:
+                index = int(value // bucket)
+            except TypeError as exc:
+                raise QueryError(f"attr {attr!r} is not numeric: {exc}") from exc
+            except (ValueError, OverflowError) as exc:  # quotient not finite
+                raise QueryError(
+                    f"bucket {bucket!r} cannot index attr {attr!r} "
+                    f"value {value!r}: {exc}"
+                ) from exc
             counts[index] = counts.get(index, 0) + 1
         return [
             [index * bucket, counts[index]] for index in sorted(counts)
@@ -405,18 +395,14 @@ class QueryEngine:
         if len(args) != 3:
             raise QueryError("knn expects args (k, x, y)")
         k, x, y = args
-        if not isinstance(k, int) or k < 1:
-            raise QueryError(f"k must be a positive int, got {k!r}")
-        retained = self._knn
-        if retained is None:
-            rows = self._env.rows
-            retained = _RetainedTree(
-                KDTree([(r["posx"], r["posy"]) for r in rows], rows)
-            )
-            self._knn = retained
-            self._bump("knn_builds")
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise QueryError(f"k must be an int >= 1, got {k!r}")
+        for name, value in (("x", x), ("y", y)):
+            if not _is_finite_real(value):
+                raise QueryError(f"{name} must be a finite real, got {value!r}")
+        tree = self._knn_tree()
+        self._knn_probed = True
         key_attr = self.schema.key
-        tree = retained.tree
         chosen: list[list] = []
         chosen_keys: set = set()
 
@@ -436,6 +422,16 @@ class QueryEngine:
         self._bump("knn_probes")
         return chosen
 
+    def _knn_tree(self) -> KDTree:
+        """The state's k-NN tree over ``(posx, posy)``, built on demand."""
+        tree = self._knn
+        if tree is None:
+            rows = self._env.rows
+            tree = KDTree([(r["posx"], r["posy"]) for r in rows], rows)
+            self._knn = tree
+            self._bump("knn_builds")
+        return tree
+
     def _bump(self, counter: str) -> None:
         self.stats.bump(counter)
 
@@ -452,9 +448,7 @@ class AuthoritativeQueryService:
 
     def __init__(self, engine: "SimulationEngine"):
         self.engine = engine
-        self._qe = QueryEngine(
-            engine.env.schema, engine.registry, maintenance="rebuild"
-        )
+        self._qe = QueryEngine(engine.env.schema, engine.registry)
         self._epoch: int | None = None
 
     def answer(

@@ -10,10 +10,11 @@ run against), that
   :class:`~repro.env.sharding.ReplicaTable` copy of ``E`` from the
   epoch-versioned snapshot/delta stream (late join, stale epoch, and
   dropped-feed handling exactly as the shard workers do it);
-* feeds every applied delta to a long-lived
-  :class:`~repro.serve.queries.QueryEngine`, whose aggregate index
-  structures and k-NN tree are *incrementally maintained* across epochs
-  instead of rebuilt per query;
+* hands every applied update to a long-lived
+  :class:`~repro.serve.queries.QueryEngine`, whose evaluator patches
+  its retained indexes with the delta or drops them by the same rule
+  the decision workers run, and which rebuilds what the previous
+  epoch's queries probed before it answers at the new epoch;
 * listens on its own loopback/TCP port and answers
   :class:`~repro.serve.queries.QueryRequest`\\ s from any number of
   :class:`SpectatorClient`\\ s, each answer pinned to one consistent
@@ -46,7 +47,6 @@ from dataclasses import dataclass
 
 from ..env.sharding import (
     NO_REPLICA,
-    UPDATE_SNAPSHOT,
     ReplicaTable,
     StaleReplicaError,
 )
@@ -100,9 +100,7 @@ class _SpectatorServer:
         self.game = game
         max_frame = int(payload.get("max_frame", DEFAULT_MAX_FRAME))
         self.replica = ReplicaTable(game.schema.key)
-        self.engine = QueryEngine(
-            game.schema, game.registry, maintenance="incremental"
-        )
+        self.engine = QueryEngine(game.schema, game.registry)
         # bounded epoch history for time-travel queries; retain=0 turns
         # it off (superseded-epoch pins then fail as they always did)
         retain = int(payload.get("history_retain", 256))
@@ -119,7 +117,8 @@ class _SpectatorServer:
             )
         #: Lazily-built query engine over one reconstructed historical
         #: epoch; cached so repeated queries at the same epoch replay
-        #: (and rebuild indexes) once.
+        #: (and rebuild indexes) once, and dropped with every snapshot,
+        #: which is how a restored (earlier) timeline arrives.
         self._history_engine: tuple[int, QueryEngine] | None = None
         # a finite feed timeout keeps the single-threaded event loop
         # unwedgeable: a publisher that stalls mid-frame (half-open
@@ -150,32 +149,31 @@ class _SpectatorServer:
         """Apply one snapshot/delta update to the replica and the
         indexes; *frame* is the update as received (the history keeps
         a delta's frame, not the decoded delta)."""
-        if update[0] == UPDATE_SNAPSHOT:
-            _, epoch, rows, _shard_conf = update
-            # shard_conf is ignored: the spectator's evaluator is flat,
-            # and index answers are shard-layout independent anyway
-            self.replica.apply_snapshot(epoch, rows)
-            self.engine.begin(self._replica_env(), delta=None)
+        try:
+            # a snapshot's shard_conf goes unused: the spectator's
+            # evaluator is flat, and index answers are shard-layout
+            # independent anyway
+            delta = self.replica.apply(update)
+        except StaleReplicaError:
+            # can't absorb this delta; drop the replica (it may have
+            # half-applied) and ask the publisher for a snapshot
+            self.replica.invalidate()
+            self.stale_reports += 1
+            self.feed.send((SUB_STALE, NO_REPLICA))
+            return
+        self.engine.begin(self._replica_env(), delta=delta)
+        if delta is None:
             self.snapshots_applied += 1
+            self._history_engine = None
             if self.history is not None:
-                self.history.record_snapshot(epoch, self.replica.rows)
-        else:
-            rd = update[1]
-            try:
-                table_delta = self.replica.apply_delta(rd)
-            except StaleReplicaError:
-                # can't absorb this delta; drop the replica (it may have
-                # half-applied) and ask the publisher for a snapshot
-                self.replica.invalidate()
-                self.stale_reports += 1
-                self.feed.send((SUB_STALE, NO_REPLICA))
-                return
-            self.engine.begin(self._replica_env(), delta=table_delta)
-            if self.history is not None:
-                # safe to retain by reference: delta application never
-                # mutates a row in place, so epoch-k row objects stay
-                # the epoch-k state forever
-                self.history.record_delta(rd, self.replica.rows, frame)
+                self.history.record_snapshot(
+                    self.replica.epoch, self.replica.rows
+                )
+        elif self.history is not None:
+            # safe to retain by reference: delta application never
+            # mutates a row in place, so epoch-k row objects stay the
+            # epoch-k state forever
+            self.history.record_delta(update[1], self.replica.rows, frame)
         self.updates_applied += 1
 
     def _replica_env(self) -> EnvironmentTable:
@@ -321,11 +319,10 @@ class _SpectatorServer:
 
         Reconstructs the rows at *wanted* from the retained history
         (nearest checkpoint + deltas forward -- the same replica
-        machinery the live feed uses) and evaluates through a
-        rebuild-mode :class:`~repro.serve.queries.QueryEngine` over
-        them: the identical evaluation path as a live answer, hence
-        bit-identical to what the authoritative engine answered at that
-        epoch.
+        machinery the live feed uses) and evaluates through a fresh
+        :class:`~repro.serve.queries.QueryEngine` over them: the
+        identical evaluation path as a live answer, hence bit-identical
+        to what the authoritative engine answered at that epoch.
         """
         history = self.history
         if history is None or not history.covers(wanted):
@@ -366,9 +363,7 @@ class _SpectatorServer:
         rows = self.history.reconstruct(epoch)
         env = EnvironmentTable(self.game.schema)
         env.rows.extend(rows)
-        engine = QueryEngine(
-            self.game.schema, self.game.registry, maintenance="rebuild"
-        )
+        engine = QueryEngine(self.game.schema, self.game.registry)
         engine.begin(env, delta=None)
         self._history_engine = (epoch, engine)
         return engine

@@ -18,7 +18,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.env.sharding import UPDATE_SNAPSHOT, ReplicaTable
+from repro.env.sharding import ReplicaTable
 from repro.game.battle import BattleSimulation
 from repro.persist import EpochLogReader
 from repro.serve.transport import SocketTransport
@@ -42,12 +42,8 @@ class RawSubscriber:
     def catch_up(self):
         stats = self.publisher.stats
         while self.received < stats.delta_sends + stats.snapshot_sends:
-            update = self.transport.recv()
+            self.replica.apply(self.transport.recv())
             self.received += 1
-            if update[0] == UPDATE_SNAPSHOT:
-                self.replica.apply_snapshot(update[1], update[2])
-            else:
-                self.replica.apply_delta(update[1])
 
     def close(self):
         self.transport.close()

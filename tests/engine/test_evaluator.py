@@ -268,7 +268,7 @@ class TestSharedSelections:
         env = make_env(schema, n=40, grid=25, seed=9)
         for row in env.rows[::3]:
             row["health"] -= 5
-        qe = QueryEngine(schema, registry, maintenance="incremental")
+        qe = QueryEngine(schema, registry)
         naive = NaiveEvaluator()
 
         def check(new_env, delta=None):

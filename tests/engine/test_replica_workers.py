@@ -17,7 +17,15 @@ import pickle
 import pytest
 
 from repro.engine.evaluator import _PATCH_FRACTION
-from repro.engine.shardexec import MSG_TICK, _WorkerState
+from repro.engine.shardexec import (
+    MSG_STOP,
+    MSG_TICK,
+    REPLY_ERROR,
+    REPLY_OK,
+    REPLY_STALE,
+    _worker_loop,
+    _WorkerState,
+)
 from repro.env.sharding import (
     UPDATE_DELTA,
     UPDATE_SNAPSHOT,
@@ -337,13 +345,9 @@ class TestWorkerPatchOrRebuild:
 
     def feed(self, state, blob, tick, shards=SHARDS):
         """What ``_worker_loop`` does with one update blob."""
-        update = pickle.loads(blob)
-        if update[0] == UPDATE_SNAPSHOT:
-            _, epoch, rows, shard_conf = update
-            state.apply_snapshot(epoch, rows, shard_conf)
-            delta = None
-        else:
-            delta = state.apply_delta(update[1])
+        delta = state.replica.apply(pickle.loads(blob))
+        if delta is None:
+            state.adopt_shard_conf(state.replica.shard_conf)
         return state.decide(tick, shards, delta)
 
     @staticmethod
@@ -440,6 +444,44 @@ class TestWorkerPatchOrRebuild:
         assert indexed.stage.agg_eval is evaluator
         assert {indexed.shard_of(row) for row in newer.rows} == set(shards)
         assert evaluator.stats.get("delta_ticks") == 1
+
+    def test_rejected_layout_leaves_no_replica(self, schema):
+        """A snapshot whose shard layout the worker cannot adopt is an
+        error, and the replica it carried is dropped with it: the next
+        delta is refused as stale (forcing a snapshot), never chained
+        onto a half-adopted state."""
+
+        class Scripted:
+            def __init__(self, messages):
+                self.inbox = list(messages)
+                self.sent = []
+
+            def recv(self):
+                return self.inbox.pop(0)
+
+            def send(self, message):
+                self.sent.append(message)
+
+        env = make_env(schema, n=60, grid=30, seed=11)
+        new = self.moved(env, 3)
+        newer = self.moved(new, 3)
+        bad_layout = ("spatial", 2, None)  # a spatial layout needs an extent
+        blobs = [
+            snapshot_blob(1, env.rows, self.SHARD_CONF),
+            snapshot_blob(2, new.rows, bad_layout),
+            delta_blob(encode(new, newer, base_epoch=2, epoch=3)),
+        ]
+        transport = Scripted(
+            [(MSG_TICK, blob, tick, [0]) for tick, blob in enumerate(blobs, 1)]
+            + [(MSG_STOP,)]
+        )
+        assert _worker_loop(transport, self.worker())
+        assert [reply[0] for reply in transport.sent] == [
+            REPLY_OK,
+            REPLY_ERROR,
+            REPLY_STALE,
+        ]
+        assert "ShardingError" in transport.sent[1][1]
 
     def test_real_battle_ticks_rebuild(self):
         """Three consecutive ticks of a 200-unit battle, shipped as the

@@ -9,10 +9,13 @@ from repro.env.sharding import (
     UPDATE_SNAPSHOT,
     EpochUpdate,
     ReplicaDelta,
+    ReplicaTable,
     ShardingError,
+    encode_replica_delta,
     make_sharder,
     partition_rows,
 )
+from repro.env.table import diff_by_key
 from tests.conftest import make_env
 
 
@@ -138,3 +141,34 @@ class TestEpochUpdate:
         )
         with pytest.raises(ValueError, match="no delta"):
             EpochUpdate(3, rows, ("key", 1, None)).delta_blob()
+
+
+class TestReplicaTableApply:
+    """``ReplicaTable.apply`` is the one decoder of an update blob."""
+
+    CONF = ("key", 1, None)
+
+    def test_snapshot_then_delta(self, schema):
+        old = make_env(schema, n=6)
+        new = old.copy()
+        new.rows[1]["health"] -= 3
+        rd = encode_replica_delta(
+            diff_by_key(old, new),
+            [row["key"] for row in old.rows],
+            [row["key"] for row in new.rows],
+            key_attr="key",
+            base_epoch=1,
+            epoch=2,
+        )
+        table = ReplicaTable("key")
+        snapshot = EpochUpdate(1, old.rows, self.CONF).snapshot_blob()
+        assert table.apply(pickle.loads(snapshot)) is None
+        assert (table.epoch, table.shard_conf) == (1, self.CONF)
+        delta_blob = EpochUpdate(2, new.rows, self.CONF, rd).delta_blob()
+        delta = table.apply(pickle.loads(delta_blob))
+        assert (table.epoch, table.rows) == (2, new.rows)
+        assert [new_row for _, new_row in delta.updated] == [new.rows[1]]
+
+    def test_unknown_tag_is_rejected(self):
+        with pytest.raises(ShardingError, match="unknown update tag"):
+            ReplicaTable("key").apply(("bogus", 1))

@@ -31,6 +31,7 @@ from repro.persist import (
     truncate_torn_tail,
     write_state_file,
 )
+from repro.persist.framing import FILE_HEADER, encode_record
 
 SHARD_CONF = ("key", 1, None)
 
@@ -405,3 +406,29 @@ class TestEpochHistory:
             EpochHistory("key", checkpoint_every=0)
         with pytest.raises(ValueError, match="retain"):
             EpochHistory("key", retain=0)
+
+
+@pytest.mark.parametrize(
+    "rtype, blob, framed",
+    [
+        (REC_SNAPSHOT, delta_blob(delta_between(1, 2)), "snapshot"),
+        (REC_DELTA, update_at(1).snapshot_blob(), "delta"),
+    ],
+    ids=["delta-framed-as-snapshot", "snapshot-framed-as-delta"],
+)
+def test_replay_rejects_a_record_framed_as_the_other_kind(
+    tmp_path, rtype, blob, framed
+):
+    """Both replay paths check a record's framing type against the tag
+    it decodes to, so a record cannot be replayed as the other kind."""
+    path = tmp_path / "mixed.log"
+    path.write_bytes(
+        FILE_HEADER
+        + encode_record(REC_SNAPSHOT, 1, update_at(1).snapshot_blob())
+        + encode_record(rtype, 2, blob)
+    )
+    with EpochLogReader(str(path)) as reader:
+        with pytest.raises(EpochLogError, match=f"framed as a {framed}"):
+            reader.replay(key_attr="key")
+        with pytest.raises(EpochLogError, match=f"framed as a {framed}"):
+            list(reader.replay_states(key_attr="key"))

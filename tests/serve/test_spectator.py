@@ -23,7 +23,7 @@ import pytest
 from repro.env.sharding import NO_REPLICA, UPDATE_DELTA, UPDATE_SNAPSHOT
 from repro.game.battle import BattleSimulation
 from repro.serve.publisher import SUB_STALE
-from repro.serve.queries import AuthoritativeQueryService, unit_ref
+from repro.serve.queries import AuthoritativeQueryService, QueryError, unit_ref
 from repro.serve.spectator import SpectatorError
 from repro.serve.transport import PROTOCOL_VERSION, SocketTransport
 
@@ -50,6 +50,22 @@ QUERY_MATRIX = [
     ("team_counts", (), {}),
     ("hp_histogram", (), {"bucket": 25}),
     ("knn", (4, 12.0, 12.0), {}),
+]
+
+#: Malformed canned-query parameters: ``(query, args, params, message
+#: prefix)``.  Each must fail as a QueryError naming the parameter --
+#: never a bare exception, and never a value that cannot compare equal.
+BAD_PARAMS = [
+    ("hp_histogram", (), {"bucket": float("nan")}, "bucket must be"),
+    ("hp_histogram", (), {"bucket": float("inf")}, "bucket must be"),
+    ("hp_histogram", (), {"bucket": True}, "bucket must be"),
+    ("hp_histogram", (), {"attr": "unittype"}, "attr 'unittype'"),
+    ("hp_histogram", (), {"bucket": 5e-324}, "bucket 5e-324 cannot index"),
+    ("knn", (True, 1.0, 1.0), {}, "k must be"),
+    ("knn", (2, "a", 1.0), {}, "x must be"),
+    ("knn", (2, float("nan"), 1.0), {}, "x must be"),
+    ("knn", (2, 1.0, float("inf")), {}, "y must be"),
+    ("knn", (2, 1.0, True), {}, "y must be"),
 ]
 
 
@@ -297,6 +313,9 @@ class TestSpectatorFaultDrills:
                         "SELECT e.key, e.health + 5 AS health FROM E e "
                         "WHERE e.player = 0;"
                     )
+                for query, args, params, message in BAD_PARAMS:
+                    with pytest.raises(SpectatorError, match=f"^{message}"):
+                        client.query(query, *args, **params)
                 # the server survives all of the above
                 assert_epoch_matches(
                     client, battle.engine, battle.engine.tick_count + 1
@@ -353,3 +372,15 @@ class TestSpectatorFaultDrills:
                 answer = client.query("team_counts", epoch="latest")
                 assert answer.epoch == epoch
                 assert answer.value == expected.value
+
+
+@pytest.mark.parametrize(
+    "query, args, params, message",
+    BAD_PARAMS,
+    ids=[f"{q}-{p or a}" for q, a, p, _ in BAD_PARAMS],
+)
+def test_bad_canned_parameters_raise_query_error(query, args, params, message):
+    with BattleSimulation(60, seed=4) as sim:
+        authority = AuthoritativeQueryService(sim.engine)
+        with pytest.raises(QueryError, match=f"^{message}"):
+            authority.answer(query, *args, **params)

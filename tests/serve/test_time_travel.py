@@ -123,3 +123,31 @@ def test_query_errors_at_historical_epochs_are_not_fatal(battle):
                 client.query("NoSuchAggregate", epoch=2)
             # the server survives and still time-travels
             assert client.query("team_counts", epoch=2).epoch == 2
+
+
+def test_restored_timeline_drops_the_reconstruction_cache():
+    """A restore rewinds the feed; a cached epoch of the superseded
+    timeline must not answer for the same epoch of the new one."""
+    with BattleSimulation(80, seed=3, spectators=True) as sim:
+        with sim.spawn_spectator(
+            payload={"history_checkpoint_every": 2}
+        ) as spectator, spectator.client() as client:
+            authority = AuthoritativeQueryService(sim.engine)
+            sim.run(5)
+            wait_for_epoch(client, sim.engine.tick_count + 1)
+            old = client.query("hp_histogram", bucket=1, epoch=4)
+            rows = [
+                dict(row, health=row["health"] // 2)
+                for row in sim.engine.env.rows
+            ]
+            sim.engine.restore_state(2, rows)
+            want = {}
+            for _ in range(4):
+                sim.tick()
+                epoch = sim.engine.tick_count + 1
+                want[epoch] = authority.answer("hp_histogram", bucket=1)
+            wait_for_epoch(client, sim.engine.tick_count + 1)
+            got = client.query("hp_histogram", bucket=1, epoch=4)
+            assert want[4].epoch == got.epoch == 4
+            assert want[4].value != old.value  # the timelines differ
+            assert got.value == want[4].value
