@@ -17,24 +17,23 @@ The package implements the paper's full stack:
 * :mod:`repro.game`    -- the knights/archers/healers battle simulation
   with d20 mechanics (Section 3.2).
 
-Beyond the paper, the indexed engine supports delta-driven incremental
-index maintenance: pass ``index_maintenance="incremental"`` (always
-patch retained indexes with the tick's row delta) or ``"auto"``
-(patch when few rows changed, rebuild otherwise) to
-:class:`EngineConfig`, :func:`run_battle`, or :class:`BattleSimulation`
-instead of the paper's per-tick ``"rebuild"`` default.  The engine also
-runs **sharded**: ``num_shards=``/``shard_by=`` partition the units of
-``E`` (by spatial strip or hashed attribute) into decision batches, and
+Beyond the paper, the indexed evaluator maintains its indexes from
+the tick's row delta when few rows changed, and rebuilds them per tick
+as the paper does otherwise -- one rule, not a knob, which a battle's
+churn sends to the rebuild side.  The engine also runs **sharded**:
+``num_shards=``/``shard_by=`` partition the units of ``E`` (by spatial
+strip or hashed attribute) into decision batches, and
 ``parallelism="processes"`` runs each shard's decisions in a worker
 process holding a full replica of ``E``, merging the shards' effect
 tables under ⊕ (associative/commutative, Eq. 3); indexes always span
-all of ``E``.  Trajectories are bit-identical across every maintenance
-mode, shard count, and parallelism mode for games whose aggregate
-measures sum exactly in floating point (integer-valued measures, as in
-the battle simulation).  ``benchmarks/bench_incremental.py`` maps where
-patching beats rebuilding; the perf ledger's ``battle_sharded``
-workload (``python -m benchmarks.ledger``) times the sharded process
-run against the flat one.
+all of ``E``.  Trajectories are bit-identical whether indexes are
+patched or rebuilt, across shard counts and parallelism modes, for
+games whose aggregate measures sum exactly in floating point
+(integer-valued measures, as in the battle simulation).
+``benchmarks/bench_incremental.py`` maps where patching beats
+rebuilding; the perf ledger's ``battle_sharded`` workload (``python -m
+benchmarks.ledger``) times the sharded process run against the flat
+one.
 
 Heavy read traffic is served off-process: ``spectators=True`` opens the
 :mod:`repro.serve` read-replica feed, and

@@ -9,11 +9,12 @@ over the flat ``E``, as in the paper.
 0. **partition** -- ``E``'s rows split into per-shard lists in the flat
    table's row order: the units each shard decides;
 1. **index build / maintenance** -- the indexed evaluator arms itself
-   for this tick's environment: by default it resets and (lazily, on
-   first probe) rebuilds the aggregate indexes over all of ``E``; with
-   ``index_maintenance`` set to ``"incremental"``/``"auto"`` it instead
-   patches the retained indexes with the row delta captured at the end
-   of the previous tick;
+   for this tick's environment: when few rows changed it patches the
+   retained indexes with the row delta captured at the end of the
+   previous tick, otherwise (a battle tick changes most rows) it resets
+   and lazily, on first probe, rebuilds the aggregate indexes over all
+   of ``E`` -- the evaluator's one rebuild-or-patch rule, which
+   process workers and spectator replicas run too;
 2. **decision** -- the units of each shard execute their scripts
    set-at-a-time, one batch per script (each aggregate call site probes
    the indexes once per batch, min/max sites as one Figure-9 sweep);
@@ -161,10 +162,11 @@ class EngineConfig:
     consume themselves to this constructor, so an unknown keyword is a
     ``TypeError`` naming it (a bad value is a ``ValueError`` from
     :class:`SimulationEngine`).
-    All maintenance modes, shard counts, worker layouts and diagnostics
-    produce bit-identical trajectories whenever effect/measure sums are
-    exact in floating point -- true for integer-valued measures like the
-    battle simulation's (see the module docstring for why).
+    Patched and rebuilt indexes, shard counts, worker layouts and
+    diagnostics produce bit-identical trajectories whenever
+    effect/measure sums are exact in floating point -- true for
+    integer-valued measures like the battle simulation's (see the
+    module docstring for why).
 
     Evaluation (Section 6):
 
@@ -173,15 +175,9 @@ class EngineConfig:
       ``"naive"`` scans ``E`` for every aggregate and action;
     * ``seed`` -- seed of the counter-mode random function.
 
-    Index maintenance between ticks (indexed mode only):
-
-    * ``index_maintenance`` -- ``"rebuild"`` (default) never patches:
-      indexes are discarded and rebuilt from scratch every tick, the
-      paper's strategy for rapidly-changing data; ``"incremental"``
-      always patches the retained structures with the tick's row delta
-      when one is usable; ``"auto"`` patches when few rows changed and
-      rebuilds otherwise (the evaluator's one rule, which process
-      workers also run -- see ``repro.engine.evaluator``).
+    Index maintenance between ticks is not a knob: the indexed
+    evaluator patches its retained indexes when few rows changed and
+    rebuilds them otherwise (see ``repro.engine.evaluator``).
 
     Sharding:
 
@@ -275,7 +271,6 @@ class EngineConfig:
 
     mode: str = "indexed"
     seed: int = 0
-    index_maintenance: str = "rebuild"
     num_shards: int = 1
     shard_by: str = "key"
     spatial_extent: float | None = None
@@ -326,10 +321,6 @@ class SimulationEngine:
         cfg = self.config
         if cfg.mode not in ("indexed", "naive"):
             raise ValueError(f"unknown engine mode {cfg.mode!r}")
-        if cfg.index_maintenance not in ("rebuild", "incremental", "auto"):
-            raise ValueError(
-                f"unknown index_maintenance {cfg.index_maintenance!r}"
-            )
         if cfg.parallelism not in ("serial", "processes"):
             raise ValueError(f"unknown parallelism {cfg.parallelism!r}")
         if cfg.max_workers is not None and cfg.max_workers < 1:
@@ -397,18 +388,13 @@ class SimulationEngine:
 
         # the decision stage the workers run too; its evaluator is the
         # serial engine's, whose stats the ledger reads
-        self.decision = DecisionStage(
-            game,
-            self.rng,
-            mode=cfg.mode,
-            maintenance=cfg.index_maintenance,
-        )
+        self.decision = DecisionStage(game, self.rng, mode=cfg.mode)
         self.agg_eval = self.decision.agg_eval
         if self.indexed and self.metrics.enabled:
             self.agg_eval.bind_metrics(self.metrics)
 
-        # change capture: the diff taken at the end of tick t feeds the
-        # parent evaluator's incremental maintenance at t+1 (serial), and
+        # change capture: the diff taken at the end of tick t patches the
+        # serial evaluator's indexes at t+1 when few rows changed, and
         # -- encoded as an epoch-stamped ReplicaDelta inside the current
         # EpochUpdate -- the spectator publisher and the epoch log at t,
         # the process workers at t+1.
@@ -780,10 +766,10 @@ class SimulationEngine:
         parts = partition_rows(env.rows, cfg.num_shards, self.shard_of)
         timed("partition", t0)
 
-        # stage 1: (re)arm the evaluator.  With delta maintenance
-        # enabled this is where last tick's captured delta patches the
-        # retained indexes instead of discarding them.  (Process workers
-        # arm their own, in the decision stage they run.)
+        # stage 1: (re)arm the evaluator.  This is where last tick's
+        # captured delta, when small enough, patches the retained
+        # indexes instead of discarding them.  (Process workers arm
+        # their own, in the decision stage they run.)
         by_key = None
         if self.indexed and not self._processes:
             t0 = time.perf_counter()
@@ -844,14 +830,10 @@ class SimulationEngine:
         # change capture: diff the post-mechanics environment against the
         # tick-start snapshot (mechanics copies rows, so *env* still holds
         # the pre-tick values).  Who needs the diff is asked here, from
-        # what is attached: the parent evaluator's begin_tick at t+1
-        # (serial delta maintenance), and -- encoded as an epoch-stamped
-        # ReplicaDelta in this epoch's update -- the replica feeds.
-        env_delta = (
-            self.indexed
-            and cfg.index_maintenance != "rebuild"
-            and not self._processes
-        )
+        # what is attached: the serial evaluator's begin_tick at t+1,
+        # and -- encoded as an epoch-stamped ReplicaDelta in this
+        # epoch's update -- the replica feeds.
+        env_delta = self.indexed and not self._processes
         feeds = (
             self._processes
             or self.publisher is not None
@@ -860,15 +842,19 @@ class SimulationEngine:
         rd = None
         if env_delta or feeds:
             t0 = time.perf_counter()
-            # "auto" discards any delta above its budget, so let the diff
-            # bail out early instead of completing a doomed one -- unless
-            # the replica feeds need the same diff whatever its size
-            cutoff = None
-            if cfg.index_maintenance == "auto" and not feeds:
-                cutoff = self.agg_eval.delta_budget(len(self.env))
-            delta = diff_by_key(env, self.env, max_changed=cutoff)
+            # the evaluator discards any delta above its budget, so the
+            # diff bails out early instead of completing a doomed one --
+            # unless the replica feeds need it whatever its size -- and
+            # only a delta it will patch with is kept for next tick
+            budget = None
             if env_delta:
-                self._pending_delta = delta
+                budget = self.agg_eval.delta_budget(len(self.env))
+            delta = diff_by_key(
+                env, self.env, max_changed=None if feeds else budget
+            )
+            if budget is not None and delta is not None:
+                if delta.changed <= budget:
+                    self._pending_delta = delta
             # an unusable diff (duplicate keys) leaves the update without
             # a delta: every feed sends the snapshot
             if feeds and delta is not None:

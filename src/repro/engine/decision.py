@@ -224,12 +224,12 @@ class GameDefinition:
         docstring is the knob reference; ``shard_by="spatial"`` needs
         ``spatial_extent``.
 
-        All strategies, shard counts and worker layouts are
-        bit-identical in trajectory when aggregate measure and effect
-        sums are floating-point exact (e.g. integer-valued measures);
-        per-shard evaluation sums in a different order than a flat scan,
-        so inexact float sums may drift in final ulps.  Only wall-clock
-        differs otherwise.
+        Both evaluation modes, patched or rebuilt indexes, shard counts
+        and worker layouts are bit-identical in trajectory when
+        aggregate measure and effect sums are floating-point exact (e.g.
+        integer-valued measures); per-shard evaluation sums in a
+        different order than a flat scan, so inexact float sums may
+        drift in final ulps.  Only wall-clock differs otherwise.
         """
         from .clock import EngineConfig, SimulationEngine
 
@@ -252,28 +252,19 @@ class DecisionStage:
     :meth:`begin_tick` arms the evaluator for the tick-start ``E`` and
     :meth:`decide` runs every given shard's units, one batch per script.
     ``mode="indexed"`` probes the Section 5.3 structures and lowers
-    actions to key lookups and deferred area effects (*maintenance* is
-    the evaluator's rebuild-or-patch policy); ``"naive"`` scans for
-    both.
+    actions to key lookups and deferred area effects (its evaluator
+    decides rebuild-or-patch from the delta :meth:`begin_tick` hands
+    it); ``"naive"`` scans for both.
     """
 
     def __init__(
-        self,
-        game: GameDefinition,
-        rng: TickRandom,
-        *,
-        mode: str = "indexed",
-        maintenance: str = "rebuild",
+        self, game: GameDefinition, rng: TickRandom, *, mode: str = "indexed"
     ):
         self.game = game
         self.rng = rng
         self.indexed = mode == "indexed"
         self.agg_eval = (
-            IndexedEvaluator(
-                game.registry,
-                key_attr=game.schema.key,
-                maintenance=maintenance,
-            )
+            IndexedEvaluator(game.registry, key_attr=game.schema.key)
             if self.indexed
             else NaiveEvaluator()
         )

@@ -36,22 +36,22 @@ in-memory indexing ... to reduce the complexity to O(n log n)."
   a function that adds a measure or a ``Σv²`` column drops the retained
   index once, for a lazy rebuild.
 
-  By default indexes are rebuilt from scratch every tick, as the paper
-  advocates for rapidly-changing data ("we are still likely to see
-  significant performance gains even if, at each clock tick, we discard
-  the index and build a new one from scratch").  But between ticks only
-  the *changed* rows matter, so the evaluator also supports delta-driven
-  **incremental maintenance** (``maintenance="incremental"`` or
-  ``"auto"``): :meth:`IndexedEvaluator.begin_tick` takes the
-  :class:`~repro.env.table.TableDelta` captured by the engine and routes
-  inserted/deleted/updated rows into the retained structures instead of
-  discarding them.  ``"auto"`` decides per tick from the delta it is
-  handed -- patch while the changed-row fraction is at most
-  ``_PATCH_FRACTION``, discard and rebuild lazily otherwise
-  (:meth:`IndexedEvaluator._should_apply`, the one place that chooses)
-  -- and any structure whose accumulated overlay outgrows
-  ``_OVERLAY_BUDGET`` is dropped and lazily rebuilt.  Sweeps answer the
-  probes of one call-site batch and are never retained.
+  The paper rebuilds indexes from scratch every tick for
+  rapidly-changing data ("we are still likely to see significant
+  performance gains even if, at each clock tick, we discard the index
+  and build a new one from scratch"), and at battle churn so does this
+  evaluator.  But between ticks only the *changed* rows matter, so
+  :meth:`IndexedEvaluator.begin_tick` also takes the
+  :class:`~repro.env.table.TableDelta` the engine captured and decides
+  from it alone, by one rule for every caller (serial engine, process
+  worker, spectator replica): while at most ``_PATCH_FRACTION`` of the
+  rows changed it routes the inserted/deleted/updated rows into the
+  retained structures (**incremental maintenance**), otherwise it
+  discards them for a lazy rebuild
+  (:meth:`IndexedEvaluator._should_apply`, the one place that chooses).
+  Any structure whose accumulated overlay outgrows ``_OVERLAY_BUDGET``
+  is dropped and lazily rebuilt.  Sweeps answer the probes of one
+  call-site batch and are never retained.
 
   Calls arrive set-at-a-time: :meth:`IndexedEvaluator.evaluate_batch`
   answers one call site for a whole batch of units (the decision stage
@@ -66,8 +66,8 @@ in-memory indexing ... to reduce the complexity to O(n log n)."
   shards.
 
 Both evaluators return *identical* results -- including argmin/argmax
-tie-breaks -- which the equivalence tests assert on random battles
-under every maintenance mode.  One caveat: delta maintenance adds and
+tie-breaks -- which the equivalence tests assert on random battles,
+patched or rebuilt.  One caveat: delta maintenance adds and
 subtracts measure contributions in a different order than a fresh
 build, so the equality of incremental and rebuilt answers is exact
 only when the measure sums themselves are exact in floating point
@@ -144,14 +144,14 @@ _OVERLAY_MIN = 32
 _OVERLAY_BUDGET = 0.5
 
 
-#: ``maintenance="auto"`` patches the retained structures while at most
-#: this fraction of the rows changed, and rebuilds above it.  Set from
-#: ``benchmarks/bench_incremental.py`` (600 units; ``BENCH_incremental
-#: .json``), patch-over-rebuild speedup by changed rows per tick:
-#: 1% 1.51x, 2% 1.77x, 5% 1.38x, 10% 1.24x | 25% 0.79x, 50% 0.74x,
-#: 100% 0.44x -- the crossover lies between 10% and 25%, and three more
-#: full runs agreed on which side each rate falls.  Re-run the sweep
-#: before moving it; not a knob.
+#: The evaluator patches the retained structures while at most this
+#: fraction of the rows changed, and rebuilds above it.  Set from
+#: ``benchmarks/bench_incremental.py`` (600 units), patch-over-rebuild
+#: speedup by changed rows per tick: 1% 1.51x, 2% 1.77x, 5% 1.38x,
+#: 10% 1.24x | 25% 0.79x, 50% 0.74x, 100% 0.44x -- the crossover lies
+#: between 10% and 25%, and three more full runs agreed on which side
+#: each rate falls; three later runs put 10% at 0.97-1.18x and 25% at
+#: 0.83-0.89x.  Re-run the sweep before moving it; not a knob.
 _PATCH_FRACTION = 0.10
 
 #: "Not computed yet" marker for per-batch answer caches.
@@ -162,22 +162,13 @@ class IndexedEvaluator:
     """Index-backed aggregate evaluation.
 
     Per tick, either rebuilds every index from scratch (the paper's
-    default) or maintains the retained structures from a row delta --
-    see ``maintenance`` and the module docstring.
+    strategy) or patches the retained structures with a small row
+    delta -- see :meth:`begin_tick` and the module docstring.
     """
 
-    def __init__(
-        self,
-        registry: FunctionRegistry,
-        *,
-        key_attr: str = "key",
-        maintenance: str = "rebuild",
-    ):
-        if maintenance not in ("rebuild", "incremental", "auto"):
-            raise ValueError(f"unknown maintenance mode {maintenance!r}")
+    def __init__(self, registry: FunctionRegistry, *, key_attr: str = "key"):
         self.registry = registry
         self.key_attr = key_attr
-        self.maintenance = maintenance
         self._compiled: dict[str, _CompiledShape] = {}
         #: selection key -> the layout of its shared divisible index
         self._selections: dict[tuple, _Selection] = {}
@@ -241,11 +232,11 @@ class IndexedEvaluator:
         """Start a tick over *env*.
 
         *delta* is the engine's change capture against the previous
-        tick's environment.  Under ``maintenance="incremental"``/
-        ``"auto"`` a usable delta patches the retained index structures
-        in place; otherwise (or when ``"auto"`` votes rebuild) all
-        structures are discarded and lazily rebuilt on first probe.
-        Sweep source columns are always per tick.
+        tick's environment.  A usable delta of at most
+        ``_PATCH_FRACTION`` of the rows patches the retained index
+        structures in place; otherwise all structures are discarded and
+        lazily rebuilt on first probe.  Sweep source columns are always
+        per tick.
         """
         self._sweep_parts = {}
         if self._should_apply(delta):
@@ -259,7 +250,7 @@ class IndexedEvaluator:
             self._div_index.clear()
             self._kd_index.clear()
             self._row_index.clear()
-            if discarded and self.maintenance != "rebuild":
+            if discarded:
                 self._bump("rebuild_ticks")
         self._env = env
 
@@ -291,16 +282,14 @@ class IndexedEvaluator:
     def _should_apply(self, delta: TableDelta | None) -> bool:
         """The rebuild-or-patch decision: patch the retained structures
         with *delta* (true) or discard them and rebuild lazily."""
-        if self.maintenance == "rebuild" or delta is None or self._env is None:
+        if delta is None or self._env is None:
             return False
         if not (self._div_index or self._kd_index or self._row_index):
             return False  # nothing retained to maintain
-        if self.maintenance == "auto":
-            return delta.fraction <= _PATCH_FRACTION
-        return True
+        return delta.fraction <= _PATCH_FRACTION
 
     def delta_budget(self, new_size: int) -> int:
-        """Largest delta (changed rows) "auto" would still patch with.
+        """Largest delta (changed rows) the evaluator still patches with.
 
         A change capture whose only consumer is this evaluator may bail
         out past this many changed rows, since ``_should_apply`` would

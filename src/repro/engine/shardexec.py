@@ -35,8 +35,8 @@ targets:
   once, plus the ids of the shards the worker decides this tick.  The
   worker applies the update to its retained replica of ``E``, hands
   the same delta to its evaluator -- which patches its retained indexes
-  or rebuilds them by the one rule every ``"auto"`` evaluator applies
-  (few rows changed: patch) -- runs its shards' decisions, and returns
+  or rebuilds them by the one rule every evaluator applies (few rows
+  changed: patch) -- runs its shards' decisions, and returns
   plain effect rows, :class:`~repro.engine.effects.AoeRecord` tuples,
   and an **epoch ack** the coordinator verifies;
 * **fault paths** degrade to snapshots, never to wrong answers: a
@@ -158,13 +158,12 @@ class _WorkerState:
     def __init__(self, game: GameDefinition, payload: Mapping[str, object]):
         # the replica always replays the delta (fewer bytes than a
         # snapshot); whether the retained structures are patched with it
-        # or rebuilt is the evaluator's "auto" rule.  Snapshot ticks
+        # or rebuilt is the evaluator's rule.  Snapshot ticks
         # (delta=None) discard every retained structure.
         self.stage = DecisionStage(
             game,
             TickRandom(int(payload["seed"]), key_attr=game.schema.key),
             mode=str(payload["mode"]),
-            maintenance="auto",
         )
         self.adopt_shard_conf(payload["shard_conf"])
         # the replica of E (row order, key -> row, epoch held) -- the

@@ -215,8 +215,9 @@ def diff_by_key(
 
     *max_changed* is an early-exit cutoff: once more than that many
     changed rows are found the diff bails out with ``None``, so a
-    caller that would discard a too-large delta anyway (the ``"auto"``
-    policy above its threshold) does not pay for completing it.
+    caller that would discard a too-large delta anyway (the indexed
+    evaluator above its patch threshold) does not pay for completing
+    it.
     """
     if old.schema != new.schema:
         return None

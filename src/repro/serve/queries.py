@@ -10,11 +10,11 @@ run it:
 * the :class:`~repro.serve.spectator.SpectatorReplica` keeps one
   long-lived instance and hands it each epoch's
   :class:`~repro.env.table.TableDelta`; its
-  :class:`~repro.engine.evaluator.IndexedEvaluator` runs the
-  evaluator's own rebuild-or-patch rule (``maintenance="auto"``, as
-  the decision workers do); whatever the previous epoch's queries
-  probed (aggregate indexes, the k-NN tree) is rebuilt when the epoch
-  is adopted, so a client's first query does not pay for it;
+  :class:`~repro.engine.evaluator.IndexedEvaluator` patches or
+  rebuilds by the one rule every evaluator runs; whatever the previous
+  epoch's queries probed (aggregate indexes, the k-NN tree) is rebuilt
+  when the epoch is adopted, so a client's first query does not pay
+  for it;
 * :class:`AuthoritativeQueryService` wraps a live
   :class:`~repro.engine.clock.SimulationEngine` with an instance over
   the engine's own environment, begun without a delta.
@@ -194,17 +194,15 @@ class QueryEngine:
 
     :meth:`begin` adopts each new state.  The evaluator decides from the
     delta it is handed whether to patch its retained indexes or drop
-    them -- the ``"auto"`` rule every evaluator that receives deltas
-    runs -- and ``begin`` then builds what the previous state's queries
-    probed; anything else is built on its first query.
+    them -- the one rule every evaluator runs -- and ``begin`` then
+    builds what the previous state's queries probed; anything else is
+    built on its first query.
     """
 
     def __init__(self, schema: "Schema", registry: FunctionRegistry):
         self.schema = schema
         self.registry = registry
-        self.evaluator = IndexedEvaluator(
-            registry, key_attr=schema.key, maintenance="auto"
-        )
+        self.evaluator = IndexedEvaluator(registry, key_attr=schema.key)
         self._env: EnvironmentTable | None = None
         self._by_key: dict[object, dict[str, object]] | None = None
         self._sgl: dict[str, AggregateFunction] = {}

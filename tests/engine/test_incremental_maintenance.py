@@ -1,24 +1,26 @@
 """Delta-driven index maintenance in the indexed evaluator and engine.
 
-Covers the maintenance policy (rebuild | incremental | auto), the
-equivalence of patched structures with freshly built ones, change
-capture in the tick loop, and the decision stage's one runner per
-script.
+Covers the rebuild-or-patch rule, the equivalence of patched structures
+with freshly built ones, change capture in the tick loop, a low-churn
+game that the default engine patches, and the decision stage's one
+runner per script.
 """
 
 import pytest
 
-from repro.engine.clock import EngineConfig
+from repro.api import GameDefinition, compile_script
 from repro.engine.evaluator import (
     _PATCH_FRACTION,
     IndexedEvaluator,
     NaiveEvaluator,
 )
+from repro.engine.postprocess import example_41_postprocess
 from repro.env.table import EnvironmentTable, diff_by_key
 from repro.game.battle import BattleSimulation
+from repro.game.scripts import build_registry
 from repro.serve.transport import SocketTransport
 from repro.sgl.evalterm import EvalContext
-from tests.conftest import make_env
+from tests.conftest import make_env, pin_patch_regime
 
 
 def make_ctx(env, registry, agg_eval, unit):
@@ -78,14 +80,15 @@ class TestEvaluatorDeltaMaintenance:
 
     @pytest.mark.parametrize(
         "maintenance, n, movers",
-        # "auto" only patches deltas sized under its fraction
+        # the default rule only patches deltas sized under its fraction
         [("incremental", 30, 4), ("auto", 60, 2)],
     )
     def test_patched_indexes_match_naive_across_generations(
-        self, schema, registry, maintenance, n, movers
+        self, schema, registry, monkeypatch, maintenance, n, movers
     ):
+        pin_patch_regime(monkeypatch, maintenance)
         env = make_env(schema, n=n, grid=30, seed=21)
-        evaluator = IndexedEvaluator(registry, maintenance=maintenance)
+        evaluator = IndexedEvaluator(registry)
         naive = NaiveEvaluator()
         evaluator.begin_tick(env)
         self.probe_all(evaluator, env, registry)  # build the structures
@@ -107,10 +110,11 @@ class TestEvaluatorDeltaMaintenance:
         "maintenance, n, movers", [("incremental", 30, 4), ("auto", 60, 2)]
     )
     def test_shared_index_mixing_avg_and_stddev(
-        self, schema, registry, maintenance, n, movers
+        self, schema, registry, monkeypatch, maintenance, n, movers
     ):
+        pin_patch_regime(monkeypatch, maintenance)
         env = make_env(schema, n=n, grid=30, seed=22)
-        evaluator = IndexedEvaluator(registry, maintenance=maintenance)
+        evaluator = IndexedEvaluator(registry)
         naive = NaiveEvaluator()
         evaluator.begin_tick(env)
         self.probe_all(evaluator, env, registry, SHARED_CALLS)
@@ -127,7 +131,7 @@ class TestEvaluatorDeltaMaintenance:
 
     def test_auto_rebuilds_above_threshold(self, schema, registry):
         env = make_env(schema, n=20, grid=30, seed=3)
-        evaluator = IndexedEvaluator(registry, maintenance="auto")
+        evaluator = IndexedEvaluator(registry)
         evaluator.begin_tick(env)
         self.probe_all(evaluator, env, registry)
         new_env = evolve(env, 1)  # a quarter of the rows move
@@ -139,7 +143,7 @@ class TestEvaluatorDeltaMaintenance:
 
     def test_auto_applies_below_threshold(self, schema, registry):
         env = make_env(schema, n=30, grid=30, seed=4)
-        evaluator = IndexedEvaluator(registry, maintenance="auto")
+        evaluator = IndexedEvaluator(registry)
         evaluator.begin_tick(env)
         self.probe_all(evaluator, env, registry)
         new_env = env.copy()
@@ -152,16 +156,18 @@ class TestEvaluatorDeltaMaintenance:
 
     def test_missing_delta_forces_rebuild(self, schema, registry):
         env = make_env(schema, n=10, seed=5)
-        evaluator = IndexedEvaluator(registry, maintenance="incremental")
+        evaluator = IndexedEvaluator(registry)
         evaluator.begin_tick(env)
         self.probe_all(evaluator, env, registry)
         evaluator.begin_tick(env, delta=None)
         assert not evaluator._div_index
         assert evaluator.stats.get("rebuild_ticks") == 1
 
-    def test_overlay_budget_drops_structures(self, schema, registry):
+    def test_overlay_budget_drops_structures(
+        self, schema, registry, force_patching
+    ):
         env = make_env(schema, n=20, grid=30, seed=6)
-        evaluator = IndexedEvaluator(registry, maintenance="incremental")
+        evaluator = IndexedEvaluator(registry)
         evaluator.begin_tick(env)
         self.probe_all(evaluator, env, registry)
         # churn far past the budget: every row moves for many generations
@@ -180,7 +186,7 @@ class TestEvaluatorDeltaMaintenance:
         # residue, so sustained low churn must never force a divisible
         # rebuild (the policy gauges live weight, not cumulative ops)
         env = make_env(schema, n=30, grid=30, seed=8)
-        evaluator = IndexedEvaluator(registry, maintenance="incremental")
+        evaluator = IndexedEvaluator(registry)
         evaluator.begin_tick(env)
         self.probe_all(evaluator, env, registry)
         div_ids = {n: id(i) for n, i in evaluator._div_index.items()}
@@ -196,74 +202,111 @@ class TestEvaluatorDeltaMaintenance:
         got = self.probe_all(evaluator, env, registry)
         assert got == self.probe_all(NaiveEvaluator(), env, registry)
 
-    def test_invalid_maintenance_rejected(self, registry):
-        with pytest.raises(ValueError):
-            IndexedEvaluator(registry, maintenance="sometimes")
-
 
 class TestEngineWiring:
-    def test_invalid_maintenance_rejected(self):
-        with pytest.raises(ValueError):
-            BattleSimulation(10, index_maintenance="bogus")
-        with pytest.raises(ValueError):
-            EngineConfig(index_maintenance="bogus") and BattleSimulation(
-                10, index_maintenance="bogus"
-            )
-
     def test_naive_mode_ignores_maintenance(self):
-        sim = BattleSimulation(
-            16, mode="naive", seed=1, index_maintenance="incremental"
-        )
+        sim = BattleSimulation(16, mode="naive", seed=1)
         sim.run(2)  # must not attempt capture / delta plumbing
         assert sim.summary.ticks == 2
 
-    def test_delta_captured_and_consumed(self):
-        sim = BattleSimulation(20, seed=2, index_maintenance="incremental")
+    def test_delta_captured_and_consumed(self, force_patching):
+        sim = BattleSimulation(20, seed=2)
         sim.tick()
         assert sim.engine._pending_delta is not None
         sim.tick()
         stats = sim.engine.agg_eval.stats
         assert stats.get("delta_ticks", 0) >= 1
 
-    def test_rebuild_mode_skips_capture(self):
-        sim = BattleSimulation(20, seed=2, index_maintenance="rebuild")
-        sim.run(2)
-        assert sim.engine._pending_delta is None
-
     def test_auto_leaves_the_replica_feeds_on_deltas(self, tmp_path):
-        """Regression: "auto" passed its delta budget to the one diff the
-        epoch log and the spectator feed also consume; on a churning
-        battle the diff bailed out and both fell back to snapshots."""
+        """Regression: the evaluator's delta budget once cut short the
+        one diff the epoch log and the spectator feed also consume; on a
+        churning battle the diff bailed out and both fell back to
+        snapshots.  The feeds get the whole diff; the evaluator, which
+        would rebuild anyway, is not handed it."""
         ticks = 6
-        log_bytes = {}
-        for maintenance in ("rebuild", "auto"):
-            with BattleSimulation(
-                120, density=0.02, seed=3, index_maintenance=maintenance,
-                spectators=True,
-                epoch_log=str(tmp_path / f"{maintenance}.log"),
-            ) as sim:
-                engine = sim.engine
-                sub = SocketTransport.connect(
-                    engine.publisher.address, timeout=5.0
-                )
-                try:
-                    stats = sim.run(ticks).tick_stats
-                    for _ in range(ticks):
-                        sub.recv()
-                finally:
-                    sub.close()
-                log_bytes[maintenance] = [s.log_bytes for s in stats]
-                assert engine.epoch_log.stats.delta_records == ticks
-                # the joiner's first update is its snapshot
-                assert engine.publisher.stats.delta_sends == ticks - 1
-        assert engine.agg_eval.stats.get("rebuild_ticks") > 0  # it churns
-        assert log_bytes["auto"] == log_bytes["rebuild"]
+        with BattleSimulation(
+            120, density=0.02, seed=3, spectators=True,
+            epoch_log=str(tmp_path / "battle.log"),
+        ) as sim:
+            engine = sim.engine
+            sub = SocketTransport.connect(
+                engine.publisher.address, timeout=5.0
+            )
+            try:
+                sim.run(ticks)
+                for _ in range(ticks):
+                    sub.recv()
+            finally:
+                sub.close()
+            assert engine.epoch_log.stats.delta_records == ticks
+            # the joiner's first update is its snapshot
+            assert engine.publisher.stats.delta_sends == ticks - 1
+            stats = engine.agg_eval.stats
+            assert stats.get("rebuild_ticks") == ticks - 1  # it churns
+            assert stats.get("delta_ticks", 0) == 0
+            assert engine._pending_delta is None  # no doomed delta kept
 
     def test_maintenance_time_recorded(self):
-        sim = BattleSimulation(20, seed=2, index_maintenance="incremental")
+        sim = BattleSimulation(20, seed=2)
         stats = sim.run(3).tick_stats
         assert all(s.maintenance_time >= 0.0 for s in stats)
         assert any(s.maintenance_time > 0.0 for s in stats)
+
+
+class TestLowChurnGame:
+    """A game where most units idle: its ticks change few rows, so the
+    default engine patches its retained indexes every tick after the
+    first -- and plays exactly the naive and the process-worker game."""
+
+    #: one unit in twenty walks toward its nearest enemy
+    WALKER = """
+    main(u) {
+      (let t = NearestEnemy(u)) {
+        if (CountEnemiesInRange(u, u.sight) > 0) then
+          perform MoveInDirection(u, t.posx - u.posx, t.posy - u.posy);
+      }
+    }
+    """
+    #: the other nineteen perform nothing
+    IDLE = "main(u) { }"
+    TICKS = 6
+
+    @staticmethod
+    def world(schema):
+        types = ("knight",) + ("archer",) * 19
+        return make_env(schema, n=100, grid=40, seed=12, types=types)
+
+    @staticmethod
+    def signature(schema, env):
+        return sorted(tuple(row[n] for n in schema.names) for row in env)
+
+    def run(self, schema, **kwargs):
+        registry = build_registry()
+        game = GameDefinition(
+            schema=schema,
+            registry=registry,
+            scripts={
+                "knight": compile_script(self.WALKER, registry, schema),
+                "archer": compile_script(self.IDLE, registry, schema),
+            },
+        )
+        with game.engine(
+            self.world(schema),
+            lambda combined, rng, tick: example_41_postprocess(combined),
+            **kwargs,
+        ) as engine:
+            engine.run(self.TICKS)
+            return self.signature(schema, engine.env), engine.agg_eval
+
+    def test_default_engine_patches_and_plays_the_same_game(self, schema):
+        signature, evaluator = self.run(schema)
+        assert signature != self.signature(schema, self.world(schema))
+        assert evaluator.stats.get("delta_ticks", 0) >= self.TICKS - 1
+        assert signature == self.run(schema, mode="naive")[0]
+        workers = self.run(
+            schema, num_shards=2, parallelism="processes", max_workers=2
+        )[0]
+        assert workers == signature
 
 
 class TestOneRunnerPerScript:

@@ -24,11 +24,11 @@ def inserts(count, base_size):
 
 
 class TestPatchOrRebuildRule:
-    """``maintenance="auto"``: patch while at most ``_PATCH_FRACTION`` of
-    the rows changed, rebuild above it -- decided from the delta alone."""
+    """Patch while at most ``_PATCH_FRACTION`` of the rows changed,
+    rebuild above it -- decided from the delta alone."""
 
-    def retaining(self, registry, maintenance):
-        evaluator = IndexedEvaluator(registry, maintenance=maintenance)
+    def retaining(self, registry):
+        evaluator = IndexedEvaluator(registry)
         evaluator._env = object()
         evaluator._div_index["x"] = object()  # pretend something is retained
         return evaluator
@@ -36,23 +36,15 @@ class TestPatchOrRebuildRule:
     def test_auto_patches_up_to_the_fraction_and_rebuilds_above(
         self, registry
     ):
-        evaluator = self.retaining(registry, "auto")
+        evaluator = self.retaining(registry)
         at = int(_PATCH_FRACTION * 1000)
         assert evaluator._should_apply(inserts(0, 1000))
         assert evaluator._should_apply(inserts(at, 1000))
         assert not evaluator._should_apply(inserts(at + 1, 1000))
         assert not evaluator._should_apply(inserts(1000, 1000))
 
-    def test_forced_modes_ignore_the_fraction(self, registry):
-        assert self.retaining(registry, "incremental")._should_apply(
-            inserts(1000, 1000)
-        )
-        assert not self.retaining(registry, "rebuild")._should_apply(
-            inserts(1, 1000)
-        )
-
     def test_delta_budget_is_the_largest_delta_auto_patches(self, registry):
-        evaluator = self.retaining(registry, "auto")
+        evaluator = self.retaining(registry)
         budget = evaluator.delta_budget(400)
         assert budget == int(_PATCH_FRACTION * 400)
         assert evaluator._should_apply(inserts(budget, 400))
@@ -63,7 +55,7 @@ class TestSweepBatchReuse:
     """Figure-9 sweeps are never carried across ticks: every tick's
     call-site batch sweeps that tick's sources, so a delta touching the
     source partition or the probing units always shows in the answers,
-    whatever the maintenance mode."""
+    whether the retained indexes were patched or rebuilt."""
 
     FN = "WeakestWoundedFriendlyInRange"
 
@@ -84,10 +76,10 @@ class TestSweepBatchReuse:
             [make_ctx(env, registry, evaluator, u) for u in units],
         )
 
-    def check_next_tick(self, registry, env, new, probe_keys, maintenance):
+    def check_next_tick(self, registry, env, new, probe_keys):
         """Sweep tick 1 over *env*, tick 2 over *new*: tick 2 must sweep
         again and answer exactly like the naive evaluator."""
-        evaluator = IndexedEvaluator(registry, maintenance=maintenance)
+        evaluator = IndexedEvaluator(registry)
         evaluator.begin_tick(env)
         self.probe_all(evaluator, env, registry, probe_keys)
         first = evaluator.stats.get("build_sweep")
@@ -104,7 +96,7 @@ class TestSweepBatchReuse:
         new = env.copy()
         wounded = next(r for r in new.rows if r["health"] < r["max_health"])
         wounded["health"] -= 1
-        self.check_next_tick(registry, env, new, probe_keys, "incremental")
+        self.check_next_tick(registry, env, new, probe_keys)
 
     def test_probe_change_invalidates(self, registry, schema):
         env, probe_keys = self.setup_probe(schema)
@@ -112,11 +104,11 @@ class TestSweepBatchReuse:
         new = env.copy()
         prober = next(r for r in new.rows if r["key"] in probe_keys)
         prober["posx"] = (prober["posx"] + 3) % 30
-        self.check_next_tick(registry, env, new, probe_keys, "incremental")
+        self.check_next_tick(registry, env, new, probe_keys)
 
     def test_probe_group_shrink_invalidates(self, registry, schema):
         env, probe_keys = self.setup_probe(schema)
-        evaluator = IndexedEvaluator(registry, maintenance="incremental")
+        evaluator = IndexedEvaluator(registry)
         evaluator.begin_tick(env)
         self.probe_all(evaluator, env, registry, probe_keys)
         # same env, but one probe left the batch
@@ -125,7 +117,3 @@ class TestSweepBatchReuse:
         got = self.probe_all(evaluator, env, registry, kept)
         want = self.probe_all(NaiveEvaluator(), env, registry, kept)
         assert got == want and len(got) == len(kept)
-
-    def test_rebuild_mode_never_reuses(self, registry, schema):
-        env, probe_keys = self.setup_probe(schema)
-        self.check_next_tick(registry, env, env.copy(), probe_keys, "rebuild")

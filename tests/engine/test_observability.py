@@ -41,9 +41,9 @@ def test_trace_and_watchdog_do_not_perturb_trajectory(tmp_path):
     )
 
 
-def test_incremental_maintenance_trajectory_with_metrics():
-    base = signature(index_maintenance="incremental")
-    assert base == signature(index_maintenance="incremental", metrics=True)
+def test_incremental_maintenance_trajectory_with_metrics(force_patching):
+    base = signature()
+    assert base == signature(metrics=True)
 
 
 # -- disabled metrics are a true no-op ----------------------------------------

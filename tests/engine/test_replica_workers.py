@@ -316,11 +316,10 @@ class TestReplicaWorkerFaults:
             assert pool.stats.snapshot_broadcasts > snapshots_before
             assert sim.state_signature() == baseline
 
-    def test_mid_run_shard_change_serial_engine(self):
+    def test_mid_run_shard_change_serial_engine(self, force_patching):
         baseline = battle_signature(ticks=6, seed=43)
         with BattleSimulation(
-            48, density=0.02, seed=43, num_shards=2,
-            index_maintenance="incremental",
+            48, density=0.02, seed=43, num_shards=2
         ) as sim:
             sim.run(3)
             sim.engine.config.num_shards = 4

@@ -1,6 +1,6 @@
 """Shard equivalence: the staged pipeline must be bit-identical to the
-flat engine across shard counts, shard keys, maintenance modes, and
-parallelism modes -- the guarantee that makes sharding a pure
+flat engine across shard counts, shard keys, rebuild-or-patch regimes,
+and parallelism modes -- the guarantee that makes sharding a pure
 performance knob.
 
 Also covers the determinism of the ⊕-merge order itself, and that
@@ -16,7 +16,7 @@ from repro.env.sharding import ShardingError, make_sharder, partition_rows
 from repro.env.table import EnvironmentTable
 from repro.game.battle import BattleSimulation
 from repro.game.scripts import build_registry
-from tests.conftest import make_env
+from tests.conftest import make_env, pin_patch_regime
 
 
 def battle_signature(ticks=4, **kwargs):
@@ -39,15 +39,16 @@ class TestShardEquivalence:
     @pytest.mark.parametrize(
         "maintenance", ["rebuild", "incremental", "auto"]
     )
-    def test_sharded_matches_flat_under_maintenance(self, maintenance):
-        baseline = battle_signature(seed=7, index_maintenance=maintenance)
-        assert baseline == battle_signature(seed=7)  # modes agree flat
+    def test_sharded_matches_flat_under_maintenance(
+        self, monkeypatch, maintenance
+    ):
+        default = battle_signature(seed=7)
+        pin_patch_regime(monkeypatch, maintenance)
+        baseline = battle_signature(seed=7)
+        assert baseline == default  # regimes agree flat
         for num_shards in (2, 3):
             got = battle_signature(
-                seed=7,
-                num_shards=num_shards,
-                shard_by="spatial",
-                index_maintenance=maintenance,
+                seed=7, num_shards=num_shards, shard_by="spatial"
             )
             assert got == baseline
 
@@ -207,16 +208,15 @@ class TestEngineValidation:
 
 
 class TestShardsSplitTheWorkNotTheIndexes:
-    def test_sharded_engine_retains_the_flat_index_groups(self):
+    def test_sharded_engine_retains_the_flat_index_groups(
+        self, force_patching
+    ):
         """Every index spans all of E: a serial 3-shard engine patching
         its indexes retains exactly the flat engine's category groups,
         with no shard id in any key."""
 
         def retained(**kwargs):
-            with BattleSimulation(
-                48, density=0.02, seed=7, index_maintenance="incremental",
-                **kwargs,
-            ) as sim:
+            with BattleSimulation(48, density=0.02, seed=7, **kwargs) as sim:
                 sim.run(3)
                 evaluator = sim.engine.agg_eval
                 return {

@@ -7,6 +7,7 @@ are the *same game* -- identical trajectories, different wall-clock.
 import pytest
 
 from repro.game.battle import BattleSimulation
+from tests.conftest import pin_patch_regime
 
 
 def signatures_match(a: BattleSimulation, b: BattleSimulation, ticks: int):
@@ -36,7 +37,8 @@ class TestNaiveIndexedEquivalence:
 
 class TestMaintenanceModeEquivalence:
     """The incremental-maintenance subsystem must be invisible in the
-    trajectory: naive, rebuild, incremental, and auto are the same game.
+    trajectory: naive, and indexed engines that never patch, always
+    patch, or follow the default rule, are the same game.
     """
 
     SCENARIOS = [
@@ -50,32 +52,38 @@ class TestMaintenanceModeEquivalence:
     @pytest.mark.parametrize("maintenance", ["rebuild", "incremental", "auto"])
     @pytest.mark.parametrize("seed,formation,resurrection", SCENARIOS)
     def test_matches_naive_trajectory(
-        self, maintenance, seed, formation, resurrection
+        self, monkeypatch, maintenance, seed, formation, resurrection
     ):
+        pin_patch_regime(monkeypatch, maintenance)
         naive = BattleSimulation(
             40, mode="naive", seed=seed, formation=formation,
             resurrection=resurrection,
         )
         indexed = BattleSimulation(
             40, mode="indexed", seed=seed, formation=formation,
-            resurrection=resurrection, index_maintenance=maintenance,
+            resurrection=resurrection,
         )
         diverged = signatures_match(naive, indexed, ticks=6)
         assert diverged is None, (
             f"{maintenance} diverged from naive at tick {diverged}"
         )
 
-    def test_incremental_actually_applies_deltas(self):
-        sim = BattleSimulation(40, seed=0, index_maintenance="incremental")
+    def test_incremental_actually_applies_deltas(self, force_patching):
+        sim = BattleSimulation(40, seed=0)
         sim.run(6)
         assert sim.engine.agg_eval.stats.get("delta_ticks", 0) >= 5
 
-    def test_incremental_vs_rebuild_bitwise(self):
-        rebuild = BattleSimulation(50, seed=7, density=0.05)
-        incremental = BattleSimulation(
-            50, seed=7, density=0.05, index_maintenance="incremental"
-        )
-        assert signatures_match(rebuild, incremental, ticks=8) is None
+    def test_incremental_vs_rebuild_bitwise(self, monkeypatch):
+        def trajectory(regime):
+            pin_patch_regime(monkeypatch, regime)
+            sim = BattleSimulation(50, seed=7, density=0.05)
+            signatures = []
+            for _ in range(8):
+                sim.tick()
+                signatures.append(sim.state_signature())
+            return signatures
+
+        assert trajectory("incremental") == trajectory("rebuild")
 
 
 class TestDeterminism:

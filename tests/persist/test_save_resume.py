@@ -177,6 +177,7 @@ def test_format_1_log_is_refused(format_1_files):
         ("worker_broadcast", "snapshot"),
         ("cascade", False),
         ("optimize_aoe", False),
+        ("index_maintenance", "incremental"),
     ],
 )
 def test_persisted_unknown_knob_is_an_epoch_log_error(tmp_path, knob, value):

@@ -239,24 +239,6 @@ class TestRunBattle:
         summary = run_battle(20, ticks=2, mode="naive", seed=1)
         assert summary.ticks == 2
 
-    def test_index_maintenance_knob(self):
-        # all three policies run and agree on summary-level outcomes
-        summaries = {
-            policy: run_battle(
-                24, ticks=3, seed=5, index_maintenance=policy
-            )
-            for policy in ("rebuild", "incremental", "auto")
-        }
-        baseline = summaries["rebuild"]
-        for summary in summaries.values():
-            assert summary.ticks == 3
-            assert summary.total_damage == baseline.total_damage
-            assert summary.deaths == baseline.deaths
-
-    def test_invalid_index_maintenance_rejected(self):
-        with pytest.raises(ValueError):
-            run_battle(10, ticks=1, index_maintenance="bogus")
-
     @pytest.mark.parametrize("max_workers", [0, -1])
     def test_invalid_max_workers_rejected(self, max_workers):
         with pytest.raises(ValueError, match="max_workers"):
@@ -279,7 +261,6 @@ class TestKnobsDeclaredOnce:
         return {
             "mode": dict(mode="naive"),
             "seed": dict(seed=7),
-            "index_maintenance": dict(index_maintenance="auto"),
             "num_shards": dict(num_shards=3),
             "shard_by": dict(shard_by="player"),
             "parallelism": dict(parallelism="processes"),
@@ -303,7 +284,7 @@ class TestKnobsDeclaredOnce:
 
     def test_every_field_has_a_probe(self, tmp_path):
         fields = {f.name for f in dataclasses.fields(EngineConfig)}
-        assert len(fields) == 20
+        assert len(fields) == 19
         assert set(self.probes(tmp_path)) | self.SUPPLIED == fields
 
     def test_battle_forwards_every_knob(self, tmp_path):
