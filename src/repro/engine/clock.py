@@ -200,22 +200,24 @@ class EngineConfig:
       ``repro.engine.shardexec``; takes effect from two shards up).
       The workers receive the engine's game when the pool starts;
     * ``max_workers`` -- local pool size (default: ``num_shards``);
-    * ``workers`` -- ``"local"`` (default) spawns pipe-connected worker
-      processes on this host; a list of ``"host:port"`` endpoints (or
-      ``(host, port)`` pairs /
+    * ``workers`` -- ``"local"`` (default) starts worker processes on
+      this host, each on a private socketpair; a list of
+      ``"host:port"`` endpoints (or ``(host, port)`` pairs /
       :class:`~repro.engine.shardexec.WorkerEndpoint`\\ s) instead
       connects to remote decision workers started with ``python -m
-      repro.engine.shardexec --listen HOST:PORT``, one session per
-      endpoint, speaking the same addressed epoch-acked protocol over
-      :class:`~repro.serve.transport.SocketTransport`.  A dropped
-      connection is re-established and the fresh session is
-      snapshot-fed -- fault recovery degrades to re-broadcast, never to
-      wrong answers;
-    * ``worker_timeout`` / ``worker_max_frame`` -- socket knobs for
-      remote workers: the per-message send/recv timeout before a peer
-      is declared dead (``None`` blocks forever), and the transport
-      frame-size guard (``None`` = the transport default), which must
-      admit a full snapshot of the environment.
+      repro.engine.shardexec --listen HOST:PORT``, one TCP session per
+      endpoint.  Either way every worker is one
+      :class:`~repro.serve.transport.SocketTransport` session of the
+      same addressed epoch-acked protocol.  A dead local worker is
+      respawned and a dropped connection re-established; the fresh
+      session is snapshot-fed -- fault recovery degrades to
+      re-broadcast, never to wrong answers;
+    * ``worker_max_frame`` -- the transport frame-size guard of every
+      worker session (``None`` = the transport default), which must
+      admit a full snapshot of the environment;
+    * ``worker_timeout`` -- remote workers only: the per-message
+      send/recv timeout before a peer is declared dead (``None`` blocks
+      forever).
 
     Spectator serving (the ``repro.serve`` read-replica layer):
 
@@ -423,6 +425,7 @@ class SimulationEngine:
 
     def _ensure_pool(self):
         if self._pool is None:
+            from ..serve.transport import DEFAULT_MAX_FRAME
             from .shardexec import ReplicaWorkerPool
 
             cfg = self.config
@@ -431,33 +434,16 @@ class SimulationEngine:
                 "seed": cfg.seed,
                 "shard_conf": self._shard_conf,
             }
-            if self._worker_endpoints is not None:
-                from ..serve.transport import DEFAULT_MAX_FRAME
-
-                self._pool = ReplicaWorkerPool(
-                    self.game,
-                    payload,
-                    endpoints=self._worker_endpoints,
-                    max_frame=cfg.worker_max_frame or DEFAULT_MAX_FRAME,
-                    io_timeout=cfg.worker_timeout,
-                    metrics=self.metrics,
-                    trace=self.trace,
-                )
-            else:
-                import multiprocessing
-
-                methods = multiprocessing.get_all_start_methods()
-                ctx = multiprocessing.get_context(
-                    "fork" if "fork" in methods else "spawn"
-                )
-                self._pool = ReplicaWorkerPool(
-                    self.game,
-                    payload,
-                    min(cfg.max_workers or cfg.num_shards, cfg.num_shards),
-                    ctx,
-                    metrics=self.metrics,
-                    trace=self.trace,
-                )
+            self._pool = ReplicaWorkerPool(
+                self.game,
+                payload,
+                min(cfg.max_workers or cfg.num_shards, cfg.num_shards),
+                endpoints=self._worker_endpoints,
+                max_frame=cfg.worker_max_frame or DEFAULT_MAX_FRAME,
+                io_timeout=cfg.worker_timeout,
+                metrics=self.metrics,
+                trace=self.trace,
+            )
         return self._pool
 
     @property

@@ -3,15 +3,16 @@
 ``parallelism="processes"`` runs the decision stage of each shard in a
 pool of long-lived worker processes.  Workers cannot share the engine's
 in-memory state, so the protocol is explicitly message-shaped, and it
-is distributed: the pool speaks through the
-:class:`~repro.serve.transport.Transport` abstraction, so one
-addressed request/reply protocol runs over same-host pipes
-(:class:`~repro.serve.transport.PipeTransport`) *or* TCP sockets
-(:class:`~repro.serve.transport.SocketTransport`) to remote decision
-workers started with ``python -m repro.engine.shardexec --listen
-HOST:PORT``.  Unlike the spectator publisher's fire-and-forget feed,
-every worker message is addressed and every tick is acknowledged with
-the worker's replica epoch, which the coordinator verifies.
+is distributed: every worker is one
+:class:`~repro.serve.transport.SocketTransport` session of one
+addressed request/reply protocol -- a local worker on its end of a
+private ``socket.socketpair()``, a remote decision worker (started with
+``python -m repro.engine.shardexec --listen HOST:PORT``) over TCP.
+Both run :func:`_serve_session`: build the worker state, answer
+``READY`` (or ``ERROR`` with the traceback), serve ticks.  Unlike the
+spectator publisher's fire-and-forget feed, every worker message is
+addressed and every tick is acknowledged with the worker's replica
+epoch, which the coordinator verifies.
 
 Workers are **stateful replica holders** rather than stateless RPC
 targets:
@@ -61,13 +62,14 @@ index), every evaluator merge tie-breaks on unit keys, and the replica
 reproduces the coordinator's flat row order exactly, so worker answers
 are bit-identical to the serial engine's no matter how shards are
 scheduled or whether a tick arrived as a delta or a snapshot.  The
-transports carry pickles, so remote workers are for trusted networks
+transport carries pickles, so remote workers are for trusted networks
 only (the frame guard protects liveness, not unpickle safety).
 """
 
 from __future__ import annotations
 
 import pickle
+import socket
 import time
 import traceback
 from dataclasses import dataclass
@@ -85,10 +87,12 @@ from ..env.table import EnvironmentTable, TableDelta
 from ..obs import NULL_REGISTRY, TID_WORKER_BASE, RegistryStats
 from ..serve.transport import (
     DEFAULT_MAX_FRAME,
+    ERROR,
+    READY,
     FrameError,
-    PipeTransport,
     SocketTransport,
-    Transport,
+    await_ready,
+    start_child,
 )
 from .decision import DecisionStage, GameDefinition
 from .effects import AoeRecord
@@ -101,11 +105,12 @@ MSG_STOP = "stop"
 MSG_SET_EPOCH = "set_epoch"  # fault-injection hook (tests/chaos drills)
 MSG_DROP = "drop"  # fault-injection hook: vanish without replying
 
-#: Reply tags, worker -> coordinator.
-REPLY_READY = "ready"
+#: Reply tags, worker -> coordinator; a session opens with the
+#: transport's READY / ERROR handshake.
+REPLY_READY = READY
 REPLY_OK = "ok"
 REPLY_STALE = "stale"
-REPLY_ERROR = "error"
+REPLY_ERROR = ERROR
 REPLY_EPOCH = "epoch"
 
 
@@ -208,7 +213,7 @@ class _WorkerState:
         ]
 
 
-def _worker_loop(transport: Transport, state: _WorkerState) -> bool:
+def _worker_loop(transport: SocketTransport, state: _WorkerState) -> bool:
     """Serve one coordinator session; True when it ended with STOP."""
     while True:
         try:
@@ -246,20 +251,34 @@ def _worker_loop(transport: Transport, state: _WorkerState) -> bool:
             transport.send((REPLY_ERROR, traceback.format_exc()))
 
 
-def _replica_worker_main(conn, game: GameDefinition, payload: dict) -> None:
-    """Entry point of a same-host (pipe) worker process."""
-    transport: Transport = PipeTransport(conn)
+def _serve_session(
+    transport: SocketTransport,
+    game: GameDefinition,
+    payload: Mapping[str, object],
+    address: tuple[str, int] | None = None,
+) -> bool:
+    """One coordinator session, local or remote: build the worker state,
+    reply ``READY`` (or ``ERROR`` with the traceback), then serve ticks
+    until the session ends; True when it ended with STOP."""
     try:
         state = _WorkerState(game, payload)
-    except BaseException:  # pragma: no cover - init failures surface on recv
+    except BaseException:
         transport.send((REPLY_ERROR, traceback.format_exc()))
-        transport.close()
-        return
-    try:
-        _worker_loop(transport, state)
-    except (BrokenPipeError, OSError):  # pragma: no cover - parent raced away
-        pass
-    transport.close()
+        return False
+    transport.send((REPLY_READY, address))
+    return _worker_loop(transport, state)
+
+
+def _local_worker_main(
+    sock, game: GameDefinition, payload: dict, max_frame: int
+) -> None:
+    """Entry point of a same-host worker process: one session on its end
+    of the pool's socketpair (no I/O timeout, as the parent has none)."""
+    with SocketTransport(sock, max_frame=max_frame) as transport:
+        try:
+            _serve_session(transport, game, payload)
+        except OSError:  # pragma: no cover - parent raced away
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +300,13 @@ def serve_worker(
     Each accepted connection is one coordinator session.  It opens with
     an ``INIT`` message carrying the coordinator's game (its classes and
     any native functions pickle by reference, so their modules must be
-    importable here) and the engine payload; the worker builds a fresh
-    :class:`_WorkerState`, replies ``READY``, and
-    then speaks exactly the pipe workers' protocol.  Sessions are served
+    importable here) and the engine payload; from there on it is the
+    local workers' session (:func:`_serve_session`).  Sessions are served
     one at a time, and every new session starts replica-less -- so a
     coordinator that reconnects after a drop is always snapshot-fed,
     never served stale state.
     """
-    import socket as socket_module
-
-    listener = socket_module.socket(
-        socket_module.AF_INET, socket_module.SOCK_STREAM
-    )
-    listener.setsockopt(
-        socket_module.SOL_SOCKET, socket_module.SO_REUSEADDR, 1
-    )
-    listener.bind((host, port))
-    listener.listen(1)
+    listener = socket.create_server((host, port), backlog=1)
     address = listener.getsockname()[:2]
     if ready_callback is not None:
         ready_callback(address)
@@ -320,13 +329,7 @@ def serve_worker(
                     )
                     continue
                 _, game, payload = msg
-                try:
-                    state = _WorkerState(game, payload)
-                except BaseException:
-                    transport.send((REPLY_ERROR, traceback.format_exc()))
-                    continue
-                transport.send((REPLY_READY, address))
-                _worker_loop(transport, state)
+                _serve_session(transport, game, payload, address)
             except (EOFError, OSError):
                 pass  # this session died; serve the next coordinator
             finally:
@@ -335,14 +338,21 @@ def serve_worker(
         listener.close()
 
 
-def _listen_child(conn, host: str, max_frame: int) -> None:
-    """Child-process shim for :func:`spawn_listen_worker`."""
+def _listen_child(sock, host: str, max_frame: int) -> None:
+    """Child-process shim for :func:`spawn_listen_worker`: answer the
+    handshake with the bound address, or with why it could not bind."""
+    handshake = SocketTransport(sock)
 
     def ready(address: tuple[str, int]) -> None:
-        conn.send(address)
-        conn.close()
+        handshake.send((READY, address))
+        handshake.close()
 
-    serve_worker(host, 0, max_frame=max_frame, ready_callback=ready)
+    try:
+        serve_worker(host, 0, max_frame=max_frame, ready_callback=ready)
+    except Exception:
+        if handshake.fileno() == -1:
+            raise  # failed while serving, not while starting
+        handshake.send((ERROR, traceback.format_exc()))
 
 
 def spawn_listen_worker(
@@ -358,24 +368,13 @@ def spawn_listen_worker(
     repro.engine.shardexec --listen`` on another host; used by tests and
     benchmarks.  Returns ``(process, (host, port))``.
     """
-    import multiprocessing
-
-    if mp_context is None:
-        methods = multiprocessing.get_all_start_methods()
-        mp_context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-    parent_conn, child_conn = mp_context.Pipe()
-    process = mp_context.Process(
-        target=_listen_child, args=(child_conn, host, max_frame), daemon=True
+    process, handshake = start_child(
+        _listen_child, (host, max_frame), mp_context=mp_context
     )
-    process.start()
-    child_conn.close()
-    if not parent_conn.poll(startup_timeout):
-        process.terminate()
-        raise RuntimeError("listen worker did not start in time")
-    address = parent_conn.recv()
-    parent_conn.close()
+    address = await_ready(
+        handshake, "listen worker", process=process, timeout=startup_timeout
+    )
+    handshake.close()
     return process, tuple(address)
 
 
@@ -426,12 +425,24 @@ def main(argv=None) -> None:
 
 @dataclass
 class _WorkerHandle:
-    transport: Transport
+    transport: SocketTransport
     #: Local workers own a process; remote workers own an endpoint.
     process: object = None
     endpoint: WorkerEndpoint | None = None
     #: Coordinator's belief of the worker's replica epoch.
     epoch: int = NO_REPLICA
+
+    @property
+    def name(self) -> str:
+        if self.endpoint is None:
+            return f"local worker (pid {self.process.pid})"
+        return f"remote worker at {self.endpoint.host}:{self.endpoint.port}"
+
+    def ready(self) -> "_WorkerHandle":
+        """Wait for the fresh session's ``READY``, local or remote; an
+        init error raises ``RuntimeError`` with the worker's traceback."""
+        await_ready(self.transport, self.name, process=self.process)
+        return self
 
 
 class PoolStats(RegistryStats):
@@ -464,11 +475,13 @@ class ReplicaWorkerPool:
     Unlike an executor pool, messages are addressed to *specific*
     workers -- replica state lives in the worker, so the coordinator
     must know (and verify, via epoch acks) what each worker holds.
-    Workers are addressed through the :class:`~repro.serve.transport`
-    layer: local workers over :class:`PipeTransport`, remote workers
-    (``endpoints=...``) over :class:`SocketTransport` sessions to
-    ``--listen`` processes on other hosts.  The spectator publisher
-    speaks the same update blobs, fire-and-forget, on its own sockets.
+    Every worker is one :class:`SocketTransport` session: local
+    workers on a private socketpair each, remote workers
+    (``endpoints=...``, *num_workers* ignored) over TCP to ``--listen``
+    processes on other hosts.  *max_frame* guards every session;
+    *io_timeout* applies to remote ones only.  The
+    spectator publisher speaks the same update blobs, fire-and-forget,
+    on its own sockets.
     """
 
     def __init__(
@@ -481,7 +494,6 @@ class ReplicaWorkerPool:
         endpoints: Iterable[object] | None = None,
         max_frame: int = DEFAULT_MAX_FRAME,
         io_timeout: float | None = None,
-        connect_timeout: float = 10.0,
         metrics=None,
         trace=None,
     ):
@@ -489,7 +501,6 @@ class ReplicaWorkerPool:
         self._payload = payload
         self._max_frame = max_frame
         self._io_timeout = io_timeout
-        self._connect_timeout = connect_timeout
         self._metrics = metrics if metrics is not None else NULL_REGISTRY
         self._trace = trace
         self.stats = PoolStats(metrics)
@@ -497,22 +508,27 @@ class ReplicaWorkerPool:
         self._m_rtt: dict[int, object] = {}
         self._m_bytes: dict[int, object] = {}
         self._named_tids: set[int] = set()
+        self._ctx = mp_context
         if endpoints is not None:
-            self._endpoints = [WorkerEndpoint.parse(e) for e in endpoints]
-            if not self._endpoints:
+            endpoints = [WorkerEndpoint.parse(e) for e in endpoints]
+            if not endpoints:
                 raise ValueError("endpoints must name at least one worker")
-            self._ctx = None
-            self.workers: list[_WorkerHandle] = [
-                self._connect(endpoint) for endpoint in self._endpoints
-            ]
-        else:
-            if num_workers is None or num_workers < 1:
-                raise ValueError(
-                    f"num_workers must be >= 1, got {num_workers}"
-                )
-            self._endpoints = None
-            self._ctx = mp_context
-            self.workers = [self._spawn() for _ in range(num_workers)]
+        elif num_workers is None or num_workers < 1:
+            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+        self.workers: list[_WorkerHandle] = []
+        try:
+            if endpoints is not None:
+                for endpoint in endpoints:
+                    self.workers.append(self._connect(endpoint))
+            else:
+                # start every process before waiting on any, so the
+                # workers build their state in parallel
+                self.workers = [self._spawn() for _ in range(num_workers)]
+                for worker in self.workers:
+                    worker.ready()
+        except BaseException:
+            self.close()
+            raise
 
     # -- per-worker observability -------------------------------------------------
 
@@ -545,24 +561,17 @@ class ReplicaWorkerPool:
     def num_workers(self) -> int:
         return len(self.workers)
 
-    @property
-    def remote(self) -> bool:
-        return self._endpoints is not None
-
     # -- worker lifecycle ---------------------------------------------------------
 
     def _spawn(self) -> _WorkerHandle:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_replica_worker_main,
-            args=(child_conn, self._game, self._payload),
-            daemon=True,
+        """Start one local worker; :meth:`_WorkerHandle.ready` waits."""
+        process, transport = start_child(
+            _local_worker_main,
+            (self._game, self._payload, self._max_frame),
+            mp_context=self._ctx,
+            max_frame=self._max_frame,
         )
-        process.start()
-        child_conn.close()
-        return _WorkerHandle(
-            process=process, transport=PipeTransport(parent_conn)
-        )
+        return _WorkerHandle(transport=transport, process=process)
 
     def _connect(
         self, endpoint: WorkerEndpoint, *, attempts: int = 10,
@@ -583,7 +592,6 @@ class ReplicaWorkerPool:
                     endpoint.address,
                     max_frame=self._max_frame,
                     timeout=self._io_timeout,
-                    connect_timeout=self._connect_timeout,
                 )
             except OSError as exc:
                 last_error = exc
@@ -591,7 +599,7 @@ class ReplicaWorkerPool:
                 continue
             try:
                 transport.send((MSG_INIT, self._game, self._payload))
-                reply = transport.recv()
+                return _WorkerHandle(transport, endpoint=endpoint).ready()
             except FrameError as exc:
                 transport.close()
                 raise RuntimeError(
@@ -604,17 +612,6 @@ class ReplicaWorkerPool:
                 transport.close()
                 last_error = exc
                 time.sleep(backoff)
-                continue
-            if reply[0] == REPLY_ERROR:
-                transport.close()
-                raise RuntimeError(
-                    f"remote worker at {endpoint.host}:{endpoint.port} "
-                    f"failed to initialise:\n{reply[1]}"
-                )
-            if reply[0] != REPLY_READY:  # pragma: no cover - protocol bug
-                transport.close()
-                raise RuntimeError(f"unexpected init reply {reply[0]!r}")
-            return _WorkerHandle(transport=transport, endpoint=endpoint)
         raise RuntimeError(
             f"cannot reach remote worker at {endpoint.host}:{endpoint.port} "
             f"after {attempts} attempts"
@@ -623,10 +620,7 @@ class ReplicaWorkerPool:
     def _respawn(self, index: int) -> _WorkerHandle:
         """Replace a dead worker: respawn locally, reconnect remotely."""
         old = self.workers[index]
-        try:
-            old.transport.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+        old.transport.close()
         if old.endpoint is not None:
             self.workers[index] = self._connect(old.endpoint)
             self.stats.reconnects += 1
@@ -639,7 +633,7 @@ class ReplicaWorkerPool:
             if old.process.is_alive():  # pragma: no cover - defensive
                 old.process.terminate()
             old.process.join(timeout=5)
-            self.workers[index] = self._spawn()
+            self.workers[index] = self._spawn().ready()
             self.stats.respawns += 1
             if self._trace is not None:
                 self._trace.instant(
@@ -689,7 +683,7 @@ class ReplicaWorkerPool:
             worker = self.workers[worker_index]
             use_delta = allow_delta and update.chains_from(worker.epoch)
             blob = update.delta_blob() if use_delta else update.snapshot_blob()
-            if worker.endpoint is not None and len(blob) > self._max_frame:
+            if len(blob) > self._max_frame:
                 # caught before the transport refuses locally: an
                 # oversized update is a configuration problem, not a
                 # dead worker -- reviving and retrying the same blob
@@ -697,9 +691,8 @@ class ReplicaWorkerPool:
                 raise RuntimeError(
                     f"update blob of {len(blob)} bytes exceeds the "
                     f"transport frame guard (max_frame={self._max_frame}) "
-                    f"for worker at {worker.endpoint.host}:"
-                    f"{worker.endpoint.port}; raise worker_max_frame (and "
-                    "--max-frame on the listener) to admit a full snapshot"
+                    f"for {worker.name}; raise worker_max_frame (and "
+                    "--max-frame on a listener) to admit a full snapshot"
                 )
             worker.transport.send((MSG_TICK, blob, tick, shard_ids))
             sent_at[worker_index] = time.perf_counter()
@@ -869,10 +862,7 @@ class ReplicaWorkerPool:
                 if worker.process.is_alive():  # pragma: no cover - stuck
                     worker.process.terminate()
                     worker.process.join(timeout=5)
-            try:
-                worker.transport.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+            worker.transport.close()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -2,15 +2,15 @@
 
 PR 3 turned the process-worker protocol into an epoch-versioned
 replication layer (:class:`~repro.env.sharding.ReplicaDelta` broadcasts,
-snapshot catch-up, epoch acks) over local pipes.  This package lifts
-that protocol onto a pluggable transport and serves *read-only queries*
-from replicas, so heavy read traffic never touches the simulation
-process:
+snapshot catch-up, epoch acks).  This package carries that protocol
+over one framed socket transport and serves *read-only queries* from
+replicas, so heavy read traffic never touches the simulation process:
 
-* :mod:`repro.serve.transport` -- the :class:`Transport` abstraction:
-  :class:`PipeTransport` (the worker pool's multiprocessing pipes) and
-  :class:`SocketTransport` (length-prefix-framed TCP with a protocol
-  version byte and a max-frame-size guard);
+* :mod:`repro.serve.transport` -- :class:`SocketTransport`
+  (length-prefix-framed messages over TCP or a private socketpair, with
+  a protocol version byte and a max-frame-size guard), the one medium
+  of decision workers, spectators and feed subscribers, plus the
+  ``start_child`` / ``await_ready`` process bootstrap;
 * :mod:`repro.serve.publisher` -- :class:`ReplicaPublisher`, the
   coordinator-side subscription feed the engine's publish stage drives:
   late joiners get a snapshot, live subscribers get the per-tick delta,
@@ -27,9 +27,9 @@ process:
   request/response API.
 
 Trust model: frames carry pickles, so the serving layer is for loopback
-and trusted networks only (same as multiprocessing pipes).  The frame
-guard protects the *publisher process* from malformed or oversized
-frames wedging it, not the unpickling endpoint from hostile payloads.
+and trusted networks only.  The frame guard protects the *publisher
+process* from malformed or oversized frames wedging it, not the
+unpickling endpoint from hostile payloads.
 
 Submodules load lazily (PEP 562): the worker pool imports
 ``repro.serve.transport`` while this package's heavier modules import
@@ -42,7 +42,6 @@ from importlib import import_module
 _EXPORTS = {
     "AuthoritativeQueryService": "queries",
     "FrameError": "transport",
-    "PipeTransport": "transport",
     "PublisherStats": "publisher",
     "QueryAnswer": "queries",
     "QueryEngine": "queries",
@@ -53,7 +52,6 @@ _EXPORTS = {
     "SpectatorClient": "spectator",
     "SpectatorError": "spectator",
     "SpectatorReplica": "spectator",
-    "Transport": "transport",
     "TransportError": "transport",
     "unit_ref": "queries",
 }

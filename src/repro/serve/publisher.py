@@ -3,7 +3,7 @@
 :class:`ReplicaPublisher` is the serving half of the engine's publish
 stage: it listens on a loopback/TCP socket, accepts any number of
 subscribers, and streams the *same* epoch-versioned update blobs the
-shard worker pool ships over pipes.  The engine hands it each epoch's
+shard worker pool ships to its workers.  The engine hands it each epoch's
 :class:`~repro.env.sharding.EpochUpdate`, the object the epoch log and
 the next tick's worker broadcast are handed too; the update pickles
 its delta and its snapshot at most once each, so every subscriber, the

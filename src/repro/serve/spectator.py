@@ -55,8 +55,12 @@ from .publisher import SUB_STALE
 from .queries import QueryAnswer, QueryError, build_request
 from .transport import (
     DEFAULT_MAX_FRAME,
+    ERROR,
+    READY,
     FrameError,
     SocketTransport,
+    await_ready,
+    start_child,
     unpickle_frame,
 )
 
@@ -440,18 +444,15 @@ class _SpectatorServer:
         self.listener.close()
 
 
-def _spectator_main(game, payload: dict, publisher_address, ready_conn):
+def _spectator_main(sock, game, payload: dict, publisher_address):
     """Entry point of the spawned spectator process."""
-    try:
-        server = _SpectatorServer(game, payload, publisher_address)
-    except BaseException:
+    with SocketTransport(sock) as handshake:
         try:
-            ready_conn.send(("error", traceback.format_exc()))
-        finally:
-            ready_conn.close()
-        return
-    ready_conn.send(("ready", server.address))
-    ready_conn.close()
+            server = _SpectatorServer(game, payload, publisher_address)
+        except BaseException:
+            handshake.send((ERROR, traceback.format_exc()))
+            return
+        handshake.send((READY, server.address))
     try:
         server.run()
     except KeyboardInterrupt:  # pragma: no cover - parent teardown
@@ -482,30 +483,17 @@ class SpectatorReplica:
         worker pool ships it (inherited under fork, pickled once under
         spawn); the spectator answers with its schema and registry.
         """
-        import multiprocessing
-
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
-        parent_conn, child_conn = mp_context.Pipe()
-        process = mp_context.Process(
-            target=_spectator_main,
-            args=(game, payload or {}, publisher_address, child_conn),
-            daemon=True,
+        process, handshake = start_child(
+            _spectator_main,
+            (game, payload or {}, publisher_address),
+            mp_context=mp_context,
         )
-        process.start()
-        child_conn.close()
-        if not parent_conn.poll(startup_timeout):
-            process.terminate()
-            raise SpectatorError("spectator replica did not start in time")
-        tag, value = parent_conn.recv()
-        parent_conn.close()
-        if tag != "ready":
-            process.join(timeout=5)
-            raise SpectatorError(f"spectator replica failed to start:\n{value}")
-        return cls(process, tuple(value))
+        address = await_ready(
+            handshake, "spectator replica", process=process,
+            timeout=startup_timeout, error=SpectatorError,
+        )
+        handshake.close()
+        return cls(process, tuple(address))
 
     def client(self, **kwargs) -> "SpectatorClient":
         return SpectatorClient(self.address, **kwargs)

@@ -1,28 +1,19 @@
-"""The pluggable message transport under the replica protocols.
+"""The one message transport under the worker and replica protocols.
 
-PR 3's replica protocol (epoch-versioned
-:class:`~repro.env.sharding.ReplicaDelta` broadcasts with snapshot
-catch-up) was built directly on multiprocessing pipes.  This module
-extracts the one thing the protocol actually needs from its medium --
-*send a message, receive a message, fail loudly when the peer is gone*
--- behind :class:`Transport`, with two implementations:
+:class:`SocketTransport` frames pickled messages over any
+``SOCK_STREAM`` socket: a TCP session to a remote decision worker, a
+spectator or a feed subscriber, or one end of the private
+``socket.socketpair()`` a same-host child process (a local decision
+worker, a spectator, a ``--listen`` worker) is started on by
+:func:`start_child`.  Every frame is prefixed with a **protocol version
+byte** (a peer speaking a different wire format is detected on the
+first frame, not by an unpickling crash halfway through a delta) and a
+4-byte length that is validated against a **maximum frame size**
+before a single payload byte is read -- a bad or byzantine peer can
+neither wedge the publisher behind a never-completing frame nor make it
+allocate an absurd buffer.
 
-* :class:`PipeTransport` wraps a ``multiprocessing.connection``
-  Connection: the worker pool's original medium, kept for same-host
-  worker processes;
-* :class:`SocketTransport` frames messages over any ``SOCK_STREAM``
-  socket (TCP/loopback or a socketpair) so the same blobs can leave the
-  machine.  Pipes are a trusted, kernel-framed channel; a socket is
-  neither, so every frame is prefixed with a **protocol version byte**
-  (a peer speaking a different wire format is detected on the first
-  frame, not by an unpickling crash halfway through a delta) and a
-  4-byte length that is validated against a **maximum frame size**
-  before a single payload byte is read -- a bad or byzantine peer can
-  neither wedge the publisher behind a never-completing frame nor make
-  it allocate an absurd buffer.
-
-Error taxonomy (shared by both transports so protocol code can be
-medium-blind):
+Error taxonomy:
 
 * ``EOFError`` -- the peer closed cleanly between frames;
 * ``OSError`` (``BrokenPipeError``, ``ConnectionResetError``,
@@ -35,17 +26,19 @@ medium-blind):
   ``OSError`` so generic fault paths that respawn/drop on transport
   failure handle protocol violations the same way.
 
-Messages are pickles, exactly like multiprocessing pipes -- which means
-the transport is for loopback and trusted networks only.  The framing
-guard protects liveness, not confidentiality or unpickle safety.
+Messages are pickles, so the transport is for loopback and trusted
+networks only.  The framing guard protects liveness, not
+confidentiality or unpickle safety.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import select
 import socket
 import struct
+from typing import Any
 
 #: Bump when the frame layout or blob vocabulary changes incompatibly.
 #: 2: ReplicaDelta gained the positional wire encoding + the
@@ -87,80 +80,10 @@ def unpickle_frame(payload: bytes) -> object:
         raise FrameError(f"undecodable frame payload: {exc}") from exc
 
 
-class Transport:
-    """One bidirectional, message-oriented channel to a single peer.
-
-    Implementations must deliver whole messages (no partial reads leak
-    to callers) and surface peer loss as ``EOFError``/``OSError``.
-    """
-
-    def send(self, obj: object) -> int:
-        """Pickle and send one message; returns bytes put on the wire."""
-        return self.send_bytes(pickle.dumps(obj, protocol=_PICKLE_PROTOCOL))
-
-    def send_bytes(self, blob: bytes) -> int:
-        """Send an already-pickled message (pickled once, fanned out to
-        many peers -- the broadcast pattern of the replica protocol)."""
-        raise NotImplementedError
-
-    def recv(self) -> object:
-        """Receive and unpickle one whole message (blocking)."""
-        return unpickle_frame(self.recv_bytes())
-
-    def recv_bytes(self) -> bytes:
-        """Receive one whole message still pickled (blocking) -- for a
-        holder that keeps the wire frame rather than the decoded object."""
-        raise NotImplementedError
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        """True when a message (or at least its first byte) is ready."""
-        raise NotImplementedError
-
-    def fileno(self) -> int:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-    def __enter__(self) -> "Transport":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class PipeTransport(Transport):
-    """A :class:`Transport` over a ``multiprocessing`` pipe connection.
-
-    The kernel frames pipe messages already, so this is a thin adapter;
-    it exists so the worker pool and the serving layer speak through
-    one interface.  ``send`` pickles explicitly (rather than deferring
-    to ``Connection.send``) so the byte count is observable -- the
-    pool's broadcast accounting depends on it.
-    """
-
-    def __init__(self, conn):
-        self._conn = conn
-
-    def send_bytes(self, blob: bytes) -> int:
-        self._conn.send_bytes(blob)
-        return len(blob)
-
-    def recv_bytes(self) -> bytes:
-        return self._conn.recv_bytes()
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        return self._conn.poll(timeout)
-
-    def fileno(self) -> int:
-        return self._conn.fileno()
-
-    def close(self) -> None:
-        self._conn.close()
-
-
-class SocketTransport(Transport):
-    """Length-prefix-framed messages over a stream socket.
+class SocketTransport:
+    """One bidirectional channel of length-prefix-framed messages over a
+    stream socket: whole messages in, whole messages out, peer loss as
+    ``EOFError``/``OSError``.
 
     Frame layout: ``version:1 | length:4 (big-endian) | payload``.
     *max_frame* bounds accepted *and* sent payloads; *timeout* applies
@@ -212,7 +135,13 @@ class SocketTransport(Transport):
 
     # -- sending ------------------------------------------------------------------
 
+    def send(self, obj: object) -> int:
+        """Pickle and send one message; returns bytes put on the wire."""
+        return self.send_bytes(pickle.dumps(obj, protocol=_PICKLE_PROTOCOL))
+
     def send_bytes(self, blob: bytes) -> int:
+        """Send an already-pickled message (pickled once, fanned out to
+        many peers -- the broadcast pattern of the replica protocol)."""
         if self._desynced:
             raise FrameError(
                 "transport is desynchronized (earlier timeout or framing "
@@ -271,7 +200,13 @@ class SocketTransport(Transport):
             remaining -= len(chunk)
         return b"".join(chunks)
 
+    def recv(self) -> object:
+        """Receive and unpickle one whole message (blocking)."""
+        return unpickle_frame(self.recv_bytes())
+
     def recv_bytes(self) -> bytes:
+        """Receive one whole message still pickled (blocking) -- for a
+        holder that keeps the wire frame rather than the decoded object."""
         if self._desynced:
             raise FrameError(
                 "transport is desynchronized (earlier timeout or framing "
@@ -296,6 +231,7 @@ class SocketTransport(Transport):
         return self._read_exact(length, mid_frame=True)
 
     def poll(self, timeout: float = 0.0) -> bool:
+        """True when a message (or at least its first byte) is ready."""
         try:
             ready, _, _ = select.select([self._sock], [], [], timeout)
         except (OSError, ValueError):  # closed under us
@@ -310,3 +246,77 @@ class SocketTransport(Transport):
             self._sock.close()
         except OSError:  # pragma: no cover - already closed
             pass
+
+    def __enter__(self) -> "SocketTransport":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+# ---------------------------------------------------------------------------
+# Child processes on a private socketpair
+# ---------------------------------------------------------------------------
+
+#: A child's first message: ``(READY, value)`` or ``(ERROR, traceback)``.
+READY = "ready"
+ERROR = "error"
+
+
+def start_child(
+    target,
+    args: tuple,
+    *,
+    mp_context=None,
+    max_frame: int = DEFAULT_MAX_FRAME,
+):
+    """Start ``target(sock, *args)`` in a daemon process on a private
+    ``socket.socketpair()``; returns ``(process, transport)``, our end.
+
+    Fork where the platform has it (*args* are inherited, not pickled),
+    else spawn.  The child opens with the handshake :func:`await_ready`
+    reads, so a caller can start several children, then wait on each.
+    """
+    if mp_context is None:
+        methods = multiprocessing.get_all_start_methods()
+        mp_context = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
+    ours, theirs = socket.socketpair()
+    process = mp_context.Process(
+        target=target, args=(theirs, *args), daemon=True
+    )
+    try:
+        process.start()
+    finally:
+        theirs.close()  # the child's end lives in the child alone
+    return process, SocketTransport(ours, max_frame=max_frame)
+
+
+def await_ready(
+    transport: SocketTransport,
+    what: str,
+    *,
+    process=None,
+    timeout: float | None = None,
+    error: type[Exception] = RuntimeError,
+) -> Any:
+    """Return the :data:`READY` value a child (or a remote session)
+    opens with; an :data:`ERROR` raises *error* naming *what*, with the
+    peer's traceback.  On any failure the transport is closed and
+    *process*, if given, is stopped."""
+    try:
+        if timeout is not None and not transport.poll(timeout):
+            raise error(f"{what} did not start in time")
+        tag, value = transport.recv()
+        if tag == ERROR:
+            raise error(f"{what} failed to initialise:\n{value}")
+        if tag != READY:  # pragma: no cover - protocol bug
+            raise error(f"{what} answered {tag!r} before it was ready")
+    except BaseException:
+        transport.close()
+        if process is not None:
+            process.terminate()  # a no-op once it has exited
+            process.join(timeout=5)
+        raise
+    return value

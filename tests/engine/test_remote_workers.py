@@ -131,6 +131,14 @@ class TestWorkerEndpoint:
             with pytest.raises(RuntimeError, match="INIT.*worker_max_frame"):
                 sim.run(1)
 
+    def test_listen_worker_that_cannot_bind_reports_why(self):
+        # TEST-NET-1 is never a local address: bind fails, no packet
+        with pytest.raises(
+            RuntimeError,
+            match="(?s)listen worker failed to initialise:.*OSError",
+        ):
+            spawn_listen_worker(host="192.0.2.1")
+
     def test_unreachable_endpoint_fails_loudly(self):
         # grab a port that is definitely closed
         probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

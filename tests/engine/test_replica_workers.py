@@ -12,6 +12,7 @@ Two layers of coverage:
   degrades to a snapshot broadcast, never to wrong answers.
 """
 
+import multiprocessing
 import pickle
 
 import pytest
@@ -23,6 +24,7 @@ from repro.engine.shardexec import (
     REPLY_ERROR,
     REPLY_OK,
     REPLY_STALE,
+    ReplicaWorkerPool,
     _worker_loop,
     _WorkerState,
 )
@@ -40,7 +42,7 @@ from repro.env.table import EnvironmentTable, diff_by_key
 from repro.game.battle import BattleSimulation, battle_game
 from repro.persist.framing import REC_DELTA, REC_SNAPSHOT
 from repro.persist.log import EpochLogWriter
-from repro.serve.transport import PipeTransport, SocketTransport
+from repro.serve.transport import SocketTransport
 from tests.conftest import combine_effects, make_env
 
 
@@ -316,6 +318,51 @@ class TestReplicaWorkerFaults:
             assert pool.stats.snapshot_broadcasts > snapshots_before
             assert sim.state_signature() == baseline
 
+    def test_oversized_update_blob_names_the_knob(self):
+        """``worker_max_frame`` guards local sessions as it guards remote
+        ones: a snapshot beyond it is a configuration error on the first
+        tick, not a dead worker to respawn."""
+        with BattleSimulation(
+            48, density=0.02, seed=3, num_shards=2,
+            parallelism="processes", max_workers=2, worker_max_frame=1024,
+        ) as sim:
+            with pytest.raises(
+                RuntimeError, match="update blob.*worker_max_frame"
+            ):
+                sim.run(1)
+            assert sim.engine.worker_stats.respawns == 0
+
+    def test_init_failure_raises_at_pool_start(self):
+        """A local worker that cannot build its state answers the session
+        handshake with its traceback, worded as a remote one is."""
+        payload = {"mode": "indexed", "seed": 0, "shard_conf": ("key", 0, None)}
+        with pytest.raises(
+            RuntimeError,
+            match="(?s)local worker .* failed to initialise:.*ShardingError",
+        ):
+            ReplicaWorkerPool(battle_game(), payload, 2)
+
+    def test_spawned_workers_match_serial(self):
+        """Workers started by spawn, not fork: the game is pickled and the
+        socket handed to a child that inherited nothing."""
+        baseline = battle_signature(ticks=3, seed=47)
+        with BattleSimulation(
+            48, density=0.02, seed=47, num_shards=2,
+            parallelism="processes", max_workers=2,
+        ) as sim:
+            engine = sim.engine
+            payload = {
+                "mode": engine.config.mode,
+                "seed": engine.config.seed,
+                "shard_conf": engine._shard_conf,
+            }
+            engine._pool = ReplicaWorkerPool(
+                engine.game, payload, 2, multiprocessing.get_context("spawn")
+            )
+            sim.run(3)
+            assert engine.worker_stats.delta_broadcasts > 0
+            assert sim.state_signature() == baseline
+
     def test_mid_run_shard_change_serial_engine(self, force_patching):
         baseline = battle_signature(ticks=6, seed=43)
         with BattleSimulation(
@@ -509,27 +556,38 @@ class TestOnePicklePerDelta:
     @pytest.fixture()
     def sent(self, monkeypatch):
         """Spy on every feed: worker update blobs by tick, blobs put on
-        subscriber sockets, epoch-log payloads by (record type, epoch)."""
+        subscriber sockets, epoch-log payloads by (record type, epoch).
+
+        Workers and subscribers share one transport class: a worker
+        message is pickled by ``send`` and then framed by
+        ``send_bytes``, while the publisher hands ``send_bytes`` the
+        update blob itself.  Only the outermost call is recorded."""
         sent = {"workers": {}, "published": [], "logged": {}}
-        send = PipeTransport.send
+        send = SocketTransport.send
         send_bytes = SocketTransport.send_bytes
         append = EpochLogWriter._append
+        in_send = []
 
         def spy_send(self, message):
             if message[0] == MSG_TICK:
                 _, blob, tick, _ = message
                 sent["workers"].setdefault(tick, []).append(blob)
-            return send(self, message)
+            in_send.append(message)
+            try:
+                return send(self, message)
+            finally:
+                in_send.pop()
 
         def spy_send_bytes(self, blob):
-            sent["published"].append(blob)
+            if not in_send:
+                sent["published"].append(blob)
             return send_bytes(self, blob)
 
         def spy_append(self, rtype, epoch, payload, **kwargs):
             sent["logged"][rtype, epoch] = payload
             return append(self, rtype, epoch, payload, **kwargs)
 
-        monkeypatch.setattr(PipeTransport, "send", spy_send)
+        monkeypatch.setattr(SocketTransport, "send", spy_send)
         monkeypatch.setattr(SocketTransport, "send_bytes", spy_send_bytes)
         monkeypatch.setattr(EpochLogWriter, "_append", spy_append)
         return sent

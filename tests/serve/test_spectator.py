@@ -21,10 +21,10 @@ import time
 import pytest
 
 from repro.env.sharding import NO_REPLICA, UPDATE_DELTA, UPDATE_SNAPSHOT
-from repro.game.battle import BattleSimulation
+from repro.game.battle import BattleSimulation, battle_game
 from repro.serve.publisher import SUB_STALE
 from repro.serve.queries import AuthoritativeQueryService, QueryError, unit_ref
-from repro.serve.spectator import SpectatorError
+from repro.serve.spectator import SpectatorError, SpectatorReplica
 from repro.serve.transport import PROTOCOL_VERSION, SocketTransport
 
 pytestmark = pytest.mark.skipif(
@@ -263,6 +263,18 @@ class TestSpectatorFaultDrills:
                 assert_epoch_matches(
                     client, battle.engine, battle.engine.tick_count + 1
                 )
+
+    def test_init_failure_raises_with_the_replica_traceback(self):
+        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        probe.bind(("127.0.0.1", 0))
+        dead = probe.getsockname()[:2]
+        probe.close()
+        with pytest.raises(
+            SpectatorError,
+            match="(?s)spectator replica failed to initialise:.*"
+            "ConnectionRefusedError",
+        ):
+            SpectatorReplica.spawn(dead, battle_game())
 
     def test_epoch_pinning_rules(self, battle):
         with battle.spawn_spectator() as spectator:

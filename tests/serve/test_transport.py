@@ -1,27 +1,29 @@
-"""The transport layer: framing, version/size guards, pipe parity.
+"""The transport layer: framing, version/size guards, child handshake.
 
-The socket path is the untrusted one: every frame carries a protocol
-version byte and a length that is validated against the max-frame
-guard *before* any payload is read, so a bad peer can neither wedge a
-reader behind a never-completing frame nor make it allocate an absurd
-buffer.  Pipe transports are kernel-framed and only need interface
-parity.
+Every frame carries a protocol version byte and a length that is
+validated against the max-frame guard *before* any payload is read, so
+a bad peer can neither wedge a reader behind a never-completing frame
+nor make it allocate an absurd buffer.  Child processes started on a
+private socketpair open with a READY / ERROR handshake.
 """
 
-import multiprocessing
 import pickle
 import socket
 import struct
+import time
 
 import pytest
 
 from repro.serve.transport import (
     DEFAULT_MAX_FRAME,
+    ERROR,
     PROTOCOL_VERSION,
+    READY,
     FrameError,
-    PipeTransport,
     SocketTransport,
     TransportError,
+    await_ready,
+    start_child,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -202,17 +204,44 @@ class TestSocketTransport:
         assert received == [blob]
 
 
-class TestPipeTransport:
-    def test_round_trip_and_byte_count(self):
-        parent, child = multiprocessing.Pipe()
-        left, right = PipeTransport(parent), PipeTransport(child)
-        sent = left.send(("tick", 1))
-        assert sent == len(pickle.dumps(("tick", 1), protocol=pickle.HIGHEST_PROTOCOL))
-        assert right.recv() == ("tick", 1)
-        right.send_bytes(pickle.dumps("ack"))
-        assert left.poll(1.0)
-        assert left.recv() == "ack"
-        left.close()
-        with pytest.raises(EOFError):
-            right.recv()
-        right.close()
+def _child(sock, reply):
+    """A child that opens its session with *reply* (or says nothing)."""
+    with SocketTransport(sock) as transport:
+        if reply is None:
+            time.sleep(30)
+        else:
+            transport.send(reply)
+            if reply[0] == READY:  # then echo one message back
+                transport.send(transport.recv())
+
+
+class TestChildHandshake:
+    def test_ready_value_then_session(self):
+        process, transport = start_child(_child, ((READY, ("h", 7)),))
+        ready = await_ready(transport, "echo child", process=process)
+        assert ready == ("h", 7)
+        transport.send("ping")
+        assert transport.recv() == "ping"
+        transport.close()
+        process.join(timeout=5)
+        assert process.exitcode == 0
+
+    def test_error_raises_with_the_child_traceback(self):
+        process, transport = start_child(
+            _child, ((ERROR, "Traceback ...\nValueError: bad game"),)
+        )
+        with pytest.raises(
+            RuntimeError, match="(?s)echo child failed to initialise:.*bad game"
+        ):
+            await_ready(transport, "echo child", process=process)
+        assert transport.fileno() == -1  # closed on failure
+        assert not process.is_alive()
+
+    def test_silent_child_times_out_and_is_stopped(self):
+        process, transport = start_child(_child, (None,))
+        with pytest.raises(TimeoutError, match="did not start in time"):
+            await_ready(
+                transport, "echo child", process=process, timeout=0.2,
+                error=TimeoutError,
+            )
+        assert not process.is_alive()
