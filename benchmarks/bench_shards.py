@@ -49,7 +49,6 @@ from repro.env.schema import battle_schema
 from repro.env.sharding import (
     delta_blob,
     encode_replica_delta,
-    make_sharder,
     snapshot_blob,
 )
 from repro.env.table import diff_by_key
@@ -84,9 +83,7 @@ def run_config(
             "broadcast_bytes_per_tick": broadcast / ticks,
             # what feeding every worker a snapshot each tick would ship
             "snapshot_bytes_per_tick": pool_size * len(
-                snapshot_blob(
-                    engine.tick_count, engine.env.rows, engine._shard_conf
-                )
+                snapshot_blob(engine.tick_count, engine.env.rows)
             ),
             "signature": sim.state_signature(),
         }
@@ -96,7 +93,7 @@ def run_config(
 
 
 def broadcast_volume_section(
-    n_units: int, rates: list[float], rounds: int, *, num_shards: int = 4
+    n_units: int, rates: list[float], rounds: int
 ) -> list[dict]:
     """Snapshot-vs-delta wire bytes per tick at controlled update rates.
 
@@ -108,8 +105,6 @@ def broadcast_volume_section(
     """
     schema = battle_schema()
     grid = max(int((n_units / 0.01) ** 0.5), 16)
-    shard_conf = ("spatial", num_shards, float(grid))
-    shard_of = make_sharder("spatial", num_shards, extent=float(grid))
     key = schema.key
     out = []
     for rate in rates:
@@ -127,9 +122,8 @@ def broadcast_volume_section(
                 key_attr=key,
                 base_epoch=epoch - 1,
                 epoch=epoch,
-                shard_of=shard_of,
             )
-            snapshot_bytes += len(snapshot_blob(epoch, cur.rows, shard_conf))
+            snapshot_bytes += len(snapshot_blob(epoch, cur.rows))
             delta_bytes += len(delta_blob(rd))
             prev = cur
         reduction = snapshot_bytes / delta_bytes

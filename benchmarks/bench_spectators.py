@@ -191,7 +191,7 @@ def scaling_section(
 # -- section 3: delta vs snapshot subscription cost ----------------------------
 
 
-def next_update(prev, cur, epoch: int, shard_conf: tuple) -> EpochUpdate:
+def next_update(prev, cur, epoch: int) -> EpochUpdate:
     """The feed's update from state *prev* (epoch - 1) to *cur*."""
     key = cur.schema.key
     delta = diff_by_key(prev, cur)
@@ -204,7 +204,7 @@ def next_update(prev, cur, epoch: int, shard_conf: tuple) -> EpochUpdate:
         base_epoch=epoch - 1,
         epoch=epoch,
     )
-    return EpochUpdate(epoch, cur.rows, shard_conf, rd)
+    return EpochUpdate(epoch, cur.rows, rd)
 
 
 def _drain(transport: SocketTransport, counter: list) -> None:
@@ -230,7 +230,6 @@ def subscriber_volume_section(
     """
     schema = battle_schema()
     grid = max(int((n_units / 0.01) ** 0.5), 16)
-    shard_conf = ("key", 1, None)
     out = []
     for rate in rates:
         rng = random.Random(23)
@@ -244,12 +243,12 @@ def subscriber_volume_section(
             )
             thread.start()
             # seed: the late joiner's snapshot, outside the measurement
-            pub.publish(EpochUpdate(1, prev.rows, shard_conf))
+            pub.publish(EpochUpdate(1, prev.rows))
             seeded = pub.stats.bytes_sent
             snapshot_bytes = 0
             for epoch in range(1, rounds + 1):
                 cur = evolve_battle_env(prev, rate, grid, rng)
-                update = next_update(prev, cur, epoch + 1, shard_conf)
+                update = next_update(prev, cur, epoch + 1)
                 pub.publish(update)
                 snapshot_bytes += len(update.snapshot_blob())
                 prev = cur
@@ -295,7 +294,6 @@ def churn_replica_section(
     game = battle_game()
     grid = max(int((n_units / 0.01) ** 0.5), 16)
     queries = query_matrix(grid)
-    shard_conf = ("key", 1, None)
     rng = random.Random(29)
     prev = make_battle_env(game.schema, n_units, grid, seed=7)
     out = []
@@ -317,7 +315,7 @@ def churn_replica_section(
             return len(queries)
 
         epoch = 1
-        pub.publish(EpochUpdate(epoch, prev.rows, shard_conf))
+        pub.publish(EpochUpdate(epoch, prev.rows))
         check(prev, epoch)  # builds what the next epoch may patch
         for rate in rates:
             before = client.status()["evaluator_stats"]
@@ -325,7 +323,7 @@ def churn_replica_section(
             for _ in range(rounds):
                 cur = evolve_battle_env(prev, rate, grid, rng)
                 epoch += 1
-                pub.publish(next_update(prev, cur, epoch, shard_conf))
+                pub.publish(next_update(prev, cur, epoch))
                 checked += check(cur, epoch)
                 prev = cur
             after = client.status()["evaluator_stats"]

@@ -4,7 +4,10 @@ Each clock tick runs an explicit staged pipeline over a *sharded*
 environment (the partition of ``E`` by a configurable shard key --
 ``repro.env.sharding``).  Shards split the decision work only: which
 units' scripts run together, and on which worker.  Every index is built
-over the flat ``E``, as in the paper.
+over the flat ``E``, as in the paper.  The shard layout is fixed when the
+engine is constructed: only the engine and its decision workers (which
+receive it in the payload that opens their session) know it; no replica
+update or log record carries it.
 
 0. **partition** -- ``E``'s rows split into per-shard lists in the flat
    table's row order: the units each shard decides;
@@ -40,8 +43,8 @@ over the flat ``E``, as in the paper.
 5. **mechanics** -- the game's post-processing applies the combined
    effects (Example 4.1), moves units, removes the dead;
 6. **feed** (optional) -- the post-tick state becomes one
-   :class:`~repro.env.sharding.EpochUpdate` (epoch, rows, shard layout
-   and the captured delta) handed to every attached consumer: the
+   :class:`~repro.env.sharding.EpochUpdate` (epoch, rows and the
+   captured delta) handed to every attached consumer: the
    spectator publisher (``repro.serve``) and the epoch log
    (``repro.persist``) now, the process workers at the start of the
    next tick.  Each sends the delta to holders it chains for and the
@@ -75,7 +78,6 @@ from ..algebra.shapes import ActionShape, classify_action
 from ..env.combine import combine_all
 from ..env.sharding import (
     EpochUpdate,
-    ShardFn,
     encode_replica_delta,
     make_sharder,
     partition_rows,
@@ -128,8 +130,6 @@ class TickStats:
     #: Index upkeep: evaluator begin_tick (delta apply or cache reset)
     #: plus post-mechanics change capture.  0.0 in naive mode.
     maintenance_time: float = 0.0
-    #: Shard count the tick ran with (1 = the flat engine).
-    shards: int = 1
     #: Pickled bytes shipped to process workers this tick (deltas and/or
     #: snapshots); 0 outside ``parallelism="processes"``.
     broadcast_bytes: int = 0
@@ -151,11 +151,13 @@ class TickStats:
     log_time: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
     """Every engine knob: its name, its default and what it does.
 
-    This is the one declaration of the knob list.
+    This is the one declaration of the knob list.  A config is frozen:
+    every knob is a construction-time fact of the engine built from it,
+    so assigning to a field raises ``FrozenInstanceError``.
     :class:`~repro.game.battle.BattleSimulation`,
     :meth:`~repro.api.GameDefinition.engine` and
     :func:`~repro.api.run_battle` forward the keywords they do not
@@ -183,12 +185,13 @@ class EngineConfig:
 
     * ``num_shards`` -- how many partitions of ``E`` the decision stage
       runs (1 = the flat engine): which units' decisions run together,
-      and on which worker.  Indexes always span all of ``E``.
-      ``num_shards`` / ``shard_by`` / ``spatial_extent`` may be edited
-      on a running engine's ``config`` between ticks;
-    * ``shard_by`` -- the shard key: ``"spatial"`` (vertical strips over
-      ``posx``, requires ``spatial_extent``) or any const attribute name
-      (``"key"``, ``"player"``, ...) hashed process-stably;
+      and on which worker.  Indexes always span all of ``E``.  The
+      layout (``num_shards`` / ``shard_by`` / ``spatial_extent``) is
+      fixed for the engine's lifetime;
+    * ``shard_by`` -- the shard key: ``None`` (default) is the schema's
+      key attribute, ``"spatial"`` cuts vertical strips over ``posx``
+      (requires ``spatial_extent``), and any other const attribute name
+      (``"player"``, ...) is hashed process-stably;
     * ``spatial_extent`` -- exclusive upper bound of ``posx`` (the grid
       size; the battle supplies it).
 
@@ -274,7 +277,7 @@ class EngineConfig:
     mode: str = "indexed"
     seed: int = 0
     num_shards: int = 1
-    shard_by: str = "key"
+    shard_by: str | None = None
     spatial_extent: float | None = None
     parallelism: str = "serial"
     max_workers: int | None = None
@@ -356,8 +359,18 @@ class SimulationEngine:
         self.indexed = cfg.mode == "indexed"
         self.rng = TickRandom(cfg.seed, key_attr=env.schema.key)
         self.tick_count = 0
-        self._shard_conf = (cfg.shard_by, cfg.num_shards, cfg.spatial_extent)
-        self.shard_of = self._sharder(self._shard_conf)
+        # the shard layout: fixed here, shipped to the workers in their
+        # session payload, never on the replica feeds
+        shard_by = env.schema.key if cfg.shard_by is None else cfg.shard_by
+        if shard_by != "spatial" and shard_by not in env.schema:
+            raise ValueError(
+                f"shard_by {shard_by!r} is neither 'spatial' nor an "
+                f"attribute of the schema"
+            )
+        self._shard_conf = (shard_by, cfg.num_shards, cfg.spatial_extent)
+        self.shard_of = make_sharder(
+            shard_by, cfg.num_shards, extent=cfg.spatial_extent
+        )
         self._processes = cfg.parallelism == "processes" and cfg.num_shards > 1
         self._pool = None  # ReplicaWorkerPool | None
 
@@ -401,7 +414,7 @@ class SimulationEngine:
         # EpochUpdate -- the spectator publisher and the epoch log at t,
         # the process workers at t+1.
         self._pending_delta: TableDelta | None = None
-        self._update = EpochUpdate(1, env.rows, self._shard_conf)
+        self._update = EpochUpdate(1, env.rows)
         self.publisher = None  # ReplicaPublisher | None
         self.epoch_log = None  # EpochLogWriter | None
         self._epoch_log_state_fn: Callable[[], dict | None] = lambda: None
@@ -595,7 +608,6 @@ class SimulationEngine:
         if self.epoch_log is not None:
             raise RuntimeError("engine already has an epoch log attached")
         cfg = self.config
-        cfg.epoch_log = path
         self.epoch_log = EpochLogWriter(
             path,
             checkpoint_every=cfg.epoch_log_checkpoint_every,
@@ -610,7 +622,6 @@ class SimulationEngine:
                 {
                     "key_attr": self.env.schema.key,
                     "seed": cfg.seed,
-                    "shard_conf": self._shard_conf,
                     "game_meta": meta,
                 }
             )
@@ -645,58 +656,10 @@ class SimulationEngine:
         self.env = env
         self.tick_count = epoch - 1
         self._pending_delta = None
-        self._update = EpochUpdate(epoch, env.rows, self._shard_conf)
+        self._update = EpochUpdate(epoch, env.rows)
         for consumer in (self._pool, self.publisher, self.epoch_log):
             if consumer is not None:
                 consumer.invalidate()
-
-    # -- shard layout lifecycle ---------------------------------------------------
-
-    def _refresh_sharding(self) -> None:
-        """Adopt a mid-run shard layout change (tick-start checkpoint).
-
-        ``num_shards`` / ``shard_by`` / ``spatial_extent`` may be edited
-        on ``config`` between ticks; sharding is a pure performance knob,
-        so the trajectory must not notice.  A bad layout raises before
-        anything changes, so the engine keeps its previous one.  The
-        pending delta is discarded and the current update is replaced by
-        a delta-less one carrying the new layout -- replica epochs no
-        longer describe the workers' shard layout, so the next process
-        broadcast is a full snapshot.  The evaluator is left alone: its
-        indexes span all of ``E``.
-        """
-        cfg = self.config
-        conf = (cfg.shard_by, cfg.num_shards, cfg.spatial_extent)
-        if conf == self._shard_conf:
-            return
-        shard_of = self._sharder(conf)
-        if self._worker_endpoints is not None and cfg.num_shards < 2:
-            # same guard as construction: dropping to one shard would
-            # run decisions in-process and silently idle the fleet
-            raise ValueError(
-                "remote worker endpoints require num_shards >= 2; a "
-                "mid-run reshard to one shard would silently stop "
-                "contacting the fleet"
-            )
-        self.shard_of = shard_of
-        self._shard_conf = conf
-        self._processes = (
-            cfg.parallelism == "processes" and cfg.num_shards > 1
-        )
-        self._pending_delta = None
-        self._update = EpochUpdate(self.tick_count + 1, self.env.rows, conf)
-
-    def _sharder(self, conf: tuple) -> ShardFn:
-        """The ``row -> shard id`` function of layout *conf*; a shard key
-        that is neither ``"spatial"`` nor a schema attribute is a
-        ``ValueError`` naming it."""
-        shard_by, num_shards, extent = conf
-        if shard_by != "spatial" and shard_by not in self.env.schema:
-            raise ValueError(
-                f"shard_by {shard_by!r} is neither 'spatial' nor an "
-                f"attribute of the schema"
-            )
-        return make_sharder(shard_by, num_shards, extent=extent)
 
     # -- pipeline stages ------------------------------------------------------------
 
@@ -726,7 +689,6 @@ class SimulationEngine:
 
     def tick(self) -> TickStats:
         start = time.perf_counter()
-        self._refresh_sharding()
         self.tick_count += 1
         epoch = self.tick_count + 1  # post-tick states are epoch t+1
         trace = self.trace
@@ -852,12 +814,9 @@ class SimulationEngine:
                     key_attr=key,
                     base_epoch=self.tick_count,
                     epoch=epoch,
-                    shard_of=self.shard_of,
                 )
             timed("maintenance", t0, span="capture")
-        update = self._update = EpochUpdate(
-            epoch, self.env.rows, self._shard_conf, rd
-        )
+        update = self._update = EpochUpdate(epoch, self.env.rows, rd)
 
         # stage 6: feed -- hand this epoch's update to the spectator
         # publisher (fire and forget: spectators are read-only and can
@@ -884,7 +843,6 @@ class SimulationEngine:
             effect_rows=effect_row_count,
             aoe_records=len(all_aoe),
             total_time=time.perf_counter() - start,
-            shards=cfg.num_shards,
             broadcast_bytes=broadcast_bytes,
             publish_bytes=publish_bytes,
             log_bytes=log_bytes,

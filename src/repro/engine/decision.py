@@ -212,17 +212,13 @@ class GameDefinition:
         self,
         env: EnvironmentTable,
         mechanics: MechanicsFn,
-        *,
-        shard_by: str | None = None,
         **engine,
     ) -> SimulationEngine:
         """Build a :class:`~repro.engine.clock.SimulationEngine` for this
         game.
 
-        *shard_by* defaults to the schema key.  Every other keyword is
-        an :class:`~repro.engine.clock.EngineConfig` field -- that
-        docstring is the knob reference; ``shard_by="spatial"`` needs
-        ``spatial_extent``.
+        Every keyword is an :class:`~repro.engine.clock.EngineConfig`
+        field -- that docstring is the knob reference.
 
         Both evaluation modes, patched or rebuilt indexes, shard counts
         and worker layouts are bit-identical in trajectory when
@@ -233,15 +229,7 @@ class GameDefinition:
         """
         from .clock import EngineConfig, SimulationEngine
 
-        return SimulationEngine(
-            env,
-            self,
-            mechanics,
-            EngineConfig(
-                shard_by=shard_by if shard_by is not None else self.schema.key,
-                **engine,
-            ),
-        )
+        return SimulationEngine(env, self, mechanics, EngineConfig(**engine))
 
 
 class DecisionStage:

@@ -45,16 +45,17 @@ targets:
   snapshot in the same tick; a local worker that died is respawned; a
   remote worker whose connection dropped is *reconnected* (the listener
   accepts a fresh session, which always starts replica-less) -- both
-  rejoin from a snapshot within the tick; a shard-count change
-  invalidates every replica epoch, forcing a full re-broadcast.
+  rejoin from a snapshot within the tick.
 
 Every worker keeps a *full* replica of ``E``: aggregate queries range
 over all of ``E`` regardless of which shard's unit asks, so a worker
 answers every probe and action of its shards locally and the only
 traffic inside a tick is the update going out and the reply coming back.
 Its indexes span the whole replica too, exactly as the serial engine's
-do: the shard layout a snapshot carries only picks out which units the
-worker decides, so one evaluator serves the whole session.
+do.  The shard layout arrives once, in the payload that opens the
+session, and only picks out which units the worker decides; no update
+carries it, so one evaluator and one shard function serve the whole
+session.
 
 Determinism: the per-tick random function is counter-mode
 (``TickRandom`` is a pure function of seed, tick, unit key, and draw
@@ -73,7 +74,7 @@ import socket
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, cast
 
 from ..env.sharding import (
     NO_REPLICA,
@@ -147,11 +148,6 @@ class WorkerEndpoint:
         return (self.host, self.port)
 
 
-#: The coordinator's shard layout, shipped inside every snapshot: it
-#: tells a worker which units belong to the shards it decides.
-ShardConf = tuple  # (shard_by, num_shards, spatial_extent)
-
-
 # ---------------------------------------------------------------------------
 # Worker-side state and session loop
 # ---------------------------------------------------------------------------
@@ -170,16 +166,16 @@ class _WorkerState:
             TickRandom(int(payload["seed"]), key_attr=game.schema.key),
             mode=str(payload["mode"]),
         )
-        self.adopt_shard_conf(payload["shard_conf"])
+        # the coordinator's (shard_by, num_shards, spatial_extent): it
+        # picks out the units of this worker's shards, and nothing else
+        # (indexes span all of E)
+        shard_by, self.num_shards, extent = cast(
+            "tuple[str, int, float | None]", payload["shard_conf"]
+        )
+        self.shard_of = make_sharder(shard_by, self.num_shards, extent=extent)
         # the replica of E (row order, key -> row, epoch held) -- the
         # same holder-side protocol object the spectator replicas use
         self.replica = ReplicaTable(game.schema.key)
-
-    def adopt_shard_conf(self, shard_conf: ShardConf) -> None:
-        """Take the coordinator's shard layout: it picks out the units of
-        this worker's shards, and nothing else (indexes span all of E)."""
-        shard_by, self.num_shards, extent = shard_conf
-        self.shard_of = make_sharder(shard_by, self.num_shards, extent=extent)
 
     # -- the decision stage ------------------------------------------------------
 
@@ -232,14 +228,6 @@ def _worker_loop(transport: SocketTransport, state: _WorkerState) -> bool:
         _, blob, tick, shard_ids = msg
         try:
             delta = state.replica.apply(pickle.loads(blob))
-            if delta is None:  # a snapshot carries the shard layout
-                try:
-                    state.adopt_shard_conf(state.replica.shard_conf)
-                except BaseException:
-                    # no replica without its layout: the next update
-                    # must be a snapshot, not a delta chained onto it
-                    state.replica.invalidate()
-                    raise
             results = state.decide(tick, shard_ids, delta)
             transport.send((REPLY_OK, state.replica.epoch, results))
         except StaleReplicaError:
@@ -656,8 +644,8 @@ class ReplicaWorkerPool:
         *bundles* pairs worker indexes with the shard ids they decide.
         *update* is the tick-start state: its delta goes to workers it
         chains for, the snapshot to everyone else -- fresh, respawned,
-        reconnected, drifted, or after a layout change (whose update
-        carries no delta).  Epoch acks are verified against
+        reconnected, drifted, or after a restore (whose update carries
+        no delta).  Epoch acks are verified against
         ``update.epoch``; a ``STALE`` reply or a dead worker falls back
         to the snapshot within the same tick, and a dead worker is
         respawned (local) or reconnected (remote) at most once per tick

@@ -21,8 +21,8 @@ of that bargain:
   re-broadcasting the full row set.
   :func:`encode_replica_delta` compresses a ``TableDelta`` (deletes
   become keys, updates become sparse attribute patches, the row order is
-  shipped only when it cannot be predicted) and classifies cross-shard
-  moves; :func:`apply_replica_delta` replays it against a replica and
+  shipped only when it cannot be predicted);
+  :func:`apply_replica_delta` replays it against a replica and
   raises :class:`StaleReplicaError` on an epoch mismatch, the signal to
   fall back to a snapshot;
 * :class:`EpochUpdate` is one epoch's post-tick state as every replica
@@ -41,7 +41,9 @@ of that bargain:
 The engine (``repro.engine.clock``) partitions at tick start and runs
 the decision stage shard-at-a-time (serially or in parallel workers).
 A shard decides which units' decisions run together and where; the
-indexes those decisions probe always span the whole of ``E``.
+indexes those decisions probe always span the whole of ``E``.  The shard
+layout is fixed when the engine is built, so nothing on the replica
+protocol carries it: every holder's replica is the flat ``E``.
 """
 
 from __future__ import annotations
@@ -192,10 +194,7 @@ class ReplicaDelta:
       the compact ``insert_at`` patch ships ``(key, final index)`` pairs
       instead of the whole order; only genuinely order-scrambling ticks
       -- e.g. the battle's resurrection rule moving revived units to the
-      end of ``E`` -- ship the full key order;
-    * ``cross_shard_moves`` counts updates whose shard assignment moved
-      (a unit walking out of its spatial strip), so a coordinator can
-      watch shard-boundary churn without re-deriving it.
+      end of ``E`` -- ship the full key order.
     """
 
     base_epoch: int
@@ -210,7 +209,6 @@ class ReplicaDelta:
     )
     #: Full new key order, or ``None`` when predictable (see above).
     order: list[object] | None = None
-    cross_shard_moves: int = 0
     #: Compact order patch: ``(inserted key, final index)`` pairs in
     #: ascending index order, for the inserts-splice-mid-order case.
     #: Mutually exclusive with ``order``; ``None`` means inserts append.
@@ -234,7 +232,6 @@ class ReplicaDelta:
                 self.deleted_keys,
                 self.updated,
                 self.order,
-                self.cross_shard_moves,
                 self.insert_at,
             ),
         )
@@ -282,26 +279,20 @@ def encode_replica_delta(
     key_attr: str,
     base_epoch: int,
     epoch: int,
-    shard_of: ShardFn | None = None,
 ) -> ReplicaDelta:
     """Compress a keyed :class:`~repro.env.table.TableDelta` for the wire.
 
     *old_order* / *new_order* are the key sequences of the pre- and
     post-change tables; the order patch is elided when prediction
-    reproduces *new_order* exactly.  *shard_of* (when sharding is
-    active) only feeds the cross-shard move classification -- replica
-    holders re-route rows through their own shard function.
+    reproduces *new_order* exactly.
     """
     updated: list[tuple[object, dict[str, object]]] = []
-    moves = 0
     for old, new in delta.updated:
         patch = {a: v for a, v in new.items() if old.get(a, _MISSING) != v}
         for attr in old:
             if attr not in new:
                 patch[attr] = REMOVED_ATTR
         updated.append((old[key_attr], patch))
-        if shard_of is not None and shard_of(old) != shard_of(new):
-            moves += 1
     deleted_keys = [row[key_attr] for row in delta.deleted]
     inserted = list(delta.inserted)
     new_order = list(new_order)
@@ -329,7 +320,6 @@ def encode_replica_delta(
         deleted_keys=deleted_keys,
         updated=updated,
         order=order,
-        cross_shard_moves=moves,
         insert_at=insert_at,
     )
 
@@ -413,18 +403,10 @@ UPDATE_SNAPSHOT = "snapshot"
 UPDATE_DELTA = "delta"
 
 
-def snapshot_blob(
-    epoch: int, rows: list[dict[str, object]], shard_conf: tuple[object, ...]
-) -> bytes:
-    """Pickle a full-broadcast update once, for fan-out to many holders.
-
-    *shard_conf* is the coordinator's ``(shard_by, num_shards, extent)``
-    tuple; shard workers adopt it to pick out the units of the shards
-    they decide, spectators ignore it.
-    """
+def snapshot_blob(epoch: int, rows: list[dict[str, object]]) -> bytes:
+    """Pickle a full-broadcast update once, for fan-out to many holders."""
     return pickle.dumps(
-        (UPDATE_SNAPSHOT, epoch, rows, shard_conf),
-        protocol=pickle.HIGHEST_PROTOCOL,
+        (UPDATE_SNAPSHOT, epoch, rows), protocol=pickle.HIGHEST_PROTOCOL
     )
 
 
@@ -442,9 +424,9 @@ class EpochUpdate:
     and the epoch log at the end of the tick, the process workers at the
     start of the next.  *delta* advances a holder at ``epoch - 1`` to
     *epoch* (``None`` when no usable delta exists: the first epoch, a
-    keyless diff, a shard-layout change, a restored state).  Each
-    consumer keeps its own belief of what its holders hold and asks
-    :meth:`chains_from` whether the delta reaches them.
+    keyless diff, a restored state).  Each consumer keeps its own belief
+    of what its holders hold and asks :meth:`chains_from` whether the
+    delta reaches them.
 
     :meth:`delta_blob` and :meth:`snapshot_blob` pickle on first use
     and keep the result, so every holder of one epoch is handed the
@@ -454,8 +436,6 @@ class EpochUpdate:
 
     epoch: int
     rows: list[dict[str, object]] = field(repr=False)
-    #: The coordinator's ``(shard_by, num_shards, extent)``.
-    shard_conf: tuple[object, ...]
     delta: ReplicaDelta | None = None
     _delta: bytes | None = field(default=None, init=False, repr=False)
     _snapshot: bytes | None = field(default=None, init=False, repr=False)
@@ -482,9 +462,7 @@ class EpochUpdate:
     def snapshot_blob(self) -> bytes:
         """The pickled full-snapshot update."""
         if self._snapshot is None:
-            self._snapshot = snapshot_blob(
-                self.epoch, self.rows, self.shard_conf
-            )
+            self._snapshot = snapshot_blob(self.epoch, self.rows)
         return self._snapshot
 
 
@@ -506,7 +484,7 @@ class ReplicaTable:
     for a snapshot.
     """
 
-    __slots__ = ("key_attr", "rows", "by_key", "order", "epoch", "shard_conf")
+    __slots__ = ("key_attr", "rows", "by_key", "order", "epoch")
 
     def __init__(self, key_attr: str) -> None:
         self.key_attr = key_attr
@@ -514,8 +492,6 @@ class ReplicaTable:
         self.by_key: dict[object, dict[str, object]] | None = None
         self.order: list[object] = []
         self.epoch: int = NO_REPLICA
-        #: The ``shard_conf`` of the last snapshot :meth:`apply` took.
-        self.shard_conf: tuple[object, ...] | None = None
 
     @property
     def held(self) -> bool:
@@ -531,16 +507,15 @@ class ReplicaTable:
         """Apply one decoded update blob (:func:`snapshot_blob` or
         :func:`delta_blob`) -- the one decoder every holder uses.
 
-        A snapshot replaces the replica, records its ``shard_conf`` and
-        returns ``None``; a delta returns what :meth:`apply_delta` does.
+        A snapshot replaces the replica and returns ``None``; a delta
+        returns what :meth:`apply_delta` does.
         """
         tag = update[0]
         if tag == UPDATE_SNAPSHOT:
-            _, epoch, rows, shard_conf = update
+            _, epoch, rows = update
             self.apply_snapshot(
                 cast(int, epoch), cast("list[dict[str, object]]", rows)
             )
-            self.shard_conf = cast("tuple[object, ...]", shard_conf)
             return None
         if tag == UPDATE_DELTA:
             return self.apply_delta(cast(ReplicaDelta, update[1]))

@@ -27,7 +27,7 @@ Record types:
   attribute, seed, game construction kwargs); written once at attach so
   a log is self-contained for recovery;
 * :data:`REC_SNAPSHOT` -- a full-state checkpoint: the standard
-  snapshot blob ``(tag, epoch, rows, shard_conf)``;
+  snapshot blob ``(tag, epoch, rows)``;
 * :data:`REC_DELTA` -- one tick's change set: the standard delta blob
   ``(tag, ReplicaDelta)``;
 * :data:`REC_STATE` -- a small pickled dict of game-level counters
@@ -45,8 +45,10 @@ from typing import BinaryIO, Iterator, NamedTuple
 FILE_MAGIC = b"REPROLOG"
 
 #: Bump when the record layout or payload vocabulary changes
-#: incompatibly.  1: the initial format described above.
-FORMAT_VERSION = 1
+#: incompatibly.  1: the initial format described above.  2: snapshot
+#: blobs no longer carry the shard layout, and the meta record no
+#: longer records it.
+FORMAT_VERSION = 2
 
 #: 8-byte magic + 1-byte version + 7 reserved zero bytes.
 FILE_HEADER = FILE_MAGIC + bytes([FORMAT_VERSION]) + b"\x00" * 7

@@ -3,8 +3,8 @@
 :class:`EpochLogWriter` is one of the engine's three replica feeds,
 beside the spectator publisher and the worker pool.  Once per tick it
 is handed the epoch's :class:`~repro.env.sharding.EpochUpdate` -- the
-same object the publisher streams, carrying the post-tick rows, the
-shard configuration and the captured delta -- and appends **one epoch
+same object the publisher streams, carrying the post-tick rows and the
+captured delta -- and appends **one epoch
 record**: the delta when it chains from the last logged epoch, a
 full-snapshot *checkpoint* otherwise (first record, unusable diff, a
 restored engine state, or the checkpoint cadence coming due),
@@ -382,7 +382,6 @@ class ReplayResult:
 
     epoch: int
     rows: list[dict[str, object]]
-    shard_conf: tuple[object, ...] | None = None
     #: Records applied to reach the state (1 snapshot + N deltas).
     applied: int = 0
 
@@ -507,7 +506,6 @@ class EpochLogReader:
         return ReplayResult(
             epoch=table.epoch,
             rows=table.rows,
-            shard_conf=table.shard_conf,
             applied=applied,
         )
 

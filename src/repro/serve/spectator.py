@@ -154,9 +154,6 @@ class _SpectatorServer:
         indexes; *frame* is the update as received (the history keeps
         a delta's frame, not the decoded delta)."""
         try:
-            # a snapshot's shard_conf goes unused: the spectator's
-            # evaluator is flat, and index answers are shard-layout
-            # independent anyway
             delta = self.replica.apply(update)
         except StaleReplicaError:
             # can't absorb this delta; drop the replica (it may have

@@ -43,8 +43,11 @@ from typing import Any
 #: Bump when the frame layout or blob vocabulary changes incompatibly.
 #: 2: ReplicaDelta gained the positional wire encoding + the
 #: ``insert_at`` order patch.  3: a remote worker session's ``INIT``
-#: carries the coordinator's game, not a factory to build it.
-PROTOCOL_VERSION = 3
+#: carries the coordinator's game, not a factory to build it.  4: a
+#: snapshot blob is ``(tag, epoch, rows)`` and ``ReplicaDelta`` no
+#: longer counts shard moves: the shard layout is fixed when the engine
+#: is built and reaches workers only in their session payload.
+PROTOCOL_VERSION = 4
 
 #: Default ceiling on one frame's payload.  Sized for full snapshots of
 #: very large environments (a 1M-unit battle snapshot pickles to well

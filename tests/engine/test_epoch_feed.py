@@ -7,7 +7,7 @@ what its holders hold and is sent a delta only when that belief chains.
 hold the restored epoch *number* from the old timeline.  The regression
 tests pin that no consumer chains a delta across a restore; the
 generated property drives random sequences of ticks, late joins,
-between-tick publishes, mid-run reshards and restores, and asserts after
+between-tick publishes and restores, and asserts after
 every step that a raw subscriber's replica, the log's replay and the
 engine hold the same rows.
 """
@@ -88,16 +88,29 @@ class TestRestoreResyncsConsumers:
             assert sub.replica.epoch == 5
             assert sub.replica.rows == sim.engine.env.rows
 
+    def test_process_workers_equal_engine(self):
+        """The restored state's update carries no delta, so every worker
+        is snapshot-fed mid-session and keeps deciding as the serial
+        engine does."""
+        with BattleSimulation(60, seed=3) as serial:
+            restore_same_epoch_number(serial)
+            want = serial.state_signature()
+        with BattleSimulation(
+            60, seed=3, num_shards=2, parallelism="processes", max_workers=2
+        ) as sim:
+            restore_same_epoch_number(sim)
+            stats = sim.engine.worker_stats
+            # per worker: a snapshot when the pool started, deltas at
+            # ticks 2 and 3, and a snapshot again after the restore
+            assert stats.delta_broadcasts == 4
+            assert stats.snapshot_broadcasts == 4
+            assert sim.state_signature() == want
+
 
 OPS = st.one_of(
     st.just(("tick",)),
     st.just(("join",)),
     st.just(("publish",)),
-    st.tuples(
-        st.just("reshard"),
-        st.integers(1, 3),
-        st.sampled_from(["key", "spatial"]),
-    ),
     st.tuples(
         st.just("restore"),
         st.integers(0, 10),  # which recorded state
@@ -141,9 +154,6 @@ def test_subscriber_log_and_engine_agree(ops):
                         sub = RawSubscriber(engine.publisher)
                     elif op[0] == "publish":
                         engine.publish_spectators()
-                    elif op[0] == "reshard":
-                        engine.config.num_shards = op[1]
-                        engine.config.shard_by = op[2]
                     elif op[0] == "restore":
                         _, which, target, publish = op
                         epoch, rows = recorded[which % len(recorded)]

@@ -4,10 +4,10 @@ Two layers of coverage:
 
 * the **wire format** (`ReplicaDelta` encode/apply) is exercised
   in-process: sparse attribute patches, keys-only deletes, elided row
-  order, cross-shard move classification, and the stale-epoch guard;
+  order, and the stale-epoch guard;
 * the **fault paths** drive real worker processes through genuine
-  failures -- a drifted replica epoch, a killed-and-respawned worker, a
-  mid-run shard-count change -- and assert the battle trajectory stays
+  failures -- a drifted replica epoch, a killed-and-respawned worker --
+  and assert the battle trajectory stays
   bit-identical to the flat serial engine, because every recovery
   degrades to a snapshot broadcast, never to wrong answers.
 """
@@ -22,10 +22,8 @@ from repro.engine.shardexec import (
     MSG_STOP,
     MSG_TICK,
     REPLY_ERROR,
-    REPLY_OK,
-    REPLY_STALE,
     ReplicaWorkerPool,
-    _worker_loop,
+    _serve_session,
     _WorkerState,
 )
 from repro.env.sharding import (
@@ -35,7 +33,6 @@ from repro.env.sharding import (
     apply_replica_delta,
     delta_blob,
     encode_replica_delta,
-    make_sharder,
     snapshot_blob,
 )
 from repro.env.table import EnvironmentTable, diff_by_key
@@ -52,7 +49,7 @@ def battle_signature(ticks=4, **kwargs):
         return sim.state_signature()
 
 
-def encode(old, new, shard_of=None, base_epoch=0, epoch=1):
+def encode(old, new, base_epoch=0, epoch=1):
     delta = diff_by_key(old, new)
     assert delta is not None
     return encode_replica_delta(
@@ -62,7 +59,6 @@ def encode(old, new, shard_of=None, base_epoch=0, epoch=1):
         key_attr="key",
         base_epoch=base_epoch,
         epoch=epoch,
-        shard_of=shard_of,
     )
 
 
@@ -203,7 +199,6 @@ class TestReplicaDeltaWireFormat:
         new = evolved(env, lambda rows: rows[0].update(posx=1))
         blob = pickle.dumps(encode(env, new))
         assert b"deleted_keys" not in blob
-        assert b"cross_shard_moves" not in blob
         assert pickle.loads(blob) == encode(env, new)
 
     def test_stale_epoch_is_refused(self, schema):
@@ -235,22 +230,6 @@ class TestReplicaDeltaWireFormat:
                 replica_epoch=0,
             )
 
-    def test_cross_shard_moves_are_classified(self, schema):
-        env = make_env(schema, n=10, grid=40, seed=6)
-        shard_of = make_sharder("spatial", 4, extent=40)
-
-        def mutate(rows):
-            # teleport a unit across every strip boundary
-            rows[0]["posx"] = (rows[0]["posx"] + 20) % 40
-            # and nudge another inside its strip
-            rows[1]["health"] -= 1
-
-        new = evolved(env, mutate)
-        rd = encode(env, new, shard_of=shard_of)
-        moved = shard_of(env.rows[0]) != shard_of(new.rows[0])
-        assert rd.cross_shard_moves == (1 if moved else 0)
-
-
 class TestReplicaWorkerFaults:
     """Real worker processes driven through the recovery paths."""
 
@@ -267,9 +246,7 @@ class TestReplicaWorkerFaults:
             # both workers' updates together (their first-tick snapshots
             # included) cost less than snapshot-feeding one of them
             engine = sim.engine
-            snapshot = snapshot_blob(
-                engine.tick_count, engine.env.rows, engine._shard_conf
-            )
+            snapshot = snapshot_blob(engine.tick_count, engine.env.rows)
             assert stats.bytes_broadcast < 4 * len(snapshot)
 
     def test_stale_worker_rejoins_via_snapshot(self):
@@ -300,22 +277,6 @@ class TestReplicaWorkerFaults:
             pool.workers[0].process.join()
             sim.run(4)
             assert pool.stats.respawns >= 1
-            assert sim.state_signature() == baseline
-
-    def test_mid_run_shard_change_forces_full_rebroadcast(self):
-        baseline = battle_signature(ticks=6, seed=41)
-        with BattleSimulation(
-            48, density=0.02, seed=41, num_shards=2,
-            parallelism="processes", max_workers=2,
-        ) as sim:
-            sim.run(3)
-            pool = sim.engine._pool
-            snapshots_before = pool.stats.snapshot_broadcasts
-            sim.engine.config.num_shards = 3
-            sim.run(3)
-            # every worker's replica epoch was invalidated: the first
-            # post-change tick broadcast snapshots, not deltas
-            assert pool.stats.snapshot_broadcasts > snapshots_before
             assert sim.state_signature() == baseline
 
     def test_oversized_update_blob_names_the_knob(self):
@@ -363,18 +324,6 @@ class TestReplicaWorkerFaults:
             assert engine.worker_stats.delta_broadcasts > 0
             assert sim.state_signature() == baseline
 
-    def test_mid_run_shard_change_serial_engine(self, force_patching):
-        baseline = battle_signature(ticks=6, seed=43)
-        with BattleSimulation(
-            48, density=0.02, seed=43, num_shards=2
-        ) as sim:
-            sim.run(3)
-            sim.engine.config.num_shards = 4
-            sim.engine.config.shard_by = "spatial"
-            sim.run(3)
-            assert sim.state_signature() == baseline
-
-
 class TestWorkerPatchOrRebuild:
     """A worker always replays the delta into its replica; whether its
     retained indexes are patched with it or rebuilt is the evaluator's
@@ -392,8 +341,6 @@ class TestWorkerPatchOrRebuild:
     def feed(self, state, blob, tick, shards=SHARDS):
         """What ``_worker_loop`` does with one update blob."""
         delta = state.replica.apply(pickle.loads(blob))
-        if delta is None:
-            state.adopt_shard_conf(state.replica.shard_conf)
         return state.decide(tick, shards, delta)
 
     @staticmethod
@@ -432,7 +379,7 @@ class TestWorkerPatchOrRebuild:
 
     def blobs_for(self, env, new):
         rd = encode(env, new, base_epoch=1, epoch=2)
-        return [snapshot_blob(1, env.rows, self.SHARD_CONF), delta_blob(rd)]
+        return [snapshot_blob(1, env.rows), delta_blob(rd)]
 
     def test_small_delta_patches_and_keeps_structures(self, schema):
         env = make_env(schema, n=60, grid=30, seed=11)
@@ -470,32 +417,34 @@ class TestWorkerPatchOrRebuild:
         )
         self.run_pair([snapshot, delta])
 
-    def test_layout_change_keeps_the_evaluator(self, schema):
-        """A snapshot carrying a new shard layout re-groups the worker's
-        units, never its indexes: the evaluator object survives it, goes
-        on patching afterwards, and answers as a naive worker does."""
+    def test_mid_session_snapshot_keeps_the_evaluator(self, schema):
+        """A snapshot in the middle of a session (after a restore, or to
+        a drifted worker) replaces the replica, never the evaluator or
+        the shard layout the session opened with: the evaluator goes on
+        patching afterwards and answers as a naive worker does."""
         env = make_env(schema, n=60, grid=30, seed=11)
         new = self.moved(env, 3)
         newer = self.moved(new, 3)
-        relaid, shards = ("key", 3, None), [0, 1, 2]
-        updates = [
-            (snapshot_blob(1, env.rows, self.SHARD_CONF), self.SHARDS),
-            (snapshot_blob(2, new.rows, relaid), shards),
-            (delta_blob(encode(new, newer, base_epoch=2, epoch=3)), shards),
+        blobs = [
+            snapshot_blob(1, env.rows),
+            snapshot_blob(2, new.rows),
+            delta_blob(encode(new, newer, base_epoch=2, epoch=3)),
         ]
         indexed, naive = self.worker(), self.worker("naive")
         evaluator = indexed.stage.agg_eval
-        for tick, (blob, ids) in enumerate(updates, start=1):
-            self.check_pair(indexed, naive, blob, tick, ids)
+        for tick, blob in enumerate(blobs, start=1):
+            self.check_pair(indexed, naive, blob, tick)
         assert indexed.stage.agg_eval is evaluator
-        assert {indexed.shard_of(row) for row in newer.rows} == set(shards)
+        assert {indexed.shard_of(row) for row in newer.rows} == set(
+            self.SHARDS
+        )
         assert evaluator.stats.get("delta_ticks") == 1
 
-    def test_rejected_layout_leaves_no_replica(self, schema):
-        """A snapshot whose shard layout the worker cannot adopt is an
-        error, and the replica it carried is dropped with it: the next
-        delta is refused as stale (forcing a snapshot), never chained
-        onto a half-adopted state."""
+    def test_rejected_layout_leaves_no_replica(self):
+        """The shard layout arrives in the payload that opens the
+        session, so a layout the worker cannot adopt fails the session
+        before any replica exists: the handshake answers ERROR with the
+        traceback, and no update is ever read."""
 
         class Scripted:
             def __init__(self, messages):
@@ -508,26 +457,14 @@ class TestWorkerPatchOrRebuild:
             def send(self, message):
                 self.sent.append(message)
 
-        env = make_env(schema, n=60, grid=30, seed=11)
-        new = self.moved(env, 3)
-        newer = self.moved(new, 3)
+        transport = Scripted([(MSG_STOP,)])
         bad_layout = ("spatial", 2, None)  # a spatial layout needs an extent
-        blobs = [
-            snapshot_blob(1, env.rows, self.SHARD_CONF),
-            snapshot_blob(2, new.rows, bad_layout),
-            delta_blob(encode(new, newer, base_epoch=2, epoch=3)),
-        ]
-        transport = Scripted(
-            [(MSG_TICK, blob, tick, [0]) for tick, blob in enumerate(blobs, 1)]
-            + [(MSG_STOP,)]
-        )
-        assert _worker_loop(transport, self.worker())
-        assert [reply[0] for reply in transport.sent] == [
-            REPLY_OK,
-            REPLY_ERROR,
-            REPLY_STALE,
-        ]
-        assert "ShardingError" in transport.sent[1][1]
+        payload = {"mode": "indexed", "seed": 5, "shard_conf": bad_layout}
+        assert not _serve_session(transport, battle_game(), payload)
+        [(tag, error)] = transport.sent
+        assert tag == REPLY_ERROR
+        assert "ShardingError" in error
+        assert transport.inbox == [(MSG_STOP,)]
 
     def test_real_battle_ticks_rebuild(self):
         """Three consecutive ticks of a 200-unit battle, shipped as the
@@ -535,8 +472,7 @@ class TestWorkerPatchOrRebuild:
         worker never patches."""
         with BattleSimulation(200, density=0.01, seed=5) as sim:
             engine = sim.engine
-            shard_conf = ("spatial", 2, engine.config.spatial_extent)
-            blobs = [snapshot_blob(1, engine.env.rows, shard_conf)]
+            blobs = [snapshot_blob(1, engine.env.rows)]
             for epoch in (1, 2):
                 old = engine.env
                 sim.tick()

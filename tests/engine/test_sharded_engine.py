@@ -7,12 +7,16 @@ Also covers the determinism of the ⊕-merge order itself, and that
 process workers run the engine's own game.
 """
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.api import GameDefinition, compile_script
+from repro.engine.clock import EngineConfig, SimulationEngine
 from repro.engine.postprocess import example_41_postprocess
 from repro.env.combine import combine_all
-from repro.env.sharding import ShardingError, make_sharder, partition_rows
+from repro.env.schema import Attribute, AttributeType, Schema
+from repro.env.sharding import make_sharder, partition_rows
 from repro.env.table import EnvironmentTable
 from repro.game.battle import BattleSimulation
 from repro.game.scripts import build_registry
@@ -170,41 +174,37 @@ class TestEngineValidation:
         with pytest.raises(ValueError, match="plyer"):
             BattleSimulation(40, num_shards=2, shard_by="plyer")
 
-    @staticmethod
-    def check_bad_edit_keeps_the_layout(knob, bad, error, match):
-        """Editing *knob* to *bad* between ticks raises from the next
-        tick before anything changes; restoring it, the run goes on as
-        if never interrupted."""
-        baseline = battle_signature(seed=3)
-        with BattleSimulation(48, density=0.02, seed=3, num_shards=2) as sim:
-            sim.run(2)
-            engine = sim.engine
-            layout, shard_of = engine._shard_conf, engine.shard_of
-            good = getattr(engine.config, knob)
-            setattr(engine.config, knob, bad)
-            with pytest.raises(error, match=match):
-                sim.tick()
-            assert engine.tick_count == 2
-            assert engine._shard_conf == layout
-            assert engine.shard_of is shard_of
-            setattr(engine.config, knob, good)
-            sim.run(2)
-            assert sim.state_signature() == baseline
-
-    def test_bad_shard_count_mid_run_keeps_the_layout(self):
-        self.check_bad_edit_keeps_the_layout(
-            "num_shards", 0, ShardingError, "num_shards"
+    def test_default_shard_key_is_the_schema_key(self):
+        """``shard_by=None`` (the default) means the schema's key, so a
+        flat engine over a schema keyed by ``"id"`` builds and ticks
+        with a default config."""
+        c = AttributeType.CONST
+        schema = Schema(
+            [Attribute("id", c), Attribute("unittype", c)], key="id"
         )
-
-    def test_unknown_shard_key_mid_run_keeps_the_layout(self):
-        self.check_bad_edit_keeps_the_layout(
-            "shard_by", "plyer", ValueError, "plyer"
+        registry = build_registry()
+        game = GameDefinition(
+            schema=schema,
+            registry=registry,
+            scripts={"idle": compile_script("main(u) { }", registry, schema)},
         )
+        env = EnvironmentTable(schema)
+        env.rows.extend({"id": k, "unittype": "idle"} for k in range(4))
+        rows = list(env.rows)
+        engine = SimulationEngine(
+            env, game, lambda combined, rng, tick: combined, EngineConfig()
+        )
+        engine.run(2)
+        assert engine.env.rows == rows
 
-    def test_tick_stats_record_shards(self):
-        with BattleSimulation(16, num_shards=3, seed=1) as sim:
-            stats = sim.tick()
-        assert stats.shards == 3
+    def test_config_is_frozen(self):
+        """The shard layout is fixed at construction: editing a live
+        engine's config raises instead of being silently ignored."""
+        with BattleSimulation(16, num_shards=2, seed=1) as sim:
+            sim.tick()
+            with pytest.raises(FrozenInstanceError):
+                sim.engine.config.num_shards = 3
+            assert sim.engine.config.num_shards == 2
 
 
 class TestShardsSplitTheWorkNotTheIndexes:

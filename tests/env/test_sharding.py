@@ -120,33 +120,31 @@ class TestEpochUpdate:
 
     def test_rejects_a_delta_to_another_epoch(self):
         with pytest.raises(ValueError, match="epoch 4"):
-            EpochUpdate(3, [], ("key", 1, None), self.delta(3, 4))
+            EpochUpdate(3, [], self.delta(3, 4))
 
     def test_chains_only_from_the_delta_base(self):
-        update = EpochUpdate(3, [], ("key", 1, None), self.delta(2, 3))
+        update = EpochUpdate(3, [], self.delta(2, 3))
         assert update.chains_from(2)
         assert not update.chains_from(3)
-        assert not EpochUpdate(3, [], ("key", 1, None)).chains_from(2)
+        assert not EpochUpdate(3, []).chains_from(2)
 
     def test_blobs_are_pickled_once(self, schema):
         rows = make_env(schema, n=4).rows
-        update = EpochUpdate(3, rows, ("key", 1, None), self.delta(2, 3))
+        update = EpochUpdate(3, rows, self.delta(2, 3))
         assert update.snapshot_blob() is update.snapshot_blob()
         assert update.delta_blob() is update.delta_blob()
         assert pickle.loads(update.snapshot_blob()) == (
-            UPDATE_SNAPSHOT, 3, rows, ("key", 1, None)
+            UPDATE_SNAPSHOT, 3, rows
         )
         assert pickle.loads(update.delta_blob()) == (
             UPDATE_DELTA, self.delta(2, 3)
         )
         with pytest.raises(ValueError, match="no delta"):
-            EpochUpdate(3, rows, ("key", 1, None)).delta_blob()
+            EpochUpdate(3, rows).delta_blob()
 
 
 class TestReplicaTableApply:
     """``ReplicaTable.apply`` is the one decoder of an update blob."""
-
-    CONF = ("key", 1, None)
 
     def test_snapshot_then_delta(self, schema):
         old = make_env(schema, n=6)
@@ -161,10 +159,10 @@ class TestReplicaTableApply:
             epoch=2,
         )
         table = ReplicaTable("key")
-        snapshot = EpochUpdate(1, old.rows, self.CONF).snapshot_blob()
+        snapshot = EpochUpdate(1, old.rows).snapshot_blob()
         assert table.apply(pickle.loads(snapshot)) is None
-        assert (table.epoch, table.shard_conf) == (1, self.CONF)
-        delta_blob = EpochUpdate(2, new.rows, self.CONF, rd).delta_blob()
+        assert (table.epoch, table.rows) == (1, old.rows)
+        delta_blob = EpochUpdate(2, new.rows, rd).delta_blob()
         delta = table.apply(pickle.loads(delta_blob))
         assert (table.epoch, table.rows) == (2, new.rows)
         assert [new_row for _, new_row in delta.updated] == [new.rows[1]]

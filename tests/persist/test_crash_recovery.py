@@ -57,7 +57,7 @@ for epoch in range(1, epochs + 1):
             updated=[(k, {"hp": 100 - epoch * (k + 1)}) for k in range(6)],
         )
     writer.append_epoch(
-        EpochUpdate(epoch, rows_at(epoch), ("key", 1, None), delta)
+        EpochUpdate(epoch, rows_at(epoch), delta)
     )
 # die mid-record: half of the next epoch's bytes land, then kill -9 --
 # exactly what a power cut or OOM kill during the write leaves behind

@@ -33,8 +33,6 @@ from repro.persist import (
 )
 from repro.persist.framing import FILE_HEADER, encode_record
 
-SHARD_CONF = ("key", 1, None)
-
 
 def rows_at(epoch, n=6):
     """Deterministic tiny table: hp decays per epoch, rows keyed 0..n-1."""
@@ -55,7 +53,7 @@ def delta_between(base_epoch, epoch, n=6):
 
 def update_at(epoch, delta=None):
     """The post-tick update of epoch *epoch* (rows_at, optional delta)."""
-    return EpochUpdate(epoch, rows_at(epoch), SHARD_CONF, delta)
+    return EpochUpdate(epoch, rows_at(epoch), delta)
 
 
 def write_epochs(path, epochs, *, checkpoint_every=64, state=False, **kw):
@@ -211,7 +209,6 @@ class TestReader:
                 result = reader.replay(upto=epoch)
                 assert result.epoch == epoch
                 assert result.rows == rows_at(epoch)  # values AND order
-                assert result.shard_conf == SHARD_CONF
                 # bounded work: one snapshot + at most cadence-1 deltas
                 assert result.applied <= 4
 

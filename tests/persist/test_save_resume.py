@@ -5,14 +5,15 @@ the future; a save file (or a replayed log) restores exactly that.  The
 drill runs across every parallelism mode and through the save/load
 boundary in both directions -- performance knobs may change freely at
 the boundary without touching the trajectory, the same guarantee the
-live engine makes for mid-run reconfiguration.
+engine makes across shard layouts and parallelism modes.
 """
 
 import pytest
 
 from repro.api import run_battle
+from repro.engine.clock import EngineConfig, SimulationEngine
 from repro.game.battle import BattleSimulation
-from repro.persist import EpochLogError
+from repro.persist import EpochLogError, EpochLogReader
 
 N_UNITS = 48
 TOTAL = 10
@@ -113,8 +114,6 @@ def test_save_mid_run_with_epoch_log_attached(tmp_path, reference):
 
 
 def test_resumed_run_can_start_its_own_log(tmp_path, reference):
-    from repro.persist import EpochLogReader
-
     save = tmp_path / "battle.save"
     log = tmp_path / "resumed.log"
     with BattleSimulation(N_UNITS, **BASE) as sim:
@@ -145,6 +144,23 @@ def test_wrong_file_kinds_are_refused(tmp_path):
         BattleSimulation.load(payload_log)
     with pytest.raises(EpochLogError):
         BattleSimulation.recover(save, resume_log=False)
+
+
+def test_attaching_a_log_leaves_the_config_alone(tmp_path):
+    """``attach_epoch_log(path)`` starts a writer without writing *path*
+    into the caller's config, which may be shared by other engines."""
+    log = tmp_path / "battle.log"
+    battle = BattleSimulation(16, density=0.02, seed=1)
+    config = EngineConfig(seed=1)
+    with SimulationEngine(
+        battle.env, battle.game, lambda combined, rng, tick: combined, config
+    ) as engine:
+        engine.attach_epoch_log(str(log))
+        engine.tick()
+        rows = list(engine.env.rows)
+    assert config.epoch_log is None
+    with EpochLogReader(log) as reader:
+        assert reader.replay().rows == rows
 
 
 @pytest.fixture

@@ -291,7 +291,11 @@ class TestKnobsDeclaredOnce:
         for kwargs in self.probes(tmp_path).values():
             with BattleSimulation(8, **kwargs) as sim:
                 for name, value in kwargs.items():
-                    assert getattr(sim.engine.config, name) == value, name
+                    if name == "epoch_log":  # the battle attaches it itself
+                        assert sim.engine.epoch_log.path == value
+                        assert sim.engine.config.epoch_log is None
+                    else:
+                        assert getattr(sim.engine.config, name) == value, name
 
     def test_game_definition_forwards_every_knob(
         self, tmp_path, schema, small_env
@@ -306,13 +310,15 @@ class TestKnobsDeclaredOnce:
                 for name, value in kwargs.items():
                     assert getattr(engine.config, name) == value, name
         with game.engine(small_env, None) as engine:
-            assert engine.config.shard_by == schema.key
+            # one default: the engine resolves shard_by=None to the key
+            assert engine.config.shard_by is None
+            assert engine._shard_conf[0] == schema.key
 
     def test_field_names_are_parameters_of_engine_config_only(self):
         fields = {f.name for f in dataclasses.fields(EngineConfig)}
         for fn, consumed in [
             (BattleSimulation.__init__, {"seed", "epoch_log"}),
-            (GameDefinition.engine, {"shard_by"}),
+            (GameDefinition.engine, set()),
             (run_battle, set()),
         ]:
             declared = set(inspect.signature(fn).parameters)
