@@ -399,12 +399,13 @@ class Probe:
 
     def bounds(self, f: list) -> list[tuple[float, float]] | None:
         """Each range constraint as a closed ``[lo, hi]`` interval;
-        ``None`` as soon as some interval is empty."""
+        ``None`` as soon as some interval is empty -- a NULL bound
+        compares false with every row, so it empties its interval."""
         out: list[tuple[float, float]] = []
         for lower, upper in self._ranges:
             lo = lower(f)
             hi = upper(f)
-            if lo > hi:
+            if lo is None or hi is None or lo > hi:
                 return None
             out.append((lo, hi))
         return out
@@ -421,7 +422,7 @@ class Probe:
         for lower, upper in self._ranges:
             pairs = list(zip(map(lower, frames), map(upper, frames)))
             for lo, hi in pairs:
-                if lo > hi:
+                if lo is None or hi is None or lo > hi:
                     return [self.bounds(f) for f in frames]
             columns.append(pairs)
         return list(zip(*columns)) if columns else [()] * len(frames)
@@ -435,18 +436,27 @@ def _rows(fns: list[Fn], frames: list) -> list[tuple]:
 
 
 def _compile_side(bounds, scope: Scope, pick, unbounded: float) -> Fn:
-    """One side of a range constraint: ``frame ->`` its tightest bound.
+    """One side of a range constraint: ``frame ->`` its tightest bound,
+    or ``None`` when some bound is NULL (the interval is then empty).
     Strict bounds move to the adjacent float inside the interval, which
     is exact for the values actually stored in an index."""
     terms = [(compile_term(b.term, scope), b.strict) for b in bounds]
     if len(terms) == 1 and not terms[0][1]:
         only = terms[0][0]
-        return lambda f: pick(unbounded, float(only(f)))
+
+        def single(f):
+            value = only(f)
+            return None if value is None else pick(unbounded, float(value))
+
+        return single
 
     def side(f):
         best = unbounded
         for term, strict in terms:
-            value = float(term(f))
+            value = term(f)
+            if value is None:
+                return None
+            value = float(value)
             if strict:
                 value = math.nextafter(value, -unbounded)
             best = pick(best, value)

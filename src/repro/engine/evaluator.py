@@ -16,8 +16,11 @@ in-memory indexing ... to reduce the complexity to O(n log n)."
   ========== ==============================================================
   shape      per-tick index
   ========== ==============================================================
-  divisible  hash layers (eq/neq cats) → Figure-8 prefix-aggregate tree,
-             one per *selection*, shared by every function over it
+  divisible  hash layers (eq/neq cats) → per group a cell grid over 2
+             range attrs (the Figure-8 prefix-aggregate tree instead
+             where the group's data crowd a cell), a 1-d prefix array
+             or totals; one index per *selection*, shared by every
+             function over it
   nearest    hash layers → kD-tree, residual conjuncts as search predicates
   extreme    Figure-9 sweeps over each call-site batch, grouped by extents
   fallback   hash layers → partitioned row scan
@@ -69,7 +72,8 @@ Both evaluators return *identical* results -- including argmin/argmax
 tie-breaks -- which the equivalence tests assert on random battles,
 patched or rebuilt.  One caveat: delta maintenance adds and
 subtracts measure contributions in a different order than a fresh
-build, so the equality of incremental and rebuilt answers is exact
+build (and a cell grid sums rows where a tree differences prefixes),
+so the equality of incremental and rebuilt answers is exact
 only when the measure sums themselves are exact in floating point
 (always true for integer-valued measures, like every measure in the
 battle simulation).
@@ -83,7 +87,7 @@ from typing import Iterable, Sequence
 from ..algebra.shapes import AggregateShape, classify_aggregate
 from ..env.table import EnvironmentTable, TableDelta
 from ..indexes.composite import GroupAggIndex
-from ..indexes.hash_layer import PartitionedIndex
+from ..indexes.hash_layer import PartitionedIndex, key_getter
 from ..indexes.kdtree import KDTree
 from ..indexes.sweepline import sweep_arg_minmax
 from ..obs import NULL_REGISTRY, StatCounters
@@ -205,9 +209,11 @@ class IndexedEvaluator:
     def index_counters(self) -> dict[str, int]:
         """Live structure counters for the currently retained indexes.
 
-        ``depth_rebuilds`` sums :class:`~repro.indexes.kdtree.KDTree`
-        depth-triggered rebuilds over every retained k-d group -- the
-        signal that overlay churn is forcing tree reconstruction.
+        ``grid_groups``/``tree_groups`` count the 2-d divisible groups
+        holding a cell grid / a Figure-8 tree.  ``depth_rebuilds`` sums
+        :class:`~repro.indexes.kdtree.KDTree` depth-triggered rebuilds
+        over every retained k-d group -- the signal that overlay churn
+        is forcing tree reconstruction.
         """
         depth_rebuilds = 0
         kd_groups = 0
@@ -215,10 +221,18 @@ class IndexedEvaluator:
             for sub in index.groups.values():
                 kd_groups += 1
                 depth_rebuilds += getattr(sub, "depth_rebuilds", 0)
+        grid_groups = tree_groups = 0
+        for index in self._div_index.values():
+            for group in index.groups.values():
+                if len(group.range_attrs) == 2:
+                    grid_groups += group.on_grid
+                    tree_groups += not group.on_grid
         counters = {
             "depth_rebuilds": depth_rebuilds,
             "kd_groups": kd_groups,
             "div_indexes": len(self._div_index),
+            "grid_groups": grid_groups,
+            "tree_groups": tree_groups,
             "row_indexes": len(self._row_index),
         }
         self._m_depth_rebuilds.set(depth_rebuilds)
@@ -492,10 +506,18 @@ class IndexedEvaluator:
                 return False
         return True
 
+    @staticmethod
+    def _has_null(eq_vals: tuple, neq_vals: tuple) -> bool:
+        """A NULL category value compares false with every row (``=``
+        and ``<>`` alike), so its probe selects nothing."""
+        return None in eq_vals or None in neq_vals
+
     def _matching_groups(
         self, index: PartitionedIndex, eq_vals: tuple, neq_vals: tuple
     ) -> list:
         """Sub-indexes matching the probe's category constraints."""
+        if self._has_null(eq_vals, neq_vals):
+            return []
         if not neq_vals:
             group = index.probe(eq_vals)
             return [group] if group is not None else []
@@ -564,15 +586,17 @@ class IndexedEvaluator:
             selection = self._selections[key]
             measures = tuple(selection.measures)
             squares = tuple(selection.squares)
+
+            def build_group(rows: list) -> GroupAggIndex:
+                group = GroupAggIndex(rows, range_attrs, measures, squares=squares)
+                if len(range_attrs) == 2 and not group.on_grid:
+                    self._bump("build_tree")  # the group's data crowd a cell
+                return group
+
             index = PartitionedIndex(
                 self._filtered_rows(compiled),  # the selection's e-only filter
                 compiled.shape.cat_attrs,
-                factory=lambda group: GroupAggIndex(
-                    group,
-                    range_attrs,
-                    measures,
-                    squares=squares,
-                ),
+                factory=build_group,
                 row_insert=GroupAggIndex.insert,
                 row_delete=GroupAggIndex.delete,
             )
@@ -606,17 +630,26 @@ class IndexedEvaluator:
         # bounds only for frames with matching groups, as one call would
         live = [f for f, groups in zip(frames, groups_of) if groups]
         bounds_of = iter(compiled.probe.bounds_many(live))
+        probed = on_grid = 0  # 2-d group probes, and those a grid answers
+        planar = len(shape.range_attrs) == 2
         out = []
         for groups in groups_of:
             if not groups:
                 out.append(empty)
                 continue
             bounds = next(bounds_of)
-            out.append(
-                empty
-                if bounds is None
-                else self._divisible_answer(compiled, groups, bounds)
-            )
+            if bounds is None:
+                out.append(empty)
+                continue
+            if planar:
+                probed += len(groups)
+                for group in groups:
+                    on_grid += group.on_grid
+            out.append(self._divisible_answer(compiled, groups, bounds))
+        if on_grid:
+            self._bump("probe_grid", on_grid)
+        if probed > on_grid:
+            self._bump("probe_tree", probed - on_grid)
         return out
 
     @staticmethod
@@ -774,8 +807,8 @@ class IndexedEvaluator:
         for i, (bounds, (eq_vals, neq_vals)) in enumerate(
             zip(probe.bounds_many(frames), probe.cats_many(frames))
         ):
-            if bounds is None:
-                continue  # empty range: ArgMin/ArgMax over nothing
+            if bounds is None or self._has_null(eq_vals, neq_vals):
+                continue  # empty selection: ArgMin/ArgMax over nothing
             (xlo, xhi), (ylo, yhi) = bounds
             rx = round((xhi - xlo) / 2.0, 9)
             ry = round((yhi - ylo) / 2.0, 9)
@@ -820,9 +853,9 @@ class IndexedEvaluator:
         shape = compiled.shape
         key_attr = self.key_attr
         partitions: dict[tuple, list] = {}
+        key_of = key_getter(shape.cat_attrs)
         for row in self._filtered_rows(compiled):
-            key = tuple(row[a] for a in shape.cat_attrs)
-            partitions.setdefault(key, []).append(row)
+            partitions.setdefault(key_of(row), []).append(row)
         ax, ay = shape.range_attrs  # classifier guarantees exactly 2 dims
         value_fn = compiled.value_fn
         parts = self._sweep_parts[fn.name] = {

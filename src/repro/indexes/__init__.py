@@ -3,6 +3,8 @@
 * :class:`AggRangeTree2D` / :class:`PrefixAggregate1D` -- divisible
   aggregates at the leaves (Figure 8), with optional fractional
   cascading;
+* :class:`CellGrid` -- the 2-d divisible index groups use, and the
+  Figure-8 tree instead where their data crowd a cell;
 * :func:`sweep_minmax` / :func:`sweep_arg_minmax` -- sweep-line min/max
   for constant range extents (Figure 9);
 * :class:`IntervalAggregateIndex` -- the segment tree backing the sweep;
@@ -12,6 +14,7 @@
 """
 
 from .agg_range_tree import AggRangeTree2D, PrefixAggregate1D
+from .cell_grid import CellGrid
 from .composite import (
     GroupAggIndex,
     partitioned_agg_tree,
@@ -26,6 +29,7 @@ from .sweepline import sweep_arg_minmax, sweep_minmax
 
 __all__ = [
     "AggRangeTree2D",
+    "CellGrid",
     "GroupAggIndex",
     "IntervalAggregateIndex",
     "KDTree",

@@ -19,7 +19,9 @@ difference of the positions.  A measure without ``Σv²`` answers
 ``Moments.total_sq`` as NaN, so a variance read by mistake is never a
 plausible number.
 
-**Layout.**  The engine rebuilds these trees every tick, so there are no
+**Layout.**  The engine rebuilds its indexes every tick at battle churn,
+and a tree with them wherever a group's data crowd a cell of the grid
+that answers first (:mod:`repro.indexes.cell_grid`), so there are no
 node objects.  Elements are identified by their *x-rank* (position in
 the stable x-order); a node is the rank interval ``[lo, hi)`` it covers,
 split at ``lo + (hi - lo) // 2``; internal nodes are numbered in

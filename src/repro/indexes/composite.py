@@ -10,8 +10,10 @@ rarely (player, unit type) sit above attributes that change every tick
 This module provides ready-made compositions used by the indexed
 evaluator:
 
-* :func:`partitioned_agg_tree` -- hash layer → divisible-aggregate
-  range tree (Figure 8) for count/sum/avg/var/stddev range aggregates;
+* :func:`partitioned_agg_tree` -- hash layer → :class:`GroupAggIndex`
+  (totals, a 1-d prefix array, or a cell grid -- the Figure-8 range
+  tree where the data crowd a cell) for count/sum/avg/var/stddev range
+  aggregates;
 * :func:`partitioned_kdtree` -- hash layer → kD-tree for
   nearest-neighbour aggregates (Section 5.3.2);
 * :func:`partitioned_rows` -- hash layer → plain row lists, the shared
@@ -22,7 +24,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .agg_range_tree import AggRangeTree2D, PrefixAggregate1D
+from .agg_range_tree import PrefixAggregate1D
+from .cell_grid import CellGrid, grid_or_tree
 from .divisible import Moments
 from .hash_layer import PartitionedIndex
 from .kdtree import KDTree
@@ -58,7 +61,10 @@ class GroupAggIndex:
 
     * 0 dims -- precomputed total :class:`Moments` per measure;
     * 1 dim  -- :class:`PrefixAggregate1D`;
-    * 2 dims -- :class:`AggRangeTree2D` (Figure 8).
+    * 2 dims -- a :class:`CellGrid` (``on_grid``) for the bounded-degree
+      data of a battle, or the Figure-8
+      :class:`~repro.indexes.agg_range_tree.AggRangeTree2D` when the
+      group's data crowd some cell (:func:`grid_or_tree`).
 
     ``query(bounds)`` takes one closed interval per continuous dim and
     returns per-measure :class:`Moments`.  *squares* says per measure
@@ -80,6 +86,8 @@ class GroupAggIndex:
         self.range_attrs = range_attrs
         self._measures = list(measures)
         self.width = len(measures)
+        #: the 2-d structure is a cell grid (not the Figure-8 tree)
+        self.on_grid = False
         columns = [list(map(measure, rows)) for measure in measures]
         if not range_attrs:
             totals = [Moments() for _ in measures] or [Moments(len(rows))]
@@ -95,12 +103,13 @@ class GroupAggIndex:
             )
         else:
             ax, ay = range_attrs
-            self._index = AggRangeTree2D(
+            self._index = grid_or_tree(
                 [row[ax] for row in rows],
                 [row[ay] for row in rows],
                 columns,
                 squares=squares,
             )
+            self.on_grid = isinstance(self._index, CellGrid)
 
     # -- incremental maintenance --------------------------------------------------
 
@@ -156,7 +165,7 @@ class GroupAggIndex:
         return self._index.overlay_size
 
     def count(self, bounds: Sequence[tuple[float, float]]) -> int:
-        """Rows within *bounds*; a 2-d tree sums none of its columns."""
+        """Rows within *bounds*; a 2-d probe sums none of its columns."""
         if len(self.range_attrs) == 2 and len(bounds) == 2:
             (xlo, xhi), (ylo, yhi) = bounds
             return self._index.count(xlo, xhi, ylo, yhi)

@@ -27,18 +27,33 @@ runs its decisions under.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Generic, Hashable, Iterable, Mapping, TypeVar
 
 SubIndex = TypeVar("SubIndex")
 Row = Mapping[str, object]
 
 
+def key_getter(attrs: tuple[str, ...]) -> Callable[[Row], tuple[Hashable, ...]]:
+    """``row ->`` the tuple of its *attrs* values, built in C
+    (``itemgetter``) rather than by a per-row generator."""
+    if len(attrs) == 1:
+        get = itemgetter(attrs[0])
+        return lambda row: (get(row),)
+    if attrs:
+        return itemgetter(*attrs)
+    return lambda row: ()
+
+
 class PartitionedIndex(Generic[SubIndex]):
     """Hash layer over categorical attributes with per-group sub-indexes.
 
-    Sub-indexes are built eagerly (one pass over the rows, one factory
-    call per distinct category) because the engine rebuilds indexes every
-    tick and probes most groups anyway.
+    Sub-indexes are built eagerly: one pass over the rows, one factory
+    call per distinct category.  Not every group is probed -- over 10
+    ticks of the 2000-unit battle, 80 of the 222 groups built never
+    were -- but a 2-d divisible group's build is one linear pass into a
+    :class:`~repro.indexes.cell_grid.CellGrid` unless its data crowd a
+    cell, so an unprobed group costs little.
     """
 
     def __init__(
@@ -58,11 +73,12 @@ class PartitionedIndex(Generic[SubIndex]):
         #: policy compares this against the index size to decide when
         #: accumulated overlay/tombstone weight warrants a full rebuild.
         self.mutations = 0
+        self._cat_key = key_getter(attrs)
         groups: dict[tuple[Hashable, ...], list[Row]] = {}
         if attrs:
+            key_of = self._cat_key
             for row in rows:
-                key = tuple(row[a] for a in attrs)
-                groups.setdefault(key, []).append(row)
+                groups.setdefault(key_of(row), []).append(row)
         else:
             groups[()] = list(rows)
         self._indexes: dict[tuple[Hashable, ...], SubIndex] = {
@@ -85,9 +101,6 @@ class PartitionedIndex(Generic[SubIndex]):
         return sum(self._sizes.values())
 
     # -- incremental maintenance --------------------------------------------------
-
-    def _cat_key(self, row: Row) -> tuple[Hashable, ...]:
-        return tuple(row[a] for a in self.attrs)
 
     def _sub_insert(self, sub: SubIndex, row: Row) -> None:
         if self._row_insert is not None:

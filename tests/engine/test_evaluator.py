@@ -17,6 +17,7 @@ from repro.engine.evaluator import (
 from repro.env.table import EnvironmentTable, diff_by_key
 from repro.game.battle import BattleSimulation
 from repro.game.units import unit_row
+from repro.indexes.cell_grid import _MAX_CELL_LOAD
 from repro.serve.queries import QueryEngine, QueryRequest, plain_value, unit_ref
 from repro.sgl.evalterm import EvalContext
 from repro.sgl.values import Record
@@ -309,3 +310,187 @@ class TestSharedSelections:
                 before = evaluator.stats["build_divisible"]
                 sim.tick()
                 assert evaluator.stats["build_divisible"] - before == 6
+
+
+#: One function per strategy whose category or range value is a
+#: parameter, so a test can pass NULL for it.
+NULL_PROBE_SQL = """
+function OthersCount(p) returns
+SELECT Count(*) AS n FROM E e WHERE e.player <> p;
+
+function SameCount(p) returns
+SELECT Count(*) AS n FROM E e WHERE e.player = p;
+
+function OthersNear(p, x, y, r) returns
+SELECT Count(*) AS n FROM E e
+WHERE e.player <> p AND e.posx >= x - r AND e.posx <= x + r
+  AND e.posy >= y - r AND e.posy <= y + r;
+
+function NearestOther(p, x, y) returns
+SELECT ArgMin((e.posx - x) * (e.posx - x) + (e.posy - y) * (e.posy - y))
+FROM E e WHERE e.player <> p;
+
+function NearestEnemyWithin(u, r) returns
+SELECT ArgMin((e.posx - u.posx) * (e.posx - u.posx)
+            + (e.posy - u.posy) * (e.posy - u.posy))
+FROM E e
+WHERE e.player <> u.player AND e.posx >= u.posx - r AND e.posx <= u.posx + r
+  AND e.posy >= u.posy - r AND e.posy <= u.posy + r;
+
+function WeakestOther(p, x, y, r) returns
+SELECT ArgMin(health) FROM E e
+WHERE e.player <> p AND e.posx >= x - r AND e.posx <= x + r
+  AND e.posy >= y - r AND e.posy <= y + r;
+"""
+
+
+class TestNullProbeValues:
+    """A NULL probe value compares false with every row, so the naive
+    selection is empty; the indexed evaluator must agree, whichever
+    strategy the shape picks (each case failed before: a bare
+    ``TypeError`` from ``float(None)``, or every group matching)."""
+
+    @pytest.fixture(scope="class")
+    def null_registry(self, registry):
+        extended = registry.copy()
+        extended.register_sql(NULL_PROBE_SQL)
+        return extended
+
+    @pytest.fixture()
+    def battle(self, schema):
+        return make_env(schema, n=50, grid=30, seed=3)
+
+    def both_ways(self, registry, env, fn_name, args_for_unit, kind):
+        fn = registry.aggregates[fn_name]
+        assert IndexedEvaluator(registry)._compiled_shape(fn).shape.kind == kind
+        call_both(registry, env, fn_name, args_for_unit)
+        batch_both(registry, env, fn_name, args_for_unit)
+
+    @pytest.mark.parametrize(
+        "fn_name, args, kind",
+        [
+            ("CountFriendliesNearPoint", lambda u: (u, None, 5.0, 10), "divisible"),
+            ("CountEnemiesInRange", lambda u: (u, None), "divisible"),
+            ("CentroidOfEnemies", lambda u: (u, None), "divisible"),
+            ("NearestEnemyWithin", lambda u: (u, None), "nearest"),
+            ("WeakestEnemyInRange", lambda u: (u, None), "extreme"),
+        ],
+    )
+    def test_null_bound_selects_nothing(
+        self, null_registry, battle, fn_name, args, kind
+    ):
+        self.both_ways(null_registry, battle, fn_name, args, kind)
+
+    def test_null_bound_in_a_mixed_batch(self, null_registry, battle):
+        # NULL for some frames only: the others keep their answers
+        self.both_ways(
+            null_registry, battle, "CountEnemiesInRange",
+            lambda u: (u, None if u["key"] % 3 else u["sight"]), "divisible",
+        )
+
+    @pytest.mark.parametrize(
+        "fn_name, args, kind",
+        [
+            ("OthersCount", lambda u: (None,), "divisible"),
+            ("OthersNear", lambda u: (None, u["posx"], u["posy"], 8), "divisible"),
+            ("NearestOther", lambda u: (None, u["posx"], u["posy"]), "nearest"),
+            ("WeakestOther", lambda u: (None, u["posx"], u["posy"], 8), "extreme"),
+        ],
+    )
+    def test_null_anti_join_value_matches_no_group(
+        self, null_registry, battle, fn_name, args, kind
+    ):
+        self.both_ways(null_registry, battle, fn_name, args, kind)
+
+    def test_null_equality_value_skips_the_null_group(
+        self, null_registry, battle
+    ):
+        for row in battle.rows[::4]:
+            row["player"] = None  # a group keyed by NULL exists
+        self.both_ways(
+            null_registry, battle, "SameCount", lambda u: (None,), "divisible"
+        )
+
+
+class TestGridOrTree:
+    """Which 2-d structure answered: ``probe_grid``/``probe_tree`` and
+    ``build_tree`` count it, ``index_counters()`` reports it."""
+
+    def test_battle_probes_count_the_structure(self):
+        with BattleSimulation(300, seed=1) as sim:
+            evaluator = sim.engine.agg_eval
+            for _ in range(3):
+                sim.tick()
+            stats = evaluator.stats
+            assert stats["probe_grid"] > 0
+            # every ranged divisible probe reaches a grid or a tree; an
+            # anti-join probe may read several groups, one per player here
+            assert stats["probe_grid"] + stats.get("probe_tree", 0) >= (
+                stats["probe_divisible"] // 2
+            )
+            # a uniform battle's boxes are small or hold a whole group:
+            # no tree is built
+            assert stats.get("build_tree", 0) == stats.get("probe_tree", 0) == 0
+            counters = evaluator.index_counters()
+            assert counters["grid_groups"] == 10  # 2 + 6 + 2 ranged groups
+            assert counters["tree_groups"] == 0
+
+    @pytest.fixture()
+    def battle(self, schema):
+        # 1 % density, as in the reference battle: ~67 units per
+        # (player, unit type) group, about one per grid cell
+        return make_env(schema, n=400, grid=200, seed=5)
+
+    def test_small_boxes_never_build_a_tree(self, registry, battle):
+        indexed = batch_both(
+            registry, battle, "CountEnemiesInRange", lambda u: (u, u["sight"])
+        )
+        # one enemy group per probe (two players)
+        assert indexed.stats["probe_grid"] == len(battle)
+        assert indexed.stats.get("probe_tree", 0) == 0
+        assert indexed.stats.get("build_tree", 0) == 0
+        assert indexed.index_counters()["tree_groups"] == 0
+
+    @pytest.mark.parametrize("widths", [2.0, 0.75])
+    def test_spread_boxes_scan_the_grid(self, registry, battle, widths):
+        # the knights' close-ranks probe: a box `widths` x spread wide
+        # around the group's centroid (CentroidOfFriendlyType,
+        # FriendlySpread).  At 2 x spread the box holds the group's whole
+        # extent, at 0.75 x it is large but partial: both read the cells.
+        naive = NaiveEvaluator()
+
+        def near_args(unit):
+            ctx = make_ctx(battle, registry, naive, unit)
+            c = naive.evaluate(
+                registry.aggregates["CentroidOfFriendlyType"], [unit], ctx
+            )
+            s = naive.evaluate(registry.aggregates["FriendlySpread"], [unit], ctx)
+            return unit, c.x, c.y, widths * (s.sx + s.sy)
+
+        args = {u["key"]: near_args(u) for u in battle.rows}
+        indexed = batch_both(
+            registry, battle, "CountFriendliesNearPoint",
+            lambda u: args[u["key"]],
+        )
+        assert indexed.stats["probe_grid"] == len(battle)
+        assert indexed.stats.get("probe_tree", 0) == 0
+        assert indexed.stats.get("build_tree", 0) == 0
+
+    def test_a_crowded_group_reads_the_tree(self, registry, battle):
+        # player 0's knights packed into a 9 x 9 block: a few cells of
+        # the player's grid (side ~14) would hold them all
+        knights = [
+            u for u in battle.rows if u["player"] == 0 and u["unittype"] == "knight"
+        ]
+        assert len(knights) > 4 * _MAX_CELL_LOAD
+        for i, unit in enumerate(knights):
+            unit["posx"], unit["posy"] = 100 + i % 9, 100 + i // 9
+        indexed = batch_both(
+            registry, battle, "CountEnemiesInRange", lambda u: (u, u["sight"])
+        )
+        assert indexed.stats["build_tree"] == 1
+        assert indexed.index_counters()["tree_groups"] == 1
+        # player 1's units probe their enemies: player 0's groups
+        enemies_of_1 = sum(u["player"] == 1 for u in battle.rows)
+        assert indexed.stats["probe_tree"] == enemies_of_1
+        assert indexed.stats["probe_grid"] == len(battle) - enemies_of_1
