@@ -186,14 +186,13 @@ class EngineConfig:
     * ``num_shards`` -- how many partitions of ``E`` the decision stage
       runs (1 = the flat engine): which units' decisions run together,
       and on which worker.  Indexes always span all of ``E``.  The
-      layout (``num_shards`` / ``shard_by`` / ``spatial_extent``) is
-      fixed for the engine's lifetime;
+      layout is fixed for the engine's lifetime;
     * ``shard_by`` -- the shard key: ``None`` (default) is the schema's
-      key attribute, ``"spatial"`` cuts vertical strips over ``posx``
-      (requires ``spatial_extent``), and any other const attribute name
-      (``"player"``, ...) is hashed process-stably;
-    * ``spatial_extent`` -- exclusive upper bound of ``posx`` (the grid
-      size; the battle supplies it).
+      key attribute, ``"spatial"`` cuts ``num_shards`` vertical strips
+      over ``posx`` (the engine divides the largest ``posx`` of the rows
+      it is built with; a unit beyond it joins the top strip), and any
+      other const attribute name (``"player"``, ...) is hashed
+      process-stably.
 
     Decision workers:
 
@@ -217,18 +216,18 @@ class EngineConfig:
       re-broadcast, never to wrong answers;
     * ``worker_max_frame`` -- the transport frame-size guard of every
       worker session (``None`` = the transport default), which must
-      admit a full snapshot of the environment;
-    * ``worker_timeout`` -- remote workers only: the per-message
-      send/recv timeout before a peer is declared dead (``None`` blocks
-      forever).
+      admit a full snapshot of the environment.  A remote session's
+      send/recv timeout is
+      :data:`~repro.engine.shardexec.REMOTE_IO_TIMEOUT`.
 
     Spectator serving (the ``repro.serve`` read-replica layer):
 
     * ``spectators`` -- when true, the engine opens a
-      :class:`~repro.serve.publisher.ReplicaPublisher` on
-      ``spectator_host``/``spectator_port`` (port 0 = ephemeral) and
-      runs a **publish stage** after mechanics each tick, streaming the
-      post-tick state (epoch ``tick_count + 1``) to every subscribed
+      :class:`~repro.serve.publisher.ReplicaPublisher` on an ephemeral
+      loopback port (:meth:`SimulationEngine.serve_spectators` takes
+      another address) and runs a **publish stage** after mechanics
+      each tick, streaming the post-tick state (epoch
+      ``tick_count + 1``) to every subscribed
       :class:`~repro.serve.spectator.SpectatorReplica` -- the same
       epoch-versioned change set the worker protocol uses, with
       snapshot catch-up for late joiners and fault paths.  Spectators
@@ -278,15 +277,11 @@ class EngineConfig:
     seed: int = 0
     num_shards: int = 1
     shard_by: str | None = None
-    spatial_extent: float | None = None
     parallelism: str = "serial"
     max_workers: int | None = None
     workers: object = "local"
-    worker_timeout: float | None = 60.0
     worker_max_frame: int | None = None
     spectators: bool = False
-    spectator_host: str = "127.0.0.1"
-    spectator_port: int = 0
     epoch_log: str | None = None
     epoch_log_checkpoint_every: int = 64
     epoch_log_fsync: str = "checkpoint"
@@ -367,10 +362,14 @@ class SimulationEngine:
                 f"shard_by {shard_by!r} is neither 'spatial' nor an "
                 f"attribute of the schema"
             )
-        self._shard_conf = (shard_by, cfg.num_shards, cfg.spatial_extent)
-        self.shard_of = make_sharder(
-            shard_by, cfg.num_shards, extent=cfg.spatial_extent
-        )
+        # spatial strips divide the x range of the starting rows (the
+        # top strip takes whatever lies beyond it); make_sharder refuses
+        # a missing or non-positive extent
+        extent = None
+        if shard_by == "spatial" and "posx" in env.schema:
+            extent = max((row["posx"] for row in env.rows), default=None)
+        self._shard_conf = (shard_by, cfg.num_shards, extent)
+        self.shard_of = make_sharder(shard_by, cfg.num_shards, extent=extent)
         self._processes = cfg.parallelism == "processes" and cfg.num_shards > 1
         self._pool = None  # ReplicaWorkerPool | None
 
@@ -419,9 +418,7 @@ class SimulationEngine:
         self.epoch_log = None  # EpochLogWriter | None
         self._epoch_log_state_fn: Callable[[], dict | None] = lambda: None
         if cfg.spectators:
-            self.serve_spectators(
-                host=cfg.spectator_host, port=cfg.spectator_port
-            )
+            self.serve_spectators()
         if cfg.epoch_log:
             self.attach_epoch_log(cfg.epoch_log)
 
@@ -453,7 +450,6 @@ class SimulationEngine:
                 min(cfg.max_workers or cfg.num_shards, cfg.num_shards),
                 endpoints=self._worker_endpoints,
                 max_frame=cfg.worker_max_frame or DEFAULT_MAX_FRAME,
-                io_timeout=cfg.worker_timeout,
                 metrics=self.metrics,
                 trace=self.trace,
             )
@@ -502,10 +498,12 @@ class SimulationEngine:
     def serve_spectators(self, *, host: str = "127.0.0.1", port: int = 0):
         """Open the spectator feed; returns the attached publisher.
 
-        Called automatically when ``config.spectators`` is set; may also
-        be called on a running engine to start serving mid-battle.  From
-        here on every tick's :class:`~repro.env.sharding.EpochUpdate`
-        carries a replica delta, even in serial mode.
+        Called automatically, on an ephemeral loopback port, when
+        ``config.spectators`` is set; call it yourself to choose the
+        address (off-host subscribers), or on a running engine to start
+        serving mid-battle.  From here on every tick's
+        :class:`~repro.env.sharding.EpochUpdate` carries a replica
+        delta, even in serial mode.
         """
         from ..serve.publisher import ReplicaPublisher
 

@@ -437,16 +437,19 @@ def _rows(fns: list[Fn], frames: list) -> list[tuple]:
 
 def _compile_side(bounds, scope: Scope, pick, unbounded: float) -> Fn:
     """One side of a range constraint: ``frame ->`` its tightest bound,
-    or ``None`` when some bound is NULL (the interval is then empty).
-    Strict bounds move to the adjacent float inside the interval, which
-    is exact for the values actually stored in an index."""
+    or ``None`` when some bound is NULL or NaN (the interval is then
+    empty: either compares false with every row).  Strict bounds move
+    to the adjacent float inside the interval, which is exact for the
+    values actually stored in an index."""
     terms = [(compile_term(b.term, scope), b.strict) for b in bounds]
     if len(terms) == 1 and not terms[0][1]:
         only = terms[0][0]
 
         def single(f):
             value = only(f)
-            return None if value is None else pick(unbounded, float(value))
+            if value is None or value != value:
+                return None
+            return pick(unbounded, float(value))
 
         return single
 
@@ -454,7 +457,7 @@ def _compile_side(bounds, scope: Scope, pick, unbounded: float) -> Fn:
         best = unbounded
         for term, strict in terms:
             value = term(f)
-            if value is None:
+            if value is None or value != value:
                 return None
             value = float(value)
             if strict:

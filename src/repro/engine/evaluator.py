@@ -731,7 +731,17 @@ class IndexedEvaluator:
         for f, groups in zip(
             frames, self._groups_by_cats(index, compiled, frames)
         ):
-            center = (float(cx(f)), float(cy(f)))
+            x, y = cx(f), cy(f)
+            if x is None or y is None or x != x or y != y:
+                # every distance is NULL or NaN: the reference scan's
+                # comparisons, not distance order, pick the row
+                self._bump("probe_scan")
+                params = dict(zip(fn.params, f[1:]))  # not the ``e`` slot
+                out.append(
+                    evaluate_aggregate_scan(fn.spec, params, self._env.rows, f[0])
+                )
+                continue
+            center = (float(x), float(y))
             bounds = probe.bounds(f)
             if bounds is None:
                 out.append(None)

@@ -90,6 +90,7 @@ from ..serve.transport import (
     DEFAULT_MAX_FRAME,
     ERROR,
     READY,
+    STARTUP_TIMEOUT,
     FrameError,
     SocketTransport,
     await_ready,
@@ -113,6 +114,11 @@ REPLY_OK = "ok"
 REPLY_STALE = "stale"
 REPLY_ERROR = ERROR
 REPLY_EPOCH = "epoch"
+
+#: A remote session's per-message send/recv timeout (seconds): a peer
+#: silent this long mid-message is dead, reconnected and re-fed.
+#: Local sessions have none; a dead local worker is respawned instead.
+REMOTE_IO_TIMEOUT = 60.0
 
 
 @dataclass(frozen=True)
@@ -166,7 +172,7 @@ class _WorkerState:
             TickRandom(int(payload["seed"]), key_attr=game.schema.key),
             mode=str(payload["mode"]),
         )
-        # the coordinator's (shard_by, num_shards, spatial_extent): it
+        # the coordinator's (shard_by, num_shards, extent): it
         # picks out the units of this worker's shards, and nothing else
         # (indexes span all of E)
         shard_by, self.num_shards, extent = cast(
@@ -281,7 +287,6 @@ def serve_worker(
     max_frame: int = DEFAULT_MAX_FRAME,
     io_timeout: float | None = None,
     ready_callback: Callable[[tuple[str, int]], None] | None = None,
-    max_sessions: int | None = None,
 ) -> None:
     """Run a remote decision worker: accept coordinator sessions forever.
 
@@ -298,14 +303,12 @@ def serve_worker(
     address = listener.getsockname()[:2]
     if ready_callback is not None:
         ready_callback(address)
-    served = 0
     try:
-        while max_sessions is None or served < max_sessions:
+        while True:
             try:
                 sock, _peer = listener.accept()
             except OSError:  # pragma: no cover - listener closed under us
                 break
-            served += 1
             transport = SocketTransport(
                 sock, max_frame=max_frame, timeout=io_timeout
             )
@@ -326,7 +329,7 @@ def serve_worker(
         listener.close()
 
 
-def _listen_child(sock, host: str, max_frame: int) -> None:
+def _listen_child(sock, host: str) -> None:
     """Child-process shim for :func:`spawn_listen_worker`: answer the
     handshake with the bound address, or with why it could not bind."""
     handshake = SocketTransport(sock)
@@ -336,31 +339,23 @@ def _listen_child(sock, host: str, max_frame: int) -> None:
         handshake.close()
 
     try:
-        serve_worker(host, 0, max_frame=max_frame, ready_callback=ready)
+        serve_worker(host, 0, ready_callback=ready)
     except Exception:
         if handshake.fileno() == -1:
             raise  # failed while serving, not while starting
         handshake.send((ERROR, traceback.format_exc()))
 
 
-def spawn_listen_worker(
-    mp_context=None,
-    *,
-    host: str = "127.0.0.1",
-    max_frame: int = DEFAULT_MAX_FRAME,
-    startup_timeout: float = 30.0,
-):
-    """Start a ``--listen`` worker on an ephemeral loopback port.
+def spawn_listen_worker(*, host: str = "127.0.0.1"):
+    """Start a ``--listen`` worker on an ephemeral port of *host*.
 
     The in-process equivalent of running ``python -m
     repro.engine.shardexec --listen`` on another host; used by tests and
     benchmarks.  Returns ``(process, (host, port))``.
     """
-    process, handshake = start_child(
-        _listen_child, (host, max_frame), mp_context=mp_context
-    )
+    process, handshake = start_child(_listen_child, (host,))
     address = await_ready(
-        handshake, "listen worker", process=process, timeout=startup_timeout
+        handshake, "listen worker", process=process, timeout=STARTUP_TIMEOUT
     )
     handshake.close()
     return process, tuple(address)
@@ -467,7 +462,7 @@ class ReplicaWorkerPool:
     workers on a private socketpair each, remote workers
     (``endpoints=...``, *num_workers* ignored) over TCP to ``--listen``
     processes on other hosts.  *max_frame* guards every session;
-    *io_timeout* applies to remote ones only.  The
+    remote ones time out after :data:`REMOTE_IO_TIMEOUT`.  The
     spectator publisher speaks the same update blobs, fire-and-forget,
     on its own sockets.
     """
@@ -481,14 +476,12 @@ class ReplicaWorkerPool:
         *,
         endpoints: Iterable[object] | None = None,
         max_frame: int = DEFAULT_MAX_FRAME,
-        io_timeout: float | None = None,
         metrics=None,
         trace=None,
     ):
         self._game = game
         self._payload = payload
         self._max_frame = max_frame
-        self._io_timeout = io_timeout
         self._metrics = metrics if metrics is not None else NULL_REGISTRY
         self._trace = trace
         self.stats = PoolStats(metrics)
@@ -579,7 +572,7 @@ class ReplicaWorkerPool:
                 transport = SocketTransport.connect(
                     endpoint.address,
                     max_frame=self._max_frame,
-                    timeout=self._io_timeout,
+                    timeout=REMOTE_IO_TIMEOUT,
                 )
             except OSError as exc:
                 last_error = exc
@@ -729,7 +722,7 @@ class ReplicaWorkerPool:
             try:
                 # block until someone has something: a long decision
                 # stage is legitimate idle time, so no deadline here --
-                # io_timeout guards individual send/recv calls, and a
+                # REMOTE_IO_TIMEOUT guards individual send/recv calls, and a
                 # vanished peer surfaces once the OS resets its
                 # connection (readable -> recv error -> revive)
                 ready = mp_connection.wait(list(by_transport), timeout=None)

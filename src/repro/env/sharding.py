@@ -92,8 +92,9 @@ def make_sharder(
     *shard_by* selects the partitioning scheme:
 
     * ``"spatial"`` -- split the map into ``num_shards`` vertical strips
-      of width ``extent / num_shards`` over *x_attr* (requires *extent*,
-      the exclusive upper bound of the coordinate, e.g. the grid size).
+      of width ``extent / num_shards`` over *x_attr* (requires a
+      positive *extent*; the engine passes the largest coordinate of
+      its starting rows, and a row at or beyond it joins the top strip).
       Spatially local shards keep most of a unit's interactions
       shard-local, the precondition for future distributed workers;
     * any attribute name (``"key"``, ``"player"``, ``"unittype"``, ...)
@@ -112,8 +113,8 @@ def make_sharder(
     if shard_by == "spatial":
         if extent is None or extent <= 0:
             raise ShardingError(
-                "shard_by='spatial' needs the positive coordinate extent "
-                "(e.g. the grid size)"
+                f"shard_by='spatial' needs a positive extent (the largest "
+                f"{x_attr!r} of the engine's rows), got {extent!r}"
             )
         width = extent / num_shards
         top = num_shards - 1

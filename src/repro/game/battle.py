@@ -87,7 +87,6 @@ class BattleSimulation:
     **engine:
         Every other keyword is an :class:`~repro.engine.clock
         .EngineConfig` field -- that docstring is the knob reference.
-        The battle supplies ``spatial_extent`` (its grid size) itself.
         All of the battle's measures are integer-valued, so trajectories
         are bit-identical across every combination of engine knobs.
 
@@ -126,11 +125,7 @@ class BattleSimulation:
         self.resurrection = resurrection
         self.summary = BattleSummary()
         self._next_key = n_units
-        config = EngineConfig(
-            seed=seed,
-            spatial_extent=self.grid_size,
-            **engine,
-        )
+        config = EngineConfig(seed=seed, **engine)
         # the picklable construction recipe: recorded in save files and
         # epoch-log metadata so load()/recover() rebuild an equivalent
         # simulation before restoring the rows.  Epoch-log knobs stay
@@ -181,9 +176,13 @@ class BattleSimulation:
         returns the bound ``(host, port)`` (requires ``metrics=True``)."""
         return self.engine.serve_metrics(**kwargs)
 
-    def spawn_spectator(self, **kwargs):
+    def spawn_spectator(self, **settings):
         """Start a :class:`~repro.serve.spectator.SpectatorReplica`
-        subscribed to this battle's feed (requires ``spectators=True``)."""
+        subscribed to this battle's feed (requires ``spectators=True``).
+        *settings* are the keywords :meth:`SpectatorReplica.spawn
+        <repro.serve.spectator.SpectatorReplica.spawn>` declares
+        (``history_retain``, ``history_checkpoint_every``, ``host``);
+        any other is a ``TypeError``."""
         from ..serve.spectator import SpectatorReplica
 
         address = self.spectator_address
@@ -191,7 +190,7 @@ class BattleSimulation:
             raise RuntimeError(
                 "battle is not serving spectators; pass spectators=True"
             )
-        return SpectatorReplica.spawn(address, self.game, **kwargs)
+        return SpectatorReplica.spawn(address, self.game, **settings)
 
     def close(self) -> None:
         """Shut down the spectator feed and the engine's worker pool.

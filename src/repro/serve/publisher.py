@@ -44,12 +44,16 @@ from dataclasses import dataclass
 
 from ..env.sharding import NO_REPLICA, EpochUpdate
 from ..obs import NULL_REGISTRY, TID_PUBLISHER, RegistryStats
-from .transport import DEFAULT_MAX_FRAME, FrameError, SocketTransport
+from .transport import FrameError, SocketTransport
 
 logger = logging.getLogger("repro.serve.publisher")
 
 #: Subscriber -> publisher message tags.
 SUB_STALE = "sub_stale"
+
+#: How long one stalled subscriber may hold the publish stage before it
+#: is dropped (seconds).
+SEND_TIMEOUT = 5.0
 
 
 class PublisherStats(RegistryStats):
@@ -90,11 +94,8 @@ class _Subscriber:
 class ReplicaPublisher:
     """Streams epoch-versioned replica updates to socket subscribers:
     the per-tick change set to every subscriber whose epoch chains, the
-    snapshot to the rest.
-
-    *send_timeout* bounds how long one stalled subscriber can hold the
-    publish stage before being dropped; *max_frame* is the socket frame
-    guard.
+    snapshot to the rest.  A subscriber that stalls a send for
+    :data:`SEND_TIMEOUT` is dropped.
     """
 
     def __init__(
@@ -102,14 +103,9 @@ class ReplicaPublisher:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        send_timeout: float = 5.0,
-        backlog: int = 16,
         metrics=None,
         trace=None,
     ):
-        self.max_frame = max_frame
-        self.send_timeout = send_timeout
         self._metrics = metrics if metrics is not None else NULL_REGISTRY
         self._trace = trace
         if trace is not None:
@@ -121,7 +117,7 @@ class ReplicaPublisher:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((host, port))
-        listener.listen(backlog)
+        listener.listen(16)
         listener.setblocking(False)
         self._listener = listener
         self.address: tuple[str, int] = listener.getsockname()[:2]
@@ -167,9 +163,7 @@ class ReplicaPublisher:
                 break
             except OSError:  # pragma: no cover - listener closed under us
                 break
-            transport = SocketTransport(
-                sock, max_frame=self.max_frame, timeout=self.send_timeout
-            )
+            transport = SocketTransport(sock, timeout=SEND_TIMEOUT)
             self._subscribers.append(
                 _Subscriber(transport=transport, address=address)
             )

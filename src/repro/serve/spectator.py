@@ -54,9 +54,9 @@ from ..env.table import EnvironmentTable
 from .publisher import SUB_STALE
 from .queries import QueryAnswer, QueryError, build_request
 from .transport import (
-    DEFAULT_MAX_FRAME,
     ERROR,
     READY,
+    STARTUP_TIMEOUT,
     FrameError,
     SocketTransport,
     await_ready,
@@ -96,28 +96,25 @@ class _PendingQuery:
 class _SpectatorServer:
     """The in-process event loop behind a spawned spectator replica."""
 
-    def __init__(self, game, payload: dict, publisher_address):
+    def __init__(self, game, publisher_address, history_retain: int,
+                 history_checkpoint_every: int, host: str):
         import socket
 
         from .queries import QueryEngine
 
         self.game = game
-        max_frame = int(payload.get("max_frame", DEFAULT_MAX_FRAME))
         self.replica = ReplicaTable(game.schema.key)
         self.engine = QueryEngine(game.schema, game.registry)
         # bounded epoch history for time-travel queries; retain=0 turns
         # it off (superseded-epoch pins then fail as they always did)
-        retain = int(payload.get("history_retain", 256))
         self.history = None
-        if retain > 0:
+        if history_retain > 0:
             from ..persist.history import EpochHistory
 
             self.history = EpochHistory(
                 game.schema.key,
-                checkpoint_every=int(
-                    payload.get("history_checkpoint_every", 32)
-                ),
-                retain=retain,
+                checkpoint_every=history_checkpoint_every,
+                retain=history_retain,
             )
         #: Lazily-built query engine over one reconstructed historical
         #: epoch; cached so repeated queries at the same epoch replay
@@ -130,17 +127,14 @@ class _SpectatorServer:
         # and the replica keeps serving its last epoch, mirroring the
         # publisher's own send-timeout guard on the other side
         self.feed = SocketTransport.connect(
-            tuple(publisher_address),
-            max_frame=max_frame,
-            timeout=float(payload.get("feed_timeout", 60.0)),
+            tuple(publisher_address), timeout=60.0
         )
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind((payload.get("host", "127.0.0.1"), 0))
+        listener.bind((host, 0))
         listener.listen(16)
         listener.setblocking(False)
         self.listener = listener
         self.address = listener.getsockname()[:2]
-        self.max_frame = max_frame
         self.feed_alive = True
         self.pending: list[_PendingQuery] = []
         self.updates_applied = 0
@@ -417,9 +411,7 @@ class _SpectatorServer:
                         sock, _addr = self.listener.accept()
                     except (BlockingIOError, InterruptedError):
                         continue
-                    client = SocketTransport(
-                        sock, max_frame=self.max_frame, timeout=30.0
-                    )
+                    client = SocketTransport(sock, timeout=30.0)
                     sel.register(client, selectors.EVENT_READ, ("client", client))
                 else:
                     _, client = what
@@ -441,11 +433,11 @@ class _SpectatorServer:
         self.listener.close()
 
 
-def _spectator_main(sock, game, payload: dict, publisher_address):
+def _spectator_main(sock, game, publisher_address, *settings):
     """Entry point of the spawned spectator process."""
     with SocketTransport(sock) as handshake:
         try:
-            server = _SpectatorServer(game, payload, publisher_address)
+            server = _SpectatorServer(game, publisher_address, *settings)
         except BaseException:
             handshake.send((ERROR, traceback.format_exc()))
             return
@@ -469,9 +461,9 @@ class SpectatorReplica:
         publisher_address: tuple[str, int],
         game,
         *,
-        payload: dict | None = None,
-        mp_context=None,
-        startup_timeout: float = 30.0,
+        history_retain: int = 256,
+        history_checkpoint_every: int = 32,
+        host: str = "127.0.0.1",
     ) -> "SpectatorReplica":
         """Start a spectator subscribed to *publisher_address*.
 
@@ -479,15 +471,20 @@ class SpectatorReplica:
         :class:`~repro.engine.decision.GameDefinition`, shipped as the
         worker pool ships it (inherited under fork, pickled once under
         spawn); the spectator answers with its schema and registry.
+        Time travel keeps the last *history_retain* epochs (0 turns it
+        off), with a checkpoint every *history_checkpoint_every*; the
+        spectator answers clients on *host*, on an ephemeral port.
         """
         process, handshake = start_child(
             _spectator_main,
-            (game, payload or {}, publisher_address),
-            mp_context=mp_context,
+            (
+                game, publisher_address,
+                history_retain, history_checkpoint_every, host,
+            ),
         )
         address = await_ready(
             handshake, "spectator replica", process=process,
-            timeout=startup_timeout, error=SpectatorError,
+            timeout=STARTUP_TIMEOUT, error=SpectatorError,
         )
         handshake.close()
         return cls(process, tuple(address))
@@ -534,15 +531,11 @@ class SpectatorClient:
     """
 
     def __init__(
-        self,
-        address: tuple[str, int],
-        *,
-        timeout: float = DEFAULT_QUERY_TIMEOUT,
-        max_frame: int = DEFAULT_MAX_FRAME,
+        self, address: tuple[str, int], *, timeout: float = DEFAULT_QUERY_TIMEOUT
     ):
         self.timeout = timeout
         self._transport = SocketTransport.connect(
-            tuple(address), max_frame=max_frame, timeout=timeout + 5.0
+            tuple(address), timeout=timeout + 5.0
         )
 
     def _round_trip(self, message, wait: float | None = None):

@@ -54,6 +54,10 @@ PROTOCOL_VERSION = 4
 #: under this) while still rejecting nonsense lengths immediately.
 DEFAULT_MAX_FRAME = 256 * 1024 * 1024
 
+#: How long a spectator replica or a ``--listen`` worker child may take
+#: to answer its start-up handshake (seconds).
+STARTUP_TIMEOUT = 30.0
+
 #: version byte + big-endian payload length.
 _HEADER = struct.Struct(">BI")
 
@@ -127,9 +131,8 @@ class SocketTransport:
         *,
         max_frame: int = DEFAULT_MAX_FRAME,
         timeout: float | None = None,
-        connect_timeout: float = 10.0,
     ) -> "SocketTransport":
-        sock = socket.create_connection(address, timeout=connect_timeout)
+        sock = socket.create_connection(address, timeout=10.0)
         return cls(sock, max_frame=max_frame, timeout=timeout)
 
     def settimeout(self, timeout: float | None) -> None:

@@ -344,11 +344,17 @@ WHERE e.player <> p AND e.posx >= x - r AND e.posx <= x + r
 """
 
 
+NAN = float("nan")
+
+
 class TestNullProbeValues:
-    """A NULL probe value compares false with every row, so the naive
-    selection is empty; the indexed evaluator must agree, whichever
+    """A NULL or NaN probe value compares false with every row, so the
+    naive selection is empty; the indexed evaluator must agree, whichever
     strategy the shape picks (each case failed before: a bare
-    ``TypeError`` from ``float(None)``, or every group matching)."""
+    ``TypeError`` from ``float(None)``, a NaN bound left open, or every
+    group matching).  A NULL or NaN nearest centre selects rows but
+    makes every distance NULL or NaN: the reference scan's comparisons
+    pick the row."""
 
     @pytest.fixture(scope="class")
     def null_registry(self, registry):
@@ -374,6 +380,20 @@ class TestNullProbeValues:
             ("CentroidOfEnemies", lambda u: (u, None), "divisible"),
             ("NearestEnemyWithin", lambda u: (u, None), "nearest"),
             ("WeakestEnemyInRange", lambda u: (u, None), "extreme"),
+            *[
+                pytest.param(fn_name, args, kind, id=f"{fn_name}-nan")
+                for fn_name, args, kind in [
+                    (
+                        "CountFriendliesNearPoint",
+                        lambda u: (u, 5.0, 5.0, NAN),
+                        "divisible",
+                    ),
+                    ("CountEnemiesInRange", lambda u: (u, NAN), "divisible"),
+                    ("CentroidOfEnemies", lambda u: (u, NAN), "divisible"),
+                    ("NearestEnemyWithin", lambda u: (u, NAN), "nearest"),
+                    ("WeakestEnemyInRange", lambda u: (u, NAN), "extreme"),
+                ]
+            ],
         ],
     )
     def test_null_bound_selects_nothing(
@@ -382,10 +402,10 @@ class TestNullProbeValues:
         self.both_ways(null_registry, battle, fn_name, args, kind)
 
     def test_null_bound_in_a_mixed_batch(self, null_registry, battle):
-        # NULL for some frames only: the others keep their answers
+        # NULL or NaN for some frames only: the others keep their answers
         self.both_ways(
             null_registry, battle, "CountEnemiesInRange",
-            lambda u: (u, None if u["key"] % 3 else u["sight"]), "divisible",
+            lambda u: (u, (u["sight"], None, NAN)[u["key"] % 3]), "divisible",
         )
 
     @pytest.mark.parametrize(
@@ -401,6 +421,25 @@ class TestNullProbeValues:
         self, null_registry, battle, fn_name, args, kind
     ):
         self.both_ways(null_registry, battle, fn_name, args, kind)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(lambda u: (u["player"], None, 5), id="null-x"),
+            pytest.param(lambda u: (u["player"], NAN, 5), id="nan-x"),
+            pytest.param(lambda u: (u["player"], u["posx"], NAN), id="nan-y"),
+            pytest.param(
+                lambda u: (
+                    u["player"], (u["posx"], None, NAN)[u["key"] % 3], 5
+                ),
+                id="mixed-batch",
+            ),
+        ],
+    )
+    def test_null_or_nan_centre_matches_the_reference_scan(
+        self, null_registry, battle, args
+    ):
+        self.both_ways(null_registry, battle, "NearestOther", args, "nearest")
 
     def test_null_equality_value_skips_the_null_group(
         self, null_registry, battle

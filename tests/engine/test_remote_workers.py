@@ -22,7 +22,11 @@ import socket
 
 import pytest
 
-from repro.engine.shardexec import WorkerEndpoint, spawn_listen_worker
+from repro.engine.shardexec import (
+    REMOTE_IO_TIMEOUT,
+    WorkerEndpoint,
+    spawn_listen_worker,
+)
 from repro.env.sharding import snapshot_blob
 from repro.game.battle import BattleSimulation
 from repro.serve.queries import AuthoritativeQueryService
@@ -177,6 +181,24 @@ class TestRemoteWorkerFaults:
             sim.run(4)
             assert pool.stats.reconnects >= 1
             assert sim.state_signature() == baseline
+
+    def test_remote_sessions_time_out_after_a_minute(self, endpoints):
+        """Every remote session, a re-established one too, bounds each
+        send/recv by REMOTE_IO_TIMEOUT -- never ``None``, which would
+        block forever on a silent peer."""
+        assert REMOTE_IO_TIMEOUT == 60.0
+        with BattleSimulation(
+            24, density=0.02, seed=3, num_shards=2,
+            parallelism="processes", workers=endpoints,
+        ) as sim:
+            sim.run(1)
+            pool = sim.engine._pool
+            pool.debug_drop_worker(0)
+            sim.run(1)
+            assert pool.stats.reconnects == 1
+            assert [w.transport._sock.gettimeout() for w in pool.workers] == [
+                REMOTE_IO_TIMEOUT, REMOTE_IO_TIMEOUT
+            ]
 
     def test_stale_remote_worker_rejoins_via_snapshot(self, endpoints):
         baseline = battle_signature(ticks=6, seed=31)

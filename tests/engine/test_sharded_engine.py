@@ -16,7 +16,7 @@ from repro.engine.clock import EngineConfig, SimulationEngine
 from repro.engine.postprocess import example_41_postprocess
 from repro.env.combine import combine_all
 from repro.env.schema import Attribute, AttributeType, Schema
-from repro.env.sharding import make_sharder, partition_rows
+from repro.env.sharding import ShardingError, make_sharder, partition_rows
 from repro.env.table import EnvironmentTable
 from repro.game.battle import BattleSimulation
 from repro.game.scripts import build_registry
@@ -133,9 +133,9 @@ class TestOneGameEveryLayout:
     }
     """
 
-    def custom_run(self, schema, **kwargs):
+    def custom_game(self, schema):
         registry = build_registry()
-        game = GameDefinition(
+        return GameDefinition(
             schema=schema,
             registry=registry,
             scripts={
@@ -144,6 +144,9 @@ class TestOneGameEveryLayout:
             },
             script_selector="player",
         )
+
+    def custom_run(self, schema, **kwargs):
+        game = self.custom_game(schema)
         env = make_env(schema, n=40, grid=24, seed=9)
         with game.engine(
             env,
@@ -159,6 +162,16 @@ class TestOneGameEveryLayout:
         serial = self.custom_run(schema)
         got = self.custom_run(schema, num_shards=2, parallelism="processes")
         assert got == serial
+
+    def test_custom_game_shards_spatially_over_its_own_rows(self, schema):
+        """``shard_by="spatial"`` needs no extent: the engine divides the
+        largest ``posx`` of its rows.  With no rows there is none."""
+        flat = self.custom_run(schema)
+        assert self.custom_run(schema, num_shards=2, shard_by="spatial") == flat
+        with pytest.raises(ShardingError, match="positive extent"):
+            self.custom_game(schema).engine(
+                EnvironmentTable(schema), None, num_shards=2, shard_by="spatial"
+            )
 
 
 class TestEngineValidation:

@@ -295,9 +295,7 @@ class TestSpectatorFaultDrills:
                     client.query("team_counts", epoch=current + 50, timeout=0.3)
 
     def test_history_disabled_keeps_forward_only_rule(self, battle):
-        with battle.spawn_spectator(
-            payload={"history_retain": 0}
-        ) as spectator:
+        with battle.spawn_spectator(history_retain=0) as spectator:
             with spectator.client() as client:
                 battle.run(2)
                 current = battle.engine.tick_count + 1
@@ -307,6 +305,10 @@ class TestSpectatorFaultDrills:
                 assert status["history_bytes"] == 0
                 with pytest.raises(SpectatorError, match="superseded"):
                     client.query("team_counts", epoch=current - 1)
+
+    def test_misspelt_setting_is_a_type_error(self, battle):
+        with pytest.raises(TypeError, match="history_retian"):
+            battle.spawn_spectator(history_retian=0)
 
     def test_query_errors_are_reported_not_fatal(self, battle):
         with battle.spawn_spectator() as spectator:

@@ -52,9 +52,7 @@ def battle():
 
 def test_time_travel_bit_identical_at_every_epoch(battle):
     """The acceptance drill: record live, query historically, compare."""
-    with battle.spawn_spectator(
-        payload={"history_checkpoint_every": 3}
-    ) as spectator:
+    with battle.spawn_spectator(history_checkpoint_every=3) as spectator:
         with spectator.client() as client:
             authority = AuthoritativeQueryService(battle.engine)
             want = {}
@@ -95,7 +93,7 @@ def test_repeated_queries_reuse_reconstruction(battle):
 
 def test_evicted_epoch_errors_with_span(battle):
     with battle.spawn_spectator(
-        payload={"history_retain": 3, "history_checkpoint_every": 2}
+        history_retain=3, history_checkpoint_every=2
     ) as spectator:
         with spectator.client() as client:
             battle.run(8)
@@ -130,7 +128,7 @@ def test_restored_timeline_drops_the_reconstruction_cache():
     timeline must not answer for the same epoch of the new one."""
     with BattleSimulation(80, seed=3, spectators=True) as sim:
         with sim.spawn_spectator(
-            payload={"history_checkpoint_every": 2}
+            history_checkpoint_every=2
         ) as spectator, spectator.client() as client:
             authority = AuthoritativeQueryService(sim.engine)
             sim.run(5)

@@ -252,9 +252,6 @@ class TestKnobsDeclaredOnce:
     """``EngineConfig`` is the one declaration of the knob list: the
     battle, ``GameDefinition.engine`` and ``run_battle`` forward to it."""
 
-    #: fields the battle fills in itself
-    SUPPLIED = {"spatial_extent"}
-
     @staticmethod
     def probes(tmp_path):
         """One non-default value per knob, plus the knobs it needs set."""
@@ -269,11 +266,8 @@ class TestKnobsDeclaredOnce:
             "workers": dict(
                 workers=["127.0.0.1:9"], parallelism="processes", num_shards=2
             ),
-            "worker_timeout": dict(worker_timeout=5.0),
             "worker_max_frame": dict(worker_max_frame=1 << 20),
             "spectators": dict(spectators=True),
-            "spectator_host": dict(spectator_host="localhost"),
-            "spectator_port": dict(spectator_port=45123),
             "epoch_log": dict(epoch_log=str(tmp_path / "epochs.log")),
             "epoch_log_checkpoint_every": dict(epoch_log_checkpoint_every=5),
             "epoch_log_fsync": dict(epoch_log_fsync="never"),
@@ -284,8 +278,8 @@ class TestKnobsDeclaredOnce:
 
     def test_every_field_has_a_probe(self, tmp_path):
         fields = {f.name for f in dataclasses.fields(EngineConfig)}
-        assert len(fields) == 19
-        assert set(self.probes(tmp_path)) | self.SUPPLIED == fields
+        assert len(fields) == 15
+        assert set(self.probes(tmp_path)) == fields
 
     def test_battle_forwards_every_knob(self, tmp_path):
         for kwargs in self.probes(tmp_path).values():
@@ -337,6 +331,11 @@ class TestKnobsDeclaredOnce:
             # structure / lowering parameters, no longer engine knobs
             "cascade",
             "optimize_aoe",
+            # derived from the rows, or settable elsewhere, or constants
+            "spatial_extent",
+            "spectator_host",
+            "spectator_port",
+            "worker_timeout",
         ],
     )
     def test_unknown_keyword_is_a_type_error_naming_it(
@@ -349,6 +348,8 @@ class TestKnobsDeclaredOnce:
             game.engine(small_env, None, **{knob: "shards"})
         with pytest.raises(TypeError, match=knob):
             run_battle(8, ticks=1, **{knob: "shards"})
+        with pytest.raises(TypeError, match=knob):
+            EngineConfig(**{knob: 1})
 
     def test_threads_parallelism_is_rejected(self):
         with pytest.raises(ValueError, match="unknown parallelism 'threads'"):
