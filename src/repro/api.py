@@ -9,7 +9,8 @@ Most downstream users want one of three things:
   does); get a naive/indexed engine, serial or over process workers;
 * **explain a script**: :func:`explain_script` -- every call site as
   the engine compiles it: how each aggregate is evaluated, the index it
-  probes and at what cost, and each built-in action's dispatch.
+  probes and at what cost, each built-in action's dispatch, and the
+  Python source the script is lowered to.
 """
 
 from __future__ import annotations
@@ -67,12 +68,14 @@ def _explain_row(site: CallSite, function: AggregateFunction) -> ExplainRow:
 
 @dataclass
 class ExplainResult:
-    """What ``explain_script`` reports: the aggregate call sites and the
-    built-in action dispatch of the :class:`DecisionRunner` the engine
-    runs."""
+    """What ``explain_script`` reports: the aggregate call sites, the
+    built-in action dispatch and the emitted source -- the module of
+    batch stages, exactly as compiled -- of the :class:`DecisionRunner`
+    the engine runs."""
 
     rows: list[ExplainRow]
     actions: dict[str, str]
+    source: str
 
     @property
     def aggregate_kinds(self) -> dict[str, str]:
@@ -109,6 +112,7 @@ def explain_script(source: str, registry: FunctionRegistry) -> ExplainResult:
             for site in runner.call_sites
         ],
         actions=dict(runner.actions),
+        source=runner.source,
     )
 
 

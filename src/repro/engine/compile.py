@@ -1,94 +1,86 @@
-"""The SGL compiler: terms, conditions and scripts lowered to closures.
+"""The SGL compiler: terms, conditions and scripts lowered to Python source.
 
 The engine never walks an AST at tick time.  Script bodies, the per-probe
 terms of aggregate and action shapes, index-build measures and filters
-are each lowered once into plain closures by this module;
+are each lowered once to Python source text, compiled with one
+``compile()`` per script, shape or term, and run as plain functions;
 :mod:`repro.sgl.evalterm` and :mod:`repro.sgl.interp` stay as the
-unoptimised executable semantics that ``tests/engine/test_compile.py``
-checks every closure against, value for value and exception class for
-exception class.
+executable semantics that ``tests/engine/test_compile.py`` checks the
+emitted code against, value for value and exception class for class.
 
-Lowering is also the only script validator: the engine lowers a script
-before its first tick and :func:`repro.api.compile_script` lowers it to
-accept it, so both reject the same scripts with the same errors (unknown
-names and functions, wrong arities, a script function without a unit
-parameter).  Given the schema, ``compile_script`` also rejects a field
-read on the entry function's unit that the schema lacks.
+Lowering is also the only script validator: the engine and
+:func:`repro.api.compile_script` reject the same scripts with the same
+errors (unknown names, functions and unit attributes, wrong arities, a
+script function without a unit parameter).
 
-A term or condition closure takes one argument, its *frame*.  Names are
-resolved when the closure is built (:class:`Scope`) to a frame slot, a
-registry constant (captured by value) or an :class:`SglNameError`;
-unknown functions and wrong arities are rejected then too, not when the
-node is first reached:
+**Frames and slots.**  Emitted code reads one *frame* ``f`` at a time.
+Names are resolved while emitting (:class:`Scope`) to a frame slot, a
+registry constant or an :class:`SglNameError`; unknown functions and
+wrong arities are rejected then too, not when the node is first reached:
 
-* *script frames* ``[rt, by_key, out_rows, out_aoe, params…, lets…]``:
-  every ``let`` (and hoisted call site) of a function owns a slot, so
-  binding is a list store, and ``perform`` of a defined function builds
-  the callee's frame;
+* *script frames* ``[rt, by_key, out_rows, out_aoe, params…, lets…]``,
+  ``rt`` being the unit's :class:`~repro.sgl.evalterm.EvalContext`:
+  every ``let`` (and hoisted call site) of a function owns a slot, and
+  ``perform`` of a defined function builds the callee's frame;
 * *probe frames* ``[rt, params…, e]`` for the terms of one built-in
   (:class:`Probe`, key-action effects, residual predicates);
 * *row frames* are the environment row itself (``e`` names the frame):
   measures and build filters, called once per row by the indexes.
 
-``rt`` is the runtime record of the frame's unit -- an
-:class:`~repro.sgl.evalterm.EvalContext` with empty bindings and
-``unit`` set -- read only by ``Random``, aggregate call sites, native
-functions and the scan fallback.
+**What is emitted.**  A term or condition becomes straight-line
+statements over locals: each slot it reads is loaded once per frame
+(``s4 = f[4]``), each operator is one assignment, NULL propagation is an
+inline ``None if … else``, and each operator that can fail has its own
+``try`` mapping ``TypeError``/``ZeroDivisionError``/``KeyError`` to the
+oracle's SGL error (free on the happy path).  A field read dominated by
+the same read is reused.  :func:`compile_term`, :func:`compile_cond` and
+:func:`compile_filter` emit one ``f -> value`` function; a :class:`Probe`
+emits its category and bound columns as loops over a batch of frames.
 
-Scripts run **set-at-a-time** (:func:`lower_script`): an action closure
-takes a *batch* -- the list of script frames of every unit that reached
-it -- so each aggregate call site goes to the evaluator once per batch
-(``rt.agg_eval.evaluate_batch``).  A ``let`` stores one value per frame,
-an ``if`` splits the batch into the frames that take each branch, a
-``perform`` of a defined function builds the callee frames of the
-batch, and built-in actions run per frame into the frame's own
-``out_rows``/``out_aoe`` buffers.  Calls in strict positions of a term
-or condition are *hoisted*: evaluated for the whole batch into a frame
-slot before the per-frame closure reads it (:attr:`Scope.hoist`).  A
-call under a short-circuit operand (the right side of ``and``/``or``)
-stays per frame, so no call is evaluated for a frame that would not
-reach it.  The lowering records each aggregate call site once, as it
-lowers it (:class:`CallSite`); EXPLAIN (:func:`repro.api.explain_script`)
-prints those records, so it shows exactly what the engine runs.
+A script runs **set-at-a-time** (:func:`lower_script`) as one module
+holding one function per *batch stage*, each looping over the frames of
+every unit that reached it -- a ``let`` store, an ``if`` split into
+taken/other, a hoisted call site's argument rows (then one
+``evaluate_batch`` for the batch), a built-in ``perform``'s action calls
+or a defined one's callee frames -- and one *driver* per script function
+calling its stages in program order.  Calls in strict positions are
+*hoisted* into a slot before the stage that reads them; a call under a
+short-circuit operand (the right side of ``and``/``or``) stays per
+frame, so no call runs for a frame that would not reach it.  Lowering
+records each aggregate call site (:class:`CallSite`); EXPLAIN
+(:func:`repro.api.explain_script`) shows them and the module's source.
+
+**Injection.**  No text from a script reaches the emitted source:
+numbers, strings, attribute names, functions and registry constants are
+bound to generated global names (``k3``), slots are ``int`` literals,
+operators come from the fixed tables below and every other identifier is
+generated.  Spectators compile client-shipped query source this way.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from ..sgl import ast
 from ..sgl.builtins import ActionFunction, AggregateFunction, FunctionRegistry
 from ..sgl.errors import SglNameError, SglRuntimeError, SglTypeError
-from ..sgl.evalterm import MATH_BUILTINS
+from ..sgl.evalterm import MATH_BUILTINS, math_error, random_index
 from ..sgl.values import Vec, field_of
 
 #: A compiled term or condition: ``frame -> value``.
 Fn = Callable[[object], object]
-#: A compiled script action: runs over a batch (list) of script frames.
-BatchFn = Callable[[list], None]
 #: A compiled built-in action: ``(rt, args, by_key, out_rows, out_aoe)``.
 ActionFn = Callable[[object, list, object, list, list], None]
-#: Script lowering's call-site hook: ``(function, args_of) ->`` the
-#: per-frame reader of the call's batch-evaluated value.
-Hoist = Callable[[AggregateFunction, Callable[[object], list]], Fn]
-
-_INF = float("inf")
 
 #: Script-frame slots ahead of the parameters: rt, by_key, out_rows, out_aoe.
 _HEADER = 4
 
-_BINOPS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "/": operator.truediv, "%": operator.mod,
-}  # fmt: skip
-_COMPARES = {
-    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
-    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-}  # fmt: skip
+#: SGL operator -> the Python operator emitted for it.
+_BINOPS = {"+": "+", "-": "-", "*": "*", "/": "/", "%": "%"}
+_COMPARES = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
 def _type_error(what: str, *values: object) -> SglTypeError:
@@ -96,25 +88,113 @@ def _type_error(what: str, *values: object) -> SglTypeError:
     return SglTypeError(f"cannot {what} {kinds}")
 
 
+def _vector(*items: object) -> Vec:
+    for item in items:
+        if not isinstance(item, (int, float)) or isinstance(item, bool):
+            raise _type_error("put in a vector literal a", item)
+    return Vec(items)
+
+
+def _random_row(rt, *row: object) -> object:
+    """The row ``Random(e, i)`` draws for, or ``Random(i)``'s unit."""
+    if not row:
+        if rt.unit is None:
+            raise SglRuntimeError("Random(i) used outside a unit context")
+        return rt.unit
+    if type(row[0]) is not dict and not isinstance(row[0], Mapping):
+        raise SglTypeError("Random(e, i) requires a unit row")
+    return row[0]
+
+
+def _store_calls(fs: list, function: AggregateFunction, rows: list, slot: int):
+    """Evaluate one hoisted call site for batch *fs* into frame *slot*."""
+    if len(fs) == 1:  # a batch of one is a plain call
+        f = fs[0]
+        f[slot] = f[0].agg_eval.evaluate(function, rows[0], f[0])
+        return
+    values = fs[0][0].agg_eval.evaluate_batch(function, rows, [f[0] for f in fs])
+    for f, value in zip(fs, values):
+        f[slot] = value
+
+
+#: The fixed globals of every emitted module.  Generated names are lower
+#: case: ``f``/``fs`` a frame/batch, ``s<slot>``, ``t<n>`` temporaries,
+#: ``k<n>`` bound values, ``g<n>`` stages, ``d<n>`` drivers, ``p<n>``
+#: callee paddings, ``b<n>`` branch batches.
+_RUNTIME = {
+    "F": field_of,
+    "NA": lambda attr: SglRuntimeError(f"unit has no attribute {attr!r}"),
+    "TE": _type_error,
+    "ZE": lambda: SglRuntimeError("division by zero"),
+    "ME": math_error,
+    "V": _vector,
+    "RR": _random_row,
+    "RI": random_index,
+    "CS": _store_calls,
+    "NX": math.nextafter,
+    "INF": math.inf,
+}
+
+
+class _Module:
+    """The source text and globals of one emitted module."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.names: dict[str, Any] = dict(_RUNTIME)
+        self.count = 0
+
+    def fresh(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def const(self, value: object) -> str:
+        """A generated global name bound to *value*."""
+        name = self.fresh("k")
+        self.names[name] = value
+        return name
+
+    def define(self, params: str, lines: Sequence[str]) -> str:
+        """Emit ``def g(params)`` over *lines* (already indented)."""
+        name = self.fresh("g")
+        self.lines += [f"def {name}({params}):", *lines]
+        return name
+
+    def stage(self, body: _Body, each: str, head: str = "", tail: str = "") -> str:
+        """Emit ``g(fs)``: *head*, then per frame ``f`` of the batch *body*
+        and *each*, then *tail* (statements indented by one space)."""
+        loop = [" for f in fs:", *body.indented("  "), f"  {each}"]
+        return self.define("fs", [line for line in (head, *loop, tail) if line])
+
+    def rows(self, body: _Body, row: str, tail: str = " return r") -> str:
+        """Emit ``g(fs)`` collecting *row* per frame into ``r``."""
+        return self.stage(body, f"r.append({row})", " r = []", tail)
+
+    def build(self) -> dict[str, Any]:
+        """Compile the module once; returns its globals."""
+        self.text = "\n".join(self.lines) + "\n"
+        # reprolint: disable=dynamic-code -- the SGL emitter: the text is
+        # generated names, int literals and fixed operators, never script text
+        exec(compile(self.text, "<sgl>", "exec"), self.names)
+        return self.names
+
+
 @dataclass(frozen=True)
 class Scope:
     """Compile-time name resolution for one frame layout: list frames
     map names to *slots* (the runtime record sits in slot 0); *row* names
     the frame itself (row frames: no ``Random``, no aggregate calls).
-
-    *hoist*, when set, takes each aggregate call site in a strict
-    position -- ``(function, args_of)`` -- and returns the per-frame
-    closure that reads its batch-evaluated value; *per_frame*, when set,
-    is told of each call site that is not hoisted (script lowering).
-    *unit*, when set, is ``(slot, attributes)``: the slot holding the
-    unit row and the attributes that row has, so a field read on that
-    slot naming another attribute is an :class:`SglNameError`."""
+    *hoist*, when set, takes each call site in a strict position and
+    returns the slot its batch-evaluated value lands in; *per_frame* is
+    told of each call site that is not hoisted.  *unit* is ``(slot,
+    attributes)``: a field read on that slot naming another attribute is
+    an :class:`SglNameError`."""
 
     slots: Mapping[str, int]
     constants: Mapping[str, object]
     aggregates: Mapping[str, AggregateFunction]
     row: str | None = None
-    hoist: Hoist | None = None
+    hoist: Callable[[AggregateFunction, Sequence[ast.Term], Scope], int] | None = None
     per_frame: Callable[[AggregateFunction], None] | None = None
     unit: tuple[int, Collection[str]] | None = None
 
@@ -124,348 +204,296 @@ def row_scope(constants: Mapping[str, object]) -> Scope:
     return Scope({}, constants, {}, row="e")
 
 
-def frame_scope(
-    names: Sequence[str], registry: FunctionRegistry, first: int = 1
-) -> Scope:
+def frame_scope(names: Sequence[str], registry: FunctionRegistry, first=1) -> Scope:
     """Scope of a list frame holding *names* from slot *first* on."""
     slots = {name: first + i for i, name in enumerate(names)}
     return Scope(slots, registry.constants, registry.aggregates)
 
 
+class _Body:
+    """The statements evaluating terms and conditions for one frame
+    ``f``; each returns the *atom* (a local or global name) holding its
+    value."""
+
+    def __init__(self, module: _Module, scope: Scope):
+        self.m = module
+        self.scope = scope
+        self.lines: list[str] = []
+        self.pad = ""
+        self.slots: set[int] = set()
+        self.fields: dict[tuple[str, str], str] = {}  # (atom, attr) -> a read
+
+    def emit(self, line: str) -> None:
+        self.lines.append(self.pad + line)
+
+    def indented(self, indent: str) -> list[str]:
+        """The slot loads, then the statements, under *indent*."""
+        lines = list(self.lines)
+        if self.slots:
+            lines.insert(0, "; ".join(f"s{n} = f[{n}]" for n in sorted(self.slots)))
+        return [indent + line for line in lines]
+
+    def nested(self, scope: Scope | None = None):
+        """Enter a conditional block; returns what :meth:`leave` restores."""
+        saved = (self.pad, self.fields, self.scope)
+        self.pad += " "
+        self.fields = dict(self.fields)  # reads in here dominate nothing after
+        self.scope = scope or self.scope
+        return saved
+
+    def leave(self, saved) -> None:
+        self.pad, self.fields, self.scope = saved
+
+    def slot(self, n: int) -> str:
+        self.slots.add(n)
+        return f"s{n}"
+
+    def assign(self, expr: str, operands: Sequence[str] = (), *handlers) -> str:
+        """``t = expr``, NULL when an operand is; each handler is an
+        ``(exception, raised)`` pair of its own ``except`` clause."""
+        out = self.m.fresh("t")
+        nullable = [f"{a} is None" for a in dict.fromkeys(operands) if a[0] in "st"]
+        if nullable:
+            expr = f"None if {' or '.join(nullable)} else {expr}"
+        self.emit(f"try: {out} = {expr}" if handlers else f"{out} = {expr}")
+        for exc, raised in handlers:
+            self.emit(f"except {exc}: raise {raised} from None")
+        return out
+
+    def term(self, term: ast.Term) -> str:
+        """Emit *term* with ``eval_term``'s semantics."""
+        scope = self.scope
+        if isinstance(term, (ast.Num, ast.Str)):
+            return self.m.const(term.value)
+        if isinstance(term, ast.Name):
+            ident = term.ident
+            if ident == scope.row:
+                return "f"
+            slot = scope.slots.get(ident)
+            if slot is not None:
+                return self.slot(slot)
+            constant = scope.constants.get(ident)
+            if constant is None:
+                raise SglNameError(f"unbound name {ident!r}")
+            return self.m.const(constant)
+        if isinstance(term, ast.FieldAccess):
+            return self.field(term)
+        if isinstance(term, ast.Neg):
+            a = self.term(term.operand)
+            what = self.m.const("negate")
+            return self.assign(f"-{a}", [a], ("TypeError", f"TE({what}, {a})"))
+        if isinstance(term, ast.BinOp):
+            op = _BINOPS.get(term.op)
+            if op is None:
+                raise SglTypeError(f"unknown operator {term.op!r}")
+            a, b = self.term(term.left), self.term(term.right)
+            what = self.m.const(f"apply {term.op!r} to")
+            handlers = [("TypeError", f"TE({what}, {a}, {b})")]
+            if op in "/%":
+                handlers.insert(0, ("ZeroDivisionError", "ZE()"))
+            return self.assign(f"{a} {op} {b}", [a, b], *handlers)
+        if isinstance(term, ast.VecLit):
+            items = [self.term(item) for item in term.items]
+            return self.assign(f"V({', '.join(items)})", items)
+        if isinstance(term, ast.Call):
+            return self.call(term)
+        raise SglTypeError(f"cannot compile {term!r} as a term")
+
+    def field(self, term: ast.FieldAccess) -> str:
+        base, unit = term.base, self.scope.unit
+        if unit is not None and isinstance(base, ast.Name):
+            if self.scope.slots.get(base.ident) == unit[0]:
+                if term.attr not in unit[1]:
+                    raise SglNameError(f"unit has no attribute {term.attr!r}")
+        b = self.term(base)
+        out = self.fields.get((b, term.attr))
+        if out is None:
+            out = self.fields[b, term.attr] = self.m.fresh("t")
+            a = self.m.const(term.attr)
+            self.emit(f"try: {out} = {b}[{a}] if type({b}) is dict else F({b}, {a})")
+            self.emit(f"except KeyError: raise NA({a}) from None")
+        return out
+
+    def call(self, term: ast.Call) -> str:
+        name, scope = term.name, self.scope
+        builtin = MATH_BUILTINS.get(name)
+        if builtin is None and scope.row is not None:
+            raise SglTypeError(f"{name}: e-only terms cannot hold aggregates or Random")
+        if name == "Random":
+            return self.random(term.args)
+        if builtin is not None:
+            args = [self.term(a) for a in term.args]
+            fn, label = self.m.const(builtin), self.m.const(name)
+            failed = ("(TypeError, ValueError, OverflowError) as x", f"ME({label}, x)")
+            return self.assign(f"{fn}({', '.join(args)})", args, failed)
+        function = scope.aggregates.get(name)
+        if function is None or len(term.args) != len(function.params):
+            for arg in term.args:  # the arguments' own errors come first
+                self.term(arg)
+            if function is None:
+                raise SglNameError(f"unknown function {name!r}")
+            raise SglTypeError(f"{name} expects {len(function.params)} args")
+        if scope.hoist is not None:
+            return self.slot(scope.hoist(function, term.args, scope))
+        args = [self.term(a) for a in term.args]
+        if scope.per_frame is not None:
+            scope.per_frame(function)
+        rt = self.slot(0)
+        fn = self.m.const(function)
+        return self.assign(f"{rt}.agg_eval.evaluate({fn}, [{', '.join(args)}], {rt})")
+
+    def random(self, args: Sequence[ast.Term]) -> str:
+        """``Random(i)`` draws for the current unit, ``Random(e, i)`` for a row."""
+        if len(args) not in (1, 2):
+            raise SglTypeError("Random takes one or two arguments")
+        rt = self.slot(0)
+        row = self.assign(f"RR({', '.join([rt, *map(self.term, args[:-1])])})")
+        return self.assign(f"{rt}.rng({row}, RI({self.term(args[-1])}))")
+
+    def cond(self, cond: ast.Cond) -> str:
+        """Emit *cond* with ``eval_cond``'s semantics."""
+        if isinstance(cond, ast.BoolLit):
+            return "True" if cond.value else "False"
+        if isinstance(cond, ast.Not):
+            return self.assign(f"not {self.cond(cond.operand)}")
+        if isinstance(cond, (ast.And, ast.Or)):
+            out = self.assign(self.cond(cond.left))
+            self.emit(f"if {'' if isinstance(cond, ast.And) else 'not '}{out}:")
+            # short-circuit operand: its calls are never hoisted
+            saved = self.nested(replace(self.scope, hoist=None))
+            self.emit(f"{out} = {self.cond(cond.right)}")
+            self.leave(saved)
+            return out
+        if isinstance(cond, ast.Compare):
+            op = _COMPARES.get(cond.op)
+            if op is None:
+                raise SglTypeError(f"unknown comparison operator {cond.op!r}")
+            a, b = self.term(cond.left), self.term(cond.right)
+            # NULL compares false under every operator
+            tests = [f"{x} is not None" for x in dict.fromkeys((a, b)) if x[0] in "st"]
+            expr = " and ".join([*tests, f"{a} {op} {b}"])
+            if cond.op in ("=", "<>"):
+                return self.assign(expr)
+            what = self.m.const(f"compare ({cond.op})")
+            return self.assign(expr, (), ("TypeError", f"TE({what}, {a}, {b})"))
+        raise SglTypeError(f"cannot compile {cond!r} as a condition")
+
+    def conjunction(self, conjuncts: Sequence[ast.Cond]) -> str:
+        """Every conjunct in order; returns ``False`` at the first false one."""
+        *init, last = conjuncts
+        for cond in init:
+            self.emit(f"if not {self.cond(cond)}: return False")
+        return self.cond(last)
+
+    def side(self, bounds: Sequence, lower: bool) -> str:
+        """One side of a range constraint: its tightest bound, or ``None``
+        when some bound is NULL or NaN (either compares false with every
+        row).  A strict bound moves to the adjacent float inside."""
+        out = self.m.fresh("t")
+        if not bounds:
+            self.emit(f"{out} = {'-INF' if lower else 'INF'}")
+            return out
+        outer = self.pad, self.fields, self.scope
+        for i, bound in enumerate(bounds):
+            value = self.term(bound.term)
+            tightened = f"float({value})"
+            if bound.strict:
+                tightened = f"NX({tightened}, {'INF' if lower else '-INF'})"
+            if i:
+                tightened = f"{'max' if lower else 'min'}({out}, {tightened})"
+            empty = f"{value} is None or {value} != {value}"
+            if i == len(bounds) - 1:
+                self.emit(f"{out} = None if {empty} else {tightened}")
+            else:
+                self.emit(f"if {empty}: {out} = None")
+                self.emit("else:")
+                self.nested()
+                self.emit(f"{out} = {tightened}")
+        self.leave(outer)
+        return out
+
+
+def _tuple(atoms: Sequence[str]) -> str:
+    return f"({', '.join(atoms)}{',' if len(atoms) == 1 else ''})"
+
+
+def _function(m: _Module, scope: Scope, node) -> str | None:
+    """Emit ``g(f) -> value`` for *node*: a term, a condition, or a tuple
+    of conjuncts (their conjunction; no function when it is empty)."""
+    body = _Body(m, scope)
+    if isinstance(node, ast.Term):
+        result = body.term(node)
+    elif isinstance(node, ast.Cond):
+        result = body.cond(node)
+    elif node:
+        result = body.conjunction(node)
+    else:
+        return None
+    return m.define("f", [*body.indented(" "), f" return {result}"])
+
+
+def _compiled(node, scope: Scope):
+    m = _Module()
+    name = _function(m, scope, node)
+    return None if name is None else m.build()[name]
+
+
 def compile_term(term: ast.Term, scope: Scope) -> Fn:
     """Lower *term* to ``frame -> value`` with ``eval_term``'s semantics."""
-    if isinstance(term, (ast.Num, ast.Str)):
-        value = term.value
-        return lambda f: value
-    if isinstance(term, ast.Name):
-        ident = term.ident
-        if ident == scope.row:
-            return lambda f: f
-        slot = scope.slots.get(ident)
-        if slot is not None:
-            return lambda f: f[slot]
-        constant = scope.constants.get(ident)
-        if constant is None:
-            raise SglNameError(f"unbound name {ident!r}")
-        return lambda f: constant
-    if isinstance(term, ast.FieldAccess):
-        return _compile_field(term, scope)
-    if isinstance(term, ast.Neg):
-        operand = compile_term(term.operand, scope)
-
-        def neg(f):
-            value = operand(f)
-            if value is None:
-                return None  # NULL propagation
-            try:
-                return -value
-            except TypeError:
-                raise _type_error("negate", value) from None
-
-        return neg
-    if isinstance(term, ast.BinOp):
-        return _compile_binop(term, scope)
-    if isinstance(term, ast.VecLit):
-        items_of = compile_args(term.items, scope)
-
-        def vec(f):
-            items = items_of(f)
-            if None in items:
-                return None  # NULL propagation
-            for item in items:
-                if not isinstance(item, (int, float)) or isinstance(item, bool):
-                    raise _type_error("put in a vector literal a", item)
-            return Vec(items)
-
-        return vec
-    if isinstance(term, ast.Call):
-        return _compile_call(term, scope)
-    raise SglTypeError(f"cannot compile {term!r} as a term")
-
-
-def _compile_field(term: ast.FieldAccess, scope: Scope) -> Fn:
-    attr = term.attr
-    base = term.base
-    ident = base.ident if isinstance(base, ast.Name) else None
-    slot = scope.slots.get(ident)
-    if slot is None and (ident is None or ident != scope.row):
-        inner = compile_term(base, scope)
-        return lambda f: field_of(inner(f), attr)
-    if scope.unit is not None and slot == scope.unit[0]:
-        if attr not in scope.unit[1]:
-            raise SglNameError(f"unit has no attribute {attr!r}")
-
-    def field(f):
-        value = f if slot is None else f[slot]
-        if type(value) is dict:  # a unit row: skip field_of's dispatch
-            try:
-                return value[attr]
-            except KeyError:
-                raise SglRuntimeError(
-                    f"unit has no attribute {attr!r}"
-                ) from None
-        return field_of(value, attr)
-
-    return field
-
-
-def _compile_binop(term: ast.BinOp, scope: Scope) -> Fn:
-    symbol = term.op
-    op = _BINOPS.get(symbol)
-    if op is None:
-        raise SglTypeError(f"unknown operator {symbol!r}")
-    left = compile_term(term.left, scope)
-    right = compile_term(term.right, scope)
-
-    def binop(f):
-        a = left(f)
-        b = right(f)
-        if a is None or b is None:
-            return None  # NULL propagation
-        try:
-            return op(a, b)
-        except ZeroDivisionError:
-            raise SglRuntimeError("division by zero") from None
-        except TypeError:
-            raise _type_error(f"apply {symbol!r} to", a, b) from None
-
-    return binop
-
-
-def _compile_call(term: ast.Call, scope: Scope) -> Fn:
-    name = term.name
-    builtin = MATH_BUILTINS.get(name)
-    if builtin is None and scope.row is not None:
-        raise SglTypeError(
-            f"{name}: e-only terms cannot contain aggregates or Random"
-        )
-    if name == "Random":
-        return _compile_random([compile_term(a, scope) for a in term.args])
-    args_of = compile_args(term.args, scope)
-    if builtin is not None:
-
-        def math_call(f):
-            args = args_of(f)
-            if None in args:
-                return None  # NULL propagation
-            try:
-                return builtin(*args)
-            except (TypeError, ValueError) as exc:
-                raise SglTypeError(f"{name}: {exc}") from None
-
-        return math_call
-    function = scope.aggregates.get(name)
-    if function is None:
-        raise SglNameError(f"unknown function {name!r}")
-    if len(term.args) != len(function.params):
-        raise SglTypeError(f"{name} expects {len(function.params)} args")
-    if scope.hoist is not None:
-        return scope.hoist(function, args_of)
-    if scope.per_frame is not None:
-        scope.per_frame(function)
-
-    def aggregate_call(f):
-        rt = f[0]
-        return rt.agg_eval.evaluate(function, args_of(f), rt)
-
-    return aggregate_call
-
-
-def _compile_random(arg_fns: list[Fn]) -> Fn:
-    """``Random(i)`` draws for the current unit, ``Random(e, i)`` for a row."""
-    if len(arg_fns) not in (1, 2):
-        raise SglTypeError("Random takes one or two arguments")
-    index_of = arg_fns[-1]
-    row_of = arg_fns[0] if len(arg_fns) == 2 else None
-
-    def random(f):
-        rt = f[0]
-        if row_of is None:
-            row = rt.unit
-            if row is None:
-                raise SglRuntimeError("Random(i) used outside a unit context")
-        else:
-            row = row_of(f)
-            if type(row) is not dict and not isinstance(row, Mapping):
-                raise SglTypeError("Random(e, i) requires a unit row")
-        index = index_of(f)
-        if not isinstance(index, (int, float)):
-            raise SglTypeError("Random index must be a number")
-        return rt.rng(row, int(index))
-
-    return random
-
-
-def compile_args(
-    terms: Sequence[ast.Term], scope: Scope
-) -> Callable[[object], list]:
-    """Lower *terms* to ``frame -> [values]``, unrolled for small arities."""
-    fns = [compile_term(term, scope) for term in terms]
-    if len(fns) == 0:
-        return lambda f: []
-    if len(fns) == 1:
-        (a,) = fns
-        return lambda f: [a(f)]
-    if len(fns) == 2:
-        a, b = fns
-        return lambda f: [a(f), b(f)]
-    return lambda f: [fn(f) for fn in fns]
+    return _compiled(term, scope)
 
 
 def compile_cond(cond: ast.Cond, scope: Scope) -> Fn:
     """Lower *cond* to ``frame -> truth`` with ``eval_cond``'s semantics."""
-    if isinstance(cond, ast.BoolLit):
-        value = cond.value
-        return lambda f: value
-    if isinstance(cond, ast.Not):
-        operand = compile_cond(cond.operand, scope)
-        return lambda f: not operand(f)
-    if isinstance(cond, (ast.And, ast.Or)):
-        left = compile_cond(cond.left, scope)
-        # short-circuit operand: its calls are never hoisted
-        right = compile_cond(cond.right, replace(scope, hoist=None))
-        if isinstance(cond, ast.And):
-            return lambda f: left(f) and right(f)
-        return lambda f: left(f) or right(f)
-    if isinstance(cond, ast.Compare):
-        symbol = cond.op
-        op = _COMPARES.get(symbol)
-        if op is None:
-            raise SglTypeError(f"unknown comparison operator {symbol!r}")
-        lhs = compile_term(cond.left, scope)
-        rhs = compile_term(cond.right, scope)
-
-        def compare(f):
-            a = lhs(f)
-            b = rhs(f)
-            if a is None or b is None:
-                return False  # NULL compares false under every operator
-            try:
-                return op(a, b)
-            except TypeError:
-                raise _type_error(f"compare ({symbol})", a, b) from None
-
-        return compare
-    raise SglTypeError(f"cannot compile {cond!r} as a condition")
+    return _compiled(cond, scope)
 
 
 def compile_filter(conjuncts: Sequence[ast.Cond], scope: Scope) -> Fn | None:
     """Lower a conjunction of conditions; ``None`` when it is empty."""
-    preds = [compile_cond(c, scope) for c in conjuncts]
-    if not preds:
-        return None
-    if len(preds) == 1:
-        return preds[0]
-
-    def conjunction(f):
-        for pred in preds:
-            if not pred(f):
-                return False
-        return True
-
-    return conjunction
+    return _compiled(tuple(conjuncts), scope)
 
 
 class Probe:
     """The per-probe terms of one classified built-in (an
-    :class:`~repro.algebra.shapes.AggregateShape` or AoE ``ActionShape``),
-    lowered once.  Frames are ``[rt, *args, None]``: the last slot,
-    :attr:`e_slot`, is ``e`` -- ``None`` until a caller stores a
-    candidate row there for row-level closures."""
+    :class:`~repro.algebra.shapes.AggregateShape` or AoE ``ActionShape``)
+    and its *extra* terms, conditions or conjunctions, lowered into one
+    module.  Frames are ``[rt, *args, None]``: the last slot,
+    :attr:`e_slot`, is ``e``, ``None`` until a caller stores a row there.
 
-    def __init__(self, shape, params: Sequence[str], registry: FunctionRegistry):
-        self.scope = scope = frame_scope((*params, "e"), registry)
+    Over a batch of frames, :attr:`cats` gives each frame's ``(equality,
+    anti-join)`` category values and :attr:`bounds` its range constraints
+    as closed ``[lo, hi]`` intervals, or ``None`` as soon as one is empty
+    (a NULL bound compares false with every row).  :attr:`guard` is the
+    u-only conjunction and :attr:`fns` the *extra* ``f -> value``
+    functions."""
+
+    def __init__(self, shape, params: Sequence[str], registry, extra=()):
+        scope = frame_scope((*params, "e"), registry)
         self.e_slot = len(params) + 1
-        #: u-only conjuncts: when false the selection is empty.
-        self.guard = compile_filter(shape.u_only, scope)
-        self._eq = eq = [
-            compile_term(c.value_term, scope) for c in shape.eq_cats
-        ]
-        self._neq = neq = [
-            compile_term(c.value_term, scope) for c in shape.neq_cats
-        ]
-        #: ``frame ->`` the probe's (equality, anti-join) category values.
-        self.cats = lambda f: (
-            tuple([t(f) for t in eq]),
-            tuple([t(f) for t in neq]),
-        )
-        self._ranges = [
-            (
-                _compile_side(constraint.lowers, scope, max, -_INF),
-                _compile_side(constraint.uppers, scope, min, _INF),
-            )
-            for constraint in shape.ranges
-        ]
-
-    def bounds(self, f: list) -> list[tuple[float, float]] | None:
-        """Each range constraint as a closed ``[lo, hi]`` interval;
-        ``None`` as soon as some interval is empty -- a NULL bound
-        compares false with every row, so it empties its interval."""
-        out: list[tuple[float, float]] = []
-        for lower, upper in self._ranges:
-            lo = lower(f)
-            hi = upper(f)
-            if lo is None or hi is None or lo > hi:
-                return None
-            out.append((lo, hi))
-        return out
-
-    def cats_many(self, frames: list) -> list[tuple[tuple, tuple]]:
-        """:attr:`cats` of every frame, one category column at a time."""
-        return list(zip(_rows(self._eq, frames), _rows(self._neq, frames)))
-
-    def bounds_many(self, frames: list) -> list:
-        """:meth:`bounds` of every frame, one range column at a time.
-        As soon as some frame's interval is empty, every frame goes
-        through :meth:`bounds`, which stops at its first empty one."""
-        columns = []
-        for lower, upper in self._ranges:
-            pairs = list(zip(map(lower, frames), map(upper, frames)))
-            for lo, hi in pairs:
-                if lo is None or hi is None or lo > hi:
-                    return [self.bounds(f) for f in frames]
-            columns.append(pairs)
-        return list(zip(*columns)) if columns else [()] * len(frames)
-
-
-def _rows(fns: list[Fn], frames: list) -> list[tuple]:
-    """Per frame, the tuple of *fns* applied to it (frame by frame)."""
-    if not fns:
-        return [()] * len(frames)
-    return list(zip(*[map(fn, frames) for fn in fns]))
-
-
-def _compile_side(bounds, scope: Scope, pick, unbounded: float) -> Fn:
-    """One side of a range constraint: ``frame ->`` its tightest bound,
-    or ``None`` when some bound is NULL or NaN (the interval is then
-    empty: either compares false with every row).  Strict bounds move
-    to the adjacent float inside the interval, which is exact for the
-    values actually stored in an index."""
-    terms = [(compile_term(b.term, scope), b.strict) for b in bounds]
-    if len(terms) == 1 and not terms[0][1]:
-        only = terms[0][0]
-
-        def single(f):
-            value = only(f)
-            if value is None or value != value:
-                return None
-            return pick(unbounded, float(value))
-
-        return single
-
-    def side(f):
-        best = unbounded
-        for term, strict in terms:
-            value = term(f)
-            if value is None or value != value:
-                return None
-            value = float(value)
-            if strict:
-                value = math.nextafter(value, -unbounded)
-            best = pick(best, value)
-        return best
-
-    return side
+        m = _Module()
+        cats = bounds = None
+        if shape.eq_cats or shape.neq_cats:
+            body = _Body(m, scope)
+            eq = [body.term(c.value_term) for c in shape.eq_cats]
+            neq = [body.term(c.value_term) for c in shape.neq_cats]
+            cats = m.rows(body, f"({_tuple(eq)}, {_tuple(neq)})")
+        if shape.ranges:
+            body = _Body(m, scope)
+            pairs = []
+            for constraint in shape.ranges:
+                lo = body.side(constraint.lowers, lower=True)
+                hi = body.side(constraint.uppers, lower=False)
+                body.emit(
+                    f"if {lo} is None or {hi} is None or {lo} > {hi}: "
+                    "r.append(None); continue"
+                )
+                pairs.append(f"({lo}, {hi})")
+            bounds = m.rows(body, _tuple(pairs))
+        fns = [_function(m, scope, node) for node in (tuple(shape.u_only), *extra)]
+        ns = m.build()
+        self.cats = ns[cats] if cats else lambda fs: [((), ())] * len(fs)
+        self.bounds = ns[bounds] if bounds else lambda fs: [()] * len(fs)
+        self.guard, *self.fns = [None if fn is None else ns[fn] for fn in fns]
 
 
 @dataclass(frozen=True)
@@ -485,187 +513,158 @@ def lower_script(
     registry: FunctionRegistry,
     builtin_action: Callable[[ActionFunction], ActionFn],
     attributes: Collection[str] | None = None,
-) -> tuple[Callable[[list, object], list[list]], tuple[CallSite, ...]]:
-    """Lower every function of *script* to batch closures;
+) -> tuple[Callable[[list, object], list[list]], tuple[CallSite, ...], str]:
+    """Lower every function of *script* into one emitted module;
     *builtin_action* lowers one built-in action
     (:func:`repro.engine.decision.compile_action`).  Given the unit
     row's *attributes*, a field read on ``main``'s unit parameter (not
     rebound by a ``let``) naming another attribute is rejected.
 
-    Returns ``(run, call_sites)``.  ``run(rts, by_key)`` runs ``main``
-    over one batch, a unit per runtime record (``rt.unit``), and
-    returns the batch's script frames, whose ``out_rows``/``out_aoe``
-    slots hold each unit's effects in per-unit program order.
-    *call_sites* lists every aggregate call site once, in lowering
-    order."""
+    Returns ``(run, call_sites, source)``: ``run(rts, by_key)`` runs
+    ``main`` over one batch, a unit per runtime record, and returns the
+    batch's frames, whose ``out_rows``/``out_aoe`` hold each unit's
+    effects in program order; each aggregate call site once, in lowering
+    order; and the module's text, exactly as compiled."""
     main = script.main
     if len(main.params) != 1:
-        raise SglTypeError(
-            f"entry function {main.name!r} must take exactly the unit"
-        )
+        raise SglTypeError(f"entry function {main.name!r} must take exactly the unit")
     lowering = _ScriptLowering(script, registry, builtin_action)
     unit = None if attributes is None else (_HEADER, frozenset(attributes))
     for fn in script.functions.values():
         lowering.function(fn, unit if fn is main else None)
-    body, pad = lowering.bodies[main.name]
+    ns = lowering.module.build()
+    driver, pad = (ns[name] for name in lowering.globals_of(main.name))
 
     def run(rts, by_key):
         frames = [[rt, by_key, [], [], rt.unit, *pad] for rt in rts]
-        body(frames)
+        driver(frames)
         return frames
 
-    return run, tuple(lowering.call_sites)
-
-
-def _skip(fs: list) -> None:
-    return None
+    return run, tuple(lowering.call_sites), lowering.module.text
 
 
 class _ScriptLowering:
+    """One script's module: its stages, and per script function a
+    *driver* ``d(fs)`` calling them in program order over a batch."""
+
     def __init__(self, script, registry, builtin_action):
         self.script = script
         self.registry = registry
         self.builtin_action = builtin_action
-        #: function name -> (body, padding for its let and call slots);
-        #: looked up at call time, so definition order and recursion do
-        #: not matter
-        self.bodies: dict[str, tuple[BatchFn, tuple]] = {}
-        self.actions: dict[str, ActionFn] = {}
+        self.module = _Module()
+        #: function name -> its driver's and its let/call slot padding's
+        #: globals, bound once lowered: definition order does not matter
+        self.drivers: dict[str, tuple[str, str]] = {}
+        self.actions: dict[str, str] = {}  # built-in action -> its global
         self.call_sites: list[CallSite] = []
         self.next_slot = 0
         self.current = ""  # the function being lowered
 
-    def function(
-        self, fn: ast.FunctionDef, unit: tuple[int, Collection[str]] | None
-    ) -> None:
+    def function(self, fn: ast.FunctionDef, unit) -> None:
         if not fn.params:
             raise SglTypeError(f"function {fn.name!r} needs a unit parameter")
         first_let = self.next_slot = _HEADER + len(fn.params)
         self.current = fn.name
-        scope = frame_scope(fn.params, self.registry, first=_HEADER)
-        body = self.action(
-            fn.body,
-            replace(
-                scope,
-                per_frame=lambda a: self.call_site(a, "per frame"),
-                unit=unit,
-            ),
+        scope = replace(
+            frame_scope(fn.params, self.registry, first=_HEADER),
+            per_frame=lambda a: self.call_site(a, "per frame"),
+            unit=unit,
         )
-        self.bodies[fn.name] = (body, (None,) * (self.next_slot - first_let))
+        lines: list[str] = []
+        self.action(fn.body, scope, "fs", " ", lines)
+        driver, pad = self.globals_of(fn.name)
+        self.module.lines += [f"def {driver}(fs):", *(lines or [" pass"])]
+        self.module.names[pad] = (None,) * (self.next_slot - first_let)
+
+    def globals_of(self, name: str) -> tuple[str, str]:
+        if name not in self.drivers:
+            self.drivers[name] = (self.module.fresh("d"), self.module.fresh("p"))
+        return self.drivers[name]
 
     def call_site(self, function: AggregateFunction, evaluation: str) -> None:
         self.call_sites.append(CallSite(self.current, function.name, evaluation))
 
-    def staged(self, compile_node, node, scope: Scope) -> tuple[BatchFn, Fn]:
-        """Compile *node* per frame, every aggregate call in a strict
-        position hoisted into a frame slot.  Returns ``(stage, fn)``:
-        ``stage(fs)`` fills those slots for a batch, one
-        ``evaluate_batch`` per call site (inner calls first), then
-        ``fn`` runs per frame."""
-        stages: list[BatchFn] = []
+    def new_slot(self) -> int:
+        self.next_slot += 1
+        return self.next_slot - 1
 
-        def hoist(function, args_of):
+    def staged(self, scope: Scope) -> tuple[_Body, list[str]]:
+        """A body for *scope* whose strict-position calls are hoisted:
+        each call site becomes a stage of the returned list (inner calls
+        first) that evaluates the call for the whole batch into a slot
+        before the stage emitted from the body reads it."""
+        stages: list[str] = []
+
+        def hoist(function, args, inner):
+            rows = _Body(self.module, inner)
+            row = ", ".join([rows.term(arg) for arg in args])
             self.call_site(function, "hoisted")
-            slot = self.next_slot
-            self.next_slot += 1
+            call = f" CS(fs, {self.module.const(function)}, r, {self.new_slot()})"
+            stages.append(self.module.rows(rows, f"[{row}]", call))
+            return self.next_slot - 1
 
-            def call_site(fs):
-                if len(fs) == 1:  # a batch of one is a plain call
-                    f = fs[0]
-                    rt = f[0]
-                    f[slot] = rt.agg_eval.evaluate(function, args_of(f), rt)
-                    return
-                values = fs[0][0].agg_eval.evaluate_batch(
-                    function, [args_of(f) for f in fs], [f[0] for f in fs]
-                )
-                for f, value in zip(fs, values):
-                    f[slot] = value
+        return _Body(self.module, replace(scope, hoist=hoist)), stages
 
-            stages.append(call_site)
-            return lambda f: f[slot]
-
-        fn = compile_node(node, replace(scope, hoist=hoist))
-
-        def stage(fs):
-            for call_site in stages:
-                call_site(fs)
-
-        return stage, fn
-
-    def action(self, node: ast.Action, scope: Scope) -> BatchFn:
+    def action(self, node: ast.Action, scope: Scope, fs: str, pad: str, out: list):
+        """Append to *out*, the driver's lines at indent *pad*, the stage
+        calls running *node* over the batch named *fs*."""
         if isinstance(node, ast.Skip):
-            return _skip
-        if isinstance(node, ast.Let):
-            stage, term = self.staged(compile_term, node.term, scope)
-            slot = self.next_slot
-            self.next_slot += 1
-            inner = replace(scope, slots={**scope.slots, node.name: slot})
-            body = self.action(node.body, inner)
-
-            def let(fs):
-                stage(fs)
-                for f in fs:
-                    f[slot] = term(f)
-                body(fs)
-
-            return let
+            return
         if isinstance(node, ast.Seq):
-            first = self.action(node.first, scope)
-            second = self.action(node.second, scope)
+            self.action(node.first, scope, fs, pad, out)
+            self.action(node.second, scope, fs, pad, out)
+            return
+        body, stages = self.staged(scope)
+        if isinstance(node, ast.Let):
+            value = body.term(node.term)
+            if not body.lines and value[0] == "s":  # a slot: bind the name to it
+                slot = int(value[1:])
+            else:
+                slot = self.new_slot()
+                stages.append(self.module.stage(body, f"f[{slot}] = {value}"))
+            out += [f"{pad}{stage}({fs})" for stage in stages]
+            inner = replace(scope, slots={**scope.slots, node.name: slot})
+            self.action(node.body, inner, fs, pad, out)
+        elif isinstance(node, ast.If):
+            cond = body.cond(node.cond)
+            each = f"(a if {cond} else b).append(f)"
+            split = self.module.stage(body, each, " a = []; b = []", " return a, b")
+            taken, other = self.module.fresh("b"), self.module.fresh("b")
+            out += [f"{pad}{stage}({fs})" for stage in stages]
+            out.append(f"{pad}{taken}, {other} = {split}({fs})")
+            for batch, branch in ((taken, node.then_branch), (other, node.else_branch)):
+                lines: list[str] = []
+                self.action(branch or ast.Skip(), scope, batch, pad + " ", lines)
+                out += [f"{pad}if {batch}:", *lines] if lines else []
+        elif isinstance(node, ast.Perform):
+            callee = self.perform(node, body, stages)
+            *hoisted, last = [f"{stage}({fs})" for stage in stages]
+            out += [pad + call for call in hoisted]
+            out.append(f"{pad}{callee}({last})" if callee else pad + last)
+        else:
+            raise SglTypeError(f"cannot compile {node!r} as an action")
 
-            def seq(fs):
-                first(fs)
-                second(fs)
-
-            return seq
-        if isinstance(node, ast.If):
-            stage, cond = self.staged(compile_cond, node.cond, scope)
-            then = self.action(node.then_branch, scope)
-            orelse = self.action(node.else_branch or ast.Skip(), scope)
-
-            def branch(fs):
-                stage(fs)
-                taken: list = []
-                other: list = []
-                for f in fs:
-                    (taken if cond(f) else other).append(f)
-                if taken:
-                    then(taken)
-                if other:
-                    orelse(other)
-
-            return branch
-        if isinstance(node, ast.Perform):
-            return self.perform(node, scope)
-        raise SglTypeError(f"cannot compile {node!r} as an action")
-
-    def perform(self, node: ast.Perform, scope: Scope) -> BatchFn:
+    def perform(self, node: ast.Perform, body: _Body, stages: list[str]) -> str:
+        """Append the stage running *node*: a built-in action's calls, or a
+        defined function's callee frames -- then returns the callee's
+        driver, which runs them."""
         name = node.name
-        stage, args_of = self.staged(compile_args, node.args, scope)
-        callee = self.script.functions.get(name) or self.registry.actions.get(
-            name
-        )
+        args = ", ".join([body.term(arg) for arg in node.args])
+        callee = self.script.functions.get(name) or self.registry.actions.get(name)
         if callee is None:
             raise SglNameError(f"unknown action function {name!r}")
         if len(node.args) != len(callee.params):
             raise SglTypeError(f"{name} expects {len(callee.params)} args")
+        rt, by_key, out_rows, out_aoe = [body.slot(i) for i in range(_HEADER)]
         if isinstance(callee, ast.FunctionDef):
-            bodies = self.bodies
-
-            def call(fs):
-                stage(fs)
-                # defined functions see only their parameters
-                body, pad = bodies[name]
-                body([[*f[:_HEADER], *args_of(f), *pad] for f in fs])
-
-            return call
-        action = self.actions.get(name)
-        if action is None:
-            action = self.actions[name] = self.builtin_action(callee)
-
-        def perform(fs):
-            stage(fs)
-            for f in fs:
-                action(f[0], args_of(f), f[1], f[2], f[3])
-
-        return perform
+            # defined functions see only their parameters
+            driver, pad = self.globals_of(name)
+            frame = f"[{rt}, {by_key}, {out_rows}, {out_aoe}, {args}, *{pad}]"
+            stages.append(self.module.rows(body, frame))
+            return driver
+        if name not in self.actions:
+            self.actions[name] = self.module.const(self.builtin_action(callee))
+        action = self.actions[name]
+        each = f"{action}({rt}, [{args}], {by_key}, {out_rows}, {out_aoe})"
+        stages.append(self.module.stage(body, each))
+        return ""

@@ -16,9 +16,9 @@ reference interpreter (``⊕`` is associative/commutative/idempotent --
 Eq. 3 -- so appending all effect rows to one multiset and combining
 once equals the nested per-``Seq`` combines of Section 4.3);
 operationally each script is lowered once by :mod:`repro.engine.compile`
-into slot-indexed batch closures whose effects are concatenated in unit
-order (:mod:`repro.sgl.interp` stays the oracle the differential tests
-use).
+into one emitted module of batch stages over slot-indexed frames, whose
+effects are concatenated in unit order (:mod:`repro.sgl.interp` stays
+the oracle the differential tests use).
 
 Action application is itself classified (``repro.algebra.shapes``) and
 lowered once per built-in by :func:`compile_action`, the one perform
@@ -49,7 +49,7 @@ from ..sgl import ast
 from ..sgl.builtins import ActionFunction, FunctionRegistry
 from ..sgl.evalterm import EvalContext
 from ..sgl.sqlspec import apply_action_scan
-from .compile import ActionFn, Probe, compile_filter, compile_term, lower_script
+from .compile import ActionFn, Probe, lower_script
 from .effects import AoeRecord
 from .evaluator import IndexedEvaluator, NaiveEvaluator
 from .rng import TickRandom
@@ -64,8 +64,9 @@ class DecisionRunner:
 
     *indexed* picks the action lowering of :func:`compile_action`: the
     indexed engine's (the default) or the naive engine's.
-    :attr:`call_sites` (each aggregate call site, as lowered) and
-    :attr:`actions` (each built-in action's dispatch) are what EXPLAIN
+    :attr:`call_sites` (each aggregate call site, as lowered),
+    :attr:`actions` (each built-in action's dispatch) and :attr:`source`
+    (the script's emitted module, exactly as compiled) are what EXPLAIN
     prints (:func:`repro.api.explain_script`).  Lowering validates the
     script; given *schema*, also the unit attributes ``main`` reads
     (:func:`~repro.engine.compile.lower_script`).
@@ -82,7 +83,7 @@ class DecisionRunner:
         self.script = script
         self._batch: _Batch | None = None
         self.actions: dict[str, str] = {}
-        self._run, self.call_sites = lower_script(
+        self._run, self.call_sites, self.source = lower_script(
             script,
             registry,
             lambda fn: compile_action(
@@ -350,16 +351,13 @@ def compile_action(
     if not indexed:
         return chose("scan", everywhere)
     shape = classify_action(spec)
-    probe = Probe(shape, params, registry)
 
     if shape.kind == "key":
+        terms = (shape.key_term, shape.extra_where, *spec.effects.values())
+        probe = Probe(shape, params, registry, terms)
         e_slot = probe.e_slot
-        key_of = compile_term(shape.key_term, probe.scope)
-        where = compile_filter(shape.extra_where, probe.scope)
-        effects = [
-            (attr, compile_term(term, probe.scope))
-            for attr, term in spec.effects.items()
-        ]
+        key_of, where, *values = probe.fns
+        effects = list(zip(spec.effects, values))
 
         def key_action(rt, args, by_key, out_rows, out_aoe):
             if by_key is None:
@@ -379,19 +377,20 @@ def compile_action(
 
     if shape.kind == "aoe":
         attr = shape.effect_attr
+        probe = Probe(shape, params, registry, (shape.value_term,))
         guard = probe.guard
-        value_of = compile_term(shape.value_term, probe.scope)
+        (value_of,) = probe.fns
 
         def aoe_action(rt, args, by_key, out_rows, out_aoe):
-            f = [rt, *args, None]
-            if guard is not None and not guard(f):
+            frames = [[rt, *args, None]]
+            if guard is not None and not guard(frames[0]):
                 return
-            bounds = probe.bounds(f)
+            (bounds,) = probe.bounds(frames)
             if bounds is None:
                 return
             (xlo, xhi), (ylo, yhi) = bounds
-            value = value_of(f)
-            eq_vals, neq_vals = probe.cats(f)
+            value = value_of(frames[0])
+            ((eq_vals, neq_vals),) = probe.cats(frames)
             out_aoe.append(
                 AoeRecord(
                     action=name,

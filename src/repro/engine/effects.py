@@ -70,13 +70,18 @@ def resolve_aoe(
 
     # accumulated combined values per (unit key, attr)
     out_rows: dict[tuple, dict[str, object]] = {}
+    # each action's build filter, emitted once per call, not per batch
+    filters = {
+        action: compile_filter(shapes[action].e_only, row_scope(constants))
+        for action in {key[0]: None for key in batches}
+    }
 
     for (action, eq_vals, neq_vals, (rx, ry)), batch in batches.items():
         shape = shapes[action]
         attr = shape.effect_attr
         tag = schema.tag_of(attr)
         cat_attrs = shape.cat_attrs
-        target_filter = compile_filter(shape.e_only, row_scope(constants))
+        target_filter = filters[action]
 
         probes: list[Mapping[str, object]] = []
         for unit in units:

@@ -435,7 +435,9 @@ class IndexedEvaluator:
         if cached is not None:
             return cached
         shape = classify_aggregate(fn.spec)
-        probe = Probe(shape, fn.params, self.registry)
+        nearest = shape.kind == "nearest"
+        extra = (*shape.nearest_centers, shape.residual) if nearest else ()
+        probe = Probe(shape, fn.params, self.registry, extra)
         compiled = _CompiledShape(shape=shape, probe=probe)
         per_row = row_scope(self.registry.constants)
         compiled.build_filter = compile_filter(shape.e_only, per_row)
@@ -446,13 +448,9 @@ class IndexedEvaluator:
             compiled.count_only = all(o.agg == "count" for o in shape.outputs)
         elif shape.kind == "extreme":
             compiled.value_fn = compile_term(shape.extreme_value, per_row)
-        elif shape.kind == "nearest":
-            cx, cy = shape.nearest_centers
-            compiled.centers = (
-                compile_term(cx, probe.scope),
-                compile_term(cy, probe.scope),
-            )
-            compiled.residual = compile_filter(shape.residual, probe.scope)
+        elif nearest:
+            cx, cy, compiled.residual = probe.fns
+            compiled.centers = (cx, cy)
         self._compiled[fn.name] = compiled
         return compiled
 
@@ -534,7 +532,7 @@ class IndexedEvaluator:
         ``(eq_vals, neq_vals)`` key of the batch."""
         found: dict[tuple, list] = {}
         out = []
-        for key in compiled.probe.cats_many(frames):
+        for key in compiled.probe.cats(frames):
             groups = found.get(key)
             if groups is None:
                 groups = found[key] = self._matching_groups(index, *key)
@@ -593,13 +591,24 @@ class IndexedEvaluator:
                     self._bump("build_tree")  # the group's data crowd a cell
                 return group
 
-            index = PartitionedIndex(
-                self._filtered_rows(compiled),  # the selection's e-only filter
-                compiled.shape.cat_attrs,
-                factory=build_group,
-                row_insert=GroupAggIndex.insert,
-                row_delete=GroupAggIndex.delete,
-            )
+            try:
+                index = PartitionedIndex(
+                    self._filtered_rows(compiled),  # the selection's e-only filter
+                    compiled.shape.cat_attrs,
+                    factory=build_group,
+                    row_insert=GroupAggIndex.insert,
+                    row_delete=GroupAggIndex.delete,
+                )
+            except Exception:
+                # a measure failing on some row fails the calls that read
+                # it, not every later reader of the shared index: forget
+                # the layout, and each reader joins a fresh one
+                del self._selections[key]
+                for name in [
+                    name for name, c in self._compiled.items() if c.selection == key
+                ]:
+                    del self._compiled[name]
+                raise
             self._div_index[key] = index
         return index
 
@@ -615,7 +624,7 @@ class IndexedEvaluator:
             # answer, so compute it once per distinct key
             answers: dict[tuple, object] = {}
             out = []
-            for key in compiled.probe.cats_many(frames):
+            for key in compiled.probe.cats(frames):
                 answer = answers.get(key, _MISSING)
                 if answer is _MISSING:
                     groups = self._matching_groups(index, *key)
@@ -629,7 +638,7 @@ class IndexedEvaluator:
         groups_of = self._groups_by_cats(index, compiled, frames)
         # bounds only for frames with matching groups, as one call would
         live = [f for f, groups in zip(frames, groups_of) if groups]
-        bounds_of = iter(compiled.probe.bounds_many(live))
+        bounds_of = iter(compiled.probe.bounds(live))
         probed = on_grid = 0  # 2-d group probes, and those a grid answers
         planar = len(shape.range_attrs) == 2
         out = []
@@ -727,22 +736,27 @@ class IndexedEvaluator:
         key_attr = self.key_attr
         tie_key = lambda row: row[key_attr]  # noqa: E731
         returns_row = compiled.shape.returns_row
-        out: list = []
-        for f, groups in zip(
-            frames, self._groups_by_cats(index, compiled, frames)
-        ):
+        groups_of = self._groups_by_cats(index, compiled, frames)
+        centers: list = []
+        for f in frames:
             x, y = cx(f), cy(f)
-            if x is None or y is None or x != x or y != y:
-                # every distance is NULL or NaN: the reference scan's
-                # comparisons, not distance order, pick the row
+            # every distance NULL or NaN: the reference scan's comparisons,
+            # not distance order, pick the row
+            scan = x is None or y is None or x != x or y != y
+            centers.append(None if scan else (float(x), float(y)))
+        # bounds only for frames that search a tree, as one call would
+        live = [f for f, center in zip(frames, centers) if center is not None]
+        bounds_of = iter(probe.bounds(live))
+        out: list = []
+        for f, groups, center in zip(frames, groups_of, centers):
+            if center is None:
                 self._bump("probe_scan")
                 params = dict(zip(fn.params, f[1:]))  # not the ``e`` slot
                 out.append(
                     evaluate_aggregate_scan(fn.spec, params, self._env.rows, f[0])
                 )
                 continue
-            center = (float(x), float(y))
-            bounds = probe.bounds(f)
+            bounds = next(bounds_of)
             if bounds is None:
                 out.append(None)
                 continue
@@ -815,7 +829,7 @@ class IndexedEvaluator:
         out: list = [None] * len(frames)
         groups: dict[tuple, list[tuple[int, tuple]]] = {}
         for i, (bounds, (eq_vals, neq_vals)) in enumerate(
-            zip(probe.bounds_many(frames), probe.cats_many(frames))
+            zip(probe.bounds(frames), probe.cats(frames))
         ):
             if bounds is None or self._has_null(eq_vals, neq_vals):
                 continue  # empty selection: ArgMin/ArgMax over nothing

@@ -220,8 +220,8 @@ def _eval_call(term: ast.Call, ctx: EvalContext) -> object:
             return None  # NULL propagation
         try:
             return builtin(*args)
-        except (TypeError, ValueError) as exc:
-            raise SglTypeError(f"{name}: {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise math_error(name, exc) from None
 
     aggregate = ctx.registry.aggregates.get(name) if ctx.registry else None
     if aggregate is not None:
@@ -255,6 +255,24 @@ def _eval_random(term: ast.Call, ctx: EvalContext) -> int:
         index = eval_term(term.args[1], ctx)
     else:
         raise SglTypeError("Random takes one or two arguments")
+    return ctx.rng(row, random_index(index))
+
+
+def math_error(name: str, exc: Exception) -> SglTypeError | SglRuntimeError:
+    """The SGL error for math builtin *name* failing with *exc*: a result
+    out of float range (``exp(1000.0)``, ``floor(inf)``) is a runtime
+    error, like division by zero; any other failure is a type error."""
+    if isinstance(exc, OverflowError):
+        return SglRuntimeError(f"{name}: {exc}")
+    return SglTypeError(f"{name}: {exc}")
+
+
+def random_index(index: object) -> int:
+    """The integer index of ``Random``; a NaN or infinite one is a
+    runtime error."""
     if not isinstance(index, (int, float)):
         raise SglTypeError("Random index must be a number")
-    return ctx.rng(row, int(index))
+    try:
+        return int(index)
+    except (ValueError, OverflowError):
+        raise SglRuntimeError(f"Random index {index!r} is not finite") from None

@@ -1,17 +1,23 @@
-"""Differential tests: compiled closures ≡ the reference semantics.
+"""Differential tests: emitted code ≡ the reference semantics.
 
 :mod:`repro.engine.compile` lowers terms, conditions, probe terms and
-whole scripts to closures; :mod:`repro.sgl.evalterm` and
-:mod:`repro.sgl.interp` are the oracle.  Every check here runs both on
-the same inputs and demands the same value (same type, NaN == NaN) or
-the same exception class.
+whole scripts to emitted Python functions; :mod:`repro.sgl.evalterm`
+and :mod:`repro.sgl.interp` are the oracle.  Every check here runs both
+on the same inputs and demands the same value (same type, NaN == NaN)
+or the same exception class -- for a term or condition both as the
+per-frame function :func:`compile_term`/:func:`compile_cond` emit and as
+the batch stage a script runs it in, over a batch and over each frame
+alone, with the same number of aggregate calls.
 
-The one documented difference: unbound names, unknown functions and
-wrong arities are rejected when the closure is *built*, not when the
-offending node is first reached -- so where the compiler refuses, the
-tests require a statically visible cause, and that the oracle raises
-the same class whenever it reaches the node (always, for terms: they
-have no short-circuit).
+Two documented differences: unbound names, unknown functions and wrong
+arities are rejected when the code is *emitted*, not when the offending
+node is first reached -- so where the compiler refuses, the tests
+require a statically visible cause, and that the oracle raises the same
+class whenever it reaches the node (always, for terms: they have no
+short-circuit).  And a script stage *hoists* each aggregate call in a
+strict position -- it runs, for the whole batch, before the stage
+evaluates anything else -- so when that call raises, it can pre-empt
+another error the oracle meets first.
 """
 
 import importlib
@@ -24,6 +30,7 @@ from hypothesis import strategies as st
 from repro.algebra.shapes import classify_action, classify_aggregate, names_in
 from repro.engine.compile import (
     Probe,
+    _ScriptLowering,
     compile_cond,
     compile_filter,
     compile_term,
@@ -33,11 +40,12 @@ from repro.engine.compile import (
 from repro.engine.decision import DecisionRunner, compile_action
 from repro.engine.evaluator import IndexedEvaluator, NaiveEvaluator
 from repro.engine.rng import TickRandom
+from repro.env.combine import combine_all
 from repro.game import scripts as game_scripts
 from repro.sgl import ast
 from repro.sgl.errors import SglError, SglNameError, SglRuntimeError, SglTypeError
 from repro.sgl.evalterm import EvalContext, eval_cond, eval_term
-from repro.sgl.interp import reference_tick
+from repro.sgl.interp import Interpreter, reference_tick
 from repro.sgl.parser import parse_condition, parse_script, parse_term
 from repro.sgl.sqlspec import apply_action_scan
 from repro.sgl.values import Record, Vec
@@ -97,6 +105,8 @@ def bindings_for(schema):
         "v": Vec((1, 2)),
         "r": Record({"x": 1.0, "y": None}),
         "k": Record({"x": 2.0, "y": 4.0}),
+        "i": float("inf"),
+        "q": float("nan"),
     }
 
 
@@ -140,13 +150,106 @@ def check_term_or_cond(node, env, registry, bindings, *, is_cond):
     assert_same_outcome(got, ref, str(node))
 
 
+class CountingEvaluator(NaiveEvaluator):
+    """The naive evaluator, counting the calls it answers."""
+
+    calls = 0
+
+    def evaluate(self, function, args, ctx):
+        self.calls += 1
+        return super().evaluate(function, args, ctx)
+
+
+def lower_stages(node, names, registry, *, is_cond):
+    """Emit *node* the way a script's ``let`` (a term) or ``if`` (a
+    condition) is emitted: the stage storing its value into a new slot
+    of frames ``[rt, *names, slots…]``, after one call-site stage per
+    hoisted aggregate call.  Returns ``run(frames) -> values``, which
+    sets ``run.hoisted_raised`` when a call-site stage raised."""
+    script = ast.Script({"main": ast.FunctionDef("main", ("u",), ast.Skip())})
+    lowering = _ScriptLowering(script, registry, None)
+    lowering.next_slot = 1 + len(names)
+    body, stages = lowering.staged(frame_scope(names, registry))
+    value = (body.cond if is_cond else body.term)(node)
+    slot = lowering.new_slot()
+    stages.append(lowering.module.stage(body, f"f[{slot}] = {value}"))
+    ns = lowering.module.build()
+
+    def run(frames):
+        frames = [[*f, *[None] * (slot + 1 - len(f))] for f in frames]
+        *hoisted, last = stages
+        run.hoisted_raised = True
+        for stage in hoisted:
+            ns[stage](frames)
+        run.hoisted_raised = False
+        ns[last](frames)
+        return [f[slot] for f in frames]
+
+    return run
+
+
+def check_stages(node, env, registry, bindings, *, is_cond):
+    """*node* as a script stage, over a batch of frames -- one per unit
+    (the awkward one and some of *env*'s), *bindings* otherwise -- and
+    over each frame alone, against the oracle frame by frame: values,
+    exception classes and aggregate call counts."""
+    names = list(bindings)
+    try:
+        run = lower_stages(node, names, registry, is_cond=is_cond)
+    except SglNameError:
+        return  # refused statically: check_term_or_cond asserts why
+    evaluate = eval_cond if is_cond else eval_term
+    units = [bindings["u"], *env.rows[:5]]
+
+    def frames_for(batch, agg_eval):
+        return [
+            [make_ctx(env, registry, {}, unit, agg_eval),
+             *{**bindings, "u": unit}.values()]
+            for unit in batch
+        ]
+
+    def plain(result):
+        if is_cond and result[0] == "ok":
+            return ("ok", bool(result[1]))
+        return result
+
+    refs = []
+    for unit in units:
+        counter = CountingEvaluator()
+        ctx = make_ctx(env, registry, {**bindings, "u": unit}, unit, counter)
+        refs.append((plain(outcome(lambda: evaluate(node, ctx))), counter.calls))
+    for unit, (ref, calls) in zip(units, refs):
+        counter = CountingEvaluator()
+        got = plain(outcome(lambda: run(frames_for([unit], counter))[0]))
+        if ref[0] == "ok" or not run.hoisted_raised:
+            assert_same_outcome(got, ref, f"{node} (batch of one)")
+        else:  # a hoisted call site raised ahead of the oracle's error
+            assert got[0] == "raised", f"{node}: {got!r} != {ref!r}"
+        if ref[0] == "ok":
+            assert counter.calls == calls, f"{node}: aggregate calls"
+    counter = CountingEvaluator()
+    got = outcome(lambda: run(frames_for(units, counter)))
+    if all(ref[0] == "ok" for ref, _ in refs):
+        assert got[0] == "ok", f"{node} (batch): {got!r}"
+        for value, (ref, _) in zip(got[1], refs):
+            assert_same_outcome(plain(("ok", value)), ref, f"{node} (batch)")
+        assert counter.calls == sum(calls for _, calls in refs), str(node)
+    else:
+        assert got[0] == "raised", f"{node} (batch): {got!r}"
+
+
 # ---------------------------------------------------------------------------
 # Generated terms and conditions
 # ---------------------------------------------------------------------------
 
-NAMES = ["u", "w", "x", "z", "h", "n", "s", "v", "r", "k", "_BASE_AC", "zz"]
+NAMES = [
+    "u", "w", "x", "z", "h", "n", "s", "v", "r", "k", "i", "q", "_BASE_AC", "zz"
+]
 ATTRS = ["posx", "health", "damage", "armor", "key", "x", "y", "nope"]
-MATH = ["abs", "sqrt", "floor", "sign", "step", "nonsql_max", "norm", "vec", "log"]
+MATH = [
+    "abs", "sqrt", "floor", "ceil", "sign", "step", "nonsql_max", "norm",
+    "vec", "log", "exp", "pow",
+]
 
 leaf = st.one_of(
     st.sampled_from([0, 1, 2, -3, 0.5, 2.0]).map(ast.Num),
@@ -213,6 +316,7 @@ class TestGeneratedTermsAndConditions:
         check_term_or_cond(
             term, env, registry, bindings_for(schema), is_cond=False
         )
+        check_stages(term, env, registry, bindings_for(schema), is_cond=False)
 
     @GENERATED
     @given(cond=conds)
@@ -221,6 +325,7 @@ class TestGeneratedTermsAndConditions:
         check_term_or_cond(
             cond, env, registry, bindings_for(schema), is_cond=True
         )
+        check_stages(cond, env, registry, bindings_for(schema), is_cond=True)
 
     @GENERATED
     @given(term=terms)
@@ -323,7 +428,9 @@ FIXTURE_SCRIPTS = {
 }
 
 
-def run_compiled(script, env, registry, rng, *, indexed):
+def run_compiled(script, env, registry, rng, *, indexed, batch):
+    """The effects of one tick of *script*: every unit in one batch, or
+    each unit as a batch of one."""
     runner = DecisionRunner(script, registry, indexed=indexed)
     agg_eval = IndexedEvaluator(registry) if indexed else NaiveEvaluator()
     if indexed:
@@ -333,19 +440,25 @@ def run_compiled(script, env, registry, rng, *, indexed):
     by_key = env.by_key() if indexed else None
 
     rt = EvalContext(env=env, registry=registry, agg_eval=agg_eval, rng=rng)
-    for unit in env.rows:
-        runner.run_unit(unit, rt, by_key, rows, aoe)
+    if batch:
+        runner.run_batch(env.rows, rt, by_key, rows, aoe)
+    else:
+        for unit in env.rows:
+            runner.run_unit(unit, rt, by_key, rows, aoe)
     return combine_effects(env, registry, rows, aoe)
 
 
 def check_script(script, env, registry, *, indexed):
     rng = TickRandom(11, tick=1)
     want = outcome(lambda: reference_tick(env, lambda u: script, registry, rng))
-    got = outcome(
-        lambda: run_compiled(script, env, registry, rng, indexed=indexed)
-    )
-    assert got[0] == want[0], f"compiled {got!r} != reference {want!r}"
-    assert got[1] == want[1] if got[0] == "ok" else got[1] is want[1]
+    for batch in (False, True):
+        got = outcome(
+            lambda: run_compiled(
+                script, env, registry, rng, indexed=indexed, batch=batch
+            )
+        )
+        assert got[0] == want[0], f"compiled {got!r} != reference {want!r}"
+        assert got[1] == want[1] if got[0] == "ok" else got[1] is want[1]
 
 
 @pytest.mark.parametrize("indexed", [False, True], ids=["scan", "indexed"])
@@ -433,6 +546,97 @@ class TestGeneratedScripts:
         check_script(script, env, registry, indexed=indexed)
 
 
+class TestBatches:
+    """What running a script set-at-a-time must not change."""
+
+    @pytest.mark.parametrize(
+        "cond, reaches",
+        [
+            ("u.cooldown = 0 and CountEnemiesInRange(u, u.range) > 0",
+             lambda u: u["cooldown"] == 0),
+            ("u.cooldown = 0 or CountEnemiesInRange(u, u.range) > 0",
+             lambda u: u["cooldown"] != 0),
+        ],
+        ids=["and", "or"],
+    )
+    def test_a_short_circuit_call_runs_once_per_frame_reaching_it(
+        self, cond, reaches, schema, registry
+    ):
+        script = parse_script(
+            f"main(u) {{ if {cond} then perform UseWeapon(u) "
+            "else perform MoveInDirection(u, 1, 0) }"
+        )
+        env = make_env(schema, n=30, grid=12, seed=7)
+        for row in env.rows[::3]:
+            row["cooldown"] = 1
+        rng = TickRandom(3, tick=1)
+        probes = []
+        for run in ("oracle", "batch", "units"):
+            agg_eval = IndexedEvaluator(registry)
+            agg_eval.begin_tick(env)
+            if run == "oracle":
+                interp = Interpreter(script, registry, agg_eval)
+                for unit in env.rows:
+                    interp.run_unit(unit, env, rng)
+            else:
+                rt = EvalContext(env=env, registry=registry,
+                                 agg_eval=agg_eval, rng=rng)
+                runner = DecisionRunner(script, registry)
+                units = [env.rows] if run == "batch" else [[u] for u in env.rows]
+                for batch in units:
+                    runner.run_batch(batch, rt, env.by_key(), [], [])
+            probes.append(agg_eval.stats["probe_divisible"])
+        assert probes == [sum(map(reaches, env.rows))] * 3
+
+    def test_a_failing_unit_raises_the_oracles_error_at_that_unit(
+        self, schema, registry
+    ):
+        script = parse_script(
+            "main(u) { perform MoveInDirection(u, 1, 0); "
+            "perform MoveInDirection(u, 6 / (u.key - 3), u.posx) }"
+        )
+        env = make_env(schema, n=8, seed=1)
+        rng = TickRandom(1, tick=1)
+        interp = Interpreter(script, registry)
+        with pytest.raises(SglRuntimeError) as want:
+            interp.run_unit(env.rows[3], env, rng)
+        rows: list = []
+        rt = EvalContext(env=env, registry=registry,
+                         agg_eval=NaiveEvaluator(), rng=rng)
+        with pytest.raises(type(want.value), match=str(want.value)):
+            DecisionRunner(script, registry).run_batch(
+                env.rows, rt, env.by_key(), rows, []
+            )
+        # units 0-2 ran alone and kept their effects; 3 raised; none after
+        assert {row["key"] for row in rows} == {0, 1, 2}
+        oracle = [env] + [interp.run_unit(u, env, rng) for u in env.rows[:3]]
+        assert combine_effects(env, registry, rows) == combine_all(
+            oracle, env.schema
+        )
+
+
+class TestOverflow:
+    """Results out of float range are SGL runtime errors, in the emitted
+    code as in the oracle."""
+
+    @pytest.mark.parametrize(
+        "src",
+        ["exp(1000.0)", "pow(10.0, 400)", "floor(i)", "ceil(0 - i)",
+         "Random(i)", "Random(u, q)", "Random(w, 0 - i)"],
+    )
+    def test_matches_the_oracle(self, src, schema, registry):
+        env = make_env(schema, n=4)
+        bindings = bindings_for(schema)
+        term = parse_term(src)
+        with pytest.raises(SglRuntimeError):
+            eval_term(term, make_ctx(env, registry, bindings, bindings["u"]))
+        frame = [make_ctx(env, registry, {}, bindings["u"]), *bindings.values()]
+        with pytest.raises(SglRuntimeError):
+            compile_term(term, frame_scope(list(bindings), registry))(frame)
+        check_term_or_cond(term, env, registry, bindings, is_cond=False)
+        check_stages(term, env, registry, bindings, is_cond=False)
+
+
 # ---------------------------------------------------------------------------
 # SQL built-ins: probe terms, build closures, actions
 # ---------------------------------------------------------------------------
@@ -452,7 +656,7 @@ def reference_bounds(shape, ctx):
         if lo > hi:
             return None
         out.append((lo, hi))
-    return out
+    return tuple(out)
 
 
 def args_for(fn, unit):
@@ -472,20 +676,47 @@ class TestSqlBuiltins:
                 yield fn, shape
 
     def test_probe_terms_match_eval_term(self, schema, registry):
+        """Category and bound columns over a batch of probe frames and
+        over each frame alone, against the oracle per frame."""
         env = make_env(schema, n=12, grid=10, seed=3)
         for fn, shape in self.shapes(registry):
             probe = Probe(shape, fn.params, registry)
+            frames, bounds, cats = [], [], []
             for unit in env.rows:
                 args = args_for(fn, unit)
                 ctx = make_ctx(env, registry, dict(zip(fn.params, args)), unit)
                 f = [make_ctx(env, registry, {}, unit), *args, None]
-                assert probe.bounds(f) == reference_bounds(shape, ctx), fn.name
-                assert probe.cats(f) == (
+                frames.append(f)
+                bounds.append(reference_bounds(shape, ctx))
+                cats.append((
                     tuple(eval_term(c.value_term, ctx) for c in shape.eq_cats),
                     tuple(eval_term(c.value_term, ctx) for c in shape.neq_cats),
-                ), fn.name
+                ))
+                assert probe.bounds([f]) == bounds[-1:], fn.name
+                assert probe.cats([f]) == cats[-1:], fn.name
                 guard = probe.guard is None or bool(probe.guard(f))
                 assert guard == all(eval_cond(c, ctx) for c in shape.u_only)
+            assert probe.bounds(frames) == bounds, fn.name
+            assert probe.cats(frames) == cats, fn.name
+
+    @pytest.mark.parametrize("radius", [None, float("nan"), -1, "x"])
+    def test_empty_and_failing_bounds_match_a_batch_of_one(
+        self, radius, schema, registry
+    ):
+        fn = registry.aggregates["CountEnemiesInRange"]
+        probe = Probe(classify_aggregate(fn.spec), fn.params, registry)
+        env = make_env(schema, n=6, seed=2)
+        frames = [
+            [make_ctx(env, registry, {}, u), u, radius if u["key"] == 3 else 2, None]
+            for u in env.rows
+        ]
+        alone = [outcome(lambda: probe.bounds([f])) for f in frames]
+        if all(result[0] == "ok" for result in alone):
+            assert probe.bounds(frames) == [result[1][0] for result in alone]
+            assert alone[3][1] == [None]  # an empty interval: no rows
+        else:
+            assert [result[0] for result in alone].count("raised") == 1
+            assert outcome(lambda: probe.bounds(frames)) == alone[3]
 
     def test_build_closures_match_eval_term(self, schema, registry):
         rows = make_env(schema, n=10, seed=4).rows + [awkward_unit(schema)]

@@ -18,7 +18,13 @@ from repro.env.table import EnvironmentTable, diff_by_key
 from repro.game.battle import BattleSimulation
 from repro.game.units import unit_row
 from repro.indexes.cell_grid import _MAX_CELL_LOAD
-from repro.serve.queries import QueryEngine, QueryRequest, plain_value, unit_ref
+from repro.serve.queries import (
+    QueryEngine,
+    QueryError,
+    QueryRequest,
+    plain_value,
+    unit_ref,
+)
 from repro.sgl.evalterm import EvalContext
 from repro.sgl.values import Record
 from tests.conftest import make_env
@@ -300,6 +306,28 @@ class TestSharedSelections:
             row["posx"] += 1
         check(new_env, diff_by_key(env, new_env))
         assert qe.evaluator.stats.get("delta_ticks") == 1
+
+    def test_a_failing_measure_fails_only_its_own_reader(self, registry, schema):
+        """A query whose measure no row can evaluate joins the shared
+        layout and fails; the selection's other readers keep answering."""
+        env = make_env(schema, n=30, grid=20, seed=4)
+        qe = QueryEngine(schema, registry)
+        qe.begin(env)
+        bad = TEAM_HP_SQL.replace("Sum(health)", "Sum(e.nope)")
+
+        def team_hp():
+            return [
+                qe.answer(QueryRequest("sgl", source=TEAM_HP_SQL, args=(p,)))
+                for p in (0, 1)
+            ]
+
+        want = team_hp()
+        with pytest.raises(QueryError, match="no attribute 'nope'"):
+            qe.answer(QueryRequest("sgl", source=bad, args=(0,)))
+        assert team_hp() == want
+        with pytest.raises(QueryError, match="no attribute 'nope'"):
+            qe.answer(QueryRequest("sgl", source=bad, args=(1,)))
+        assert team_hp() == want
 
     def test_one_divisible_build_per_selection_per_tick(self):
         with BattleSimulation(200, seed=0) as sim:

@@ -13,6 +13,7 @@ Two layers of coverage:
   query kinds).
 """
 
+import builtins
 import pickle
 import socket
 import struct
@@ -20,6 +21,7 @@ import time
 
 import pytest
 
+from repro.engine import compile as compile_module
 from repro.env.sharding import NO_REPLICA, UPDATE_DELTA, UPDATE_SNAPSHOT
 from repro.game.battle import BattleSimulation, battle_game
 from repro.serve.publisher import SUB_STALE
@@ -66,6 +68,61 @@ BAD_PARAMS = [
     ("knn", (2, float("nan"), 1.0), {}, "x must be"),
     ("knn", (2, 1.0, float("inf")), {}, "y must be"),
     ("knn", (2, 1.0, True), {}, "y must be"),
+]
+
+
+#: Query text crafted to break out of generated code if any of it were
+#: spliced into the source a query is lowered to.
+HOSTILE_TEXT = [
+    '"); import os; ("',
+    "__import__",
+    "__class__",
+    "\\",
+    "exec(",
+]
+
+#: ``(source, args)`` spectator queries built from :data:`HOSTILE_TEXT`:
+#: parameter names that shadow the emitter's own generated names and
+#: Python's, quotes and a backslash in string literals, and attribute
+#: names no row has (their reads must fail as SGL errors).
+HOSTILE_QUERIES = [
+    (
+        "function __import__(f, fs, s1, k1, t1, INF, None, exec) returns "
+        "SELECT Count(*) AS n, Sum(e.health + k1) AS hp FROM E e "
+        "WHERE e.player = f AND e.health >= s1 - t1 AND e.posx <= INF + None "
+        "AND e.posy < exec;",
+        (0, 5, 1, 2, 3, 1000, 0, 1000),
+    ),
+    (
+        "function Q(p) returns SELECT Count(*) FROM E e WHERE e.player = p "
+        "AND e.unittype <> '\"); import os; (\"';",
+        (1,),
+    ),
+    (
+        "function Q(p) returns SELECT Count(*) FROM E e WHERE e.player = p "
+        "AND e.unittype <> \"'\\\" AND e.unittype <> '__import__(\"os\")';",
+        (0,),
+    ),
+    (
+        "function Q(p) returns SELECT Max(e.health) AS h FROM E e "
+        "WHERE e.player = p AND e.unittype = \"\\\";",
+        (0,),
+    ),
+    (
+        "function Q(p) returns SELECT Sum(e.__class__) AS s FROM E e "
+        "WHERE e.player = p;",
+        (1,),
+    ),
+    (
+        "function Q(p) returns SELECT Count(*) FROM E e "
+        "WHERE e.__import__ = 'exec(\"os\")' AND e.player = p;",
+        (0,),
+    ),
+    (
+        "function Q(p) returns SELECT ArgMin(e.health) FROM E e "
+        "WHERE e.player = p.__class__;",
+        (unit_ref(0),),
+    ),
 ]
 
 
@@ -334,6 +391,46 @@ class TestSpectatorFaultDrills:
                 assert_epoch_matches(
                     client, battle.engine, battle.engine.tick_count + 1
                 )
+
+    def test_hostile_query_source_never_reaches_generated_code(
+        self, battle, monkeypatch
+    ):
+        """Names and string literals crafted to break out of the code a
+        query is lowered to answer exactly as the authority does, or
+        fail with the same error class; none of the crafted text is in
+        any source the authority compiled for them."""
+        compiled = []
+
+        def recording_compile(source, *args, **kwargs):
+            compiled.append(source)
+            return builtins.compile(source, *args, **kwargs)
+
+        monkeypatch.setattr(
+            compile_module, "compile", recording_compile, raising=False
+        )
+        with battle.spawn_spectator() as spectator:
+            with spectator.client() as client:
+                battle.tick()
+                wait_for_epoch(client, battle.engine.tick_count + 1)
+                authority = AuthoritativeQueryService(battle.engine)
+                for source, args in HOSTILE_QUERIES:
+                    try:
+                        want = authority.answer(source, *args).value
+                    except Exception as exc:  # noqa: BLE001 - compared below
+                        with pytest.raises(SpectatorError) as got:
+                            client.query(source, *args)
+                        if isinstance(exc, QueryError):
+                            assert str(got.value) == str(exc), source
+                        else:
+                            assert type(exc).__name__ in str(got.value), source
+                    else:
+                        assert client.query(source, *args).value == want
+                assert_epoch_matches(
+                    client, battle.engine, battle.engine.tick_count + 1
+                )
+        assert compiled
+        for text in HOSTILE_TEXT:
+            assert not [source for source in compiled if text in source], text
 
     def test_coexists_with_process_workers(self):
         """The worker broadcast and the publish stage share one capture:

@@ -105,6 +105,19 @@ class TestMathBuiltins:
     def test_null_argument_propagates(self):
         assert ev("sqrt(x)", bindings={"x": None}) is None
 
+    @pytest.mark.parametrize(
+        "src", ["exp(1000.0)", "pow(10.0, 400)", "floor(x)", "ceil(0 - x)"]
+    )
+    def test_overflow_is_an_sgl_runtime_error(self, src):
+        with pytest.raises(SglRuntimeError, match="range|large|infinity"):
+            ev(src, bindings={"x": float("inf")})
+
+    def test_domain_errors_stay_type_errors(self):
+        with pytest.raises(SglTypeError):
+            ev("sqrt(0 - 1)")
+        with pytest.raises(SglTypeError):
+            ev("floor(x)", bindings={"x": float("nan")})
+
 
 class TestRandom:
     def test_single_arg_uses_unit(self):
@@ -122,6 +135,14 @@ class TestRandom:
     def test_without_unit_raises(self):
         with pytest.raises(SglRuntimeError):
             ev("Random(1)")
+
+    @pytest.mark.parametrize("index", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_index_is_an_sgl_runtime_error(self, index):
+        unit = {"key": 7}
+        with pytest.raises(SglRuntimeError, match="not finite"):
+            ev("Random(i)", unit=unit, bindings={"i": index})
+        with pytest.raises(SglRuntimeError, match="not finite"):
+            ev("Random(e, i)", unit=unit, bindings={"e": unit, "i": index})
 
     def test_unknown_function(self):
         with pytest.raises(SglNameError):

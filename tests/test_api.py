@@ -1,8 +1,11 @@
 """The public facade: compile, explain, run."""
 
+import builtins
 import dataclasses
 import inspect
+import io
 import sys
+import tokenize as pytokenize
 
 import pytest
 
@@ -13,8 +16,10 @@ from repro.api import (
     explain_script,
     run_battle,
 )
+from repro.engine import compile as compile_module
 from repro.engine.clock import EngineConfig
 from repro.engine.compile import CallSite
+from repro.engine.decision import DecisionRunner
 from repro.game.battle import BattleSimulation
 from repro.game.scripts import (
     ARCHER_SCRIPT,
@@ -27,6 +32,9 @@ from repro.game.scripts import (
 from repro.game.units import UNIT_TYPES
 from repro.sgl.builtins import AggregateFunction, FunctionRegistry
 from repro.sgl.errors import SglNameError, SglTypeError
+from repro.sgl.parser import parse_script
+from repro.sgl.tokens import TokenKind
+from repro.sgl.tokens import tokenize as tokenize_sgl
 
 
 class TestCompileScript:
@@ -141,26 +149,48 @@ main(u) {
 }
 """
 
-#: How the compiled closure that calls the evaluator evaluates its site.
-EVALUATION_OF_CALLER = {"call_site": "hoisted", "aggregate_call": "per frame"}
+#: Every identifier and string literal distinctive, so none can match a
+#: generated name by accident.
+EXPLAINED_SCRIPT = """
+main(unit_zeta) {
+  (let count_omega = CountEnemiesInRange(unit_zeta, unit_zeta.sight))
+  (let label_psi = 'string_literal_kappa') {
+    if count_omega > 0 and unit_zeta.unittype = label_psi then
+      perform Helper_phi(unit_zeta, count_omega / 2)
+  }
+}
+Helper_phi(who_chi, amount_tau) {
+  perform MoveInDirection(who_chi, amount_tau, _HEALER_RANGE)
+}
+"""
+
+
+def evaluation_of_caller(code) -> str:
+    """How the compiled code calling the evaluator evaluates its site: a
+    hoisted call site stores through ``_store_calls``; a per-frame call
+    is made by an emitted stage function itself."""
+    if code.co_name == "_store_calls":
+        return "hoisted"
+    assert code.co_filename == "<sgl>", code
+    return "per frame"
 
 
 def record_calls(agg_eval):
     """Wrap *agg_eval* so it records the ``(aggregate, evaluation)``
     pair of every call a compiled script makes, told apart by the
-    compiled closure making it."""
+    compiled code making it."""
     received = set()
     evaluate, evaluate_batch = agg_eval.evaluate, agg_eval.evaluate_batch
 
     def recording_evaluate(function, args, ctx):
-        caller = sys._getframe(1).f_code.co_name
-        received.add((function.name, EVALUATION_OF_CALLER[caller]))
+        caller = sys._getframe(1).f_code
+        received.add((function.name, evaluation_of_caller(caller)))
         return evaluate(function, args, ctx)
 
     def recording_batch(function, arg_rows, ctxs):
-        caller = sys._getframe(1).f_code.co_name
-        if caller != "evaluate":  # a batch of one, recorded above
-            received.add((function.name, EVALUATION_OF_CALLER[caller]))
+        caller = sys._getframe(1).f_code
+        if caller.co_name != "evaluate":  # a batch of one, recorded above
+            received.add((function.name, evaluation_of_caller(caller)))
         return evaluate_batch(function, arg_rows, ctxs)
 
     agg_eval.evaluate = recording_evaluate
@@ -191,6 +221,41 @@ class TestExplainScript:
             loop = compile_script(LOOP_SCRIPT, sim.registry, sim.schema)
             sim.game.scripts.update(dict.fromkeys(UNIT_TYPES, loop))
             sim.run(1)
+
+    def test_source_is_the_text_compiled_and_holds_no_script_text(
+        self, registry, monkeypatch
+    ):
+        compiled = []
+
+        def recording_compile(source, *args, **kwargs):
+            compiled.append(source)
+            return builtins.compile(source, *args, **kwargs)
+
+        # the emitter looks ``compile`` up as a module global first
+        monkeypatch.setattr(
+            compile_module, "compile", recording_compile, raising=False
+        )
+        result = explain_script(EXPLAINED_SCRIPT, registry)
+        # the script's module is compiled once, after its actions' probes
+        assert compiled[-1] == result.source
+        assert compiled.count(result.source) == 1
+        monkeypatch.undo()
+        runner = DecisionRunner(parse_script(EXPLAINED_SCRIPT), registry)
+        assert runner.source == result.source
+
+        script_text = {
+            token.text
+            for token in tokenize_sgl(EXPLAINED_SCRIPT)
+            if token.kind in (TokenKind.NAME, TokenKind.STRING)
+        }
+        emitted = list(
+            pytokenize.generate_tokens(io.StringIO(result.source).readline)
+        )
+        assert not [t for t in emitted if t.type == pytokenize.STRING]
+        names = {t.string for t in emitted if t.type == pytokenize.NAME}
+        assert not names & script_text
+        for text in script_text:
+            assert text not in result.source, text
 
     def test_native_aggregates_are_listed_as_native(self, registry):
         native = FunctionRegistry(

@@ -626,6 +626,50 @@ class TestRecvFrameGuard:
 
 
 # ---------------------------------------------------------------------------
+# safety pack
+# ---------------------------------------------------------------------------
+
+
+class TestDynamicCode:
+    def test_flags_builtin_exec_eval_and_compile(self, tmp_path):
+        findings = lint_one(
+            tmp_path,
+            """\
+            import builtins
+
+
+            def run(text, names):
+                exec(compile(text, "<q>", "exec"), names)
+                return eval(text) + builtins.eval(text)
+            """,
+            rule="dynamic-code",
+            rel="serve/mod.py",  # every module, not only the tick path
+        )
+        assert rule_ids(findings) == ["dynamic-code"] * 4
+        assert {f.message.split("(")[0] for f in findings} == {
+            "builtin exec", "builtin compile", "builtin eval"
+        }
+
+    def test_justified_emitter_and_lookalikes_are_allowlisted(self, tmp_path):
+        findings = lint_one(
+            tmp_path,
+            """\
+            import re
+            from ast import literal_eval as eval
+
+
+            def build(text, names):
+                # reprolint: disable=dynamic-code -- generated names only,
+                # never the script's own text
+                exec(compile(text, "<sgl>", "exec"), names)
+                return re.compile(text), eval(text)
+            """,
+            rule="dynamic-code",
+        )
+        assert findings == []
+
+
+# ---------------------------------------------------------------------------
 # suppressions
 # ---------------------------------------------------------------------------
 

@@ -5,7 +5,7 @@ trajectories across serial/threads/processes/remote/spectator/replay
 configurations -- and the costliest bugs so far (a ``PYTHONHASHSEED``-
 dependent ``stable_hash``, an ``id()``-reuse script-cache alias, a
 ``union`` row alias) were all *statically detectable* nondeterminism
-patterns.  reprolint walks the AST of ``src/`` with three rule packs:
+patterns.  reprolint walks the AST of ``src/`` with four rule packs:
 
 * **determinism** -- nondeterministic calls (``random``, ``time.time``,
   ``datetime.now``, ``os.urandom``, builtin ``hash``) in tick-path
@@ -18,7 +18,9 @@ patterns.  reprolint walks the AST of ``src/`` with three rule packs:
 * **wire** -- ``struct`` format strings without an explicit byte order,
   frame-packing modules without a ``*_VERSION`` constant, encoders with
   no decoder counterpart, and ``recv`` paths that ignore the
-  ``FrameError`` taxonomy.
+  ``FrameError`` taxonomy;
+* **safety** -- builtin ``exec``/``eval``/``compile`` calls, which turn
+  text (game scripts and spectator queries arrive as text) into code.
 
 Findings can be suppressed inline with a *justified*
 ``# reprolint: disable=<rule> -- why`` comment or grandfathered in the

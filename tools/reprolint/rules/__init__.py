@@ -1,13 +1,16 @@
-"""Rule registry: determinism, concurrency, and wire packs."""
+"""Rule registry: determinism, concurrency, wire, and safety packs."""
 
 from __future__ import annotations
 
 from ..engine import Rule
 from .concurrency import CONCURRENCY_RULES
 from .determinism import DETERMINISM_RULES
+from .safety import SAFETY_RULES
 from .wire import WIRE_RULES
 
-ALL_RULES: list[Rule] = [*DETERMINISM_RULES, *CONCURRENCY_RULES, *WIRE_RULES]
+ALL_RULES: list[Rule] = [
+    *DETERMINISM_RULES, *CONCURRENCY_RULES, *WIRE_RULES, *SAFETY_RULES
+]
 
 RULES_BY_ID: dict[str, Rule] = {r.id: r for r in ALL_RULES}
 
