@@ -8,10 +8,7 @@ are each lowered once to Python source text, compiled with one
 executable semantics that ``tests/engine/test_compile.py`` checks the
 emitted code against, value for value and exception class for class.
 
-Lowering is also the only script validator: the engine and
-:func:`repro.api.compile_script` reject the same scripts with the same
-errors (unknown names, functions and unit attributes, wrong arities, a
-script function without a unit parameter).
+Lowering is also the only script validator (:func:`repro.api.compile_script`).
 
 **Frames and slots.**  Emitted code reads one *frame* ``f`` at a time.
 Names are resolved while emitting (:class:`Scope`) to a frame slot, a
@@ -33,9 +30,8 @@ statements over locals: each slot it reads is loaded once per frame
 inline ``None if … else``, and each operator that can fail has its own
 ``try`` mapping ``TypeError``/``ZeroDivisionError``/``KeyError`` to the
 oracle's SGL error (free on the happy path).  A field read dominated by
-the same read is reused.  :func:`compile_term`, :func:`compile_cond` and
-:func:`compile_filter` emit one ``f -> value`` function; a :class:`Probe`
-emits its category and bound columns as loops over a batch of frames.
+the same read is reused.  :func:`compile_term` & co. emit one ``f ->
+value`` function, a :class:`Probe` its columns as loops over a batch.
 
 A script runs **set-at-a-time** (:func:`lower_script`) as one module
 holding one function per *batch stage*, each looping over the frames of
@@ -59,9 +55,11 @@ generated.  Spectators compile client-shipped query source this way.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass, replace
+from types import CodeType
 from typing import Any, Callable, Sequence
 
 from ..sgl import ast
@@ -171,12 +169,19 @@ class _Module:
         return self.stage(body, f"r.append({row})", " r = []", tail)
 
     def build(self) -> dict[str, Any]:
-        """Compile the module once; returns its globals."""
+        """Run the module's code; returns its globals."""
         self.text = "\n".join(self.lines) + "\n"
-        # reprolint: disable=dynamic-code -- the SGL emitter: the text is
-        # generated names, int literals and fixed operators, never script text
-        exec(compile(self.text, "<sgl>", "exec"), self.names)
+        # reprolint: disable=dynamic-code -- runs only _code's emitted text
+        exec(_code(self.text), self.names)
         return self.names
+
+
+@functools.lru_cache(maxsize=512)
+def _code(text: str) -> CodeType:
+    """An emitted module's code: each distinct text compiles only once."""
+    # reprolint: disable=dynamic-code -- the SGL emitter: the text is
+    # generated names, int literals and fixed operators, never script text
+    return compile(text, "<sgl>", "exec")
 
 
 @dataclass(frozen=True)
@@ -211,9 +216,8 @@ def frame_scope(names: Sequence[str], registry: FunctionRegistry, first=1) -> Sc
 
 
 class _Body:
-    """The statements evaluating terms and conditions for one frame
-    ``f``; each returns the *atom* (a local or global name) holding its
-    value."""
+    """Statements evaluating terms and conditions for one frame ``f``,
+    each returning the *atom* (a local or global name) of its value."""
 
     def __init__(self, module: _Module, scope: Scope):
         self.m = module
@@ -456,16 +460,13 @@ def compile_filter(conjuncts: Sequence[ast.Cond], scope: Scope) -> Fn | None:
 class Probe:
     """The per-probe terms of one classified built-in (an
     :class:`~repro.algebra.shapes.AggregateShape` or AoE ``ActionShape``)
-    and its *extra* terms, conditions or conjunctions, lowered into one
-    module.  Frames are ``[rt, *args, None]``: the last slot,
-    :attr:`e_slot`, is ``e``, ``None`` until a caller stores a row there.
-
-    Over a batch of frames, :attr:`cats` gives each frame's ``(equality,
-    anti-join)`` category values and :attr:`bounds` its range constraints
-    as closed ``[lo, hi]`` intervals, or ``None`` as soon as one is empty
-    (a NULL bound compares false with every row).  :attr:`guard` is the
-    u-only conjunction and :attr:`fns` the *extra* ``f -> value``
-    functions."""
+    and its *extra* terms, conditions or conjunctions, in one module.
+    Frames are ``[rt, *args, None]``; the last slot, :attr:`e_slot`, is
+    ``e``.  Over a batch of frames, :attr:`cats` gives each frame's
+    ``(equality, anti-join)`` category values and :attr:`bounds` its
+    range constraints as closed ``[lo, hi]`` intervals, or ``None`` as
+    soon as one is empty (a NULL bound compares false with every row);
+    :attr:`guard` is the u-only conjunction, :attr:`fns` the *extra*."""
 
     def __init__(self, shape, params: Sequence[str], registry, extra=()):
         scope = frame_scope((*params, "e"), registry)
@@ -548,8 +549,7 @@ class _ScriptLowering:
     *driver* ``d(fs)`` calling them in program order over a batch."""
 
     def __init__(self, script, registry, builtin_action):
-        self.script = script
-        self.registry = registry
+        self.script, self.registry = script, registry
         self.builtin_action = builtin_action
         self.module = _Module()
         #: function name -> its driver's and its let/call slot padding's
@@ -655,7 +655,7 @@ class _ScriptLowering:
             raise SglNameError(f"unknown action function {name!r}")
         if len(node.args) != len(callee.params):
             raise SglTypeError(f"{name} expects {len(callee.params)} args")
-        rt, by_key, out_rows, out_aoe = [body.slot(i) for i in range(_HEADER)]
+        rt, by_key, out_rows, out_aoe = [f"f[{i}]" for i in range(_HEADER)]
         if isinstance(callee, ast.FunctionDef):
             # defined functions see only their parameters
             driver, pad = self.globals_of(name)

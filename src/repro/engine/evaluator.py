@@ -670,8 +670,13 @@ class IndexedEvaluator:
         reader of a shared index sums none of its measure columns."""
         shape = compiled.shape
         if compiled.count_only:
-            count = sum(group.count(bounds) for group in groups)
-            return finalize_outputs(shape.outputs, [count] * len(shape.outputs))
+            count = 0
+            for group in groups:
+                count += group.count(bounds)
+            outputs = shape.outputs  # one output is the count itself
+            return count if len(outputs) == 1 else finalize_outputs(
+                outputs, [count] * len(outputs)
+            )
         merged = None
         for group in groups:
             moments = group.query(bounds)

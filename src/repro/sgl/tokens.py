@@ -15,6 +15,7 @@ paper's listings (SGL keywords are lowercase, SQL keywords uppercase).
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -50,6 +51,14 @@ KEYWORDS = frozenset(
 
 #: Multi-character operators must be listed before their prefixes.
 _OPERATORS = ("<=", ">=", "<>", "!=", "==", "=", "<", ">", "+", "-", "/", "%")
+_OPERATORS_2 = frozenset(op for op in _OPERATORS if len(op) == 2)
+_OPERATORS_1 = frozenset(op for op in _OPERATORS if len(op) == 1)
+
+#: A run of blanks, and the rest of a word after its first letter or
+#: ``_`` (``\w`` is exactly ``str.isalnum()`` or ``_``): one match per
+#: run instead of one Python step per character.
+_BLANKS = re.compile(r"[ \t\r]+")
+_WORD_REST = re.compile(r"\w*")
 
 
 @dataclass(frozen=True)
@@ -101,7 +110,7 @@ def _scan(source: str) -> Iterator[Token]:
             line_start = i
             continue
         if ch in " \t\r":
-            i += 1
+            i = _BLANKS.match(source, i).end()  # type: ignore[union-attr]
             continue
 
         # comments: '#' and '//' to end of line, '/* ... */' block
@@ -136,9 +145,7 @@ def _scan(source: str) -> Iterator[Token]:
             continue
 
         if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
+            j = _WORD_REST.match(source, i + 1).end()  # type: ignore[union-attr]
             word = source[i:j]
             lowered = word.lower()
             if lowered in KEYWORDS:
@@ -161,7 +168,9 @@ def _scan(source: str) -> Iterator[Token]:
             i = j + 1
             continue
 
-        matched_op = next((op for op in _OPERATORS if source.startswith(op, i)), None)
+        matched_op = source[i : i + 2]
+        if matched_op not in _OPERATORS_2:
+            matched_op = ch if ch in _OPERATORS_1 else None
         if matched_op is not None:
             yield Token(TokenKind.OP, matched_op, line, start_col)
             i += len(matched_op)

@@ -195,6 +195,8 @@ class Record:
 
 def field_of(value: object, name: str) -> object:
     """Evaluate ``value.name`` for unit rows, records, and vectors."""
+    if type(value) is Record:  # ahead of the (slow) Mapping ABC check
+        return value.get(name)
     if type(value) is dict or isinstance(value, Mapping):
         try:
             return value[name]
