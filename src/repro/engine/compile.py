@@ -617,7 +617,7 @@ class _ScriptLowering:
         body, stages = self.staged(scope)
         if isinstance(node, ast.Let):
             value = body.term(node.term)
-            if not body.lines and value[0] == "s":  # a slot: bind the name to it
+            if isinstance(node.term, ast.Call) and value[0] == "s":  # hoisted
                 slot = int(value[1:])
             else:
                 slot = self.new_slot()

@@ -49,7 +49,7 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators must be listed before their prefixes.
+#: Operators; a two-character one wins over its one-character prefix.
 _OPERATORS = ("<=", ">=", "<>", "!=", "==", "=", "<", ">", "+", "-", "/", "%")
 _OPERATORS_2 = frozenset(op for op in _OPERATORS if len(op) == 2)
 _OPERATORS_1 = frozenset(op for op in _OPERATORS if len(op) == 1)

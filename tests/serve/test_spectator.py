@@ -408,6 +408,7 @@ class TestSpectatorFaultDrills:
         monkeypatch.setattr(
             compile_module, "compile", recording_compile, raising=False
         )
+        compile_module._code.cache_clear()
         with battle.spawn_spectator() as spectator:
             with spectator.client() as client:
                 battle.tick()

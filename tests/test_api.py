@@ -231,10 +231,12 @@ class TestExplainScript:
             compiled.append(source)
             return builtins.compile(source, *args, **kwargs)
 
-        # the emitter looks ``compile`` up as a module global first
+        # the emitter looks ``compile`` up as a module global first, and
+        # compiles a text it has not compiled before
         monkeypatch.setattr(
             compile_module, "compile", recording_compile, raising=False
         )
+        compile_module._code.cache_clear()
         result = explain_script(EXPLAINED_SCRIPT, registry)
         # the script's module is compiled once, after its actions' probes
         assert compiled[-1] == result.source
