@@ -12,8 +12,9 @@ The package implements the paper's full stack:
   categorical hash layers;
 * :mod:`repro.engine`  -- the discrete simulation engine: the SGL
   compiler, the only script validator, which lowers scripts to
-  set-at-a-time closures (what :func:`explain_script` prints, call site
-  by call site), and the two pluggable aggregate evaluators of Section 6;
+  set-at-a-time emitted Python source (what :func:`explain_script`
+  prints, call site by call site, with the source), and the two
+  pluggable aggregate evaluators of Section 6;
 * :mod:`repro.game`    -- the knights/archers/healers battle simulation
   with d20 mechanics (Section 3.2).
 

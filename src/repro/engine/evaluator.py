@@ -116,7 +116,7 @@ def empty_aggregate_result(outputs: Sequence[AggOutput]) -> object:
 @dataclass
 class _Selection:
     """The layout of one shared divisible index: its readers' distinct
-    measure terms, their row closures, and which keep ``Σv²``."""
+    measure terms, their emitted row functions, and which keep ``Σv²``."""
 
     build_filter: Fn | None  # e-only conjuncts
     terms: list = field(default_factory=list)
@@ -126,8 +126,9 @@ class _Selection:
 
 @dataclass
 class _CompiledShape:
-    """Per-aggregate static compilation artefacts: row-frame closures
-    run per environment row at index build, probe-frame ones per call."""
+    """Per-aggregate static compilation artefacts: emitted row-frame
+    functions run per environment row at index build, probe-frame ones
+    per call."""
 
     shape: AggregateShape
     probe: Probe

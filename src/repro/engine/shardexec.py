@@ -23,7 +23,7 @@ targets:
   worker, pickled once per session for a spawned or remote one (remote
   hosts must run the same code) -- and builds the engine's own
   :class:`~repro.engine.decision.DecisionStage` over it, with a private
-  evaluator.  Compiled closures and index structures never cross the
+  evaluator.  Compiled code and index structures never cross the
   process boundary; the scripts a mod edited before the pool started
   do;
 * **per tick** :meth:`ReplicaWorkerPool.run_tick` is handed the
