@@ -2,8 +2,8 @@
 
 The engine never walks an AST at tick time.  Script bodies, the per-probe
 terms of aggregate and action shapes, index-build measures and filters
-are each lowered once to Python source text, compiled with one
-``compile()`` per script, shape or term, and run as plain functions;
+are each lowered once to Python source text -- one module per script,
+shape or term, compiled once per distinct text -- and run as functions;
 :mod:`repro.sgl.evalterm` and :mod:`repro.sgl.interp` stay as the
 executable semantics that ``tests/engine/test_compile.py`` checks the
 emitted code against, value for value and exception class for class.
