@@ -22,13 +22,6 @@ Three sections:
    a drained socket.  Asserts the >= 5x delta
    reduction at every rate <= 10% -- the same bar the worker broadcast
    protocol holds (``bench_shards.py``).
-4. **Patch and rebuild on a live replica** -- a battle tick changes
-   ~90% of the rows, so section 1 only ever sees the replica's
-   evaluator rebuild.  Here one replica on its own publisher is fed
-   synthetic epochs at 5% and then 50% churn; every answer is asserted
-   equal to a fresh :class:`~repro.serve.queries.QueryEngine` over the
-   same rows, and the replica's evaluator counters must show it patched
-   at 5% and rebuilt at 50%.
 
     PYTHONPATH=src:. python benchmarks/bench_spectators.py [--smoke] [--json PATH]
 
@@ -50,19 +43,12 @@ from benchmarks.util import (
     make_battle_env,
     write_bench_json,
 )
-from repro.engine.evaluator import _PATCH_FRACTION
 from repro.env.schema import battle_schema
 from repro.env.sharding import EpochUpdate, encode_replica_delta
 from repro.env.table import diff_by_key
-from repro.game.battle import BattleSimulation, battle_game
+from repro.game.battle import BattleSimulation
 from repro.serve.publisher import ReplicaPublisher
-from repro.serve.queries import (
-    AuthoritativeQueryService,
-    QueryEngine,
-    build_request,
-    unit_ref,
-)
-from repro.serve.spectator import SpectatorReplica
+from repro.serve.queries import AuthoritativeQueryService, unit_ref
 from repro.serve.transport import SocketTransport
 
 #: The compiled-from-source query kind: per-team size and total HP.
@@ -277,76 +263,6 @@ def subscriber_volume_section(
     return out
 
 
-# -- section 4: the replica's patch-or-rebuild rule at controlled churn --------
-
-
-def churn_replica_section(
-    n_units: int, rates: list[float], rounds: int
-) -> list[dict]:
-    """One live replica fed *rounds* synthetic epochs per churn rate.
-
-    Every epoch, every :func:`query_matrix` answer must equal a fresh
-    :class:`~repro.serve.queries.QueryEngine` begun on the same rows;
-    per rate, the replica's evaluator must have patched (``delta_ticks``)
-    at or below ``_PATCH_FRACTION`` and rebuilt (``rebuild_ticks``)
-    above it, and never the other.
-    """
-    game = battle_game()
-    grid = max(int((n_units / 0.01) ** 0.5), 16)
-    queries = query_matrix(grid)
-    rng = random.Random(29)
-    prev = make_battle_env(game.schema, n_units, grid, seed=7)
-    out = []
-    with ReplicaPublisher() as pub, SpectatorReplica.spawn(
-        pub.address, game
-    ) as spectator, spectator.client() as client:
-
-        def check(env, epoch: int) -> int:
-            want = QueryEngine(game.schema, game.registry)
-            want.begin(env)
-            for query, args, params in queries:
-                got = client.query(query, *args, epoch=epoch, **params)
-                expect = want.answer(build_request(query, args, **params))
-                assert got.epoch == epoch
-                assert got.value == expect, (
-                    f"{query!r} diverged at epoch {epoch}: "
-                    f"replica {got.value!r} != fresh engine {expect!r}"
-                )
-            return len(queries)
-
-        epoch = 1
-        pub.publish(EpochUpdate(epoch, prev.rows))
-        check(prev, epoch)  # builds what the next epoch may patch
-        for rate in rates:
-            before = client.status()["evaluator_stats"]
-            checked = 0
-            for _ in range(rounds):
-                cur = evolve_battle_env(prev, rate, grid, rng)
-                epoch += 1
-                pub.publish(next_update(prev, cur, epoch))
-                checked += check(cur, epoch)
-                prev = cur
-            after = client.status()["evaluator_stats"]
-            patched, rebuilt = (
-                after.get(name, 0) - before.get(name, 0)
-                for name in ("delta_ticks", "rebuild_ticks")
-            )
-            if rate <= _PATCH_FRACTION:
-                assert patched > 0 and rebuilt == 0, (rate, patched, rebuilt)
-            else:
-                assert rebuilt > 0 and patched == 0, (rate, patched, rebuilt)
-            out.append(
-                {
-                    "update_rate": rate,
-                    "epochs": rounds,
-                    "queries_checked": checked,
-                    "delta_ticks": patched,
-                    "rebuild_ticks": rebuilt,
-                }
-            )
-    return out
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -434,28 +350,6 @@ def main(argv=None):
         f"<= 10% (asserted)"
     )
 
-    print(
-        f"\n=== live replica at controlled churn: {n_units} units, "
-        f"{volume_rounds} epochs per rate ==="
-    )
-    churn = churn_replica_section(n_units, [0.05, 0.50], volume_rounds)
-    print(fmt_table(
-        ["changed/epoch", "answers checked", "patched", "rebuilt"],
-        [
-            [
-                f"{c['update_rate']:.0%}",
-                c["queries_checked"],
-                c["delta_ticks"],
-                c["rebuild_ticks"],
-            ]
-            for c in churn
-        ],
-    ))
-    print(
-        "replica patched at 5% and rebuilt at 50%, every answer equal to "
-        "a fresh query engine (asserted)"
-    )
-
     write_bench_json(
         args.json,
         "spectators",
@@ -467,7 +361,6 @@ def main(argv=None):
             "live": live,
             "scaling": scaling,
             "subscriber_volume": volume,
-            "churn_replica": churn,
         },
     )
 

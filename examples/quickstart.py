@@ -5,11 +5,9 @@ mechanics) on the indexed engine, prints per-tick statistics, and shows
 EXPLAIN for the paper's Figure 3 script: each aggregate call site as the
 engine compiles it, the index it probes and at what cost.
 
-Between ticks the evaluator patches its retained indexes with the
-row delta when few rows changed and rebuilds them from scratch, as the
-paper does, otherwise -- a battle tick moves most units, so the
-counters below show one ``rebuild_ticks`` per tick after the first.
-``benchmarks/bench_incremental.py`` sweeps where patching wins.
+The evaluator drops its indexes every tick and rebuilds each from
+scratch on its first probe, as the paper does, so the counters below
+show one ``rebuild_ticks`` per tick after the first.
 
     python examples/quickstart.py
 """

@@ -8,8 +8,8 @@ the simulation's own evaluator.
 
 The replica holds its own copy of ``E``, kept current by the engine's
 epoch-versioned delta broadcasts (snapshot catch-up on join), plus the
-index structures its queries probe, patched or rebuilt per epoch by
-the decision workers' rule; every answer is pinned to one consistent
+index structures its queries probe, rebuilt every epoch as the
+decision workers' are; every answer is pinned to one consistent
 tick epoch and is bit-identical to what the engine itself would
 compute at that epoch.
 

@@ -18,23 +18,19 @@ The package implements the paper's full stack:
 * :mod:`repro.game`    -- the knights/archers/healers battle simulation
   with d20 mechanics (Section 3.2).
 
-Beyond the paper, the indexed evaluator maintains its indexes from
-the tick's row delta when few rows changed, and rebuilds them per tick
-as the paper does otherwise -- one rule, not a knob, which a battle's
-churn sends to the rebuild side.  The engine also runs **sharded**:
+The indexed evaluator rebuilds its indexes every tick, as the paper
+does.  Beyond the paper, the engine also runs **sharded**:
 ``num_shards=``/``shard_by=`` partition the units of ``E`` (by spatial
 strip or hashed attribute) into decision batches, and
 ``parallelism="processes"`` runs each shard's decisions in a worker
 process holding a full replica of ``E``, merging the shards' effect
 tables under ⊕ (associative/commutative, Eq. 3); indexes always span
-all of ``E``.  Trajectories are bit-identical whether indexes are
-patched or rebuilt, across shard counts and parallelism modes, for
-games whose aggregate measures sum exactly in floating point
-(integer-valued measures, as in the battle simulation).
-``benchmarks/bench_incremental.py`` maps where patching beats
-rebuilding; the perf ledger's ``battle_sharded`` workload (``python -m
-benchmarks.ledger``) times the sharded process run against the flat
-one.
+all of ``E``.  Trajectories are bit-identical across parallelism
+modes at the same shard count, and across shard counts for games whose
+effects sum exactly in floating point (integer-valued, as in the
+battle simulation).  The perf ledger's ``battle_sharded`` workload
+(``python -m benchmarks.ledger``) times the sharded process run
+against the flat one.
 
 Heavy read traffic is served off-process: ``spectators=True`` opens the
 :mod:`repro.serve` read-replica feed, and

@@ -11,13 +11,10 @@ update or log record carries it.
 
 0. **partition** -- ``E``'s rows split into per-shard lists in the flat
    table's row order: the units each shard decides;
-1. **index build / maintenance** -- the indexed evaluator arms itself
-   for this tick's environment: when few rows changed it patches the
-   retained indexes with the row delta captured at the end of the
-   previous tick, otherwise (a battle tick changes most rows) it resets
-   and lazily, on first probe, rebuilds the aggregate indexes over all
-   of ``E`` -- the evaluator's one rebuild-or-patch rule, which
-   process workers and spectator replicas run too;
+1. **index build** -- the indexed evaluator arms itself for this
+   tick's environment: it drops last tick's indexes and lazily, on
+   first probe, rebuilds each aggregate index over all of ``E``, as the
+   paper does; process workers and spectator replicas do the same;
 2. **decision** -- the units of each shard execute their scripts
    set-at-a-time, one batch per script (each aggregate call site probes
    the indexes once per batch, min/max sites as one Figure-9 sweep);
@@ -43,8 +40,9 @@ update or log record carries it.
 5. **mechanics** -- the game's post-processing applies the combined
    effects (Example 4.1), moves units, removes the dead;
 6. **feed** (optional) -- the post-tick state becomes one
-   :class:`~repro.env.sharding.EpochUpdate` (epoch, rows and the
-   captured delta) handed to every attached consumer: the
+   :class:`~repro.env.sharding.EpochUpdate` (epoch, rows and the row
+   delta against the tick-start state) handed to every attached
+   consumer: the
    spectator publisher (``repro.serve``) and the epoch log
    (``repro.persist``) now, the process workers at the start of the
    next tick.  Each sends the delta to holders it chains for and the
@@ -57,11 +55,14 @@ pure function of seed, tick, unit key, draw index), every probe reads
 the same flat indexes whichever shard asks, ⊕'s aggregates are
 associative/commutative, and the combined table inherits its row order
 from the flat ``E`` (⊕ groups are seeded by the environment rows, which
-every effect row references).  The one caveat is shared with
-incremental maintenance: effect values that *sum inexactly in floating
-point* may differ in final ulps when their contributions arrive from
-different shards, since float addition is not associative.  All of the battle simulation's
-summed measures are integer-valued, so its trajectories are exact.
+every effect row references).  Process workers rebuild the same
+indexes from the same rows as the serial engine, so at the same shard
+count their trajectories are bit-identical, float sums included.  The
+one caveat is across shard counts: effect values that *sum inexactly in
+floating point* may differ in final ulps when their contributions
+arrive from different shards, since float addition is not associative.
+All of the battle simulation's summed measures are integer-valued, so
+its trajectories are exact.
 
 The evaluator is pluggable (Section 6): ``mode="naive"`` scans E for
 every aggregate, ``mode="indexed"`` probes the Section 5.3 structures.
@@ -82,7 +83,7 @@ from ..env.sharding import (
     make_sharder,
     partition_rows,
 )
-from ..env.table import EnvironmentTable, TableDelta, diff_by_key
+from ..env.table import EnvironmentTable, diff_by_key
 from ..obs import (
     GcMonitor,
     NULL_REGISTRY,
@@ -127,8 +128,9 @@ class TickStats:
     combine_time: float
     mechanics_time: float
     total_time: float
-    #: Index upkeep: evaluator begin_tick (delta apply or cache reset)
-    #: plus post-mechanics change capture.  0.0 in naive mode.
+    #: Index upkeep: evaluator begin_tick (dropping last tick's
+    #: indexes) plus the post-mechanics change capture the replica
+    #: feeds need.  0.0 in naive mode with nothing attached.
     maintenance_time: float = 0.0
     #: Pickled bytes shipped to process workers this tick (deltas and/or
     #: snapshots); 0 outside ``parallelism="processes"``.
@@ -164,11 +166,11 @@ class EngineConfig:
     consume themselves to this constructor, so an unknown keyword is a
     ``TypeError`` naming it (a bad value is a ``ValueError`` from
     :class:`SimulationEngine`).
-    Patched and rebuilt indexes, shard counts, worker layouts and
-    diagnostics produce bit-identical trajectories whenever
-    effect/measure sums are exact in floating point -- true for
-    integer-valued measures like the battle simulation's (see the
-    module docstring for why).
+    Worker layouts and diagnostics produce bit-identical trajectories
+    at the same ``num_shards``, float sums included.  The evaluation
+    mode and the shard count do too whenever effect/measure sums are
+    exact in floating point -- true for integer-valued measures like
+    the battle simulation's (see the module docstring for why).
 
     Evaluation (Section 6):
 
@@ -177,9 +179,8 @@ class EngineConfig:
       ``"naive"`` scans ``E`` for every aggregate and action;
     * ``seed`` -- seed of the counter-mode random function.
 
-    Index maintenance between ticks is not a knob: the indexed
-    evaluator patches its retained indexes when few rows changed and
-    rebuilds them otherwise (see ``repro.engine.evaluator``).
+    Index maintenance is not a knob: the indexed evaluator rebuilds
+    every index it probes each tick (see ``repro.engine.evaluator``).
 
     Sharding:
 
@@ -407,12 +408,10 @@ class SimulationEngine:
         if self.indexed and self.metrics.enabled:
             self.agg_eval.bind_metrics(self.metrics)
 
-        # change capture: the diff taken at the end of tick t patches the
-        # serial evaluator's indexes at t+1 when few rows changed, and
-        # -- encoded as an epoch-stamped ReplicaDelta inside the current
-        # EpochUpdate -- the spectator publisher and the epoch log at t,
-        # the process workers at t+1.
-        self._pending_delta: TableDelta | None = None
+        # change capture: the diff taken at the end of tick t, encoded
+        # as an epoch-stamped ReplicaDelta inside the current
+        # EpochUpdate, feeds the spectator publisher and the epoch log
+        # at t, the process workers at t+1.
         self._update = EpochUpdate(1, env.rows)
         self.publisher = None  # ReplicaPublisher | None
         self.epoch_log = None  # EpochLogWriter | None
@@ -636,12 +635,10 @@ class SimulationEngine:
         (taking ownership of *rows*), rewinds the tick counter so the
         next tick is number *epoch* (post-tick states are epoch
         ``tick_count + 1``), and drops everything derived from the
-        previous timeline: the pending change capture, retained index
-        state (the next ``begin_tick`` sees no delta and rebuilds), and
-        every attached consumer's belief of what its holders hold --
-        worker replicas and spectator subscribers are snapshot-fed by
-        their next update, and the epoch log's next record is a
-        checkpoint.  A holder may hold the restored epoch number from the
+        previous timeline: every attached consumer's belief of what its
+        holders hold -- worker replicas and spectator subscribers are
+        snapshot-fed by their next update, and the epoch log's next
+        record is a checkpoint.  A holder may hold the restored epoch number from the
         old timeline, so the epoch alone cannot tell it is stale.
         Nothing else needs restoring: the counter-mode rng is a pure
         function of (seed, tick, unit key), so state + tick number
@@ -653,7 +650,6 @@ class SimulationEngine:
         env.rows.extend(rows)
         self.env = env
         self.tick_count = epoch - 1
-        self._pending_delta = None
         self._update = EpochUpdate(epoch, env.rows)
         for consumer in (self._pool, self.publisher, self.epoch_log):
             if consumer is not None:
@@ -712,16 +708,14 @@ class SimulationEngine:
         parts = partition_rows(env.rows, cfg.num_shards, self.shard_of)
         timed("partition", t0)
 
-        # stage 1: (re)arm the evaluator.  This is where last tick's
-        # captured delta, when small enough, patches the retained
-        # indexes instead of discarding them.  (Process workers arm
-        # their own, in the decision stage they run.)
+        # stage 1: re-arm the evaluator; its indexes rebuild on first
+        # probe.  (Process workers arm their own, in the decision stage
+        # they run.)
         by_key = None
         if self.indexed and not self._processes:
             t0 = time.perf_counter()
-            by_key = self.decision.begin_tick(env, self._pending_delta)
+            by_key = self.decision.begin_tick(env)
             timed("maintenance", t0)
-            self._pending_delta = None
 
         # stage 2: decision, shard at a time, one batch per script
         t0 = time.perf_counter()
@@ -773,37 +767,22 @@ class SimulationEngine:
         self.env = self.mechanics(combined, self.rng, self.tick_count)
         timed("mechanics", t0)
 
-        # change capture: diff the post-mechanics environment against the
-        # tick-start snapshot (mechanics copies rows, so *env* still holds
-        # the pre-tick values).  Who needs the diff is asked here, from
-        # what is attached: the serial evaluator's begin_tick at t+1,
-        # and -- encoded as an epoch-stamped ReplicaDelta in this
-        # epoch's update -- the replica feeds.
-        env_delta = self.indexed and not self._processes
-        feeds = (
+        # change capture, only when a replica feed is attached: diff the
+        # post-mechanics environment against the tick-start snapshot
+        # (mechanics copies rows, so *env* still holds the pre-tick
+        # values), encoded as an epoch-stamped ReplicaDelta in this
+        # epoch's update
+        rd = None
+        if (
             self._processes
             or self.publisher is not None
             or self.epoch_log is not None
-        )
-        rd = None
-        if env_delta or feeds:
+        ):
             t0 = time.perf_counter()
-            # the evaluator discards any delta above its budget, so the
-            # diff bails out early instead of completing a doomed one --
-            # unless the replica feeds need it whatever its size -- and
-            # only a delta it will patch with is kept for next tick
-            budget = None
-            if env_delta:
-                budget = self.agg_eval.delta_budget(len(self.env))
-            delta = diff_by_key(
-                env, self.env, max_changed=None if feeds else budget
-            )
-            if budget is not None and delta is not None:
-                if delta.changed <= budget:
-                    self._pending_delta = delta
+            delta = diff_by_key(env, self.env)
             # an unusable diff (duplicate keys) leaves the update without
             # a delta: every feed sends the snapshot
-            if feeds and delta is not None:
+            if delta is not None:
                 key = schema.key
                 rd = encode_replica_delta(
                     delta,

@@ -115,6 +115,12 @@ def _store_calls(fs: list, function: AggregateFunction, rows: list, slot: int):
         f[slot] = value
 
 
+#: A probe bound that is not a number, or lies beyond float range,
+#: compares with rows only as the reference scan compares it:
+#: :attr:`Probe.bounds` gives ``SCAN`` for its frame, and the caller
+#: answers that frame by scanning.
+SCAN = object()
+
 #: The fixed globals of every emitted module.  Generated names are lower
 #: case: ``f``/``fs`` a frame/batch, ``s<slot>``, ``t<n>`` temporaries,
 #: ``k<n>`` bound values, ``g<n>`` stages, ``d<n>`` drivers, ``p<n>``
@@ -131,6 +137,7 @@ _RUNTIME = {
     "CS": _store_calls,
     "NX": math.nextafter,
     "INF": math.inf,
+    "SCAN": SCAN,
 }
 
 
@@ -390,26 +397,35 @@ class _Body:
         return self.cond(last)
 
     def side(self, bounds: Sequence, lower: bool) -> str:
-        """One side of a range constraint: its tightest bound, or ``None``
-        when some bound is NULL or NaN (either compares false with every
-        row).  A strict bound moves to the adjacent float inside."""
+        """One side of a range constraint: its tightest bound as a float;
+        ``None`` when some bound is NULL or NaN (either compares false
+        with every row), ``SCAN`` when one is not a number or lies
+        beyond float range.  A strict bound moves to the adjacent float
+        inside."""
         out = self.m.fresh("t")
         if not bounds:
             self.emit(f"{out} = {'-INF' if lower else 'INF'}")
             return out
         outer = self.pad, self.fields, self.scope
         for i, bound in enumerate(bounds):
-            value = self.term(bound.term)
-            tightened = f"float({value})"
+            v = self.term(bound.term)
+            real = self.m.fresh("t")
+            # ``+ 0.0`` makes an int or a bool (which compares as one) a
+            # float; what cannot be added is left to the reference scan
+            self.emit(f"try: {real} = None if {v} is None or {v} != {v} else {v} + 0.0")
+            self.emit(f"except Exception: {real} = SCAN")
+            if len(bounds) == 1 and not bound.strict:
+                return real
+            tightened = real
             if bound.strict:
-                tightened = f"NX({tightened}, {'INF' if lower else '-INF'})"
+                tightened = f"NX({real}, {'INF' if lower else '-INF'})"
             if i:
                 tightened = f"{'max' if lower else 'min'}({out}, {tightened})"
-            empty = f"{value} is None or {value} != {value}"
+            unusable = f"{real} is None or {real} is SCAN"
             if i == len(bounds) - 1:
-                self.emit(f"{out} = None if {empty} else {tightened}")
+                self.emit(f"{out} = {real} if {unusable} else {tightened}")
             else:
-                self.emit(f"if {empty}: {out} = None")
+                self.emit(f"if {unusable}: {out} = {real}")
                 self.emit("else:")
                 self.nested()
                 self.emit(f"{out} = {tightened}")
@@ -464,8 +480,9 @@ class Probe:
     Frames are ``[rt, *args, None]``; the last slot, :attr:`e_slot`, is
     ``e``.  Over a batch of frames, :attr:`cats` gives each frame's
     ``(equality, anti-join)`` category values and :attr:`bounds` its
-    range constraints as closed ``[lo, hi]`` intervals, or ``None`` as
-    soon as one is empty (a NULL bound compares false with every row);
+    range constraints as closed ``[lo, hi]`` intervals, ``None`` as
+    soon as one is empty (a NULL bound compares false with every row),
+    or :data:`SCAN` when a bound is not a float-convertible number;
     :attr:`guard` is the u-only conjunction, :attr:`fns` the *extra*."""
 
     def __init__(self, shape, params: Sequence[str], registry, extra=()):
@@ -484,6 +501,9 @@ class Probe:
             for constraint in shape.ranges:
                 lo = body.side(constraint.lowers, lower=True)
                 hi = body.side(constraint.uppers, lower=False)
+                body.emit(
+                    f"if {lo} is SCAN or {hi} is SCAN: r.append(SCAN); continue"
+                )
                 body.emit(
                     f"if {lo} is None or {hi} is None or {lo} > {hi}: "
                     "r.append(None); continue"

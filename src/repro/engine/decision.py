@@ -44,12 +44,12 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from ..algebra.shapes import classify_action
 from ..env.schema import Schema
-from ..env.table import EnvironmentTable, TableDelta
+from ..env.table import EnvironmentTable
 from ..sgl import ast
 from ..sgl.builtins import ActionFunction, FunctionRegistry
 from ..sgl.evalterm import EvalContext
 from ..sgl.sqlspec import apply_action_scan
-from .compile import ActionFn, Probe, lower_script
+from .compile import SCAN, ActionFn, Probe, lower_script
 from .effects import AoeRecord
 from .evaluator import IndexedEvaluator, NaiveEvaluator
 from .rng import TickRandom
@@ -221,12 +221,14 @@ class GameDefinition:
         Every keyword is an :class:`~repro.engine.clock.EngineConfig`
         field -- that docstring is the knob reference.
 
-        Both evaluation modes, patched or rebuilt indexes, shard counts
-        and worker layouts are bit-identical in trajectory when
-        aggregate measure and effect sums are floating-point exact (e.g.
-        integer-valued measures); per-shard evaluation sums in a
-        different order than a flat scan, so inexact float sums may
-        drift in final ulps.  Only wall-clock differs otherwise.
+        Worker layouts (serial, process workers, a recovered log) are
+        bit-identical in trajectory at the same ``num_shards``.  Both
+        evaluation modes, and different shard counts, are bit-identical
+        when aggregate measure and effect sums are floating-point exact
+        (e.g. integer-valued measures): an index sums in a different
+        order than the naive scan, and ⊕ adds effects in shard order, so
+        inexact float sums may drift in final ulps.  Only wall-clock
+        differs otherwise.
         """
         from .clock import EngineConfig, SimulationEngine
 
@@ -240,10 +242,9 @@ class DecisionStage:
     object plus its replica of ``E`` and its transport loop.  Per tick,
     :meth:`begin_tick` arms the evaluator for the tick-start ``E`` and
     :meth:`decide` runs every given shard's units, one batch per script.
-    ``mode="indexed"`` probes the Section 5.3 structures and lowers
-    actions to key lookups and deferred area effects (its evaluator
-    decides rebuild-or-patch from the delta :meth:`begin_tick` hands
-    it); ``"naive"`` scans for both.
+    ``mode="indexed"`` probes the Section 5.3 structures (rebuilt every
+    tick) and lowers actions to key lookups and deferred area effects;
+    ``"naive"`` scans for both.
     """
 
     def __init__(
@@ -273,16 +274,15 @@ class DecisionStage:
     def begin_tick(
         self,
         env: EnvironmentTable,
-        delta: TableDelta | None,
         by_key: Mapping[object, Mapping[str, object]] | None = None,
     ) -> Mapping[object, Mapping[str, object]] | None:
-        """Arm the evaluator for *env*, patching its retained indexes
-        with *delta* or rebuilding them; returns the ``key -> row`` map
-        key actions resolve through (*by_key* when the caller keeps one;
-        ``None`` in naive mode, whose actions scan)."""
+        """Arm the evaluator for *env* (its indexes rebuild on first
+        probe); returns the ``key -> row`` map key actions resolve
+        through (*by_key* when the caller keeps one; ``None`` in naive
+        mode, whose actions scan)."""
         if not self.indexed:
             return None
-        self.agg_eval.begin_tick(env, delta=delta)
+        self.agg_eval.begin_tick(env)
         return by_key if by_key is not None else env.by_key()
 
     def decide(
@@ -388,6 +388,8 @@ def compile_action(
             (bounds,) = probe.bounds(frames)
             if bounds is None:
                 return
+            if bounds is SCAN:  # a bound only the scan compares
+                return everywhere(rt, args, by_key, out_rows, out_aoe)
             (xlo, xhi), (ylo, yhi) = bounds
             value = value_of(frames[0])
             ((eq_vals, neq_vals),) = probe.cats(frames)

@@ -42,18 +42,11 @@ in-memory indexing ... to reduce the complexity to O(n log n)."
   The paper rebuilds indexes from scratch every tick for
   rapidly-changing data ("we are still likely to see significant
   performance gains even if, at each clock tick, we discard the index
-  and build a new one from scratch"), and at battle churn so does this
-  evaluator.  But between ticks only the *changed* rows matter, so
-  :meth:`IndexedEvaluator.begin_tick` also takes the
-  :class:`~repro.env.table.TableDelta` the engine captured and decides
-  from it alone, by one rule for every caller (serial engine, process
-  worker, spectator replica): while at most ``_PATCH_FRACTION`` of the
-  rows changed it routes the inserted/deleted/updated rows into the
-  retained structures (**incremental maintenance**), otherwise it
-  discards them for a lazy rebuild
-  (:meth:`IndexedEvaluator._should_apply`, the one place that chooses).
-  Any structure whose accumulated overlay outgrows ``_OVERLAY_BUDGET``
-  is dropped and lazily rebuilt.  Sweeps answer the probes of one
+  and build a new one from scratch"), and so does this evaluator, for
+  every caller (serial engine, process worker, spectator replica):
+  :meth:`IndexedEvaluator.begin_tick` drops every retained structure,
+  and each rebuilds lazily on its first probe (or through
+  :meth:`IndexedEvaluator.prepare`).  Sweeps answer the probes of one
   call-site batch and are never retained.
 
   Calls arrive set-at-a-time: :meth:`IndexedEvaluator.evaluate_batch`
@@ -69,14 +62,14 @@ in-memory indexing ... to reduce the complexity to O(n log n)."
   shards.
 
 Both evaluators return *identical* results -- including argmin/argmax
-tie-breaks -- which the equivalence tests assert on random battles,
-patched or rebuilt.  One caveat: delta maintenance adds and
-subtracts measure contributions in a different order than a fresh
-build (and a cell grid sums rows where a tree differences prefixes),
-so the equality of incremental and rebuilt answers is exact
-only when the measure sums themselves are exact in floating point
-(always true for integer-valued measures, like every measure in the
-battle simulation).
+tie-breaks -- which the equivalence tests assert on random battles.
+One caveat: an index sums measure contributions in a different order
+than the naive scan (a cell grid sums rows, a tree differences
+prefixes), so the two agree exactly only when the measure sums are
+exact in floating point (always true for integer-valued measures, like
+every measure in the battle simulation).  Two indexed evaluators over
+the same rows build the same structures, so they always agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -85,7 +78,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..algebra.shapes import AggregateShape, classify_aggregate
-from ..env.table import EnvironmentTable, TableDelta
+from ..env.table import EnvironmentTable
 from ..indexes.composite import GroupAggIndex
 from ..indexes.hash_layer import PartitionedIndex, key_getter
 from ..indexes.kdtree import KDTree
@@ -96,7 +89,7 @@ from ..sgl.evalterm import EvalContext
 from ..sgl.interp import NaiveAggregateEvaluator
 from ..sgl.sqlspec import AggOutput, evaluate_aggregate_scan, finalize_outputs
 from ..sgl.values import Record
-from .compile import Fn, Probe, compile_filter, compile_term, row_scope
+from .compile import SCAN, Fn, Probe, compile_filter, compile_term, row_scope
 
 #: The naive evaluator is exactly the reference interpreter's.
 NaiveEvaluator = NaiveAggregateEvaluator
@@ -141,24 +134,6 @@ class _CompiledShape:
     residual: Fn | None = None  # nearest: per-candidate conjuncts
 
 
-#: Mutation floor below which an incremental structure is never dropped.
-_OVERLAY_MIN = 32
-
-#: Drop a structure once its mutation count exceeds this fraction of its
-#: size (overlay scans / tombstones degrade probes).
-_OVERLAY_BUDGET = 0.5
-
-
-#: The evaluator patches the retained structures while at most this
-#: fraction of the rows changed, and rebuilds above it.  Set from
-#: ``benchmarks/bench_incremental.py`` (600 units), patch-over-rebuild
-#: speedup by changed rows per tick: 1% 1.51x, 2% 1.77x, 5% 1.38x,
-#: 10% 1.24x | 25% 0.79x, 50% 0.74x, 100% 0.44x -- the crossover lies
-#: between 10% and 25%, and three more full runs agreed on which side
-#: each rate falls; three later runs put 10% at 0.97-1.18x and 25% at
-#: 0.83-0.89x.  Re-run the sweep before moving it; not a knob.
-_PATCH_FRACTION = 0.10
-
 #: "Not computed yet" marker for per-batch answer caches.
 _MISSING = object()
 
@@ -166,9 +141,8 @@ _MISSING = object()
 class IndexedEvaluator:
     """Index-backed aggregate evaluation.
 
-    Per tick, either rebuilds every index from scratch (the paper's
-    strategy) or patches the retained structures with a small row
-    delta -- see :meth:`begin_tick` and the module docstring.
+    Every tick rebuilds each index it probes from scratch, the paper's
+    strategy -- see :meth:`begin_tick` and the module docstring.
     """
 
     def __init__(self, registry: FunctionRegistry, *, key_attr: str = "key"):
@@ -177,7 +151,7 @@ class IndexedEvaluator:
         self._compiled: dict[str, _CompiledShape] = {}
         #: selection key -> the layout of its shared divisible index
         self._selections: dict[tuple, _Selection] = {}
-        # per-tick caches (retained across ticks under delta maintenance)
+        # per-tick caches, dropped by begin_tick
         self._env: EnvironmentTable | None = None
         #: selection key -> divisible index (see :meth:`_join_selection`)
         self._div_index: dict[tuple, PartitionedIndex] = {}
@@ -213,8 +187,8 @@ class IndexedEvaluator:
         ``grid_groups``/``tree_groups`` count the 2-d divisible groups
         holding a cell grid / a Figure-8 tree.  ``depth_rebuilds`` sums
         :class:`~repro.indexes.kdtree.KDTree` depth-triggered rebuilds
-        over every retained k-d group -- the signal that overlay churn
-        is forcing tree reconstruction.
+        over every retained k-d group; trees built fresh each tick take
+        none, so it reads 0.
         """
         depth_rebuilds = 0
         kd_groups = 0
@@ -241,32 +215,15 @@ class IndexedEvaluator:
 
     # -- tick lifecycle ---------------------------------------------------------
 
-    def begin_tick(
-        self, env: EnvironmentTable, delta: TableDelta | None = None
-    ) -> None:
-        """Start a tick over *env*.
-
-        *delta* is the engine's change capture against the previous
-        tick's environment.  A usable delta of at most
-        ``_PATCH_FRACTION`` of the rows patches the retained index
-        structures in place; otherwise all structures are discarded and
-        lazily rebuilt on first probe.  Sweep source columns are always
-        per tick.
-        """
+    def begin_tick(self, env: EnvironmentTable) -> None:
+        """Start a tick over *env*: drop every retained structure; each
+        rebuilds lazily on its first probe (or through :meth:`prepare`)."""
+        if self._div_index or self._kd_index or self._row_index:
+            self._bump("rebuild_ticks")
+        self._div_index.clear()
+        self._kd_index.clear()
+        self._row_index.clear()
         self._sweep_parts = {}
-        if self._should_apply(delta):
-            self._apply_delta(delta)
-            self._bump("delta_ticks")
-            self._drop_overgrown()
-        else:
-            discarded = bool(
-                self._div_index or self._kd_index or self._row_index
-            )
-            self._div_index.clear()
-            self._kd_index.clear()
-            self._row_index.clear()
-            if discarded:
-                self._bump("rebuild_ticks")
         self._env = env
 
     def prepare(self, functions: Iterable[AggregateFunction]) -> None:
@@ -294,141 +251,6 @@ class IndexedEvaluator:
             else:
                 self._ensure_row_index(fn, compiled)
 
-    def _should_apply(self, delta: TableDelta | None) -> bool:
-        """The rebuild-or-patch decision: patch the retained structures
-        with *delta* (true) or discard them and rebuild lazily."""
-        if delta is None or self._env is None:
-            return False
-        if not (self._div_index or self._kd_index or self._row_index):
-            return False  # nothing retained to maintain
-        return delta.fraction <= _PATCH_FRACTION
-
-    def delta_budget(self, new_size: int) -> int:
-        """Largest delta (changed rows) the evaluator still patches with.
-
-        A change capture whose only consumer is this evaluator may bail
-        out past this many changed rows, since ``_should_apply`` would
-        discard the delta anyway.
-        """
-        return int(_PATCH_FRACTION * new_size)
-
-    def _apply_delta(self, delta: TableDelta) -> None:
-        for key, index in self._div_index.items():
-            keep = self._selections[key].build_filter
-            self._route_delta(index, keep, delta, self._div_update)
-        for name, index in self._kd_index.items():
-            compiled = self._compiled[name]
-            self._route_delta(
-                index,
-                compiled.build_filter,
-                delta,
-                lambda idx, old, new, c=compiled: self._kd_update(
-                    idx, c.shape, old, new
-                ),
-            )
-        for name, index in self._row_index.items():
-            keep = self._compiled[name].build_filter
-            self._route_delta(index, keep, delta, PartitionedIndex.update)
-
-    @staticmethod
-    def _route_delta(
-        index: PartitionedIndex, keep: Fn | None, delta: TableDelta, update
-    ) -> None:
-        """Filter delta rows through the structure's build predicate
-        *keep* and dispatch them to the hash layer's insert/delete/update
-        paths."""
-        for row in delta.inserted:
-            if keep is None or keep(row):
-                index.insert(row)
-        for row in delta.deleted:
-            if keep is None or keep(row):
-                index.delete(row)
-        for old, new in delta.updated:
-            old_in = keep is None or keep(old)
-            new_in = keep is None or keep(new)
-            if old_in and new_in:
-                update(index, old, new)
-            elif old_in:
-                index.delete(old)
-            elif new_in:
-                index.insert(new)
-
-    @staticmethod
-    def _div_update(index: PartitionedIndex, old, new) -> None:
-        """In-group update: evaluate each measure once per row, and skip
-        entirely when the update cannot move the divisible aggregates
-        (e.g. only a cooldown ticked under a position/health index)."""
-        old_key = index._cat_key(old)
-        if old_key == index._cat_key(new):
-            group = index.probe(old_key)
-            if group is not None:
-                old_values = group.values_of(old)
-                new_values = group.values_of(new)
-                if old_values == new_values and all(
-                    old[a] == new[a] for a in group.range_attrs
-                ):
-                    return
-                group.delete(old, old_values)
-                group.insert(new, new_values)
-                return
-        index.update(old, new)
-
-    def _kd_update(self, index: PartitionedIndex, shape, old, new) -> None:
-        """Replace the stored row in place when the position held still.
-
-        The kD-tree stores the row dicts themselves (probes return them
-        as records), so even a position-preserving update must swap in
-        the fresh row object -- other attributes may have changed.
-        """
-        ax, ay = shape.nearest_attrs
-        old_key = index._cat_key(old)
-        if (
-            old_key == index._cat_key(new)
-            and old[ax] == new[ax]
-            and old[ay] == new[ay]
-        ):
-            tree = index.probe(old_key)
-            row_key = old[self.key_attr]
-            if tree is not None and tree.replace_item(
-                (old[ax], old[ay]),
-                lambda item: item[self.key_attr] == row_key,
-                new,
-            ):
-                return
-        index.update(old, new)
-
-    def _drop_overgrown(self) -> None:
-        """Discard structures whose overlay/tombstone weight outgrew the
-        budget (``_OVERLAY_BUDGET`` of their size, and more than
-        ``_OVERLAY_MIN``); they rebuild lazily on their next probe.
-
-        Divisible indexes are gauged by *live* overlay weight -- changes
-        that the structure absorbed exactly (zero-dim totals, cancelled
-        insert/delete pairs) cost queries nothing and must not force
-        rebuilds at sustained low churn.  kD-trees are gauged by the
-        cumulative mutation count, since tombstones and unbalanced
-        dynamic leaves accumulate structurally even when they cancel
-        logically.
-        """
-        gauges = (
-            (
-                self._div_index,
-                lambda index: sum(
-                    group.overlay_size for group in index.groups.values()
-                ),
-            ),
-            (self._kd_index, lambda index: index.mutations),
-        )
-        for indexes, weigh in gauges:
-            for name in [
-                name
-                for name, index in indexes.items()
-                if weigh(index)
-                > max(_OVERLAY_MIN, int(_OVERLAY_BUDGET * len(index)))
-            ]:
-                del indexes[name]
-                self._bump("overlay_rebuilds")
-
     # -- static compilation -------------------------------------------------------
 
     def _compiled_shape(self, fn: AggregateFunction) -> _CompiledShape:
@@ -454,6 +276,25 @@ class IndexedEvaluator:
             compiled.centers = (cx, cy)
         self._compiled[fn.name] = compiled
         return compiled
+
+    def forget(self, name: str) -> None:
+        """Drop function *name*'s compiled shape and structures.  Its
+        selection is laid out anew for the functions still reading it,
+        or dropped when none does."""
+        compiled = self._compiled.pop(name, None)
+        self._kd_index.pop(name, None)
+        self._row_index.pop(name, None)
+        self._sweep_parts.pop(name, None)
+        if compiled is None or not compiled.selection:
+            return
+        key = compiled.selection
+        self._selections.pop(key, None)
+        self._div_index.pop(key, None)
+        for other in self._compiled.values():
+            if other.selection == key:
+                other.selection, other.measure_slot = self._join_selection(
+                    other.shape
+                )
 
     # -- the AggregateEvaluator protocol --------------------------------------------
 
@@ -597,8 +438,6 @@ class IndexedEvaluator:
                     self._filtered_rows(compiled),  # the selection's e-only filter
                     compiled.shape.cat_attrs,
                     factory=build_group,
-                    row_insert=GroupAggIndex.insert,
-                    row_delete=GroupAggIndex.delete,
                 )
             except Exception:
                 # a measure failing on some row fails the calls that read
@@ -643,13 +482,16 @@ class IndexedEvaluator:
         probed = on_grid = 0  # 2-d group probes, and those a grid answers
         planar = len(shape.range_attrs) == 2
         out = []
-        for groups in groups_of:
+        for f, groups in zip(frames, groups_of):
             if not groups:
                 out.append(empty)
                 continue
             bounds = next(bounds_of)
             if bounds is None:
                 out.append(empty)
+                continue
+            if bounds is SCAN:
+                out.append(self._scan(fn, f))
                 continue
             if planar:
                 probed += len(groups)
@@ -705,27 +547,12 @@ class IndexedEvaluator:
             shape = compiled.shape
             rows = self._filtered_rows(compiled)
             ax, ay = shape.nearest_attrs
-            key_attr = self.key_attr
-
-            def kd_insert(tree: KDTree, row) -> None:
-                tree.insert((row[ax], row[ay]), row)
-
-            def kd_delete(tree: KDTree, row) -> None:
-                row_key = row[key_attr]
-                if not tree.delete(
-                    (row[ax], row[ay]),
-                    lambda item: item[key_attr] == row_key,
-                ):
-                    raise KeyError(f"row {row_key!r} not in kd-tree")
-
             index = PartitionedIndex(
                 rows,
                 shape.cat_attrs,
                 factory=lambda group: KDTree(
                     [(r[ax], r[ay]) for r in group], group
                 ),
-                row_insert=kd_insert,
-                row_delete=kd_delete,
             )
             self._kd_index[fn.name] = index
         return index
@@ -755,14 +582,10 @@ class IndexedEvaluator:
         bounds_of = iter(probe.bounds(live))
         out: list = []
         for f, groups, center in zip(frames, groups_of, centers):
-            if center is None:
-                self._bump("probe_scan")
-                params = dict(zip(fn.params, f[1:]))  # not the ``e`` slot
-                out.append(
-                    evaluate_aggregate_scan(fn.spec, params, self._env.rows, f[0])
-                )
+            bounds = None if center is None else next(bounds_of)
+            if center is None or bounds is SCAN:
+                out.append(self._scan(fn, f))
                 continue
-            bounds = next(bounds_of)
             if bounds is None:
                 out.append(None)
                 continue
@@ -837,6 +660,9 @@ class IndexedEvaluator:
         for i, (bounds, (eq_vals, neq_vals)) in enumerate(
             zip(probe.bounds(frames), probe.cats(frames))
         ):
+            if bounds is SCAN:
+                out[i] = self._scan(fn, frames[i])
+                continue
             if bounds is None or self._has_null(eq_vals, neq_vals):
                 continue  # empty selection: ArgMin/ArgMax over nothing
             (xlo, xhi), (ylo, yhi) = bounds
@@ -940,6 +766,14 @@ class IndexedEvaluator:
                 )
             )
         return out
+
+    def _scan(self, fn: AggregateFunction, f: list) -> object:
+        """Frame *f*'s answer by the reference scan: for the probes an
+        index cannot answer (a NULL or NaN centre, a bound that is not a
+        real number)."""
+        self._bump("probe_scan")
+        params = dict(zip(fn.params, f[1:]))  # not the ``e`` slot
+        return evaluate_aggregate_scan(fn.spec, params, self._env.rows, f[0])
 
     def _filtered_rows(self, compiled: _CompiledShape) -> list:
         rows = self._env.rows

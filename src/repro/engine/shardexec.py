@@ -34,10 +34,8 @@ targets:
   or an epoch-chained ``DELTA``
   (:class:`~repro.env.sharding.ReplicaDelta`), each pickled at most
   once, plus the ids of the shards the worker decides this tick.  The
-  worker applies the update to its retained replica of ``E``, hands
-  the same delta to its evaluator -- which patches its retained indexes
-  or rebuilds them by the one rule every evaluator applies (few rows
-  changed: patch) -- runs its shards' decisions, and returns
+  worker applies the update to its retained replica of ``E``, runs its
+  shards' decisions over indexes rebuilt from that replica, and returns
   plain effect rows, :class:`~repro.engine.effects.AoeRecord` tuples,
   and an **epoch ack** the coordinator verifies;
 * **fault paths** degrade to snapshots, never to wrong answers: a
@@ -84,7 +82,7 @@ from ..env.sharding import (
     make_sharder,
     partition_rows,
 )
-from ..env.table import EnvironmentTable, TableDelta
+from ..env.table import EnvironmentTable
 from ..obs import NULL_REGISTRY, TID_WORKER_BASE, RegistryStats
 from ..serve.transport import (
     DEFAULT_MAX_FRAME,
@@ -163,10 +161,6 @@ class _WorkerState:
     """One worker session: the engine's decision stage over a replica."""
 
     def __init__(self, game: GameDefinition, payload: Mapping[str, object]):
-        # the replica always replays the delta (fewer bytes than a
-        # snapshot); whether the retained structures are patched with it
-        # or rebuilt is the evaluator's rule.  Snapshot ticks
-        # (delta=None) discard every retained structure.
         self.stage = DecisionStage(
             game,
             TickRandom(int(payload["seed"]), key_attr=game.schema.key),
@@ -186,18 +180,12 @@ class _WorkerState:
     # -- the decision stage ------------------------------------------------------
 
     def decide(
-        self,
-        tick: int,
-        shard_ids: list[int],
-        delta: TableDelta | None,
+        self, tick: int, shard_ids: list[int]
     ) -> list[tuple[int, list[dict[str, object]], list[AoeRecord]]]:
         """Run the decision stage for the given shards over the replica.
 
-        *delta* is this tick's replica change set (``None`` on snapshot
-        ticks); the evaluator patches its retained indexes with it or
-        rebuilds them.  Results come back per shard (tagged with the
-        shard id) so the parent's ⊕-merge keeps its ascending-shard-id
-        order.
+        Results come back per shard (tagged with the shard id) so the
+        parent's ⊕-merge keeps its ascending-shard-id order.
         """
         stage = self.stage
         rows = self.replica.rows
@@ -207,7 +195,7 @@ class _WorkerState:
         # the same partition as the coordinator's stage 0, so each
         # shard's units keep the flat row order
         parts = partition_rows(rows, self.num_shards, self.shard_of)
-        by_key = stage.begin_tick(env, delta, self.replica.by_key)
+        by_key = stage.begin_tick(env, self.replica.by_key)
         results = stage.decide(env, [parts[i] for i in shard_ids], by_key)
         return [
             (shard_id, effect_rows, aoe_records)
@@ -233,8 +221,8 @@ def _worker_loop(transport: SocketTransport, state: _WorkerState) -> bool:
             continue
         _, blob, tick, shard_ids = msg
         try:
-            delta = state.replica.apply(pickle.loads(blob))
-            results = state.decide(tick, shard_ids, delta)
+            state.replica.apply(pickle.loads(blob))
+            results = state.decide(tick, shard_ids)
             transport.send((REPLY_OK, state.replica.epoch, results))
         except StaleReplicaError:
             # replica cannot absorb this update; ask for a snapshot.

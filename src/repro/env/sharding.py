@@ -332,16 +332,11 @@ def apply_replica_delta(
     *,
     key_attr: str,
     replica_epoch: int,
-) -> tuple[list[object], TableDelta]:
-    """Replay *rd* against a keyed replica, returning the new row order
-    and an evaluator-ready :class:`~repro.env.table.TableDelta`.
+) -> list[object]:
+    """Replay *rd* against a keyed replica, returning the new row order.
 
-    The returned delta's old rows (``deleted`` and the first element of
-    each ``updated`` pair) are the replica's *own* row objects -- the
-    identical objects any retained index structures hold -- so it feeds
-    :meth:`~repro.engine.evaluator.IndexedEvaluator.begin_tick`'s
-    incremental maintenance directly.  Replaced rows are fresh dicts;
-    the old objects are never mutated in place.
+    Replaced rows are fresh dicts; the old objects are never mutated in
+    place, so a holder may keep an earlier epoch's rows by reference.
 
     Raises :class:`StaleReplicaError` when the replica is not at
     ``rd.base_epoch`` or its contents drifted (unknown keys, size
@@ -352,10 +347,9 @@ def apply_replica_delta(
             f"replica at epoch {replica_epoch}, delta applies to "
             f"{rd.base_epoch}"
         )
-    out = TableDelta(base_size=rd.new_size)
     try:
         for key in rd.deleted_keys:
-            out.deleted.append(replica.pop(key))
+            del replica[key]
         for key, patch in rd.updated:
             old = replica[key]
             new = dict(old)
@@ -365,7 +359,6 @@ def apply_replica_delta(
                 else:
                     new[attr] = value
             replica[key] = new
-            out.updated.append((old, new))
     except KeyError as exc:
         raise StaleReplicaError(f"replica is missing row {exc}") from exc
     inserted_keys = []
@@ -375,7 +368,6 @@ def apply_replica_delta(
             raise StaleReplicaError(f"insert of {key!r} already in replica")
         replica[key] = row
         inserted_keys.append(key)
-        out.inserted.append(row)
     if len(replica) != rd.new_size:
         raise StaleReplicaError(
             f"replica holds {len(replica)} rows after delta, "
@@ -392,7 +384,7 @@ def apply_replica_delta(
             new_order.insert(index, key)
     else:
         new_order = _predicted_order(order, rd.deleted_keys, inserted_keys)
-    return new_order, out
+    return new_order
 
 
 #: Epoch of a holder that has no replica yet (fresh, respawned, or
@@ -504,23 +496,19 @@ class ReplicaTable:
         self.by_key = None
         self.epoch = NO_REPLICA
 
-    def apply(self, update: tuple[object, ...]) -> TableDelta | None:
+    def apply(self, update: tuple[object, ...]) -> None:
         """Apply one decoded update blob (:func:`snapshot_blob` or
-        :func:`delta_blob`) -- the one decoder every holder uses.
-
-        A snapshot replaces the replica and returns ``None``; a delta
-        returns what :meth:`apply_delta` does.
-        """
+        :func:`delta_blob`) -- the one decoder every holder uses."""
         tag = update[0]
         if tag == UPDATE_SNAPSHOT:
             _, epoch, rows = update
             self.apply_snapshot(
                 cast(int, epoch), cast("list[dict[str, object]]", rows)
             )
-            return None
-        if tag == UPDATE_DELTA:
-            return self.apply_delta(cast(ReplicaDelta, update[1]))
-        raise ShardingError(f"unknown update tag {tag!r}")
+        elif tag == UPDATE_DELTA:
+            self.apply_delta(cast(ReplicaDelta, update[1]))
+        else:
+            raise ShardingError(f"unknown update tag {tag!r}")
 
     def apply_snapshot(self, epoch: int, rows: list[dict[str, object]]) -> None:
         """Replace the replica wholesale (takes ownership of *rows*)."""
@@ -535,13 +523,11 @@ class ReplicaTable:
         )
         self.epoch = epoch
 
-    def apply_delta(self, rd: ReplicaDelta) -> TableDelta:
-        """Advance the replica to ``rd.epoch``; returns the evaluator-ready
-        :class:`~repro.env.table.TableDelta` whose old rows are the
-        replica's own objects (what retained index structures hold)."""
+    def apply_delta(self, rd: ReplicaDelta) -> None:
+        """Advance the replica to ``rd.epoch``."""
         if self.by_key is None:
             raise StaleReplicaError("replica is not keyed; need a snapshot")
-        self.order, table_delta = apply_replica_delta(
+        self.order = apply_replica_delta(
             rd,
             self.by_key,
             self.order,
@@ -551,4 +537,3 @@ class ReplicaTable:
         by_key = self.by_key
         self.rows = [by_key[k] for k in self.order]
         self.epoch = rd.epoch
-        return table_delta

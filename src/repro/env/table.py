@@ -166,7 +166,7 @@ class EnvironmentTable:
 
 
 # ---------------------------------------------------------------------------
-# Change capture (incremental index maintenance)
+# Change capture (the replica feeds)
 # ---------------------------------------------------------------------------
 
 
@@ -174,11 +174,11 @@ class EnvironmentTable:
 class TableDelta:
     """Row-level difference between two keyed snapshots of ``E``.
 
-    Produced once per clock tick by :func:`diff_by_key`; consumed by the
-    indexed evaluator's incremental maintenance policy.  ``deleted`` and
+    Produced once per clock tick by :func:`diff_by_key` when a replica
+    feed is attached, and encoded for the wire by
+    :func:`~repro.env.sharding.encode_replica_delta`.  ``deleted`` and
     the first element of each ``updated`` pair are rows of the *old*
-    table (exactly the objects the retained index structures hold), so
-    index deletion can locate them by value or identity.
+    table.
     """
 
     inserted: list[dict[str, object]] = field(default_factory=list)
@@ -187,37 +187,21 @@ class TableDelta:
     updated: list[tuple[dict[str, object], dict[str, object]]] = field(
         default_factory=list
     )
-    #: Row count of the new table (denominator of :attr:`fraction`).
+    #: Row count of the new table.
     base_size: int = 0
 
     @property
     def changed(self) -> int:
         return len(self.inserted) + len(self.deleted) + len(self.updated)
 
-    @property
-    def fraction(self) -> float:
-        """Changed rows as a fraction of the new table (1.0 when empty)."""
-        return self.changed / self.base_size if self.base_size else 1.0
 
-
-def diff_by_key(
-    old: EnvironmentTable,
-    new: EnvironmentTable,
-    *,
-    max_changed: int | None = None,
-) -> TableDelta | None:
+def diff_by_key(old: EnvironmentTable, new: EnvironmentTable) -> TableDelta | None:
     """Diff two environment snapshots into inserted/deleted/updated rows.
 
     Both tables must be keyed on ``schema.key`` with identical schemas;
-    returns ``None`` (caller falls back to a full rebuild) when either
+    returns ``None`` (every feed falls back to a snapshot) when either
     holds duplicate keys, since a keyless multiset has no row identity
-    to maintain incrementally.
-
-    *max_changed* is an early-exit cutoff: once more than that many
-    changed rows are found the diff bails out with ``None``, so a
-    caller that would discard a too-large delta anyway (the indexed
-    evaluator above its patch threshold) does not pay for completing
-    it.
+    to ship a change against.
     """
     if old.schema != new.schema:
         return None
@@ -229,7 +213,6 @@ def diff_by_key(
     if len(old_by_key) != len(old.rows):  # catches same-object duplicates too
         return None
     delta = TableDelta(base_size=len(new))
-    budget = len(new) + len(old) if max_changed is None else max_changed
 
     seen: set[object] = set()
     for row in new.rows:
@@ -242,13 +225,7 @@ def diff_by_key(
             delta.inserted.append(row)
         elif old_row != row:
             delta.updated.append((old_row, row))
-        else:
-            continue
-        if delta.changed > budget:
-            return None
     for k, old_row in old_by_key.items():
         if k not in seen:
             delta.deleted.append(old_row)
-            if delta.changed > budget:
-                return None
     return delta

@@ -87,8 +87,10 @@ class BattleSimulation:
     **engine:
         Every other keyword is an :class:`~repro.engine.clock
         .EngineConfig` field -- that docstring is the knob reference.
-        All of the battle's measures are integer-valued, so trajectories
-        are bit-identical across every combination of engine knobs.
+        Trajectories are bit-identical across worker layouts at the same
+        ``num_shards``; the battle's summed measures and effects are
+        integer-valued, so they are also bit-identical across modes and
+        shard counts, where float sums run in a different order.
 
     The battle's :attr:`game` (also reachable as :attr:`schema`,
     :attr:`registry` and :attr:`scripts`) is what every decision runs:

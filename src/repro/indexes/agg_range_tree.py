@@ -45,9 +45,8 @@ Both structures also support **incremental maintenance**: ``insert`` /
 ``delete`` record changed elements in a small delta overlay that every
 query folds in (add inserted-in-range, subtract deleted-in-range --
 exact because moments form a group under merge/subtract).  The static
-arrays are never restructured; once the overlay outgrows the
-per-structure budget the maintenance policy in the indexed evaluator
-rebuilds from scratch, which is the paper's default anyway.
+arrays are never restructured.  The indexed evaluator does not call
+these: it rebuilds from scratch every tick, the paper's default.
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ The threshold is a constant read off data, not a knob.
 **Maintenance.**  ``insert``/``delete`` patch the cell lists in place,
 O(1) per row while cells stay small.  A row outside the built extent
 goes to an overflow list that every probe scans.  ``overlay_size``
-counts that list and the rows past ``_MAX_CELL_LOAD`` in any cell, so the
-evaluator's overlay budget rebuilds a grid its rows have walked out of
-or crowded into -- and the rebuild picks the tree if they still crowd.
+counts that list and the rows past ``_MAX_CELL_LOAD`` in any cell: the
+probe cost a caller pays for not rebuilding.  (The evaluator rebuilds
+every tick and calls neither.)
 
 **Answers.**  A probe tests each scanned row against the closed box and
 sums the same ``float`` measure values the tree's prefix arrays

@@ -157,8 +157,7 @@ class GroupAggIndex:
         Zero-dimensional groups fold every change into their totals with
         no residue, so their overlay is always empty.  Cancelled
         insert/delete pairs (a unit oscillating between two cells) also
-        leave no residue, which is why the maintenance policy gauges
-        this instead of a cumulative mutation count.
+        leave no residue.
         """
         if not self.range_attrs:
             return 0

@@ -69,9 +69,7 @@ class PartitionedIndex(Generic[SubIndex]):
         self._factory = factory
         self._row_insert = row_insert
         self._row_delete = row_delete
-        #: insert/delete operations since construction; the maintenance
-        #: policy compares this against the index size to decide when
-        #: accumulated overlay/tombstone weight warrants a full rebuild.
+        #: insert/delete operations since construction.
         self.mutations = 0
         self._cat_key = key_getter(attrs)
         groups: dict[tuple[Hashable, ...], list[Row]] = {}

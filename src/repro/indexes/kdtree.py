@@ -8,8 +8,8 @@ also supports incremental maintenance for the low-update-rate regime:
 tombstones nodes in place (tombstoned points still partition space, so
 search stays correct), and :meth:`replace_item` swaps a node's payload
 when only non-spatial attributes changed.  Heavy churn degrades balance
-and leaves dead weight, so the evaluator's maintenance policy rebuilds
-once the mutation count outgrows its budget.
+and leaves dead weight.  The indexed evaluator does not call these: it
+rebuilds every tick.
 
 The tree additionally bounds its own depth: each insert tracks the
 attach depth, and once a leaf would land deeper than ``4 * log2(n)``

@@ -21,8 +21,8 @@ replicas, so heavy read traffic never touches the simulation process:
   histograms, spatial k-NN) shared verbatim by the replica and the
   authoritative engine, which is what makes replica answers bit-exact;
 * :mod:`repro.serve.spectator` -- the :class:`SpectatorReplica` server
-  process (a replica of ``E`` plus a query engine whose indexes follow
-  the evaluator's rebuild-or-patch rule, answering queries pinned to a
+  process (a replica of ``E`` plus a query engine whose indexes are
+  rebuilt every epoch, answering queries pinned to a
   consistent tick epoch) and the :class:`SpectatorClient`
   request/response API.
 

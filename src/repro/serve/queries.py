@@ -8,21 +8,18 @@ is **one** evaluation code path, :class:`QueryEngine`, and both sides
 run it:
 
 * the :class:`~repro.serve.spectator.SpectatorReplica` keeps one
-  long-lived instance and hands it each epoch's
-  :class:`~repro.env.table.TableDelta`; its
-  :class:`~repro.engine.evaluator.IndexedEvaluator` patches or
-  rebuilds by the one rule every evaluator runs; whatever the previous
+  long-lived instance and hands it each epoch's replica rows; its
+  :class:`~repro.engine.evaluator.IndexedEvaluator` rebuilds its
+  indexes every epoch, as every evaluator does; whatever the previous
   epoch's queries probed (aggregate indexes, the k-NN tree) is rebuilt
   when the epoch is adopted, so a client's first query does not pay
   for it;
 * :class:`AuthoritativeQueryService` wraps a live
   :class:`~repro.engine.clock.SimulationEngine` with an instance over
-  the engine's own environment, begun without a delta.
+  the engine's own environment.
 
-Patched and freshly-built index structures answer identically (the
-equivalence property the repo's maintenance tests assert, exact
-whenever measure sums are exact in floating point), so the two sides
-agree bit for bit.
+Both sides build their indexes from the same rows in the same order,
+so they agree bit for bit, float measure sums included.
 
 Query kinds (the wire vocabulary of :class:`QueryRequest`):
 
@@ -35,8 +32,8 @@ Query kinds (the wire vocabulary of :class:`QueryRequest`):
     An aggregate *compiled from source* -- the client ships a
     ``function F(...) returns SELECT ...`` definition in the paper's
     restricted SQL fragment; the engine compiles it once (cached by
-    source text), classifies its shape, and probes/retains exactly the
-    index the shape calls for.
+    source text, the ``_SGL_CACHE`` most recently asked), classifies
+    its shape, and probes exactly the index the shape calls for.
 ``team_counts`` / ``hp_histogram``
     Canned aggregates over a categorical attribute / bucketed numeric
     attribute.
@@ -53,12 +50,14 @@ they pickle safely across the wire and compare with ``==``.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from ..engine.evaluator import IndexedEvaluator
-from ..env.table import EnvironmentTable, TableDelta
+from ..env.table import EnvironmentTable
 from ..indexes.kdtree import KDTree
 from ..obs import StatCounters
 from ..sgl.builtins import AggregateFunction, FunctionRegistry
@@ -81,6 +80,10 @@ CANNED_KINDS = frozenset({"team_counts", "hp_histogram", "knn"})
 
 #: Marker tuple tag for arguments that reference a replica row by key.
 _UNIT_REF = "$unit"
+
+#: Compiled ``sgl`` query sources a :class:`QueryEngine` keeps; past it
+#: the least recently asked is evicted, with its evaluator state.
+_SGL_CACHE = 64
 
 
 def unit_ref(key: object) -> tuple[str, object]:
@@ -192,11 +195,9 @@ def _no_query_random(row, i):  # pragma: no cover - guarded by analysis
 class QueryEngine:
     """Evaluates :class:`QueryRequest`\\ s against one environment state.
 
-    :meth:`begin` adopts each new state.  The evaluator decides from the
-    delta it is handed whether to patch its retained indexes or drop
-    them -- the one rule every evaluator runs -- and ``begin`` then
-    builds what the previous state's queries probed; anything else is
-    built on its first query.
+    :meth:`begin` adopts each new state: the evaluator drops its
+    indexes, and ``begin`` builds what the previous state's queries
+    probed; anything else is built on its first query.
     """
 
     def __init__(self, schema: "Schema", registry: FunctionRegistry):
@@ -205,7 +206,9 @@ class QueryEngine:
         self.evaluator = IndexedEvaluator(registry, key_attr=schema.key)
         self._env: EnvironmentTable | None = None
         self._by_key: dict[object, dict[str, object]] | None = None
-        self._sgl: dict[str, AggregateFunction] = {}
+        #: source -> compiled query, least recently asked first
+        self._sgl: OrderedDict[str, AggregateFunction] = OrderedDict()
+        self._sgl_names = itertools.count()  # mangled-name suffixes
         self._knn: KDTree | None = None
         #: what queries probed since the last begin: aggregates by
         #: (mangled) name, and whether a knn query was answered
@@ -217,21 +220,14 @@ class QueryEngine:
 
     # -- state lifecycle ----------------------------------------------------------
 
-    def begin(
-        self, env: EnvironmentTable, delta: TableDelta | None = None
-    ) -> None:
+    def begin(self, env: EnvironmentTable) -> None:
         """Adopt a new environment state.
-
-        *delta* is the change set from the previously-begun state (what
-        :meth:`~repro.env.sharding.ReplicaTable.apply` returns);
-        ``None`` means a discontinuity (snapshot), which drops every
-        retained structure.
 
         The previous state's queries are the best guess at this one's,
         so what they probed is built here, while the feed is applied,
         instead of on a client's first query.
         """
-        self.evaluator.begin_tick(env, delta=delta)
+        self.evaluator.begin_tick(env)
         self._env = env
         self._by_key = None  # rebuilt lazily; rows may be brand new dicts
         self._knn = None
@@ -284,7 +280,9 @@ class QueryEngine:
 
     def _compile_sgl(self, source: str) -> AggregateFunction:
         fn = self._sgl.get(source)
-        if fn is None:
+        if fn is not None:
+            self._sgl.move_to_end(source)
+        else:
             try:
                 parsed = parse_sql_function(source)
             except SglError as exc:
@@ -300,12 +298,16 @@ class QueryEngine:
             # indexes are per selection, which the query joins (a new
             # measure widens it and drops the retained index once)
             fn = AggregateFunction(
-                name=f"{parsed.name}@sgl{len(self._sgl)}",
+                name=f"{parsed.name}@sgl{next(self._sgl_names)}",
                 params=parsed.params,
                 spec=parsed.spec,
             )
             self._sgl[source] = fn
             self._bump("sgl_compiled")
+            if len(self._sgl) > _SGL_CACHE:
+                _, evicted = self._sgl.popitem(last=False)
+                self.evaluator.forget(evicted.name)
+                self._probed.pop(evicted.name, None)
         return fn
 
     def _resolve_args(self, args: tuple) -> list[object]:

@@ -11,10 +11,10 @@ run against), that
   epoch-versioned snapshot/delta stream (late join, stale epoch, and
   dropped-feed handling exactly as the shard workers do it);
 * hands every applied update to a long-lived
-  :class:`~repro.serve.queries.QueryEngine`, whose evaluator patches
-  its retained indexes with the delta or drops them by the same rule
-  the decision workers run, and which rebuilds what the previous
-  epoch's queries probed before it answers at the new epoch;
+  :class:`~repro.serve.queries.QueryEngine`, whose evaluator drops its
+  indexes with every epoch, as the decision workers' do, and which
+  rebuilds what the previous epoch's queries probed before it answers
+  at the new epoch;
 * listens on its own loopback/TCP port and answers
   :class:`~repro.serve.queries.QueryRequest`\\ s from any number of
   :class:`SpectatorClient`\\ s, each answer pinned to one consistent
@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 from ..env.sharding import (
     NO_REPLICA,
+    UPDATE_SNAPSHOT,
     ReplicaTable,
     StaleReplicaError,
 )
@@ -148,7 +149,7 @@ class _SpectatorServer:
         indexes; *frame* is the update as received (the history keeps
         a delta's frame, not the decoded delta)."""
         try:
-            delta = self.replica.apply(update)
+            self.replica.apply(update)
         except StaleReplicaError:
             # can't absorb this delta; drop the replica (it may have
             # half-applied) and ask the publisher for a snapshot
@@ -156,8 +157,8 @@ class _SpectatorServer:
             self.stale_reports += 1
             self.feed.send((SUB_STALE, NO_REPLICA))
             return
-        self.engine.begin(self._replica_env(), delta=delta)
-        if delta is None:
+        self.engine.begin(self._replica_env())
+        if update[0] == UPDATE_SNAPSHOT:
             self.snapshots_applied += 1
             self._history_engine = None
             if self.history is not None:
@@ -359,7 +360,7 @@ class _SpectatorServer:
         env = EnvironmentTable(self.game.schema)
         env.rows.extend(rows)
         engine = QueryEngine(self.game.schema, self.game.registry)
-        engine.begin(env, delta=None)
+        engine.begin(env)
         self._history_engine = (epoch, engine)
         return engine
 

@@ -24,7 +24,7 @@ def stage_tick(stage, env):
     """One decision stage over every unit of *env*, as the engine runs
     it: arm, decide, resolve deferred AoE, ⊕ the effects into *env*."""
     registry = stage.game.registry
-    by_key = stage.begin_tick(env, None)
+    by_key = stage.begin_tick(env)
     ((rows, aoe),) = stage.decide(env, [env.rows], by_key)
     shapes = {name: classify_action(fn.spec) for name, fn in registry.actions.items()}
     effects = EnvironmentTable(env.schema)

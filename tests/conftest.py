@@ -8,7 +8,6 @@ import pytest
 
 from repro.algebra.shapes import classify_action
 from repro.engine.effects import resolve_aoe
-from repro.engine.evaluator import _PATCH_FRACTION
 from repro.engine.rng import TickRandom
 from repro.env.combine import combine_all
 from repro.env.schema import battle_schema
@@ -111,26 +110,3 @@ def no_thread_leaks():
     before = set(threading.enumerate())
     yield
     assert_no_thread_leaks(before)
-
-
-#: ``_PATCH_FRACTION`` per rebuild-or-patch regime a test pins: never
-#: patch, always patch, or the evaluator's own rule.
-PATCH_REGIMES = {"rebuild": -1.0, "incremental": 1.0, "auto": _PATCH_FRACTION}
-
-
-def pin_patch_regime(monkeypatch, regime):
-    """Pin the evaluator's rebuild-or-patch threshold to *regime* (a
-    key of :data:`PATCH_REGIMES`) for the rest of the test.  Reaches the
-    evaluators of this process only, not those of worker processes."""
-    monkeypatch.setattr(
-        "repro.engine.evaluator._PATCH_FRACTION", PATCH_REGIMES[regime]
-    )
-
-
-@pytest.fixture()
-def force_patching(monkeypatch):
-    """Patch the retained indexes with every usable delta, however
-    large.  A battle tick changes most rows, which the default rule
-    rebuilds; this is how battle tests reach the overlay, kD-tree and
-    hash-layer patch paths."""
-    pin_patch_regime(monkeypatch, "incremental")

@@ -760,6 +760,45 @@ class TestSqlBuiltins:
                 assert combine_effects(env, registry, rows, aoe) == \
                     combine_effects(env, registry, want), fn.name
 
+    @pytest.mark.parametrize("bound", ["5", True, 10**400, 4])
+    def test_aoe_with_a_non_real_bound_matches_the_scan(
+        self, bound, schema, registry
+    ):
+        """A bound that is not a real number is compared by the scan,
+        as the naive engine compares it, not turned into a float."""
+        extended = registry.copy()
+        extended.register_sql(HEAL_BOX_SQL)
+        fn = extended.actions["HealBox"]
+        assert classify_action(fn.spec).kind == "aoe"
+        action = compile_action(fn, extended, indexed=True)
+        env = make_env(schema, n=8, grid=10, seed=6)
+        by_key = env.by_key()
+        for unit in env.rows:
+            args = [unit, bound, 1000]
+            rt = EvalContext(env=env, registry=extended,
+                             agg_eval=NaiveEvaluator(), rng=None, unit=unit)
+
+            def compiled():
+                rows, aoe = [], []
+                action(rt, args, by_key, rows, aoe)
+                return combine_effects(env, extended, rows, aoe)
+
+            want = outcome(lambda: combine_effects(
+                env, extended,
+                apply_action_scan(fn.spec, dict(zip(fn.params, args)), rt),
+            ))
+            assert outcome(compiled) == want
+
+
+#: An area action whose box comes straight from its arguments.
+HEAL_BOX_SQL = """
+function HealBox(u, lo, hi) returns
+SELECT e.key, nonsql_max(e.inaura, _HEAL_AURA) AS inaura
+FROM E e
+WHERE u.player = e.player
+  AND e.posx >= lo AND e.posx <= hi AND e.posy >= lo AND e.posy <= hi;
+"""
+
 
 class TestRowClosureRegressions:
     """The drift the e-only closures used to have (NULL, /0, missing attr)."""

@@ -14,7 +14,7 @@ from repro.engine.evaluator import (
     NaiveEvaluator,
     empty_aggregate_result,
 )
-from repro.env.table import EnvironmentTable, diff_by_key
+from repro.env.table import EnvironmentTable
 from repro.game.battle import BattleSimulation
 from repro.game.units import unit_row
 from repro.indexes.cell_grid import _MAX_CELL_LOAD
@@ -278,8 +278,8 @@ class TestSharedSelections:
         qe = QueryEngine(schema, registry)
         naive = NaiveEvaluator()
 
-        def check(new_env, delta=None):
-            qe.begin(new_env, delta)
+        def check(new_env):
+            qe.begin(new_env)
             ctx = make_ctx(new_env, registry, naive, None)
             if registered_first:  # the battle aggregate builds the index
                 for unit in new_env.rows[:4]:
@@ -304,8 +304,8 @@ class TestSharedSelections:
         for row in new_env.rows[:3]:
             row["health"] -= 1
             row["posx"] += 1
-        check(new_env, diff_by_key(env, new_env))
-        assert qe.evaluator.stats.get("delta_ticks") == 1
+        check(new_env)
+        assert len(qe.evaluator._div_index) == 1
 
     def test_a_failing_measure_fails_only_its_own_reader(self, registry, schema):
         """A query whose measure no row can evaluate joins the shared
@@ -477,6 +477,106 @@ class TestNullProbeValues:
         self.both_ways(
             null_registry, battle, "SameCount", lambda u: (None,), "divisible"
         )
+
+
+#: Range bounds taken straight from an argument, for each strategy.
+BOUND_SQL = """
+function FromX(x) returns
+SELECT Count(*) AS n FROM E e WHERE e.posx >= x AND e.posx <= 1000;
+
+function NearestFromX(x) returns
+SELECT ArgMin(e.posx * e.posx + e.posy * e.posy) FROM E e WHERE e.posx >= x;
+
+function WeakestFromX(x, lo, hi) returns
+SELECT ArgMin(health) FROM E e
+WHERE e.posx >= x AND e.posx <= hi AND e.posy >= lo AND e.posy <= hi;
+"""
+
+#: Each function of ``BOUND_SQL``, its strategy, and its arguments
+#: around the bound under test.
+BOUND_CALLS = [
+    ("FromX", "divisible", lambda x: [x]),
+    ("NearestFromX", "nearest", lambda x: [x]),
+    ("WeakestFromX", "extreme", lambda x: [x, -1000, 1000]),
+]
+
+
+class TestNonRealProbeBounds:
+    """A bound that is not a real number (a numeric string, an int
+    beyond float range) compares with rows only as the naive scan
+    compares it, so the indexed evaluator answers that frame with the
+    scan: the oracle's answer or its exception, an empty selection
+    included.  A bool compares as the int it is."""
+
+    @pytest.fixture(scope="class")
+    def bound_registry(self, registry):
+        extended = registry.copy()
+        extended.register_sql(BOUND_SQL)
+        return extended
+
+    @staticmethod
+    def outcome(thunk):
+        try:
+            return ("ok", thunk())
+        except Exception as exc:  # noqa: BLE001 - compared by class
+            return ("raised", type(exc))
+
+    def check(self, registry, env, fn_name, kind, arg_rows):
+        fn = registry.aggregates[fn_name]
+        indexed = IndexedEvaluator(registry)
+        assert indexed._compiled_shape(fn).shape.kind == kind
+        indexed.begin_tick(env)
+        naive = NaiveEvaluator()
+        ctx = make_ctx(env, registry, naive, None)
+        for args in arg_rows:
+            want = self.outcome(lambda: naive.evaluate(fn, args, ctx))
+            got = self.outcome(
+                lambda: indexed.evaluate(
+                    fn, args, make_ctx(env, registry, indexed, None)
+                )
+            )
+            assert got == want, (fn_name, args)
+        # one batch: the first failing frame's error, or every answer
+        want = self.outcome(
+            lambda: [naive.evaluate(fn, args, ctx) for args in arg_rows]
+        )
+        got = self.outcome(
+            lambda: indexed.evaluate_batch(
+                fn,
+                arg_rows,
+                [make_ctx(env, registry, indexed, None)] * len(arg_rows),
+            )
+        )
+        assert got == want, fn_name
+        return indexed
+
+    @pytest.mark.parametrize(
+        "fn_name, kind, args", BOUND_CALLS, ids=[c[0] for c in BOUND_CALLS]
+    )
+    @pytest.mark.parametrize("n", [10, 0])
+    def test_string_bound_matches_the_naive_scan(
+        self, bound_registry, schema, fn_name, kind, args, n
+    ):
+        env = make_env(schema, n=n, grid=10, seed=2)
+        self.check(bound_registry, env, fn_name, kind, [args("5")])
+
+    @pytest.mark.parametrize("bound", [True, 10**400, 3, 2.5])
+    def test_other_bounds_match_the_naive_scan(
+        self, bound_registry, schema, bound
+    ):
+        env = make_env(schema, n=10, grid=10, seed=2)
+        for fn_name, kind, args in BOUND_CALLS:
+            self.check(bound_registry, env, fn_name, kind, [args(bound)])
+
+    def test_scanned_frames_in_a_real_batch(self, bound_registry, schema):
+        env = make_env(schema, n=10, grid=10, seed=2)
+        bounds = [2, True, 10**400, 7.5]
+        for fn_name, kind, args in BOUND_CALLS:
+            indexed = self.check(
+                bound_registry, env, fn_name, kind, [args(b) for b in bounds]
+            )
+            # 10**400: once called alone, once in the batch
+            assert indexed.stats.get("probe_scan") == 2, fn_name
 
 
 class TestGridOrTree:

@@ -1,26 +1,22 @@
-"""Delta-driven index maintenance in the indexed evaluator and engine.
+"""Index upkeep between ticks in the indexed evaluator and engine.
 
-Covers the rebuild-or-patch rule, the equivalence of patched structures
-with freshly built ones, change capture in the tick loop, a low-churn
-game that the default engine patches, and the decision stage's one
-runner per script.
+Every tick drops the retained indexes and rebuilds each on its first
+probe, as the paper does.  Covers that rebuilt indexes answer as the
+naive scan does across generations of a changing environment, change
+capture in the tick loop (only for the replica feeds), a low-churn game
+played alike naive and in workers, and the decision stage's one runner
+per script.
 """
 
-import pytest
-
 from repro.api import GameDefinition, compile_script
-from repro.engine.evaluator import (
-    _PATCH_FRACTION,
-    IndexedEvaluator,
-    NaiveEvaluator,
-)
+from repro.engine.evaluator import IndexedEvaluator, NaiveEvaluator
 from repro.engine.postprocess import example_41_postprocess
-from repro.env.table import EnvironmentTable, diff_by_key
+from repro.env.table import EnvironmentTable
 from repro.game.battle import BattleSimulation
 from repro.game.scripts import build_registry
 from repro.serve.transport import SocketTransport
 from repro.sgl.evalterm import EvalContext
-from tests.conftest import make_env, pin_patch_regime
+from tests.conftest import make_env
 
 
 def make_ctx(env, registry, agg_eval, unit):
@@ -78,129 +74,43 @@ class TestEvaluatorDeltaMaintenance:
                 out.append(evaluator.evaluate(fn, list(args_for(unit)), ctx))
         return out
 
-    @pytest.mark.parametrize(
-        "maintenance, n, movers",
-        # the default rule only patches deltas sized under its fraction
-        [("incremental", 30, 4), ("auto", 60, 2)],
-    )
-    def test_patched_indexes_match_naive_across_generations(
-        self, schema, registry, monkeypatch, maintenance, n, movers
+    def test_rebuilt_indexes_match_naive_across_generations(
+        self, schema, registry
     ):
-        pin_patch_regime(monkeypatch, maintenance)
-        env = make_env(schema, n=n, grid=30, seed=21)
+        env = make_env(schema, n=30, grid=30, seed=21)
         evaluator = IndexedEvaluator(registry)
         naive = NaiveEvaluator()
         evaluator.begin_tick(env)
         self.probe_all(evaluator, env, registry)  # build the structures
 
         for step in range(1, 5):
-            new_env = evolve(env, step, movers)
-            delta = diff_by_key(env, new_env)
-            assert delta is not None and delta.changed > 0
-            if maintenance == "auto":
-                assert delta.fraction <= _PATCH_FRACTION
-            evaluator.begin_tick(new_env, delta=delta)
-            env = new_env
+            env = evolve(env, step)
+            evaluator.begin_tick(env)
             got = self.probe_all(evaluator, env, registry)
-            expected = self.probe_all(naive, env, registry)
-            assert got == expected
-        assert evaluator.stats.get("delta_ticks", 0) == 4
+            assert got == self.probe_all(naive, env, registry)
+        assert evaluator.stats.get("rebuild_ticks") == 4
 
-    @pytest.mark.parametrize(
-        "maintenance, n, movers", [("incremental", 30, 4), ("auto", 60, 2)]
-    )
-    def test_shared_index_mixing_avg_and_stddev(
-        self, schema, registry, monkeypatch, maintenance, n, movers
-    ):
-        pin_patch_regime(monkeypatch, maintenance)
-        env = make_env(schema, n=n, grid=30, seed=22)
+    def test_shared_index_mixing_avg_and_stddev(self, schema, registry):
+        env = make_env(schema, n=30, grid=30, seed=22)
         evaluator = IndexedEvaluator(registry)
         naive = NaiveEvaluator()
-        evaluator.begin_tick(env)
-        self.probe_all(evaluator, env, registry, SHARED_CALLS)
-        (shared,) = evaluator._div_index.values()
         for step in range(1, 5):
-            new_env = evolve(env, step, movers)
-            evaluator.begin_tick(new_env, delta=diff_by_key(env, new_env))
-            env = new_env
+            env = evolve(env, step)
+            evaluator.begin_tick(env)
             got = self.probe_all(evaluator, env, registry, SHARED_CALLS)
             assert got == self.probe_all(naive, env, registry, SHARED_CALLS)
-        assert evaluator.stats.get("delta_ticks", 0) == 4
-        # one index for all three readers, patched and never rebuilt
-        assert list(evaluator._div_index.values()) == [shared]
+            # one index for all three readers
+            assert len(evaluator._div_index) == 1
 
-    def test_auto_rebuilds_above_threshold(self, schema, registry):
-        env = make_env(schema, n=20, grid=30, seed=3)
-        evaluator = IndexedEvaluator(registry)
-        evaluator.begin_tick(env)
-        self.probe_all(evaluator, env, registry)
-        new_env = evolve(env, 1)  # a quarter of the rows move
-        delta = diff_by_key(env, new_env)
-        assert delta.fraction > _PATCH_FRACTION
-        evaluator.begin_tick(new_env, delta=delta)
-        assert evaluator.stats.get("rebuild_ticks") == 1
-        assert not evaluator._div_index and not evaluator._kd_index
-
-    def test_auto_applies_below_threshold(self, schema, registry):
-        env = make_env(schema, n=30, grid=30, seed=4)
-        evaluator = IndexedEvaluator(registry)
-        evaluator.begin_tick(env)
-        self.probe_all(evaluator, env, registry)
-        new_env = env.copy()
-        new_env.rows[0]["posx"] = (new_env.rows[0]["posx"] + 1) % 30
-        delta = diff_by_key(env, new_env)
-        assert 0 < delta.fraction <= _PATCH_FRACTION
-        evaluator.begin_tick(new_env, delta=delta)
-        assert evaluator.stats.get("delta_ticks") == 1
-        assert evaluator._div_index  # structures survived
-
-    def test_missing_delta_forces_rebuild(self, schema, registry):
+    def test_begin_tick_drops_every_structure(self, schema, registry):
         env = make_env(schema, n=10, seed=5)
         evaluator = IndexedEvaluator(registry)
         evaluator.begin_tick(env)
         self.probe_all(evaluator, env, registry)
-        evaluator.begin_tick(env, delta=None)
-        assert not evaluator._div_index
+        assert evaluator._div_index and evaluator._kd_index
+        evaluator.begin_tick(env)
+        assert not evaluator._div_index and not evaluator._kd_index
         assert evaluator.stats.get("rebuild_ticks") == 1
-
-    def test_overlay_budget_drops_structures(
-        self, schema, registry, force_patching
-    ):
-        env = make_env(schema, n=20, grid=30, seed=6)
-        evaluator = IndexedEvaluator(registry)
-        evaluator.begin_tick(env)
-        self.probe_all(evaluator, env, registry)
-        # churn far past the budget: every row moves for many generations
-        for step in range(1, 40):
-            new_env = evolve(env, step)
-            delta = diff_by_key(env, new_env)
-            evaluator.begin_tick(new_env, delta=delta)
-            env = new_env
-            self.probe_all(evaluator, env, registry)
-        assert evaluator.stats.get("overlay_rebuilds", 0) > 0
-
-    def test_cancelling_churn_retains_divisible_structures(
-        self, schema, registry
-    ):
-        # one unit oscillating between two cells leaves no live overlay
-        # residue, so sustained low churn must never force a divisible
-        # rebuild (the policy gauges live weight, not cumulative ops)
-        env = make_env(schema, n=30, grid=30, seed=8)
-        evaluator = IndexedEvaluator(registry)
-        evaluator.begin_tick(env)
-        self.probe_all(evaluator, env, registry)
-        div_ids = {n: id(i) for n, i in evaluator._div_index.items()}
-        assert div_ids
-        for step in range(80):
-            new_env = env.copy()
-            row = new_env.rows[0]
-            row["posx"] += 1 if step % 2 == 0 else -1
-            delta = diff_by_key(env, new_env)
-            evaluator.begin_tick(new_env, delta=delta)
-            env = new_env
-        assert {n: id(i) for n, i in evaluator._div_index.items()} == div_ids
-        got = self.probe_all(evaluator, env, registry)
-        assert got == self.probe_all(NaiveEvaluator(), env, registry)
 
 
 class TestEngineWiring:
@@ -209,20 +119,25 @@ class TestEngineWiring:
         sim.run(2)  # must not attempt capture / delta plumbing
         assert sim.summary.ticks == 2
 
-    def test_delta_captured_and_consumed(self, force_patching):
-        sim = BattleSimulation(20, seed=2)
-        sim.tick()
-        assert sim.engine._pending_delta is not None
-        sim.tick()
-        stats = sim.engine.agg_eval.stats
-        assert stats.get("delta_ticks", 0) >= 1
+    def test_delta_captured_and_consumed(self, tmp_path):
+        """The tick diffs its state only for an attached feed, which
+        gets the delta; a flat engine with nothing attached never
+        diffs."""
+        with BattleSimulation(20, seed=2) as sim:
+            sim.run(2)
+            assert sim.engine._update.delta is None
+        path = str(tmp_path / "battle.log")
+        with BattleSimulation(20, seed=2, epoch_log=path) as sim:
+            sim.run(2)
+            assert sim.engine._update.delta is not None
+            assert sim.engine.epoch_log.stats.delta_records == 2
 
     def test_auto_leaves_the_replica_feeds_on_deltas(self, tmp_path):
-        """Regression: the evaluator's delta budget once cut short the
-        one diff the epoch log and the spectator feed also consume; on a
+        """Regression: an evaluator-side delta budget once cut short
+        the one diff the epoch log and the spectator feed consume; on a
         churning battle the diff bailed out and both fell back to
-        snapshots.  The feeds get the whole diff; the evaluator, which
-        would rebuild anyway, is not handed it."""
+        snapshots.  The feeds get the whole diff; the evaluator
+        rebuilds every tick."""
         ticks = 6
         with BattleSimulation(
             120, density=0.02, seed=3, spectators=True,
@@ -242,9 +157,7 @@ class TestEngineWiring:
             # the joiner's first update is its snapshot
             assert engine.publisher.stats.delta_sends == ticks - 1
             stats = engine.agg_eval.stats
-            assert stats.get("rebuild_ticks") == ticks - 1  # it churns
-            assert stats.get("delta_ticks", 0) == 0
-            assert engine._pending_delta is None  # no doomed delta kept
+            assert stats.get("rebuild_ticks") == ticks - 1
 
     def test_maintenance_time_recorded(self):
         sim = BattleSimulation(20, seed=2)
@@ -254,9 +167,8 @@ class TestEngineWiring:
 
 
 class TestLowChurnGame:
-    """A game where most units idle: its ticks change few rows, so the
-    default engine patches its retained indexes every tick after the
-    first -- and plays exactly the naive and the process-worker game."""
+    """A game where most units idle: its ticks change few rows, and the
+    engine plays exactly the naive and the process-worker game."""
 
     #: one unit in twenty walks toward its nearest enemy
     WALKER = """
@@ -298,10 +210,10 @@ class TestLowChurnGame:
             engine.run(self.TICKS)
             return self.signature(schema, engine.env), engine.agg_eval
 
-    def test_default_engine_patches_and_plays_the_same_game(self, schema):
+    def test_plays_the_same_game_naive_and_in_workers(self, schema):
         signature, evaluator = self.run(schema)
         assert signature != self.signature(schema, self.world(schema))
-        assert evaluator.stats.get("delta_ticks", 0) >= self.TICKS - 1
+        assert evaluator.stats.get("rebuild_ticks") == self.TICKS - 1
         assert signature == self.run(schema, mode="naive")[0]
         workers = self.run(
             schema, num_shards=2, parallelism="processes", max_workers=2

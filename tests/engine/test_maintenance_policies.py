@@ -1,7 +1,6 @@
-"""The rebuild-or-patch rule, and sweeps that never outlive their tick."""
+"""Sweeps that never outlive their tick."""
 
-from repro.engine.evaluator import _PATCH_FRACTION, IndexedEvaluator, NaiveEvaluator
-from repro.env.table import TableDelta, diff_by_key
+from repro.engine.evaluator import IndexedEvaluator, NaiveEvaluator
 from repro.sgl.evalterm import EvalContext
 from tests.conftest import make_env
 
@@ -17,45 +16,11 @@ def make_ctx(env, registry, agg_eval, unit):
     )
 
 
-def inserts(count, base_size):
-    delta = TableDelta(base_size=base_size)
-    delta.inserted = [{"key": i} for i in range(count)]
-    return delta
-
-
-class TestPatchOrRebuildRule:
-    """Patch while at most ``_PATCH_FRACTION`` of the rows changed,
-    rebuild above it -- decided from the delta alone."""
-
-    def retaining(self, registry):
-        evaluator = IndexedEvaluator(registry)
-        evaluator._env = object()
-        evaluator._div_index["x"] = object()  # pretend something is retained
-        return evaluator
-
-    def test_auto_patches_up_to_the_fraction_and_rebuilds_above(
-        self, registry
-    ):
-        evaluator = self.retaining(registry)
-        at = int(_PATCH_FRACTION * 1000)
-        assert evaluator._should_apply(inserts(0, 1000))
-        assert evaluator._should_apply(inserts(at, 1000))
-        assert not evaluator._should_apply(inserts(at + 1, 1000))
-        assert not evaluator._should_apply(inserts(1000, 1000))
-
-    def test_delta_budget_is_the_largest_delta_auto_patches(self, registry):
-        evaluator = self.retaining(registry)
-        budget = evaluator.delta_budget(400)
-        assert budget == int(_PATCH_FRACTION * 400)
-        assert evaluator._should_apply(inserts(budget, 400))
-        assert not evaluator._should_apply(inserts(budget + 1, 400))
-
-
 class TestSweepBatchReuse:
     """Figure-9 sweeps are never carried across ticks: every tick's
-    call-site batch sweeps that tick's sources, so a delta touching the
-    source partition or the probing units always shows in the answers,
-    whether the retained indexes were patched or rebuilt."""
+    call-site batch sweeps that tick's sources, so a change touching
+    the source partition or the probing units always shows in the
+    answers."""
 
     FN = "WeakestWoundedFriendlyInRange"
 
@@ -84,7 +49,7 @@ class TestSweepBatchReuse:
         self.probe_all(evaluator, env, registry, probe_keys)
         first = evaluator.stats.get("build_sweep")
         assert first
-        evaluator.begin_tick(new, delta=diff_by_key(env, new))
+        evaluator.begin_tick(new)
         got = self.probe_all(evaluator, new, registry, probe_keys)
         want = self.probe_all(NaiveEvaluator(), new, registry, probe_keys)
         assert got == want
@@ -113,7 +78,7 @@ class TestSweepBatchReuse:
         self.probe_all(evaluator, env, registry, probe_keys)
         # same env, but one probe left the batch
         kept = set(sorted(probe_keys)[:-1])
-        evaluator.begin_tick(env, delta=diff_by_key(env, env.copy()))
+        evaluator.begin_tick(env.copy())
         got = self.probe_all(evaluator, env, registry, kept)
         want = self.probe_all(NaiveEvaluator(), env, registry, kept)
         assert got == want and len(got) == len(kept)

@@ -41,11 +41,6 @@ def test_trace_and_watchdog_do_not_perturb_trajectory(tmp_path):
     )
 
 
-def test_incremental_maintenance_trajectory_with_metrics(force_patching):
-    base = signature()
-    assert base == signature(metrics=True)
-
-
 # -- disabled metrics are a true no-op ----------------------------------------
 
 

@@ -17,7 +17,6 @@ import pickle
 
 import pytest
 
-from repro.engine.evaluator import _PATCH_FRACTION
 from repro.engine.shardexec import (
     MSG_STOP,
     MSG_TICK,
@@ -119,7 +118,8 @@ class TestReplicaDeltaWireFormat:
         rd = encode(env, new)
         replica = {r["key"]: r for r in env.rows}
         old_objects = dict(replica)
-        order, table_delta = apply_replica_delta(
+        old_values = {k: dict(r) for k, r in replica.items()}
+        order = apply_replica_delta(
             rd,
             replica,
             [r["key"] for r in env.rows],
@@ -128,13 +128,15 @@ class TestReplicaDeltaWireFormat:
         )
         rebuilt = [replica[k] for k in order]
         assert rebuilt == new.rows
-        # the delta's old rows are the replica's own objects -- exactly
-        # what retained index structures hold, so incremental
-        # maintenance can delete by identity
-        assert table_delta.deleted[0] is old_objects[env.rows[5]["key"]]
-        old_row, new_row = table_delta.updated[0]
-        assert old_row is old_objects[env.rows[0]["key"]]
-        assert new_row["posy"] == old_row["posy"] + 2
+        # untouched rows stay the replica's own objects; a changed row
+        # is a fresh dict and the old object is left as it was, so a
+        # holder may keep an earlier epoch's rows by reference
+        untouched = env.rows[2]["key"]
+        assert replica[untouched] is old_objects[untouched]
+        changed = env.rows[0]["key"]
+        assert replica[changed] is not old_objects[changed]
+        assert replica[changed]["posy"] == old_objects[changed]["posy"] + 2
+        assert old_objects[changed] == old_values[changed]
 
     def test_removed_attribute_round_trips(self, schema):
         """Rows are plain dicts: a custom game's mechanics may drop an
@@ -153,7 +155,7 @@ class TestReplicaDeltaWireFormat:
         new = evolved(extended, mutate)
         rd = pickle.loads(pickle.dumps(encode(extended, new)))
         replica = {r["key"]: dict(r) for r in extended.rows}
-        order, _ = apply_replica_delta(
+        order = apply_replica_delta(
             rd,
             replica,
             [r["key"] for r in extended.rows],
@@ -181,7 +183,7 @@ class TestReplicaDeltaWireFormat:
         assert rd.order is None  # the full order stays off the wire
         assert rd.insert_at == [(555, 4)]
         replica = {r["key"]: r for r in env.rows}
-        order, _ = apply_replica_delta(
+        order = apply_replica_delta(
             rd,
             replica,
             [r["key"] for r in env.rows],
@@ -325,9 +327,9 @@ class TestReplicaWorkerFaults:
             assert sim.state_signature() == baseline
 
 class TestWorkerPatchOrRebuild:
-    """A worker always replays the delta into its replica; whether its
-    retained indexes are patched with it or rebuilt is the evaluator's
-    rule, checked here on ``_WorkerState`` in-process (no pool)."""
+    """A worker replays the delta into its replica and rebuilds its
+    indexes from it, checked here on ``_WorkerState`` in-process (no
+    pool)."""
 
     SHARD_CONF = ("spatial", 2, 30)
     SHARDS = [0, 1]
@@ -340,8 +342,8 @@ class TestWorkerPatchOrRebuild:
 
     def feed(self, state, blob, tick, shards=SHARDS):
         """What ``_worker_loop`` does with one update blob."""
-        delta = state.replica.apply(pickle.loads(blob))
-        return state.decide(tick, shards, delta)
+        state.replica.apply(pickle.loads(blob))
+        return state.decide(tick, shards)
 
     @staticmethod
     def combined(state, results):
@@ -381,24 +383,6 @@ class TestWorkerPatchOrRebuild:
         rd = encode(env, new, base_epoch=1, epoch=2)
         return [snapshot_blob(1, env.rows), delta_blob(rd)]
 
-    def test_small_delta_patches_and_keeps_structures(self, schema):
-        env = make_env(schema, n=60, grid=30, seed=11)
-        new = self.moved(env, int(_PATCH_FRACTION * 60))
-        snapshot, delta = self.blobs_for(env, new)
-        state = self.worker()
-        self.feed(state, snapshot, 1)
-        built = dict(state.stage.agg_eval._div_index)
-        assert built
-        self.feed(state, delta, 2)
-        stats = state.stage.agg_eval.stats
-        assert stats.get("delta_ticks") == 1
-        assert stats.get("rebuild_ticks", 0) == 0
-        assert all(
-            state.stage.agg_eval._div_index[name] is index
-            for name, index in built.items()
-        )
-        self.run_pair([snapshot, delta])
-
     def test_large_delta_rebuilds_and_drops_structures(self, schema):
         env = make_env(schema, n=60, grid=30, seed=11)
         new = self.moved(env, 50)
@@ -410,7 +394,6 @@ class TestWorkerPatchOrRebuild:
         self.feed(state, delta, 2)
         stats = state.stage.agg_eval.stats
         assert stats.get("rebuild_ticks") == 1
-        assert stats.get("delta_ticks", 0) == 0
         assert all(
             state.stage.agg_eval._div_index.get(name) is not index
             for name, index in built.items()
@@ -421,7 +404,7 @@ class TestWorkerPatchOrRebuild:
         """A snapshot in the middle of a session (after a restore, or to
         a drifted worker) replaces the replica, never the evaluator or
         the shard layout the session opened with: the evaluator goes on
-        patching afterwards and answers as a naive worker does."""
+        afterwards and answers as a naive worker does."""
         env = make_env(schema, n=60, grid=30, seed=11)
         new = self.moved(env, 3)
         newer = self.moved(new, 3)
@@ -438,7 +421,6 @@ class TestWorkerPatchOrRebuild:
         assert {indexed.shard_of(row) for row in newer.rows} == set(
             self.SHARDS
         )
-        assert evaluator.stats.get("delta_ticks") == 1
 
     def test_rejected_layout_leaves_no_replica(self):
         """The shard layout arrives in the payload that opens the
@@ -468,8 +450,8 @@ class TestWorkerPatchOrRebuild:
 
     def test_real_battle_ticks_rebuild(self):
         """Three consecutive ticks of a 200-unit battle, shipped as the
-        coordinator ships them: most rows change every tick, so the
-        worker never patches."""
+        coordinator ships them: the worker rebuilds every tick and
+        answers as a naive worker does."""
         with BattleSimulation(200, density=0.01, seed=5) as sim:
             engine = sim.engine
             blobs = [snapshot_blob(1, engine.env.rows)]
@@ -479,8 +461,7 @@ class TestWorkerPatchOrRebuild:
                 rd = encode(old, engine.env, base_epoch=epoch, epoch=epoch + 1)
                 blobs.append(delta_blob(rd))
         stats = self.run_pair(blobs).stage.agg_eval.stats
-        assert stats.get("rebuild_ticks") > 0
-        assert stats.get("delta_ticks", 0) == 0
+        assert stats.get("rebuild_ticks") == 2
 
 
 class TestOnePicklePerDelta:

@@ -1,5 +1,5 @@
 """Shard equivalence: the staged pipeline must be bit-identical to the
-flat engine across shard counts, shard keys, rebuild-or-patch regimes,
+flat engine across shard counts, shard keys
 and parallelism modes -- the guarantee that makes sharding a pure
 performance knob.
 
@@ -20,7 +20,7 @@ from repro.env.sharding import ShardingError, make_sharder, partition_rows
 from repro.env.table import EnvironmentTable
 from repro.game.battle import BattleSimulation
 from repro.game.scripts import build_registry
-from tests.conftest import make_env, pin_patch_regime
+from tests.conftest import make_env
 
 
 def battle_signature(ticks=4, **kwargs):
@@ -40,16 +40,10 @@ class TestShardEquivalence:
         )
         assert got == baseline
 
-    @pytest.mark.parametrize(
-        "maintenance", ["rebuild", "incremental", "auto"]
-    )
-    def test_sharded_matches_flat_under_maintenance(
-        self, monkeypatch, maintenance
-    ):
-        default = battle_signature(seed=7)
-        pin_patch_regime(monkeypatch, maintenance)
+    # ``auto``: the engine's own index upkeep, a rebuild every tick
+    @pytest.mark.parametrize("maintenance", ["auto"])
+    def test_sharded_matches_flat_under_maintenance(self, maintenance):
         baseline = battle_signature(seed=7)
-        assert baseline == default  # regimes agree flat
         for num_shards in (2, 3):
             got = battle_signature(
                 seed=7, num_shards=num_shards, shard_by="spatial"
@@ -221,12 +215,10 @@ class TestEngineValidation:
 
 
 class TestShardsSplitTheWorkNotTheIndexes:
-    def test_sharded_engine_retains_the_flat_index_groups(
-        self, force_patching
-    ):
-        """Every index spans all of E: a serial 3-shard engine patching
-        its indexes retains exactly the flat engine's category groups,
-        with no shard id in any key."""
+    def test_sharded_engine_retains_the_flat_index_groups(self):
+        """Every index spans all of E: a serial 3-shard engine builds
+        exactly the flat engine's category groups, with no shard id in
+        any key."""
 
         def retained(**kwargs):
             with BattleSimulation(48, density=0.02, seed=7, **kwargs) as sim:

@@ -160,12 +160,16 @@ class TestReplicaTableApply:
         )
         table = ReplicaTable("key")
         snapshot = EpochUpdate(1, old.rows).snapshot_blob()
-        assert table.apply(pickle.loads(snapshot)) is None
+        table.apply(pickle.loads(snapshot))
         assert (table.epoch, table.rows) == (1, old.rows)
+        held = list(table.rows)
         delta_blob = EpochUpdate(2, new.rows, rd).delta_blob()
-        delta = table.apply(pickle.loads(delta_blob))
+        table.apply(pickle.loads(delta_blob))
         assert (table.epoch, table.rows) == (2, new.rows)
-        assert [new_row for _, new_row in delta.updated] == [new.rows[1]]
+        # only the changed row is a new object
+        assert [a is b for a, b in zip(table.rows, held)] == [
+            i != 1 for i in range(6)
+        ]
 
     def test_unknown_tag_is_rejected(self):
         with pytest.raises(ShardingError, match="unknown update tag"):

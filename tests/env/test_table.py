@@ -109,7 +109,6 @@ class TestDiffByKey:
         delta = diff_by_key(a, b)
         assert isinstance(delta, TableDelta)
         assert delta.changed == 0
-        assert delta.fraction == 0.0
 
     def test_insert_delete_update(self, schema):
         a = EnvironmentTable(schema, [row(1), row(2), row(3)])
@@ -119,7 +118,6 @@ class TestDiffByKey:
         assert [r["key"] for r in delta.deleted] == [1]
         assert [(o["key"], n["damage"]) for o, n in delta.updated] == [(2, 5)]
         assert delta.changed == 3
-        assert delta.fraction == 3 / 3
 
     def test_updated_pairs_reference_source_objects(self, schema):
         a = EnvironmentTable(schema, [row(1)])
@@ -150,12 +148,11 @@ class TestDiffByKey:
             is None
         )
 
-    def test_empty_table_fraction(self, schema):
-        delta = diff_by_key(
-            EnvironmentTable(schema, [row(1)]), EnvironmentTable(schema)
-        )
-        assert delta.changed == 1
-        assert delta.fraction == 1.0
+    def test_diff_to_an_empty_table_deletes_every_row(self, schema):
+        old = EnvironmentTable(schema, [row(1)])
+        delta = diff_by_key(old, EnvironmentTable(schema))
+        assert delta.deleted == old.rows and delta.changed == 1
+        assert delta.base_size == 0
 
 
 class TestMultisetEquality:

@@ -7,7 +7,6 @@ are the *same game* -- identical trajectories, different wall-clock.
 import pytest
 
 from repro.game.battle import BattleSimulation
-from tests.conftest import pin_patch_regime
 
 
 def signatures_match(a: BattleSimulation, b: BattleSimulation, ticks: int):
@@ -36,9 +35,9 @@ class TestNaiveIndexedEquivalence:
 
 
 class TestMaintenanceModeEquivalence:
-    """The incremental-maintenance subsystem must be invisible in the
-    trajectory: naive, and indexed engines that never patch, always
-    patch, or follow the default rule, are the same game.
+    """Index upkeep must be invisible in the trajectory: the naive
+    engine and the indexed one, which rebuilds its indexes every tick
+    (the ``auto`` regime, the only one), are the same game.
     """
 
     SCENARIOS = [
@@ -49,12 +48,11 @@ class TestMaintenanceModeEquivalence:
         (3, "two_army", False),
     ]
 
-    @pytest.mark.parametrize("maintenance", ["rebuild", "incremental", "auto"])
+    @pytest.mark.parametrize("maintenance", ["auto"])
     @pytest.mark.parametrize("seed,formation,resurrection", SCENARIOS)
     def test_matches_naive_trajectory(
-        self, monkeypatch, maintenance, seed, formation, resurrection
+        self, maintenance, seed, formation, resurrection
     ):
-        pin_patch_regime(monkeypatch, maintenance)
         naive = BattleSimulation(
             40, mode="naive", seed=seed, formation=formation,
             resurrection=resurrection,
@@ -67,23 +65,6 @@ class TestMaintenanceModeEquivalence:
         assert diverged is None, (
             f"{maintenance} diverged from naive at tick {diverged}"
         )
-
-    def test_incremental_actually_applies_deltas(self, force_patching):
-        sim = BattleSimulation(40, seed=0)
-        sim.run(6)
-        assert sim.engine.agg_eval.stats.get("delta_ticks", 0) >= 5
-
-    def test_incremental_vs_rebuild_bitwise(self, monkeypatch):
-        def trajectory(regime):
-            pin_patch_regime(monkeypatch, regime)
-            sim = BattleSimulation(50, seed=7, density=0.05)
-            signatures = []
-            for _ in range(8):
-                sim.tick()
-                signatures.append(sim.state_signature())
-            return signatures
-
-        assert trajectory("incremental") == trajectory("rebuild")
 
 
 class TestDeterminism:

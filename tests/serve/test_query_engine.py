@@ -1,19 +1,18 @@
-"""The spectator QueryEngine runs the evaluator's rebuild-or-patch rule.
+"""The spectator QueryEngine rebuilds its indexes with every state.
 
-One engine is driven through a low-churn delta (at most
-``_PATCH_FRACTION`` of the rows change: the retained indexes are
-patched) and then through one battle tick's delta (most rows change:
-they are dropped and rebuilt).  After every ``begin`` each query kind
-must answer exactly as a fresh engine begun on the same state, and
-``begin`` builds what the previous state's queries probed.
+One engine is driven through a low-churn state change (5 % of the rows)
+and then through one battle tick (most rows change); after every
+``begin`` each query kind must answer exactly as a fresh engine begun on
+the same state, and ``begin`` builds what the previous state's queries
+probed.  Compiled query sources are cached up to a bound.
 """
 
 import random
 
-from repro.engine.evaluator import _PATCH_FRACTION
-from repro.env.table import diff_by_key
 from repro.game.battle import BattleSimulation
+from repro.serve import queries
 from repro.serve.queries import QueryEngine, QueryRequest, unit_ref
+from tests.conftest import make_env
 
 TEAM_HP_SQL = """
 function TeamHp(p) returns
@@ -63,7 +62,7 @@ def moved_unit(old, new):
     raise AssertionError("no unit moved")
 
 
-def test_query_engine_patches_low_churn_and_rebuilds_a_battle_tick():
+def test_query_engine_rebuilds_every_state():
     with BattleSimulation(200, seed=8) as sim:
         game = sim.game
         sim.run(2)
@@ -80,12 +79,9 @@ def test_query_engine_patches_low_churn_and_rebuilds_a_battle_tick():
             row["posx"] = max(row["posx"] - 1, 0)
             row["posy"] = max(row["posy"] - 1, 0)
             row["health"] = max(row["health"] - 1, 1)
-        low = diff_by_key(env0, env1)
-        assert 0 < low.fraction <= _PATCH_FRACTION
         before = dict(stats)
-        qe.begin(env1, low)
-        assert stats.get("delta_ticks", 0) == before.get("delta_ticks", 0) + 1
-        assert stats.get("rebuild_ticks", 0) == before.get("rebuild_ticks", 0)
+        qe.begin(env1)
+        assert stats.get("rebuild_ticks", 0) == before.get("rebuild_ticks", 0) + 1
         assert_answers_fresh(qe, game, env1, moved_unit(env0, env1))
 
         # one battle tick from env1: most rows change
@@ -94,12 +90,9 @@ def test_query_engine_patches_low_churn_and_rebuilds_a_battle_tick():
         )
         sim.tick()
         env2 = sim.engine.env
-        high = diff_by_key(env1, env2)
-        assert high.fraction > _PATCH_FRACTION
         before = dict(stats)
-        qe.begin(env2, high)
+        qe.begin(env2)
         assert stats.get("rebuild_ticks", 0) == before.get("rebuild_ticks", 0) + 1
-        assert stats.get("delta_ticks", 0) == before.get("delta_ticks", 0)
         assert_answers_fresh(qe, game, env2, moved_unit(env1, env2))
 
 
@@ -132,7 +125,7 @@ def test_begin_builds_what_the_previous_state_probed():
         sim.tick()
         env1 = sim.engine.env.copy()
         before = builds(qe)
-        qe.begin(env1, diff_by_key(env0, env1))
+        qe.begin(env1)
         adopted = builds(qe)
         assert adopted[1] == before[1] + 1  # the k-NN tree
         assert adopted[0]["build_divisible"] > before[0]["build_divisible"]
@@ -146,12 +139,12 @@ def test_begin_builds_what_the_previous_state_probed():
         # so adopting env3 builds nothing
         sim.tick()
         env2 = sim.engine.env.copy()
-        qe.begin(env2, diff_by_key(env1, env2))
+        qe.begin(env2)
         assert builds(qe)[1] == adopted[1] + 1
         built = builds(qe)
         sim.tick()
         env3 = sim.engine.env.copy()
-        qe.begin(env3, diff_by_key(env2, env3))
+        qe.begin(env3)
         assert builds(qe) == built
 
 
@@ -159,3 +152,60 @@ def fresh_answers(game, env, requests):
     fresh = QueryEngine(game.schema, game.registry)
     fresh.begin(env)
     return [fresh.answer(request) for request in requests]
+
+
+def team_measure_sql(i):
+    """A distinct compiled query per *i*, each adding its own measure
+    to the one (player) selection the registered aggregates share."""
+    return f"""
+    function Q{i}(p) returns
+    SELECT Count(*) AS n, Sum(e.health + {i}) AS hp
+    FROM E e
+    WHERE e.player = p;
+    """
+
+
+def test_compiled_query_cache_is_bounded(schema, registry):
+    env = make_env(schema, n=10, seed=3)
+    qe = QueryEngine(schema, registry)
+    qe.begin(env)
+    ask = lambda i: qe.answer(  # noqa: E731
+        QueryRequest("sgl", source=team_measure_sql(i), args=(0,))
+    )
+    first = ask(0)
+    for i in range(1, 300):
+        ask(i)
+    cap = queries._SGL_CACHE
+    evaluator = qe.evaluator
+    assert len(qe._sgl) == cap
+    assert len(evaluator._compiled) <= cap
+    for selection in evaluator._selections.values():
+        assert len(selection.terms) <= cap
+    assert len(evaluator._div_index) <= len(evaluator._selections)
+    # query 0 was evicted long ago: asked again, it compiles afresh
+    compiled = qe.stats.get("sgl_compiled")
+    assert ask(0) == first
+    assert qe.stats.get("sgl_compiled") == compiled + 1
+    names = [fn.name for fn in qe._sgl.values()]
+    assert len(set(names)) == len(names)  # mangled names never repeat
+
+
+def test_eviction_keeps_a_shared_selection_answering(schema, registry):
+    """Evicting a query that widened a registered aggregate's selection
+    lays the selection out anew; the registered aggregate still answers
+    as before, and the selection carries only live readers' measures."""
+    env = make_env(schema, n=12, seed=4)
+    qe = QueryEngine(schema, registry)
+    qe.begin(env)
+    request = QueryRequest(
+        "aggregate", name="CentroidOfFriendlies", args=(unit_ref(0),)
+    )
+    want = qe.answer(request)
+    for i in range(queries._SGL_CACHE + 5):
+        qe.answer(QueryRequest("sgl", source=team_measure_sql(i), args=(1,)))
+    assert qe.answer(request) == want
+    qe.begin(env.copy())
+    assert qe.answer(request) == want
+    selection = qe.evaluator._selections[((), ("player",), ())]
+    # posx, posy for the centroid; one Sum(e.health + i) per cached query
+    assert len(selection.terms) == 2 + queries._SGL_CACHE
