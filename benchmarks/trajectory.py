@@ -55,7 +55,6 @@ TIMING_SERIES = (
     ("rebuild_s", ("changed_fraction",)),
     ("patch_s", ("changed_fraction",)),
     ("s_per_query", ("config",)),
-    ("s_per_tick_remote", ("config",)),
     ("s_per_replay_tick", ("config",)),
     ("s_per_random_access", ("config",)),
     # not timings, but the same ratio-watch applies: a quiet growth in

@@ -11,13 +11,7 @@ from .evaluator import IndexedEvaluator, NaiveEvaluator, empty_aggregate_result
 from .movement import Grid, desired_direction, run_movement_phase
 from .postprocess import example_41_postprocess
 from .rng import TickRandom, splitmix64
-from .shardexec import (
-    PoolStats,
-    ReplicaWorkerPool,
-    WorkerEndpoint,
-    serve_worker,
-    spawn_listen_worker,
-)
+from .shardexec import PoolStats, ReplicaWorkerPool
 
 __all__ = [
     "AoeRecord",
@@ -33,9 +27,6 @@ __all__ = [
     "SimulationEngine",
     "TickRandom",
     "TickStats",
-    "WorkerEndpoint",
-    "serve_worker",
-    "spawn_listen_worker",
     "desired_direction",
     "empty_aggregate_result",
     "example_41_postprocess",

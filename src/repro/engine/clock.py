@@ -202,24 +202,12 @@ class EngineConfig:
       worker processes holding replicas of ``E`` (see
       ``repro.engine.shardexec``; takes effect from two shards up).
       The workers receive the engine's game when the pool starts;
-    * ``max_workers`` -- local pool size (default: ``num_shards``);
-    * ``workers`` -- ``"local"`` (default) starts worker processes on
-      this host, each on a private socketpair; a list of
-      ``"host:port"`` endpoints (or ``(host, port)`` pairs /
-      :class:`~repro.engine.shardexec.WorkerEndpoint`\\ s) instead
-      connects to remote decision workers started with ``python -m
-      repro.engine.shardexec --listen HOST:PORT``, one TCP session per
-      endpoint.  Either way every worker is one
-      :class:`~repro.serve.transport.SocketTransport` session of the
-      same addressed epoch-acked protocol.  A dead local worker is
-      respawned and a dropped connection re-established; the fresh
-      session is snapshot-fed -- fault recovery degrades to
-      re-broadcast, never to wrong answers;
-    * ``worker_max_frame`` -- the transport frame-size guard of every
-      worker session (``None`` = the transport default), which must
-      admit a full snapshot of the environment.  A remote session's
-      send/recv timeout is
-      :data:`~repro.engine.shardexec.REMOTE_IO_TIMEOUT`.
+    * ``max_workers`` -- pool size (default: ``num_shards``).  Every
+      worker is a process on this host, one
+      :class:`~repro.serve.transport.SocketTransport` session on a
+      private socketpair, framed by the transport's default guard.  A
+      dead worker is respawned and its fresh session snapshot-fed --
+      fault recovery degrades to re-broadcast, never to wrong answers.
 
     Spectator serving (the ``repro.serve`` read-replica layer):
 
@@ -266,7 +254,7 @@ class EngineConfig:
       Chrome trace-event file (Perfetto / ``about:tracing`` loadable)
       with a span for every tick stage, worker round trip, publisher
       send, and epoch-log encode/write/fsync, plus instant events for
-      faults (respawns, reconnects, STALE re-feeds, subscriber drops)
+      faults (respawns, STALE re-feeds, subscriber drops)
       and watchdog flags;
     * ``slow_tick_factor`` -- when set (must be > 1), a slow-tick
       watchdog flags any tick whose total exceeds ``factor`` times the
@@ -280,8 +268,6 @@ class EngineConfig:
     shard_by: str | None = None
     parallelism: str = "serial"
     max_workers: int | None = None
-    workers: object = "local"
-    worker_max_frame: int | None = None
     spectators: bool = False
     epoch_log: str | None = None
     epoch_log_checkpoint_every: int = 64
@@ -328,30 +314,6 @@ class SimulationEngine:
             raise ValueError(
                 f"max_workers must be None or >= 1, got {cfg.max_workers!r}"
             )
-        self._worker_endpoints = None
-        if cfg.workers != "local":
-            if isinstance(cfg.workers, str):
-                raise ValueError(
-                    f"workers must be 'local' or a list of host:port "
-                    f"endpoints, got {cfg.workers!r}"
-                )
-            from .shardexec import WorkerEndpoint
-
-            self._worker_endpoints = [
-                WorkerEndpoint.parse(e) for e in cfg.workers
-            ]
-            if not self._worker_endpoints:
-                raise ValueError("workers endpoint list is empty")
-            if cfg.parallelism != "processes":
-                raise ValueError(
-                    "remote worker endpoints require parallelism='processes'"
-                )
-            if cfg.num_shards < 2:
-                raise ValueError(
-                    "remote worker endpoints require num_shards >= 2: with "
-                    "one shard the decision stage runs in-process and the "
-                    "fleet would silently never be contacted"
-                )
         self.indexed = cfg.mode == "indexed"
         self.rng = TickRandom(cfg.seed, key_attr=env.schema.key)
         self.tick_count = 0
@@ -434,7 +396,6 @@ class SimulationEngine:
 
     def _ensure_pool(self):
         if self._pool is None:
-            from ..serve.transport import DEFAULT_MAX_FRAME
             from .shardexec import ReplicaWorkerPool
 
             cfg = self.config
@@ -447,8 +408,6 @@ class SimulationEngine:
                 self.game,
                 payload,
                 min(cfg.max_workers or cfg.num_shards, cfg.num_shards),
-                endpoints=self._worker_endpoints,
-                max_frame=cfg.worker_max_frame or DEFAULT_MAX_FRAME,
                 metrics=self.metrics,
                 trace=self.trace,
             )

@@ -3,8 +3,8 @@
 A game is one :class:`GameDefinition` -- schema, function registry,
 scripts, and the row attribute whose value picks a unit's script -- and
 its decision phase is one :class:`DecisionStage`: the serial engine
-runs it in process, and every process or remote decision worker runs
-the same class over the game it received when its pool started.  It
+runs it in process, and every process decision worker runs the same
+class over the game it received when its pool started.  It
 holds one :class:`DecisionRunner` per selector value, the evaluator and
 the rng.
 

@@ -476,22 +476,19 @@ class IndexedEvaluator:
                 out.append(answer)
             return out
         groups_of = self._groups_by_cats(index, compiled, frames)
-        # bounds only for frames with matching groups, as one call would
-        live = [f for f, groups in zip(frames, groups_of) if groups]
-        bounds_of = iter(compiled.probe.bounds(live))
         probed = on_grid = 0  # 2-d group probes, and those a grid answers
         planar = len(shape.range_attrs) == 2
         out = []
-        for f, groups in zip(frames, groups_of):
-            if not groups:
-                out.append(empty)
-                continue
-            bounds = next(bounds_of)
-            if bounds is None:
-                out.append(empty)
-                continue
+        for f, groups, bounds in zip(
+            frames, groups_of, compiled.probe.bounds(frames)
+        ):
+            # a bound the index cannot compare is the scan's to answer,
+            # even where no group matches: the oracle may still raise
             if bounds is SCAN:
                 out.append(self._scan(fn, f))
+                continue
+            if not groups or bounds is None:
+                out.append(empty)
                 continue
             if planar:
                 probed += len(groups)

@@ -1,27 +1,25 @@
 """Worker-process side of the sharded tick pipeline: stateful replicas.
 
 ``parallelism="processes"`` runs the decision stage of each shard in a
-pool of long-lived worker processes.  Workers cannot share the engine's
-in-memory state, so the protocol is explicitly message-shaped, and it
-is distributed: every worker is one
+pool of long-lived local worker processes.  Workers cannot share the
+engine's in-memory state, so the protocol is explicitly
+message-shaped: every worker is one
 :class:`~repro.serve.transport.SocketTransport` session of one
-addressed request/reply protocol -- a local worker on its end of a
-private ``socket.socketpair()``, a remote decision worker (started with
-``python -m repro.engine.shardexec --listen HOST:PORT``) over TCP.
-Both run :func:`_serve_session`: build the worker state, answer
-``READY`` (or ``ERROR`` with the traceback), serve ticks.  Unlike the
-spectator publisher's fire-and-forget feed, every worker message is
-addressed and every tick is acknowledged with the worker's replica
-epoch, which the coordinator verifies.
+addressed request/reply protocol, on its end of a private
+``socket.socketpair()``.  A worker (:func:`_local_worker_main`) builds
+its state, answers ``READY`` (or ``ERROR`` with the traceback), then
+serves ticks.  Unlike the spectator publisher's fire-and-forget feed,
+every worker message is addressed and every tick is acknowledged with
+the worker's replica epoch, which the coordinator verifies.
 
 Workers are **stateful replica holders** rather than stateless RPC
 targets:
 
 * **at session start** each worker receives the engine's
   :class:`~repro.engine.decision.GameDefinition` -- schema, registry,
-  scripts and script selector, plain data: inherited by a forked local
-  worker, pickled once per session for a spawned or remote one (remote
-  hosts must run the same code) -- and builds the engine's own
+  scripts and script selector, plain data: inherited by a forked
+  worker, pickled once per session for a spawned one -- and builds the
+  engine's own
   :class:`~repro.engine.decision.DecisionStage` over it, with a private
   evaluator.  Compiled code and index structures never cross the
   process boundary; the scripts a mod edited before the pool started
@@ -40,10 +38,8 @@ targets:
   and an **epoch ack** the coordinator verifies;
 * **fault paths** degrade to snapshots, never to wrong answers: a
   worker holding the wrong epoch replies ``STALE`` and is re-sent a
-  snapshot in the same tick; a local worker that died is respawned; a
-  remote worker whose connection dropped is *reconnected* (the listener
-  accepts a fresh session, which always starts replica-less) -- both
-  rejoin from a snapshot within the tick.
+  snapshot in the same tick; a worker that died is respawned, starts
+  replica-less and rejoins from a snapshot within the tick.
 
 Every worker keeps a *full* replica of ``E``: aggregate queries range
 over all of ``E`` regardless of which shard's unit asks, so a worker
@@ -60,19 +56,16 @@ Determinism: the per-tick random function is counter-mode
 index), every evaluator merge tie-breaks on unit keys, and the replica
 reproduces the coordinator's flat row order exactly, so worker answers
 are bit-identical to the serial engine's no matter how shards are
-scheduled or whether a tick arrived as a delta or a snapshot.  The
-transport carries pickles, so remote workers are for trusted networks
-only (the frame guard protects liveness, not unpickle safety).
+scheduled or whether a tick arrived as a delta or a snapshot.
 """
 
 from __future__ import annotations
 
 import pickle
-import socket
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, cast
+from typing import Mapping, cast
 
 from ..env.sharding import (
     NO_REPLICA,
@@ -88,8 +81,6 @@ from ..serve.transport import (
     DEFAULT_MAX_FRAME,
     ERROR,
     READY,
-    STARTUP_TIMEOUT,
-    FrameError,
     SocketTransport,
     await_ready,
     start_child,
@@ -99,7 +90,6 @@ from .effects import AoeRecord
 from .rng import TickRandom
 
 #: Message tags, coordinator -> worker.
-MSG_INIT = "init"  # first message of a remote session: (game, payload)
 MSG_TICK = "tick"
 MSG_STOP = "stop"
 MSG_SET_EPOCH = "set_epoch"  # fault-injection hook (tests/chaos drills)
@@ -112,44 +102,6 @@ REPLY_OK = "ok"
 REPLY_STALE = "stale"
 REPLY_ERROR = ERROR
 REPLY_EPOCH = "epoch"
-
-#: A remote session's per-message send/recv timeout (seconds): a peer
-#: silent this long mid-message is dead, reconnected and re-fed.
-#: Local sessions have none; a dead local worker is respawned instead.
-REMOTE_IO_TIMEOUT = 60.0
-
-
-@dataclass(frozen=True)
-class WorkerEndpoint:
-    """A remote decision worker's listening address."""
-
-    host: str
-    port: int
-
-    @classmethod
-    def parse(cls, value: object) -> "WorkerEndpoint":
-        """Accept ``"host:port"`` strings, ``(host, port)`` pairs, or an
-        existing endpoint."""
-        if isinstance(value, WorkerEndpoint):
-            return value
-        if isinstance(value, str):
-            host, sep, port = value.rpartition(":")
-            if not sep or not host or not port.isdigit():
-                raise ValueError(
-                    f"worker endpoint {value!r} is not of the form HOST:PORT"
-                )
-            return cls(host, int(port))
-        try:
-            host, port = value  # type: ignore[misc]
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"worker endpoint {value!r} is not of the form HOST:PORT"
-            ) from None
-        return cls(str(host), int(port))
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return (self.host, self.port)
 
 
 # ---------------------------------------------------------------------------
@@ -203,18 +155,16 @@ class _WorkerState:
         ]
 
 
-def _worker_loop(transport: SocketTransport, state: _WorkerState) -> bool:
-    """Serve one coordinator session; True when it ended with STOP."""
+def _worker_loop(transport: SocketTransport, state: _WorkerState) -> None:
+    """Serve one coordinator session until STOP, DROP or EOF."""
     while True:
         try:
             msg = transport.recv()
         except (EOFError, OSError):  # coordinator vanished
-            return False
+            return
         tag = msg[0]
-        if tag == MSG_STOP:
-            return True
-        if tag == MSG_DROP:  # fault injection: vanish without a word
-            return False
+        if tag == MSG_STOP or tag == MSG_DROP:  # DROP: vanish without a word
+            return
         if tag == MSG_SET_EPOCH:  # fault injection: pretend to drift
             state.replica.epoch = msg[1]
             transport.send((REPLY_EPOCH, state.replica.epoch))
@@ -233,160 +183,24 @@ def _worker_loop(transport: SocketTransport, state: _WorkerState) -> bool:
             transport.send((REPLY_ERROR, traceback.format_exc()))
 
 
-def _serve_session(
-    transport: SocketTransport,
-    game: GameDefinition,
-    payload: Mapping[str, object],
-    address: tuple[str, int] | None = None,
-) -> bool:
-    """One coordinator session, local or remote: build the worker state,
-    reply ``READY`` (or ``ERROR`` with the traceback), then serve ticks
-    until the session ends; True when it ended with STOP."""
-    try:
-        state = _WorkerState(game, payload)
-    except BaseException:
-        transport.send((REPLY_ERROR, traceback.format_exc()))
-        return False
-    transport.send((REPLY_READY, address))
-    return _worker_loop(transport, state)
-
-
 def _local_worker_main(
     sock, game: GameDefinition, payload: dict, max_frame: int
 ) -> None:
-    """Entry point of a same-host worker process: one session on its end
-    of the pool's socketpair (no I/O timeout, as the parent has none)."""
+    """Entry point of a worker process: one session on its end of the
+    pool's socketpair (no I/O timeout, as the parent has none).  Build
+    the worker state, reply ``READY`` (or ``ERROR`` with the traceback),
+    then serve ticks until the session ends."""
     with SocketTransport(sock, max_frame=max_frame) as transport:
         try:
-            _serve_session(transport, game, payload)
+            try:
+                state = _WorkerState(game, payload)
+            except BaseException:
+                transport.send((REPLY_ERROR, traceback.format_exc()))
+                return
+            transport.send((REPLY_READY, None))
+            _worker_loop(transport, state)
         except OSError:  # pragma: no cover - parent raced away
             pass
-
-
-# ---------------------------------------------------------------------------
-# Remote worker bootstrap: python -m repro.engine.shardexec --listen
-# ---------------------------------------------------------------------------
-
-
-def serve_worker(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    io_timeout: float | None = None,
-    ready_callback: Callable[[tuple[str, int]], None] | None = None,
-) -> None:
-    """Run a remote decision worker: accept coordinator sessions forever.
-
-    Each accepted connection is one coordinator session.  It opens with
-    an ``INIT`` message carrying the coordinator's game (its classes and
-    any native functions pickle by reference, so their modules must be
-    importable here) and the engine payload; from there on it is the
-    local workers' session (:func:`_serve_session`).  Sessions are served
-    one at a time, and every new session starts replica-less -- so a
-    coordinator that reconnects after a drop is always snapshot-fed,
-    never served stale state.
-    """
-    listener = socket.create_server((host, port), backlog=1)
-    address = listener.getsockname()[:2]
-    if ready_callback is not None:
-        ready_callback(address)
-    try:
-        while True:
-            try:
-                sock, _peer = listener.accept()
-            except OSError:  # pragma: no cover - listener closed under us
-                break
-            transport = SocketTransport(
-                sock, max_frame=max_frame, timeout=io_timeout
-            )
-            try:
-                msg = transport.recv()
-                if not (isinstance(msg, tuple) and msg and msg[0] == MSG_INIT):
-                    transport.send(
-                        (REPLY_ERROR, f"expected {MSG_INIT!r}, got {msg!r}")
-                    )
-                    continue
-                _, game, payload = msg
-                _serve_session(transport, game, payload, address)
-            except (EOFError, OSError):
-                pass  # this session died; serve the next coordinator
-            finally:
-                transport.close()
-    finally:
-        listener.close()
-
-
-def _listen_child(sock, host: str) -> None:
-    """Child-process shim for :func:`spawn_listen_worker`: answer the
-    handshake with the bound address, or with why it could not bind."""
-    handshake = SocketTransport(sock)
-
-    def ready(address: tuple[str, int]) -> None:
-        handshake.send((READY, address))
-        handshake.close()
-
-    try:
-        serve_worker(host, 0, ready_callback=ready)
-    except Exception:
-        if handshake.fileno() == -1:
-            raise  # failed while serving, not while starting
-        handshake.send((ERROR, traceback.format_exc()))
-
-
-def spawn_listen_worker(*, host: str = "127.0.0.1"):
-    """Start a ``--listen`` worker on an ephemeral port of *host*.
-
-    The in-process equivalent of running ``python -m
-    repro.engine.shardexec --listen`` on another host; used by tests and
-    benchmarks.  Returns ``(process, (host, port))``.
-    """
-    process, handshake = start_child(_listen_child, (host,))
-    address = await_ready(
-        handshake, "listen worker", process=process, timeout=STARTUP_TIMEOUT
-    )
-    handshake.close()
-    return process, tuple(address)
-
-
-def main(argv=None) -> None:
-    """``python -m repro.engine.shardexec --listen HOST:PORT``"""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Run a remote decision worker for the sharded engine."
-    )
-    parser.add_argument(
-        "--listen",
-        required=True,
-        metavar="HOST:PORT",
-        help="address to accept coordinator sessions on (port 0 = ephemeral)",
-    )
-    parser.add_argument(
-        "--max-frame",
-        type=int,
-        default=DEFAULT_MAX_FRAME,
-        help="frame-size guard in bytes (default: %(default)s); must admit "
-        "a full snapshot of the largest environment served",
-    )
-    parser.add_argument(
-        "--io-timeout",
-        type=float,
-        default=None,
-        help="per-recv/send timeout in seconds (default: block forever)",
-    )
-    args = parser.parse_args(argv)
-    endpoint = WorkerEndpoint.parse(args.listen)
-    serve_worker(
-        endpoint.host,
-        endpoint.port,
-        max_frame=args.max_frame,
-        io_timeout=args.io_timeout,
-        ready_callback=lambda address: print(
-            f"decision worker listening on {address[0]}:{address[1]}",
-            flush=True,
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -397,21 +211,17 @@ def main(argv=None) -> None:
 @dataclass
 class _WorkerHandle:
     transport: SocketTransport
-    #: Local workers own a process; remote workers own an endpoint.
-    process: object = None
-    endpoint: WorkerEndpoint | None = None
+    process: object
     #: Coordinator's belief of the worker's replica epoch.
     epoch: int = NO_REPLICA
 
     @property
     def name(self) -> str:
-        if self.endpoint is None:
-            return f"local worker (pid {self.process.pid})"
-        return f"remote worker at {self.endpoint.host}:{self.endpoint.port}"
+        return f"local worker (pid {self.process.pid})"
 
     def ready(self) -> "_WorkerHandle":
-        """Wait for the fresh session's ``READY``, local or remote; an
-        init error raises ``RuntimeError`` with the worker's traceback."""
+        """Wait for the fresh session's ``READY``; an init error raises
+        ``RuntimeError`` with the worker's traceback."""
         await_ready(self.transport, self.name, process=self.process)
         return self
 
@@ -422,9 +232,8 @@ class PoolStats(RegistryStats):
     Attribute reads and writes behave exactly like the dataclass this
     replaces; when the pool is built with a metrics registry each field
     is a registry cell (the ``worker_*`` series), so the old accessors
-    are views over the exported metrics.  ``reconnects`` counts remote
-    sessions re-established after a dropped connection;
-    ``last_tick_bytes`` is the most recent tick's broadcast payload.
+    are views over the exported metrics.  ``last_tick_bytes`` is the
+    most recent tick's broadcast payload.
     """
 
     _PREFIX = "worker"
@@ -433,7 +242,6 @@ class PoolStats(RegistryStats):
         "snapshot_broadcasts",
         "stale_snapshots",
         "respawns",
-        "reconnects",
         "bytes_broadcast",
         "ticks",
     )
@@ -446,23 +254,18 @@ class ReplicaWorkerPool:
     Unlike an executor pool, messages are addressed to *specific*
     workers -- replica state lives in the worker, so the coordinator
     must know (and verify, via epoch acks) what each worker holds.
-    Every worker is one :class:`SocketTransport` session: local
-    workers on a private socketpair each, remote workers
-    (``endpoints=...``, *num_workers* ignored) over TCP to ``--listen``
-    processes on other hosts.  *max_frame* guards every session;
-    remote ones time out after :data:`REMOTE_IO_TIMEOUT`.  The
-    spectator publisher speaks the same update blobs, fire-and-forget,
-    on its own sockets.
+    Every worker is one :class:`SocketTransport` session on a private
+    socketpair, guarded by *max_frame*.  The spectator publisher speaks
+    the same update blobs, fire-and-forget, on its own sockets.
     """
 
     def __init__(
         self,
         game: GameDefinition,
         payload: dict,
-        num_workers: int | None = None,
+        num_workers: int,
         mp_context=None,
         *,
-        endpoints: Iterable[object] | None = None,
         max_frame: int = DEFAULT_MAX_FRAME,
         metrics=None,
         trace=None,
@@ -478,23 +281,15 @@ class ReplicaWorkerPool:
         self._m_bytes: dict[int, object] = {}
         self._named_tids: set[int] = set()
         self._ctx = mp_context
-        if endpoints is not None:
-            endpoints = [WorkerEndpoint.parse(e) for e in endpoints]
-            if not endpoints:
-                raise ValueError("endpoints must name at least one worker")
-        elif num_workers is None or num_workers < 1:
+        if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.workers: list[_WorkerHandle] = []
         try:
-            if endpoints is not None:
-                for endpoint in endpoints:
-                    self.workers.append(self._connect(endpoint))
-            else:
-                # start every process before waiting on any, so the
-                # workers build their state in parallel
-                self.workers = [self._spawn() for _ in range(num_workers)]
-                for worker in self.workers:
-                    worker.ready()
+            # start every process before waiting on any, so the
+            # workers build their state in parallel
+            self.workers = [self._spawn() for _ in range(num_workers)]
+            for worker in self.workers:
+                worker.ready()
         except BaseException:
             self.close()
             raise
@@ -542,73 +337,20 @@ class ReplicaWorkerPool:
         )
         return _WorkerHandle(transport=transport, process=process)
 
-    def _connect(
-        self, endpoint: WorkerEndpoint, *, attempts: int = 10,
-        backoff: float = 0.2,
-    ) -> _WorkerHandle:
-        """Open (or re-open) one remote session: connect, INIT, READY.
-
-        Transport failures retry with backoff -- a worker whose previous
-        session just dropped needs a moment to loop back to ``accept``.
-        An explicit init *error* from the worker does not retry: the
-        game fails to load persistently and retrying cannot help.  Nor
-        does an ``INIT`` (the game and settings) beyond the frame guard.
-        """
-        last_error: Exception | None = None
-        for _ in range(attempts):
-            try:
-                transport = SocketTransport.connect(
-                    endpoint.address,
-                    max_frame=self._max_frame,
-                    timeout=REMOTE_IO_TIMEOUT,
-                )
-            except OSError as exc:
-                last_error = exc
-                time.sleep(backoff)
-                continue
-            try:
-                transport.send((MSG_INIT, self._game, self._payload))
-                return _WorkerHandle(transport, endpoint=endpoint).ready()
-            except FrameError as exc:
-                transport.close()
-                raise RuntimeError(
-                    f"INIT for worker at {endpoint.host}:{endpoint.port} "
-                    f"does not fit the transport frame guard ({exc}); "
-                    "raise worker_max_frame (and --max-frame on the "
-                    "listener) to admit the game"
-                ) from exc
-            except (EOFError, OSError) as exc:
-                transport.close()
-                last_error = exc
-                time.sleep(backoff)
-        raise RuntimeError(
-            f"cannot reach remote worker at {endpoint.host}:{endpoint.port} "
-            f"after {attempts} attempts"
-        ) from last_error
-
     def _respawn(self, index: int) -> _WorkerHandle:
-        """Replace a dead worker: respawn locally, reconnect remotely."""
+        """Replace a dead worker with a fresh, replica-less one."""
         old = self.workers[index]
         old.transport.close()
-        if old.endpoint is not None:
-            self.workers[index] = self._connect(old.endpoint)
-            self.stats.reconnects += 1
-            if self._trace is not None:
-                self._trace.instant(
-                    "worker_reconnect", "fault",
-                    tid=self._worker_tid(index), worker=index,
-                )
-        else:
-            if old.process.is_alive():  # pragma: no cover - defensive
-                old.process.terminate()
-            old.process.join(timeout=5)
-            self.workers[index] = self._spawn().ready()
-            self.stats.respawns += 1
-            if self._trace is not None:
-                self._trace.instant(
-                    "worker_respawn", "fault",
-                    tid=self._worker_tid(index), worker=index,
-                )
+        if old.process.is_alive():  # pragma: no cover - defensive
+            old.process.terminate()
+        old.process.join(timeout=5)
+        self.workers[index] = self._spawn().ready()
+        self.stats.respawns += 1
+        if self._trace is not None:
+            self._trace.instant(
+                "worker_respawn", "fault",
+                tid=self._worker_tid(index), worker=index,
+            )
         return self.workers[index]
 
     # -- the per-tick broadcast ----------------------------------------------------
@@ -625,11 +367,10 @@ class ReplicaWorkerPool:
         *bundles* pairs worker indexes with the shard ids they decide.
         *update* is the tick-start state: its delta goes to workers it
         chains for, the snapshot to everyone else -- fresh, respawned,
-        reconnected, drifted, or after a restore (whose update carries
-        no delta).  Epoch acks are verified against
-        ``update.epoch``; a ``STALE`` reply or a dead worker falls back
-        to the snapshot within the same tick, and a dead worker is
-        respawned (local) or reconnected (remote) at most once per tick
+        drifted, or after a restore (whose update carries no delta).
+        Epoch acks are verified against ``update.epoch``; a ``STALE``
+        reply or a dead worker falls back to the snapshot within the
+        same tick, and a dead worker is respawned at most once per tick
         before the failure is considered persistent.
 
         Returns ``{shard_id: (effect_rows, aoe_records)}``.
@@ -660,8 +401,8 @@ class ReplicaWorkerPool:
                 raise RuntimeError(
                     f"update blob of {len(blob)} bytes exceeds the "
                     f"transport frame guard (max_frame={self._max_frame}) "
-                    f"for {worker.name}; raise worker_max_frame (and "
-                    "--max-frame on a listener) to admit a full snapshot"
+                    f"for {worker.name}; the pool's max_frame must admit "
+                    "a full snapshot"
                 )
             worker.transport.send((MSG_TICK, blob, tick, shard_ids))
             sent_at[worker_index] = time.perf_counter()
@@ -710,9 +451,8 @@ class ReplicaWorkerPool:
             try:
                 # block until someone has something: a long decision
                 # stage is legitimate idle time, so no deadline here --
-                # REMOTE_IO_TIMEOUT guards individual send/recv calls, and a
-                # vanished peer surfaces once the OS resets its
-                # connection (readable -> recv error -> revive)
+                # a dead worker closes its end, which reads as EOF
+                # (readable -> recv error -> revive)
                 ready = mp_connection.wait(list(by_transport), timeout=None)
             except OSError:  # pragma: no cover - an fd closed under us
                 ready = list(by_transport)
@@ -809,9 +549,9 @@ class ReplicaWorkerPool:
     def debug_drop_worker(self, worker_index: int) -> None:
         """Fault injection: make a worker vanish without replying.
 
-        The worker closes its side immediately (a remote listener loops
-        back to ``accept``); the coordinator discovers the death on its
-        next send and takes the respawn/reconnect + snapshot path.
+        The worker closes its side and exits immediately; the
+        coordinator discovers the death on its next exchange and takes
+        the respawn + snapshot path.
         """
         worker = self.workers[worker_index]
         try:
@@ -826,13 +566,8 @@ class ReplicaWorkerPool:
             except (BrokenPipeError, OSError):
                 pass
         for worker in self.workers:
-            if worker.process is not None:
+            worker.process.join(timeout=5)
+            if worker.process.is_alive():  # pragma: no cover - stuck
+                worker.process.terminate()
                 worker.process.join(timeout=5)
-                if worker.process.is_alive():  # pragma: no cover - stuck
-                    worker.process.terminate()
-                    worker.process.join(timeout=5)
             worker.transport.close()
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    main()

@@ -95,7 +95,7 @@ class BattleSimulation:
     The battle's :attr:`game` (also reachable as :attr:`schema`,
     :attr:`registry` and :attr:`scripts`) is what every decision runs:
     a mod replaces ``sim.game.scripts[unittype]`` before the first tick,
-    and serial, process and remote runs all play it.
+    and serial and process runs both play it.
     """
 
     def __init__(
@@ -147,8 +147,6 @@ class BattleSimulation:
                 if name != "trace_path" and not name.startswith("epoch_log")
             },
         )
-        if config.workers != "local":
-            self._ctor_kwargs["workers"] = list(config.workers)
 
         self.engine = SimulationEngine(
             self.env, self.game, self._mechanics, config

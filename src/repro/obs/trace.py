@@ -13,7 +13,7 @@ Event vocabulary:
   microseconds on the ``perf_counter`` clock, and ``args`` always
   carries the owning ``epoch`` so a tick's spans correlate across
   threads and workers.
-* ``i`` (instant) events for faults -- worker respawns/reconnects,
+* ``i`` (instant) events for faults -- worker respawns,
   STALE snapshot re-feeds, subscriber drops -- and slow-tick flags.
 * ``M`` (metadata) events naming the process and the logical tracks
   (coordinator, per-worker RTT rows, publisher, epoch-log writer).

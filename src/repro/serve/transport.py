@@ -1,11 +1,10 @@
 """The one message transport under the worker and replica protocols.
 
 :class:`SocketTransport` frames pickled messages over any
-``SOCK_STREAM`` socket: a TCP session to a remote decision worker, a
-spectator or a feed subscriber, or one end of the private
-``socket.socketpair()`` a same-host child process (a local decision
-worker, a spectator, a ``--listen`` worker) is started on by
-:func:`start_child`.  Every frame is prefixed with a **protocol version
+``SOCK_STREAM`` socket: a TCP session to a spectator or a feed
+subscriber, or one end of the private ``socket.socketpair()`` a
+same-host child process (a decision worker, a spectator) is started on
+by :func:`start_child`.  Every frame is prefixed with a **protocol version
 byte** (a peer speaking a different wire format is detected on the
 first frame, not by an unpickling crash halfway through a delta) and a
 4-byte length that is validated against a **maximum frame size**
@@ -43,7 +42,8 @@ from typing import Any
 #: Bump when the frame layout or blob vocabulary changes incompatibly.
 #: 2: ReplicaDelta gained the positional wire encoding + the
 #: ``insert_at`` order patch.  3: a remote worker session's ``INIT``
-#: carries the coordinator's game, not a factory to build it.  4: a
+#: carries the coordinator's game, not a factory to build it (remote
+#: workers, and ``INIT`` with them, are retired since).  4: a
 #: snapshot blob is ``(tag, epoch, rows)`` and ``ReplicaDelta`` no
 #: longer counts shard moves: the shard layout is fixed when the engine
 #: is built and reaches workers only in their session payload.
@@ -54,8 +54,8 @@ PROTOCOL_VERSION = 4
 #: under this) while still rejecting nonsense lengths immediately.
 DEFAULT_MAX_FRAME = 256 * 1024 * 1024
 
-#: How long a spectator replica or a ``--listen`` worker child may take
-#: to answer its start-up handshake (seconds).
+#: How long a spectator replica child may take to answer its start-up
+#: handshake (seconds).
 STARTUP_TIMEOUT = 30.0
 
 #: version byte + big-endian payload length.
@@ -120,7 +120,7 @@ class SocketTransport:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             # a silently partitioned peer sends no RST; keepalive makes
             # the OS probe an idle connection and reset it, so blocked
-            # readers (the worker-pool gather loop) eventually observe
+            # readers (a spectator's feed loop) eventually observe
             # the death instead of waiting forever
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
 
@@ -307,8 +307,7 @@ def await_ready(
     timeout: float | None = None,
     error: type[Exception] = RuntimeError,
 ) -> Any:
-    """Return the :data:`READY` value a child (or a remote session)
-    opens with; an :data:`ERROR` raises *error* naming *what*, with the
+    """Return the :data:`READY` value a child opens with; an :data:`ERROR` raises *error* naming *what*, with the
     peer's traceback.  On any failure the transport is closed and
     *process*, if given, is stopped."""
     try:

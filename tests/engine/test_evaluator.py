@@ -490,6 +490,12 @@ SELECT ArgMin(e.posx * e.posx + e.posy * e.posy) FROM E e WHERE e.posx >= x;
 function WeakestFromX(x, lo, hi) returns
 SELECT ArgMin(health) FROM E e
 WHERE e.posx >= x AND e.posx <= hi AND e.posy >= lo AND e.posy <= hi;
+
+function FromXOfPlayer(x, p) returns
+SELECT Count(*) AS n FROM E e WHERE e.posx >= x AND e.player = p;
+
+function OfPlayerFromX(x, p) returns
+SELECT Count(*) AS n FROM E e WHERE e.player = p AND e.posx >= x;
 """
 
 #: Each function of ``BOUND_SQL``, its strategy, and its arguments
@@ -498,6 +504,11 @@ BOUND_CALLS = [
     ("FromX", "divisible", lambda x: [x]),
     ("NearestFromX", "nearest", lambda x: [x]),
     ("WeakestFromX", "extreme", lambda x: [x, -1000, 1000]),
+    # player 7 matches no category group: the naive scan compares the
+    # bound only when the range conjunct comes first, and the indexed
+    # answer must follow it in either order
+    ("FromXOfPlayer", "divisible", lambda x: [x, 7]),
+    ("OfPlayerFromX", "divisible", lambda x: [x, 7]),
 ]
 
 

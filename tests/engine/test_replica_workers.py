@@ -9,20 +9,22 @@ Two layers of coverage:
   failures -- a drifted replica epoch, a killed-and-respawned worker --
   and assert the battle trajectory stays
   bit-identical to the flat serial engine, because every recovery
-  degrades to a snapshot broadcast, never to wrong answers.
+  degrades to a snapshot broadcast, never to wrong answers;
+* the **shutdown order** of an engine with workers and a spectator.
 """
 
 import multiprocessing
 import pickle
+import socket
+import time
 
 import pytest
 
 from repro.engine.shardexec import (
-    MSG_STOP,
     MSG_TICK,
     REPLY_ERROR,
     ReplicaWorkerPool,
-    _serve_session,
+    _local_worker_main,
     _WorkerState,
 )
 from repro.env.sharding import (
@@ -281,23 +283,31 @@ class TestReplicaWorkerFaults:
             assert pool.stats.respawns >= 1
             assert sim.state_signature() == baseline
 
-    def test_oversized_update_blob_names_the_knob(self):
-        """``worker_max_frame`` guards local sessions as it guards remote
-        ones: a snapshot beyond it is a configuration error on the first
-        tick, not a dead worker to respawn."""
+    def test_oversized_update_blob_names_the_guard(self):
+        """A snapshot beyond the pool's frame guard is a configuration
+        error on the first tick, not a dead worker to respawn."""
         with BattleSimulation(
             48, density=0.02, seed=3, num_shards=2,
-            parallelism="processes", max_workers=2, worker_max_frame=1024,
+            parallelism="processes", max_workers=2,
         ) as sim:
+            engine = sim.engine
+            payload = {
+                "mode": engine.config.mode,
+                "seed": engine.config.seed,
+                "shard_conf": engine._shard_conf,
+            }
+            engine._pool = ReplicaWorkerPool(
+                engine.game, payload, 2, max_frame=1024
+            )
             with pytest.raises(
-                RuntimeError, match="update blob.*worker_max_frame"
+                RuntimeError, match="update blob of .* bytes.*max_frame=1024"
             ):
                 sim.run(1)
-            assert sim.engine.worker_stats.respawns == 0
+            assert engine.worker_stats.respawns == 0
 
     def test_init_failure_raises_at_pool_start(self):
-        """A local worker that cannot build its state answers the session
-        handshake with its traceback, worded as a remote one is."""
+        """A worker that cannot build its state answers the session
+        handshake with its traceback, and the pool raises with it."""
         payload = {"mode": "indexed", "seed": 0, "shard_conf": ("key", 0, None)}
         with pytest.raises(
             RuntimeError,
@@ -427,26 +437,21 @@ class TestWorkerPatchOrRebuild:
         session, so a layout the worker cannot adopt fails the session
         before any replica exists: the handshake answers ERROR with the
         traceback, and no update is ever read."""
-
-        class Scripted:
-            def __init__(self, messages):
-                self.inbox = list(messages)
-                self.sent = []
-
-            def recv(self):
-                return self.inbox.pop(0)
-
-            def send(self, message):
-                self.sent.append(message)
-
-        transport = Scripted([(MSG_STOP,)])
+        ours, theirs = socket.socketpair()
         bad_layout = ("spatial", 2, None)  # a spatial layout needs an extent
         payload = {"mode": "indexed", "seed": 5, "shard_conf": bad_layout}
-        assert not _serve_session(transport, battle_game(), payload)
-        [(tag, error)] = transport.sent
-        assert tag == REPLY_ERROR
-        assert "ShardingError" in error
-        assert transport.inbox == [(MSG_STOP,)]
+        with SocketTransport(ours) as transport:
+            # queued before the session starts: a worker that served it
+            # would answer a second message
+            transport.send((MSG_TICK, snapshot_blob(1, []), 1, [0]))
+            _local_worker_main(theirs, battle_game(), payload, 1 << 20)
+            tag, error = transport.recv()
+            assert tag == REPLY_ERROR
+            assert "ShardingError" in error
+            # ... and nothing more: the session closed with the tick
+            # unread, which the peer sees as a reset (or a plain EOF)
+            with pytest.raises((EOFError, ConnectionResetError)):
+                transport.recv()
 
     def test_real_battle_ticks_rebuild(self):
         """Three consecutive ticks of a 200-unit battle, shipped as the
@@ -559,3 +564,74 @@ class TestOnePicklePerDelta:
         assert pickle.loads(blob)[:2] == (UPDATE_SNAPSHOT, 3)
         assert any(b is blob for b in sent["published"])
         assert any(b is blob for b in sent["workers"][3])
+
+
+class TestShutdownOrdering:
+    """close() is idempotent and tears the publisher down first."""
+
+    def test_close_is_idempotent(self):
+        sim = BattleSimulation(
+            24, density=0.02, seed=3, num_shards=2,
+            parallelism="processes", max_workers=2, spectators=True,
+        )
+        spectator = sim.spawn_spectator()
+        try:
+            sim.run(2)
+            sim.close()
+            sim.close()  # second close must be a clean no-op
+            assert sim.engine.publisher is None
+            assert sim.engine._pool is None
+        finally:
+            spectator.close()
+            sim.close()  # and a third, after spectator teardown
+
+    def test_publisher_closes_before_worker_pool(self):
+        """The engine must quiesce the spectator feed before tearing
+        down workers, so subscribers see clean EOFs, not resets."""
+        order = []
+        with BattleSimulation(
+            24, density=0.02, seed=3, num_shards=2,
+            parallelism="processes", max_workers=2, spectators=True,
+        ) as sim:
+            sim.run(1)
+            publisher = sim.engine.publisher
+            pool = sim.engine._pool
+            real_pub_close = publisher.close
+            real_pool_close = pool.close
+            publisher.close = lambda: (order.append("publisher"),
+                                       real_pub_close())
+            pool.close = lambda: (order.append("pool"), real_pool_close())
+            sim.close()
+        assert order == ["publisher", "pool"]
+
+    def test_spectator_sees_clean_eof_on_close(self):
+        """After close(), an attached spectator's feed ends with EOF and
+        the replica keeps serving its last epoch -- no reset noise."""
+        sim = BattleSimulation(
+            24, density=0.02, seed=5, num_shards=2,
+            parallelism="processes", max_workers=2, spectators=True,
+        )
+        spectator = sim.spawn_spectator()
+        try:
+            with spectator.client() as client:
+                sim.run(2)
+                expected = sim.engine.tick_count + 1
+                # wait until the replica holds the final epoch
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline:
+                    if client.status()["epoch"] == expected:
+                        break
+                    time.sleep(0.02)
+                sim.close()
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline:
+                    status = client.status()
+                    if not status["feed_alive"]:
+                        break
+                    time.sleep(0.02)
+                status = client.status()
+                assert not status["feed_alive"]
+                assert status["epoch"] == expected
+        finally:
+            spectator.close()
+            sim.close()

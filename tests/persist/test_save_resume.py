@@ -191,6 +191,7 @@ def test_format_1_log_is_refused(format_1_files):
     [
         ("worker_scope", "shards"),
         ("worker_broadcast", "snapshot"),
+        ("workers", ["127.0.0.1:9001"]),
         ("cascade", False),
         ("optimize_aoe", False),
         ("index_maintenance", "incremental"),

@@ -329,11 +329,6 @@ class TestKnobsDeclaredOnce:
             "shard_by": dict(shard_by="player"),
             "parallelism": dict(parallelism="processes"),
             "max_workers": dict(max_workers=3),
-            # endpoints are only dialled by the first sharded tick
-            "workers": dict(
-                workers=["127.0.0.1:9"], parallelism="processes", num_shards=2
-            ),
-            "worker_max_frame": dict(worker_max_frame=1 << 20),
             "spectators": dict(spectators=True),
             "epoch_log": dict(epoch_log=str(tmp_path / "epochs.log")),
             "epoch_log_checkpoint_every": dict(epoch_log_checkpoint_every=5),
@@ -345,7 +340,7 @@ class TestKnobsDeclaredOnce:
 
     def test_every_field_has_a_probe(self, tmp_path):
         fields = {f.name for f in dataclasses.fields(EngineConfig)}
-        assert len(fields) == 15
+        assert len(fields) == 13
         assert set(self.probes(tmp_path)) == fields
 
     def test_battle_forwards_every_knob(self, tmp_path):
@@ -403,6 +398,9 @@ class TestKnobsDeclaredOnce:
             "spectator_host",
             "spectator_port",
             "worker_timeout",
+            # deleted with the remote decision workers
+            "workers",
+            "worker_max_frame",
         ],
     )
     def test_unknown_keyword_is_a_type_error_naming_it(

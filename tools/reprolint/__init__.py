@@ -1,7 +1,7 @@
 """reprolint: determinism & concurrency static analysis for this repo.
 
 Every layer of the reproduction rests on one invariant -- bit-identical
-trajectories across serial/threads/processes/remote/spectator/replay
+trajectories across serial/processes/spectator/replay
 configurations -- and the costliest bugs so far (a ``PYTHONHASHSEED``-
 dependent ``stable_hash``, an ``id()``-reuse script-cache alias, a
 ``union`` row alias) were all *statically detectable* nondeterminism
