@@ -12,8 +12,6 @@ monotone naive/indexed ratio that passes 10× within the sweep, and a
 naive curve growing ~4× per unit-count doubling vs ~2-2.6× for indexed.
 """
 
-import pytest
-
 from benchmarks.util import emit, fmt_table, tick_seconds
 from repro.game.battle import BattleSimulation
 

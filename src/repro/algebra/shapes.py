@@ -32,8 +32,8 @@ Conjunct classes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from dataclasses import dataclass
+from typing import Literal
 
 from ..indexes.divisible import MOMENT_AGGREGATES
 from ..sgl import ast

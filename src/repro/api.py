@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from .algebra.shapes import classify_aggregate
 from .engine.compile import CallSite
-from .engine.decision import DecisionRunner, GameDefinition
+from .engine.decision import DecisionRunner
+from .engine.decision import GameDefinition as GameDefinition  # re-export
 from .env.schema import Schema
 from .game.battle import BattleSimulation, BattleSummary
 from .sgl.ast import Script

@@ -36,9 +36,14 @@ update or log record carries it.
    commutative (Eq. 3), so shard-local effect tables can be combined in
    any order; the engine always merges in ascending shard id, the
    deterministic tie-break that keeps trajectories bit-identical run to
-   run *and* across shard counts and worker layouts (see below);
+   run *and* across shard counts and worker layouts (see below).  ⊕
+   groups on ``K`` when the registry guarantees every effect row is a
+   copy of ``E``'s row for its key (no native action, no action writing
+   a const attribute), on all the const attributes otherwise; either
+   way each combined row is a fresh copy;
 5. **mechanics** -- the game's post-processing applies the combined
-   effects (Example 4.1), moves units, removes the dead;
+   effects (Example 4.1), moves units, removes the dead.  It owns ⊕'s
+   rows and updates them in place;
 6. **feed** (optional) -- the post-tick state becomes one
    :class:`~repro.env.sharding.EpochUpdate` (epoch, rows and the row
    delta against the tick-start state) handed to every attached
@@ -96,6 +101,9 @@ from .effects import AoeRecord, resolve_aoe
 from .rng import TickRandom
 
 #: Game mechanics hook: (combined environment, rng, tick) -> next environment.
+#: The combined rows are ⊕'s fresh copies, never ``E``'s own: mechanics
+#: owns them and may mutate them in place, which leaves the tick-start
+#: rows intact for the change capture.
 MechanicsFn = Callable[[EnvironmentTable, TickRandom, int], EnvironmentTable]
 
 #: Canonical stage names, in pipeline order, each with the
@@ -388,6 +396,15 @@ class SimulationEngine:
             for name, fn in self.registry.actions.items()
             if fn.spec is not None
         }
+        # ⊕ may group on K when every effect row is E's row for its key
+        # with only effect attributes written.  Spec actions emit such
+        # copies on every path (key action, scan, deferred AoE), unless
+        # they write a const; a native action (no spec) may emit any row.
+        consts = set(env.schema.const_names)
+        self._combine_by_key = all(
+            fn.spec is not None and consts.isdisjoint(fn.spec.effects)
+            for fn in self.registry.actions.values()
+        )
         # Last, so no later failure in this constructor can strand the
         # process-wide gc hook; close() removes it.
         self._gc_monitor = GcMonitor(m) if m.enabled else None
@@ -709,7 +726,8 @@ class SimulationEngine:
         # order: E first (seeding the row order), then every shard's
         # decision effects in ascending shard id, then the AoE effects.
         # ⊕ is associative/commutative, so this fixed order is a
-        # tie-break, not a semantic choice.
+        # tie-break, not a semantic choice.  Its rows are fresh copies,
+        # handed to mechanics to own.
         t0 = time.perf_counter()
         effect_row_count = 0
         tables = [env]
@@ -718,7 +736,7 @@ class SimulationEngine:
             table = EnvironmentTable(schema)
             table.rows.extend(rows)
             tables.append(table)
-        combined = combine_all(tables, schema)
+        combined = combine_all(tables, schema, by_key=self._combine_by_key)
         timed("combine", t0, effect_rows=effect_row_count)
 
         # stage 5: game mechanics (post-processing + movement)
@@ -728,9 +746,9 @@ class SimulationEngine:
 
         # change capture, only when a replica feed is attached: diff the
         # post-mechanics environment against the tick-start snapshot
-        # (mechanics copies rows, so *env* still holds the pre-tick
-        # values), encoded as an epoch-stamped ReplicaDelta in this
-        # epoch's update
+        # (⊕ copies rows and mechanics owns the copies, so *env* still
+        # holds the pre-tick values), encoded as an epoch-stamped
+        # ReplicaDelta in this epoch's update
         rd = None
         if (
             self._processes

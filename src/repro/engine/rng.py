@@ -12,6 +12,12 @@ unit key, i), so
   and the indexed engines produce bit-identical trajectories.
 
 The mixer is SplitMix64, chosen for quality-per-cycle in pure Python.
+A draw is three chained mixes, ``splitmix64(stream ^ i)`` over the
+unit's *stream* for the tick, ``splitmix64(splitmix64(seed ^ tick) ^
+stable_hash(key))``.  The first two are the same for every draw a unit
+makes in a tick, so :class:`TickRandom` caches each unit's stream; the
+cache is dropped whenever the tick (or the seed) changes, so it never
+holds more than one tick's keys, and each draw costs one mix.
 """
 
 from __future__ import annotations
@@ -80,30 +86,62 @@ def stable_hash(key: object) -> int:
 class TickRandom:
     """The random function ``r : Env × N → N`` threaded through a tick."""
 
-    __slots__ = ("seed", "tick", "key_attr", "_key_hashes")
+    __slots__ = (
+        "_seed", "_tick", "key_attr", "_key_hashes", "_tick_state", "_streams"
+    )
 
     def __init__(self, seed: int, tick: int = 0, key_attr: str = "key"):
-        self.seed = seed & _MASK
-        self.tick = tick
+        self._seed = seed & _MASK
+        self._tick = tick
         self.key_attr = key_attr
-        # memoized stable_hash per key: unit keys repeat every draw of
-        # every tick, and the fold over str/tuple keys is pure Python.
-        # Bounded by the number of distinct keys the simulation uses.
+        # memoized stable_hash per key: unit keys repeat every tick, and
+        # the fold over str/tuple keys is pure Python.  Bounded by the
+        # number of distinct keys the simulation uses.
         self._key_hashes: dict[object, int] = {}
+        self._new_tick()
+
+    def _new_tick(self) -> None:
+        """Start the per-tick stream cache over for the current seed/tick."""
+        self._tick_state = splitmix64(self._seed ^ (self._tick & _MASK))
+        # key -> splitmix64(tick state ^ stable_hash(key)): one tick's
+        # units at most, since every change of tick or seed lands here
+        self._streams: dict[object, int] = {}
+
+    @property
+    def seed(self) -> int:
+        return self._seed
+
+    @seed.setter
+    def seed(self, seed: int) -> None:
+        self._seed = seed & _MASK
+        self._new_tick()
+
+    @property
+    def tick(self) -> int:
+        return self._tick
+
+    @tick.setter
+    def tick(self, tick: int) -> None:
+        self._tick = tick
+        self._new_tick()
 
     def advance(self, tick: int | None = None) -> None:
         """Move to the next clock tick (Random values change between ticks)."""
-        self.tick = self.tick + 1 if tick is None else tick
+        self.tick = self._tick + 1 if tick is None else tick
 
     def __call__(self, row: Mapping[str, object], i: int) -> int:
         key = row[self.key_attr]
-        key_hash = self._key_hashes.get(key)
-        if key_hash is None:
-            key_hash = self._key_hashes[key] = stable_hash(key)
-        state = self.seed
-        state = splitmix64(state ^ (self.tick & _MASK))
-        state = splitmix64(state ^ key_hash)
-        return splitmix64(state ^ (i & _MASK))
+        z = self._streams.get(key)
+        if z is None:  # the unit's first draw this tick
+            key_hash = self._key_hashes.get(key)
+            if key_hash is None:
+                key_hash = self._key_hashes[key] = stable_hash(key)
+            z = self._streams[key] = splitmix64(self._tick_state ^ key_hash)
+        # splitmix64(stream ^ i), inlined: this runs for every draw
+        z = ((z ^ (i & 0xFFFFFFFFFFFFFFFF)) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        return z ^ (z >> 31)
 
     def uniform(self, row: Mapping[str, object], i: int, n: int) -> int:
         """``Random(i) mod n`` convenience used by the engine itself."""

@@ -15,20 +15,32 @@ commutative, ``⊕`` is too, and Eq. (3) gives::
 
 These identities are what license the query-plan rewrites of Section 5.2;
 they are verified by property tests in ``tests/env/test_combine.py``.
+
+**Two groupings, one fold.**  The reference grouping is Eq. 2's: the
+tuple of every const attribute.  When ``K`` determines the const
+attributes -- every row of the tick's tables is ``E``'s row for its key
+with only effect attributes changed -- grouping on ``K`` alone gives the
+same groups, so :func:`combine_all` takes ``by_key=True`` to group on
+the key.  Only the caller can vouch for that: the engine does when no
+action can emit a row that is not such a copy (see
+``SimulationEngine.__init__``).  ``K`` must also be a key of the first
+table (``E``); when it repeats a key there, the fold falls back to the
+reference grouping, so a caller's promise never merges two units.
+
+Each group is seeded with a fresh ``dict`` of its first row, so the
+combined rows share nothing with the input tables: the caller owns them
+and may mutate them in place.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from operator import itemgetter
+from typing import Callable, Iterable
 
 from .schema import AttributeType, Schema, SchemaError
 from .table import EnvironmentTable
 
-_COMBINE_FUNCS: dict[AttributeType, Callable[[Any, Any], Any]] = {
-    AttributeType.SUM: lambda a, b: a + b,
-    AttributeType.MAX: max,
-    AttributeType.MIN: min,
-}
+Row = dict[str, object]
 
 
 def combine(table: EnvironmentTable) -> EnvironmentTable:
@@ -38,23 +50,7 @@ def combine(table: EnvironmentTable) -> EnvironmentTable:
     functionally determined by ``K`` -- which holds for every table derived
     from a keyed environment, since scripts cannot modify const attributes.
     """
-    schema = table.schema
-    const_names = schema.const_names
-    effect_tags = [(name, schema.tag_of(name)) for name in schema.effect_names]
-
-    groups: dict[tuple[object, ...], dict[str, object]] = {}
-    for row in table:
-        sig = tuple(row[n] for n in const_names)
-        acc = groups.get(sig)
-        if acc is None:
-            groups[sig] = dict(row)
-        else:
-            for name, tag in effect_tags:
-                acc[name] = _COMBINE_FUNCS[tag](acc[name], row[name])
-
-    out = EnvironmentTable(schema)
-    out.rows.extend(groups.values())
-    return out
+    return combine_all([table], table.schema)
 
 
 def combine_pair(left: EnvironmentTable, right: EnvironmentTable) -> EnvironmentTable:
@@ -66,29 +62,75 @@ def combine_pair(left: EnvironmentTable, right: EnvironmentTable) -> Environment
     return combine_all([left, right], left.schema)
 
 
-def combine_all(tables: Iterable[EnvironmentTable], schema: Schema) -> EnvironmentTable:
+def combine_all(
+    tables: Iterable[EnvironmentTable], schema: Schema, *, by_key: bool = False
+) -> EnvironmentTable:
     """Combine any number of effect tables into one.
 
     Exploits associativity by accumulating into a single hash of groups
     rather than materialising the intermediate multiset union, i.e. it is
-    the ``⊕(⨄ ...)`` of Eq. (7) computed in one pass.
-    """
-    const_names = schema.const_names
-    effect_tags = [(name, schema.tag_of(name)) for name in schema.effect_names]
+    the ``⊕(⨄ ...)`` of Eq. (7) computed in one pass.  Groups come out in
+    the order their first rows arrive.
 
-    groups: dict[tuple[object, ...], dict[str, object]] = {}
+    *by_key* groups on ``schema.key`` instead of every const attribute;
+    the caller vouches that ``K`` determines the consts (see the module
+    docstring).  If the first table repeats a key, the const grouping
+    runs instead.
+    """
+    tables = list(tables)
     for table in tables:
         if table.schema != schema:
             raise SchemaError("⊕ requires identical schemas")
-        for row in table:
-            sig = tuple(row[n] for n in const_names)
-            acc = groups.get(sig)
-            if acc is None:
-                groups[sig] = dict(row)
-            else:
-                for name, tag in effect_tags:
-                    acc[name] = _COMBINE_FUNCS[tag](acc[name], row[name])
+    if by_key and tables:
+        key_of = itemgetter(schema.key)
+        groups: dict[object, Row] = {key_of(row): dict(row) for row in tables[0]}
+        if len(groups) == len(tables[0]):
+            _fold(groups, tables[1:], key_of, schema)
+            return _table(schema, groups)
+        # K is no key of the first table: the const grouping instead
+    groups = {}
+    _fold(groups, tables, itemgetter(*schema.const_names), schema)
+    return _table(schema, groups)
 
+
+def _table(schema: Schema, groups: dict[object, Row]) -> EnvironmentTable:
     out = EnvironmentTable(schema)
     out.rows.extend(groups.values())
     return out
+
+
+def _fold(
+    groups: dict[object, Row],
+    tables: Iterable[EnvironmentTable],
+    group_of: Callable[[Row], object],
+    schema: Schema,
+) -> None:
+    """Fold every row of *tables* into *groups* under ``group_of(row)``.
+
+    A new group is a copy of its first row; later rows merge each effect
+    attribute by its tag.  ``max``/``min`` replace only on a strict
+    comparison with the new value on the left, which is what builtin
+    ``max(acc, v)``/``min(acc, v)`` do: the first value wins a tie (``0``
+    against ``0.0`` keeps the accumulator's type) and a NaN on either
+    side leaves the accumulator as it is.
+    """
+    sums = [n for n in schema.effect_names if schema.tag_of(n) is AttributeType.SUM]
+    maxes = [n for n in schema.effect_names if schema.tag_of(n) is AttributeType.MAX]
+    mins = [n for n in schema.effect_names if schema.tag_of(n) is AttributeType.MIN]
+    for table in tables:
+        for row in table:
+            group = group_of(row)
+            acc = groups.get(group)
+            if acc is None:
+                groups[group] = dict(row)
+                continue
+            for n in sums:
+                acc[n] = acc[n] + row[n]
+            for n in maxes:
+                v = row[n]
+                if v > acc[n]:
+                    acc[n] = v
+            for n in mins:
+                v = row[n]
+                if v < acc[n]:
+                    acc[n] = v

@@ -19,7 +19,7 @@ system (SGL scripts, the bag algebra, index construction, and the engine).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 

@@ -19,7 +19,6 @@ from ..engine.clock import EngineConfig, SimulationEngine, TickStats
 from ..engine.decision import GameDefinition
 from ..engine.movement import Grid, run_movement_phase
 from ..engine.rng import TickRandom
-from ..env.combine import combine_all
 from ..env.schema import battle_schema
 from ..env.table import EnvironmentTable
 from .scenario import DEFAULT_COMPOSITION, two_army_battle, uniform_battle
@@ -444,31 +443,30 @@ class BattleSimulation:
         time_reload = GAME_CONSTANTS["_TIME_RELOAD"]
         neg_inf = float("-inf")
 
+        # the combined rows are ⊕'s copies: updated in place (MechanicsFn)
         alive: list[dict[str, object]] = []
         dead: list[dict[str, object]] = []
         for row in combined:
-            new_row = dict(row)
-            inaura = new_row["inaura"]
+            inaura = row["inaura"]
             if inaura == neg_inf:
                 inaura = 0
             healing = min(
-                new_row["health"] - new_row["damage"] + inaura,
-                new_row["max_health"],
+                row["health"] - row["damage"] + inaura, row["max_health"]
             )
-            self.summary.total_damage += new_row["damage"]
+            self.summary.total_damage += row["damage"]
             if inaura:
                 self.summary.total_healing += inaura
-            weaponused = new_row["weaponused"]
+            weaponused = row["weaponused"]
             if weaponused == neg_inf:
                 weaponused = 0
-            new_row["cooldown"] = max(
-                new_row["cooldown"] - 1 + weaponused * time_reload, 0
+            row["cooldown"] = max(
+                row["cooldown"] - 1 + weaponused * time_reload, 0
             )
-            new_row["health"] = healing
+            row["health"] = healing
             if healing <= 0:
-                dead.append(new_row)
+                dead.append(row)
             else:
-                alive.append(new_row)
+                alive.append(row)
 
         # movement phase: random order, collision detection, simple
         # pathfinding.  Dead units do not move.  Runs before the effect

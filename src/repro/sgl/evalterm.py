@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Protocol
 
 from . import ast
 from .errors import SglNameError, SglRuntimeError, SglTypeError
-from .values import Record, Vec, field_of
+from .values import Vec, field_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..env.table import EnvironmentTable

@@ -1,6 +1,7 @@
 """Deterministic randomness (Section 4.1) and the grid movement phase."""
 
 import os
+import pickle
 import subprocess
 import sys
 
@@ -135,6 +136,70 @@ class TestStableKeyHash:
             )
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1]
+
+
+_M64 = (1 << 64) - 1
+STREAM_KEYS = [
+    0, 7, -1, -(1 << 70), 1 << 64, (1 << 64) - 1, 3 ** 50, True,
+    "", "unit-7", "ünïcode", b"raw", 2.5, -0.5, float("inf"), 4.0,
+    (1, "a"), ((2, b"x"), 0.25), (),
+]
+DRAWS = [0, 1, 7_301_333, -1, -(1 << 65), 1 << 64, 770_101]
+
+
+def three_mixes(seed, tick, key, i):
+    """A draw as three SplitMix64 mixes: tick, unit key, draw index."""
+    state = splitmix64((seed & _M64) ^ (tick & _M64))
+    state = splitmix64(state ^ stable_hash(key))
+    return splitmix64(state ^ (i & _M64))
+
+
+class TestTickStreams:
+    """Each draw is one mix of the unit's cached per-tick stream, and
+    equals the three-mix formula whatever the key type or draw index."""
+
+    def check(self, rng, seed, tick):
+        for key in STREAM_KEYS:
+            for i in DRAWS:
+                assert rng({"key": key}, i) == three_mixes(seed, tick, key, i)
+
+    def test_draws_equal_the_three_mix_formula(self):
+        self.check(TickRandom(seed=-3, tick=5), -3, 5)
+        self.check(TickRandom(seed=1 << 66, tick=-2), 1 << 66, -2)
+
+    def test_advance_and_assignment_start_a_new_stream(self):
+        rng = TickRandom(seed=9, tick=1)
+        self.check(rng, 9, 1)
+        rng.advance()
+        self.check(rng, 9, 2)
+        rng.advance(40)
+        self.check(rng, 9, 40)
+        rng.tick = 3
+        self.check(rng, 9, 3)
+        rng.seed = 12
+        self.check(rng, 12, 3)
+
+    def test_a_pickled_copy_draws_the_same(self):
+        rng = TickRandom(seed=21, tick=6, key_attr="id")
+        rng({"id": "warm"}, 1)  # a cached stream travels too
+        copy = pickle.loads(pickle.dumps(rng))
+        assert (copy.seed, copy.tick, copy.key_attr) == (21, 6, "id")
+        for key in STREAM_KEYS:
+            assert copy({"id": key}, 5) == rng({"id": key}, 5)
+        copy.advance()
+        assert copy({"id": 1}, 5) == three_mixes(21, 7, 1, 5)
+
+    def test_the_stream_cache_holds_one_ticks_keys(self):
+        rng = TickRandom(seed=2, tick=1)
+        for tick in range(1, 6):
+            rng.tick = tick
+            keys = range(tick * 10, tick * 10 + 25)
+            for key in keys:
+                rng({"key": key}, 0)
+                rng({"key": key}, 1)
+            assert set(rng._streams) == set(keys)
+        rng.advance()
+        assert rng._streams == {}
 
 
 class TestDesiredDirection:

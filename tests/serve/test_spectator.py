@@ -14,7 +14,6 @@ Two layers of coverage:
 """
 
 import builtins
-import pickle
 import socket
 import struct
 import time

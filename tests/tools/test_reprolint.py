@@ -670,6 +670,77 @@ class TestDynamicCode:
 
 
 # ---------------------------------------------------------------------------
+# hygiene pack
+# ---------------------------------------------------------------------------
+
+
+class TestUnusedImport:
+    def test_flags_module_imports_nothing_reads(self, tmp_path):
+        findings = lint_one(
+            tmp_path,
+            """\
+            import os.path
+            import json, sys
+            from dataclasses import dataclass, field
+            from typing import Sequence as Seq
+
+            try:
+                import tomllib
+            except ImportError:
+                tomllib = None
+
+
+            @dataclass
+            class Row:
+                name: str
+
+
+            def dump(row):
+                return json.dumps(row.name)
+            """,
+            rule="unused-import",
+            rel="serve/mod.py",  # every module, not only the tick path
+        )
+        assert rule_ids(findings) == ["unused-import"] * 5
+        assert [f.message.split()[0] for f in findings] == [
+            "'os'", "'sys'", "'field'", "'Seq'", "'tomllib'"
+        ]
+
+    def test_reads_reexports_and_type_checking_are_allowlisted(self, tmp_path):
+        findings = lint_one(
+            tmp_path,
+            """\
+            from __future__ import annotations
+
+            from typing import TYPE_CHECKING, Mapping
+            from .decision import GameDefinition as GameDefinition
+            from .clock import EngineConfig
+            from .table import Table
+            import zlib as zlib
+
+            if TYPE_CHECKING:
+                from .effects import AoeRecord
+
+            __all__ = ["EngineConfig"]
+
+
+            def size(t: "Table", m: Mapping[str, int]) -> "AoeRecord | None":
+                return None
+            """,
+            rule="unused-import",
+        )
+        assert findings == []
+
+    def test_package_init_is_exempt(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {"engine/__init__.py": "from .clock import SimulationEngine\n"},
+            rule_ids=["unused-import"],
+        )
+        assert findings == []
+
+
+# ---------------------------------------------------------------------------
 # suppressions
 # ---------------------------------------------------------------------------
 
